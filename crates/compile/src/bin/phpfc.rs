@@ -338,7 +338,7 @@ fn main() -> ExitCode {
                         trace_out = exec.take_obs();
                         Ok(exec.metrics)
                     }
-                    Err(e) => Err(format!("execution failed: {:?}", e)),
+                    Err(e) => Err(format!("execution failed: {}", e)),
                 }
             }
             None => compiled.observe(init).map(|(_, metrics)| metrics),
@@ -470,7 +470,7 @@ fn main() -> ExitCode {
                 }
             }
             Err(e) => {
-                eprintln!("phpfc: execution failed: {}", e);
+                eprintln!("phpfc: {}", e);
                 return ExitCode::FAILURE;
             }
         }

@@ -168,7 +168,7 @@ impl Compiled {
         init: impl Fn(&mut hpf_ir::Memory),
     ) -> Result<(hpf_spmd::ExecStats, hpf_spmd::CommMetrics), String> {
         let mut exec = hpf_spmd::SpmdExec::new(&self.spmd, init);
-        exec.run().map_err(|e| format!("execution failed: {:?}", e))?;
+        exec.run().map_err(|e| format!("execution failed: {}", e))?;
         let stats = exec.stats;
         Ok((stats, exec.metrics))
     }

@@ -661,7 +661,7 @@ fn decode_memory(d: &mut Dec, program: &Program) -> Result<Memory, String> {
                     let val = d.value().map_err(|e| e.to_string())?;
                     mem.array_mut(v)
                         .set(off, val)
-                        .map_err(|e| format!("array {}: {:?}", info.name, e))?;
+                        .map_err(|e| format!("array {}: {}", info.name, e))?;
                 }
             }
             None if tag == SCALAR => {
@@ -910,7 +910,7 @@ pub fn socket_validate_replay(job: &NetJob, cfg: &NetRunConfig) -> Result<Replay
         exec = exec.without_vectorization();
     }
     exec.run()
-        .map_err(|e| format!("reference run failed: {:?}", e))?;
+        .map_err(|e| format!("reference run failed: {}", e))?;
     if job.trace {
         pipe.end("reference-exec");
         pipe.begin("replay");
@@ -1735,7 +1735,7 @@ fn run_rank_inner(
         exec = exec.without_vectorization();
     }
     exec.run()
-        .map_err(|e| format!("reference run failed: {:?}", e))?;
+        .map_err(|e| format!("reference run failed: {}", e))?;
     let trace = exec.trace.take().expect("trace recorded");
 
     let mut mem = Memory::zeroed(&compiled.spmd.program);
@@ -1819,7 +1819,7 @@ fn worker_supervised_inner(
         exec = exec.without_vectorization();
     }
     exec.run()
-        .map_err(|e| format!("reference run failed: {:?}", e))?;
+        .map_err(|e| format!("reference run failed: {}", e))?;
     let cuts = exec.epoch_cuts().to_vec();
     let trace = exec.trace.take().expect("trace recorded");
 

@@ -61,6 +61,24 @@ impl ProcGrid {
         pid
     }
 
+    /// Linear id of the processor whose coordinate along dimension `d` is
+    /// `at(d)`, or `reader`'s own coordinate where `at(d)` is `None`
+    /// (replicated and privatized dimensions are read locally). Pure
+    /// arithmetic on the pid's mixed-radix digits: `at` is called once per
+    /// dimension, last dimension first, and nothing is allocated.
+    pub fn resolve_with(&self, reader: usize, mut at: impl FnMut(usize) -> Option<usize>) -> usize {
+        let (mut pid, mut weight, mut rest) = (0, 1, reader);
+        for d in (0..self.dims.len()).rev() {
+            let ext = self.dims[d];
+            let c = at(d).unwrap_or(rest % ext);
+            debug_assert!(c < ext);
+            rest /= ext;
+            pid += c * weight;
+            weight *= ext;
+        }
+        pid
+    }
+
     /// All processor ids.
     pub fn pids(&self) -> impl Iterator<Item = usize> {
         0..self.total()
@@ -88,6 +106,19 @@ mod tests {
         assert_eq!(g.coords_of(0), vec![0, 0]);
         assert_eq!(g.coords_of(1), vec![0, 1]); // last dim fastest
         assert_eq!(g.coords_of(4), vec![1, 0]);
+    }
+
+    #[test]
+    fn resolve_with_matches_coordinate_vectors() {
+        let g = ProcGrid::new(vec![2, 3, 2]);
+        for p in g.pids() {
+            let c = g.coords_of(p);
+            // No pinned dimension: the reader itself.
+            assert_eq!(g.resolve_with(p, |_| None), p);
+            // Pin the middle dimension, follow the reader elsewhere.
+            let pinned = g.pid_of(&[c[0], 2, c[2]]);
+            assert_eq!(g.resolve_with(p, |d| (d == 1).then_some(2)), pinned);
+        }
     }
 
     #[test]

@@ -56,6 +56,16 @@ pub struct OwnerSet {
     pub per_dim: Vec<GridCoord>,
 }
 
+impl GridCoord {
+    /// The pinned coordinate, `None` for `Any`.
+    pub fn at(self) -> Option<usize> {
+        match self {
+            GridCoord::At(x) => Some(x),
+            GridCoord::Any => None,
+        }
+    }
+}
+
 impl OwnerSet {
     pub fn contains(&self, coords: &[usize]) -> bool {
         self.per_dim
@@ -67,29 +77,32 @@ impl OwnerSet {
             })
     }
 
+    /// Does `pid` hold a copy? True exactly when resolving the set for
+    /// reader `pid` lands on `pid` itself.
     pub fn contains_pid(&self, grid: &ProcGrid, pid: usize) -> bool {
-        self.contains(&grid.coords_of(pid))
+        self.resolve(grid, pid) == pid
     }
 
-    /// All pids in the set.
+    /// The pid a reader `reader` takes the element from: pinned
+    /// coordinates as given, `Any` dimensions following the reader.
+    pub fn resolve(&self, grid: &ProcGrid, reader: usize) -> usize {
+        grid.resolve_with(reader, |d| self.per_dim[d].at())
+    }
+
+    /// All pids in the set, ascending.
     pub fn pids(&self, grid: &ProcGrid) -> Vec<usize> {
+        if let Some(p) = self.single(grid) {
+            return vec![p];
+        }
         grid.pids()
-            .filter(|&p| self.contains(&grid.coords_of(p)))
+            .filter(|&p| self.contains_pid(grid, p))
             .collect()
     }
 
     /// Exactly one owner?
     pub fn single(&self, grid: &ProcGrid) -> Option<usize> {
         if self.per_dim.iter().all(|g| matches!(g, GridCoord::At(_))) {
-            let coords: Vec<usize> = self
-                .per_dim
-                .iter()
-                .map(|g| match g {
-                    GridCoord::At(x) => *x,
-                    GridCoord::Any => unreachable!(),
-                })
-                .collect();
-            Some(grid.pid_of(&coords))
+            Some(self.resolve(grid, 0))
         } else {
             None
         }
@@ -182,28 +195,43 @@ impl ArrayMapping {
     /// Owner set given the grid (needed because the number of processors
     /// per dimension determines block sizes).
     pub fn owner_on(&self, grid: &ProcGrid, idx: &[i64]) -> OwnerSet {
-        let per_dim = self
-            .rules
-            .iter()
-            .enumerate()
-            .map(|(g, r)| match r {
-                GridDimRule::ByDim {
-                    array_dim,
-                    dist,
-                    stride,
-                    offset,
-                    t_lo,
-                    t_extent,
-                } => {
-                    let pos = stride * idx[*array_dim] + offset;
-                    let pos0 = pos - t_lo;
-                    GridCoord::At(dist_owner(*dist, pos0, *t_extent, grid.extent(g)))
-                }
-                GridDimRule::Fixed(c) => GridCoord::At(*c),
-                GridDimRule::Replicated | GridDimRule::Private => GridCoord::Any,
-            })
+        let per_dim = (0..self.rules.len())
+            .map(|g| self.coord_on(grid, g, idx))
             .collect();
         OwnerSet { per_dim }
+    }
+
+    /// Owner coordinate of element `idx` along grid dimension `g`.
+    pub fn coord_on(&self, grid: &ProcGrid, g: usize, idx: &[i64]) -> GridCoord {
+        match &self.rules[g] {
+            GridDimRule::ByDim {
+                array_dim,
+                dist,
+                stride,
+                offset,
+                t_lo,
+                t_extent,
+            } => {
+                let pos0 = stride * idx[*array_dim] + offset - t_lo;
+                GridCoord::At(dist_owner(*dist, pos0, *t_extent, grid.extent(g)))
+            }
+            GridDimRule::Fixed(c) => GridCoord::At(*c),
+            GridDimRule::Replicated | GridDimRule::Private => GridCoord::Any,
+        }
+    }
+
+    /// The pid `reader` takes element `idx` from — `owner_on(..)` resolved
+    /// for `reader` — computed by arithmetic, without an owner set.
+    pub fn owner_pid(&self, grid: &ProcGrid, idx: &[i64], reader: usize) -> usize {
+        grid.resolve_with(reader, |g| self.coord_on(grid, g, idx).at())
+    }
+
+    /// Is some grid dimension replicated or privatized (several pids hold
+    /// each element)?
+    pub fn has_copies(&self) -> bool {
+        self.rules
+            .iter()
+            .any(|r| matches!(r, GridDimRule::Replicated | GridDimRule::Private))
     }
 }
 
@@ -544,5 +572,38 @@ REAL H(8,8)
         // Row 6 → grid-dim-0 coord 1; second grid dim Fixed(0).
         let own = t.of(h).owner_on(&t.grid, &[6, 2]);
         assert_eq!(own.pids(&t.grid), vec![t.grid.pid_of(&[1, 0])]);
+    }
+
+    #[test]
+    fn owner_pid_agrees_with_owner_sets() {
+        let src = r#"
+!HPF$ PROCESSORS P(2,3)
+!HPF$ DISTRIBUTE (BLOCK, *) :: H
+!HPF$ DISTRIBUTE (CYCLIC, BLOCK) :: G
+!HPF$ ALIGN A(i) WITH H(i,*)
+REAL H(8,8), G(7,9), A(8)
+"#;
+        let p = parse_program(src).unwrap();
+        let t = MappingTable::from_program(&p, None).unwrap();
+        for name in ["h", "g", "a"] {
+            let v = p.vars.lookup(name).unwrap();
+            let m = t.of(v);
+            let shape = p.vars.info(v).shape().unwrap();
+            for off in 0..shape.len() as usize {
+                let idx = shape.delinearize(off);
+                let own = m.owner_on(&t.grid, &idx);
+                let want: Vec<usize> = t
+                    .grid
+                    .pids()
+                    .filter(|&q| own.contains(&t.grid.coords_of(q)))
+                    .collect();
+                assert_eq!(own.pids(&t.grid), want, "{name}{idx:?}");
+                for reader in t.grid.pids() {
+                    let src = m.owner_pid(&t.grid, &idx, reader);
+                    assert!(want.contains(&src), "{name}{idx:?} reader {reader}");
+                    assert_eq!(own.contains_pid(&t.grid, reader), src == reader);
+                }
+            }
+        }
     }
 }

@@ -91,14 +91,20 @@ impl ArrayShape {
     }
 
     /// Inverse of [`ArrayShape::linearize`].
-    pub fn delinearize(&self, mut off: usize) -> Vec<i64> {
+    pub fn delinearize(&self, off: usize) -> Vec<i64> {
         let mut idx = Vec::with_capacity(self.dims.len());
+        self.delinearize_into(off, &mut idx);
+        idx
+    }
+
+    /// [`ArrayShape::delinearize`] into a reused buffer.
+    pub fn delinearize_into(&self, mut off: usize, idx: &mut Vec<i64>) {
+        idx.clear();
         for &(lo, hi) in &self.dims {
             let ext = (hi - lo + 1) as usize;
             idx.push(lo + (off % ext) as i64);
             off /= ext;
         }
-        idx
     }
 
     /// True if `idx` lies within the declared bounds.

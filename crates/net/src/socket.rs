@@ -202,22 +202,29 @@ impl NetListener {
                 })?;
                 Ok(NetListener::Tcp(l))
             }
-            AddrKind::Unix => {
-                let path = std::env::temp_dir().join(format!(
-                    "phpf-net-{}-{}-{}.sock",
-                    std::process::id(),
-                    SOCK_COUNTER.fetch_add(1, Ordering::Relaxed),
-                    tag
-                ));
-                let l = UnixListener::bind(&path).map_err(|e| {
-                    NetError::new(
-                        NetErrorKind::Io,
-                        format!("unix bind at {} failed: {}", path.display(), e),
-                    )
-                })?;
-                Ok(NetListener::Unix(l, path))
-            }
+            AddrKind::Unix => NetListener::bind_unix(std::env::temp_dir().join(format!(
+                "phpf-net-{}-{}-{}.sock",
+                std::process::id(),
+                SOCK_COUNTER.fetch_add(1, Ordering::Relaxed),
+                tag
+            ))),
         }
+    }
+
+    /// Bind a Unix listener at `path`, which embeds this process's id and
+    /// a per-process counter. A file already there was left by an earlier
+    /// process with the same (recycled) id that died without unlinking it,
+    /// such as a killed worker; it is removed so the bind does not fail
+    /// with "address in use".
+    fn bind_unix(path: PathBuf) -> Result<NetListener, NetError> {
+        let _ = std::fs::remove_file(&path);
+        let l = UnixListener::bind(&path).map_err(|e| {
+            NetError::new(
+                NetErrorKind::Io,
+                format!("unix bind at {} failed: {}", path.display(), e),
+            )
+        })?;
+        Ok(NetListener::Unix(l, path))
     }
 
     pub fn addr(&self) -> Result<Addr, NetError> {
@@ -1253,6 +1260,22 @@ mod tests {
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
+    }
+
+    #[test]
+    fn unix_bind_replaces_a_stale_socket_file() {
+        let path = std::env::temp_dir().join(format!(
+            "phpf-net-{}-stale-test.sock",
+            std::process::id()
+        ));
+        // A std listener does not unlink its file when dropped, just like
+        // a worker process that was killed.
+        drop(UnixListener::bind(&path).unwrap());
+        assert!(path.exists());
+        let l = NetListener::bind_unix(path.clone()).unwrap();
+        assert!(matches!(l.addr().unwrap(), Addr::Unix(p) if p == path));
+        drop(l);
+        assert!(!path.exists());
     }
 
     fn exercise(kind: AddrKind) {

@@ -13,16 +13,16 @@
 //! in [`CommMetrics`], directly comparable to the cost model's message
 //! predictions (checked by [`crate::crosscheck`]).
 
-use crate::guard::{resolve_owner_pid, Guard};
+use crate::guard::Guard;
 use crate::lower::{CommData, SpmdProgram};
 use crate::metrics::CommMetrics;
 use hpf_analysis::RedOp;
-use hpf_dist::{dist_owner, GridCoord, GridDimRule, OwnerSet, ProcGrid};
+use hpf_dist::{dist_owner, ArrayMapping, GridDimRule, ProcGrid};
 use hpf_ir::interp::{eval_binop, eval_intrinsic, ArrayStore, InterpError, Memory};
-use hpf_ir::{ArrayRef, Expr, Label, LValue, Stmt, StmtId, Value, VarId};
+use hpf_ir::{ArrayRef, DistFormat, Expr, Label, LValue, Stmt, StmtId, Value, VarId};
 use hpf_obs::{Body, BufTracer, CommKind};
 use phpf_core::ScalarMapping;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// A storage slot on one processor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -116,7 +116,54 @@ struct OpenGroup {
     seen: HashSet<Slot>,
 }
 
+/// A range of one of the executor's flat tables.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: usize,
+    end: usize,
+}
+
+impl Span {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start..self.end
+    }
+}
+
+/// No locally-read scalars: the empty range of `local_vars`.
+const NO_LOCALS: Span = Span { start: 0, end: 0 };
+
+/// How one grid coordinate of an owner reference is found at run time.
+#[derive(Debug, Clone, Copy)]
+enum DimRule<'s> {
+    /// Every coordinate: a replicated, privatized or freed dimension.
+    Any,
+    At(usize),
+    /// Distribution owner of the template position of a subscript.
+    Sub {
+        sub: &'s Expr,
+        dist: DistFormat,
+        stride: i64,
+        offset: i64,
+        t_lo: i64,
+        t_extent: i64,
+    },
+}
+
+/// An owner reference resolved against its array's mapping once per
+/// program: one [`DimRule`] per grid dimension, stored in `dim_rules`.
+#[derive(Debug, Clone, Copy)]
+struct OwnerRef {
+    array: VarId,
+    dims: Span,
+}
+
 /// The executor.
+///
+/// Everything the hot path looks up per statement instance is resolved in
+/// [`SpmdExec::new`] into dense tables indexed by `StmtId`/`VarId`, and the
+/// IR is borrowed from the program, never cloned. Owners are computed by
+/// arithmetic on pid digits ([`ProcGrid::resolve_with`]); subscripts,
+/// owner coordinates and intrinsic arguments go through reusable stacks.
 pub struct SpmdExec<'s> {
     sp: &'s SpmdProgram,
     grid: ProcGrid,
@@ -150,6 +197,34 @@ pub struct SpmdExec<'s> {
     /// Inside a global control evaluation (IF predicate, DO bounds):
     /// unattributed fetches are control traffic, not schedule misses.
     ctrl_eval: bool,
+    /// `PHPF_DEBUG_UNTRACKED` was set when the executor was created.
+    debug_untracked: bool,
+
+    // Per-program lookup tables.
+    /// By `StmtId`: the guard's owner reference, `None` for every pid.
+    guards: Vec<Option<OwnerRef>>,
+    /// By `VarId`: where a scalar read comes from — `None` for the
+    /// reader's own copy, else the owner of its alignment target.
+    scalar_owner: Vec<Option<OwnerRef>>,
+    /// By `VarId`: the mapping of each array.
+    array_maps: Vec<Option<&'s ArrayMapping>>,
+    /// Flat storage of every [`OwnerRef`]'s per-dimension rules.
+    dim_rules: Vec<DimRule<'s>>,
+    /// By `StmtId`: the (data, op index) pairs a fetch issued by the
+    /// statement resolves to, in `SpmdProgram::comm_index` order.
+    comms_of: Vec<Vec<(&'s CommData, usize)>>,
+    /// By `StmtId`: for a maxloc reduction IF, its locally-read scalars.
+    red_if: Vec<Option<Span>>,
+    /// Flat storage of the `red_if` scalar lists.
+    local_vars: Vec<VarId>,
+
+    // Reusable stacks: a nested evaluation pushes above its caller's
+    // entries and truncates back to where it started.
+    ints: Vec<i64>,
+    coords: Vec<Option<usize>>,
+    vals: Vec<Value>,
+    /// Executor pids of the statement instance being run.
+    executors: Vec<usize>,
 }
 
 impl<'s> SpmdExec<'s> {
@@ -165,6 +240,65 @@ impl<'s> SpmdExec<'s> {
             })
             .collect();
         let metrics = CommMetrics::new(grid.total(), sp.comms.len());
+        let p = &sp.program;
+        let (n_stmts, n_vars) = (p.num_stmts(), p.vars.len());
+
+        let mut dim_rules = Vec::new();
+        let guards = (0..n_stmts)
+            .map(|s| match sp.guard(StmtId(s as u32)) {
+                Guard::Everyone | Guard::Union => None,
+                Guard::OwnerOf { r, free_dims } => {
+                    Some(owner_ref(sp, &mut dim_rules, r, free_dims))
+                }
+            })
+            .collect();
+        let scalar_owner = (0..n_vars)
+            .map(|v| match sp.scalar_mapping(VarId(v as u32)) {
+                ScalarMapping::Replicated | ScalarMapping::PrivateNoAlign => None,
+                ScalarMapping::Aligned { target, .. } => {
+                    Some(owner_ref(sp, &mut dim_rules, target, &[]))
+                }
+                ScalarMapping::Reduction {
+                    target,
+                    reduce_dims,
+                    ..
+                } => Some(owner_ref(sp, &mut dim_rules, target, reduce_dims)),
+            })
+            .collect();
+        let array_maps = (0..n_vars).map(|v| sp.maps.get(VarId(v as u32))).collect();
+
+        let mut comms_of: Vec<Vec<(&CommData, usize)>> = vec![Vec::new(); n_stmts];
+        for (i, c) in sp.comms.iter().enumerate() {
+            let own = std::iter::once((c.stmt, &c.data));
+            for (s, d) in own.chain(c.merged.iter().map(|(s, d)| (*s, d))) {
+                let list = &mut comms_of[s.index()];
+                if !list.iter().any(|(x, _)| *x == d) {
+                    list.push((d, i));
+                }
+            }
+        }
+
+        // The accumulator's location variable and every scalar the body
+        // writes are read from each partial owner's own copy.
+        let mut local_vars = Vec::new();
+        let red_if = (0..n_stmts)
+            .map(|s| {
+                let s = StmtId(s as u32);
+                let (Stmt::If { then_body, .. }, ScalarMapping::Reduction { loc_var, .. }) =
+                    (p.stmt(s), sp.decisions.scalar(s))
+                else {
+                    return None;
+                };
+                let start = local_vars.len();
+                local_vars.extend(*loc_var);
+                local_vars.extend(then_body.iter().filter_map(|&t| p.stmt(t).written_var()));
+                Some(Span {
+                    start,
+                    end: local_vars.len(),
+                })
+            })
+            .collect();
+
         SpmdExec {
             sp,
             grid,
@@ -181,6 +315,18 @@ impl<'s> SpmdExec<'s> {
             cur_stmt: None,
             open: HashMap::new(),
             ctrl_eval: false,
+            debug_untracked: std::env::var_os("PHPF_DEBUG_UNTRACKED").is_some(),
+            guards,
+            scalar_owner,
+            array_maps,
+            dim_rules,
+            comms_of,
+            red_if,
+            local_vars,
+            ints: Vec::new(),
+            coords: Vec::new(),
+            vals: Vec::new(),
+            executors: Vec::new(),
         }
     }
 
@@ -363,7 +509,7 @@ impl<'s> SpmdExec<'s> {
                 Some(i) => self.sp.comms[i].pattern.name(),
                 None if self.ctrl_eval => crate::metrics::CONTROL,
                 None => {
-                    if std::env::var_os("PHPF_DEBUG_UNTRACKED").is_some() {
+                    if self.debug_untracked {
                         eprintln!(
                             "untracked fetch at stmt {:?} slot {:?} {}->{}",
                             self.cur_stmt, slot, src, dst
@@ -401,9 +547,9 @@ impl<'s> SpmdExec<'s> {
 
     /// Run to completion.
     pub fn run(&mut self) -> Result<ExecStats, InterpError> {
-        let body = self.sp.program.body.clone();
+        let sp = self.sp;
         self.maybe_cut();
-        let flow = self.exec_block(&body)?;
+        let flow = self.exec_block(&sp.program.body)?;
         // Execution is over, so every still-open coalescing group is done
         // growing; close them all so the final cut (which must cover the
         // whole trace) is never vetoed.
@@ -415,7 +561,7 @@ impl<'s> SpmdExec<'s> {
         }
     }
 
-    fn p(&self) -> &hpf_ir::Program {
+    fn p(&self) -> &'s hpf_ir::Program {
         &self.sp.program
     }
 
@@ -448,16 +594,20 @@ impl<'s> SpmdExec<'s> {
             return Err(InterpError::StepLimit);
         }
         self.cur_stmt = Some(s);
-        match self.p().stmt(s).clone() {
+        match self.p().stmt(s) {
             Stmt::Assign { lhs, rhs } => {
-                let executors = self.guard_pids(s)?;
+                let mut executors = std::mem::take(&mut self.executors);
+                self.guard_pids(s, &mut executors)?;
                 self.stats.stmt_execs += executors.len() as u64;
-                for q in executors {
-                    let val = self.eval(&rhs, q, &HashSet::new())?;
-                    self.store(q, &lhs, val)?;
-                    let env = self.loop_env.clone();
-                    self.record(q, Event::Exec { stmt: s, env });
+                for &q in &executors {
+                    let val = self.eval(rhs, q, NO_LOCALS)?;
+                    self.store(q, lhs, val)?;
+                    if let Some(t) = &mut self.trace {
+                        let env = self.loop_env.clone();
+                        t[q].push(Event::Exec { stmt: s, env });
+                    }
                 }
+                self.executors = executors;
                 Ok(Flow::Normal)
             }
             Stmt::Do {
@@ -467,12 +617,13 @@ impl<'s> SpmdExec<'s> {
                 step,
                 body,
             } => {
+                let var = *var;
                 self.ctrl_eval = true;
                 let bounds = (|| -> Result<(i64, i64, i64), InterpError> {
                     Ok((
-                        self.eval(&lo, 0, &HashSet::new())?.as_int()?,
-                        self.eval(&hi, 0, &HashSet::new())?.as_int()?,
-                        self.eval(&step, 0, &HashSet::new())?.as_int()?,
+                        self.eval(lo, 0, NO_LOCALS)?.as_int()?,
+                        self.eval(hi, 0, NO_LOCALS)?.as_int()?,
+                        self.eval(step, 0, NO_LOCALS)?.as_int()?,
                     ))
                 })();
                 self.ctrl_eval = false;
@@ -497,7 +648,7 @@ impl<'s> SpmdExec<'s> {
                         m.set_scalar(var, Value::Int(i));
                     }
                     self.loop_env.last_mut().unwrap().1 = i;
-                    match self.exec_block(&body)? {
+                    match self.exec_block(body)? {
                         Flow::Normal => {}
                         Flow::Goto(l) => {
                             out = Flow::Goto(l);
@@ -521,85 +672,76 @@ impl<'s> SpmdExec<'s> {
             } => {
                 // A maxloc reduction IF executes with per-processor partial
                 // state (diverging branches); everything else is uniform.
-                if let ScalarMapping::Reduction { .. } = self.sp.decisions.scalar(s) {
-                    return self.exec_reduction_if(s, &cond, &then_body);
+                if let Some(locals) = self.red_if[s.index()] {
+                    return self.exec_reduction_if(s, cond, then_body, locals);
                 }
                 self.ctrl_eval = true;
-                let c = self.eval(&cond, 0, &HashSet::new());
+                let c = self.eval(cond, 0, NO_LOCALS);
                 self.ctrl_eval = false;
                 let c = c?.as_bool()?;
-                let b = if c { then_body } else { else_body };
-                self.exec_block(&b)
+                self.exec_block(if c { then_body } else { else_body })
             }
             Stmt::Goto(l) => {
                 // A jump may re-enter earlier code without a loop-iteration
                 // boundary; conservatively close every coalescing group.
                 self.open.clear();
-                Ok(Flow::Goto(l))
+                Ok(Flow::Goto(*l))
             }
             Stmt::Continue => Ok(Flow::Normal),
         }
     }
 
     /// Maxloc pattern: each partial owner tests and updates its own
-    /// accumulator copy.
+    /// accumulator copy (`locals` are read from that copy).
     fn exec_reduction_if(
         &mut self,
         s: StmtId,
         cond: &Expr,
         then_body: &[StmtId],
+        locals: Span,
     ) -> Result<Flow, InterpError> {
-        let executors = self.guard_pids(s)?;
-        // Local variables: the accumulator and location variable.
-        let mut locals = HashSet::new();
-        if let ScalarMapping::Reduction {
-            loc_var: Some(lv), ..
-        } = self.sp.decisions.scalar(s)
-        {
-            locals.insert(*lv);
-        }
-        for &t in then_body {
-            if let Some(v) = self.p().stmt(t).written_var() {
-                locals.insert(v);
-            }
-        }
-        for q in executors {
-            let env = self.loop_env.clone();
+        let mut executors = std::mem::take(&mut self.executors);
+        self.guard_pids(s, &mut executors)?;
+        for &q in &executors {
             self.cur_stmt = Some(s);
-            let c = self.eval(cond, q, &locals)?.as_bool()?;
-            self.record(q, Event::CondExec { stmt: s, env });
+            let c = self.eval(cond, q, locals)?.as_bool()?;
+            if let Some(t) = &mut self.trace {
+                let env = self.loop_env.clone();
+                t[q].push(Event::CondExec { stmt: s, env });
+            }
             if !c {
                 continue;
             }
             self.stats.stmt_execs += 1;
             for &t in then_body {
-                if let Stmt::Assign { lhs, rhs } = self.p().stmt(t).clone() {
+                if let Stmt::Assign { lhs, rhs } = self.p().stmt(t) {
                     self.cur_stmt = Some(t);
-                    let val = self.eval(&rhs, q, &locals)?;
-                    self.store(q, &lhs, val)?;
+                    let val = self.eval(rhs, q, locals)?;
+                    self.store(q, lhs, val)?;
                 }
             }
         }
+        self.executors = executors;
         Ok(Flow::Normal)
     }
 
     fn run_reduces(&mut self, l: StmtId) -> Result<(), InterpError> {
-        let ops: Vec<_> = self.sp.reduces_of(l).into_iter().cloned().collect();
-        for op in ops {
+        let sp = self.sp;
+        for op in sp.reduces_of(l) {
             if op.reduce_dims.is_empty() {
                 continue; // already complete on the single owner
             }
-            // Group pids by coordinates outside the reduce dims.
-            let mut groups: std::collections::HashMap<Vec<usize>, Vec<usize>> =
-                std::collections::HashMap::new();
+            // Group pids by coordinates outside the reduce dims: zeroing
+            // the reduce-dim digits maps each pid to its group's leader
+            // (smallest member).
+            let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
             for pid in self.grid.pids() {
-                let mut key = self.grid.coords_of(pid);
-                for &g in &op.reduce_dims {
-                    key[g] = usize::MAX;
-                }
-                groups.entry(key).or_default().push(pid);
+                let leader = self
+                    .grid
+                    .resolve_with(pid, |d| op.reduce_dims.contains(&d).then_some(0));
+                groups.entry(leader).or_default().push(pid);
             }
-            for (_, pids) in groups {
+            for pids in groups.into_values() {
                 // Wire traffic of the combine: members stream partials to
                 // the leader, which folds and broadcasts the result back.
                 {
@@ -707,95 +849,109 @@ impl<'s> SpmdExec<'s> {
         Ok(())
     }
 
-    /// The pids executing statement `s` under its guard.
-    fn guard_pids(&mut self, s: StmtId) -> Result<Vec<usize>, InterpError> {
-        match self.sp.guard(s).clone() {
-            Guard::Everyone | Guard::Union => Ok(self.grid.pids().collect()),
-            Guard::OwnerOf { r, free_dims } => {
-                let own = self.eval_owner(&r, &free_dims, 0)?;
-                Ok(own.pids(&self.grid))
-            }
+    /// Fill `out` with the pids executing statement `s` under its guard,
+    /// ascending.
+    fn guard_pids(&mut self, s: StmtId, out: &mut Vec<usize>) -> Result<(), InterpError> {
+        out.clear();
+        let Some(own) = self.guards[s.index()] else {
+            out.extend(self.grid.pids());
+            return Ok(());
+        };
+        let base = self.owner_coords(own, 0)?;
+        let coords = &self.coords[base..];
+        if coords.iter().all(Option::is_some) {
+            out.push(self.grid.resolve_with(0, |d| coords[d]));
+        } else {
+            let grid = &self.grid;
+            out.extend(
+                grid.pids()
+                    .filter(|&p| grid.resolve_with(p, |d| coords[d]) == p),
+            );
         }
+        self.coords.truncate(base);
+        Ok(())
     }
 
-    /// Owner set of a reference, evaluating only the subscripts of pinned
-    /// grid dimensions (free/replicated/private dims stay `Any`).
-    fn eval_owner(
-        &mut self,
-        r: &ArrayRef,
-        free_dims: &[usize],
-        reader: usize,
-    ) -> Result<OwnerSet, InterpError> {
-        let rules = self.sp.maps.of(r.array).rules.clone();
-        let mut per_dim = Vec::with_capacity(rules.len());
-        for (g, rule) in rules.iter().enumerate() {
-            if free_dims.contains(&g) {
-                per_dim.push(GridCoord::Any);
-                continue;
-            }
-            per_dim.push(match rule {
-                GridDimRule::ByDim {
-                    array_dim,
+    /// Push the owner coordinates of a reference onto `coords`, one per
+    /// grid dimension (`None` where every coordinate holds a copy),
+    /// evaluating the pinned dimensions' subscripts for `reader`; returns
+    /// where they start.
+    fn owner_coords(&mut self, own: OwnerRef, reader: usize) -> Result<usize, InterpError> {
+        let base = self.coords.len();
+        for (g, k) in own.dims.range().enumerate() {
+            let c = match self.dim_rules[k] {
+                DimRule::Any => None,
+                DimRule::At(c) => Some(c),
+                DimRule::Sub {
+                    sub,
                     dist,
                     stride,
                     offset,
                     t_lo,
                     t_extent,
                 } => {
-                    let sub = self
-                        .eval(&r.subs[*array_dim].clone(), reader, &HashSet::new())?
-                        .as_int()?;
-                    let pos0 = stride * sub + offset - t_lo;
-                    if pos0 < 0 || pos0 >= *t_extent {
+                    let x = self.eval(sub, reader, NO_LOCALS)?.as_int()?;
+                    let pos0 = stride * x + offset - t_lo;
+                    if pos0 < 0 || pos0 >= t_extent {
                         return Err(InterpError::OutOfBounds {
-                            array: self.p().vars.name(r.array).to_string(),
-                            index: vec![sub],
+                            array: self.p().vars.name(own.array).to_string(),
+                            index: vec![x],
                         });
                     }
-                    GridCoord::At(dist_owner(*dist, pos0, *t_extent, self.grid.extent(g)))
+                    Some(dist_owner(dist, pos0, t_extent, self.grid.extent(g)))
                 }
-                GridDimRule::Fixed(c) => GridCoord::At(*c),
-                GridDimRule::Replicated | GridDimRule::Private => GridCoord::Any,
-            });
+            };
+            self.coords.push(c);
         }
-        Ok(OwnerSet { per_dim })
+        Ok(base)
+    }
+
+    /// The pid `reader` takes a value owned per `own` from.
+    fn owner_pid(&mut self, own: OwnerRef, reader: usize) -> Result<usize, InterpError> {
+        let base = self.owner_coords(own, reader)?;
+        let coords = &self.coords[base..];
+        let src = self.grid.resolve_with(reader, |d| coords[d]);
+        self.coords.truncate(base);
+        Ok(src)
+    }
+
+    /// Index into `SpmdProgram::comms` of the operation a fetch of data
+    /// matching `is` by the current statement belongs to.
+    fn comm_op(&self, is: impl Fn(&CommData) -> bool) -> Option<usize> {
+        let s = self.cur_stmt?;
+        self.comms_of[s.index()]
+            .iter()
+            .find(|(d, _)| is(d))
+            .map(|&(_, i)| i)
     }
 
     /// Evaluate an expression for processor `q`. Scalars in `locals` (or
     /// mapped replicated/private) read q's own copy; aligned scalars and
     /// distributed array elements are fetched from their owners.
-    fn eval(
-        &mut self,
-        e: &Expr,
-        q: usize,
-        locals: &HashSet<VarId>,
-    ) -> Result<Value, InterpError> {
+    fn eval(&mut self, e: &Expr, q: usize, locals: Span) -> Result<Value, InterpError> {
         match e {
             Expr::IntLit(v) => Ok(Value::Int(*v)),
             Expr::RealLit(v) => Ok(Value::Real(*v)),
             Expr::BoolLit(b) => Ok(Value::Bool(*b)),
             Expr::Scalar(v) => self.read_scalar(*v, q, locals),
             Expr::Array(r) => {
-                let mut idx = Vec::with_capacity(r.subs.len());
-                for sub in &r.subs {
-                    idx.push(self.eval(sub, q, locals)?.as_int()?);
-                }
+                let base = self.subscripts(r, q, locals)?;
                 let info = self.p().vars.info(r.array);
-                let elem_bytes = info.ty.byte_size() as u64;
                 let shape = info.shape().expect("array ref");
-                if !shape.contains(&idx) {
+                let idx = &self.ints[base..];
+                if !shape.contains(idx) {
                     return Err(InterpError::OutOfBounds {
                         array: info.name.clone(),
-                        index: idx,
+                        index: idx.to_vec(),
                     });
                 }
-                let off = shape.linearize(&idx);
-                let own = self.sp.maps.of(r.array).owner_on(&self.grid, &idx);
-                let src = resolve_owner_pid(&self.grid, &own, q);
+                let off = shape.linearize(idx);
+                let mapping = self.array_maps[r.array.index()].expect("mapped array");
+                let src = mapping.owner_pid(&self.grid, idx, q);
+                self.ints.truncate(base);
                 if src != q {
-                    let op = self
-                        .cur_stmt
-                        .and_then(|s| self.sp.comm_index(s, &CommData::Array(r.clone())));
+                    let op = self.comm_op(|d| matches!(d, CommData::Array(x) if x == r));
+                    let elem_bytes = info.ty.byte_size() as u64;
                     self.fetch(op, src, q, Slot::Elem(r.array, off), elem_bytes);
                 }
                 Ok(self.mems[src].array(r.array).get(off))
@@ -819,57 +975,45 @@ impl<'s> SpmdExec<'s> {
                 eval_binop(*op, va, vb)
             }
             Expr::Intrinsic(i, args) => {
-                let mut vals = Vec::with_capacity(args.len());
+                let base = self.vals.len();
                 for a in args {
-                    vals.push(self.eval(a, q, locals)?);
+                    let v = self.eval(a, q, locals)?;
+                    self.vals.push(v);
                 }
-                eval_intrinsic(*i, &vals)
+                let v = eval_intrinsic(*i, &self.vals[base..]);
+                self.vals.truncate(base);
+                v
             }
         }
     }
 
-    fn read_scalar(
-        &mut self,
-        v: VarId,
-        q: usize,
-        locals: &HashSet<VarId>,
-    ) -> Result<Value, InterpError> {
-        if locals.contains(&v) {
+    /// Push the evaluated subscripts of `r` onto `ints`; returns where
+    /// they start.
+    fn subscripts(&mut self, r: &ArrayRef, q: usize, locals: Span) -> Result<usize, InterpError> {
+        let base = self.ints.len();
+        for sub in &r.subs {
+            let x = self.eval(sub, q, locals)?.as_int()?;
+            self.ints.push(x);
+        }
+        Ok(base)
+    }
+
+    fn read_scalar(&mut self, v: VarId, q: usize, locals: Span) -> Result<Value, InterpError> {
+        if self.local_vars[locals.range()].contains(&v) {
             return Ok(self.mems[q].scalar(v));
         }
-        match self.sp.scalar_mapping(v).clone() {
-            ScalarMapping::Replicated | ScalarMapping::PrivateNoAlign => {
-                Ok(self.mems[q].scalar(v))
-            }
-            ScalarMapping::Aligned { target, .. } => {
-                let own = self.eval_owner(&target, &[], q)?;
-                let src = resolve_owner_pid(&self.grid, &own, q);
-                if src != q {
-                    let bytes = self.p().vars.info(v).ty.byte_size() as u64;
-                    let op = self
-                        .cur_stmt
-                        .and_then(|s| self.sp.comm_index(s, &CommData::Scalar(v)));
-                    self.fetch(op, src, q, Slot::Scalar(v), bytes);
-                }
-                Ok(self.mems[src].scalar(v))
-            }
-            ScalarMapping::Reduction {
-                target,
-                reduce_dims,
-                ..
-            } => {
-                let own = self.eval_owner(&target, &reduce_dims, q)?;
-                let src = resolve_owner_pid(&self.grid, &own, q);
-                if src != q {
-                    let bytes = self.p().vars.info(v).ty.byte_size() as u64;
-                    let op = self
-                        .cur_stmt
-                        .and_then(|s| self.sp.comm_index(s, &CommData::Scalar(v)));
-                    self.fetch(op, src, q, Slot::Scalar(v), bytes);
-                }
-                Ok(self.mems[src].scalar(v))
-            }
+        // Replicated and private-without-alignment scalars are read from
+        // q's own copy; aligned and reduction scalars from their owner.
+        let Some(own) = self.scalar_owner[v.index()] else {
+            return Ok(self.mems[q].scalar(v));
+        };
+        let src = self.owner_pid(own, q)?;
+        if src != q {
+            let bytes = self.p().vars.info(v).ty.byte_size() as u64;
+            let op = self.comm_op(|d| matches!(d, CommData::Scalar(w) if *w == v));
+            self.fetch(op, src, q, Slot::Scalar(v), bytes);
         }
+        Ok(self.mems[src].scalar(v))
     }
 
     fn store(&mut self, q: usize, lhs: &LValue, val: Value) -> Result<(), InterpError> {
@@ -880,21 +1024,21 @@ impl<'s> SpmdExec<'s> {
                 self.mems[q].set_scalar(*v, val);
             }
             LValue::Array(r) => {
-                let mut idx = Vec::with_capacity(r.subs.len());
-                for sub in &r.subs {
-                    idx.push(self.eval(sub, q, &HashSet::new())?.as_int()?);
-                }
+                let base = self.subscripts(r, q, NO_LOCALS)?;
                 let info = self.p().vars.info(r.array);
-                let ty = info.ty;
                 let shape = info.shape().expect("array lhs");
-                if !shape.contains(&idx) {
+                let idx = &self.ints[base..];
+                if !shape.contains(idx) {
                     return Err(InterpError::OutOfBounds {
                         array: info.name.clone(),
-                        index: idx,
+                        index: idx.to_vec(),
                     });
                 }
-                let off = shape.linearize(&idx);
-                self.mems[q].array_mut(r.array).set(off, val.coerce(ty)?)?;
+                let off = shape.linearize(idx);
+                self.ints.truncate(base);
+                self.mems[q]
+                    .array_mut(r.array)
+                    .set(off, val.coerce(info.ty)?)?;
             }
         }
         Ok(())
@@ -907,13 +1051,57 @@ impl<'s> SpmdExec<'s> {
         let shape = info.shape().expect("array");
         let mut out = ArrayStore::zeroed(info.ty, shape.len() as usize);
         let mapping = self.sp.maps.of(v);
+        let mut idx = Vec::with_capacity(shape.rank());
         for off in 0..shape.len() as usize {
-            let idx = shape.delinearize(off);
-            let own = mapping.owner_on(&self.grid, &idx);
-            let src = resolve_owner_pid(&self.grid, &own, 0);
+            shape.delinearize_into(off, &mut idx);
+            let src = mapping.owner_pid(&self.grid, &idx, 0);
             out.set(off, self.mems[src].array(v).get(off)).unwrap();
         }
         out
+    }
+}
+
+/// Resolve an owner reference against its array's mapping: one
+/// [`DimRule`] per grid dimension appended to `dim_rules`. Dimensions in
+/// `free` are left unconstrained (reduction mapping).
+fn owner_ref<'s>(
+    sp: &'s SpmdProgram,
+    dim_rules: &mut Vec<DimRule<'s>>,
+    r: &'s ArrayRef,
+    free: &[usize],
+) -> OwnerRef {
+    let start = dim_rules.len();
+    for (g, rule) in sp.maps.of(r.array).rules.iter().enumerate() {
+        dim_rules.push(if free.contains(&g) {
+            DimRule::Any
+        } else {
+            match rule {
+                GridDimRule::ByDim {
+                    array_dim,
+                    dist,
+                    stride,
+                    offset,
+                    t_lo,
+                    t_extent,
+                } => DimRule::Sub {
+                    sub: &r.subs[*array_dim],
+                    dist: *dist,
+                    stride: *stride,
+                    offset: *offset,
+                    t_lo: *t_lo,
+                    t_extent: *t_extent,
+                },
+                GridDimRule::Fixed(c) => DimRule::At(*c),
+                GridDimRule::Replicated | GridDimRule::Private => DimRule::Any,
+            }
+        });
+    }
+    OwnerRef {
+        array: r.array,
+        dims: Span {
+            start,
+            end: dim_rules.len(),
+        },
     }
 }
 

@@ -9,7 +9,7 @@
 //! reduction-mapped scalar ⇒ the owners of the operand reference with the
 //! reduction dimensions left free.
 
-use hpf_dist::{GridCoord, OwnerSet, ProcGrid};
+use hpf_dist::{GridCoord, OwnerSet};
 use hpf_ir::ArrayRef;
 
 /// A computation-partitioning guard.
@@ -55,26 +55,10 @@ impl Guard {
     }
 }
 
-/// Pick the concrete source pid for a read: owner coordinates, with `Any`
-/// dimensions resolved to the reader's own coordinates (replicated and
-/// privatized copies are read locally along those dimensions).
-pub fn resolve_owner_pid(grid: &ProcGrid, own: &OwnerSet, reader: usize) -> usize {
-    let rc = grid.coords_of(reader);
-    let coords: Vec<usize> = own
-        .per_dim
-        .iter()
-        .zip(&rc)
-        .map(|(g, &r)| match g {
-            GridCoord::At(x) => *x,
-            GridCoord::Any => r,
-        })
-        .collect();
-    grid.pid_of(&coords)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpf_dist::ProcGrid;
     use hpf_ir::{Expr, VarId};
 
     #[test]
@@ -97,11 +81,11 @@ mod tests {
             per_dim: vec![GridCoord::At(1), GridCoord::Any],
         };
         let reader = grid.pid_of(&[0, 1]);
-        assert_eq!(resolve_owner_pid(&grid, &own, reader), grid.pid_of(&[1, 1]));
+        assert_eq!(own.resolve(&grid, reader), grid.pid_of(&[1, 1]));
         let own_all = OwnerSet {
             per_dim: vec![GridCoord::Any, GridCoord::Any],
         };
-        assert_eq!(resolve_owner_pid(&grid, &own_all, reader), reader);
+        assert_eq!(own_all.resolve(&grid, reader), reader);
     }
 
     #[test]

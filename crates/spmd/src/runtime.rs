@@ -606,14 +606,24 @@ pub fn check_owner_slots(
     reference: &[Memory],
 ) -> Result<(), String> {
     let grid = &sp.maps.grid;
+    let mut idx = Vec::new();
     for (v, info) in sp.program.vars.arrays() {
         let shape = info.shape().unwrap();
         let mapping = sp.maps.of(v);
+        // Without replicated or privatized dimensions each element has
+        // exactly one owner; otherwise a pid owns a copy exactly when the
+        // element resolves to itself for that reader.
+        let copies = mapping.has_copies();
         for off in 0..shape.len() as usize {
-            let idx = shape.delinearize(off);
-            let own = mapping.owner_on(grid, &idx);
-            for pid in own.pids(grid) {
-                if mems[pid].array(v).get(off) != reference[pid].array(v).get(off) {
+            shape.delinearize_into(off, &mut idx);
+            let single = mapping.owner_pid(grid, &idx, 0);
+            for pid in grid.pids() {
+                let owns = if copies {
+                    mapping.owner_pid(grid, &idx, pid) == pid
+                } else {
+                    pid == single
+                };
+                if owns && mems[pid].array(v).get(off) != reference[pid].array(v).get(off) {
                     return Err(format!(
                         "proc {} array {} diverged from reference at {:?}",
                         pid, info.name, idx

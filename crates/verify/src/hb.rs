@@ -16,7 +16,7 @@
 use std::collections::{HashMap, HashSet};
 
 use hpf_analysis::Analysis;
-use hpf_ir::{LValue, Stmt, StmtId, VarId};
+use hpf_ir::{Affine, ArrayShape, LValue, Stmt, StmtId, VarId};
 use hpf_spmd::{Event, SpmdProgram, Trace};
 
 use crate::csp::Sim;
@@ -35,12 +35,14 @@ fn join(into: &mut [u64], other: &[u64]) {
     }
 }
 
-/// One attributed write: who, where in the trace, and its clock.
+/// One attributed write: the element, who, where in the trace, and the
+/// start of its vector clock in the shared clock arena.
 struct Write {
+    loc: (VarId, usize),
     rank: usize,
     event: usize,
     stmt: StmtId,
-    clock: Vec<u64>,
+    clock: usize,
 }
 
 /// Check that every pair of cross-rank writes to the same owned element
@@ -65,9 +67,14 @@ pub fn check_races(
         senders.entry(pr.recv).or_default().push(pr.send);
     }
 
+    let attrs: Vec<WriteAttr> = (0..p.num_stmts())
+        .map(|s| WriteAttr::of(sp, a, StmtId(s as u32)))
+        .collect();
     let mut vc: Vec<Vec<u64>> = vec![vec![0; n]; n];
     let mut send_snap: HashMap<(usize, usize), Vec<u64>> = HashMap::new();
-    let mut writes: HashMap<(VarId, usize), Vec<Write>> = HashMap::new();
+    let mut writes: Vec<Write> = Vec::new();
+    let mut clocks: Vec<u64> = Vec::new();
+    let mut idx = Vec::new();
     let mut unattributed: HashSet<StmtId> = HashSet::new();
 
     for &(r, i) in &sim.order {
@@ -87,16 +94,22 @@ pub fn check_races(
                     }
                 }
             }
-            Event::Exec { stmt, env } => {
-                if let Some((v, off)) = attribute_write(sp, a, *stmt, env, &mut unattributed) {
-                    writes.entry((v, off)).or_default().push(Write {
+            Event::Exec { stmt, env } => match attrs[stmt.index()].element(env, &mut idx) {
+                Ok(Some(loc)) => {
+                    writes.push(Write {
+                        loc,
                         rank: r,
                         event: i,
                         stmt: *stmt,
-                        clock: vc[r].clone(),
+                        clock: clocks.len(),
                     });
+                    clocks.extend_from_slice(&vc[r]);
                 }
-            }
+                Ok(None) => {}
+                Err(Unattributed) => {
+                    unattributed.insert(*stmt);
+                }
+            },
             Event::CondExec { .. } | Event::Combine { .. } => {}
         }
     }
@@ -118,20 +131,24 @@ pub fn check_races(
         );
     }
 
-    let mut locations: Vec<&(VarId, usize)> = writes.keys().collect();
-    locations.sort();
+    // Group by element in ascending order; the stable sort keeps each
+    // element's writes in retirement order.
+    writes.sort_by_key(|w| w.loc);
+    let clock = |w: &Write| &clocks[w.clock..w.clock + n];
     let mut races = 0usize;
-    for loc in locations {
-        let ws = &writes[loc];
+    for ws in writes.chunk_by(|x, y| x.loc == y.loc) {
+        if ws.iter().all(|w| w.rank == ws[0].rank) {
+            continue; // single-writer element: nothing to order
+        }
         'pairs: for (x, w1) in ws.iter().enumerate() {
             for w2 in &ws[x + 1..] {
                 if w1.rank == w2.rank {
                     continue;
                 }
-                if !leq(&w1.clock, &w2.clock) && !leq(&w2.clock, &w1.clock) {
+                if !leq(clock(w1), clock(w2)) && !leq(clock(w2), clock(w1)) {
                     races += 1;
                     if races <= MAX_RACES {
-                        let (v, off) = *loc;
+                        let (v, off) = w1.loc;
                         let elem = match p.vars.info(v).shape() {
                             Some(shape) => {
                                 let idx: Vec<String> = shape
@@ -173,44 +190,77 @@ pub fn check_races(
     out
 }
 
-/// Attribute an executed assignment to an owned array element, when the
-/// write targets distributed (non-private) data and its subscripts are
-/// affine over the recorded iteration environment.
-fn attribute_write(
-    sp: &SpmdProgram,
-    a: &Analysis<'_>,
-    stmt: StmtId,
-    env: &[(VarId, i64)],
-    unattributed: &mut HashSet<StmtId>,
-) -> Option<(VarId, usize)> {
-    let p = &sp.program;
-    let Stmt::Assign {
-        lhs: LValue::Array(r),
-        ..
-    } = p.stmt(stmt)
-    else {
-        return None;
-    };
-    let m = sp.maps.of(r.array);
-    if m.is_fully_replicated() || !m.private_dims().is_empty() {
-        // Replicated copies are written everywhere by design; privatized
-        // dimensions give each rank its own copy. Neither can race.
-        return None;
-    }
-    let shape = p.vars.info(r.array).shape()?;
-    let mut idx = Vec::with_capacity(r.subs.len());
-    for sub in &r.subs {
-        let aff = a.induction.affine_view(p, &a.cfg, &a.dom, stmt, sub);
-        let val = aff.and_then(|af| {
-            af.eval(&|v| env.iter().find(|(w, _)| *w == v).map(|(_, x)| *x))
-        });
-        match val {
-            Some(x) => idx.push(x),
-            None => {
-                unattributed.insert(stmt);
-                return None;
-            }
+/// How the writes of one statement are attributed to owned elements,
+/// decided once per statement.
+enum WriteAttr<'p> {
+    /// Not a write to distributed, non-private array data: replicated
+    /// copies are written everywhere by design and privatized dimensions
+    /// give each rank its own copy, so neither can race.
+    Skip,
+    /// Some subscript has no affine form: every write is excluded (R200).
+    DataDependent,
+    /// Affine subscripts, evaluated per write over the iteration
+    /// environment.
+    Affine {
+        array: VarId,
+        shape: &'p ArrayShape,
+        subs: Vec<Affine>,
+    },
+}
+
+impl<'p> WriteAttr<'p> {
+    fn of(sp: &'p SpmdProgram, a: &Analysis<'_>, stmt: StmtId) -> WriteAttr<'p> {
+        let p = &sp.program;
+        let Stmt::Assign {
+            lhs: LValue::Array(r),
+            ..
+        } = p.stmt(stmt)
+        else {
+            return WriteAttr::Skip;
+        };
+        let m = sp.maps.of(r.array);
+        let Some(shape) = p.vars.info(r.array).shape() else {
+            return WriteAttr::Skip;
+        };
+        if m.is_fully_replicated() || !m.private_dims().is_empty() {
+            return WriteAttr::Skip;
+        }
+        let subs: Option<Vec<Affine>> = r
+            .subs
+            .iter()
+            .map(|sub| a.induction.affine_view(p, &a.cfg, &a.dom, stmt, sub))
+            .collect();
+        match subs {
+            Some(subs) => WriteAttr::Affine {
+                array: r.array,
+                shape,
+                subs,
+            },
+            None => WriteAttr::DataDependent,
         }
     }
-    Some((r.array, shape.linearize(&idx)))
+
+    /// The element one executed write targets under the iteration
+    /// environment `env`: `Ok(None)` when the statement cannot race.
+    /// `idx` is scratch space for the subscript values.
+    fn element(
+        &self,
+        env: &[(VarId, i64)],
+        idx: &mut Vec<i64>,
+    ) -> Result<Option<(VarId, usize)>, Unattributed> {
+        let (array, shape, subs) = match self {
+            WriteAttr::Skip => return Ok(None),
+            WriteAttr::DataDependent => return Err(Unattributed),
+            WriteAttr::Affine { array, shape, subs } => (array, shape, subs),
+        };
+        let lookup = |v| env.iter().find(|(w, _)| *w == v).map(|(_, x)| *x);
+        idx.clear();
+        for af in subs {
+            idx.push(af.eval(&lookup).ok_or(Unattributed)?);
+        }
+        Ok(Some((*array, shape.linearize(idx))))
+    }
 }
+
+/// A write whose element cannot be determined statically (R200).
+struct Unattributed;

@@ -61,7 +61,7 @@ pub fn verify_execution(sp: &SpmdProgram, init: impl Fn(&mut Memory)) -> VerifyR
     if let Err(e) = exec.run() {
         report.push(Diagnostic::error(
             "S100",
-            format!("reference execution failed before the schedule completed: {:?}", e),
+            format!("reference execution failed before the schedule completed: {}", e),
         ));
         return report;
     }

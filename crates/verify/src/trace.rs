@@ -95,7 +95,7 @@ pub fn verify_recorded_trace(
     if let Err(e) = exec.run() {
         out.push(Diagnostic::error(
             "T300",
-            format!("reference execution of the compiled program failed: {:?}", e),
+            format!("reference execution of the compiled program failed: {}", e),
         ));
         return out;
     }

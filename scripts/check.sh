@@ -69,6 +69,12 @@ for bin in table1 table2 table3; do
     }
 done
 
+echo "==> perfbench selftest (executor, trace and wire counts repeat per seed)"
+# Builds the benchmark offline into $CARGO_TARGET_DIR (default .bench_build)
+# and exits nonzero if a count metric differs between two runs of one seed
+# or the interpreter disagrees with the kernels' reference implementations.
+python3 perfbench/run.py --selftest
+
 echo "==> socket backend smoke (TOMCATV small, 4 worker processes)"
 # Capture stderr too: the networker children inherit the driver's stderr,
 # and the driver folds their exit statuses into its own ("worker N exited

@@ -174,6 +174,24 @@ END DO
     assert!(msg.contains("out of bounds"), "{}", msg);
 }
 
+/// A run-time failure renders through `Display` with a single prefix:
+/// `execution failed: index [5] out of bounds for a`, never the Debug
+/// form of the error.
+#[test]
+fn out_of_bounds_renders_once_with_display() {
+    let src = r#"
+!HPF$ PROCESSORS P(4)
+!HPF$ DISTRIBUTE (BLOCK) :: A
+REAL A(4)
+A(5) = 1.0
+"#;
+    let c = compile_source(src, Options::new(Version::SelectedAlignment)).unwrap();
+    let msg = c.observe(|_| {}).unwrap_err();
+    assert_eq!(msg.matches("index [5] out of bounds for a").count(), 1, "{msg}");
+    assert_eq!(msg.matches("execution failed").count(), 1, "{msg}");
+    assert!(!msg.contains("OutOfBounds {"), "{msg}");
+}
+
 /// Parser robustness: malformed inputs return errors (never panic).
 #[test]
 fn parser_rejects_garbage_gracefully() {

@@ -5,21 +5,29 @@
 //! frames over [`hpf_net::socket`] links. The pieces:
 //!
 //! * the *parent* ([`socket_validate_replay`]) compiles the program, runs
-//!   the reference executor for the authoritative memories, then spawns
-//!   one `networker` process per rank and plays rendezvous server: each
-//!   worker registers `(rank, data address)` over a framed control
-//!   connection, the parent answers with the job spec plus the full
-//!   address map, and finally collects one result blob per rank (stats,
-//!   wire metrics, the rank's entire memory);
-//! * each *worker* ([`worker_main`], the `networker` binary) recompiles
-//!   the same source deterministically, records the same trace with the
-//!   reference executor, meshes with its peers via
+//!   the reference executor once for the authoritative memories and the
+//!   per-rank event trace, then spawns one `networker` process per rank
+//!   and plays rendezvous server: each worker registers `(rank, data
+//!   address, protocol number)` over a framed control connection, the
+//!   parent answers with the job spec plus the full address map, streams
+//!   the worker its own rank's events ([`hpf_spmd::encode_events`], in
+//!   Blob frames of at most about [`EVENT_CHUNK_BYTES`]), and finally
+//!   collects one result blob per rank (stats, wire metrics, the rank's
+//!   entire memory);
+//! * each *worker* ([`worker_main`], the `networker` binary) compiles the
+//!   same source (replay needs the lowered program), applies the fills,
+//!   decodes its event stream, meshes with its peers via
 //!   [`SocketTransport::connect_mesh`], and replays its rank's events
 //!   with [`hpf_spmd::replay_rank`] — the exact engine the threaded
-//!   backend uses, just over sockets;
+//!   backend uses, just over sockets. No worker runs the reference
+//!   executor;
 //! * the parent merges the per-rank [`CommMetrics`] and checks every
 //!   owner slot bit-for-bit against the reference memories
 //!   ([`hpf_spmd::check_owner_slots`]).
+//!
+//! A worker whose registration carries another [`PROTOCOL`] number (a
+//! binary built from older sources) is killed with its cohort before it
+//! receives anything; see [`socket_validate_replay`].
 //!
 //! Every blocking step carries a deadline (rendezvous accepts, job
 //! dispatch, result collection, child reaping), so a worker that dies or
@@ -36,8 +44,8 @@ use hpf_net::{FaultInjector, NetError, RetryPolicy, Transport};
 use hpf_obs::{Body, BufTracer, CommKind, TraceEvent, Tracer};
 use hpf_spmd::metrics::{self, CommMetrics, RecoveryCounters};
 use hpf_spmd::{
-    check_owner_slots, replay_rank_segment, replay_rank_traced, validate_replay_traced, Replayed,
-    ReplayStats, SpmdExec,
+    check_owner_slots, decode_events, encode_events, replay_rank_segment, replay_rank_traced,
+    validate_replay_traced, Event, ReplayStats, Replayed, SpmdExec, SpmdProgram, Trace,
 };
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -55,9 +63,21 @@ pub const ENV_RANK: &str = "PHPF_NETRUN_RANK";
 /// Optional override for the worker binary path.
 pub const ENV_WORKER_BIN: &str = "PHPF_NET_WORKER";
 
-/// Everything a worker needs to reproduce the parent's compilation and
-/// replay deterministically. Workers recompute the program, trace and
-/// initial memories from this spec instead of shipping compiled state.
+/// Version of the parent ↔ worker control protocol, carried in every
+/// worker's registration frame. A registration without it comes from a
+/// worker binary that predates versioning.
+pub const PROTOCOL: u32 = 2;
+
+/// Soft size bound of one event-stream frame: a chunk stops taking events
+/// once its payload reaches this many bytes, so a frame exceeds it by at
+/// most one event.
+pub const EVENT_CHUNK_BYTES: usize = 1 << 16;
+
+/// Everything a worker needs besides its event stream: the source and
+/// options it compiles (deterministically, to the parent's lowered
+/// program) and the fills that give every rank its initial memory. The
+/// trace itself is recorded once, by the parent, and each worker is sent
+/// only its own rank's events.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetJob {
     pub source: String,
@@ -214,12 +234,15 @@ const NO_RANK: u32 = u32::MAX;
 
 /// Per-rank supervision extras riding on the job blob: the (resolved,
 /// possibly respawn-pruned) fault plan, the retransmission budget, the
-/// heartbeat cadence, and — for a respawned generation — how many epochs
-/// are already committed plus this rank's checkpointed memory.
+/// heartbeat cadence, this rank's epoch-cut offsets into its event stream
+/// (relative to the stream's first event), and — for a respawned
+/// generation — how many epochs are already committed plus this rank's
+/// checkpointed memory.
 struct JobExtras<'a> {
     plan: &'a FaultPlan,
     retries: u32,
     supervised: bool,
+    cuts: &'a [usize],
     resume: Option<(u32, &'a [u8])>,
 }
 
@@ -229,6 +252,7 @@ impl<'a> JobExtras<'a> {
             plan: empty,
             retries: 0,
             supervised: false,
+            cuts: &[],
             resume: None,
         }
     }
@@ -278,6 +302,10 @@ fn encode_job(
     e.u32(extras.retries);
     e.u64(cfg.heartbeat_interval.as_millis() as u64);
     e.boolean(extras.supervised);
+    e.u32(extras.cuts.len() as u32);
+    for &c in extras.cuts {
+        e.u64(c as u64);
+    }
     match extras.resume {
         Some((epochs, blob)) => {
             e.u8(1);
@@ -300,6 +328,8 @@ struct WireJob {
     retries: u32,
     heartbeat_interval: Duration,
     supervised: bool,
+    /// Epoch-cut offsets into this rank's event stream (supervised only).
+    cuts: Vec<usize>,
     /// Respawn resume state: committed epoch count + this rank's
     /// checkpointed memory (an [`encode_memory`] blob).
     resume: Option<(u32, Vec<u8>)>,
@@ -354,6 +384,11 @@ fn decode_job(payload: &[u8]) -> Result<WireJob, String> {
     let retries = d.u32().map_err(|e| e.to_string())?;
     let heartbeat_interval = Duration::from_millis(d.u64().map_err(|e| e.to_string())?);
     let supervised = d.boolean().map_err(|e| e.to_string())?;
+    let ncuts = d.u32().map_err(|e| e.to_string())? as usize;
+    let mut cuts = Vec::with_capacity(ncuts.min(d.remaining() / 8));
+    for _ in 0..ncuts {
+        cuts.push(d.u64().map_err(|e| e.to_string())? as usize);
+    }
     let resume = match d.u8().map_err(|e| e.to_string())? {
         0 => None,
         _ => {
@@ -383,6 +418,7 @@ fn decode_job(payload: &[u8]) -> Result<WireJob, String> {
         retries,
         heartbeat_interval,
         supervised,
+        cuts,
         resume,
     })
 }
@@ -763,6 +799,17 @@ pub fn worker_bin() -> Result<PathBuf, String> {
         }
         return Err(format!("{} points at missing {}", ENV_WORKER_BIN, p.display()));
     }
+    let candidates = worker_candidates();
+    if let Some(c) = candidates.iter().find(|c| c.is_file()) {
+        return Ok(c.clone());
+    }
+    build_worker()
+}
+
+/// Where a `networker` built alongside the running binary can be found:
+/// beside it, one directory up (test binaries live in `deps/`), and in the
+/// workspace's own target directory.
+fn worker_candidates() -> Vec<PathBuf> {
     let mut candidates = Vec::new();
     if let Ok(exe) = std::env::current_exe() {
         if let Some(dir) = exe.parent() {
@@ -772,14 +819,24 @@ pub fn worker_bin() -> Result<PathBuf, String> {
             }
         }
     }
-    let workspace = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     let profile = if cfg!(debug_assertions) { "debug" } else { "release" };
-    candidates.push(workspace.join("target").join(profile).join("networker"));
-    for c in &candidates {
-        if c.is_file() {
-            return Ok(c.clone());
-        }
-    }
+    candidates.push(
+        workspace_dir()
+            .join("target")
+            .join(profile)
+            .join("networker"),
+    );
+    candidates
+}
+
+fn workspace_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// Build the `networker` from this workspace's sources with a nested cargo
+/// call (in the running binary's profile) and return its path.
+fn build_worker() -> Result<PathBuf, String> {
+    let workspace = workspace_dir();
     let mut cmd = Command::new("cargo");
     cmd.args(["build", "-p", "hpf-compile", "--bin", "networker"]);
     if !cfg!(debug_assertions) {
@@ -792,12 +849,10 @@ pub fn worker_bin() -> Result<PathBuf, String> {
     if !status.success() {
         return Err(format!("building networker failed: {}", status));
     }
-    for c in &candidates {
-        if c.is_file() {
-            return Ok(c.clone());
-        }
-    }
-    Err("networker binary not found after building it".into())
+    worker_candidates()
+        .into_iter()
+        .find(|c| c.is_file())
+        .ok_or_else(|| "networker binary not found after building it".into())
 }
 
 /// Wait for every child to exit, escalating to SIGKILL after a grace
@@ -882,6 +937,112 @@ fn spawn_workers(
     Ok(children)
 }
 
+/// A spawned cohort, and its control connections plus mesh address map
+/// when the rendezvous succeeded.
+type Cohort = (Vec<(usize, Child)>, Result<(Vec<Conn>, Vec<Addr>), String>);
+
+/// Spawn one worker per rank and run the rendezvous. A cohort whose
+/// registration carries another [`PROTOCOL`] number is killed. If its
+/// binary came from the search path (not [`ENV_WORKER_BIN`]) it is
+/// rebuilt once and a fresh cohort is spawned on a fresh listener, since
+/// the killed cohort's connections may still wait in the old one's
+/// backlog; otherwise the run fails naming the binary and both numbers.
+fn launch(cfg: &NetRunConfig, nproc: usize, listener: &mut NetListener) -> Result<Cohort, String> {
+    let mut bin = worker_bin()?;
+    let mut rebuilt = false;
+    loop {
+        let parent_addr = listener.addr().map_err(|e| e.to_string())?;
+        let mut children = spawn_workers(&bin, &parent_addr, nproc)?;
+        match rendezvous(cfg, nproc, listener) {
+            Ok(met) => return Ok((children, Ok(met))),
+            Err(MeetError::Failed(e)) => return Ok((children, Err(e))),
+            Err(MeetError::Stale { rank, got }) => {
+                kill_generation(&mut children);
+                if rebuilt || std::env::var_os(ENV_WORKER_BIN).is_some() {
+                    return Err(format!(
+                        "worker binary {} (rank {}) speaks netrun protocol {}, this driver \
+                         speaks protocol {}; rebuild it with \
+                         `cargo build -p hpf-compile --bin networker`",
+                        bin.display(),
+                        rank,
+                        got.map_or_else(|| "1 (unnumbered registration)".into(), |n| n.to_string()),
+                        PROTOCOL
+                    ));
+                }
+                bin = build_worker()?;
+                rebuilt = true;
+                *listener =
+                    NetListener::bind(cfg.addr_kind, "netrun").map_err(|e| e.to_string())?;
+            }
+        }
+    }
+}
+
+/// Stream every worker its events, `events(rank)`, one thread per
+/// connection so that the workers decode in parallel.
+fn stream_events<'a>(
+    conns: &mut [Conn],
+    events: impl Fn(usize) -> &'a [Event] + Sync,
+) -> Result<(), String> {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = conns
+            .iter_mut()
+            .enumerate()
+            .map(|(rank, conn)| {
+                let events = &events;
+                scope.spawn(move || {
+                    send_events(&mut conn.writer, events(rank))
+                        .map_err(|e| format!("streaming events to worker {}: {}", rank, e))
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .try_for_each(|h| h.join().expect("event stream thread panicked"))
+    })
+}
+
+/// Stream one rank's events to its worker as Blob frames of at most about
+/// [`EVENT_CHUNK_BYTES`], all built in one reused buffer. Each payload is
+/// a last-chunk flag followed by one [`encode_events`] chunk; an empty
+/// list is one empty last chunk.
+fn send_events(writer: &mut FrameWriter<NetStream>, events: &[Event]) -> std::io::Result<()> {
+    let mut enc = Enc::new();
+    let mut rest = events;
+    loop {
+        enc.buf.clear();
+        enc.u8(0);
+        let n = encode_events(&mut enc, rest, EVENT_CHUNK_BYTES);
+        rest = &rest[n..];
+        enc.buf[0] = rest.is_empty() as u8;
+        writer.write(FrameKind::Blob, &enc.buf)?;
+        if rest.is_empty() {
+            return Ok(());
+        }
+    }
+}
+
+/// Receive the event stream [`send_events`] wrote, validating every event
+/// against the worker's compiled program.
+fn recv_events(
+    reader: &mut FrameReader<NetStream>,
+    sp: &SpmdProgram,
+    nproc: usize,
+) -> Result<Vec<Event>, String> {
+    let mut events = Vec::new();
+    loop {
+        let payload = read_blob(reader, "event stream from parent")?;
+        let mut d = Dec::new(&payload);
+        let last = d.boolean().map_err(|e| e.to_string())?;
+        let chunk = decode_events(&mut d, sp, nproc).map_err(|e| format!("event stream: {}", e))?;
+        events.extend(chunk);
+        d.done().map_err(|e| format!("event stream: {}", e))?;
+        if last {
+            return Ok(events);
+        }
+    }
+}
+
 /// Run the job's replay with one OS process per virtual processor and
 /// validate it exactly like the threaded `validate_replay`: owner slots
 /// bit-for-bit against the reference executor, metrics merged over ranks.
@@ -920,12 +1081,12 @@ pub fn socket_validate_replay(job: &NetJob, cfg: &NetRunConfig) -> Result<Replay
         return supervised_validate_replay(job, cfg, &compiled, nproc, &init, &exec, pipe);
     }
 
-    let listener = NetListener::bind(cfg.addr_kind, "netrun").map_err(|e| e.to_string())?;
-    let parent_addr = listener.addr().map_err(|e| e.to_string())?;
-    let bin = worker_bin()?;
-    let mut children = spawn_workers(&bin, &parent_addr, nproc)?;
-
-    let result = drive_workers(job, cfg, &compiled, nproc, &listener);
+    let mut listener = NetListener::bind(cfg.addr_kind, "netrun").map_err(|e| e.to_string())?;
+    let (mut children, met) = launch(cfg, nproc, &mut listener)?;
+    let result = met.and_then(|(conns, addrs)| {
+        let trace = exec.trace.as_ref().expect("reference run was traced");
+        drive_workers(job, cfg, &compiled, trace, conns, &addrs)
+    });
     let reap_errors = reap(&mut children, cfg.result_deadline);
     let (stats, metrics, mems, rank_obs) = match result {
         Ok(r) => r,
@@ -964,22 +1125,75 @@ type DriveOutput = (
     Vec<(usize, Vec<TraceEvent>)>,
 );
 
+/// A worker's first frame on its control connection.
+#[derive(Debug, PartialEq)]
+struct Registration {
+    rank: usize,
+    addr: String,
+    /// `None` for a worker that predates protocol numbers.
+    protocol: Option<u32>,
+}
+
+fn encode_registration(rank: usize, addr: &Addr) -> Vec<u8> {
+    let mut e = Enc::new();
+    e.u32(rank as u32);
+    e.str(&addr.to_string());
+    e.u32(PROTOCOL);
+    e.buf
+}
+
+fn decode_registration(payload: &[u8]) -> Result<Registration, String> {
+    let mut d = Dec::new(payload);
+    let rank = d.u32().map_err(|e| e.to_string())? as usize;
+    let addr = d.str().map_err(|e| e.to_string())?;
+    let protocol = if d.remaining() == 0 {
+        None
+    } else {
+        Some(d.u32().map_err(|e| e.to_string())?)
+    };
+    d.done().map_err(|e| e.to_string())?;
+    Ok(Registration {
+        rank,
+        addr,
+        protocol,
+    })
+}
+
+enum MeetError {
+    /// A worker registered with another protocol number (`None`: an
+    /// unnumbered registration, i.e. protocol 1).
+    Stale {
+        rank: usize,
+        got: Option<u32>,
+    },
+    Failed(String),
+}
+
+impl From<String> for MeetError {
+    fn from(e: String) -> MeetError {
+        MeetError::Failed(e)
+    }
+}
+
 /// Rendezvous: accept one control connection per rank, each registering
-/// `(rank, data address)`. Returns the per-rank connections and mesh
-/// address map.
+/// `(rank, data address, protocol)`. Returns the per-rank connections and
+/// mesh address map.
 fn rendezvous(
     cfg: &NetRunConfig,
     nproc: usize,
     listener: &NetListener,
-) -> Result<(Vec<Conn>, Vec<Addr>), String> {
+) -> Result<(Vec<Conn>, Vec<Addr>), MeetError> {
     let mut conns: Vec<Option<Conn>> = (0..nproc).map(|_| None).collect();
     let mut addrs: Vec<Option<Addr>> = (0..nproc).map(|_| None).collect();
     for _ in 0..nproc {
         let stream = listener
             .accept_deadline(cfg.connect_deadline)
             .map_err(|e| format!("rendezvous: {}", e))?;
+        // The write timeout keeps a worker that stops reading its event
+        // stream from wedging the parent.
         stream
             .set_read_timeout(Some(cfg.result_deadline))
+            .and_then(|()| stream.set_write_timeout(Some(cfg.result_deadline)))
             .map_err(|e| format!("rendezvous: set timeout: {}", e))?;
         let reader_stream = stream
             .try_clone()
@@ -987,15 +1201,22 @@ fn rendezvous(
         let mut reader = FrameReader::new(reader_stream);
         let writer = FrameWriter::new(stream);
         let payload = read_blob(&mut reader, "worker registration")?;
-        let mut d = Dec::new(&payload);
-        let rank = d.u32().map_err(|e| e.to_string())? as usize;
-        let addr_s = d.str().map_err(|e| e.to_string())?;
-        d.done().map_err(|e| e.to_string())?;
+        let Registration {
+            rank,
+            addr: addr_s,
+            protocol,
+        } = decode_registration(&payload)?;
+        if protocol != Some(PROTOCOL) {
+            return Err(MeetError::Stale {
+                rank,
+                got: protocol,
+            });
+        }
         if rank >= nproc {
-            return Err(format!("worker registered bogus rank {}", rank));
+            return Err(format!("worker registered bogus rank {}", rank).into());
         }
         if conns[rank].is_some() {
-            return Err(format!("worker rank {} registered twice", rank));
+            return Err(format!("worker rank {} registered twice", rank).into());
         }
         addrs[rank] = Some(Addr::parse(&addr_s).map_err(|e| e.to_string())?);
         conns[rank] = Some(Conn { reader, writer });
@@ -1010,19 +1231,21 @@ fn drive_workers(
     job: &NetJob,
     cfg: &NetRunConfig,
     compiled: &Compiled,
-    nproc: usize,
-    listener: &NetListener,
+    trace: &Trace,
+    mut conns: Vec<Conn>,
+    addrs: &[Addr],
 ) -> Result<DriveOutput, String> {
-    let (mut conns, addrs) = rendezvous(cfg, nproc, listener)?;
-
-    // Dispatch the job (with the address map) to every worker.
+    let nproc = conns.len();
+    // Dispatch the job (with the address map) to every worker first, so
+    // they all compile before their event streams start.
     let empty = FaultPlan::default();
-    let job_blob = encode_job(job, cfg, nproc, &addrs, &JobExtras::unsupervised(&empty));
+    let job_blob = encode_job(job, cfg, nproc, addrs, &JobExtras::unsupervised(&empty));
     for (rank, conn) in conns.iter_mut().enumerate() {
         conn.writer
             .write(FrameKind::Blob, &job_blob)
             .map_err(|e| format!("dispatching job to worker {}: {}", rank, e))?;
     }
+    stream_events(&mut conns, |rank| &trace[rank])?;
 
     // Collect one result per rank.
     let program = &compiled.spmd.program;
@@ -1105,20 +1328,22 @@ struct StatusMsg {
     epoch: u32,
     /// Cumulative link retransmissions this process performed so far.
     retransmits: u64,
-    /// Checkpointed memory on success, replay error otherwise.
-    body: Result<Memory, String>,
+    /// Checkpointed memory on success (an [`encode_memory`] blob, kept
+    /// encoded: the parent only ever hands it back to a respawned
+    /// worker, which decodes and checks it), replay error otherwise.
+    body: Result<Vec<u8>, String>,
     /// All fault events the worker accumulated so far (cumulative, so a
     /// generation that dies later still leaves its healing on record).
     faults: Vec<TraceEvent>,
 }
 
-fn decode_status(payload: &[u8], program: &Program) -> Result<StatusMsg, String> {
+fn decode_status(payload: &[u8]) -> Result<StatusMsg, String> {
     let mut d = Dec::new(payload);
     let epoch = d.u32().map_err(|e| e.to_string())?;
     let retransmits = d.u64().map_err(|e| e.to_string())?;
     let body = match d.u8().map_err(|e| e.to_string())? {
         0 => Err(d.str().map_err(|e| e.to_string())?),
-        _ => Ok(decode_memory(&mut d, program)?),
+        _ => Ok(d.bytes().map_err(|e| e.to_string())?),
     };
     let faults = decode_obs_events(&mut d)?;
     d.done().map_err(|e| e.to_string())?;
@@ -1206,10 +1431,11 @@ fn kill_generation(children: &mut [(usize, Child)]) {
 }
 
 /// Globally consistent restart state: how many epochs every rank has
-/// committed, and each rank's memory at that cut.
+/// committed, and each rank's memory at that cut (as the encoded blob
+/// its worker reported).
 struct Committed {
     epoch: u32,
-    mems: Vec<Memory>,
+    mems: Vec<Vec<u8>>,
 }
 
 enum GenOutcome {
@@ -1229,8 +1455,9 @@ fn run_generation(
     job: &NetJob,
     cfg: &NetRunConfig,
     compiled: &Compiled,
+    exec: &SpmdExec,
     nproc: usize,
-    listener: &NetListener,
+    listener: &mut NetListener,
     plan: &FaultPlan,
     committed: &mut Committed,
     pipe: &mut BufTracer,
@@ -1239,28 +1466,31 @@ fn run_generation(
 ) -> Result<GenOutcome, String> {
     let trace = job.trace;
     let program = &compiled.spmd.program;
-    let bin = worker_bin()?;
-    let parent_addr = listener.addr().map_err(|e| e.to_string())?;
-    let mut children = spawn_workers(&bin, &parent_addr, nproc)?;
+    let (mut children, met) = launch(cfg, nproc, listener)?;
 
     // Rendezvous + dispatch. Failures here doom the generation, not the
     // run: they are charged to the respawn budget like any worker death.
-    let setup = rendezvous(cfg, nproc, listener).and_then(|(mut conns, addrs)| {
+    // Each rank is sent its events from the committed cut onward, with
+    // its remaining cut offsets made relative to that cut.
+    let events = exec.trace.as_ref().expect("reference run was traced");
+    let cuts = &exec.epoch_cuts()[committed.epoch as usize..];
+    let setup = met.and_then(|(mut conns, addrs)| {
         let retries = cfg.effective_retries();
         for (rank, conn) in conns.iter_mut().enumerate() {
-            let resume_blob =
-                (committed.epoch > 0).then(|| memory_blob(program, &committed.mems[rank]));
+            let rel: Vec<usize> = cuts.iter().map(|c| c[rank] - cuts[0][rank]).collect();
             let extras = JobExtras {
                 plan,
                 retries,
                 supervised: true,
-                resume: resume_blob.as_deref().map(|b| (committed.epoch, b)),
+                cuts: &rel,
+                resume: (committed.epoch > 0).then(|| (committed.epoch, &committed.mems[rank][..])),
             };
             let blob = encode_job(job, cfg, nproc, &addrs, &extras);
             conn.writer
                 .write(FrameKind::Blob, &blob)
                 .map_err(|e| format!("dispatching job to worker {}: {}", rank, e))?;
         }
+        stream_events(&mut conns, |rank| &events[rank][cuts[0][rank]..])?;
         Ok(conns)
     });
     let conns = match setup {
@@ -1284,7 +1514,7 @@ fn run_generation(
     drop(tx);
 
     let mut last_heard: Vec<Instant> = vec![Instant::now(); nproc];
-    let mut statuses: Vec<Option<Memory>> = (0..nproc).map(|_| None).collect();
+    let mut statuses: Vec<Option<Vec<u8>>> = (0..nproc).map(|_| None).collect();
     let mut results: Vec<Option<(RankResult, Vec<TraceEvent>)>> =
         (0..nproc).map(|_| None).collect();
     let mut prov_faults: Vec<Vec<TraceEvent>> = vec![Vec::new(); nproc];
@@ -1307,7 +1537,7 @@ fn run_generation(
             Ok(ParentMsg::Heartbeat { rank }) => last_heard[rank] = Instant::now(),
             Ok(ParentMsg::Status { rank, payload }) => {
                 last_heard[rank] = Instant::now();
-                match decode_status(&payload, program) {
+                match decode_status(&payload) {
                     Ok(st) => {
                         prov_retx[rank] = st.retransmits;
                         prov_faults[rank] = st.faults;
@@ -1495,7 +1725,7 @@ fn supervised_validate_replay(
     let trace = job.trace;
     let mut recovery = RecoveryCounters::default();
     let mut salvaged: Vec<Vec<TraceEvent>> = vec![Vec::new(); nproc];
-    let listener = NetListener::bind(cfg.addr_kind, "netrun").map_err(|e| e.to_string())?;
+    let mut listener = NetListener::bind(cfg.addr_kind, "netrun").map_err(|e| e.to_string())?;
     let mut plan = cfg.plan().resolve(nproc);
     let budget = cfg
         .respawn_budget
@@ -1512,8 +1742,9 @@ fn supervised_validate_replay(
             job,
             cfg,
             compiled,
+            exec,
             nproc,
-            &listener,
+            &mut listener,
             &plan,
             &mut committed,
             &mut pipe,
@@ -1644,8 +1875,8 @@ fn supervised_validate_replay(
 
 /// Entry point of the `networker` binary: one spawned process per rank.
 /// Reads its rank and the parent address from the environment, registers,
-/// receives the job, meshes with its peers, replays its rank and reports
-/// back.
+/// receives the job and its rank's event stream, meshes with its peers,
+/// replays its rank and reports back.
 pub fn worker_main() -> Result<(), String> {
     let parent = std::env::var(ENV_PARENT)
         .map_err(|_| format!("{} not set (run via the socket backend driver)", ENV_PARENT))?;
@@ -1673,11 +1904,8 @@ pub fn worker_main() -> Result<(), String> {
     let mut reader = FrameReader::new(reader_stream);
     let mut writer = FrameWriter::new(stream);
 
-    let mut e = Enc::new();
-    e.u32(rank as u32);
-    e.str(&my_addr.to_string());
     writer
-        .write(FrameKind::Blob, &e.buf)
+        .write(FrameKind::Blob, &encode_registration(rank, &my_addr))
         .map_err(|e| format!("registering with parent: {}", e))?;
 
     let payload = read_blob(&mut reader, "job from parent")?;
@@ -1685,10 +1913,11 @@ pub fn worker_main() -> Result<(), String> {
     if wire.supervised {
         return worker_supervised(&wire, rank, &listener, reader, writer);
     }
-    let compiled = wire.job.compile()?;
+    let compiled = compile_for(&wire)?;
     let program = &compiled.spmd.program;
+    let events = recv_events(&mut reader, &compiled.spmd, wire.nproc)?;
 
-    let (result, obs) = run_rank(&wire, rank, &compiled, &listener);
+    let (result, obs) = run_rank(&wire, rank, &compiled, &events, &listener);
     writer
         .write(FrameKind::Blob, &encode_result(&result, &obs, program))
         .map_err(|e| format!("sending result: {}", e))?;
@@ -1702,6 +1931,7 @@ fn run_rank(
     wire: &WireJob,
     rank: usize,
     compiled: &Compiled,
+    events: &[Event],
     listener: &NetListener,
 ) -> (RankResult, Vec<TraceEvent>) {
     let mut obs = if wire.job.trace {
@@ -1709,17 +1939,14 @@ fn run_rank(
     } else {
         None
     };
-    let res = run_rank_inner(wire, rank, compiled, listener, obs.as_mut());
+    let res = run_rank_inner(wire, rank, compiled, events, listener, obs.as_mut());
     (res, obs.map(|o| o.into_events()).unwrap_or_default())
 }
 
-fn run_rank_inner(
-    wire: &WireJob,
-    rank: usize,
-    compiled: &Compiled,
-    listener: &NetListener,
-    obs: Option<&mut hpf_obs::BufTracer>,
-) -> Result<(ReplayStats, CommMetrics, Memory), String> {
+/// Compile the job's source — deterministically the parent's lowered
+/// program — and check it has the grid the parent's job names.
+fn compile_for(wire: &WireJob) -> Result<Compiled, String> {
+    let compiled = wire.job.compile()?;
     let nproc = compiled.spmd.maps.grid.total();
     if nproc != wire.nproc {
         return Err(format!(
@@ -1727,17 +1954,19 @@ fn run_rank_inner(
             nproc, wire.nproc
         ));
     }
-    let init = make_init(compiled, &wire.job.fills)?;
-    // Recompute the trace deterministically — same compiler, same source,
-    // same fills as the parent and every sibling.
-    let mut exec = SpmdExec::new(&compiled.spmd, &init).with_trace();
-    if !wire.job.vectorize {
-        exec = exec.without_vectorization();
-    }
-    exec.run()
-        .map_err(|e| format!("reference run failed: {}", e))?;
-    let trace = exec.trace.take().expect("trace recorded");
+    Ok(compiled)
+}
 
+fn run_rank_inner(
+    wire: &WireJob,
+    rank: usize,
+    compiled: &Compiled,
+    events: &[Event],
+    listener: &NetListener,
+    obs: Option<&mut hpf_obs::BufTracer>,
+) -> Result<(ReplayStats, CommMetrics, Memory), String> {
+    let nproc = wire.nproc;
+    let init = make_init(compiled, &wire.job.fills)?;
     let mut mem = Memory::zeroed(&compiled.spmd.program);
     init(&mut mem);
     let mesh_cfg = SocketConfig {
@@ -1754,7 +1983,7 @@ fn run_rank_inner(
         std::process::abort();
     }
     let (stats, metrics) =
-        replay_rank_traced(&compiled.spmd, &trace[rank], &mut mem, &mut transport, obs)?;
+        replay_rank_traced(&compiled.spmd, events, &mut mem, &mut transport, obs)?;
     Ok((stats, metrics, mem))
 }
 
@@ -1768,7 +1997,7 @@ fn worker_supervised(
     mut reader: FrameReader<NetStream>,
     writer: FrameWriter<NetStream>,
 ) -> Result<(), String> {
-    // Heartbeats start before the (potentially slow) recompile and mesh
+    // Heartbeats start before the compile, the event stream and the mesh
     // so the parent's deadline detector never mistakes a busy worker for
     // a dead one.
     let control = Arc::new(Mutex::new(writer));
@@ -1804,25 +2033,21 @@ fn worker_supervised_inner(
     reader: &mut FrameReader<NetStream>,
     control: &Arc<Mutex<FrameWriter<NetStream>>>,
 ) -> Result<(), String> {
-    let compiled = wire.job.compile()?;
+    let compiled = compile_for(wire)?;
     let program = &compiled.spmd.program;
-    let nproc = compiled.spmd.maps.grid.total();
-    if nproc != wire.nproc {
+    let nproc = wire.nproc;
+    // The stream starts at the committed cut, and `wire.cuts` are offsets
+    // into it: cut `i` ends epoch `start_epoch + i - 1`.
+    let events = recv_events(reader, &compiled.spmd, nproc)?;
+    let cuts = &wire.cuts;
+    if cuts.windows(2).any(|w| w[0] > w[1]) || cuts.last().is_some_and(|&c| c > events.len()) {
         return Err(format!(
-            "compiled grid has {} processors, job says {}",
-            nproc, wire.nproc
+            "epoch cuts {:?} do not fit a stream of {} events",
+            cuts,
+            events.len()
         ));
     }
     let init = make_init(&compiled, &wire.job.fills)?;
-    let mut exec = SpmdExec::new(&compiled.spmd, &init).with_trace();
-    if !wire.job.vectorize {
-        exec = exec.without_vectorization();
-    }
-    exec.run()
-        .map_err(|e| format!("reference run failed: {}", e))?;
-    let cuts = exec.epoch_cuts().to_vec();
-    let trace = exec.trace.take().expect("trace recorded");
-
     let mut mem = Memory::zeroed(program);
     init(&mut mem);
     let mut start_epoch = 0usize;
@@ -1862,10 +2087,9 @@ fn worker_supervised_inner(
     let mut fault_log: Vec<TraceEvent> = Vec::new();
     let mut stats = ReplayStats::default();
     let mut metrics = CommMetrics::new(nproc, compiled.spmd.comms.len());
-    let events = &trace[rank];
-    let nepochs = cuts.len().saturating_sub(1);
-    for epoch in start_epoch..nepochs {
-        let seg = &events[cuts[epoch][rank]..cuts[epoch + 1][rank]];
+    for (i, cut) in cuts.windows(2).enumerate() {
+        let epoch = start_epoch + i;
+        let seg = &events[cut[0]..cut[1]];
         let res = replay_rank_segment(
             &compiled.spmd,
             seg,
@@ -1905,7 +2129,7 @@ fn worker_supervised_inner(
         match &res {
             Ok(()) => {
                 enc.u8(1);
-                encode_memory(&mut enc, program, &mem);
+                enc.bytes(&memory_blob(program, &mem));
             }
             Err(msg) => {
                 enc.u8(0);
@@ -1944,4 +2168,96 @@ fn worker_supervised_inner(
         .write(FrameKind::Blob, &blob)
         .map_err(|e| format!("sending result: {}", e))?;
     result.map(|_| ())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Connect to `addr` and send `payload` as a worker registration. The
+    /// frame stays readable on the parent's side after this side closes.
+    fn fake_worker(addr: Addr, payload: Vec<u8>) -> std::thread::JoinHandle<()> {
+        std::thread::spawn(move || {
+            let stream = connect_backoff(&addr, Duration::from_secs(5)).expect("connect");
+            let mut w = FrameWriter::new(stream);
+            w.write(FrameKind::Blob, &payload).expect("register");
+        })
+    }
+
+    fn meet(payload: Vec<u8>) -> Result<(Vec<Conn>, Vec<Addr>), MeetError> {
+        let listener = NetListener::bind(AddrKind::default(), "regtest").unwrap();
+        let worker = fake_worker(listener.addr().unwrap(), payload);
+        let res = rendezvous(&NetRunConfig::default(), 1, &listener);
+        worker.join().unwrap();
+        res
+    }
+
+    fn old_registration(rank: u32, addr: &str) -> Vec<u8> {
+        let mut e = Enc::new();
+        e.u32(rank);
+        e.str(addr);
+        e.buf
+    }
+
+    #[test]
+    fn registration_round_trips_with_the_protocol_number() {
+        let addr = Addr::parse("tcp:127.0.0.1:4000").unwrap();
+        let reg = decode_registration(&encode_registration(3, &addr)).unwrap();
+        assert_eq!(
+            reg,
+            Registration {
+                rank: 3,
+                addr: addr.to_string(),
+                protocol: Some(PROTOCOL),
+            }
+        );
+        // The protocol number is the only addition: four bytes.
+        assert_eq!(
+            encode_registration(3, &addr).len(),
+            old_registration(3, &addr.to_string()).len() + 4
+        );
+    }
+
+    #[test]
+    fn unnumbered_registration_is_stale() {
+        let reg = decode_registration(&old_registration(0, "tcp:127.0.0.1:4000")).unwrap();
+        assert_eq!(reg.protocol, None);
+        match meet(old_registration(0, "tcp:127.0.0.1:4000")) {
+            Err(MeetError::Stale { rank: 0, got: None }) => {}
+            Err(MeetError::Failed(e)) => panic!("expected a stale-worker error, got {e}"),
+            other => panic!("expected a stale-worker error, got {:?}", other.is_ok()),
+        }
+    }
+
+    #[test]
+    fn wrong_protocol_number_is_stale() {
+        let mut payload = old_registration(0, "tcp:127.0.0.1:4000");
+        payload.extend_from_slice(&(PROTOCOL + 7).to_le_bytes());
+        match meet(payload) {
+            Err(MeetError::Stale {
+                rank: 0,
+                got: Some(n),
+            }) => assert_eq!(n, PROTOCOL + 7),
+            Err(MeetError::Failed(e)) => panic!("expected a stale-worker error, got {e}"),
+            other => panic!("expected a stale-worker error, got {:?}", other.is_ok()),
+        }
+    }
+
+    #[test]
+    fn current_registration_meets() {
+        let addr = Addr::parse("tcp:127.0.0.1:4000").unwrap();
+        let (conns, addrs) = meet(encode_registration(0, &addr)).unwrap_or_else(|e| match e {
+            MeetError::Failed(e) => panic!("{e}"),
+            MeetError::Stale { got, .. } => panic!("stale: {got:?}"),
+        });
+        assert_eq!(conns.len(), 1);
+        assert_eq!(addrs, vec![addr]);
+    }
+
+    #[test]
+    fn trailing_bytes_after_the_protocol_number_are_rejected() {
+        let mut payload = encode_registration(0, &Addr::parse("tcp:127.0.0.1:4000").unwrap());
+        payload.push(0);
+        assert!(decode_registration(&payload).is_err());
+    }
 }

@@ -278,6 +278,13 @@ impl MappingTable {
                 if !fmt.is_distributed() {
                     continue;
                 }
+                if *fmt == DistFormat::BlockCyclic(0) {
+                    return Err(format!(
+                        "array {} dimension {} is distributed CYCLIC(0); the block size must be at least 1",
+                        info.name,
+                        ad + 1
+                    ));
+                }
                 let (lo, hi) = shape.dims[ad];
                 rules[g] = GridDimRule::ByDim {
                     array_dim: ad,

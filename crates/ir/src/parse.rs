@@ -477,7 +477,16 @@ impl Parser {
             lp.expect_sym("(")?;
             let mut dims = Vec::new();
             loop {
-                dims.push(lp.expect_int()? as usize);
+                let extent = lp.expect_int()?;
+                if extent < 1 {
+                    return lp.err(format!(
+                        "PROCESSORS {}: dimension {} has extent {}, must be at least 1",
+                        name,
+                        dims.len() + 1,
+                        extent
+                    ));
+                }
+                dims.push(extent as usize);
                 if lp.eat_sym(")") {
                     break;
                 }
@@ -496,9 +505,12 @@ impl Parser {
                     fmts.push(DistFormat::Block);
                 } else if lp.eat_kw("cyclic") {
                     if lp.eat_sym("(") {
-                        let k = lp.expect_int()? as usize;
+                        let k = lp.expect_int()?;
+                        if k < 1 {
+                            return lp.err(format!("CYCLIC({}): block size must be at least 1", k));
+                        }
                         lp.expect_sym(")")?;
-                        fmts.push(DistFormat::BlockCyclic(k));
+                        fmts.push(DistFormat::BlockCyclic(k as usize));
                     } else {
                         fmts.push(DistFormat::Cyclic);
                     }

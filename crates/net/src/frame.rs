@@ -416,6 +416,11 @@ impl<'a> Dec<'a> {
         }
     }
 
+    /// Bytes not yet consumed.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     /// Assert the payload was fully consumed.
     pub fn done(&self) -> Result<(), FrameError> {
         if self.pos != self.buf.len() {

@@ -33,7 +33,8 @@ pub enum Slot {
 }
 
 /// One event of a recorded execution trace (consumed by
-/// [`crate::runtime`]'s threaded replay).
+/// [`crate::runtime`]'s replay; [`crate::codec`] is its wire form for the
+/// socket backend's worker processes).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// Send the local value of `slot` to processor `to`.

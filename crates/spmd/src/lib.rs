@@ -7,6 +7,8 @@
 //!   communication operations, reduction combines;
 //! * [`exec`] — the reference multi-memory executor (defines semantics;
 //!   every configuration must match the sequential interpreter);
+//! * [`codec`] — the binary form of a rank's recorded event list, which
+//!   the socket driver ships to its worker processes;
 //! * [`runtime`] — a message-passing replay runtime over a pluggable
 //!   [`hpf_net::Transport`] (one thread per virtual processor on the
 //!   in-process channel backend; the socket backend runs the same
@@ -22,6 +24,7 @@
 //! * [`crosscheck`] — validation that observed wire messages agree with
 //!   the cost model's predictions.
 
+pub mod codec;
 pub mod combine;
 pub mod costsim;
 pub mod crosscheck;
@@ -36,6 +39,7 @@ pub use costsim::{estimate, CostReport};
 pub use crosscheck::{cross_check, CrossCheck, OpCheck};
 pub use exec::{validate_against_sequential, ExecStats, SpmdExec};
 pub use guard::Guard;
+pub use codec::{decode_events, encode_events};
 pub use exec::{Event, Slot, Trace};
 pub use lower::{lower, CommData, CommOp, ReduceOp, Schedule, ScheduleOp, SpmdProgram};
 pub use metrics::{CommMetrics, RecoveryCounters};

@@ -49,6 +49,7 @@
 //! | [`compile`] | `hpf-compile` | pipeline driver and the paper's compiler versions |
 //! | [`kernels`] | `hpf-kernels` | TOMCATV, DGEFA, APPSP with sequential references |
 //! | [`obs`] | `hpf-obs` | span/event tracing: pipeline phases, per-rank comm timelines, exporters |
+//! | [`net`] | `hpf-net` | message transports (channels, sockets) and the framed wire codec |
 
 pub use hpf_analysis as analysis;
 pub use hpf_comm as comm;
@@ -56,6 +57,7 @@ pub use hpf_compile as compile;
 pub use hpf_dist as dist;
 pub use hpf_ir as ir;
 pub use hpf_kernels as kernels;
+pub use hpf_net as net;
 pub use hpf_obs as obs;
 pub use hpf_spmd as spmd;
 pub use phpf_core as core;

@@ -5,12 +5,14 @@
 //! (vectorized and per-element). Only `max_in_flight` may differ: it is
 //! a queue-depth gauge, not a traffic count, and depends on scheduling.
 
-use phpf::compile::netrun::{self, NetJob, NetRunConfig};
+use phpf::compile::netrun::{self, NetJob, NetRunConfig, EVENT_CHUNK_BYTES};
 use phpf::compile::Version;
 use phpf::kernels::{appsp, dgefa, tomcatv};
+use phpf::net::frame::Enc;
 use phpf::obs::Trace;
 use phpf::spmd::{
-    check_owner_slots, validate_replay_opts, validate_replay_traced, CommMetrics, Replayed,
+    check_owner_slots, encode_events, validate_replay_opts, validate_replay_traced, CommMetrics,
+    Replayed, SpmdExec,
 };
 
 /// Run one kernel on both backends with identical deterministic fills and
@@ -85,6 +87,41 @@ fn assert_traffic_identical(name: &str, vectorize: bool, t: &CommMetrics, s: &Co
     assert_eq!(bytes(t), bytes(s), "{name} ({mode}): total byte counts diverge");
 }
 
+/// Encoded size of each rank's event stream, as the socket driver ships
+/// it, for `source` with the default fills.
+fn stream_bytes(source: &str, vectorize: bool) -> Vec<usize> {
+    let job = NetJob::new(source.to_string())
+        .with_default_fills()
+        .expect("kernel compiles");
+    let compiled = job.compile().unwrap();
+    let sp = &compiled.spmd;
+    let fills: Vec<(phpf::ir::VarId, Vec<f64>)> = job
+        .fills
+        .iter()
+        .map(|(n, d)| (sp.program.vars.lookup(n).unwrap(), d.clone()))
+        .collect();
+    let mut exec = SpmdExec::new(sp, move |m: &mut phpf::ir::Memory| {
+        for (v, data) in &fills {
+            m.fill_real(*v, data);
+        }
+    })
+    .with_trace();
+    if !vectorize {
+        exec = exec.without_vectorization();
+    }
+    exec.run().expect("reference run");
+    exec.trace
+        .take()
+        .unwrap()
+        .iter()
+        .map(|events| {
+            let mut e = Enc::new();
+            encode_events(&mut e, events, usize::MAX);
+            e.buf.len()
+        })
+        .collect()
+}
+
 #[test]
 fn tomcatv_thread_vs_socket_vectorized() {
     differential("TOMCATV", tomcatv::source(12, 4, 2), true);
@@ -113,6 +150,48 @@ fn appsp_thread_vs_socket_vectorized() {
 #[test]
 fn appsp_thread_vs_socket_per_element() {
     differential("APPSP", appsp::source_1d(8, 4, 1), false);
+}
+
+/// The socket driver streams each worker its events in frames that close
+/// once they reach `EVENT_CHUNK_BYTES`; the kernels above fit in one. At
+/// this size DGEFA's largest rank stream is at least twice the bound, so
+/// it spans two frames or more.
+#[test]
+fn dgefa_multi_frame_event_stream_thread_vs_socket() {
+    let source = dgefa::source(40, 4);
+    let largest = stream_bytes(&source, true).into_iter().max().unwrap();
+    assert!(
+        largest >= 2 * EVENT_CHUNK_BYTES,
+        "largest rank stream is {largest} bytes, under two {EVENT_CHUNK_BYTES}-byte frames"
+    );
+    differential("DGEFA n=40", source, true);
+}
+
+/// Two elements BLOCK-distributed over four processors: ranks 2 and 3 own
+/// nothing and are streamed an empty event list.
+#[test]
+fn empty_rank_stream_thread_vs_socket() {
+    let source = r#"
+!HPF$ PROCESSORS P(4)
+!HPF$ DISTRIBUTE (BLOCK) :: A
+REAL A(2)
+INTEGER i
+DO i = 1, 2
+  A(i) = A(i) * 2.0 + 1.0
+END DO
+"#;
+    let sizes = stream_bytes(source, true);
+    // An empty list encodes as its bare 4-byte count.
+    assert_eq!(
+        sizes[2..],
+        [4, 4],
+        "ranks 2 and 3 should have no events: {sizes:?}"
+    );
+    assert!(
+        sizes[0] > 4 && sizes[1] > 4,
+        "ranks 0 and 1 own A: {sizes:?}"
+    );
+    differential("A(2) on P(4)", source.to_string(), true);
 }
 
 // ---------------------------------------------------------------------

@@ -5,10 +5,11 @@
 //! recovery ladder (link retransmission → checkpointed gang respawn →
 //! thread-backend fallback) may cost time, never correctness.
 
-use phpf::compile::netrun::{self, FaultPlan, NetJob, NetRunConfig};
+use phpf::compile::netrun::{self, FaultPlan, NetJob, NetRunConfig, EVENT_CHUNK_BYTES};
 use phpf::kernels::{appsp, dgefa, tomcatv};
+use phpf::net::frame::Enc;
 use phpf::spmd::exec::Event;
-use phpf::spmd::{check_owner_slots, validate_replay_opts, Replayed, SpmdExec};
+use phpf::spmd::{check_owner_slots, encode_events, validate_replay_opts, Replayed, SpmdExec};
 
 const SOURCE_N: i64 = 12;
 const SOURCE_P: usize = 4;
@@ -138,6 +139,50 @@ fn gang_respawn_resumes_from_checkpoint() {
             names
         );
     }
+}
+
+/// A respawned generation is streamed only its events from the committed
+/// cut onward, with cut offsets relative to that cut. On DGEFA at n=40 the
+/// rank streams span several event frames; the kill lands mid-stream, so
+/// the resumed stream starts deep inside the trace and still matches the
+/// fault-free run bit for bit.
+#[test]
+fn respawn_streams_events_from_the_committed_cut() {
+    let job = NetJob::new(dgefa::source(40, SOURCE_P))
+        .with_default_fills()
+        .expect("kernel compiles");
+    let compiled = job.compile().unwrap();
+    let threads = thread_reference(&job);
+    let fills: Vec<(phpf::ir::VarId, Vec<f64>)> = job
+        .fills
+        .iter()
+        .map(|(n, d)| (compiled.spmd.program.vars.lookup(n).unwrap(), d.clone()))
+        .collect();
+    let mut exec = SpmdExec::new(&compiled.spmd, |m| {
+        for (v, data) in &fills {
+            m.fill_real(*v, data);
+        }
+    })
+    .with_trace();
+    exec.run().expect("reference run");
+    let events = &exec.trace.as_ref().unwrap()[1];
+    let kill_at = events.len() / 2;
+    assert!(
+        exec.epoch_cuts().iter().any(|c| c[1] > 0 && c[1] < kill_at),
+        "an epoch must commit before the kill"
+    );
+    // Whatever cut before the kill commits, the resumed stream holds at
+    // least the second half of the rank's events: more than one frame.
+    let mut e = Enc::new();
+    encode_events(&mut e, &events[kill_at..], usize::MAX);
+    assert!(e.buf.len() > 2 * EVENT_CHUNK_BYTES, "{} bytes", e.buf.len());
+
+    let r = netrun::socket_validate_replay(&job, &cfg_with_plan(&format!("kill:1@{}", kill_at)))
+        .expect("killed worker must be healed by respawn");
+    assert!(!r.degraded);
+    assert!(r.metrics.recovery.respawns >= 1);
+    check_owner_slots(&compiled.spmd, &r.mems, &threads.mems)
+        .expect("resumed memories must be bit-identical to the thread run");
 }
 
 /// Seeded plans (corrupt + drop + kill chosen by the seed) always converge

@@ -263,3 +263,54 @@ fn killed_worker_process_is_caught() {
         err
     );
 }
+
+/// A zero-extent processor grid is rejected while parsing, with the line
+/// of the directive, instead of panicking when the grid is built.
+#[test]
+fn zero_extent_processors_is_a_located_error() {
+    for (decl, dim) in [("P(0)", 1), ("P(2,0)", 2)] {
+        let src = format!(
+            "\n!HPF$ PROCESSORS {decl}\n!HPF$ DISTRIBUTE (BLOCK) :: A\nREAL A(8)\nA(1) = 1.0\n"
+        );
+        let err = compile_source(&src, Options::new(Version::SelectedAlignment))
+            .err()
+            .expect("P(0) must not compile");
+        assert!(err.contains("line 2"), "{decl}: error names no line: {err}");
+        assert!(
+            err.contains(&format!("dimension {dim} has extent 0")),
+            "{decl}: error does not name the extent: {err}"
+        );
+    }
+}
+
+/// `CYCLIC(0)` used to compile and then divide by zero at run time; it is
+/// now a parse error on the directive's line.
+#[test]
+fn cyclic_zero_is_a_located_error() {
+    let src =
+        "\n!HPF$ PROCESSORS P(4)\nREAL A(16)\n!HPF$ DISTRIBUTE (CYCLIC(0)) :: A\nA(1) = 1.0\n";
+    let err = compile_source(src, Options::new(Version::SelectedAlignment))
+        .err()
+        .expect("CYCLIC(0) must not compile");
+    assert!(err.contains("line 4"), "error names no line: {err}");
+    assert!(
+        err.contains("CYCLIC(0)"),
+        "error does not name the format: {err}"
+    );
+}
+
+/// A program built without source (so no line to name) still gets an
+/// error, not a panic, for `CYCLIC(0)`: mapping rejects it by array.
+#[test]
+fn cyclic_zero_without_source_is_a_mapping_error() {
+    let mut p = parse_program(
+        "!HPF$ PROCESSORS P(4)\n!HPF$ DISTRIBUTE (CYCLIC(2)) :: A\nREAL A(16)\nA(1) = 1.0\n",
+    )
+    .unwrap();
+    p.directives.distributes[0].formats[0] = phpf::ir::DistFormat::BlockCyclic(0);
+    let err = MappingTable::from_program(&p, None).unwrap_err();
+    assert!(
+        err.contains("array a dimension 1") && err.contains("CYCLIC(0)"),
+        "{err}"
+    );
+}

@@ -4,34 +4,44 @@
 //! replay where every virtual processor is a real OS process exchanging
 //! frames over [`hpf_net::socket`] links. The pieces:
 //!
-//! * the *parent* ([`socket_validate_replay`]) compiles the program, runs
-//!   the reference executor once for the authoritative memories and the
-//!   per-rank event trace, then spawns one `networker` process per rank
-//!   and plays rendezvous server: each worker registers `(rank, data
-//!   address, protocol number)` over a framed control connection, the
-//!   parent answers with the job spec plus the full address map, streams
-//!   the worker its own rank's events ([`hpf_spmd::encode_events`], in
-//!   Blob frames of at most about [`EVENT_CHUNK_BYTES`]), and finally
-//!   collects one result blob per rank (stats, wire metrics, the rank's
-//!   entire memory);
+//! * the *parent* ([`socket_validate_replay`]) compiles the program,
+//!   spawns one `networker` process per rank and plays rendezvous server:
+//!   each worker registers `(rank, data address, protocol number)` over a
+//!   framed control connection, and the parent answers with the job spec
+//!   plus the full address map. Only then does it run the reference
+//!   executor, for the authoritative memories and the per-rank event
+//!   trace. The executor hands off every finished epoch
+//!   ([`SpmdExec::with_epoch_sink`]), and one parent thread per rank
+//!   streams it to that rank's worker ([`hpf_spmd::encode_events`], in
+//!   Blob frames of at most about [`EVENT_CHUNK_BYTES`]) while the
+//!   executor produces the next one. An epoch is dropped once every
+//!   rank's stream has sent it, so the parent never holds the whole
+//!   trace. Finally it collects one result blob per rank (stats, wire
+//!   metrics, the rank's entire memory);
 //! * each *worker* ([`worker_main`], the `networker` binary) compiles the
 //!   same source (replay needs the lowered program), applies the fills,
-//!   decodes its event stream, meshes with its peers via
-//!   [`SocketTransport::connect_mesh`], and replays its rank's events
-//!   with [`hpf_spmd::replay_rank`] — the exact engine the threaded
-//!   backend uses, just over sockets. No worker runs the reference
-//!   executor;
+//!   meshes with its peers via [`SocketTransport::connect_mesh`], and
+//!   replays its rank's events epoch by epoch as they arrive, with
+//!   [`hpf_spmd::replay_rank_segment`] — the engine the threaded backend
+//!   uses, just over sockets. No worker runs the reference executor;
 //! * the parent merges the per-rank [`CommMetrics`] and checks every
 //!   owner slot bit-for-bit against the reference memories
 //!   ([`hpf_spmd::check_owner_slots`]).
+//!
+//! Every parent → worker Blob after the job starts with a tag byte: an
+//! event chunk (flags for epoch end and stream end, then one
+//! [`encode_events`] chunk) or, in supervised mode, `Proceed`. Epoch ends
+//! travel in-band, so one worker-side reader serves both modes.
 //!
 //! A worker whose registration carries another [`PROTOCOL`] number (a
 //! binary built from older sources) is killed with its cohort before it
 //! receives anything; see [`socket_validate_replay`].
 //!
-//! Every blocking step carries a deadline (rendezvous accepts, job
-//! dispatch, result collection, child reaping), so a worker that dies or
-//! wedges surfaces as an error with its rank attached, never a hang.
+//! Every blocking step on the parent carries a deadline (rendezvous
+//! accepts, job dispatch, result collection, child reaping), so a worker
+//! that dies or wedges surfaces as an error with its rank attached, never
+//! a hang. A worker waits for its events as long as its control link is
+//! open: the parent reaps or kills every child on each path out.
 
 use crate::{compile_source, Compiled, Options, Version};
 use hpf_ir::interp::Memory;
@@ -44,13 +54,14 @@ use hpf_net::{FaultInjector, NetError, RetryPolicy, Transport};
 use hpf_obs::{Body, BufTracer, CommKind, TraceEvent, Tracer};
 use hpf_spmd::metrics::{self, CommMetrics, RecoveryCounters};
 use hpf_spmd::{
-    check_owner_slots, decode_events, encode_events, replay_rank_segment, replay_rank_traced,
-    validate_replay_traced, Event, ReplayStats, Replayed, SpmdExec, SpmdProgram, Trace,
+    check_owner_slots, decode_events, encode_events, replay_rank_segment,
+    validate_replay_traced, Event, ReplayStats, Replayed, SpmdExec, SpmdProgram,
 };
+use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 pub use hpf_net::FaultPlan;
@@ -66,7 +77,7 @@ pub const ENV_WORKER_BIN: &str = "PHPF_NET_WORKER";
 /// Version of the parent ↔ worker control protocol, carried in every
 /// worker's registration frame. A registration without it comes from a
 /// worker binary that predates versioning.
-pub const PROTOCOL: u32 = 2;
+pub const PROTOCOL: u32 = 3;
 
 /// Soft size bound of one event-stream frame: a chunk stops taking events
 /// once its payload reaches this many bytes, so a frame exceeds it by at
@@ -77,7 +88,7 @@ pub const EVENT_CHUNK_BYTES: usize = 1 << 16;
 /// options it compiles (deterministically, to the parent's lowered
 /// program) and the fills that give every rank its initial memory. The
 /// trace itself is recorded once, by the parent, and each worker is sent
-/// only its own rank's events.
+/// only its own rank's events, epoch by epoch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetJob {
     pub source: String,
@@ -234,15 +245,12 @@ const NO_RANK: u32 = u32::MAX;
 
 /// Per-rank supervision extras riding on the job blob: the (resolved,
 /// possibly respawn-pruned) fault plan, the retransmission budget, the
-/// heartbeat cadence, this rank's epoch-cut offsets into its event stream
-/// (relative to the stream's first event), and — for a respawned
-/// generation — how many epochs are already committed plus this rank's
-/// checkpointed memory.
+/// heartbeat cadence, and — for a respawned generation — how many epochs
+/// are already committed plus this rank's checkpointed memory.
 struct JobExtras<'a> {
     plan: &'a FaultPlan,
     retries: u32,
     supervised: bool,
-    cuts: &'a [usize],
     resume: Option<(u32, &'a [u8])>,
 }
 
@@ -252,7 +260,6 @@ impl<'a> JobExtras<'a> {
             plan: empty,
             retries: 0,
             supervised: false,
-            cuts: &[],
             resume: None,
         }
     }
@@ -302,10 +309,6 @@ fn encode_job(
     e.u32(extras.retries);
     e.u64(cfg.heartbeat_interval.as_millis() as u64);
     e.boolean(extras.supervised);
-    e.u32(extras.cuts.len() as u32);
-    for &c in extras.cuts {
-        e.u64(c as u64);
-    }
     match extras.resume {
         Some((epochs, blob)) => {
             e.u8(1);
@@ -328,8 +331,6 @@ struct WireJob {
     retries: u32,
     heartbeat_interval: Duration,
     supervised: bool,
-    /// Epoch-cut offsets into this rank's event stream (supervised only).
-    cuts: Vec<usize>,
     /// Respawn resume state: committed epoch count + this rank's
     /// checkpointed memory (an [`encode_memory`] blob).
     resume: Option<(u32, Vec<u8>)>,
@@ -384,11 +385,6 @@ fn decode_job(payload: &[u8]) -> Result<WireJob, String> {
     let retries = d.u32().map_err(|e| e.to_string())?;
     let heartbeat_interval = Duration::from_millis(d.u64().map_err(|e| e.to_string())?);
     let supervised = d.boolean().map_err(|e| e.to_string())?;
-    let ncuts = d.u32().map_err(|e| e.to_string())? as usize;
-    let mut cuts = Vec::with_capacity(ncuts.min(d.remaining() / 8));
-    for _ in 0..ncuts {
-        cuts.push(d.u64().map_err(|e| e.to_string())? as usize);
-    }
     let resume = match d.u8().map_err(|e| e.to_string())? {
         0 => None,
         _ => {
@@ -418,7 +414,6 @@ fn decode_job(payload: &[u8]) -> Result<WireJob, String> {
         retries,
         heartbeat_interval,
         supervised,
-        cuts,
         resume,
     })
 }
@@ -899,12 +894,17 @@ fn reap(children: &mut [(usize, Child)], grace: Duration) -> Vec<String> {
 }
 
 struct Conn {
-    reader: FrameReader<hpf_net::socket::NetStream>,
-    writer: FrameWriter<hpf_net::socket::NetStream>,
+    reader: FrameReader<NetStream>,
+    writer: FrameWriter<NetStream>,
 }
 
-fn read_blob(reader: &mut FrameReader<hpf_net::socket::NetStream>, what: &str) -> Result<Vec<u8>, String> {
-    match reader.read_step() {
+fn read_blob(reader: &mut FrameReader<NetStream>, what: &str) -> Result<Vec<u8>, String> {
+    blob(reader.read_step(), what)
+}
+
+/// The payload of a Blob frame read by `step`, or an error naming `what`.
+fn blob(step: Result<ReadStep, hpf_net::frame::FrameError>, what: &str) -> Result<Vec<u8>, String> {
+    match step {
         Ok(ReadStep::Frame((FrameKind::Blob, payload))) => Ok(payload),
         Ok(ReadStep::Frame((kind, _))) => {
             Err(format!("{}: expected a Blob frame, got {:?}", what, kind))
@@ -978,43 +978,240 @@ fn launch(cfg: &NetRunConfig, nproc: usize, listener: &mut NetListener) -> Resul
     }
 }
 
-/// Stream every worker its events, `events(rank)`, one thread per
-/// connection so that the workers decode in parallel.
-fn stream_events<'a>(
-    conns: &mut [Conn],
-    events: impl Fn(usize) -> &'a [Event] + Sync,
-) -> Result<(), String> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = conns
-            .iter_mut()
-            .enumerate()
-            .map(|(rank, conn)| {
-                let events = &events;
-                scope.spawn(move || {
-                    send_events(&mut conn.writer, events(rank))
-                        .map_err(|e| format!("streaming events to worker {}: {}", rank, e))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .try_for_each(|h| h.join().expect("event stream thread panicked"))
-    })
+/// Parent → worker frame tags after the job.
+const TAG_EVENTS: u8 = 0;
+const TAG_PROCEED: u8 = 1;
+/// Flags of an event-chunk frame: the chunk ends an epoch, or the stream
+/// (an end-of-stream chunk carries no events).
+const EPOCH_END: u8 = 1;
+const STREAM_END: u8 = 2;
+
+/// The hand-off between the reference executor and the per-rank stream
+/// threads: finished epochs, each as one event list per rank.
+struct Feed {
+    state: Mutex<FeedState>,
+    changed: Condvar,
 }
 
-/// Stream one rank's events to its worker as Blob frames of at most about
-/// [`EVENT_CHUNK_BYTES`], all built in one reused buffer. Each payload is
-/// a last-chunk flag followed by one [`encode_events`] chunk; an empty
-/// list is one empty last chunk.
-fn send_events(writer: &mut FrameWriter<NetStream>, events: &[Event]) -> std::io::Result<()> {
+struct FeedState {
+    /// Absolute index of `epochs[0]`.
+    first: usize,
+    epochs: VecDeque<Vec<Arc<Vec<Event>>>>,
+    /// The executor's outcome, once it stopped.
+    done: Option<Result<(), String>>,
+    /// Supervised mode: the committed epoch, from which on every epoch is
+    /// kept for a respawn. `None`: an epoch is dropped once every rank's
+    /// stream has sent it.
+    committed: Option<usize>,
+    /// Per rank: the next epoch its stream sends.
+    next: Vec<usize>,
+    /// Per rank: `Proceed` directives its stream has yet to forward.
+    proceeds: Vec<u32>,
+    /// Bumped to retire the current stream threads.
+    generation: u64,
+}
+
+impl FeedState {
+    fn prune(&mut self) {
+        let floor = match self.committed {
+            Some(c) => c,
+            None => self.next.iter().copied().min().unwrap_or(0),
+        };
+        while self.first < floor && self.epochs.pop_front().is_some() {
+            self.first += 1;
+        }
+    }
+}
+
+/// What a stream thread writes next.
+enum StreamStep {
+    Epoch(Arc<Vec<Event>>),
+    End,
+    Proceed,
+}
+
+impl Feed {
+    fn new(nproc: usize, supervised: bool) -> Feed {
+        Feed {
+            state: Mutex::new(FeedState {
+                first: 0,
+                epochs: VecDeque::new(),
+                done: None,
+                committed: supervised.then_some(0),
+                next: vec![0; nproc],
+                proceeds: vec![0; nproc],
+                generation: 0,
+            }),
+            changed: Condvar::new(),
+        }
+    }
+
+    fn update<R>(&self, f: impl FnOnce(&mut FeedState) -> R) -> R {
+        let r = f(&mut self.state.lock().unwrap());
+        self.changed.notify_all();
+        r
+    }
+
+    /// Run the reference executor, publishing every finished epoch, and
+    /// record its outcome; returns the reference memories.
+    fn run_reference(
+        self: &Arc<Feed>,
+        compiled: &Compiled,
+        init: &(impl Fn(&mut Memory) + Sync),
+        vectorize: bool,
+    ) -> Result<Vec<Memory>, String> {
+        /// Marks the executor failed if it unwinds, so no stream thread
+        /// waits for an epoch that never comes.
+        struct Unwinding<'a>(&'a Feed);
+        impl Drop for Unwinding<'_> {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    self.0.update(|st| st.done = Some(Err("reference executor panicked".into())));
+                }
+            }
+        }
+        let _unwinding = Unwinding(self);
+        let feed = Arc::clone(self);
+        let mut exec = SpmdExec::new(&compiled.spmd, init).with_epoch_sink(move |epoch| {
+            feed.update(|st| {
+                st.epochs
+                    .push_back(epoch.into_iter().map(Arc::new).collect())
+            })
+        });
+        if !vectorize {
+            exec = exec.without_vectorization();
+        }
+        let res = exec.run().map(|_| ()).map_err(|e| format!("reference run failed: {}", e));
+        self.update(|st| st.done = Some(res.clone()));
+        res.map(|()| exec.mems)
+    }
+
+    /// The executor's error, if it failed.
+    fn failure(&self) -> Option<String> {
+        match &self.state.lock().unwrap().done {
+            Some(Err(e)) => Some(e.clone()),
+            _ => None,
+        }
+    }
+
+    /// Retire the current streams and start a generation streaming from
+    /// epoch `from`; returns its number.
+    fn start_generation(&self, from: usize) -> u64 {
+        self.update(|st| {
+            st.generation += 1;
+            st.next.fill(from);
+            st.proceeds.fill(0);
+            st.generation
+        })
+    }
+
+    fn retire(&self) {
+        self.update(|st| st.generation += 1);
+    }
+
+    /// Supervised mode: every rank checkpointed the epochs before `epoch`.
+    /// Drop those and have every stream forward a `Proceed`.
+    fn commit(&self, epoch: usize) {
+        self.update(|st| {
+            st.committed = Some(epoch);
+            st.prune();
+            st.proceeds.iter_mut().for_each(|p| *p += 1);
+        })
+    }
+
+    /// Wait for what `rank`'s stream of `generation` writes next (once the
+    /// end of stream went out, only `Proceed`s); `None` once the
+    /// generation is retired or the executor failed.
+    fn next_step(&self, rank: usize, generation: u64, ended: bool) -> Option<StreamStep> {
+        let mut st = self.state.lock().unwrap();
+        loop {
+            if st.generation != generation {
+                return None;
+            }
+            if st.proceeds[rank] > 0 {
+                st.proceeds[rank] -= 1;
+                return Some(StreamStep::Proceed);
+            }
+            let pending = st.next[rank].checked_sub(st.first);
+            if let Some(epoch) = pending.and_then(|k| st.epochs.get(k)) {
+                return Some(StreamStep::Epoch(Arc::clone(&epoch[rank])));
+            }
+            match &st.done {
+                Some(Ok(())) if !ended => return Some(StreamStep::End),
+                Some(Err(_)) => return None,
+                _ => {}
+            }
+            st = self.changed.wait(st).unwrap();
+        }
+    }
+
+    /// `rank`'s stream of `generation` sent its next epoch (`ok`), or
+    /// broke and sends no more.
+    fn sent(&self, rank: usize, generation: u64, ok: bool) {
+        self.update(|st| {
+            if st.generation == generation {
+                st.next[rank] = if ok { st.next[rank] + 1 } else { usize::MAX };
+                st.prune();
+            }
+        })
+    }
+}
+
+/// One rank's stream thread: write each finished epoch to the worker as it
+/// arrives, then the end of stream, forwarding `Proceed` directives in
+/// between, until the generation is retired. This thread is the
+/// connection's only writer.
+fn stream_rank(
+    feed: &Feed,
+    rank: usize,
+    generation: u64,
+    mut writer: FrameWriter<NetStream>,
+) -> Result<(), String> {
     let mut enc = Enc::new();
+    let mut ended = false;
+    while let Some(step) = feed.next_step(rank, generation, ended) {
+        let sent = match step {
+            StreamStep::Proceed => writer.write(FrameKind::Blob, &[TAG_PROCEED]),
+            StreamStep::End => {
+                ended = true;
+                send_chunks(&mut writer, &mut enc, &[], STREAM_END)
+            }
+            StreamStep::Epoch(events) => {
+                let res = send_chunks(&mut writer, &mut enc, &events, EPOCH_END);
+                drop(events);
+                if res.is_ok() {
+                    feed.sent(rank, generation, true);
+                }
+                res
+            }
+        };
+        if let Err(e) = sent {
+            feed.sent(rank, generation, false);
+            return Err(format!("streaming events to worker {}: {}", rank, e));
+        }
+    }
+    Ok(())
+}
+
+/// Write a rank's events as Blob frames of at most about
+/// [`EVENT_CHUNK_BYTES`], all built in `enc`'s reused buffer; the last
+/// frame carries `flags` (no events: one empty chunk).
+fn send_chunks(
+    writer: &mut FrameWriter<NetStream>,
+    enc: &mut Enc,
+    events: &[Event],
+    flags: u8,
+) -> std::io::Result<()> {
     let mut rest = events;
     loop {
         enc.buf.clear();
+        enc.u8(TAG_EVENTS);
         enc.u8(0);
-        let n = encode_events(&mut enc, rest, EVENT_CHUNK_BYTES);
+        let n = encode_events(enc, rest, EVENT_CHUNK_BYTES);
         rest = &rest[n..];
-        enc.buf[0] = rest.is_empty() as u8;
+        if rest.is_empty() {
+            enc.buf[1] = flags;
+        }
         writer.write(FrameKind::Blob, &enc.buf)?;
         if rest.is_empty() {
             return Ok(());
@@ -1022,23 +1219,113 @@ fn send_events(writer: &mut FrameWriter<NetStream>, events: &[Event]) -> std::io
     }
 }
 
-/// Receive the event stream [`send_events`] wrote, validating every event
-/// against the worker's compiled program.
-fn recv_events(
-    reader: &mut FrameReader<NetStream>,
-    sp: &SpmdProgram,
+type StreamThread<'scope> = std::thread::ScopedJoinHandle<'scope, Result<(), String>>;
+
+/// Start one [`stream_rank`] thread per connection for `generation`;
+/// returns the connections' readers and the threads. With `errors`, a
+/// broken stream is also reported to the supervisor as its rank gone.
+fn spawn_streams<'scope, 'env>(
+    scope: &'scope std::thread::Scope<'scope, 'env>,
+    feed: &'env Feed,
+    generation: u64,
+    conns: Vec<Conn>,
+    errors: Option<mpsc::Sender<ParentMsg>>,
+) -> (Vec<FrameReader<NetStream>>, Vec<StreamThread<'scope>>) {
+    conns
+        .into_iter()
+        .enumerate()
+        .map(|(rank, Conn { reader, writer })| {
+            let errors = errors.clone();
+            let stream = scope.spawn(move || {
+                let res = stream_rank(feed, rank, generation, writer);
+                if let (Err(why), Some(tx)) = (&res, errors) {
+                    let _ = tx.send(ParentMsg::Gone {
+                        rank,
+                        why: why.clone(),
+                    });
+                }
+                res
+            });
+            (reader, stream)
+        })
+        .unzip()
+}
+
+/// The worker's side of the parent → worker stream after the job: each
+/// epoch's event chunks, the end of stream, and (supervised) `Proceed`
+/// directives. Chunks that arrive while a worker waits for `Proceed` are
+/// kept for the next [`ParentStream::next_epoch`].
+struct ParentStream<'p> {
+    reader: FrameReader<NetStream>,
+    sp: &'p SpmdProgram,
     nproc: usize,
-) -> Result<Vec<Event>, String> {
-    let mut events = Vec::new();
-    loop {
-        let payload = read_blob(reader, "event stream from parent")?;
-        let mut d = Dec::new(&payload);
-        let last = d.boolean().map_err(|e| e.to_string())?;
-        let chunk = decode_events(&mut d, sp, nproc).map_err(|e| format!("event stream: {}", e))?;
-        events.extend(chunk);
-        d.done().map_err(|e| format!("event stream: {}", e))?;
-        if last {
-            return Ok(events);
+    early: VecDeque<Vec<u8>>,
+}
+
+impl<'p> ParentStream<'p> {
+    fn new(reader: FrameReader<NetStream>, sp: &'p SpmdProgram, nproc: usize) -> ParentStream<'p> {
+        ParentStream {
+            reader,
+            sp,
+            nproc,
+            early: VecDeque::new(),
+        }
+    }
+
+    /// The next frame from the parent, waiting as long as the link is open:
+    /// the parent may still be producing the events.
+    fn frame(&mut self, what: &str) -> Result<Vec<u8>, String> {
+        loop {
+            match self.reader.read_step() {
+                Ok(ReadStep::Idle) => continue,
+                step => return blob(step, what),
+            }
+        }
+    }
+
+    /// The next epoch's events, validated against the compiled program;
+    /// `None` at the end of the stream.
+    fn next_epoch(&mut self) -> Result<Option<Vec<Event>>, String> {
+        let mut events = Vec::new();
+        loop {
+            let payload = match self.early.pop_front() {
+                Some(p) => p,
+                None => self.frame("event stream from parent")?,
+            };
+            let mut d = Dec::new(&payload);
+            let (tag, flags) = (d.u8(), d.u8());
+            if tag != Ok(TAG_EVENTS) {
+                return Err(format!("event stream: unexpected frame tag {:?}", tag.ok()));
+            }
+            let flags = flags.map_err(|e| format!("event stream: {}", e))?;
+            let chunk =
+                decode_events(&mut d, self.sp, self.nproc).map_err(|e| format!("event stream: {}", e))?;
+            d.done().map_err(|e| format!("event stream: {}", e))?;
+            if flags & STREAM_END != 0 {
+                if !chunk.is_empty() || !events.is_empty() {
+                    return Err("event stream: end of stream inside an epoch".into());
+                }
+                return Ok(None);
+            }
+            events.extend(chunk);
+            if flags & EPOCH_END != 0 {
+                return Ok(Some(events));
+            }
+        }
+    }
+
+    /// Wait for the supervisor's `Proceed`, keeping event chunks that
+    /// arrive first.
+    fn wait_proceed(&mut self) -> Result<(), String> {
+        loop {
+            let payload = self.frame("directive from supervisor")?;
+            match payload.first() {
+                Some(&TAG_PROCEED) if payload.len() == 1 => return Ok(()),
+                Some(&TAG_EVENTS) => self.early.push_back(payload),
+                other => {
+                    return Err(format!("unexpected directive {:?} from supervisor", other))
+                }
+            }
         }
     }
 }
@@ -1046,15 +1333,20 @@ fn recv_events(
 /// Run the job's replay with one OS process per virtual processor and
 /// validate it exactly like the threaded `validate_replay`: owner slots
 /// bit-for-bit against the reference executor, metrics merged over ranks.
+/// The cohort is launched first; the workers replay each epoch while the
+/// reference executor produces the next.
 ///
 /// With any recovery knob set ([`NetRunConfig::supervised`]) the driver
 /// runs the self-healing protocol instead: injected link faults heal via
 /// retransmission, dead workers are respawned from the last epoch
 /// checkpoint, and when the respawn budget is exhausted the whole run
 /// degrades to the in-process thread backend ([`Replayed::degraded`]).
+///
+/// Pipeline spans land on the parent's timeline: `reference-exec` runs
+/// from the launch to the end of the reference executor, which the
+/// workers' replay overlaps, and `replay` is the tail after it. Workers
+/// only contribute per-rank comm/fault events.
 pub fn socket_validate_replay(job: &NetJob, cfg: &NetRunConfig) -> Result<Replayed, String> {
-    // Pipeline spans land on the parent's timeline; workers only
-    // contribute per-rank comm/fault events.
     let mut pipe = hpf_obs::BufTracer::pipeline();
     let compiled = if job.trace {
         job.compile_traced(&mut pipe)?
@@ -1066,29 +1358,17 @@ pub fn socket_validate_replay(job: &NetJob, cfg: &NetRunConfig) -> Result<Replay
     if job.trace {
         pipe.begin("reference-exec");
     }
-    let mut exec = SpmdExec::new(&compiled.spmd, &init).with_trace();
-    if !job.vectorize {
-        exec = exec.without_vectorization();
-    }
-    exec.run()
-        .map_err(|e| format!("reference run failed: {}", e))?;
-    if job.trace {
-        pipe.end("reference-exec");
-        pipe.begin("replay");
-    }
-
     if cfg.supervised() {
-        return supervised_validate_replay(job, cfg, &compiled, nproc, &init, &exec, pipe);
+        return supervised_validate_replay(job, cfg, &compiled, nproc, &init, pipe);
     }
 
     let mut listener = NetListener::bind(cfg.addr_kind, "netrun").map_err(|e| e.to_string())?;
     let (mut children, met) = launch(cfg, nproc, &mut listener)?;
     let result = met.and_then(|(conns, addrs)| {
-        let trace = exec.trace.as_ref().expect("reference run was traced");
-        drive_workers(job, cfg, &compiled, trace, conns, &addrs)
+        stream_and_collect(job, cfg, &compiled, &init, conns, &addrs, &mut children, &mut pipe)
     });
     let reap_errors = reap(&mut children, cfg.result_deadline);
-    let (stats, metrics, mems, rank_obs) = match result {
+    let (reference, (stats, metrics, mems, rank_obs)) = match result {
         Ok(r) => r,
         Err(mut e) => {
             // Child exit diagnostics often explain the protocol error.
@@ -1101,7 +1381,7 @@ pub fn socket_validate_replay(job: &NetJob, cfg: &NetRunConfig) -> Result<Replay
     if !reap_errors.is_empty() {
         return Err(reap_errors.join("; "));
     }
-    check_owner_slots(&compiled.spmd, &mems, &exec.mems)
+    check_owner_slots(&compiled.spmd, &mems, &reference)
         .map_err(|e| format!("processes vs reference: {}", e))?;
     let obs = if job.trace {
         pipe.end("replay");
@@ -1115,6 +1395,58 @@ pub fn socket_validate_replay(job: &NetJob, cfg: &NetRunConfig) -> Result<Replay
         metrics,
         obs,
         degraded: false,
+    })
+}
+
+/// Dispatch the job to every worker, then run the reference executor
+/// while one thread per rank streams each finished epoch, and collect the
+/// results. Returns the reference memories too. A failed reference run
+/// kills and reaps the cohort, leaving `children` empty.
+#[allow(clippy::too_many_arguments)]
+fn stream_and_collect(
+    job: &NetJob,
+    cfg: &NetRunConfig,
+    compiled: &Compiled,
+    init: &(impl Fn(&mut Memory) + Sync),
+    mut conns: Vec<Conn>,
+    addrs: &[Addr],
+    children: &mut Vec<(usize, Child)>,
+    pipe: &mut BufTracer,
+) -> Result<(Vec<Memory>, DriveOutput), String> {
+    let nproc = conns.len();
+    let empty = FaultPlan::default();
+    let job_blob = encode_job(job, cfg, nproc, addrs, &JobExtras::unsupervised(&empty));
+    for (rank, conn) in conns.iter_mut().enumerate() {
+        conn.writer
+            .write(FrameKind::Blob, &job_blob)
+            .map_err(|e| format!("dispatching job to worker {}: {}", rank, e))?;
+    }
+    let feed = Arc::new(Feed::new(nproc, false));
+    std::thread::scope(|scope| {
+        let generation = feed.start_generation(0);
+        let (mut readers, streams) = spawn_streams(scope, &feed, generation, conns, None);
+        let reference = match feed.run_reference(compiled, init, job.vectorize) {
+            Ok(mems) => mems,
+            Err(e) => {
+                // The stream threads see the failure and stop.
+                kill_generation(children);
+                children.clear();
+                return Err(e);
+            }
+        };
+        if job.trace {
+            pipe.end("reference-exec");
+            pipe.begin("replay");
+        }
+        let collected = collect_results(job, compiled, &mut readers);
+        feed.retire();
+        let stream_errors: Vec<String> = streams
+            .into_iter()
+            .filter_map(|h| h.join().expect("event stream thread panicked").err())
+            .collect();
+        collected
+            .map(|out| (reference, out))
+            .map_err(|e| std::iter::once(e).chain(stream_errors).collect::<Vec<_>>().join("; "))
     })
 }
 
@@ -1227,35 +1559,21 @@ fn rendezvous(
     ))
 }
 
-fn drive_workers(
+/// Read one result per rank and merge them.
+fn collect_results(
     job: &NetJob,
-    cfg: &NetRunConfig,
     compiled: &Compiled,
-    trace: &Trace,
-    mut conns: Vec<Conn>,
-    addrs: &[Addr],
+    readers: &mut [FrameReader<NetStream>],
 ) -> Result<DriveOutput, String> {
-    let nproc = conns.len();
-    // Dispatch the job (with the address map) to every worker first, so
-    // they all compile before their event streams start.
-    let empty = FaultPlan::default();
-    let job_blob = encode_job(job, cfg, nproc, addrs, &JobExtras::unsupervised(&empty));
-    for (rank, conn) in conns.iter_mut().enumerate() {
-        conn.writer
-            .write(FrameKind::Blob, &job_blob)
-            .map_err(|e| format!("dispatching job to worker {}: {}", rank, e))?;
-    }
-    stream_events(&mut conns, |rank| &trace[rank])?;
-
-    // Collect one result per rank.
+    let nproc = readers.len();
     let program = &compiled.spmd.program;
     let mut stats = ReplayStats::default();
     let mut metrics = CommMetrics::new(nproc, compiled.spmd.comms.len());
     let mut mems: Vec<Option<Memory>> = (0..nproc).map(|_| None).collect();
     let mut rank_obs: Vec<(usize, Vec<TraceEvent>)> = Vec::new();
     let mut worker_errors = Vec::new();
-    for (rank, conn) in conns.iter_mut().enumerate() {
-        let payload = read_blob(&mut conn.reader, &format!("result from worker {}", rank))?;
+    for (rank, reader) in readers.iter_mut().enumerate() {
+        let payload = read_blob(reader, &format!("result from worker {}", rank))?;
         let (res, obs) = decode_result(&payload, program)?;
         match res {
             Ok((s, m, mem)) => {
@@ -1303,10 +1621,13 @@ fn drive_workers(
 // consistent cut to restart from. When a worker dies (abrupt socket close,
 // error status, or missed heartbeats) the whole generation is torn down and
 // respawned from the last committed checkpoint: links are meshes of fresh
-// processes, so a gang restart needs no live re-rendezvous, and the pruned
-// fault plan ([`FaultPlan::for_respawn`]) guarantees the same fault never
-// fires twice. When the respawn budget runs dry the caller degrades to the
-// in-process thread backend.
+// processes, so a gang restart needs no live re-rendezvous. The reference
+// executor runs on its own thread throughout; the parent keeps its epochs
+// from the committed one on, so a respawned generation is streamed those
+// and then follows the live executor. The pruned fault plan
+// ([`FaultPlan::for_respawn`]) guarantees the same fault never fires twice.
+// When the respawn budget runs dry the caller degrades to the in-process
+// thread backend.
 
 /// Control-frame tags on the worker → parent connection. Tags 0/1 are
 /// never sent (they keep the unsupervised single-blob protocol
@@ -1314,8 +1635,6 @@ fn drive_workers(
 const TAG_STATUS: u8 = 2;
 const TAG_HEARTBEAT: u8 = 3;
 const TAG_RESULT: u8 = 4;
-/// Parent → worker directive after a committed epoch.
-const DIRECTIVE_PROCEED: u8 = 1;
 
 fn memory_blob(program: &Program, mem: &Memory) -> Vec<u8> {
     let mut e = Enc::new();
@@ -1446,21 +1765,23 @@ enum GenOutcome {
     Failed { dead: Vec<(Option<usize>, String)> },
 }
 
-/// Run one supervised generation: spawn all ranks, drive the lock-step
-/// epoch protocol, and either collect every result or tear the cohort
-/// down on the first failure. Salvages fault evidence (events and
+/// Run one supervised generation: spawn all ranks, stream them the epochs
+/// from the committed one on (following the live executor), drive the
+/// lock-step epoch protocol, and either collect every result or tear the
+/// cohort down on the first failure. Salvages fault evidence (events and
 /// retransmission counts reported in statuses) from failed generations.
+/// A failed reference run tears the cohort down and is the `Err`.
 #[allow(clippy::too_many_arguments)]
 fn run_generation(
     job: &NetJob,
     cfg: &NetRunConfig,
     compiled: &Compiled,
-    exec: &SpmdExec,
+    feed: &Feed,
     nproc: usize,
     listener: &mut NetListener,
     plan: &FaultPlan,
     committed: &mut Committed,
-    pipe: &mut BufTracer,
+    pipe: &Mutex<BufTracer>,
     recovery: &mut RecoveryCounters,
     salvaged: &mut [Vec<TraceEvent>],
 ) -> Result<GenOutcome, String> {
@@ -1470,19 +1791,13 @@ fn run_generation(
 
     // Rendezvous + dispatch. Failures here doom the generation, not the
     // run: they are charged to the respawn budget like any worker death.
-    // Each rank is sent its events from the committed cut onward, with
-    // its remaining cut offsets made relative to that cut.
-    let events = exec.trace.as_ref().expect("reference run was traced");
-    let cuts = &exec.epoch_cuts()[committed.epoch as usize..];
     let setup = met.and_then(|(mut conns, addrs)| {
         let retries = cfg.effective_retries();
         for (rank, conn) in conns.iter_mut().enumerate() {
-            let rel: Vec<usize> = cuts.iter().map(|c| c[rank] - cuts[0][rank]).collect();
             let extras = JobExtras {
                 plan,
                 retries,
                 supervised: true,
-                cuts: &rel,
                 resume: (committed.epoch > 0).then(|| (committed.epoch, &committed.mems[rank][..])),
             };
             let blob = encode_job(job, cfg, nproc, &addrs, &extras);
@@ -1490,7 +1805,6 @@ fn run_generation(
                 .write(FrameKind::Blob, &blob)
                 .map_err(|e| format!("dispatching job to worker {}: {}", rank, e))?;
         }
-        stream_events(&mut conns, |rank| &events[rank][cuts[0][rank]..])?;
         Ok(conns)
     });
     let conns = match setup {
@@ -1503,204 +1817,206 @@ fn run_generation(
         }
     };
 
-    let (tx, rx) = mpsc::channel::<ParentMsg>();
-    let mut writers: Vec<FrameWriter<NetStream>> = Vec::with_capacity(nproc);
-    for (rank, conn) in conns.into_iter().enumerate() {
-        let Conn { reader, writer } = conn;
-        writers.push(writer);
-        let tx = tx.clone();
-        std::thread::spawn(move || control_reader(reader, rank, tx));
-    }
-    drop(tx);
+    std::thread::scope(|scope| {
+        let (tx, rx) = mpsc::channel::<ParentMsg>();
+        let generation = feed.start_generation(committed.epoch as usize);
+        let (readers, _streams) = spawn_streams(scope, feed, generation, conns, Some(tx.clone()));
+        for (rank, reader) in readers.into_iter().enumerate() {
+            let tx = tx.clone();
+            std::thread::spawn(move || control_reader(reader, rank, tx));
+        }
+        drop(tx);
 
-    let mut last_heard: Vec<Instant> = vec![Instant::now(); nproc];
-    let mut statuses: Vec<Option<Vec<u8>>> = (0..nproc).map(|_| None).collect();
-    let mut results: Vec<Option<(RankResult, Vec<TraceEvent>)>> =
-        (0..nproc).map(|_| None).collect();
-    let mut prov_faults: Vec<Vec<TraceEvent>> = vec![Vec::new(); nproc];
-    let mut prov_retx: Vec<u64> = vec![0; nproc];
-    let mut failed: Vec<(Option<usize>, String)> = Vec::new();
-    // A rank is "accounted" once it delivered a result or joined `failed`.
-    let mut accounted: Vec<bool> = vec![false; nproc];
-    let mut expect_epoch = committed.epoch;
-    // Once a failure is seen, drain briefly: peers that error out on the
-    // dead rank's closed links deliver their error statuses (with the
-    // fault events they healed this epoch) before the teardown.
-    let mut drain_deadline: Option<Instant> = None;
-    let drain_grace = Duration::from_millis(1500);
-    let start_drain = |dl: &mut Option<Instant>| {
-        dl.get_or_insert_with(|| Instant::now() + drain_grace);
-    };
+        let mut last_heard: Vec<Instant> = vec![Instant::now(); nproc];
+        let mut statuses: Vec<Option<Vec<u8>>> = (0..nproc).map(|_| None).collect();
+        let mut results: Vec<Option<(RankResult, Vec<TraceEvent>)>> =
+            (0..nproc).map(|_| None).collect();
+        let mut prov_faults: Vec<Vec<TraceEvent>> = vec![Vec::new(); nproc];
+        let mut prov_retx: Vec<u64> = vec![0; nproc];
+        let mut failed: Vec<(Option<usize>, String)> = Vec::new();
+        // A rank is "accounted" once it delivered a result or joined `failed`.
+        let mut accounted: Vec<bool> = vec![false; nproc];
+        let mut expect_epoch = committed.epoch;
+        // Once a failure is seen, drain briefly: peers that error out on the
+        // dead rank's closed links deliver their error statuses (with the
+        // fault events they healed this epoch) before the teardown.
+        let mut drain_deadline: Option<Instant> = None;
+        let drain_grace = Duration::from_millis(1500);
+        let start_drain = |dl: &mut Option<Instant>| {
+            dl.get_or_insert_with(|| Instant::now() + drain_grace);
+        };
 
-    let outcome = loop {
-        match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(ParentMsg::Heartbeat { rank }) => last_heard[rank] = Instant::now(),
-            Ok(ParentMsg::Status { rank, payload }) => {
-                last_heard[rank] = Instant::now();
-                match decode_status(&payload) {
-                    Ok(st) => {
-                        prov_retx[rank] = st.retransmits;
-                        prov_faults[rank] = st.faults;
-                        match st.body {
-                            Ok(mem)
-                                if st.epoch == expect_epoch && drain_deadline.is_none() =>
-                            {
-                                statuses[rank] = Some(mem);
-                            }
-                            // A stale or raced status while draining only
-                            // contributes its salvage payload.
-                            Ok(_) => {}
-                            Err(msg) => {
-                                if !accounted[rank] {
-                                    accounted[rank] = true;
-                                    failed.push((
-                                        Some(rank),
-                                        format!("epoch {}: {}", st.epoch, msg),
-                                    ));
+        let outcome = loop {
+            if let Some(e) = feed.failure() {
+                break Err(e);
+            }
+            match rx.recv_timeout(Duration::from_millis(50)) {
+                Ok(ParentMsg::Heartbeat { rank }) => last_heard[rank] = Instant::now(),
+                Ok(ParentMsg::Status { rank, payload }) => {
+                    last_heard[rank] = Instant::now();
+                    match decode_status(&payload) {
+                        Ok(st) => {
+                            prov_retx[rank] = st.retransmits;
+                            prov_faults[rank] = st.faults;
+                            match st.body {
+                                Ok(mem)
+                                    if st.epoch == expect_epoch && drain_deadline.is_none() =>
+                                {
+                                    statuses[rank] = Some(mem);
                                 }
-                                start_drain(&mut drain_deadline);
+                                // A stale or raced status while draining only
+                                // contributes its salvage payload.
+                                Ok(_) => {}
+                                Err(msg) => {
+                                    if !accounted[rank] {
+                                        accounted[rank] = true;
+                                        failed.push((
+                                            Some(rank),
+                                            format!("epoch {}: {}", st.epoch, msg),
+                                        ));
+                                    }
+                                    start_drain(&mut drain_deadline);
+                                }
                             }
                         }
-                    }
-                    Err(e) => {
-                        if !accounted[rank] {
-                            accounted[rank] = true;
-                            failed.push((Some(rank), format!("bad status: {}", e)));
-                        }
-                        start_drain(&mut drain_deadline);
-                    }
-                }
-            }
-            Ok(ParentMsg::Result { rank, payload }) => {
-                last_heard[rank] = Instant::now();
-                match decode_result(&payload, program) {
-                    Ok((Ok(res), obs)) => {
-                        accounted[rank] = true;
-                        results[rank] = Some((Ok(res), obs));
-                    }
-                    Ok((Err(msg), _)) => {
-                        if !accounted[rank] {
-                            accounted[rank] = true;
-                            failed.push((Some(rank), msg));
-                        }
-                        start_drain(&mut drain_deadline);
-                    }
-                    Err(e) => {
-                        if !accounted[rank] {
-                            accounted[rank] = true;
-                            failed.push((Some(rank), format!("bad result: {}", e)));
-                        }
-                        start_drain(&mut drain_deadline);
-                    }
-                }
-            }
-            Ok(ParentMsg::Gone { rank, why }) => {
-                if !accounted[rank] {
-                    accounted[rank] = true;
-                    failed.push((Some(rank), why));
-                    start_drain(&mut drain_deadline);
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            // All reader threads exited; the state checks below decide.
-            Err(mpsc::RecvTimeoutError::Disconnected) => {}
-        }
-
-        // Deadline-based failure detection: a worker that stops
-        // heartbeating is dead to the supervisor even if its socket is
-        // still open (wedged process, livelocked replay).
-        for rank in 0..nproc {
-            if !accounted[rank] && last_heard[rank].elapsed() > cfg.heartbeat_deadline {
-                accounted[rank] = true;
-                recovery.heartbeat_misses += 1;
-                if trace {
-                    pipe.push(Body::Fault {
-                        name: "heartbeat-miss".into(),
-                        detail: format!(
-                            "rank {} silent for more than {:?}",
-                            rank, cfg.heartbeat_deadline
-                        ),
-                        peer: Some(rank),
-                        last_seq: None,
-                    });
-                }
-                failed.push((
-                    Some(rank),
-                    format!("no heartbeat within {:?}", cfg.heartbeat_deadline),
-                ));
-                start_drain(&mut drain_deadline);
-            }
-        }
-
-        match drain_deadline {
-            None => {
-                if results.iter().all(|r| r.is_some()) {
-                    let out = std::mem::take(&mut results);
-                    break GenOutcome::Finished(
-                        out.into_iter().map(|r| r.unwrap()).collect(),
-                    );
-                }
-                if statuses.iter().all(|s| s.is_some()) {
-                    // Commit the epoch: every rank checkpointed this cut,
-                    // so it is a globally consistent restart point.
-                    committed.epoch = expect_epoch + 1;
-                    committed.mems =
-                        statuses.iter_mut().map(|s| s.take().unwrap()).collect();
-                    if trace {
-                        pipe.push(Body::Fault {
-                            name: "checkpoint".into(),
-                            detail: format!(
-                                "epoch {} committed across {} ranks",
-                                expect_epoch, nproc
-                            ),
-                            peer: None,
-                            last_seq: None,
-                        });
-                    }
-                    expect_epoch += 1;
-                    for (rank, w) in writers.iter_mut().enumerate() {
-                        if let Err(e) = w.write(FrameKind::Blob, &[DIRECTIVE_PROCEED]) {
+                        Err(e) => {
                             if !accounted[rank] {
                                 accounted[rank] = true;
-                                failed.push((
-                                    Some(rank),
-                                    format!("sending proceed: {}", e),
-                                ));
+                                failed.push((Some(rank), format!("bad status: {}", e)));
                             }
                             start_drain(&mut drain_deadline);
                         }
                     }
                 }
+                Ok(ParentMsg::Result { rank, payload }) => {
+                    last_heard[rank] = Instant::now();
+                    match decode_result(&payload, program) {
+                        Ok((Ok(res), obs)) => {
+                            accounted[rank] = true;
+                            results[rank] = Some((Ok(res), obs));
+                        }
+                        Ok((Err(msg), _)) => {
+                            if !accounted[rank] {
+                                accounted[rank] = true;
+                                failed.push((Some(rank), msg));
+                            }
+                            start_drain(&mut drain_deadline);
+                        }
+                        Err(e) => {
+                            if !accounted[rank] {
+                                accounted[rank] = true;
+                                failed.push((Some(rank), format!("bad result: {}", e)));
+                            }
+                            start_drain(&mut drain_deadline);
+                        }
+                    }
+                }
+                Ok(ParentMsg::Gone { rank, why }) => {
+                    if !accounted[rank] {
+                        accounted[rank] = true;
+                        failed.push((Some(rank), why));
+                        start_drain(&mut drain_deadline);
+                    }
+                }
+                Err(mpsc::RecvTimeoutError::Timeout) => {}
+                // All reader threads exited; the state checks below decide.
+                Err(mpsc::RecvTimeoutError::Disconnected) => {}
             }
-            Some(dl) => {
-                if accounted.iter().all(|&a| a) || Instant::now() >= dl {
-                    break GenOutcome::Failed {
-                        dead: std::mem::take(&mut failed),
-                    };
+
+            // Deadline-based failure detection: a worker that stops
+            // heartbeating is dead to the supervisor even if its socket is
+            // still open (wedged process, livelocked replay).
+            for rank in 0..nproc {
+                if !accounted[rank] && last_heard[rank].elapsed() > cfg.heartbeat_deadline {
+                    accounted[rank] = true;
+                    recovery.heartbeat_misses += 1;
+                    if trace {
+                        pipe.lock().unwrap().push(Body::Fault {
+                            name: "heartbeat-miss".into(),
+                            detail: format!(
+                                "rank {} silent for more than {:?}",
+                                rank, cfg.heartbeat_deadline
+                            ),
+                            peer: Some(rank),
+                            last_seq: None,
+                        });
+                    }
+                    failed.push((
+                        Some(rank),
+                        format!("no heartbeat within {:?}", cfg.heartbeat_deadline),
+                    ));
+                    start_drain(&mut drain_deadline);
                 }
             }
-        }
-    };
 
-    match outcome {
-        GenOutcome::Finished(res) => {
-            let reap_errors = reap(&mut children, cfg.result_deadline);
-            if !reap_errors.is_empty() {
-                return Err(reap_errors.join("; "));
+            match drain_deadline {
+                None => {
+                    if results.iter().all(|r| r.is_some()) {
+                        let out = std::mem::take(&mut results);
+                        break Ok(GenOutcome::Finished(
+                            out.into_iter().map(|r| r.unwrap()).collect(),
+                        ));
+                    }
+                    if statuses.iter().all(|s| s.is_some()) {
+                        // Commit the epoch: every rank checkpointed this cut,
+                        // so it is a globally consistent restart point.
+                        committed.epoch = expect_epoch + 1;
+                        committed.mems =
+                            statuses.iter_mut().map(|s| s.take().unwrap()).collect();
+                        if trace {
+                            pipe.lock().unwrap().push(Body::Fault {
+                                name: "checkpoint".into(),
+                                detail: format!(
+                                    "epoch {} committed across {} ranks",
+                                    expect_epoch, nproc
+                                ),
+                                peer: None,
+                                last_seq: None,
+                            });
+                        }
+                        expect_epoch += 1;
+                        // Every stream forwards a `Proceed`; epochs before the
+                        // commit are no longer needed for a respawn.
+                        feed.commit(committed.epoch as usize);
+                    }
+                }
+                Some(dl) => {
+                    if accounted.iter().all(|&a| a) || Instant::now() >= dl {
+                        break Ok(GenOutcome::Failed {
+                            dead: std::mem::take(&mut failed),
+                        });
+                    }
+                }
             }
-            Ok(GenOutcome::Finished(res))
-        }
-        GenOutcome::Failed { dead } => {
-            // Salvage the failed generation's recovery evidence: its fault
-            // events and retransmission counts would otherwise die with it.
-            for rank in 0..nproc {
-                salvaged[rank].append(&mut prov_faults[rank]);
-                recovery.retransmits += prov_retx[rank];
+        };
+
+        match outcome {
+            Ok(GenOutcome::Finished(res)) => {
+                feed.retire();
+                let reap_errors = reap(&mut children, cfg.result_deadline);
+                if !reap_errors.is_empty() {
+                    return Err(reap_errors.join("; "));
+                }
+                Ok(GenOutcome::Finished(res))
             }
-            kill_generation(&mut children);
-            Ok(GenOutcome::Failed { dead })
+            Ok(GenOutcome::Failed { dead }) => {
+                // Salvage the failed generation's recovery evidence: its fault
+                // events and retransmission counts would otherwise die with it.
+                for rank in 0..nproc {
+                    salvaged[rank].append(&mut prov_faults[rank]);
+                    recovery.retransmits += prov_retx[rank];
+                }
+                kill_generation(&mut children);
+                feed.retire();
+                Ok(GenOutcome::Failed { dead })
+            }
+            Err(e) => {
+                kill_generation(&mut children);
+                feed.retire();
+                Err(e)
+            }
         }
-    }
+    })
 }
 
 enum SupvDrive {
@@ -1708,112 +2024,54 @@ enum SupvDrive {
     Exhausted(String),
 }
 
-/// The supervised replacement for the fire-and-collect driver: run
-/// generations until one finishes, respawning failed cohorts from the
-/// last committed checkpoint, then validate exactly like the default
-/// path. When the respawn budget is exhausted, degrade to the in-process
-/// thread backend and mark the result [`Replayed::degraded`].
+/// The supervised replacement for the fire-and-collect driver: run the
+/// reference executor on its own thread while generations run until one
+/// finishes, respawning failed cohorts from the last committed checkpoint,
+/// then validate exactly like the default path. When the respawn budget
+/// is exhausted, degrade to the in-process thread backend and mark the
+/// result [`Replayed::degraded`].
 fn supervised_validate_replay(
     job: &NetJob,
     cfg: &NetRunConfig,
     compiled: &Compiled,
     nproc: usize,
     init: &(impl Fn(&mut Memory) + Sync),
-    exec: &SpmdExec,
-    mut pipe: BufTracer,
+    pipe: BufTracer,
 ) -> Result<Replayed, String> {
     let trace = job.trace;
+    let pipe = Mutex::new(pipe);
+    let feed = Arc::new(Feed::new(nproc, true));
     let mut recovery = RecoveryCounters::default();
     let mut salvaged: Vec<Vec<TraceEvent>> = vec![Vec::new(); nproc];
-    let mut listener = NetListener::bind(cfg.addr_kind, "netrun").map_err(|e| e.to_string())?;
-    let mut plan = cfg.plan().resolve(nproc);
-    let budget = cfg
-        .respawn_budget
-        .unwrap_or_else(|| cfg.effective_retries().max(1));
-    let respawn_retry = RetryPolicy::default();
-    let mut committed = Committed {
-        epoch: 0,
-        mems: Vec::new(),
-    };
-    let mut attempts: u32 = 0;
-
-    let drive = loop {
-        let outcome = run_generation(
+    let (reference, drive) = std::thread::scope(|scope| {
+        let exec = scope.spawn(|| {
+            let reference = feed.run_reference(compiled, init, job.vectorize);
+            if trace && reference.is_ok() {
+                let mut pipe = pipe.lock().unwrap();
+                pipe.end("reference-exec");
+                pipe.begin("replay");
+            }
+            reference
+        });
+        let drive = supervise(
             job,
             cfg,
             compiled,
-            exec,
+            &feed,
             nproc,
-            &mut listener,
-            &plan,
-            &mut committed,
-            &mut pipe,
+            &pipe,
             &mut recovery,
             &mut salvaged,
-        )?;
-        match outcome {
-            GenOutcome::Finished(results) => {
-                let mut stats = ReplayStats::default();
-                let mut metrics = CommMetrics::new(nproc, compiled.spmd.comms.len());
-                let mut mems = Vec::with_capacity(nproc);
-                let mut rank_obs: Vec<(usize, Vec<TraceEvent>)> = Vec::new();
-                for (rank, (res, obs)) in results.into_iter().enumerate() {
-                    let (s, m, mem) =
-                        res.expect("finished generation carries only successful results");
-                    stats.messages_sent += s.messages_sent;
-                    stats.events += s.events;
-                    metrics.merge(&m);
-                    mems.push(mem);
-                    if trace {
-                        rank_obs.push((rank, obs));
-                    }
-                }
-                break SupvDrive::Done((stats, metrics, mems, rank_obs));
-            }
-            GenOutcome::Failed { dead } => {
-                attempts += 1;
-                let who = dead
-                    .iter()
-                    .map(|(r, why)| match r {
-                        Some(r) => format!("rank {}: {}", r, why),
-                        None => why.clone(),
-                    })
-                    .collect::<Vec<_>>()
-                    .join("; ");
-                if attempts > budget {
-                    break SupvDrive::Exhausted(format!(
-                        "respawn budget ({}) exhausted; last generation failed with: {}",
-                        budget, who
-                    ));
-                }
-                recovery.respawns += dead.iter().filter(|(r, _)| r.is_some()).count().max(1) as u64;
-                for (r, why) in &dead {
-                    let Some(r) = *r else { continue };
-                    // The respawned cohort must not re-suffer consumed
-                    // faults: this rank's kill fired, and link injections
-                    // fire at most once per run.
-                    plan = plan.for_respawn(r);
-                    if trace {
-                        pipe.push(Body::Fault {
-                            name: "respawn".into(),
-                            detail: format!(
-                                "rank {} failed ({}); gang-restarting from checkpoint \
-                                 epoch {} (attempt {}/{})",
-                                r, why, committed.epoch, attempts, budget
-                            ),
-                            peer: Some(r),
-                            last_seq: None,
-                        });
-                    }
-                }
-                std::thread::sleep(respawn_retry.delay(attempts - 1));
-            }
-        }
-    };
+        );
+        (exec.join().expect("reference executor panicked"), drive)
+    });
+    let mut pipe = pipe.into_inner().unwrap();
+    let drive = drive?;
+    let reference = reference?;
 
     match drive {
         SupvDrive::Done((stats, mut metrics, mems, mut rank_obs)) => {
-            check_owner_slots(&compiled.spmd, &mems, &exec.mems)
+            check_owner_slots(&compiled.spmd, &mems, &reference)
                 .map_err(|e| format!("processes vs reference: {}", e))?;
             metrics.recovery.merge(&recovery);
             let obs = if trace {
@@ -1873,10 +2131,110 @@ fn supervised_validate_replay(
     }
 }
 
+/// Run generations until one finishes or the respawn budget is exhausted.
+#[allow(clippy::too_many_arguments)]
+fn supervise(
+    job: &NetJob,
+    cfg: &NetRunConfig,
+    compiled: &Compiled,
+    feed: &Feed,
+    nproc: usize,
+    pipe: &Mutex<BufTracer>,
+    recovery: &mut RecoveryCounters,
+    salvaged: &mut [Vec<TraceEvent>],
+) -> Result<SupvDrive, String> {
+    let trace = job.trace;
+    let mut listener = NetListener::bind(cfg.addr_kind, "netrun").map_err(|e| e.to_string())?;
+    let mut plan = cfg.plan().resolve(nproc);
+    let budget = cfg
+        .respawn_budget
+        .unwrap_or_else(|| cfg.effective_retries().max(1));
+    let respawn_retry = RetryPolicy::default();
+    let mut committed = Committed {
+        epoch: 0,
+        mems: Vec::new(),
+    };
+    let mut attempts: u32 = 0;
+
+    loop {
+        let outcome = run_generation(
+            job,
+            cfg,
+            compiled,
+            feed,
+            nproc,
+            &mut listener,
+            &plan,
+            &mut committed,
+            pipe,
+            recovery,
+            salvaged,
+        )?;
+        match outcome {
+            GenOutcome::Finished(results) => {
+                let mut stats = ReplayStats::default();
+                let mut metrics = CommMetrics::new(nproc, compiled.spmd.comms.len());
+                let mut mems = Vec::with_capacity(nproc);
+                let mut rank_obs: Vec<(usize, Vec<TraceEvent>)> = Vec::new();
+                for (rank, (res, obs)) in results.into_iter().enumerate() {
+                    let (s, m, mem) =
+                        res.expect("finished generation carries only successful results");
+                    stats.messages_sent += s.messages_sent;
+                    stats.events += s.events;
+                    metrics.merge(&m);
+                    mems.push(mem);
+                    if trace {
+                        rank_obs.push((rank, obs));
+                    }
+                }
+                return Ok(SupvDrive::Done((stats, metrics, mems, rank_obs)));
+            }
+            GenOutcome::Failed { dead } => {
+                attempts += 1;
+                let who = dead
+                    .iter()
+                    .map(|(r, why)| match r {
+                        Some(r) => format!("rank {}: {}", r, why),
+                        None => why.clone(),
+                    })
+                    .collect::<Vec<_>>()
+                    .join("; ");
+                if attempts > budget {
+                    return Ok(SupvDrive::Exhausted(format!(
+                        "respawn budget ({}) exhausted; last generation failed with: {}",
+                        budget, who
+                    )));
+                }
+                recovery.respawns += dead.iter().filter(|(r, _)| r.is_some()).count().max(1) as u64;
+                for (r, why) in &dead {
+                    let Some(r) = *r else { continue };
+                    // The respawned cohort must not re-suffer consumed
+                    // faults: this rank's kill fired, and link injections
+                    // fire at most once per run.
+                    plan = plan.for_respawn(r);
+                    if trace {
+                        pipe.lock().unwrap().push(Body::Fault {
+                            name: "respawn".into(),
+                            detail: format!(
+                                "rank {} failed ({}); gang-restarting from checkpoint \
+                                 epoch {} (attempt {}/{})",
+                                r, why, committed.epoch, attempts, budget
+                            ),
+                            peer: Some(r),
+                            last_seq: None,
+                        });
+                    }
+                }
+                std::thread::sleep(respawn_retry.delay(attempts - 1));
+            }
+        }
+    }
+}
+
 /// Entry point of the `networker` binary: one spawned process per rank.
 /// Reads its rank and the parent address from the environment, registers,
-/// receives the job and its rank's event stream, meshes with its peers,
-/// replays its rank and reports back.
+/// receives the job, meshes with its peers, replays its rank's events
+/// epoch by epoch as the parent streams them, and reports back.
 pub fn worker_main() -> Result<(), String> {
     let parent = std::env::var(ENV_PARENT)
         .map_err(|_| format!("{} not set (run via the socket backend driver)", ENV_PARENT))?;
@@ -1915,9 +2273,9 @@ pub fn worker_main() -> Result<(), String> {
     }
     let compiled = compile_for(&wire)?;
     let program = &compiled.spmd.program;
-    let events = recv_events(&mut reader, &compiled.spmd, wire.nproc)?;
+    let mut stream = ParentStream::new(reader, &compiled.spmd, wire.nproc);
 
-    let (result, obs) = run_rank(&wire, rank, &compiled, &events, &listener);
+    let (result, obs) = run_rank(&wire, rank, &compiled, &mut stream, &listener);
     writer
         .write(FrameKind::Blob, &encode_result(&result, &obs, program))
         .map_err(|e| format!("sending result: {}", e))?;
@@ -1931,7 +2289,7 @@ fn run_rank(
     wire: &WireJob,
     rank: usize,
     compiled: &Compiled,
-    events: &[Event],
+    stream: &mut ParentStream,
     listener: &NetListener,
 ) -> (RankResult, Vec<TraceEvent>) {
     let mut obs = if wire.job.trace {
@@ -1939,7 +2297,7 @@ fn run_rank(
     } else {
         None
     };
-    let res = run_rank_inner(wire, rank, compiled, events, listener, obs.as_mut());
+    let res = run_rank_inner(wire, rank, compiled, stream, listener, obs.as_mut());
     (res, obs.map(|o| o.into_events()).unwrap_or_default())
 }
 
@@ -1961,9 +2319,9 @@ fn run_rank_inner(
     wire: &WireJob,
     rank: usize,
     compiled: &Compiled,
-    events: &[Event],
+    stream: &mut ParentStream,
     listener: &NetListener,
-    obs: Option<&mut hpf_obs::BufTracer>,
+    mut obs: Option<&mut hpf_obs::BufTracer>,
 ) -> Result<(ReplayStats, CommMetrics, Memory), String> {
     let nproc = wire.nproc;
     let init = make_init(compiled, &wire.job.fills)?;
@@ -1982,8 +2340,30 @@ fn run_rank_inner(
         // a closed link mid-replay, not a clean goodbye.
         std::process::abort();
     }
-    let (stats, metrics) =
-        replay_rank_traced(&compiled.spmd, events, &mut mem, &mut transport, obs)?;
+    let mut stats = ReplayStats::default();
+    let mut metrics = CommMetrics::new(nproc, compiled.spmd.comms.len());
+    let replayed = (|| {
+        while let Some(events) = stream.next_epoch()? {
+            replay_rank_segment(
+                &compiled.spmd,
+                &events,
+                &mut mem,
+                &mut transport,
+                &mut stats,
+                &mut metrics,
+                obs.as_deref_mut(),
+                |_| {},
+            )?;
+        }
+        transport
+            .finish()
+            .map_err(|e| format!("proc {}: teardown: {}", rank, e))
+    })();
+    if let Some(o) = obs {
+        o.absorb(transport.take_fault_events());
+    }
+    replayed?;
+    metrics.saw_in_flight(transport.peak_in_flight());
     Ok((stats, metrics, mem))
 }
 
@@ -1994,7 +2374,7 @@ fn worker_supervised(
     wire: &WireJob,
     rank: usize,
     listener: &NetListener,
-    mut reader: FrameReader<NetStream>,
+    reader: FrameReader<NetStream>,
     writer: FrameWriter<NetStream>,
 ) -> Result<(), String> {
     // Heartbeats start before the compile, the event stream and the mesh
@@ -2020,7 +2400,7 @@ fn worker_supervised(
             }
         })
     };
-    let res = worker_supervised_inner(wire, rank, listener, &mut reader, &control);
+    let res = worker_supervised_inner(wire, rank, listener, reader, &control);
     stop.store(true, Ordering::Relaxed);
     let _ = hb.join();
     res
@@ -2030,36 +2410,26 @@ fn worker_supervised_inner(
     wire: &WireJob,
     rank: usize,
     listener: &NetListener,
-    reader: &mut FrameReader<NetStream>,
+    reader: FrameReader<NetStream>,
     control: &Arc<Mutex<FrameWriter<NetStream>>>,
 ) -> Result<(), String> {
     let compiled = compile_for(wire)?;
     let program = &compiled.spmd.program;
     let nproc = wire.nproc;
-    // The stream starts at the committed cut, and `wire.cuts` are offsets
-    // into it: cut `i` ends epoch `start_epoch + i - 1`.
-    let events = recv_events(reader, &compiled.spmd, nproc)?;
-    let cuts = &wire.cuts;
-    if cuts.windows(2).any(|w| w[0] > w[1]) || cuts.last().is_some_and(|&c| c > events.len()) {
-        return Err(format!(
-            "epoch cuts {:?} do not fit a stream of {} events",
-            cuts,
-            events.len()
-        ));
-    }
+    // The stream starts at the committed epoch.
+    let mut stream = ParentStream::new(reader, &compiled.spmd, nproc);
     let init = make_init(&compiled, &wire.job.fills)?;
     let mut mem = Memory::zeroed(program);
     init(&mut mem);
-    let mut start_epoch = 0usize;
+    let mut epoch = 0usize;
     if let Some((done, blob)) = &wire.resume {
         // Resume from the supervisor's committed checkpoint instead of
         // the initial fills.
         let mut d = Dec::new(blob);
         mem = decode_memory(&mut d, program)?;
         d.done().map_err(|e| e.to_string())?;
-        start_epoch = *done as usize;
+        epoch = *done as usize;
     }
-
     let injector = (!wire.plan.is_empty()).then(|| FaultInjector::new(&wire.plan, rank));
     let mesh_cfg = SocketConfig {
         io_deadline: wire.io_deadline,
@@ -2087,12 +2457,10 @@ fn worker_supervised_inner(
     let mut fault_log: Vec<TraceEvent> = Vec::new();
     let mut stats = ReplayStats::default();
     let mut metrics = CommMetrics::new(nproc, compiled.spmd.comms.len());
-    for (i, cut) in cuts.windows(2).enumerate() {
-        let epoch = start_epoch + i;
-        let seg = &events[cut[0]..cut[1]];
+    while let Some(seg) = stream.next_epoch()? {
         let res = replay_rank_segment(
             &compiled.spmd,
-            seg,
+            &seg,
             &mut mem,
             &mut transport,
             &mut stats,
@@ -2140,13 +2508,8 @@ fn worker_supervised_inner(
         let sent = control.lock().unwrap().write(FrameKind::Blob, &enc.buf);
         res?;
         sent.map_err(|e| format!("sending epoch {} status: {}", epoch, e))?;
-        let payload = read_blob(reader, "directive from supervisor")?;
-        if payload.first() != Some(&DIRECTIVE_PROCEED) {
-            return Err(format!(
-                "unexpected directive {:?} from supervisor",
-                payload.first()
-            ));
-        }
+        stream.wait_proceed()?;
+        epoch += 1;
     }
 
     let fin = transport.finish();

@@ -310,6 +310,22 @@ impl Enc {
         self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
 
+    /// LEB128 varint: seven bits per byte, low group first, high bit set
+    /// on every byte but the last (one byte below 128, ten for `u64::MAX`).
+    pub fn uvar(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
+    /// Signed varint: zigzag (0, -1, 1, -2, ... map to 0, 1, 2, 3, ...)
+    /// so small magnitudes of either sign stay short, then [`Enc::uvar`].
+    pub fn ivar(&mut self, v: i64) {
+        self.uvar(((v << 1) ^ (v >> 63)) as u64);
+    }
+
     pub fn str(&mut self, s: &str) {
         self.u32(s.len() as u32);
         self.buf.extend_from_slice(s.as_bytes());
@@ -392,6 +408,31 @@ impl<'a> Dec<'a> {
 
     pub fn f64(&mut self) -> Result<f64, FrameError> {
         Ok(f64::from_bits(self.u64()?))
+    }
+
+    /// A varint written by [`Enc::uvar`]. Truncation, more than ten bytes
+    /// and a value above `u64::MAX` are errors.
+    pub fn uvar(&mut self) -> Result<u64, FrameError> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = self.u8()?;
+            if shift == 63 && b > 1 {
+                return Err(FrameError::Decode(
+                    "varint longer than ten bytes or above u64::MAX".into(),
+                ));
+            }
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        unreachable!("the tenth byte either ends the varint or is rejected")
+    }
+
+    /// A zigzag varint written by [`Enc::ivar`].
+    pub fn ivar(&mut self) -> Result<i64, FrameError> {
+        let u = self.uvar()?;
+        Ok((u >> 1) as i64 ^ -((u & 1) as i64))
     }
 
     pub fn str(&mut self) -> Result<String, FrameError> {

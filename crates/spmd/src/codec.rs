@@ -3,21 +3,24 @@
 //! The socket driver ships each worker process its own rank's slice of
 //! the reference executor's trace instead of having every worker re-run
 //! the executor. Events are written with the [`hpf_net::frame`] payload
-//! helpers, one chunk at a time:
+//! helpers, one chunk at a time. Every id, count, offset and loop value is
+//! a varint (`uv`: [`Enc::uvar`]; `iv`: zigzag [`Enc::ivar`]), so the
+//! typical event takes a few bytes; only the chunk's event count is a
+//! fixed `u32`, patched in place once the chunk is full:
 //!
 //! ```text
 //! chunk  := u32 count, count × event
 //! event  := u8 tag, fields
-//!   0 Send      u32 to,   slot
-//!   1 Recv      u32 from, slot
-//!   2 SendVec   u32 to,   u32 op, u32 n, n × slot
-//!   3 RecvVec   u32 from, u32 op, u32 n, n × slot
-//!   4 Exec      u32 stmt, env
-//!   5 CondExec  u32 stmt, env
-//!   6 RecvPartial u32 from, u8 has_loc
-//!   7 Combine   u8 redop, u32 acc, u8 has_loc, [u32 loc], u64 count
-//! slot   := u8 0, u32 var | u8 1, u32 var, u64 offset
-//! env    := u32 depth, depth × (u32 var, i64 value)
+//!   0 Send      uv to,   slot
+//!   1 Recv      uv from, slot
+//!   2 SendVec   uv to,   uv op, uv n, n × slot
+//!   3 RecvVec   uv from, uv op, uv n, n × slot
+//!   4 Exec      uv stmt, env
+//!   5 CondExec  uv stmt, env
+//!   6 RecvPartial uv from, u8 has_loc
+//!   7 Combine   u8 redop, uv acc, u8 has_loc, [uv loc], uv count
+//! slot   := u8 0, uv var | u8 1, uv var, uv offset
+//! env    := uv depth, depth × (uv var, iv value)
 //! ```
 //!
 //! Decoding checks every id against the compiled program (statement,
@@ -25,6 +28,7 @@
 //! a corrupt or mismatched stream is an `Err`, never a panic in the
 //! replay that consumes it.
 
+use crate::env::Env;
 use crate::exec::{Event, Slot};
 use crate::lower::SpmdProgram;
 use hpf_analysis::RedOp;
@@ -35,28 +39,28 @@ fn enc_slot(e: &mut Enc, s: Slot) {
     match s {
         Slot::Scalar(v) => {
             e.u8(0);
-            e.u32(v.0);
+            e.uvar(v.0.into());
         }
         Slot::Elem(v, off) => {
             e.u8(1);
-            e.u32(v.0);
-            e.u64(off as u64);
+            e.uvar(v.0.into());
+            e.uvar(off as u64);
         }
     }
 }
 
 fn enc_slots(e: &mut Enc, slots: &[Slot]) {
-    e.u32(slots.len() as u32);
+    e.uvar(slots.len() as u64);
     for &s in slots {
         enc_slot(e, s);
     }
 }
 
-fn enc_env(e: &mut Enc, env: &[(VarId, i64)]) {
-    e.u32(env.len() as u32);
-    for &(v, x) in env {
-        e.u32(v.0);
-        e.i64(x);
+fn enc_env(e: &mut Enc, env: &Env) {
+    e.uvar(env.len() as u64);
+    for (v, x) in env.iter() {
+        e.uvar(v.0.into());
+        e.ivar(x);
     }
 }
 
@@ -74,39 +78,39 @@ fn enc_event(e: &mut Enc, ev: &Event) {
     match ev {
         Event::Send { to, slot } => {
             e.u8(0);
-            e.u32(*to as u32);
+            e.uvar(*to as u64);
             enc_slot(e, *slot);
         }
         Event::Recv { from, slot } => {
             e.u8(1);
-            e.u32(*from as u32);
+            e.uvar(*from as u64);
             enc_slot(e, *slot);
         }
         Event::SendVec { to, op, slots } => {
             e.u8(2);
-            e.u32(*to as u32);
-            e.u32(*op as u32);
+            e.uvar(*to as u64);
+            e.uvar(*op as u64);
             enc_slots(e, slots);
         }
         Event::RecvVec { from, op, slots } => {
             e.u8(3);
-            e.u32(*from as u32);
-            e.u32(*op as u32);
+            e.uvar(*from as u64);
+            e.uvar(*op as u64);
             enc_slots(e, slots);
         }
         Event::Exec { stmt, env } => {
             e.u8(4);
-            e.u32(stmt.0);
+            e.uvar(stmt.0.into());
             enc_env(e, env);
         }
         Event::CondExec { stmt, env } => {
             e.u8(5);
-            e.u32(stmt.0);
+            e.uvar(stmt.0.into());
             enc_env(e, env);
         }
         Event::RecvPartial { from, has_loc } => {
             e.u8(6);
-            e.u32(*from as u32);
+            e.uvar(*from as u64);
             e.boolean(*has_loc);
         }
         Event::Combine {
@@ -117,12 +121,12 @@ fn enc_event(e: &mut Enc, ev: &Event) {
         } => {
             e.u8(7);
             e.u8(redop_code(*op));
-            e.u32(acc.0);
+            e.uvar(acc.0.into());
             e.boolean(loc.is_some());
             if let Some(v) = loc {
-                e.u32(v.0);
+                e.uvar(v.0.into());
             }
-            e.u64(*count as u64);
+            e.uvar(*count as u64);
         }
     }
 }
@@ -159,16 +163,16 @@ fn bad(msg: String) -> FrameError {
     FrameError::Decode(msg)
 }
 
-/// An id, read as a `u32`, that must be below `limit`.
+/// An id, read as a varint, that must be below `limit`.
 fn id(d: &mut Dec, limit: usize, what: &str) -> Result<usize, FrameError> {
-    let i = d.u32()? as usize;
-    if i >= limit {
+    let i = d.uvar()?;
+    if i >= limit as u64 {
         return Err(bad(format!(
             "{} {} out of range ({} in all)",
             what, i, limit
         )));
     }
-    Ok(i)
+    Ok(i as usize)
 }
 
 impl Bounds {
@@ -203,7 +207,7 @@ impl Bounds {
             0 => Ok(Slot::Scalar(self.scalar(d)?)),
             1 => {
                 let (v, kind) = self.var(d)?;
-                let off = d.u64()?;
+                let off = d.uvar()?;
                 match kind {
                     Some(len) if off < len as u64 => Ok(Slot::Elem(v, off as usize)),
                     Some(len) => Err(bad(format!(
@@ -218,22 +222,22 @@ impl Bounds {
     }
 
     fn slots(&self, d: &mut Dec) -> Result<Vec<Slot>, FrameError> {
-        let n = d.u32()? as usize;
-        // Every slot takes at least five bytes: a corrupt count cannot
+        let n = d.uvar()?;
+        // Every slot takes at least two bytes: a corrupt count cannot
         // reserve more than the payload could hold.
-        let mut slots = Vec::with_capacity(n.min(d.remaining() / 5));
+        let mut slots = Vec::with_capacity((d.remaining() / 2).min(n as usize));
         for _ in 0..n {
             slots.push(self.slot(d)?);
         }
         Ok(slots)
     }
 
-    fn env(&self, d: &mut Dec) -> Result<Vec<(VarId, i64)>, FrameError> {
-        let n = d.u32()? as usize;
-        let mut env = Vec::with_capacity(n.min(d.remaining() / 12));
+    fn env(&self, d: &mut Dec) -> Result<Env, FrameError> {
+        let n = d.uvar()?;
+        let mut env = Env::new();
         for _ in 0..n {
             let v = self.scalar(d)?;
-            env.push((v, d.i64()?));
+            env.push(v, d.ivar()?);
         }
         Ok(env)
     }
@@ -285,7 +289,7 @@ impl Bounds {
                 } else {
                     None
                 };
-                let count = d.u64()?;
+                let count = d.uvar()?;
                 Event::Combine {
                     op,
                     acc,
@@ -318,8 +322,8 @@ pub fn decode_events(
             .collect(),
     };
     let n = d.u32()? as usize;
-    // The smallest event (RecvPartial) takes six bytes.
-    let mut events = Vec::with_capacity(n.min(d.remaining() / 6));
+    // The smallest event (RecvPartial) takes three bytes.
+    let mut events = Vec::with_capacity(n.min(d.remaining() / 3));
     for i in 0..n {
         let ev = bounds
             .event(d)

@@ -13,6 +13,7 @@
 //! in [`CommMetrics`], directly comparable to the cost model's message
 //! predictions (checked by [`crate::crosscheck`]).
 
+use crate::env::Env;
 use crate::guard::Guard;
 use crate::lower::{CommData, SpmdProgram};
 use crate::metrics::CommMetrics;
@@ -57,15 +58,9 @@ pub enum Event {
         slots: Vec<Slot>,
     },
     /// Execute an assignment locally (operands are all local by now).
-    Exec {
-        stmt: StmtId,
-        env: Vec<(VarId, i64)>,
-    },
+    Exec { stmt: StmtId, env: Env },
     /// Evaluate a (maxloc) IF locally and run its body when true.
-    CondExec {
-        stmt: StmtId,
-        env: Vec<(VarId, i64)>,
-    },
+    CondExec { stmt: StmtId, env: Env },
     /// Receive a reduction partial (acc, then loc if present) onto the
     /// value stack.
     RecvPartial { from: usize, has_loc: bool },
@@ -80,6 +75,10 @@ pub enum Event {
 
 /// Per-processor event lists.
 pub type Trace = Vec<Vec<Event>>;
+
+/// Receiver of finished epochs ([`SpmdExec::with_epoch_sink`]). It owns
+/// what it captures, so an executor without one borrows nothing new.
+type EpochSink = Box<dyn FnMut(Trace)>;
 
 /// Message statistics of an execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -174,14 +173,20 @@ pub struct SpmdExec<'s> {
     pub metrics: CommMetrics,
     steps: u64,
     pub step_limit: u64,
-    /// When present, the execution is recorded for threaded replay.
+    /// When present, the execution is recorded for threaded replay. With
+    /// an epoch sink it holds only the events since the last cut.
     pub trace: Option<Trace>,
     /// Epoch boundaries of the recorded trace: snapshots of every rank's
     /// trace length, taken at top-level statement boundaries and outermost
     /// loop iteration starts — but only while no coalescing group is open,
     /// so every event before a cut is final. Supervised replay restarts a
-    /// failed rank from the last committed cut.
+    /// failed rank from the last committed cut. Always absolute positions
+    /// in the whole recorded stream, also when an epoch sink drains it.
     cuts: Vec<Vec<usize>>,
+    /// Receives every finished epoch (see [`SpmdExec::with_epoch_sink`]).
+    sink: Option<EpochSink>,
+    /// Per rank: events already handed to the sink (zero without one).
+    drained: Vec<usize>,
     /// When present, one observability timeline per processor: every wire
     /// message yields a send-side event on the source rank's timeline and
     /// a receive-side event on the destination rank's.
@@ -233,14 +238,15 @@ impl<'s> SpmdExec<'s> {
     /// (initial data is globally known, as in the benchmark programs).
     pub fn new(sp: &'s SpmdProgram, init: impl Fn(&mut Memory)) -> Self {
         let grid = sp.maps.grid.clone();
-        let mems = (0..grid.total())
+        let nproc = grid.total();
+        let mems = (0..nproc)
             .map(|_| {
                 let mut m = Memory::zeroed(&sp.program);
                 init(&mut m);
                 m
             })
             .collect();
-        let metrics = CommMetrics::new(grid.total(), sp.comms.len());
+        let metrics = CommMetrics::new(nproc, sp.comms.len());
         let p = &sp.program;
         let (n_stmts, n_vars) = (p.num_stmts(), p.vars.len());
 
@@ -310,6 +316,8 @@ impl<'s> SpmdExec<'s> {
             step_limit: 2_000_000_000,
             trace: None,
             cuts: Vec::new(),
+            sink: None,
+            drained: vec![0; nproc],
             obs: None,
             loop_env: Vec::new(),
             vectorize: true,
@@ -335,6 +343,17 @@ impl<'s> SpmdExec<'s> {
     pub fn with_trace(mut self) -> Self {
         self.trace = Some(vec![Vec::new(); self.grid.total()]);
         self
+    }
+
+    /// Record the trace and hand it off epoch by epoch: at every new epoch
+    /// cut after the first, `sink` receives each rank's events since the
+    /// previous cut (one list per rank), and they leave [`SpmdExec::trace`].
+    /// A cut never splits a message, so every handed-off event is final;
+    /// [`SpmdExec::epoch_cuts`] stays absolute. After a successful run the
+    /// sink has received the whole trace and `trace` is empty.
+    pub fn with_epoch_sink(mut self, sink: impl FnMut(Trace) + 'static) -> Self {
+        self.sink = Some(Box::new(sink));
+        self.with_trace()
     }
 
     /// Enable observability recording (one timeline per processor).
@@ -414,16 +433,23 @@ impl<'s> SpmdExec<'s> {
     /// still grows an already-recorded event in place, so cutting there
     /// would split a message).
     fn maybe_cut(&mut self) {
-        let Some(t) = &self.trace else {
+        let Some(t) = &mut self.trace else {
             return;
         };
         if !self.open.is_empty() {
             return;
         }
-        let cut: Vec<usize> = t.iter().map(|e| e.len()).collect();
-        if self.cuts.last() != Some(&cut) {
-            self.cuts.push(cut);
+        let cut: Vec<usize> = t.iter().zip(&self.drained).map(|(e, d)| d + e.len()).collect();
+        if self.cuts.last() == Some(&cut) {
+            return;
         }
+        let first = self.cuts.is_empty();
+        if let (Some(sink), false) = (&mut self.sink, first) {
+            // No group is open, so no recorded index into `t` is live.
+            sink(t.iter_mut().map(std::mem::take).collect());
+            self.drained.copy_from_slice(&cut);
+        }
+        self.cuts.push(cut);
     }
 
     /// One cross-processor element fetch: always counted per-element in
@@ -604,7 +630,7 @@ impl<'s> SpmdExec<'s> {
                     let val = self.eval(rhs, q, NO_LOCALS)?;
                     self.store(q, lhs, val)?;
                     if let Some(t) = &mut self.trace {
-                        let env = self.loop_env.clone();
+                        let env = Env::from(&self.loop_env[..]);
                         t[q].push(Event::Exec { stmt: s, env });
                     }
                 }
@@ -707,7 +733,7 @@ impl<'s> SpmdExec<'s> {
             self.cur_stmt = Some(s);
             let c = self.eval(cond, q, locals)?.as_bool()?;
             if let Some(t) = &mut self.trace {
-                let env = self.loop_env.clone();
+                let env = Env::from(&self.loop_env[..]);
                 t[q].push(Event::CondExec { stmt: s, env });
             }
             if !c {

@@ -9,6 +9,8 @@
 //!   every configuration must match the sequential interpreter);
 //! * [`codec`] — the binary form of a rank's recorded event list, which
 //!   the socket driver ships to its worker processes;
+//! * [`env`](mod@env) — the loop bindings an executed statement records, kept
+//!   inline up to four deep;
 //! * [`runtime`] — a message-passing replay runtime over a pluggable
 //!   [`hpf_net::Transport`] (one thread per virtual processor on the
 //!   in-process channel backend; the socket backend runs the same
@@ -28,6 +30,7 @@ pub mod codec;
 pub mod combine;
 pub mod costsim;
 pub mod crosscheck;
+pub mod env;
 pub mod exec;
 pub mod guard;
 pub mod lower;
@@ -40,6 +43,7 @@ pub use crosscheck::{cross_check, CrossCheck, OpCheck};
 pub use exec::{validate_against_sequential, ExecStats, SpmdExec};
 pub use guard::Guard;
 pub use codec::{decode_events, encode_events};
+pub use env::Env;
 pub use exec::{Event, Slot, Trace};
 pub use lower::{lower, CommData, CommOp, ReduceOp, Schedule, ScheduleOp, SpmdProgram};
 pub use metrics::{CommMetrics, RecoveryCounters};

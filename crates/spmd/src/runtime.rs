@@ -17,15 +17,17 @@
 //! no worker ever touches another worker's memory.
 //!
 //! The per-rank engine is [`replay_rank`], generic over the transport; the
-//! multi-process driver in `hpf-compile::netrun` runs the same function in
-//! separate OS processes over socket links.
+//! multi-process driver in `hpf-compile::netrun` runs its segment form,
+//! [`replay_rank_segment`], in separate OS processes over socket links,
+//! one epoch at a time as the events arrive.
 
+use crate::env::Env;
 use crate::exec::{Event, Slot, SpmdExec, Trace};
 use crate::lower::SpmdProgram;
 use crate::metrics::CommMetrics;
 use hpf_analysis::RedOp;
 use hpf_ir::interp::{eval_binop, eval_intrinsic, InterpError, Memory};
-use hpf_ir::{Expr, LValue, Program, Stmt, Value, VarId};
+use hpf_ir::{ArrayRef, Expr, LValue, Program, Stmt, Value};
 use hpf_net::{channel_group, Transport, WireMsg};
 use hpf_obs::{Body, BufTracer, CommKind};
 use parking_lot::Mutex;
@@ -149,6 +151,8 @@ pub fn replay_rank_segment<T: Transport>(
         stats: ReplayStats::default(),
         metrics: CommMetrics::new(nproc, sp.comms.len()),
         obs: obs.as_deref_mut(),
+        ints: Vec::new(),
+        vals: Vec::new(),
     };
     let mut err = None;
     for (i, ev) in events.iter().enumerate() {
@@ -257,6 +261,10 @@ struct RankWorker<'a, T: Transport> {
     metrics: CommMetrics,
     /// Observability timeline of this rank (owned by the caller).
     obs: Option<&'a mut BufTracer>,
+    // Reusable stacks of subscripts and intrinsic arguments: a nested
+    // evaluation pushes above its caller's entries and truncates back.
+    ints: Vec<i64>,
+    vals: Vec<Value>,
 }
 
 impl<'a, T: Transport> RankWorker<'a, T> {
@@ -490,8 +498,8 @@ impl<'a, T: Transport> RankWorker<'a, T> {
         Ok(())
     }
 
-    fn bind(&mut self, env: &[(VarId, i64)]) {
-        for &(v, x) in env {
+    fn bind(&mut self, env: &Env) {
+        for (v, x) in env.iter() {
             self.mem.set_scalar(v, Value::Int(x));
         }
     }
@@ -518,26 +526,15 @@ impl<'a, T: Transport> RankWorker<'a, T> {
 
     /// Purely local expression evaluation — by construction every remote
     /// operand has already arrived via a Recv event.
-    fn eval(&self, e: &Expr) -> Result<Value, InterpError> {
+    fn eval(&mut self, e: &Expr) -> Result<Value, InterpError> {
         match e {
             Expr::IntLit(v) => Ok(Value::Int(*v)),
             Expr::RealLit(v) => Ok(Value::Real(*v)),
             Expr::BoolLit(b) => Ok(Value::Bool(*b)),
             Expr::Scalar(v) => Ok(self.mem.scalar(*v)),
             Expr::Array(r) => {
-                let mut idx = Vec::with_capacity(r.subs.len());
-                for s in &r.subs {
-                    idx.push(self.eval(s)?.as_int()?);
-                }
-                let info = self.program.vars.info(r.array);
-                let shape = info.shape().expect("array");
-                if !shape.contains(&idx) {
-                    return Err(InterpError::OutOfBounds {
-                        array: info.name.clone(),
-                        index: idx,
-                    });
-                }
-                Ok(self.mem.array(r.array).get(shape.linearize(&idx)))
+                let off = self.offset(r)?;
+                Ok(self.mem.array(r.array).get(off))
             }
             Expr::Unary(op, x) => {
                 let v = self.eval(x)?;
@@ -558,13 +555,38 @@ impl<'a, T: Transport> RankWorker<'a, T> {
                 eval_binop(*op, va, vb)
             }
             Expr::Intrinsic(i, args) => {
-                let mut vals = Vec::with_capacity(args.len());
+                let base = self.vals.len();
                 for a in args {
-                    vals.push(self.eval(a)?);
+                    let v = self.eval(a)?;
+                    self.vals.push(v);
                 }
-                eval_intrinsic(*i, &vals)
+                let v = eval_intrinsic(*i, &self.vals[base..]);
+                self.vals.truncate(base);
+                v
             }
         }
+    }
+
+    /// Linear offset of the element `r` names, bounds-checked; the
+    /// subscripts go through the reusable `ints` stack.
+    fn offset(&mut self, r: &ArrayRef) -> Result<usize, InterpError> {
+        let base = self.ints.len();
+        for s in &r.subs {
+            let x = self.eval(s)?.as_int()?;
+            self.ints.push(x);
+        }
+        let info = self.program.vars.info(r.array);
+        let shape = info.shape().expect("array");
+        let idx = &self.ints[base..];
+        if !shape.contains(idx) {
+            return Err(InterpError::OutOfBounds {
+                array: info.name.clone(),
+                index: idx.to_vec(),
+            });
+        }
+        let off = shape.linearize(idx);
+        self.ints.truncate(base);
+        Ok(off)
     }
 
     fn assign(&mut self, lhs: &LValue, val: Value) -> Result<(), InterpError> {
@@ -574,20 +596,9 @@ impl<'a, T: Transport> RankWorker<'a, T> {
                 self.mem.set_scalar(*v, val.coerce(ty)?);
             }
             LValue::Array(r) => {
-                let mut idx = Vec::with_capacity(r.subs.len());
-                for s in &r.subs {
-                    idx.push(self.eval(s)?.as_int()?);
-                }
-                let info = self.program.vars.info(r.array);
-                let shape = info.shape().expect("array");
-                if !shape.contains(&idx) {
-                    return Err(InterpError::OutOfBounds {
-                        array: info.name.clone(),
-                        index: idx,
-                    });
-                }
-                let off = shape.linearize(&idx);
-                self.mem.array_mut(r.array).set(off, val.coerce(info.ty)?)?;
+                let off = self.offset(r)?;
+                let ty = self.program.vars.info(r.array).ty;
+                self.mem.array_mut(r.array).set(off, val.coerce(ty)?)?;
             }
         }
         Ok(())

@@ -17,7 +17,7 @@ use std::collections::{HashMap, HashSet};
 
 use hpf_analysis::Analysis;
 use hpf_ir::{Affine, ArrayShape, LValue, Stmt, StmtId, VarId};
-use hpf_spmd::{Event, SpmdProgram, Trace};
+use hpf_spmd::{Env, Event, SpmdProgram, Trace};
 
 use crate::csp::Sim;
 use crate::diag::Diagnostic;
@@ -245,7 +245,7 @@ impl<'p> WriteAttr<'p> {
     /// `idx` is scratch space for the subscript values.
     fn element(
         &self,
-        env: &[(VarId, i64)],
+        env: &Env,
         idx: &mut Vec<i64>,
     ) -> Result<Option<(VarId, usize)>, Unattributed> {
         let (array, shape, subs) = match self {
@@ -253,7 +253,7 @@ impl<'p> WriteAttr<'p> {
             WriteAttr::DataDependent => return Err(Unattributed),
             WriteAttr::Affine { array, shape, subs } => (array, shape, subs),
         };
-        let lookup = |v| env.iter().find(|(w, _)| *w == v).map(|(_, x)| *x);
+        let lookup = |v| env.get(v);
         idx.clear();
         for af in subs {
             idx.push(af.eval(&lookup).ok_or(Unattributed)?);

@@ -246,11 +246,11 @@ END DO
     let corrupted: hpf_spmd::Trace = vec![
         vec![Event::Exec {
             stmt,
-            env: vec![(i, 1)],
+            env: hpf_spmd::Env::from([(i, 1)]),
         }],
         vec![Event::Exec {
             stmt,
-            env: vec![(i, 1)],
+            env: hpf_spmd::Env::from([(i, 1)]),
         }],
     ];
     let report = hpf_verify::verify_schedule_trace(&sp, &corrupted, &[]);

@@ -100,9 +100,54 @@ echo "$out" | grep -q 'cross-check: observed' || {
     exit 1
 }
 
+echo "==> socket backend smoke (DGEFA small, 11 epochs streamed while the executor runs)"
+# TOMCATV has only 3 epoch cuts; DGEFA's pivot loop cuts an epoch per
+# column, so its workers replay epoch k while the executor produces k+1.
+set +e
+out=$(./target/release/phpfc examples/hpf/dgefa_small.hpf --backend socket 2>&1)
+status=$?
+set -e
+if [ "$status" -ne 0 ]; then
+    echo "FAIL: DGEFA socket smoke exited $status" >&2
+    echo "$out" >&2
+    exit "$status"
+fi
+echo "$out" | grep -q 'backend socket: replay on 4 worker processes matched' || {
+    echo "FAIL: DGEFA socket replay did not validate" >&2
+    echo "$out" >&2
+    exit 1
+}
+
+echo "==> chaos smoke (DGEFA small, worker killed mid-stream, respawned from a checkpoint)"
+# Rank 1 dies at its 100th event, in the second of 11 epochs: the respawned
+# generation is streamed from the committed epoch on and must still match.
+dgefachaos=$(mktemp -t phpfc-dgefa-chaos.XXXXXX)
+trap 'rm -f "$goldtrace" "$dgefachaos"' EXIT
+set +e
+out=$(./target/release/phpfc examples/hpf/dgefa_small.hpf --backend socket \
+    --fault-plan 'kill:1@100' --trace "$dgefachaos" 2>&1)
+status=$?
+set -e
+if [ "$status" -ne 0 ]; then
+    echo "FAIL: DGEFA chaos run exited $status (respawn did not heal the kill)" >&2
+    echo "$out" >&2
+    exit "$status"
+fi
+echo "$out" | grep -q 'backend socket: replay on 4 worker processes matched' || {
+    echo "FAIL: respawned DGEFA replay did not validate against the reference" >&2
+    echo "$out" >&2
+    exit 1
+}
+for needle in '"name":"fault:respawn"' '"name":"fault:checkpoint"'; do
+    grep -q "$needle" "$dgefachaos" || {
+        echo "FAIL: DGEFA chaos trace lacks $needle" >&2
+        exit 1
+    }
+done
+
 echo "==> trace smoke (TOMCATV small, socket backend, --trace)"
 tracefile=$(mktemp -t phpfc-trace.XXXXXX)
-trap 'rm -f "$goldtrace" "$tracefile"' EXIT
+trap 'rm -f "$goldtrace" "$dgefachaos" "$tracefile"' EXIT
 set +e
 out=$(./target/release/phpfc examples/hpf/tomcatv_small.hpf --backend socket --trace "$tracefile" 2>&1)
 status=$?
@@ -167,7 +212,7 @@ echo "==> chaos smoke (TOMCATV small, socket backend, injected faults)"
 # checkpointed gang respawn), still validate against the reference, and
 # report its recovery work in both the trace and the BENCH_JSON counters.
 chaostrace=$(mktemp -t phpfc-chaos.XXXXXX)
-trap 'rm -f "$goldtrace" "$tracefile" "$chaostrace"' EXIT
+trap 'rm -f "$goldtrace" "$dgefachaos" "$tracefile" "$chaostrace"' EXIT
 set +e
 out=$(./target/release/phpfc examples/hpf/tomcatv_small.hpf --backend socket \
     --fault-plan 'corrupt:0>1@2,kill:1@600' --trace "$chaostrace" 2>&1)

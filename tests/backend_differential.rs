@@ -152,19 +152,19 @@ fn appsp_thread_vs_socket_per_element() {
     differential("APPSP", appsp::source_1d(8, 4, 1), false);
 }
 
-/// The socket driver streams each worker its events in frames that close
-/// once they reach `EVENT_CHUNK_BYTES`; the kernels above fit in one. At
-/// this size DGEFA's largest rank stream is at least twice the bound, so
-/// it spans two frames or more.
+/// The socket driver streams each worker its events epoch by epoch, in
+/// frames that close once they reach `EVENT_CHUNK_BYTES`. At this size
+/// DGEFA's largest rank stream is at least twice the bound, so it spans
+/// two frames or more.
 #[test]
 fn dgefa_multi_frame_event_stream_thread_vs_socket() {
-    let source = dgefa::source(40, 4);
+    let source = dgefa::source(56, 4);
     let largest = stream_bytes(&source, true).into_iter().max().unwrap();
     assert!(
         largest >= 2 * EVENT_CHUNK_BYTES,
         "largest rank stream is {largest} bytes, under two {EVENT_CHUNK_BYTES}-byte frames"
     );
-    differential("DGEFA n=40", source, true);
+    differential("DGEFA n=56", source, true);
 }
 
 /// Two elements BLOCK-distributed over four processors: ranks 2 and 3 own

@@ -8,6 +8,7 @@
 use phpf::compile::netrun::{self, FaultPlan, NetJob, NetRunConfig, EVENT_CHUNK_BYTES};
 use phpf::kernels::{appsp, dgefa, tomcatv};
 use phpf::net::frame::Enc;
+use phpf::obs::Body;
 use phpf::spmd::exec::Event;
 use phpf::spmd::{check_owner_slots, encode_events, validate_replay_opts, Replayed, SpmdExec};
 
@@ -142,13 +143,12 @@ fn gang_respawn_resumes_from_checkpoint() {
 }
 
 /// A respawned generation is streamed only its events from the committed
-/// cut onward, with cut offsets relative to that cut. On DGEFA at n=40 the
-/// rank streams span several event frames; the kill lands mid-stream, so
-/// the resumed stream starts deep inside the trace and still matches the
-/// fault-free run bit for bit.
+/// cut onward. On DGEFA at n=72 the rank streams span several event
+/// frames; the kill lands mid-stream, so the resumed stream starts deep
+/// inside the trace and still matches the fault-free run bit for bit.
 #[test]
 fn respawn_streams_events_from_the_committed_cut() {
-    let job = NetJob::new(dgefa::source(40, SOURCE_P))
+    let job = NetJob::new(dgefa::source(72, SOURCE_P))
         .with_default_fills()
         .expect("kernel compiles");
     let compiled = job.compile().unwrap();
@@ -336,4 +336,57 @@ fn exhausted_budget_degrades_to_thread_backend() {
         "trace must record the degradation, got {:?}",
         names
     );
+}
+
+/// A worker killed while the reference executor is still producing epochs
+/// is respawned from the committed epoch; the new generation follows the
+/// live executor and the run ends bit-identical to the fault-free one.
+/// DGEFA at n=96 has 95 epochs and the kill lands in the third, while
+/// the executor is still producing them.
+#[test]
+fn respawn_follows_the_live_executor() {
+    let mut job = NetJob::new(dgefa::source(96, SOURCE_P));
+    job.trace = true;
+    let job = job.with_default_fills().expect("kernel compiles");
+    let compiled = job.compile().unwrap();
+    let threads = thread_reference(&job);
+    let fills: Vec<(phpf::ir::VarId, Vec<f64>)> = job
+        .fills
+        .iter()
+        .map(|(n, d)| (compiled.spmd.program.vars.lookup(n).unwrap(), d.clone()))
+        .collect();
+    let mut exec = SpmdExec::new(&compiled.spmd, |m| {
+        for (v, data) in &fills {
+            m.fill_real(*v, data);
+        }
+    })
+    .with_trace();
+    exec.run().expect("reference run");
+    let cuts = exec.epoch_cuts();
+    assert!(cuts.len() > 50, "{} cuts", cuts.len());
+    // Halfway through rank 1's share of epoch 2.
+    let kill_at = (cuts[2][1] + cuts[3][1]) / 2;
+
+    let r = netrun::socket_validate_replay(&job, &cfg_with_plan(&format!("kill:1@{}", kill_at)))
+        .expect("killed worker must be healed by respawn");
+    assert!(!r.degraded);
+    assert_eq!(r.metrics.recovery.respawns, 1);
+    let obs = r.obs.as_ref().expect("trace requested");
+    let at = |pred: &dyn Fn(&Body) -> bool| {
+        obs.pipeline_events()
+            .find(|e| pred(&e.body))
+            .map(|e| e.t_us)
+            .expect("event recorded")
+    };
+    let fault = |name: &str, detail: &str| {
+        let (name, detail) = (name.to_string(), detail.to_string());
+        move |b: &Body| matches!(b, Body::Fault { name: n, detail: d, .. } if *n == name && d.contains(&detail))
+    };
+    // The first generation replayed epochs while the executor ran...
+    let exec_end = at(&|b| matches!(b, Body::End { name } if name == "reference-exec"));
+    assert!(at(&fault("checkpoint", "epoch 1 committed")) < exec_end);
+    // ...and the respawn resumed from the epoch committed before the kill.
+    at(&fault("respawn", "from checkpoint epoch 2 "));
+    check_owner_slots(&compiled.spmd, &r.mems, &threads.mems)
+        .expect("resumed memories must be bit-identical to the thread run");
 }

@@ -5,7 +5,7 @@
 use phpf::compile::{compile_source, Options, Version};
 use phpf::ir::{Memory, ScalarTy, StmtId};
 use phpf::net::frame::{Dec, Enc};
-use phpf::spmd::{decode_events, encode_events, Event, Slot, SpmdExec, SpmdProgram};
+use phpf::spmd::{decode_events, encode_events, Env, Event, Slot, SpmdExec, SpmdProgram};
 
 const TOMCATV: &str = include_str!("../examples/hpf/tomcatv_small.hpf");
 const DGEFA: &str = include_str!("../examples/hpf/dgefa_small.hpf");
@@ -45,7 +45,8 @@ fn decode(bytes: &[u8], sp: &SpmdProgram, nproc: usize) -> Result<Vec<Event>, St
 
 /// One event of every variant, with the edge cases the wire form must
 /// carry: empty sections, `Combine` with and without `loc`, env depths
-/// 0-3 and element offsets above `u32::MAX`.
+/// 0-3 and 6 (past the inline bindings) and element offsets above
+/// `u32::MAX`.
 fn every_variant(sp: &SpmdProgram) -> Vec<Event> {
     let var = |n: &str| sp.program.vars.lookup(n).expect("declared");
     let (a, h, s, m, i, k) = (var("a"), var("h"), var("s"), var("m"), var("i"), var("k"));
@@ -121,11 +122,12 @@ fn every_variant(sp: &SpmdProgram) -> Vec<Event> {
             count: 2,
         },
     ];
-    let envs: [Vec<_>; 4] = [
-        vec![],
-        vec![(i, -4)],
-        vec![(i, 1), (k, i64::MAX)],
-        vec![(k, 0), (i, i64::MIN), (k, 9)],
+    let envs = [
+        Env::new(),
+        Env::from([(i, -4)]),
+        Env::from([(i, 1), (k, i64::MAX)]),
+        Env::from([(k, 0), (i, i64::MIN), (k, 9)]),
+        Env::from([(i, 1), (k, 2), (i, 3), (k, -4), (i, 1 << 40), (k, -(1 << 40))]),
     ];
     for env in envs {
         events.push(Event::Exec {
@@ -242,7 +244,8 @@ fn bad_tags_are_errors() {
         to: 0,
         slot: Slot::Scalar(s),
     }]);
-    bytes[4 + 1 + 4] = 9;
+    // Count, event tag, one-byte varint `to`, then the slot tag.
+    bytes[4 + 1 + 1] = 9;
     let err = decode(&bytes, &sp, 4).unwrap_err();
     assert!(err.contains("unknown slot tag 9"), "{err}");
     // Unknown reduction op.
@@ -267,14 +270,14 @@ fn out_of_range_ids_are_errors() {
         (
             Event::Exec {
                 stmt: StmtId(nstmts),
-                env: vec![],
+                env: Env::new(),
             },
             "statement",
         ),
         (
             Event::CondExec {
                 stmt: StmtId(u32::MAX),
-                env: vec![],
+                env: Env::new(),
             },
             "statement",
         ),
@@ -331,7 +334,7 @@ fn out_of_range_ids_are_errors() {
         (
             Event::Exec {
                 stmt: StmtId(0),
-                env: vec![(a, 1)],
+                env: Env::from([(a, 1)]),
             },
             "array, not a scalar",
         ),
@@ -340,5 +343,47 @@ fn out_of_range_ids_are_errors() {
         let err = decode(&encode(std::slice::from_ref(&ev)), &sp, 4)
             .expect_err(&format!("{ev:?} decoded"));
         assert!(err.contains(want), "{ev:?}: {err}");
+    }
+}
+
+fn uvar_bytes(v: u64) -> Vec<u8> {
+    let mut e = Enc::new();
+    e.uvar(v);
+    e.buf
+}
+
+/// The varints every id, count, offset and loop value travels as: edge
+/// values round-trip at their expected lengths, and over-long, overflowing
+/// or truncated input is an error.
+#[test]
+fn varint_edge_cases() {
+    for (v, len) in [(0, 1), (127, 1), (128, 2), (u32::MAX as u64, 5), (u64::MAX, 10)] {
+        let bytes = uvar_bytes(v);
+        assert_eq!(bytes.len(), len, "{v}");
+        let mut d = Dec::new(&bytes);
+        assert_eq!(d.uvar().unwrap(), v);
+        d.done().unwrap();
+    }
+    for (v, len) in [(0, 1), (-1, 1), (63, 1), (-64, 1), (64, 2), (i64::MIN, 10), (i64::MAX, 10)] {
+        let mut e = Enc::new();
+        e.ivar(v);
+        assert_eq!(e.buf.len(), len, "{v}");
+        let mut d = Dec::new(&e.buf);
+        assert_eq!(d.ivar().unwrap(), v);
+        d.done().unwrap();
+    }
+    // Eleven bytes: ten continuation bytes, then a terminator.
+    let mut long = vec![0x80; 10];
+    long.push(0);
+    assert!(Dec::new(&long).uvar().is_err());
+    // Ten bytes whose last one carries more than the 64th bit.
+    let mut over = vec![0xff; 9];
+    over.push(0x02);
+    assert!(Dec::new(&over).uvar().is_err());
+    // Truncated: a continuation bit with nothing after it.
+    let max = uvar_bytes(u64::MAX);
+    for cut in [0, 1, 9] {
+        assert!(Dec::new(&max[..cut]).uvar().is_err(), "cut at {cut}");
+        assert!(Dec::new(&max[..cut]).ivar().is_err(), "cut at {cut}");
     }
 }

@@ -24,12 +24,11 @@
 //!                                      given deterministic faults (e.g.
 //!                                      "corrupt:0>1@2,kill:1@8" or
 //!                                      "seed:42") and self-heal through
-//!                                      retransmission, checkpointed gang
-//!                                      respawn, and — when the budget is
-//!                                      exhausted — thread-backend
-//!                                      fallback; also read from the
-//!                                      PHPF_FAULT_PLAN environment
-//!                                      variable
+//!                                      checkpointed gang respawn and —
+//!                                      when the budget is exhausted —
+//!                                      thread-backend fallback; also read
+//!                                      from the PHPF_FAULT_PLAN
+//!                                      environment variable
 //!                  [--verify]          run the static verifier on the
 //!                                      lowered program (privatization
 //!                                      soundness, schedule matching /
@@ -44,9 +43,6 @@
 //!                                      event order is a linearization of
 //!                                      the program's static
 //!                                      happens-before relation
-//!                  [--net-retries <n>] socket backend recovery budget
-//!                                      (link retransmission attempts and
-//!                                      default respawn budget)
 //!                  [--net-io-deadline-ms <ms>]
 //!                  [--net-connect-deadline-ms <ms>]
 //!                                      socket backend I/O and connect
@@ -72,8 +68,8 @@ fn usage() -> ExitCode {
          [--combine] [--auto-priv] [--estimate] [--observe] \
          [--backend thread|socket] [--trace <path>] \
          [--verify] [--verify-trace <path>] [--fault-plan <plan>] \
-         [--net-retries <n>] [--net-io-deadline-ms <ms>] \
-         [--net-connect-deadline-ms <ms>] [--pretty]"
+         [--net-io-deadline-ms <ms>] [--net-connect-deadline-ms <ms>] \
+         [--pretty]"
     );
     ExitCode::from(2)
 }
@@ -93,7 +89,6 @@ fn main() -> ExitCode {
     let mut verify = false;
     let mut verify_trace_path: Option<String> = None;
     let mut fault_plan_src: Option<String> = std::env::var("PHPF_FAULT_PLAN").ok();
-    let mut net_retries: Option<u32> = None;
     let mut net_io_deadline_ms: Option<u64> = None;
     let mut net_connect_deadline_ms: Option<u64> = None;
 
@@ -148,16 +143,6 @@ fn main() -> ExitCode {
             "--fault-plan" => {
                 let Some(p) = args.next() else { return usage() };
                 fault_plan_src = Some(p);
-            }
-            "--net-retries" => {
-                let Some(v) = args.next() else { return usage() };
-                match v.parse::<u32>() {
-                    Ok(n) => net_retries = Some(n),
-                    Err(e) => {
-                        eprintln!("bad --net-retries '{}': {}", v, e);
-                        return usage();
-                    }
-                }
             }
             "--net-io-deadline-ms" => {
                 let Some(v) = args.next() else { return usage() };
@@ -375,9 +360,6 @@ fn main() -> ExitCode {
                     fills: Vec::new(),
                 };
                 let mut ncfg = netrun::NetRunConfig::default();
-                if let Some(n) = net_retries {
-                    ncfg.retries = n;
-                }
                 if let Some(ms) = net_io_deadline_ms {
                     ncfg.io_deadline = std::time::Duration::from_millis(ms);
                 }

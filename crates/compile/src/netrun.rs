@@ -46,6 +46,7 @@
 use crate::{compile_source, Compiled, Options, Version};
 use hpf_ir::interp::Memory;
 use hpf_ir::{Program, ScalarTy};
+use hpf_net::fault::observes_injection;
 use hpf_net::frame::{Dec, Enc, FrameKind, FrameReader, FrameWriter, ReadStep};
 use hpf_net::socket::{
     connect_backoff, Addr, AddrKind, NetListener, NetStream, SocketConfig, SocketTransport,
@@ -60,7 +61,6 @@ use hpf_spmd::{
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -77,7 +77,7 @@ pub const ENV_WORKER_BIN: &str = "PHPF_NET_WORKER";
 /// Version of the parent ↔ worker control protocol, carried in every
 /// worker's registration frame. A registration without it comes from a
 /// worker binary that predates versioning.
-pub const PROTOCOL: u32 = 3;
+pub const PROTOCOL: u32 = 4;
 
 /// Soft size bound of one event-stream frame: a chunk stops taking events
 /// once its payload reaches this many bytes, so a frame exceeds it by at
@@ -166,6 +166,11 @@ impl NetJob {
     }
 }
 
+/// Failed generations the supervisor respawns before it degrades to the
+/// thread backend, unless [`NetRunConfig::respawn_budget`] says otherwise:
+/// enough for a seeded plan's corrupt, drop and kill to each fail one.
+pub const DEFAULT_RESPAWN_BUDGET: u32 = 3;
+
 /// Deadlines, address family and recovery knobs for a multi-process run.
 #[derive(Debug, Clone)]
 pub struct NetRunConfig {
@@ -181,9 +186,6 @@ pub struct NetRunConfig {
     /// Deliberately *not* rescued by supervision: it exists to prove the
     /// unsupervised failure path stays loud.
     pub fail_rank: Option<usize>,
-    /// Link retransmission budget (NACK-driven resends per link). `0`
-    /// derives a default: 3 when a fault plan is active, else off.
-    pub retries: u32,
     /// Deterministic fault plan (corrupt/drop/kill actions) injected into
     /// the workers. A non-empty plan switches the driver into supervised
     /// mode: lock-step epochs, checkpoints, heartbeats and gang respawn.
@@ -193,8 +195,9 @@ pub struct NetRunConfig {
     /// Parent-side silence budget per worker before it is declared dead.
     pub heartbeat_deadline: Duration,
     /// How many failed generations the supervisor may respawn before it
-    /// degrades to the in-process thread backend. `None` derives the
-    /// budget from the effective retry count.
+    /// degrades to the in-process thread backend. Setting it engages
+    /// supervised mode even without a fault plan; `None` means
+    /// [`DEFAULT_RESPAWN_BUDGET`].
     pub respawn_budget: Option<u32>,
 }
 
@@ -206,7 +209,6 @@ impl Default for NetRunConfig {
             connect_deadline: Duration::from_secs(10),
             result_deadline: Duration::from_secs(60),
             fail_rank: None,
-            retries: 0,
             fault_plan: None,
             heartbeat_interval: Duration::from_millis(250),
             heartbeat_deadline: Duration::from_secs(5),
@@ -221,35 +223,22 @@ impl NetRunConfig {
     }
 
     /// Supervised mode: lock-step epoch checkpoints, worker heartbeats and
-    /// gang respawn on failure. Engaged by any recovery knob; the default
-    /// configuration keeps the original fire-and-collect driver
-    /// byte-for-byte.
+    /// gang respawn on failure. Engaged by a non-empty fault plan or an
+    /// explicit respawn budget; the default configuration keeps the
+    /// original fire-and-collect driver byte-for-byte.
     pub fn supervised(&self) -> bool {
-        self.retries > 0 || !self.plan().is_empty() || self.respawn_budget.is_some()
-    }
-
-    /// Link retransmission budget actually shipped to the workers: an
-    /// explicit `retries`, or 3 when a fault plan is active, else 0.
-    pub fn effective_retries(&self) -> u32 {
-        if self.retries > 0 {
-            self.retries
-        } else if !self.plan().is_empty() {
-            3
-        } else {
-            0
-        }
+        !self.plan().is_empty() || self.respawn_budget.is_some()
     }
 }
 
 const NO_RANK: u32 = u32::MAX;
 
 /// Per-rank supervision extras riding on the job blob: the (resolved,
-/// possibly respawn-pruned) fault plan, the retransmission budget, the
-/// heartbeat cadence, and — for a respawned generation — how many epochs
-/// are already committed plus this rank's checkpointed memory.
+/// possibly respawn-pruned) fault plan, the heartbeat cadence, and — for a
+/// respawned generation — how many epochs are already committed plus this
+/// rank's checkpoint.
 struct JobExtras<'a> {
     plan: &'a FaultPlan,
-    retries: u32,
     supervised: bool,
     resume: Option<(u32, &'a [u8])>,
 }
@@ -258,7 +247,6 @@ impl<'a> JobExtras<'a> {
     fn unsupervised(empty: &'a FaultPlan) -> JobExtras<'a> {
         JobExtras {
             plan: empty,
-            retries: 0,
             supervised: false,
             resume: None,
         }
@@ -306,7 +294,6 @@ fn encode_job(
         e.str(&a.to_string());
     }
     e.str(&extras.plan.to_string());
-    e.u32(extras.retries);
     e.u64(cfg.heartbeat_interval.as_millis() as u64);
     e.boolean(extras.supervised);
     match extras.resume {
@@ -328,12 +315,20 @@ struct WireJob {
     nproc: usize,
     addrs: Vec<Addr>,
     plan: FaultPlan,
-    retries: u32,
     heartbeat_interval: Duration,
     supervised: bool,
     /// Respawn resume state: committed epoch count + this rank's
-    /// checkpointed memory (an [`encode_memory`] blob).
+    /// checkpoint (an [`encode_state`] blob).
     resume: Option<(u32, Vec<u8>)>,
+}
+
+impl WireJob {
+    fn mesh_cfg(&self) -> SocketConfig {
+        SocketConfig {
+            io_deadline: self.io_deadline,
+            connect_deadline: self.connect_deadline,
+        }
+    }
 }
 
 fn decode_job(payload: &[u8]) -> Result<WireJob, String> {
@@ -382,7 +377,6 @@ fn decode_job(payload: &[u8]) -> Result<WireJob, String> {
         addrs.push(Addr::parse(&s).map_err(|e| e.to_string())?);
     }
     let plan = FaultPlan::parse(&d.str().map_err(|e| e.to_string())?)?;
-    let retries = d.u32().map_err(|e| e.to_string())?;
     let heartbeat_interval = Duration::from_millis(d.u64().map_err(|e| e.to_string())?);
     let supervised = d.boolean().map_err(|e| e.to_string())?;
     let resume = match d.u8().map_err(|e| e.to_string())? {
@@ -411,7 +405,6 @@ fn decode_job(payload: &[u8]) -> Result<WireJob, String> {
         nproc,
         addrs,
         plan,
-        retries,
         heartbeat_interval,
         supervised,
         resume,
@@ -709,19 +702,39 @@ fn decode_memory(d: &mut Dec, program: &Program) -> Result<Memory, String> {
     Ok(mem)
 }
 
-fn encode_result(
-    res: &Result<(ReplayStats, CommMetrics, Memory), String>,
-    obs: &[TraceEvent],
+/// A rank's replay state: cumulative counters, wire metrics and memory.
+/// It ends a successful result, and it is the checkpoint an epoch status
+/// carries and a respawned worker resumes from, so a healed run counts
+/// the traffic before its resume cut too.
+fn encode_state(
+    e: &mut Enc,
+    stats: &ReplayStats,
+    m: &CommMetrics,
+    mem: &Memory,
     program: &Program,
-) -> Vec<u8> {
+) {
+    e.u64(stats.messages_sent);
+    e.u64(stats.events);
+    encode_metrics(e, m);
+    encode_memory(e, program, mem);
+}
+
+fn decode_state(d: &mut Dec, program: &Program) -> Result<RankState, String> {
+    let stats = ReplayStats {
+        messages_sent: d.u64().map_err(|e| e.to_string())?,
+        events: d.u64().map_err(|e| e.to_string())?,
+    };
+    let m = decode_metrics(d)?;
+    let mem = decode_memory(d, program)?;
+    Ok((stats, m, mem))
+}
+
+fn encode_result(res: &RankResult, obs: &[TraceEvent], program: &Program) -> Vec<u8> {
     let mut e = Enc::new();
     match res {
         Ok((stats, m, mem)) => {
             e.u8(1);
-            e.u64(stats.messages_sent);
-            e.u64(stats.events);
-            encode_metrics(&mut e, m);
-            encode_memory(&mut e, program, mem);
+            encode_state(&mut e, stats, m, mem, program);
         }
         Err(msg) => {
             e.u8(0);
@@ -734,7 +747,8 @@ fn encode_result(
     e.buf
 }
 
-type RankResult = Result<(ReplayStats, CommMetrics, Memory), String>;
+type RankState = (ReplayStats, CommMetrics, Memory);
+type RankResult = Result<RankState, String>;
 
 fn decode_result(
     payload: &[u8],
@@ -749,15 +763,10 @@ fn decode_result(
             Ok((Err(msg), obs))
         }
         _ => {
-            let stats = ReplayStats {
-                messages_sent: d.u64().map_err(|e| e.to_string())?,
-                events: d.u64().map_err(|e| e.to_string())?,
-            };
-            let m = decode_metrics(&mut d)?;
-            let mem = decode_memory(&mut d, program)?;
+            let state = decode_state(&mut d, program)?;
             let obs = decode_obs_events(&mut d)?;
             d.done().map_err(|e| e.to_string())?;
-            Ok((Ok((stats, m, mem)), obs))
+            Ok((Ok(state), obs))
         }
     }
 }
@@ -1336,9 +1345,9 @@ impl<'p> ParentStream<'p> {
 /// The cohort is launched first; the workers replay each epoch while the
 /// reference executor produces the next.
 ///
-/// With any recovery knob set ([`NetRunConfig::supervised`]) the driver
-/// runs the self-healing protocol instead: injected link faults heal via
-/// retransmission, dead workers are respawned from the last epoch
+/// With a fault plan or a respawn budget ([`NetRunConfig::supervised`])
+/// the driver runs the self-healing protocol instead: a generation that
+/// hits a link fault or loses a worker is respawned from the last epoch
 /// checkpoint, and when the respawn budget is exhausted the whole run
 /// degrades to the in-process thread backend ([`Replayed::degraded`]).
 ///
@@ -1615,19 +1624,20 @@ fn collect_results(
 //
 // The parent runs the replay as a sequence of *epochs* (the executor's
 // loop-level barrier cuts, [`SpmdExec::epoch_cuts`]). After each epoch every
-// worker ships a status — its checkpointed memory plus any fault events its
-// transport healed — and waits for a `Proceed` directive. The parent commits
-// the checkpoint once all ranks report, so there is always a globally
-// consistent cut to restart from. When a worker dies (abrupt socket close,
-// error status, or missed heartbeats) the whole generation is torn down and
-// respawned from the last committed checkpoint: links are meshes of fresh
-// processes, so a gang restart needs no live re-rendezvous. The reference
-// executor runs on its own thread throughout; the parent keeps its epochs
-// from the committed one on, so a respawned generation is streamed those
-// and then follows the live executor. The pruned fault plan
-// ([`FaultPlan::for_respawn`]) guarantees the same fault never fires twice.
-// When the respawn budget runs dry the caller degrades to the in-process
-// thread backend.
+// worker ships a status — its checkpoint (counters, metrics and memory)
+// plus the fault events its transport recorded — and waits for a `Proceed`
+// directive. The parent commits the checkpoint once all ranks report, so
+// there is always a globally consistent cut to restart from. When a worker
+// fails (a link fault, abrupt socket close, error status, or missed
+// heartbeats) the whole generation is torn down and respawned from the last
+// committed checkpoint: links are meshes of fresh processes, so a gang
+// restart needs no live re-rendezvous. The reference executor runs on its
+// own thread throughout; the parent keeps its epochs from the committed one
+// on, so a respawned generation is streamed those and then follows the live
+// executor. The next generation's plan ([`FaultPlan::after_failure`]) drops
+// exactly the faults the failed one observed, so each fires once. When the
+// respawn budget runs dry the caller degrades to the in-process thread
+// backend.
 
 /// Control-frame tags on the worker → parent connection. Tags 0/1 are
 /// never sent (they keep the unsupervised single-blob protocol
@@ -1636,30 +1646,21 @@ const TAG_STATUS: u8 = 2;
 const TAG_HEARTBEAT: u8 = 3;
 const TAG_RESULT: u8 = 4;
 
-fn memory_blob(program: &Program, mem: &Memory) -> Vec<u8> {
-    let mut e = Enc::new();
-    encode_memory(&mut e, program, mem);
-    e.buf
-}
-
 /// One worker's end-of-epoch report.
 struct StatusMsg {
     epoch: u32,
-    /// Cumulative link retransmissions this process performed so far.
-    retransmits: u64,
-    /// Checkpointed memory on success (an [`encode_memory`] blob, kept
-    /// encoded: the parent only ever hands it back to a respawned
-    /// worker, which decodes and checks it), replay error otherwise.
+    /// The checkpoint on success (an [`encode_state`] blob, kept encoded:
+    /// the parent only ever hands it back to a respawned worker, which
+    /// decodes and checks it), replay error otherwise.
     body: Result<Vec<u8>, String>,
     /// All fault events the worker accumulated so far (cumulative, so a
-    /// generation that dies later still leaves its healing on record).
+    /// generation that dies later still leaves its evidence on record).
     faults: Vec<TraceEvent>,
 }
 
 fn decode_status(payload: &[u8]) -> Result<StatusMsg, String> {
     let mut d = Dec::new(payload);
     let epoch = d.u32().map_err(|e| e.to_string())?;
-    let retransmits = d.u64().map_err(|e| e.to_string())?;
     let body = match d.u8().map_err(|e| e.to_string())? {
         0 => Err(d.str().map_err(|e| e.to_string())?),
         _ => Ok(d.bytes().map_err(|e| e.to_string())?),
@@ -1668,7 +1669,6 @@ fn decode_status(payload: &[u8]) -> Result<StatusMsg, String> {
     d.done().map_err(|e| e.to_string())?;
     Ok(StatusMsg {
         epoch,
-        retransmits,
         body,
         faults,
     })
@@ -1750,27 +1750,40 @@ fn kill_generation(children: &mut [(usize, Child)]) {
 }
 
 /// Globally consistent restart state: how many epochs every rank has
-/// committed, and each rank's memory at that cut (as the encoded blob
+/// committed, and each rank's checkpoint at that cut (as the encoded blob
 /// its worker reported).
 struct Committed {
     epoch: u32,
-    mems: Vec<Vec<u8>>,
+    states: Vec<Vec<u8>>,
 }
 
 enum GenOutcome {
     /// Every rank delivered a successful result.
     Finished(Vec<(RankResult, Vec<TraceEvent>)>),
     /// At least one rank died or failed; the generation was torn down.
-    /// `None` ranks are setup failures not attributable to one worker.
-    Failed { dead: Vec<(Option<usize>, String)> },
+    Failed(Failure),
+}
+
+/// Why a generation failed, and which planned faults it observed.
+#[derive(Default)]
+struct Failure {
+    /// Per failed rank, what went wrong. `None` ranks are setup failures
+    /// not attributable to one worker.
+    dead: Vec<(Option<usize>, String)>,
+    /// Ranks whose process died — control link closed or heartbeat
+    /// missed — without first reporting an error.
+    died: Vec<usize>,
+    /// `(from, to)` links on which rank `to` reported a fault about
+    /// `from` that an injection can cause.
+    faulted: Vec<(usize, usize)>,
 }
 
 /// Run one supervised generation: spawn all ranks, stream them the epochs
 /// from the committed one on (following the live executor), drive the
 /// lock-step epoch protocol, and either collect every result or tear the
-/// cohort down on the first failure. Salvages fault evidence (events and
-/// retransmission counts reported in statuses) from failed generations.
-/// A failed reference run tears the cohort down and is the `Err`.
+/// cohort down on the first failure. Salvages the fault events reported
+/// in statuses from failed generations. A failed reference run tears the
+/// cohort down and is the `Err`.
 #[allow(clippy::too_many_arguments)]
 fn run_generation(
     job: &NetJob,
@@ -1792,13 +1805,12 @@ fn run_generation(
     // Rendezvous + dispatch. Failures here doom the generation, not the
     // run: they are charged to the respawn budget like any worker death.
     let setup = met.and_then(|(mut conns, addrs)| {
-        let retries = cfg.effective_retries();
         for (rank, conn) in conns.iter_mut().enumerate() {
             let extras = JobExtras {
                 plan,
-                retries,
                 supervised: true,
-                resume: (committed.epoch > 0).then(|| (committed.epoch, &committed.mems[rank][..])),
+                resume: (committed.epoch > 0)
+                    .then(|| (committed.epoch, &committed.states[rank][..])),
             };
             let blob = encode_job(job, cfg, nproc, &addrs, &extras);
             conn.writer
@@ -1811,9 +1823,10 @@ fn run_generation(
         Ok(c) => c,
         Err(e) => {
             kill_generation(&mut children);
-            return Ok(GenOutcome::Failed {
+            return Ok(GenOutcome::Failed(Failure {
                 dead: vec![(None, e)],
-            });
+                ..Failure::default()
+            }));
         }
     };
 
@@ -1832,9 +1845,8 @@ fn run_generation(
         let mut results: Vec<Option<(RankResult, Vec<TraceEvent>)>> =
             (0..nproc).map(|_| None).collect();
         let mut prov_faults: Vec<Vec<TraceEvent>> = vec![Vec::new(); nproc];
-        let mut prov_retx: Vec<u64> = vec![0; nproc];
-        let mut failed: Vec<(Option<usize>, String)> = Vec::new();
-        // A rank is "accounted" once it delivered a result or joined `failed`.
+        let mut failure = Failure::default();
+        // A rank is "accounted" once it delivered a result or joined `failure.dead`.
         let mut accounted: Vec<bool> = vec![false; nproc];
         let mut expect_epoch = committed.epoch;
         // Once a failure is seen, drain briefly: peers that error out on the
@@ -1856,13 +1868,12 @@ fn run_generation(
                     last_heard[rank] = Instant::now();
                     match decode_status(&payload) {
                         Ok(st) => {
-                            prov_retx[rank] = st.retransmits;
                             prov_faults[rank] = st.faults;
                             match st.body {
-                                Ok(mem)
+                                Ok(state)
                                     if st.epoch == expect_epoch && drain_deadline.is_none() =>
                                 {
-                                    statuses[rank] = Some(mem);
+                                    statuses[rank] = Some(state);
                                 }
                                 // A stale or raced status while draining only
                                 // contributes its salvage payload.
@@ -1870,7 +1881,7 @@ fn run_generation(
                                 Err(msg) => {
                                     if !accounted[rank] {
                                         accounted[rank] = true;
-                                        failed.push((
+                                        failure.dead.push((
                                             Some(rank),
                                             format!("epoch {}: {}", st.epoch, msg),
                                         ));
@@ -1882,7 +1893,9 @@ fn run_generation(
                         Err(e) => {
                             if !accounted[rank] {
                                 accounted[rank] = true;
-                                failed.push((Some(rank), format!("bad status: {}", e)));
+                                failure
+                                    .dead
+                                    .push((Some(rank), format!("bad status: {}", e)));
                             }
                             start_drain(&mut drain_deadline);
                         }
@@ -1898,14 +1911,16 @@ fn run_generation(
                         Ok((Err(msg), _)) => {
                             if !accounted[rank] {
                                 accounted[rank] = true;
-                                failed.push((Some(rank), msg));
+                                failure.dead.push((Some(rank), msg));
                             }
                             start_drain(&mut drain_deadline);
                         }
                         Err(e) => {
                             if !accounted[rank] {
                                 accounted[rank] = true;
-                                failed.push((Some(rank), format!("bad result: {}", e)));
+                                failure
+                                    .dead
+                                    .push((Some(rank), format!("bad result: {}", e)));
                             }
                             start_drain(&mut drain_deadline);
                         }
@@ -1914,7 +1929,8 @@ fn run_generation(
                 Ok(ParentMsg::Gone { rank, why }) => {
                     if !accounted[rank] {
                         accounted[rank] = true;
-                        failed.push((Some(rank), why));
+                        failure.died.push(rank);
+                        failure.dead.push((Some(rank), why));
                         start_drain(&mut drain_deadline);
                     }
                 }
@@ -1941,7 +1957,8 @@ fn run_generation(
                             last_seq: None,
                         });
                     }
-                    failed.push((
+                    failure.died.push(rank);
+                    failure.dead.push((
                         Some(rank),
                         format!("no heartbeat within {:?}", cfg.heartbeat_deadline),
                     ));
@@ -1961,7 +1978,7 @@ fn run_generation(
                         // Commit the epoch: every rank checkpointed this cut,
                         // so it is a globally consistent restart point.
                         committed.epoch = expect_epoch + 1;
-                        committed.mems =
+                        committed.states =
                             statuses.iter_mut().map(|s| s.take().unwrap()).collect();
                         if trace {
                             pipe.lock().unwrap().push(Body::Fault {
@@ -1982,9 +1999,7 @@ fn run_generation(
                 }
                 Some(dl) => {
                     if accounted.iter().all(|&a| a) || Instant::now() >= dl {
-                        break Ok(GenOutcome::Failed {
-                            dead: std::mem::take(&mut failed),
-                        });
+                        break Ok(GenOutcome::Failed(std::mem::take(&mut failure)));
                     }
                 }
             }
@@ -1999,16 +2014,30 @@ fn run_generation(
                 }
                 Ok(GenOutcome::Finished(res))
             }
-            Ok(GenOutcome::Failed { dead }) => {
-                // Salvage the failed generation's recovery evidence: its fault
-                // events and retransmission counts would otherwise die with it.
-                for rank in 0..nproc {
-                    salvaged[rank].append(&mut prov_faults[rank]);
-                    recovery.retransmits += prov_retx[rank];
+            Ok(GenOutcome::Failed(mut failure)) => {
+                // The faults each rank reported name the links whose
+                // injections fired; salvage the events, which would
+                // otherwise die with the generation.
+                for (rank, faults) in prov_faults.iter_mut().enumerate() {
+                    for ev in faults.iter() {
+                        let Body::Fault {
+                            name,
+                            peer: Some(peer),
+                            ..
+                        } = &ev.body
+                        else {
+                            continue;
+                        };
+                        let link = (*peer, rank);
+                        if observes_injection(name) && !failure.faulted.contains(&link) {
+                            failure.faulted.push(link);
+                        }
+                    }
+                    salvaged[rank].append(faults);
                 }
                 kill_generation(&mut children);
                 feed.retire();
-                Ok(GenOutcome::Failed { dead })
+                Ok(GenOutcome::Failed(failure))
             }
             Err(e) => {
                 kill_generation(&mut children);
@@ -2146,13 +2175,11 @@ fn supervise(
     let trace = job.trace;
     let mut listener = NetListener::bind(cfg.addr_kind, "netrun").map_err(|e| e.to_string())?;
     let mut plan = cfg.plan().resolve(nproc);
-    let budget = cfg
-        .respawn_budget
-        .unwrap_or_else(|| cfg.effective_retries().max(1));
+    let budget = cfg.respawn_budget.unwrap_or(DEFAULT_RESPAWN_BUDGET);
     let respawn_retry = RetryPolicy::default();
     let mut committed = Committed {
         epoch: 0,
-        mems: Vec::new(),
+        states: Vec::new(),
     };
     let mut attempts: u32 = 0;
 
@@ -2189,7 +2216,11 @@ fn supervise(
                 }
                 return Ok(SupvDrive::Done((stats, metrics, mems, rank_obs)));
             }
-            GenOutcome::Failed { dead } => {
+            GenOutcome::Failed(Failure {
+                dead,
+                died,
+                faulted,
+            }) => {
                 attempts += 1;
                 let who = dead
                     .iter()
@@ -2205,25 +2236,23 @@ fn supervise(
                         budget, who
                     )));
                 }
-                recovery.respawns += dead.iter().filter(|(r, _)| r.is_some()).count().max(1) as u64;
-                for (r, why) in &dead {
-                    let Some(r) = *r else { continue };
-                    // The respawned cohort must not re-suffer consumed
-                    // faults: this rank's kill fired, and link injections
-                    // fire at most once per run.
-                    plan = plan.for_respawn(r);
-                    if trace {
-                        pipe.lock().unwrap().push(Body::Fault {
-                            name: "respawn".into(),
-                            detail: format!(
-                                "rank {} failed ({}); gang-restarting from checkpoint \
-                                 epoch {} (attempt {}/{})",
-                                r, why, committed.epoch, attempts, budget
-                            ),
-                            peer: Some(r),
-                            last_seq: None,
-                        });
-                    }
+                recovery.respawns += 1;
+                // The respawned cohort must not re-suffer the faults this
+                // generation observed; the others have yet to fire.
+                plan = plan.after_failure(&died, &faulted);
+                if trace {
+                    pipe.lock().unwrap().push(Body::Fault {
+                        name: "respawn".into(),
+                        detail: format!(
+                            "{}; gang-restarting from checkpoint epoch {} (attempt {}/{})",
+                            who, committed.epoch, attempts, budget
+                        ),
+                        peer: died
+                            .first()
+                            .copied()
+                            .or_else(|| dead.iter().find_map(|(r, _)| *r)),
+                        last_seq: None,
+                    });
                 }
                 std::thread::sleep(respawn_retry.delay(attempts - 1));
             }
@@ -2327,13 +2356,8 @@ fn run_rank_inner(
     let init = make_init(compiled, &wire.job.fills)?;
     let mut mem = Memory::zeroed(&compiled.spmd.program);
     init(&mut mem);
-    let mesh_cfg = SocketConfig {
-        io_deadline: wire.io_deadline,
-        connect_deadline: wire.connect_deadline,
-        ..SocketConfig::default()
-    };
     let mut transport =
-        SocketTransport::connect_mesh(rank, nproc, listener, &wire.addrs, mesh_cfg)
+        SocketTransport::connect_mesh(rank, nproc, listener, &wire.addrs, wire.mesh_cfg())
             .map_err(|e: NetError| format!("proc {}: mesh: {}", rank, e))?;
     if wire.fail_rank == Some(rank) {
         // Fault injection: die abruptly after the handshake so peers see
@@ -2379,29 +2403,29 @@ fn worker_supervised(
 ) -> Result<(), String> {
     // Heartbeats start before the compile, the event stream and the mesh
     // so the parent's deadline detector never mistakes a busy worker for
-    // a dead one.
+    // a dead one. Dropping `stop` wakes the heartbeat thread at once, so
+    // the worker exits without waiting out an interval.
     let control = Arc::new(Mutex::new(writer));
-    let stop = Arc::new(AtomicBool::new(false));
+    let (stop, stopped) = mpsc::channel::<()>();
     let hb = {
         let control = Arc::clone(&control);
-        let stop = Arc::clone(&stop);
         let interval = wire.heartbeat_interval.max(Duration::from_millis(10));
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                if control
-                    .lock()
-                    .unwrap()
-                    .write(FrameKind::Blob, &[TAG_HEARTBEAT])
-                    .is_err()
-                {
-                    return;
-                }
-                std::thread::sleep(interval);
+        std::thread::spawn(move || loop {
+            if control
+                .lock()
+                .unwrap()
+                .write(FrameKind::Blob, &[TAG_HEARTBEAT])
+                .is_err()
+            {
+                return;
+            }
+            if stopped.recv_timeout(interval) != Err(mpsc::RecvTimeoutError::Timeout) {
+                return;
             }
         })
     };
     let res = worker_supervised_inner(wire, rank, listener, reader, &control);
-    stop.store(true, Ordering::Relaxed);
+    drop(stop);
     let _ = hb.join();
     res
 }
@@ -2421,28 +2445,20 @@ fn worker_supervised_inner(
     let init = make_init(&compiled, &wire.job.fills)?;
     let mut mem = Memory::zeroed(program);
     init(&mut mem);
+    let mut stats = ReplayStats::default();
+    let mut metrics = CommMetrics::new(nproc, compiled.spmd.comms.len());
     let mut epoch = 0usize;
     if let Some((done, blob)) = &wire.resume {
         // Resume from the supervisor's committed checkpoint instead of
-        // the initial fills.
+        // the initial fills, counting on from its counters.
         let mut d = Dec::new(blob);
-        mem = decode_memory(&mut d, program)?;
+        (stats, metrics, mem) = decode_state(&mut d, program)?;
         d.done().map_err(|e| e.to_string())?;
         epoch = *done as usize;
     }
     let injector = (!wire.plan.is_empty()).then(|| FaultInjector::new(&wire.plan, rank));
-    let mesh_cfg = SocketConfig {
-        io_deadline: wire.io_deadline,
-        connect_deadline: wire.connect_deadline,
-        retry: RetryPolicy {
-            max_attempts: wire.retries,
-            // Decorrelate link backoff jitter across ranks.
-            seed: rank as u64,
-            ..RetryPolicy::default()
-        },
-    };
     let mut transport =
-        SocketTransport::connect_mesh(rank, nproc, listener, &wire.addrs, mesh_cfg)
+        SocketTransport::connect_mesh(rank, nproc, listener, &wire.addrs, wire.mesh_cfg())
             .map_err(|e: NetError| format!("proc {}: mesh: {}", rank, e))?;
     if let Some(inj) = &injector {
         transport.set_fault_injector(inj.clone());
@@ -2455,8 +2471,6 @@ fn worker_supervised_inner(
 
     let mut obs = wire.job.trace.then(|| BufTracer::for_rank(rank));
     let mut fault_log: Vec<TraceEvent> = Vec::new();
-    let mut stats = ReplayStats::default();
-    let mut metrics = CommMetrics::new(nproc, compiled.spmd.comms.len());
     while let Some(seg) = stream.next_epoch()? {
         let res = replay_rank_segment(
             &compiled.spmd,
@@ -2480,7 +2494,7 @@ fn worker_supervised_inner(
             fault_log.extend(transport.take_fault_events());
         }
         // Cumulative fault snapshot rides on every status so a later
-        // death cannot erase this epoch's recovery evidence.
+        // death cannot erase this epoch's fault evidence.
         let faults: Vec<TraceEvent> = match &obs {
             Some(o) => o
                 .events()
@@ -2493,11 +2507,13 @@ fn worker_supervised_inner(
         let mut enc = Enc::new();
         enc.u8(TAG_STATUS);
         enc.u32(epoch as u32);
-        enc.u64(transport.retransmits());
         match &res {
             Ok(()) => {
+                let mut state = Enc::new();
+                metrics.saw_in_flight(transport.peak_in_flight());
+                encode_state(&mut state, &stats, &metrics, &mem, program);
                 enc.u8(1);
-                enc.bytes(&memory_blob(program, &mem));
+                enc.bytes(&state.buf);
             }
             Err(msg) => {
                 enc.u8(0);
@@ -2517,7 +2533,6 @@ fn worker_supervised_inner(
         o.absorb(transport.take_fault_events());
     }
     metrics.saw_in_flight(transport.peak_in_flight());
-    metrics.recovery.retransmits = transport.retransmits();
     let result: RankResult = match fin {
         Ok(()) => Ok((stats, metrics, mem)),
         Err(e) => Err(format!("proc {}: teardown: {}", rank, e)),

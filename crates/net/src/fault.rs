@@ -8,8 +8,14 @@
 //! job wire format. `seed:N` expands to a small deterministic schedule once
 //! the process grid is known. A [`FaultInjector`] is the per-process
 //! runtime arm of a plan: the socket send path consults it for link
-//! injections (each fires exactly once, so retransmitted frames go clean)
-//! and the replay loop consults it for the kill trigger.
+//! injections and the replay loop consults it for the kill trigger.
+//!
+//! Every injected fault is terminal where it lands: the receiver of a
+//! corrupt or dropped frame fails its replay, and a killed rank dies. The
+//! supervised driver then respawns the whole cohort from its last
+//! checkpoint under [`FaultPlan::after_failure`], which drops exactly the
+//! faults the failed generation observed, so every planned action fires
+//! once and the respawn loop terminates.
 
 use crate::retry::splitmix64;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -156,30 +162,61 @@ impl FaultPlan {
         })
     }
 
-    /// The plan a *respawned* rank resumes under: its own kill is consumed
-    /// (it already died once) and link injections are dropped — each fires
-    /// at most once per run, and surviving processes track that themselves.
-    pub fn for_respawn(&self, rank: usize) -> FaultPlan {
-        FaultPlan {
-            actions: self
-                .actions
+    /// The plan the next generation runs under after one failed. Only the
+    /// faults the failed generation observed are consumed:
+    ///
+    /// * the armed kill (see [`FaultPlan::kill_for`]) of every rank in
+    ///   `died`, the ranks whose process died without first reporting an
+    ///   error;
+    /// * for every link `(from, to)` in `faulted` — rank `to` reported a
+    ///   fault about `from` that [`observes_injection`] — the injection on
+    ///   `from -> to` with the lowest frame number: a link fails at its
+    ///   first fault, so that is the one that fired.
+    ///
+    /// Every other action stays for the next generation.
+    pub fn after_failure(&self, died: &[usize], faulted: &[(usize, usize)]) -> FaultPlan {
+        let mut actions = self.actions.clone();
+        for &rank in died {
+            if let Some(i) = actions
                 .iter()
-                .copied()
-                .filter(|a| match a {
-                    FaultAction::Kill { rank: r, .. } => *r != rank,
-                    FaultAction::Corrupt { .. } | FaultAction::Drop { .. } => false,
+                .position(|a| matches!(a, FaultAction::Kill { rank: r, .. } if *r == rank))
+            {
+                actions.remove(i);
+            }
+        }
+        for &link in faulted {
+            let fired = actions
+                .iter()
+                .enumerate()
+                .filter_map(|(i, a)| match *a {
+                    FaultAction::Corrupt { from, to, frame }
+                    | FaultAction::Drop { from, to, frame }
+                        if (from, to) == link =>
+                    {
+                        Some((frame, i))
+                    }
+                    _ => None,
                 })
-                .collect(),
+                .min();
+            if let Some((_, i)) = fired {
+                actions.remove(i);
+            }
+        }
+        FaultPlan {
+            actions,
             seed: None,
         }
     }
+}
 
-    /// True if any action corrupts or drops frames (as opposed to kills).
-    pub fn has_link_faults(&self) -> bool {
-        self.actions
-            .iter()
-            .any(|a| !matches!(a, FaultAction::Kill { .. }))
-    }
+/// True if a receiver's fault event named `name` (see
+/// [`crate::NetError::fault_name`]) is what an injection on its link
+/// causes: `bad-checksum` for a corrupt frame, `seq-gap` for a dropped one
+/// with a successor, and `deadline` for a dropped last frame. Anything
+/// else is collateral damage of a peer that failed: a `closed` link, or a
+/// `decode` fault from a connection the dead peer reset.
+pub fn observes_injection(name: &str) -> bool {
+    matches!(name, "bad-checksum" | "seq-gap" | "deadline")
 }
 
 fn parse_num(s: &str, tok: &str) -> Result<u64, String> {
@@ -232,8 +269,7 @@ struct KillState {
 
 /// Per-process arm of a [`FaultPlan`], scoped to one rank. Shared via
 /// `Arc`, so consumed-flags survive transport teardown and re-mesh: every
-/// injection fires exactly once per process lifetime, which is what makes
-/// retransmission converge instead of re-corrupting the resent frame.
+/// injection fires at most once per process lifetime.
 #[derive(Clone)]
 pub struct FaultInjector {
     inner: Arc<InjectorState>,
@@ -294,7 +330,7 @@ impl FaultInjector {
         self.inner.rank
     }
 
-    /// Consult the plan for the `ordinal`-th fresh data frame to `to`.
+    /// Consult the plan for the `ordinal`-th data frame to `to`.
     /// Each matching action fires exactly once.
     pub fn on_send(&self, to: usize, ordinal: u64) -> Injection {
         for a in &self.inner.links {
@@ -406,9 +442,35 @@ mod tests {
     }
 
     #[test]
-    fn respawn_plan_consumes_kill_and_injections() {
-        let plan = FaultPlan::parse("corrupt:0>1@2,kill:1@8,kill:2@5").unwrap();
-        let resumed = plan.for_respawn(1);
-        assert_eq!(resumed.actions, vec![FaultAction::Kill { rank: 2, events: 5 }]);
+    fn failure_consumes_the_kill_of_each_dead_rank_only() {
+        let plan = FaultPlan::parse("kill:1@8,kill:2@5,kill:1@30").unwrap();
+        // Rank 2 reported an error before it went away: its kill stays.
+        let next = plan.after_failure(&[1], &[]);
+        assert_eq!(next.to_string(), "kill:2@5,kill:1@30");
+        // The second kill of rank 1 is armed now, and fires next time.
+        assert_eq!(next.kill_for(1), Some(30));
+        assert_eq!(plan.after_failure(&[], &[]), plan);
+    }
+
+    #[test]
+    fn failure_consumes_the_first_injection_on_each_faulted_link() {
+        let plan = FaultPlan::parse("drop:0>1@5,corrupt:0>1@2,corrupt:2>3@0,kill:1@9").unwrap();
+        // Rank 1 saw a fault about rank 0: the link failed at frame 2.
+        let next = plan.after_failure(&[], &[(0, 1)]);
+        assert_eq!(next.to_string(), "drop:0>1@5,corrupt:2>3@0,kill:1@9");
+        // The reverse link carries no injection: nothing is consumed.
+        assert_eq!(plan.after_failure(&[], &[(1, 0)]), plan);
+        let next = next.after_failure(&[1], &[(0, 1), (2, 3)]);
+        assert!(next.is_empty(), "{}", next);
+    }
+
+    #[test]
+    fn closed_links_are_collateral() {
+        for name in ["bad-checksum", "seq-gap", "deadline"] {
+            assert!(observes_injection(name), "{}", name);
+        }
+        for name in ["closed", "decode", "io", "protocol", "handshake"] {
+            assert!(!observes_injection(name), "{}", name);
+        }
     }
 }

@@ -16,7 +16,10 @@
 //! absorbable: a truncated frame leaves the reader short of `len` bytes, a
 //! dropped frame skips a sequence number, a duplicated frame repeats one,
 //! and corruption fails the checksum. [`FrameError`] names each case so the
-//! transport can report which fault it saw on which link.
+//! transport can report which fault it saw on which link. Every detected
+//! fault is terminal for its link: the stream is not resynchronised, and
+//! the supervised multi-process driver heals the run by respawning the
+//! whole cohort from its last checkpoint.
 //!
 //! The payload of data frames is a sequence of tagged values (see
 //! [`Enc::value`]); control frames (`Hello`/`Bye`) and the multi-process
@@ -50,15 +53,6 @@ pub enum FrameKind {
     Bye = 4,
     /// Opaque bytes (job specs, results, rendezvous registration).
     Blob = 5,
-    /// Cumulative acknowledgement. The header's seq field carries the
-    /// highest contiguous data sequence number the sender has delivered;
-    /// the receiver may evict everything at or below it from its replay
-    /// buffer. Control frames live outside the data sequence space.
-    Ack = 6,
-    /// Negative acknowledgement. The header's seq field names the first
-    /// missing (or corrupt) data sequence number; the peer should resend
-    /// from there (go-back-N).
-    Nack = 7,
 }
 
 impl FrameKind {
@@ -69,16 +63,8 @@ impl FrameKind {
             3 => Some(FrameKind::Hello),
             4 => Some(FrameKind::Bye),
             5 => Some(FrameKind::Blob),
-            6 => Some(FrameKind::Ack),
-            7 => Some(FrameKind::Nack),
             _ => None,
         }
-    }
-
-    /// Control frames carry their subject in the header's seq field and do
-    /// not consume a slot in the link's data sequence space.
-    pub fn is_control(self) -> bool {
-        matches!(self, FrameKind::Ack | FrameKind::Nack)
     }
 }
 
@@ -494,15 +480,6 @@ impl<W: std::io::Write> FrameWriter<W> {
         self.w.flush()
     }
 
-    /// Write a frame with an explicit sequence number, *without* bumping
-    /// the link counter. Retransmissions replay a frame under its original
-    /// number; ACK/NACK control frames carry their subject seq here.
-    pub fn write_raw(&mut self, kind: FrameKind, seq: u32, payload: &[u8]) -> std::io::Result<()> {
-        let bytes = encode_frame(kind, seq, payload);
-        self.w.write_all(&bytes)?;
-        self.w.flush()
-    }
-
     /// Consume the next sequence number without writing anything — a
     /// deliberate frame drop, used by fault injection to create a seq-gap
     /// on the receiving side.
@@ -578,29 +555,10 @@ impl<R: std::io::Read> FrameReader<R> {
     /// reader threads poll with `read_step` so idle links wait forever
     /// while half-delivered frames fail loudly.
     pub fn read_step(&mut self) -> Result<ReadStep, FrameError> {
-        match self.read_step_raw()? {
-            RawStep::Frame { kind, seq, payload } => {
-                if !kind.is_control() {
-                    check_seq(self.seq, seq)?;
-                    self.seq = self.seq.wrapping_add(1);
-                }
-                Ok(ReadStep::Frame((kind, payload)))
-            }
-            RawStep::Eof => Ok(ReadStep::Eof),
-            RawStep::Idle => Ok(ReadStep::Idle),
-        }
-    }
-
-    /// Read and checksum-validate the next frame *without* enforcing
-    /// sequence continuity, exposing the frame's own seq. The recovering
-    /// socket reader uses this to own the expected-seq state itself: on a
-    /// gap it can NACK and keep reading until the retransmitted frame
-    /// reappears, instead of giving up on the first out-of-order header.
-    pub fn read_step_raw(&mut self) -> Result<RawStep, FrameError> {
         let mut hdr = [0u8; HEADER_LEN];
         match read_exact_or_eof(&mut self.r, &mut hdr, true)? {
-            ReadOutcome::Eof => return Ok(RawStep::Eof),
-            ReadOutcome::Idle => return Ok(RawStep::Idle),
+            ReadOutcome::Eof => return Ok(ReadStep::Eof),
+            ReadOutcome::Idle => return Ok(ReadStep::Idle),
             ReadOutcome::Full => {}
         }
         let h = parse_header(&hdr)?;
@@ -617,11 +575,9 @@ impl<R: std::io::Read> FrameReader<R> {
             }
         }
         check_payload(&h, &payload)?;
-        Ok(RawStep::Frame {
-            kind: h.kind,
-            seq: h.seq,
-            payload,
-        })
+        check_seq(self.seq, h.seq)?;
+        self.seq = self.seq.wrapping_add(1);
+        Ok(ReadStep::Frame((h.kind, payload)))
     }
 }
 
@@ -635,22 +591,6 @@ pub enum ReadStep {
     Eof,
     /// Read timeout before any byte of a new frame: the link is merely
     /// quiet, not broken.
-    Idle,
-}
-
-/// Outcome of a raw frame read (see [`FrameReader::read_step_raw`]): the
-/// frame's own sequence number is exposed and *not* validated. A failed
-/// checksum still reports as `Err(BadChecksum)`, but the full frame has
-/// been consumed, so the stream stays aligned and the caller may keep
-/// reading (the basis of NACK-driven recovery).
-#[derive(Debug)]
-pub enum RawStep {
-    Frame {
-        kind: FrameKind,
-        seq: u32,
-        payload: Vec<u8>,
-    },
-    Eof,
     Idle,
 }
 
@@ -810,27 +750,6 @@ mod tests {
     }
 
     #[test]
-    fn write_raw_does_not_consume_sequence_numbers() {
-        let mut buf = Vec::new();
-        {
-            let mut w = FrameWriter::new(&mut buf);
-            let (k, p) = encode_msg(&WireMsg::One(Value::Int(1)));
-            w.write(k, &p).unwrap();
-            w.write_raw(FrameKind::Ack, 99, &[]).unwrap();
-            assert_eq!(w.seq(), 1, "control frames leave the data seq alone");
-            w.write(k, &p).unwrap();
-        }
-        let mut r = FrameReader::new(&buf[..]);
-        assert!(r.read().unwrap().is_some());
-        // The Ack's subject seq (99) must not disturb the reader's data
-        // sequence tracking.
-        let (k, _) = r.read().unwrap().unwrap();
-        assert_eq!(k, FrameKind::Ack);
-        assert!(r.read().unwrap().is_some());
-        assert_eq!(r.seq(), 2);
-    }
-
-    #[test]
     fn skip_seq_creates_a_detectable_gap() {
         let mut buf = Vec::new();
         {
@@ -845,42 +764,6 @@ mod tests {
         match r.read() {
             Err(FrameError::SeqGap { expected: 1, got: 2 }) => {}
             other => panic!("expected SeqGap, got {:?}", other),
-        }
-    }
-
-    #[test]
-    fn read_step_raw_exposes_seq_and_survives_gaps() {
-        let (k, p) = encode_msg(&WireMsg::One(Value::Int(5)));
-        let mut bytes = encode_frame(k, 0, &p);
-        bytes.extend_from_slice(&encode_frame(k, 2, &p));
-        let mut r = FrameReader::new(&bytes[..]);
-        match r.read_step_raw().unwrap() {
-            RawStep::Frame { seq: 0, .. } => {}
-            other => panic!("expected seq 0, got {:?}", other),
-        }
-        // The gap is the caller's business: raw reads keep going.
-        match r.read_step_raw().unwrap() {
-            RawStep::Frame { seq: 2, .. } => {}
-            other => panic!("expected seq 2, got {:?}", other),
-        }
-    }
-
-    #[test]
-    fn read_step_raw_consumes_corrupt_frame_and_stays_aligned() {
-        let (k, p) = encode_msg(&WireMsg::One(Value::Real(2.0)));
-        let mut bytes = encode_frame(k, 0, &p);
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xff;
-        bytes.extend_from_slice(&encode_frame(k, 1, &p));
-        let mut r = FrameReader::new(&bytes[..]);
-        match r.read_step_raw() {
-            Err(FrameError::BadChecksum { .. }) => {}
-            other => panic!("expected BadChecksum, got {:?}", other),
-        }
-        // The corrupt frame was fully consumed; the next one decodes fine.
-        match r.read_step_raw().unwrap() {
-            RawStep::Frame { seq: 1, .. } => {}
-            other => panic!("expected seq 1 after corrupt frame, got {:?}", other),
         }
     }
 

@@ -20,13 +20,14 @@
 //!   socket links and the job/result plumbing of the multi-process driver
 //!   (sequence numbers catch dropped and duplicated frames, a checksum
 //!   catches corruption, and the length prefix makes truncation
-//!   detectable);
+//!   detectable; every detected fault is terminal for its link);
 //! * [`retry`] — the workspace's single backoff policy (exponential,
-//!   jittered, attempt- and deadline-capped), shared by mesh connection,
-//!   link retransmission and worker respawn;
+//!   jittered, attempt- and deadline-capped), shared by mesh connection
+//!   and worker respawn;
 //! * [`fault`] — deterministic fault injection: a seeded, replayable plan
-//!   of frame corruptions and worker kills that drives the recovery
-//!   machinery end-to-end.
+//!   of frame corruptions, drops and worker kills that drives the
+//!   supervised driver's checkpointed respawn end-to-end, and the rule
+//!   that decides which planned faults a failed generation consumed.
 //!
 //! The crate deliberately knows nothing about SPMD programs or traces —
 //! only about moving [`hpf_ir::Value`]s between ranks — so the runtime can
@@ -46,9 +47,7 @@ pub use channel::{channel_group, ChannelTransport};
 pub use fault::{FaultAction, FaultInjector, FaultPlan, Injection};
 pub use frame::{FrameError, FrameKind};
 pub use retry::RetryPolicy;
-pub use socket::{
-    Addr, AddrKind, NetListener, NetStream, ReplayBuffer, SocketConfig, SocketTransport,
-};
+pub use socket::{Addr, AddrKind, NetListener, NetStream, SocketConfig, SocketTransport};
 
 /// What travels between ranks: a single value or a coalesced section.
 ///

@@ -1,9 +1,9 @@
 //! The workspace's single backoff/retry implementation.
 //!
-//! Every recovery loop in the stack — socket mesh connection, link-level
-//! retransmission, worker respawn — shares one [`RetryPolicy`]: exponential
-//! backoff with deterministic jitter, capped by both an attempt budget and
-//! a wall-clock deadline. Determinism matters here: recovery is part of the
+//! Every recovery loop in the stack — socket mesh connection and worker
+//! respawn — shares one [`RetryPolicy`]: exponential backoff with
+//! deterministic jitter, capped by both an attempt budget and a wall-clock
+//! deadline. Determinism matters here: recovery is part of the
 //! replay story, and a seeded fault plan must produce the same retry
 //! schedule every run.
 

@@ -16,24 +16,25 @@
 //! simply went silent (`Deadline`) is always *detected* within bounded
 //! time, never waited on forever. Reader threads poll with a short read
 //! timeout: an idle link just keeps waiting, while a timeout in the middle
-//! of a frame is reported as truncation.
+//! of a frame is reported as truncation. Every such fault is terminal for
+//! the link; the supervised driver above heals it by checkpointed gang
+//! respawn.
 //!
 //! The in-flight gauge counts frames read off the wire but not yet
 //! consumed by `recv` — the receive-queue depth, the socket-world analogue
 //! of the channel backend's sent-but-not-received counter.
 
 use crate::fault::{FaultInjector, Injection};
-use crate::frame::{self, Dec, Enc, FrameError, FrameKind, FrameReader, FrameWriter, RawStep, ReadStep};
+use crate::frame::{self, Dec, Enc, FrameKind, FrameReader, FrameWriter, ReadStep};
 use crate::retry::RetryPolicy;
 use crate::{NetError, NetErrorKind, Transport, WireMsg};
-use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -44,14 +45,6 @@ const POLL: Duration = Duration::from_millis(500);
 
 /// Accept loops poll at this interval while waiting for peers.
 const ACCEPT_POLL: Duration = Duration::from_millis(2);
-
-/// Frames each link's replay buffer retains for retransmission before the
-/// oldest unacknowledged frame falls out of the window.
-const REPLAY_WINDOW: usize = 1024;
-
-/// A recovering receiver acknowledges after this many delivered frames, so
-/// the sender's replay buffer drains steadily instead of only on overflow.
-const ACK_EVERY: u32 = 16;
 
 /// Which address family a listener should bind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -295,7 +288,7 @@ impl Drop for NetListener {
     }
 }
 
-/// Deadlines and recovery knobs for a socket transport.
+/// Deadlines for a socket transport.
 #[derive(Debug, Clone, Copy)]
 pub struct SocketConfig {
     /// Bound on every blocking send/recv.
@@ -303,13 +296,6 @@ pub struct SocketConfig {
     /// Bound on mesh establishment (per link: backoff-connect, accept and
     /// the rank-exchange handshake).
     pub connect_deadline: Duration,
-    /// Link-level retransmission policy. `max_attempts` is the NACK budget
-    /// per link: with the default of 0, recovery is off and every wire
-    /// fault is terminal (the historical behavior); with a positive
-    /// budget, each link keeps a bounded replay buffer and a `seq-gap` or
-    /// `bad-checksum` fault triggers a go-back-N resend instead of an
-    /// error.
-    pub retry: RetryPolicy,
 }
 
 impl Default for SocketConfig {
@@ -317,10 +303,6 @@ impl Default for SocketConfig {
         SocketConfig {
             io_deadline: Duration::from_secs(5),
             connect_deadline: Duration::from_secs(5),
-            retry: RetryPolicy {
-                max_attempts: 0,
-                ..RetryPolicy::default()
-            },
         }
     }
 }
@@ -402,101 +384,13 @@ impl Gauge {
 
 type LinkQueue = Receiver<Result<WireMsg, NetError>>;
 
-/// Bounded store of recently sent frames, keyed by their wire sequence
-/// numbers, from which a NACKed suffix can be replayed (go-back-N).
-///
-/// Frames enter contiguously as they are sent and leave from the front,
-/// either evicted by a cumulative ACK or — once the buffer is full — by
-/// overflow, oldest first. A NACK below the retained window is terminal:
-/// the frame is gone and recovery must escalate past the link level.
-#[derive(Debug)]
-pub struct ReplayBuffer {
-    cap: usize,
-    /// Sequence number of `frames[0]`.
-    first: u32,
-    frames: VecDeque<(FrameKind, Vec<u8>)>,
-}
-
-impl ReplayBuffer {
-    pub fn new(cap: usize) -> ReplayBuffer {
-        ReplayBuffer {
-            cap: cap.max(1),
-            first: 0,
-            frames: VecDeque::new(),
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.frames.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
-    }
-
-    /// Sequence number of the oldest retained frame.
-    pub fn first_seq(&self) -> u32 {
-        self.first
-    }
-
-    /// Sequence number the next pushed frame is expected to carry.
-    pub fn next_seq(&self) -> u32 {
-        self.first.wrapping_add(self.frames.len() as u32)
-    }
-
-    /// Buffer one sent frame. The first push anchors the window at `seq`;
-    /// afterwards sequence numbers must stay contiguous.
-    pub fn push(&mut self, seq: u32, kind: FrameKind, payload: Vec<u8>) {
-        if self.frames.is_empty() {
-            self.first = seq;
-        } else {
-            debug_assert_eq!(seq, self.next_seq(), "replay buffer seqs must be contiguous");
-        }
-        if self.frames.len() >= self.cap {
-            self.frames.pop_front();
-            self.first = self.first.wrapping_add(1);
-        }
-        self.frames.push_back((kind, payload));
-    }
-
-    /// Cumulative acknowledgement: evict every frame with sequence number
-    /// `<= seq`. Frames above it stay replayable.
-    pub fn ack(&mut self, seq: u32) {
-        while !self.frames.is_empty() && self.first <= seq {
-            self.frames.pop_front();
-            self.first = self.first.wrapping_add(1);
-        }
-    }
-
-    /// The retained frames from `seq` onward, for retransmission. `None`
-    /// when `seq` has already left the window (the link cannot self-heal).
-    pub fn from_seq(&self, seq: u32) -> Option<Vec<(u32, FrameKind, Vec<u8>)>> {
-        if seq < self.first || seq > self.next_seq() {
-            return None;
-        }
-        let skip = (seq - self.first) as usize;
-        Some(
-            self.frames
-                .iter()
-                .enumerate()
-                .skip(skip)
-                .map(|(i, (k, p))| (self.first.wrapping_add(i as u32), *k, p.clone()))
-                .collect(),
-        )
-    }
-}
-
-/// A link's send half: the framed writer plus, when recovery is enabled,
-/// the replay buffer and the data-frame ordinal the fault injector keys
-/// on. Shared (`Arc<Mutex>`) between [`Transport::send`] and the link's
-/// reader thread, which services the peer's incoming ACK/NACK control
-/// frames.
+/// A link's send half: the framed writer plus the data-frame ordinal the
+/// fault injector keys on.
 #[derive(Debug)]
 struct LinkSender {
     writer: FrameWriter<NetStream>,
-    replay: Option<ReplayBuffer>,
-    /// Ordinal of fresh (non-retransmitted) data frames sent on this link,
-    /// the counter fault plans address.
+    /// Ordinal of data frames sent on this link, the counter fault plans
+    /// address.
     data_sent: u64,
 }
 
@@ -505,7 +399,7 @@ struct LinkSender {
 pub struct SocketTransport {
     rank: usize,
     nproc: usize,
-    senders: Vec<Option<Arc<Mutex<LinkSender>>>>,
+    senders: Vec<Option<LinkSender>>,
     queues: Vec<Option<LinkQueue>>,
     readers: Vec<Option<JoinHandle<()>>>,
     /// Per link: number of frames successfully read (the acknowledged
@@ -513,14 +407,10 @@ pub struct SocketTransport {
     /// Updated by the link's reader thread.
     acked: Vec<Option<Arc<AtomicU64>>>,
     /// Fault events recorded on this endpoint (codec faults, dead peers,
-    /// deadlines, recovery actions), drained via
-    /// [`Transport::take_fault_events`]. Shared with the reader threads,
-    /// which record retransmission activity.
-    faults: Arc<Mutex<Vec<hpf_obs::TraceEvent>>>,
-    /// Frames this endpoint resent in response to peer NACKs.
-    retransmits: Arc<AtomicU64>,
+    /// deadlines), drained via [`Transport::take_fault_events`].
+    faults: Vec<hpf_obs::TraceEvent>,
     /// When present, the send path consults the plan's injector before
-    /// every fresh data frame.
+    /// every data frame.
     injector: Option<FaultInjector>,
     origin: Instant,
     stopping: Arc<AtomicBool>,
@@ -643,11 +533,8 @@ impl SocketTransport {
         // Switch every link to run mode and start its reader thread.
         let stopping = Arc::new(AtomicBool::new(false));
         let gauge = Arc::new(Gauge::default());
-        let faults = Arc::new(Mutex::new(Vec::new()));
-        let retransmits = Arc::new(AtomicU64::new(0));
         let origin = Instant::now();
-        let recovery = cfg.retry.max_attempts > 0;
-        let mut senders: Vec<Option<Arc<Mutex<LinkSender>>>> = (0..nproc).map(|_| None).collect();
+        let mut senders: Vec<Option<LinkSender>> = (0..nproc).map(|_| None).collect();
         let mut queues: Vec<Option<LinkQueue>> = (0..nproc).map(|_| None).collect();
         let mut readers: Vec<Option<JoinHandle<()>>> = (0..nproc).map(|_| None).collect();
         let mut acked: Vec<Option<Arc<AtomicU64>>> = (0..nproc).map(|_| None).collect();
@@ -671,28 +558,14 @@ impl SocketTransport {
             // current sequence position.
             let ack = Arc::new(AtomicU64::new(reader.seq() as u64));
             let ack_thread = ack.clone();
-            let sender = Arc::new(Mutex::new(LinkSender {
+            let handle = std::thread::Builder::new()
+                .name(format!("net-r{}p{}", rank, peer))
+                .spawn(move || reader_loop(reader, tx, st, g, ack_thread, rank, peer))
+                .map_err(|e| NetError::new(NetErrorKind::Io, format!("spawn reader: {}", e)))?;
+            senders[peer] = Some(LinkSender {
                 writer,
-                replay: recovery.then(|| ReplayBuffer::new(REPLAY_WINDOW)),
                 data_sent: 0,
-            }));
-            let builder = std::thread::Builder::new().name(format!("net-r{}p{}", rank, peer));
-            let handle = if recovery {
-                let link = RecoveryLink {
-                    sender: sender.clone(),
-                    faults: faults.clone(),
-                    retransmits: retransmits.clone(),
-                    retry: cfg.retry,
-                    origin,
-                };
-                builder.spawn(move || {
-                    recovery_reader_loop(reader, tx, st, g, ack_thread, rank, peer, link)
-                })
-            } else {
-                builder.spawn(move || reader_loop(reader, tx, st, g, ack_thread, rank, peer))
-            }
-            .map_err(|e| NetError::new(NetErrorKind::Io, format!("spawn reader: {}", e)))?;
-            senders[peer] = Some(sender);
+            });
             queues[peer] = Some(rx);
             readers[peer] = Some(handle);
             acked[peer] = Some(ack);
@@ -704,8 +577,7 @@ impl SocketTransport {
             queues,
             readers,
             acked,
-            faults,
-            retransmits,
+            faults: Vec::new(),
             injector: None,
             origin,
             stopping,
@@ -728,27 +600,21 @@ impl SocketTransport {
 
     /// Fault events recorded so far (see [`Transport::take_fault_events`]
     /// for the draining accessor).
-    pub fn faults(&self) -> Vec<hpf_obs::TraceEvent> {
-        self.faults.lock().unwrap().clone()
+    pub fn faults(&self) -> &[hpf_obs::TraceEvent] {
+        &self.faults
     }
 
-    /// Frames this endpoint resent in response to peer NACKs.
-    pub fn retransmits(&self) -> u64 {
-        self.retransmits.load(Ordering::Relaxed)
-    }
-
-    /// Arm a fault injector: the send path consults it before every fresh
-    /// data frame, corrupting or dropping the scheduled ones. Pair with a
-    /// positive [`RetryPolicy::max_attempts`] in the config, or the
-    /// injected faults are terminal.
+    /// Arm a fault injector: the send path consults it before every data
+    /// frame, corrupting or dropping the scheduled ones. The receiver
+    /// detects each as a terminal link fault.
     pub fn set_fault_injector(&mut self, inj: FaultInjector) {
         self.injector = Some(inj);
     }
 
     /// Record a fault event for an error observed on the link to `peer`.
-    fn note_fault(&self, peer: usize, e: &NetError) {
+    fn note_fault(&mut self, peer: usize, e: &NetError) {
         let acked = self.acked_frames(peer);
-        self.faults.lock().unwrap().push(hpf_obs::TraceEvent {
+        self.faults.push(hpf_obs::TraceEvent {
             t_us: self.origin.elapsed().as_micros() as u64,
             rank: Some(self.rank),
             body: hpf_obs::Body::Fault {
@@ -765,9 +631,8 @@ impl SocketTransport {
             return;
         }
         self.finished = true;
-        for s in self.senders.iter().flatten() {
+        for s in self.senders.iter_mut().flatten() {
             // Best effort: the peer may already be gone.
-            let mut s = s.lock().unwrap();
             let _ = s.writer.write(FrameKind::Bye, &[]);
             let _ = s.writer.get_ref().shutdown(Shutdown::Write);
         }
@@ -881,232 +746,6 @@ fn reader_loop(
     }
 }
 
-/// The recovery reader thread's handles into the shared link state.
-struct RecoveryLink {
-    sender: Arc<Mutex<LinkSender>>,
-    faults: Arc<Mutex<Vec<hpf_obs::TraceEvent>>>,
-    retransmits: Arc<AtomicU64>,
-    retry: RetryPolicy,
-    origin: Instant,
-}
-
-impl RecoveryLink {
-    fn note(&self, rank: usize, peer: usize, name: &str, detail: String, last_seq: Option<u64>) {
-        self.faults.lock().unwrap().push(hpf_obs::TraceEvent {
-            t_us: self.origin.elapsed().as_micros() as u64,
-            rank: Some(rank),
-            body: hpf_obs::Body::Fault {
-                name: name.to_string(),
-                detail,
-                peer: Some(peer),
-                last_seq,
-            },
-        });
-    }
-}
-
-/// The recovering counterpart of [`reader_loop`]: reads frames without
-/// committing to sequence continuity, owns the expected-seq state itself,
-/// and turns `seq-gap` / `bad-checksum` faults into NACKs (bounded by the
-/// retry policy's attempt budget) instead of terminal errors. Incoming
-/// `Nack` control frames trigger a go-back-N resend from the link's replay
-/// buffer; incoming `Ack`s drain it. Faults that lose stream alignment
-/// (truncation, bad magic) stay terminal — those escalate to the worker
-/// supervision layer.
-#[allow(clippy::too_many_arguments)]
-fn recovery_reader_loop(
-    mut reader: FrameReader<NetStream>,
-    tx: Sender<Result<WireMsg, NetError>>,
-    stopping: Arc<AtomicBool>,
-    gauge: Arc<Gauge>,
-    acked: Arc<AtomicU64>,
-    local: usize,
-    peer: usize,
-    link: RecoveryLink,
-) {
-    // The handshake consumed the Hello under full validation; from here
-    // this loop owns the expected sequence number.
-    let mut expected: u32 = reader.seq();
-    let mut nacks_sent: u32 = 0;
-    // The seq most recently NACKed: frames already in flight behind a gap
-    // keep arriving out of order, and each one must not re-NACK.
-    let mut last_nacked: Option<u32> = None;
-    let mut since_ack: u32 = 0;
-    loop {
-        match reader.read_step_raw() {
-            Ok(RawStep::Idle) => {
-                if stopping.load(Ordering::Relaxed) {
-                    return;
-                }
-            }
-            Ok(RawStep::Eof) => {
-                if !stopping.load(Ordering::Relaxed) {
-                    let _ = tx.send(Err(NetError::new(
-                        NetErrorKind::Closed,
-                        "peer closed the link without goodbye (process died?)",
-                    )
-                    .on_link(local, peer)));
-                }
-                return;
-            }
-            Ok(RawStep::Frame { kind: FrameKind::Ack, seq, .. }) => {
-                if let Some(rb) = link.sender.lock().unwrap().replay.as_mut() {
-                    rb.ack(seq);
-                }
-            }
-            Ok(RawStep::Frame { kind: FrameKind::Nack, seq, .. }) => {
-                let mut s = link.sender.lock().unwrap();
-                let frames = s.replay.as_ref().and_then(|rb| rb.from_seq(seq));
-                match frames {
-                    Some(fs) => {
-                        let mut resent = 0u64;
-                        for (fseq, k, p) in &fs {
-                            if s.writer.write_raw(*k, *fseq, p).is_err() {
-                                // The send path will see the broken link
-                                // too; report what we managed.
-                                break;
-                            }
-                            resent += 1;
-                        }
-                        drop(s);
-                        link.retransmits.fetch_add(resent, Ordering::Relaxed);
-                        link.note(
-                            local,
-                            peer,
-                            "retransmit",
-                            format!(
-                                "peer NACKed seq {}: resent {} frame(s) to rank {}",
-                                seq, resent, peer
-                            ),
-                            Some(seq as u64),
-                        );
-                    }
-                    None => {
-                        drop(s);
-                        let _ = tx.send(Err(NetError::new(
-                            NetErrorKind::Protocol,
-                            format!(
-                                "peer NACKed seq {} below the replay window: retransmit window exceeded",
-                                seq
-                            ),
-                        )
-                        .on_link(local, peer)));
-                        return;
-                    }
-                }
-            }
-            Ok(RawStep::Frame { kind, seq, payload }) => {
-                if seq < expected {
-                    // Stale tail of a go-back-N resend; already delivered.
-                    continue;
-                }
-                if seq > expected {
-                    // A gap. NACK once per missing seq; frames already in
-                    // flight keep arriving above `expected` and are
-                    // discarded until the resend catches up.
-                    if last_nacked != Some(expected) {
-                        let fault = FrameError::SeqGap { expected, got: seq };
-                        if nacks_sent >= link.retry.max_attempts {
-                            let _ = tx.send(Err(NetError::from(fault).on_link(local, peer)));
-                            return;
-                        }
-                        nacks_sent += 1;
-                        last_nacked = Some(expected);
-                        link.note(
-                            local,
-                            peer,
-                            "retransmit",
-                            format!(
-                                "{}; requested retransmit from seq {} (attempt {}/{})",
-                                fault, expected, nacks_sent, link.retry.max_attempts
-                            ),
-                            (expected as u64).checked_sub(1),
-                        );
-                        let _ = link
-                            .sender
-                            .lock()
-                            .unwrap()
-                            .writer
-                            .write_raw(FrameKind::Nack, expected, &[]);
-                    }
-                    continue;
-                }
-                // In sequence: deliver.
-                expected = expected.wrapping_add(1);
-                last_nacked = None;
-                acked.store(expected as u64, Ordering::Relaxed);
-                match kind {
-                    FrameKind::Bye => return,
-                    FrameKind::One | FrameKind::Many => {
-                        match frame::decode_msg(kind, &payload) {
-                            Ok(m) => {
-                                gauge.read_off_wire();
-                                if tx.send(Ok(m)).is_err() {
-                                    return;
-                                }
-                            }
-                            Err(e) => {
-                                let _ = tx.send(Err(NetError::from(e).on_link(local, peer)));
-                                return;
-                            }
-                        }
-                        since_ack += 1;
-                        if since_ack >= ACK_EVERY {
-                            since_ack = 0;
-                            let _ = link
-                                .sender
-                                .lock()
-                                .unwrap()
-                                .writer
-                                .write_raw(FrameKind::Ack, expected.wrapping_sub(1), &[]);
-                        }
-                    }
-                    _ => {
-                        let _ = tx.send(Err(NetError::new(
-                            NetErrorKind::Protocol,
-                            format!("unexpected {:?} frame mid-stream", kind),
-                        )
-                        .on_link(local, peer)));
-                        return;
-                    }
-                }
-            }
-            Err(e @ FrameError::BadChecksum { .. }) => {
-                // The corrupt frame was fully consumed, so the stream is
-                // still aligned: ask for it again.
-                if nacks_sent >= link.retry.max_attempts {
-                    let _ = tx.send(Err(NetError::from(e).on_link(local, peer)));
-                    return;
-                }
-                nacks_sent += 1;
-                last_nacked = Some(expected);
-                link.note(
-                    local,
-                    peer,
-                    "retransmit",
-                    format!(
-                        "{}; requested retransmit from seq {} (attempt {}/{})",
-                        e, expected, nacks_sent, link.retry.max_attempts
-                    ),
-                    (expected as u64).checked_sub(1),
-                );
-                let _ = link
-                    .sender
-                    .lock()
-                    .unwrap()
-                    .writer
-                    .write_raw(FrameKind::Nack, expected, &[]);
-            }
-            Err(e) => {
-                // Truncation / bad magic lose byte alignment; there is no
-                // way to find the next frame boundary, so the link is done.
-                let _ = tx.send(Err(NetError::from(e).on_link(local, peer)));
-                return;
-            }
-        }
-    }
-}
-
 impl Transport for SocketTransport {
     fn rank(&self) -> usize {
         self.rank
@@ -1118,17 +757,15 @@ impl Transport for SocketTransport {
 
     fn send(&mut self, to: usize, msg: &WireMsg) -> Result<(), NetError> {
         let rank = self.rank;
-        let sender = self
+        let s = self
             .senders
-            .get(to)
-            .and_then(|s| s.as_ref())
-            .cloned()
+            .get_mut(to)
+            .and_then(|s| s.as_mut())
             .ok_or_else(|| {
                 NetError::new(NetErrorKind::Protocol, format!("no link to rank {}", to))
                     .on_link(rank, to)
             })?;
         let (kind, payload) = frame::encode_msg(msg);
-        let mut s = sender.lock().unwrap();
         let ordinal = s.data_sent;
         s.data_sent += 1;
         let injection = self
@@ -1136,19 +773,13 @@ impl Transport for SocketTransport {
             .as_ref()
             .map(|i| i.on_send(to, ordinal))
             .unwrap_or(Injection::Clean);
-        let seq = s.writer.seq();
-        if let Some(rb) = s.replay.as_mut() {
-            // Always buffer the *clean* frame: a corrupted or dropped
-            // frame is recovered by resending the real bytes.
-            rb.push(seq, kind, payload.clone());
-        }
         let res = match injection {
             Injection::Clean => s.writer.write(kind, &payload),
             Injection::Corrupt => {
                 // Encode honestly, then flip a checksum byte so the
                 // receiver sees `bad-checksum` on an otherwise well-formed
                 // frame.
-                let mut bytes = frame::encode_frame(kind, seq, &payload);
+                let mut bytes = frame::encode_frame(kind, s.writer.seq(), &payload);
                 bytes[12] ^= 0xff;
                 s.writer.skip_seq();
                 s.writer
@@ -1166,7 +797,6 @@ impl Transport for SocketTransport {
         .map_err(|e| {
             NetError::new(classify_io(&e), format!("send failed: {}", e)).on_link(rank, to)
         });
-        drop(s);
         if let Err(e) = &res {
             self.note_fault(to, e);
         }
@@ -1204,8 +834,7 @@ impl Transport for SocketTransport {
             .on_link(rank, from)),
         };
         if let Err(e) = &res {
-            let e = e.clone();
-            self.note_fault(from, &e);
+            self.note_fault(from, e);
         }
         res
     }
@@ -1225,11 +854,11 @@ impl Transport for SocketTransport {
             .and_then(|s| s.as_ref())
             // seq() is the *next* number; the last written frame (at least
             // the Hello) carried seq() - 1.
-            .map(|s| (s.lock().unwrap().writer.seq() as u64).saturating_sub(1))
+            .map(|s| (s.writer.seq() as u64).saturating_sub(1))
     }
 
     fn take_fault_events(&mut self) -> Vec<hpf_obs::TraceEvent> {
-        std::mem::take(&mut *self.faults.lock().unwrap())
+        std::mem::take(&mut self.faults)
     }
 }
 
@@ -1372,111 +1001,10 @@ mod tests {
         let _ = h.join();
     }
 
+    /// Detection: an injected fault is terminal at the link and named by
+    /// the frame codec.
     #[test]
-    fn replay_buffer_acks_and_overflows_from_the_front() {
-        let mut rb = ReplayBuffer::new(3);
-        assert!(rb.is_empty());
-        rb.push(5, FrameKind::One, vec![1]);
-        rb.push(6, FrameKind::One, vec![2]);
-        rb.push(7, FrameKind::One, vec![3]);
-        assert_eq!(rb.first_seq(), 5);
-        assert_eq!(rb.from_seq(6).unwrap().len(), 2);
-        // Below the window: the frame is gone.
-        assert!(rb.from_seq(4).is_none());
-        rb.ack(5);
-        assert_eq!((rb.first_seq(), rb.len()), (6, 2));
-        // Overflow evicts the oldest.
-        rb.push(8, FrameKind::One, vec![4]);
-        rb.push(9, FrameKind::One, vec![5]);
-        assert_eq!((rb.first_seq(), rb.len()), (7, 3));
-        // Acks below the window are no-ops.
-        rb.ack(3);
-        assert_eq!(rb.len(), 3);
-        rb.ack(9);
-        assert!(rb.is_empty());
-    }
-
-    fn recovery_cfg(budget: u32) -> SocketConfig {
-        SocketConfig {
-            retry: RetryPolicy {
-                max_attempts: budget,
-                ..RetryPolicy::default()
-            },
-            ..SocketConfig::default()
-        }
-    }
-
-    /// Injected corruption and drops must heal through NACK-driven
-    /// retransmission: the receiver sees every message, in order, and the
-    /// recovery is visible in the counters and the fault trace.
-    #[test]
-    fn injected_link_faults_heal_via_retransmission() {
-        use crate::fault::{FaultInjector, FaultPlan};
-        let mut group = mesh(AddrKind::default(), 2, recovery_cfg(8));
-        let plan = FaultPlan::parse("corrupt:0>1@1,drop:0>1@3").unwrap();
-        for t in &mut group {
-            let rank = t.rank();
-            t.set_fault_injector(FaultInjector::new(&plan, rank));
-        }
-        let mut rx = group.pop().unwrap();
-        let mut tx = group.pop().unwrap();
-        for i in 0..6 {
-            tx.send(1, &WireMsg::One(Value::Int(i))).unwrap();
-        }
-        for i in 0..6 {
-            assert_eq!(rx.recv(0).unwrap(), WireMsg::One(Value::Int(i)));
-        }
-        assert!(
-            tx.retransmits() >= 2,
-            "both injected faults should force resends, saw {}",
-            tx.retransmits()
-        );
-        let sender_events: Vec<String> = tx
-            .faults()
-            .iter()
-            .filter_map(|e| match &e.body {
-                hpf_obs::Body::Fault { name, .. } => Some(name.clone()),
-                _ => None,
-            })
-            .collect();
-        assert!(
-            sender_events.iter().any(|n| n == "retransmit"),
-            "sender side must record its resends, saw {:?}",
-            sender_events
-        );
-        assert!(
-            !rx.faults().is_empty(),
-            "receiver side must record the NACK requests"
-        );
-        tx.finish().unwrap();
-        rx.finish().unwrap();
-    }
-
-    /// With recovery enabled but no faults injected, traffic flows exactly
-    /// as before and the counters stay zero.
-    #[test]
-    fn clean_run_under_recovery_mode_counts_nothing() {
-        let mut group = mesh(AddrKind::default(), 2, recovery_cfg(4));
-        let mut rx = group.pop().unwrap();
-        let mut tx = group.pop().unwrap();
-        // Enough traffic to cross the ACK cadence and drain the buffer.
-        for i in 0..40 {
-            tx.send(1, &WireMsg::One(Value::Int(i))).unwrap();
-        }
-        for i in 0..40 {
-            assert_eq!(rx.recv(0).unwrap(), WireMsg::One(Value::Int(i)));
-        }
-        assert_eq!(tx.retransmits(), 0);
-        assert_eq!(rx.retransmits(), 0);
-        assert!(tx.faults().is_empty() && rx.faults().is_empty());
-        tx.finish().unwrap();
-        rx.finish().unwrap();
-    }
-
-    /// A zero retry budget is the historical behavior: the first injected
-    /// fault is terminal.
-    #[test]
-    fn zero_budget_keeps_faults_terminal() {
+    fn injected_link_fault_is_terminal_and_named() {
         use crate::fault::{FaultInjector, FaultPlan};
         let mut group = mesh(
             AddrKind::default(),

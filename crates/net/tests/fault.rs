@@ -23,7 +23,6 @@ fn test_config() -> SocketConfig {
     SocketConfig {
         io_deadline: Duration::from_secs(2),
         connect_deadline: Duration::from_secs(5),
-        ..SocketConfig::default()
     }
 }
 

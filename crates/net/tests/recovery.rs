@@ -1,7 +1,6 @@
-//! Property tests for the recovery primitives: the shared retry policy's
-//! delay schedule and the per-link replay buffer.
+//! Property tests for the shared retry policy's delay schedule.
 
-use hpf_net::{FrameKind, ReplayBuffer, RetryPolicy};
+use hpf_net::RetryPolicy;
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -52,49 +51,5 @@ proptest! {
         prop_assert!(delays.len() <= attempts as usize);
         let total: Duration = delays.iter().sum();
         prop_assert!(total <= p.deadline, "schedule overshot the deadline");
-    }
-
-    /// With enough capacity, frames leave the replay buffer only through
-    /// cumulative ACKs: after any interleaving of pushes and acks, exactly
-    /// the frames above the highest ack remain, and each is retrievable
-    /// under its original sequence number with its original payload.
-    #[test]
-    fn replay_buffer_evicts_only_acked_frames(
-        first in 0u32..1000,
-        pushes in 1usize..60,
-        ack_points in proptest::collection::vec(0usize..60, 0..6),
-    ) {
-        let mut rb = ReplayBuffer::new(64);
-        let mut highest_ack: Option<u32> = None;
-        let mut acks = ack_points.clone();
-        acks.sort_unstable();
-        let mut acks = acks.into_iter().peekable();
-        for i in 0..pushes {
-            let seq = first + i as u32;
-            rb.push(seq, FrameKind::One, vec![i as u8]);
-            while acks.peek() == Some(&i) {
-                acks.next();
-                rb.ack(seq);
-                highest_ack = Some(seq);
-            }
-        }
-        let live_from = match highest_ack {
-            Some(a) => a + 1,
-            None => first,
-        };
-        let last = first + pushes as u32 - 1;
-        let expect_live = (last + 1).saturating_sub(live_from) as usize;
-        prop_assert_eq!(rb.len(), expect_live, "only ACKed frames may leave");
-        if expect_live > 0 {
-            prop_assert_eq!(rb.first_seq(), live_from);
-            let frames = rb.from_seq(live_from).expect("window must retain unacked frames");
-            for (seq, _, payload) in frames {
-                prop_assert_eq!(payload, vec![(seq - first) as u8]);
-            }
-        }
-        // Anything below the live window is unrecoverable, by design.
-        if live_from > first {
-            prop_assert!(rb.from_seq(live_from - 1).is_none());
-        }
     }
 }

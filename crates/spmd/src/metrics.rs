@@ -57,11 +57,13 @@ pub struct OpMetrics {
 /// All zeros on a fault-free run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryCounters {
-    /// Frames resent after a peer's NACK (link-level retransmission).
+    /// Frames resent at the link level. Always 0: a link fault is healed
+    /// by gang respawn, never by retransmission. The field keeps the
+    /// `"recovery"` JSON layout that benchmark tooling reads.
     pub retransmits: u64,
     /// Worker heartbeats that missed their deadline at the supervisor.
     pub heartbeat_misses: u64,
-    /// Worker processes respawned from an epoch checkpoint.
+    /// Gang restarts of the worker cohort from an epoch checkpoint.
     pub respawns: u64,
     /// Whole-job downgrades to the in-process thread backend.
     pub fallbacks: u64,
@@ -93,8 +95,8 @@ pub struct CommMetrics {
     /// assembly); the threaded runtime reports real sent-but-not-received
     /// messages across all channels.
     pub max_in_flight: u64,
-    /// Self-healing overhead: retransmissions, heartbeat misses, respawns
-    /// and backend fallbacks (all zero on a fault-free run).
+    /// Self-healing overhead: heartbeat misses, respawns and backend
+    /// fallbacks (all zero on a fault-free run).
     pub recovery: RecoveryCounters,
 }
 

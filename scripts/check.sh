@@ -208,9 +208,11 @@ else
 fi
 
 echo "==> chaos smoke (TOMCATV small, socket backend, injected faults)"
-# A corrupted frame plus a worker kill must self-heal (retransmission +
-# checkpointed gang respawn), still validate against the reference, and
-# report its recovery work in both the trace and the BENCH_JSON counters.
+# A corrupted frame plus a worker kill must self-heal: the receiver detects
+# the frame (bad-checksum) and each fault fails one generation, which
+# checkpointed gang respawn restarts. The run must still validate against
+# the reference and report its recovery work in both the trace and the
+# BENCH_JSON counters.
 chaostrace=$(mktemp -t phpfc-chaos.XXXXXX)
 trap 'rm -f "$goldtrace" "$dgefachaos" "$tracefile" "$chaostrace"' EXIT
 set +e
@@ -228,7 +230,7 @@ echo "$out" | grep -q 'backend socket: replay on 4 worker processes matched' || 
     echo "$out" >&2
     exit 1
 }
-for needle in '"name":"fault:retransmit"' '"name":"fault:respawn"' '"name":"fault:checkpoint"'; do
+for needle in '"name":"fault:bad-checksum"' '"name":"fault:respawn"' '"name":"fault:checkpoint"'; do
     grep -q "$needle" "$chaostrace" || {
         echo "FAIL: chaos trace lacks $needle" >&2
         exit 1

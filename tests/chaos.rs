@@ -1,8 +1,9 @@
 //! Chaos suite: the self-healing socket backend must produce *bit-identical*
 //! results under injected faults. Every test drives a deterministic
 //! `FaultPlan` through the supervised driver and compares the outcome
-//! against a fault-free thread-backend run of the same program — the
-//! recovery ladder (link retransmission → checkpointed gang respawn →
+//! against a fault-free thread-backend run of the same program. Every
+//! fault — a corrupt or dropped frame as much as a killed worker — fails
+//! its generation, and the recovery ladder (checkpointed gang respawn →
 //! thread-backend fallback) may cost time, never correctness.
 
 use phpf::compile::netrun::{self, FaultPlan, NetJob, NetRunConfig, EVENT_CHUNK_BYTES};
@@ -53,24 +54,25 @@ fn cfg_with_plan(plan: &str) -> NetRunConfig {
     }
 }
 
-/// Corrupted and dropped frames are healed by NACK-driven retransmission
-/// alone: no respawn, no degradation, and the replay is bit-identical to
-/// the fault-free thread run — traffic counters included.
+/// Corrupted and dropped frames are terminal at the link: each fails its
+/// generation, and checkpointed gang respawn heals the run. Nothing is
+/// retransmitted, nothing degrades, and the replay is bit-identical to the
+/// fault-free thread run — traffic counters included. The salvaged trace
+/// names each detected fault exactly once: each injection fired once.
 #[test]
-fn retransmission_heals_corrupt_and_drop() {
+fn link_faults_heal_by_gang_respawn() {
     let job = faulted_job(true);
     let compiled = job.compile().unwrap();
     let threads = thread_reference(&job);
 
     let r = netrun::socket_validate_replay(&job, &cfg_with_plan("corrupt:0>1@2,drop:2>3@1"))
         .expect("faulted socket replay");
-    assert!(!r.degraded, "retransmission must heal without degradation");
+    assert!(!r.degraded, "gang respawn must heal without degradation");
+    assert_eq!(r.metrics.recovery.retransmits, 0, "links never retransmit");
     assert!(
-        r.metrics.recovery.retransmits >= 2,
-        "both injections must cost at least one retransmission each, got {}",
-        r.metrics.recovery.retransmits
+        r.metrics.recovery.respawns >= 1,
+        "the link faults must cost a gang respawn"
     );
-    assert_eq!(r.metrics.recovery.respawns, 0, "no worker death was injected");
     assert_eq!(r.metrics.recovery.fallbacks, 0);
 
     check_owner_slots(&compiled.spmd, &r.mems, &threads.mems)
@@ -83,11 +85,16 @@ fn retransmission_heals_corrupt_and_drop() {
 
     let trace = r.obs.expect("trace requested");
     let names = trace.fault_names();
-    assert!(
-        names.contains(&"retransmit"),
-        "trace must record the retransmissions, got {:?}",
-        names
-    );
+    for detected in ["bad-checksum", "seq-gap"] {
+        assert_eq!(
+            names.iter().filter(|&&n| n == detected).count(),
+            1,
+            "trace must record `{}` once, got {:?}",
+            detected,
+            names
+        );
+    }
+    assert!(names.contains(&"respawn"), "got {:?}", names);
 }
 
 /// A worker killed *after* the first committed checkpoint is respawned as
@@ -210,9 +217,8 @@ fn seeded_plans_are_bit_identical_to_fault_free() {
 
 /// The paper's acceptance matrix: on each of the three kernels (TOMCATV,
 /// DGEFA, APPSP), a plan injecting one corrupted frame on a live link plus
-/// one worker kill must heal — retransmission for the frame, checkpointed
-/// gang respawn for the kill — and converge bit-identically to the
-/// fault-free thread run.
+/// one worker kill must heal — each by its own checkpointed gang respawn —
+/// and converge bit-identically to the fault-free thread run.
 #[test]
 fn each_kernel_heals_corrupt_frame_plus_worker_kill() {
     let kernels = [
@@ -230,7 +236,7 @@ fn each_kernel_heals_corrupt_frame_plus_worker_kill() {
         // Trace a reference run to aim the faults: corrupt the first frame
         // of a link that carries traffic in epoch 0, and kill rank 1 in the
         // middle of epoch 1 — strictly after the corrupt fires and after
-        // the first checkpoint commits, so both recovery rungs engage.
+        // the first checkpoint commits, so each fails its own generation.
         let fills: Vec<(phpf::ir::VarId, Vec<f64>)> = job
             .fills
             .iter()
@@ -263,14 +269,11 @@ fn each_kernel_heals_corrupt_frame_plus_worker_kill() {
         let r = netrun::socket_validate_replay(&job, &cfg_with_plan(&plan))
             .unwrap_or_else(|e| panic!("{} under `{}`: {}", name, plan, e));
         assert!(!r.degraded, "{}: must heal without degradation", name);
-        assert!(
-            r.metrics.recovery.retransmits >= 1,
-            "{}: the corrupted frame must cost a retransmission",
-            name
-        );
-        assert!(
-            r.metrics.recovery.respawns >= 1,
-            "{}: the kill must trigger a gang respawn",
+        // The corrupt frame fails generation 1 in epoch 0, the kill fails
+        // generation 2 in epoch 1, and generation 3 finishes.
+        assert_eq!(
+            r.metrics.recovery.respawns, 2,
+            "{}: the corrupt frame and the kill must each cost one gang respawn",
             name
         );
         assert_eq!(r.metrics.recovery.fallbacks, 0, "{}", name);
@@ -280,7 +283,7 @@ fn each_kernel_heals_corrupt_frame_plus_worker_kill() {
 }
 
 /// Supervision without faults is free of side effects: an empty plan with
-/// a retry budget runs the epoch protocol, reports all-zero recovery
+/// a respawn budget runs the epoch protocol, reports all-zero recovery
 /// counters, and matches the fault-free run exactly.
 #[test]
 fn supervised_clean_run_has_zero_counters() {
@@ -289,7 +292,7 @@ fn supervised_clean_run_has_zero_counters() {
     let threads = thread_reference(&job);
 
     let cfg = NetRunConfig {
-        retries: 2,
+        respawn_budget: Some(2),
         ..NetRunConfig::default()
     };
     let r = netrun::socket_validate_replay(&job, &cfg).expect("supervised clean replay");
@@ -389,4 +392,43 @@ fn respawn_follows_the_live_executor() {
     at(&fault("respawn", "from checkpoint epoch 2 "));
     check_owner_slots(&compiled.spmd, &r.mems, &threads.mems)
         .expect("resumed memories must be bit-identical to the thread run");
+}
+
+/// A healed run reports the traffic of the whole run, not just the part
+/// after its resume cut: each rank's cumulative counters ride on its
+/// checkpoint, and a respawned worker counts on from them. DGEFA at n=32
+/// with rank 1 killed in the middle of epoch 5 resumes from cut 5.
+#[test]
+fn respawned_run_counts_traffic_before_the_resume_cut() {
+    let job = NetJob::new(dgefa::source(32, SOURCE_P))
+        .with_default_fills()
+        .expect("kernel compiles");
+    let compiled = job.compile().unwrap();
+    let threads = thread_reference(&job);
+    let fills: Vec<(phpf::ir::VarId, Vec<f64>)> = job
+        .fills
+        .iter()
+        .map(|(n, d)| (compiled.spmd.program.vars.lookup(n).unwrap(), d.clone()))
+        .collect();
+    let mut exec = SpmdExec::new(&compiled.spmd, |m| {
+        for (v, data) in &fills {
+            m.fill_real(*v, data);
+        }
+    })
+    .with_trace();
+    exec.run().expect("reference run");
+    let cuts = exec.epoch_cuts();
+    assert!(cuts.len() > 6, "{} cuts", cuts.len());
+    let kill_at = (cuts[5][1] + cuts[6][1]) / 2;
+    assert!(kill_at > cuts[5][1], "kill must land inside epoch 5");
+
+    let r = netrun::socket_validate_replay(&job, &cfg_with_plan(&format!("kill:1@{}", kill_at)))
+        .expect("killed worker must be healed by respawn");
+    assert!(!r.degraded);
+    assert_eq!(r.metrics.recovery.respawns, 1);
+    check_owner_slots(&compiled.spmd, &r.mems, &threads.mems)
+        .expect("resumed memories must be bit-identical to the thread run");
+    assert_eq!(r.metrics.per_proc, threads.metrics.per_proc);
+    assert_eq!(r.metrics.messages(), threads.metrics.messages());
+    assert_eq!(r.stats.messages_sent, threads.stats.messages_sent);
 }

@@ -23,12 +23,15 @@
 //!                  [--fault-plan <p>]  socket backend only: inject the
 //!                                      given deterministic faults (e.g.
 //!                                      "corrupt:0>1@2,kill:1@8" or
-//!                                      "seed:42") and self-heal through
-//!                                      checkpointed gang respawn and —
+//!                                      "seed:42") and self-heal by
+//!                                      rerunning a failed run from the
+//!                                      start with a fresh cohort and —
 //!                                      when the budget is exhausted —
-//!                                      thread-backend fallback; also read
-//!                                      from the PHPF_FAULT_PLAN
-//!                                      environment variable
+//!                                      thread-backend fallback; a plan
+//!                                      naming a rank outside the grid is
+//!                                      an error; also read from the
+//!                                      PHPF_FAULT_PLAN environment
+//!                                      variable
 //!                  [--verify]          run the static verifier on the
 //!                                      lowered program (privatization
 //!                                      soundness, schedule matching /
@@ -432,7 +435,7 @@ fn main() -> ExitCode {
                                 r, s, v, p.sent_messages, p.recv_messages
                             );
                             // Fault-plan runs keep salvaged evidence from
-                            // rolled-back generations in the trace; only a
+                            // failed cohorts in the trace; only a
                             // fault-free run treats a mismatch as fatal.
                             if fault_plan.is_none() && !degraded {
                                 return ExitCode::FAILURE;

@@ -28,10 +28,16 @@
 //!   owner slot bit-for-bit against the reference memories
 //!   ([`hpf_spmd::check_owner_slots`]).
 //!
-//! Every parent → worker Blob after the job starts with a tag byte: an
-//! event chunk (flags for epoch end and stream end, then one
-//! [`encode_events`] chunk) or, in supervised mode, `Proceed`. Epoch ends
-//! travel in-band, so one worker-side reader serves both modes.
+//! After the job, every parent → worker Blob is an event chunk: a flags
+//! byte (epoch end, stream end), then one [`encode_events`] chunk. Epoch
+//! ends travel in-band, so the job carries no cut offsets.
+//!
+//! Self-healing is a retry loop around this one driver. With a fault plan
+//! or a respawn budget, a cohort that fails — a worker reports an error or
+//! dies — is reaped and the run starts again from the beginning with a
+//! fresh cohort and a fresh reference executor, under
+//! [`FaultPlan::after_failure`]. Once the respawn budget is spent the run
+//! degrades to the in-process thread backend.
 //!
 //! A worker whose registration carries another [`PROTOCOL`] number (a
 //! binary built from older sources) is killed with its cohort before it
@@ -61,7 +67,7 @@ use hpf_spmd::{
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 pub use hpf_net::FaultPlan;
@@ -77,7 +83,7 @@ pub const ENV_WORKER_BIN: &str = "PHPF_NET_WORKER";
 /// Version of the parent ↔ worker control protocol, carried in every
 /// worker's registration frame. A registration without it comes from a
 /// worker binary that predates versioning.
-pub const PROTOCOL: u32 = 4;
+pub const PROTOCOL: u32 = 5;
 
 /// Soft size bound of one event-stream frame: a chunk stops taking events
 /// once its payload reaches this many bytes, so a frame exceeds it by at
@@ -166,9 +172,9 @@ impl NetJob {
     }
 }
 
-/// Failed generations the supervisor respawns before it degrades to the
-/// thread backend, unless [`NetRunConfig::respawn_budget`] says otherwise:
-/// enough for a seeded plan's corrupt, drop and kill to each fail one.
+/// Failed cohorts the driver reruns before it degrades to the thread
+/// backend, unless [`NetRunConfig::respawn_budget`] says otherwise: enough
+/// for a seeded plan's corrupt, drop and kill to each fail one.
 pub const DEFAULT_RESPAWN_BUDGET: u32 = 3;
 
 /// Deadlines, address family and recovery knobs for a multi-process run.
@@ -183,20 +189,17 @@ pub struct NetRunConfig {
     pub result_deadline: Duration,
     /// Fault injection: this rank aborts its process right after the mesh
     /// handshake, so its peers exercise the dead-peer detection path.
-    /// Deliberately *not* rescued by supervision: it exists to prove the
-    /// unsupervised failure path stays loud.
+    /// Deliberately *not* consumed by a respawn: every cohort loses the
+    /// same rank, so it proves the failure path stays loud (a self-healing
+    /// run spends its budget and degrades).
     pub fail_rank: Option<usize>,
     /// Deterministic fault plan (corrupt/drop/kill actions) injected into
-    /// the workers. A non-empty plan switches the driver into supervised
-    /// mode: lock-step epochs, checkpoints, heartbeats and gang respawn.
+    /// the workers. A non-empty plan makes the run self-healing: a failed
+    /// cohort is rerun from the start by a fresh one.
     pub fault_plan: Option<FaultPlan>,
-    /// How often each worker's heartbeat thread beats on its control link.
-    pub heartbeat_interval: Duration,
-    /// Parent-side silence budget per worker before it is declared dead.
-    pub heartbeat_deadline: Duration,
-    /// How many failed generations the supervisor may respawn before it
-    /// degrades to the in-process thread backend. Setting it engages
-    /// supervised mode even without a fault plan; `None` means
+    /// How many failed cohorts the driver may rerun before it degrades to
+    /// the in-process thread backend. Setting it makes the run
+    /// self-healing even without a fault plan; `None` means
     /// [`DEFAULT_RESPAWN_BUDGET`].
     pub respawn_budget: Option<u32>,
 }
@@ -210,8 +213,6 @@ impl Default for NetRunConfig {
             result_deadline: Duration::from_secs(60),
             fail_rank: None,
             fault_plan: None,
-            heartbeat_interval: Duration::from_millis(250),
-            heartbeat_deadline: Duration::from_secs(5),
             respawn_budget: None,
         }
     }
@@ -222,10 +223,10 @@ impl NetRunConfig {
         self.fault_plan.clone().unwrap_or_default()
     }
 
-    /// Supervised mode: lock-step epoch checkpoints, worker heartbeats and
-    /// gang respawn on failure. Engaged by a non-empty fault plan or an
-    /// explicit respawn budget; the default configuration keeps the
-    /// original fire-and-collect driver byte-for-byte.
+    /// Self-healing mode: a failed cohort is rerun from the start by a
+    /// fresh one, up to the respawn budget. Engaged by a non-empty fault
+    /// plan or an explicit respawn budget; by default the first failure is
+    /// the run's error.
     pub fn supervised(&self) -> bool {
         !self.plan().is_empty() || self.respawn_budget.is_some()
     }
@@ -233,32 +234,14 @@ impl NetRunConfig {
 
 const NO_RANK: u32 = u32::MAX;
 
-/// Per-rank supervision extras riding on the job blob: the (resolved,
-/// possibly respawn-pruned) fault plan, the heartbeat cadence, and — for a
-/// respawned generation — how many epochs are already committed plus this
-/// rank's checkpoint.
-struct JobExtras<'a> {
-    plan: &'a FaultPlan,
-    supervised: bool,
-    resume: Option<(u32, &'a [u8])>,
-}
-
-impl<'a> JobExtras<'a> {
-    fn unsupervised(empty: &'a FaultPlan) -> JobExtras<'a> {
-        JobExtras {
-            plan: empty,
-            supervised: false,
-            resume: None,
-        }
-    }
-}
-
+/// The job blob: the job itself, the worker-side knobs of `cfg`, the mesh
+/// address map and the (resolved, possibly respawn-pruned) fault plan.
 fn encode_job(
     job: &NetJob,
     cfg: &NetRunConfig,
     nproc: usize,
     addrs: &[Addr],
-    extras: &JobExtras,
+    plan: &FaultPlan,
 ) -> Vec<u8> {
     let mut e = Enc::new();
     e.str(&job.source);
@@ -293,17 +276,7 @@ fn encode_job(
     for a in addrs {
         e.str(&a.to_string());
     }
-    e.str(&extras.plan.to_string());
-    e.u64(cfg.heartbeat_interval.as_millis() as u64);
-    e.boolean(extras.supervised);
-    match extras.resume {
-        Some((epochs, blob)) => {
-            e.u8(1);
-            e.u32(epochs);
-            e.bytes(blob);
-        }
-        None => e.u8(0),
-    }
+    e.str(&plan.to_string());
     e.buf
 }
 
@@ -315,11 +288,6 @@ struct WireJob {
     nproc: usize,
     addrs: Vec<Addr>,
     plan: FaultPlan,
-    heartbeat_interval: Duration,
-    supervised: bool,
-    /// Respawn resume state: committed epoch count + this rank's
-    /// checkpoint (an [`encode_state`] blob).
-    resume: Option<(u32, Vec<u8>)>,
 }
 
 impl WireJob {
@@ -377,16 +345,6 @@ fn decode_job(payload: &[u8]) -> Result<WireJob, String> {
         addrs.push(Addr::parse(&s).map_err(|e| e.to_string())?);
     }
     let plan = FaultPlan::parse(&d.str().map_err(|e| e.to_string())?)?;
-    let heartbeat_interval = Duration::from_millis(d.u64().map_err(|e| e.to_string())?);
-    let supervised = d.boolean().map_err(|e| e.to_string())?;
-    let resume = match d.u8().map_err(|e| e.to_string())? {
-        0 => None,
-        _ => {
-            let epochs = d.u32().map_err(|e| e.to_string())?;
-            let blob = d.bytes().map_err(|e| e.to_string())?;
-            Some((epochs, blob))
-        }
-    };
     d.done().map_err(|e| e.to_string())?;
     Ok(WireJob {
         job: NetJob {
@@ -405,9 +363,6 @@ fn decode_job(payload: &[u8]) -> Result<WireJob, String> {
         nproc,
         addrs,
         plan,
-        heartbeat_interval,
-        supervised,
-        resume,
     })
 }
 
@@ -702,39 +657,17 @@ fn decode_memory(d: &mut Dec, program: &Program) -> Result<Memory, String> {
     Ok(mem)
 }
 
-/// A rank's replay state: cumulative counters, wire metrics and memory.
-/// It ends a successful result, and it is the checkpoint an epoch status
-/// carries and a respawned worker resumes from, so a healed run counts
-/// the traffic before its resume cut too.
-fn encode_state(
-    e: &mut Enc,
-    stats: &ReplayStats,
-    m: &CommMetrics,
-    mem: &Memory,
-    program: &Program,
-) {
-    e.u64(stats.messages_sent);
-    e.u64(stats.events);
-    encode_metrics(e, m);
-    encode_memory(e, program, mem);
-}
-
-fn decode_state(d: &mut Dec, program: &Program) -> Result<RankState, String> {
-    let stats = ReplayStats {
-        messages_sent: d.u64().map_err(|e| e.to_string())?,
-        events: d.u64().map_err(|e| e.to_string())?,
-    };
-    let m = decode_metrics(d)?;
-    let mem = decode_memory(d, program)?;
-    Ok((stats, m, mem))
-}
-
+/// A rank's result: its cumulative counters, wire metrics and memory, or
+/// its replay error; then its timeline.
 fn encode_result(res: &RankResult, obs: &[TraceEvent], program: &Program) -> Vec<u8> {
     let mut e = Enc::new();
     match res {
         Ok((stats, m, mem)) => {
             e.u8(1);
-            encode_state(&mut e, stats, m, mem, program);
+            e.u64(stats.messages_sent);
+            e.u64(stats.events);
+            encode_metrics(&mut e, m);
+            encode_memory(&mut e, program, mem);
         }
         Err(msg) => {
             e.u8(0);
@@ -742,13 +675,12 @@ fn encode_result(res: &RankResult, obs: &[TraceEvent], program: &Program) -> Vec
         }
     }
     // The timeline rides along in both arms: a failed replay still ships
-    // its comm events and the transport's fault events.
+    // its transport's fault events, and its comm events when traced.
     encode_obs_events(&mut e, obs);
     e.buf
 }
 
-type RankState = (ReplayStats, CommMetrics, Memory);
-type RankResult = Result<RankState, String>;
+type RankResult = Result<(ReplayStats, CommMetrics, Memory), String>;
 
 fn decode_result(
     payload: &[u8],
@@ -763,10 +695,15 @@ fn decode_result(
             Ok((Err(msg), obs))
         }
         _ => {
-            let state = decode_state(&mut d, program)?;
+            let stats = ReplayStats {
+                messages_sent: d.u64().map_err(|e| e.to_string())?,
+                events: d.u64().map_err(|e| e.to_string())?,
+            };
+            let m = decode_metrics(&mut d)?;
+            let mem = decode_memory(&mut d, program)?;
             let obs = decode_obs_events(&mut d)?;
             d.done().map_err(|e| e.to_string())?;
-            Ok((Ok(state), obs))
+            Ok((Ok((stats, m, mem)), obs))
         }
     }
 }
@@ -966,7 +903,7 @@ fn launch(cfg: &NetRunConfig, nproc: usize, listener: &mut NetListener) -> Resul
             Ok(met) => return Ok((children, Ok(met))),
             Err(MeetError::Failed(e)) => return Ok((children, Err(e))),
             Err(MeetError::Stale { rank, got }) => {
-                kill_generation(&mut children);
+                kill_cohort(&mut children);
                 if rebuilt || std::env::var_os(ENV_WORKER_BIN).is_some() {
                     return Err(format!(
                         "worker binary {} (rank {}) speaks netrun protocol {}, this driver \
@@ -987,16 +924,14 @@ fn launch(cfg: &NetRunConfig, nproc: usize, listener: &mut NetListener) -> Resul
     }
 }
 
-/// Parent → worker frame tags after the job.
-const TAG_EVENTS: u8 = 0;
-const TAG_PROCEED: u8 = 1;
 /// Flags of an event-chunk frame: the chunk ends an epoch, or the stream
 /// (an end-of-stream chunk carries no events).
 const EPOCH_END: u8 = 1;
 const STREAM_END: u8 = 2;
 
 /// The hand-off between the reference executor and the per-rank stream
-/// threads: finished epochs, each as one event list per rank.
+/// threads of one cohort: finished epochs, each as one event list per
+/// rank.
 struct Feed {
     state: Mutex<FeedState>,
     changed: Condvar,
@@ -1008,48 +943,25 @@ struct FeedState {
     epochs: VecDeque<Vec<Arc<Vec<Event>>>>,
     /// The executor's outcome, once it stopped.
     done: Option<Result<(), String>>,
-    /// Supervised mode: the committed epoch, from which on every epoch is
-    /// kept for a respawn. `None`: an epoch is dropped once every rank's
-    /// stream has sent it.
-    committed: Option<usize>,
-    /// Per rank: the next epoch its stream sends.
+    /// Per rank: the next epoch its stream sends (`usize::MAX` once the
+    /// stream broke). An epoch is dropped once every stream has sent it.
     next: Vec<usize>,
-    /// Per rank: `Proceed` directives its stream has yet to forward.
-    proceeds: Vec<u32>,
-    /// Bumped to retire the current stream threads.
-    generation: u64,
-}
-
-impl FeedState {
-    fn prune(&mut self) {
-        let floor = match self.committed {
-            Some(c) => c,
-            None => self.next.iter().copied().min().unwrap_or(0),
-        };
-        while self.first < floor && self.epochs.pop_front().is_some() {
-            self.first += 1;
-        }
-    }
 }
 
 /// What a stream thread writes next.
 enum StreamStep {
     Epoch(Arc<Vec<Event>>),
     End,
-    Proceed,
 }
 
 impl Feed {
-    fn new(nproc: usize, supervised: bool) -> Feed {
+    fn new(nproc: usize) -> Feed {
         Feed {
             state: Mutex::new(FeedState {
                 first: 0,
                 epochs: VecDeque::new(),
                 done: None,
-                committed: supervised.then_some(0),
                 next: vec![0; nproc],
-                proceeds: vec![0; nproc],
-                generation: 0,
             }),
             changed: Condvar::new(),
         }
@@ -1095,108 +1007,57 @@ impl Feed {
         res.map(|()| exec.mems)
     }
 
-    /// The executor's error, if it failed.
-    fn failure(&self) -> Option<String> {
-        match &self.state.lock().unwrap().done {
-            Some(Err(e)) => Some(e.clone()),
-            _ => None,
-        }
-    }
-
-    /// Retire the current streams and start a generation streaming from
-    /// epoch `from`; returns its number.
-    fn start_generation(&self, from: usize) -> u64 {
-        self.update(|st| {
-            st.generation += 1;
-            st.next.fill(from);
-            st.proceeds.fill(0);
-            st.generation
-        })
-    }
-
-    fn retire(&self) {
-        self.update(|st| st.generation += 1);
-    }
-
-    /// Supervised mode: every rank checkpointed the epochs before `epoch`.
-    /// Drop those and have every stream forward a `Proceed`.
-    fn commit(&self, epoch: usize) {
-        self.update(|st| {
-            st.committed = Some(epoch);
-            st.prune();
-            st.proceeds.iter_mut().for_each(|p| *p += 1);
-        })
-    }
-
-    /// Wait for what `rank`'s stream of `generation` writes next (once the
-    /// end of stream went out, only `Proceed`s); `None` once the
-    /// generation is retired or the executor failed.
-    fn next_step(&self, rank: usize, generation: u64, ended: bool) -> Option<StreamStep> {
+    /// Wait for what `rank`'s stream writes next; `None` once the executor
+    /// failed.
+    fn next_step(&self, rank: usize) -> Option<StreamStep> {
         let mut st = self.state.lock().unwrap();
         loop {
-            if st.generation != generation {
-                return None;
-            }
-            if st.proceeds[rank] > 0 {
-                st.proceeds[rank] -= 1;
-                return Some(StreamStep::Proceed);
-            }
             let pending = st.next[rank].checked_sub(st.first);
             if let Some(epoch) = pending.and_then(|k| st.epochs.get(k)) {
                 return Some(StreamStep::Epoch(Arc::clone(&epoch[rank])));
             }
             match &st.done {
-                Some(Ok(())) if !ended => return Some(StreamStep::End),
+                Some(Ok(())) => return Some(StreamStep::End),
                 Some(Err(_)) => return None,
-                _ => {}
+                None => {}
             }
             st = self.changed.wait(st).unwrap();
         }
     }
 
-    /// `rank`'s stream of `generation` sent its next epoch (`ok`), or
-    /// broke and sends no more.
-    fn sent(&self, rank: usize, generation: u64, ok: bool) {
+    /// `rank`'s stream sent its next epoch (`ok`), or broke and sends no
+    /// more.
+    fn sent(&self, rank: usize, ok: bool) {
         self.update(|st| {
-            if st.generation == generation {
-                st.next[rank] = if ok { st.next[rank] + 1 } else { usize::MAX };
-                st.prune();
+            st.next[rank] = if ok { st.next[rank] + 1 } else { usize::MAX };
+            let floor = st.next.iter().copied().min().unwrap_or(0);
+            while st.first < floor && st.epochs.pop_front().is_some() {
+                st.first += 1;
             }
         })
     }
 }
 
 /// One rank's stream thread: write each finished epoch to the worker as it
-/// arrives, then the end of stream, forwarding `Proceed` directives in
-/// between, until the generation is retired. This thread is the
-/// connection's only writer.
-fn stream_rank(
-    feed: &Feed,
-    rank: usize,
-    generation: u64,
-    mut writer: FrameWriter<NetStream>,
-) -> Result<(), String> {
+/// arrives, then the end of stream. This thread is the connection's only
+/// writer.
+fn stream_rank(feed: &Feed, rank: usize, mut writer: FrameWriter<NetStream>) -> Result<(), String> {
     let mut enc = Enc::new();
-    let mut ended = false;
-    while let Some(step) = feed.next_step(rank, generation, ended) {
-        let sent = match step {
-            StreamStep::Proceed => writer.write(FrameKind::Blob, &[TAG_PROCEED]),
-            StreamStep::End => {
-                ended = true;
-                send_chunks(&mut writer, &mut enc, &[], STREAM_END)
-            }
-            StreamStep::Epoch(events) => {
-                let res = send_chunks(&mut writer, &mut enc, &events, EPOCH_END);
-                drop(events);
-                if res.is_ok() {
-                    feed.sent(rank, generation, true);
-                }
-                res
-            }
+    while let Some(step) = feed.next_step(rank) {
+        let (events, flags) = match &step {
+            StreamStep::Epoch(events) => (&events[..], EPOCH_END),
+            StreamStep::End => (&[][..], STREAM_END),
         };
-        if let Err(e) = sent {
-            feed.sent(rank, generation, false);
+        if let Err(e) = send_chunks(&mut writer, &mut enc, events, flags) {
+            feed.sent(rank, false);
             return Err(format!("streaming events to worker {}: {}", rank, e));
+        }
+        match step {
+            StreamStep::Epoch(events) => {
+                drop(events);
+                feed.sent(rank, true);
+            }
+            StreamStep::End => return Ok(()),
         }
     }
     Ok(())
@@ -1214,12 +1075,11 @@ fn send_chunks(
     let mut rest = events;
     loop {
         enc.buf.clear();
-        enc.u8(TAG_EVENTS);
         enc.u8(0);
         let n = encode_events(enc, rest, EVENT_CHUNK_BYTES);
         rest = &rest[n..];
         if rest.is_empty() {
-            enc.buf[1] = flags;
+            enc.buf[0] = flags;
         }
         writer.write(FrameKind::Blob, &enc.buf)?;
         if rest.is_empty() {
@@ -1230,85 +1090,47 @@ fn send_chunks(
 
 type StreamThread<'scope> = std::thread::ScopedJoinHandle<'scope, Result<(), String>>;
 
-/// Start one [`stream_rank`] thread per connection for `generation`;
-/// returns the connections' readers and the threads. With `errors`, a
-/// broken stream is also reported to the supervisor as its rank gone.
+/// Start one [`stream_rank`] thread per connection; returns the
+/// connections' readers and the threads.
 fn spawn_streams<'scope, 'env>(
     scope: &'scope std::thread::Scope<'scope, 'env>,
     feed: &'env Feed,
-    generation: u64,
     conns: Vec<Conn>,
-    errors: Option<mpsc::Sender<ParentMsg>>,
 ) -> (Vec<FrameReader<NetStream>>, Vec<StreamThread<'scope>>) {
     conns
         .into_iter()
         .enumerate()
         .map(|(rank, Conn { reader, writer })| {
-            let errors = errors.clone();
-            let stream = scope.spawn(move || {
-                let res = stream_rank(feed, rank, generation, writer);
-                if let (Err(why), Some(tx)) = (&res, errors) {
-                    let _ = tx.send(ParentMsg::Gone {
-                        rank,
-                        why: why.clone(),
-                    });
-                }
-                res
-            });
-            (reader, stream)
+            (reader, scope.spawn(move || stream_rank(feed, rank, writer)))
         })
         .unzip()
 }
 
 /// The worker's side of the parent → worker stream after the job: each
-/// epoch's event chunks, the end of stream, and (supervised) `Proceed`
-/// directives. Chunks that arrive while a worker waits for `Proceed` are
-/// kept for the next [`ParentStream::next_epoch`].
+/// epoch's event chunks, then the end of stream.
 struct ParentStream<'p> {
     reader: FrameReader<NetStream>,
     sp: &'p SpmdProgram,
     nproc: usize,
-    early: VecDeque<Vec<u8>>,
 }
 
-impl<'p> ParentStream<'p> {
-    fn new(reader: FrameReader<NetStream>, sp: &'p SpmdProgram, nproc: usize) -> ParentStream<'p> {
-        ParentStream {
-            reader,
-            sp,
-            nproc,
-            early: VecDeque::new(),
-        }
-    }
-
-    /// The next frame from the parent, waiting as long as the link is open:
-    /// the parent may still be producing the events.
-    fn frame(&mut self, what: &str) -> Result<Vec<u8>, String> {
-        loop {
-            match self.reader.read_step() {
-                Ok(ReadStep::Idle) => continue,
-                step => return blob(step, what),
-            }
-        }
-    }
-
+impl ParentStream<'_> {
     /// The next epoch's events, validated against the compiled program;
-    /// `None` at the end of the stream.
+    /// `None` at the end of the stream. Waits as long as the link is open:
+    /// the parent may still be producing the events.
     fn next_epoch(&mut self) -> Result<Option<Vec<Event>>, String> {
         let mut events = Vec::new();
         loop {
-            let payload = match self.early.pop_front() {
-                Some(p) => p,
-                None => self.frame("event stream from parent")?,
+            let payload = loop {
+                match self.reader.read_step() {
+                    Ok(ReadStep::Idle) => continue,
+                    step => break blob(step, "event stream from parent")?,
+                }
             };
             let mut d = Dec::new(&payload);
-            let (tag, flags) = (d.u8(), d.u8());
-            if tag != Ok(TAG_EVENTS) {
-                return Err(format!("event stream: unexpected frame tag {:?}", tag.ok()));
-            }
-            let flags = flags.map_err(|e| format!("event stream: {}", e))?;
-            let chunk =
-                decode_events(&mut d, self.sp, self.nproc).map_err(|e| format!("event stream: {}", e))?;
+            let flags = d.u8().map_err(|e| format!("event stream: {}", e))?;
+            let chunk = decode_events(&mut d, self.sp, self.nproc)
+                .map_err(|e| format!("event stream: {}", e))?;
             d.done().map_err(|e| format!("event stream: {}", e))?;
             if flags & STREAM_END != 0 {
                 if !chunk.is_empty() || !events.is_empty() {
@@ -1322,21 +1144,6 @@ impl<'p> ParentStream<'p> {
             }
         }
     }
-
-    /// Wait for the supervisor's `Proceed`, keeping event chunks that
-    /// arrive first.
-    fn wait_proceed(&mut self) -> Result<(), String> {
-        loop {
-            let payload = self.frame("directive from supervisor")?;
-            match payload.first() {
-                Some(&TAG_PROCEED) if payload.len() == 1 => return Ok(()),
-                Some(&TAG_EVENTS) => self.early.push_back(payload),
-                other => {
-                    return Err(format!("unexpected directive {:?} from supervisor", other))
-                }
-            }
-        }
-    }
 }
 
 /// Run the job's replay with one OS process per virtual processor and
@@ -1346,15 +1153,16 @@ impl<'p> ParentStream<'p> {
 /// reference executor produces the next.
 ///
 /// With a fault plan or a respawn budget ([`NetRunConfig::supervised`])
-/// the driver runs the self-healing protocol instead: a generation that
-/// hits a link fault or loses a worker is respawned from the last epoch
-/// checkpoint, and when the respawn budget is exhausted the whole run
-/// degrades to the in-process thread backend ([`Replayed::degraded`]).
+/// a failed run is rerun from the start by a fresh cohort, under
+/// [`FaultPlan::after_failure`] and with its own reference executor, and
+/// when the respawn budget is exhausted the whole run degrades to the
+/// in-process thread backend ([`Replayed::degraded`]). A fault plan that
+/// names a rank outside the grid is an error before anything launches.
 ///
-/// Pipeline spans land on the parent's timeline: `reference-exec` runs
-/// from the launch to the end of the reference executor, which the
-/// workers' replay overlaps, and `replay` is the tail after it. Workers
-/// only contribute per-rank comm/fault events.
+/// Pipeline spans land on the parent's timeline, one pair per cohort:
+/// `reference-exec` runs from the launch to the end of the reference
+/// executor, which the workers' replay overlaps, and `replay` is the tail
+/// after it. Workers only contribute per-rank comm/fault events.
 pub fn socket_validate_replay(job: &NetJob, cfg: &NetRunConfig) -> Result<Replayed, String> {
     let mut pipe = hpf_obs::BufTracer::pipeline();
     let compiled = if job.trace {
@@ -1364,81 +1172,212 @@ pub fn socket_validate_replay(job: &NetJob, cfg: &NetRunConfig) -> Result<Replay
     };
     let nproc = compiled.spmd.maps.grid.total();
     let init = make_init(&compiled, &job.fills)?;
-    if job.trace {
-        pipe.begin("reference-exec");
-    }
-    if cfg.supervised() {
-        return supervised_validate_replay(job, cfg, &compiled, nproc, &init, pipe);
-    }
-
-    let mut listener = NetListener::bind(cfg.addr_kind, "netrun").map_err(|e| e.to_string())?;
-    let (mut children, met) = launch(cfg, nproc, &mut listener)?;
-    let result = met.and_then(|(conns, addrs)| {
-        stream_and_collect(job, cfg, &compiled, &init, conns, &addrs, &mut children, &mut pipe)
-    });
-    let reap_errors = reap(&mut children, cfg.result_deadline);
-    let (reference, (stats, metrics, mems, rank_obs)) = match result {
-        Ok(r) => r,
-        Err(mut e) => {
-            // Child exit diagnostics often explain the protocol error.
-            if !reap_errors.is_empty() {
-                e = format!("{}; {}", e, reap_errors.join("; "));
+    let mut plan = cfg.plan().resolve(nproc)?;
+    let budget = cfg.respawn_budget.unwrap_or(DEFAULT_RESPAWN_BUDGET);
+    let mut recovery = RecoveryCounters::default();
+    // Fault events of failed cohorts, per rank.
+    let mut salvaged: Vec<(usize, Vec<TraceEvent>)> = Vec::new();
+    loop {
+        let failure = match run_cohort(job, cfg, &compiled, &init, &plan, &mut pipe)? {
+            Ok((reference, (stats, mut metrics, mems, mut rank_obs))) => {
+                check_owner_slots(&compiled.spmd, &mems, &reference)
+                    .map_err(|e| format!("processes vs reference: {}", e))?;
+                metrics.recovery.merge(&recovery);
+                let obs = if job.trace {
+                    pipe.end("replay");
+                    // Evidence from failed cohorts precedes the surviving
+                    // cohort's timeline.
+                    for (rank, mut faults) in salvaged {
+                        match rank_obs.iter_mut().find(|(r, _)| *r == rank) {
+                            Some((_, evs)) => {
+                                faults.append(evs);
+                                *evs = faults;
+                            }
+                            None => rank_obs.push((rank, faults)),
+                        }
+                    }
+                    Some(hpf_obs::Trace::merge(pipe.into_events(), rank_obs))
+                } else {
+                    None
+                };
+                return Ok(Replayed {
+                    mems,
+                    stats,
+                    metrics,
+                    obs,
+                    degraded: false,
+                });
             }
-            return Err(e);
+            Err(failure) => failure,
+        };
+        let who = failure.why.join("; ");
+        if !cfg.supervised() {
+            return Err(who);
         }
-    };
-    if !reap_errors.is_empty() {
-        return Err(reap_errors.join("; "));
+        if recovery.respawns >= u64::from(budget) {
+            let reason = format!(
+                "respawn budget ({}) exhausted; last cohort failed with: {}",
+                budget, who
+            );
+            return degrade(job, &compiled, &init, &reason, recovery, pipe);
+        }
+        recovery.respawns += 1;
+        // The next cohort must not re-suffer the faults this one observed;
+        // the others have yet to fire.
+        plan = plan.after_failure(&failure.died, &failure.faulted);
+        if job.trace {
+            let peer = failure
+                .died
+                .first()
+                .copied()
+                .or(failure.faulted.first().map(|&(_, to)| to))
+                .or(failure.failed.first().copied());
+            pipe.push(Body::Fault {
+                name: "respawn".into(),
+                detail: format!(
+                    "{}; rerunning from the start with a fresh cohort (attempt {}/{})",
+                    who, recovery.respawns, budget
+                ),
+                peer,
+                last_seq: None,
+            });
+            salvaged.extend(failure.faults);
+        }
+        std::thread::sleep(RetryPolicy::default().delay(recovery.respawns as u32 - 1));
     }
-    check_owner_slots(&compiled.spmd, &mems, &reference)
-        .map_err(|e| format!("processes vs reference: {}", e))?;
-    let obs = if job.trace {
-        pipe.end("replay");
-        Some(hpf_obs::Trace::merge(pipe.into_events(), rank_obs))
-    } else {
-        None
-    };
-    Ok(Replayed {
-        mems,
-        stats,
-        metrics,
-        obs,
-        degraded: false,
-    })
 }
 
-/// Dispatch the job to every worker, then run the reference executor
-/// while one thread per rank streams each finished epoch, and collect the
-/// results. Returns the reference memories too. A failed reference run
-/// kills and reaps the cohort, leaving `children` empty.
-#[allow(clippy::too_many_arguments)]
-fn stream_and_collect(
+/// The respawn budget ran dry: re-run on the in-process thread backend
+/// and mark the result [`Replayed::degraded`].
+fn degrade(
+    job: &NetJob,
+    compiled: &Compiled,
+    init: &(impl Fn(&mut Memory) + Sync),
+    reason: &str,
+    mut recovery: RecoveryCounters,
+    mut pipe: BufTracer,
+) -> Result<Replayed, String> {
+    recovery.fallbacks += 1;
+    eprintln!(
+        "phpf netrun: {}; degrading to the in-process thread backend",
+        reason
+    );
+    if job.trace {
+        pipe.push(Body::Fault {
+            name: "fallback".into(),
+            detail: format!("{}; re-running on the thread backend", reason),
+            peer: None,
+            last_seq: None,
+        });
+        pipe.begin("replay");
+    }
+    let mut r = validate_replay_traced(&compiled.spmd, init, job.vectorize, job.trace)?;
+    r.metrics.recovery.merge(&recovery);
+    r.degraded = true;
+    if job.trace {
+        pipe.end("replay");
+        match &mut r.obs {
+            Some(t) => t.prepend_pipeline(pipe.into_events()),
+            None => r.obs = Some(hpf_obs::Trace::from_pipeline(pipe.into_events())),
+        }
+    }
+    Ok(r)
+}
+
+/// The reference memories and the merged worker output of a cohort that
+/// finished, or why it failed.
+type CohortOutcome = Result<(Vec<Memory>, DriveOutput), Failure>;
+
+/// Why a cohort failed, and which planned faults it observed.
+#[derive(Default)]
+struct Failure {
+    /// What went wrong: one entry per failing worker, then broken event
+    /// streams and child exit diagnostics.
+    why: Vec<String>,
+    /// The failing ranks, ascending.
+    failed: Vec<usize>,
+    /// Ranks whose control link closed, reset or went silent before any
+    /// result: their process died.
+    died: Vec<usize>,
+    /// `(from, to)` links on which rank `to` reported a fault about
+    /// `from` that an injection can cause.
+    faulted: Vec<(usize, usize)>,
+    /// Traced runs: each reporting rank's fault events, salvaged into the
+    /// trace of the run.
+    faults: Vec<(usize, Vec<TraceEvent>)>,
+}
+
+/// Launch a fresh cohort under `plan`, dispatch the job, run the
+/// reference executor while one thread per rank streams each finished
+/// epoch, collect one result per rank and reap the cohort. The outer
+/// `Err` is fatal and never retried: a failed reference run, a launch
+/// failure, or reap errors after every rank succeeded.
+fn run_cohort(
     job: &NetJob,
     cfg: &NetRunConfig,
     compiled: &Compiled,
     init: &(impl Fn(&mut Memory) + Sync),
-    mut conns: Vec<Conn>,
-    addrs: &[Addr],
+    plan: &FaultPlan,
+    pipe: &mut BufTracer,
+) -> Result<CohortOutcome, String> {
+    let nproc = compiled.spmd.maps.grid.total();
+    if job.trace {
+        pipe.begin("reference-exec");
+    }
+    let mut listener = NetListener::bind(cfg.addr_kind, "netrun").map_err(|e| e.to_string())?;
+    let (mut children, met) = launch(cfg, nproc, &mut listener)?;
+    let dispatched = met.and_then(|(mut conns, addrs)| {
+        let job_blob = encode_job(job, cfg, nproc, &addrs, plan);
+        for (rank, conn) in conns.iter_mut().enumerate() {
+            conn.writer
+                .write(FrameKind::Blob, &job_blob)
+                .map_err(|e| format!("dispatching job to worker {}: {}", rank, e))?;
+        }
+        Ok(conns)
+    });
+    let outcome = match dispatched {
+        Ok(conns) => stream_and_collect(job, compiled, init, conns, &mut children, pipe)?,
+        Err(e) => {
+            if job.trace {
+                pipe.end("reference-exec");
+            }
+            Err(Failure {
+                why: vec![e],
+                ..Failure::default()
+            })
+        }
+    };
+    let reap_errors = reap(&mut children, cfg.result_deadline);
+    match outcome {
+        Ok(_) if !reap_errors.is_empty() => Err(reap_errors.join("; ")),
+        Ok(done) => Ok(Ok(done)),
+        Err(mut failure) => {
+            // Child exit diagnostics often explain the failure.
+            failure.why.extend(reap_errors);
+            Ok(Err(failure))
+        }
+    }
+}
+
+/// Run the reference executor while one thread per rank streams each
+/// finished epoch, then collect the results. A failed reference run kills
+/// and reaps the cohort, leaving `children` empty, and is the `Err`.
+fn stream_and_collect(
+    job: &NetJob,
+    compiled: &Compiled,
+    init: &(impl Fn(&mut Memory) + Sync),
+    conns: Vec<Conn>,
     children: &mut Vec<(usize, Child)>,
     pipe: &mut BufTracer,
-) -> Result<(Vec<Memory>, DriveOutput), String> {
-    let nproc = conns.len();
-    let empty = FaultPlan::default();
-    let job_blob = encode_job(job, cfg, nproc, addrs, &JobExtras::unsupervised(&empty));
-    for (rank, conn) in conns.iter_mut().enumerate() {
-        conn.writer
-            .write(FrameKind::Blob, &job_blob)
-            .map_err(|e| format!("dispatching job to worker {}: {}", rank, e))?;
-    }
-    let feed = Arc::new(Feed::new(nproc, false));
+) -> Result<CohortOutcome, String> {
+    let feed = Arc::new(Feed::new(conns.len()));
     std::thread::scope(|scope| {
-        let generation = feed.start_generation(0);
-        let (mut readers, streams) = spawn_streams(scope, &feed, generation, conns, None);
+        let (mut readers, streams) = spawn_streams(scope, &feed, conns);
         let reference = match feed.run_reference(compiled, init, job.vectorize) {
             Ok(mems) => mems,
             Err(e) => {
                 // The stream threads see the failure and stop.
-                kill_generation(children);
+                kill_cohort(children);
                 children.clear();
                 return Err(e);
             }
@@ -1448,14 +1387,20 @@ fn stream_and_collect(
             pipe.begin("replay");
         }
         let collected = collect_results(job, compiled, &mut readers);
-        feed.retire();
         let stream_errors: Vec<String> = streams
             .into_iter()
             .filter_map(|h| h.join().expect("event stream thread panicked").err())
             .collect();
-        collected
-            .map(|out| (reference, out))
-            .map_err(|e| std::iter::once(e).chain(stream_errors).collect::<Vec<_>>().join("; "))
+        Ok(match collected {
+            Ok(out) => Ok((reference, out)),
+            Err(mut failure) => {
+                if job.trace {
+                    pipe.end("replay");
+                }
+                failure.why.extend(stream_errors);
+                Err(failure)
+            }
+        })
     })
 }
 
@@ -1568,695 +1513,98 @@ fn rendezvous(
     ))
 }
 
-/// Read one result per rank and merge them.
+/// Read every rank's result and merge them. A rank ends in one of three
+/// ways: a result (it is done), an error result (it failed, and its fault
+/// events name the faulted links), or a closed, reset or silent control
+/// link before any result (it died). The collector reads every rank
+/// before it reports a failure.
 fn collect_results(
     job: &NetJob,
     compiled: &Compiled,
     readers: &mut [FrameReader<NetStream>],
-) -> Result<DriveOutput, String> {
+) -> Result<DriveOutput, Failure> {
     let nproc = readers.len();
     let program = &compiled.spmd.program;
     let mut stats = ReplayStats::default();
     let mut metrics = CommMetrics::new(nproc, compiled.spmd.comms.len());
-    let mut mems: Vec<Option<Memory>> = (0..nproc).map(|_| None).collect();
+    let mut mems: Vec<Memory> = Vec::with_capacity(nproc);
     let mut rank_obs: Vec<(usize, Vec<TraceEvent>)> = Vec::new();
-    let mut worker_errors = Vec::new();
+    let mut failure = Failure::default();
     for (rank, reader) in readers.iter_mut().enumerate() {
-        let payload = read_blob(reader, &format!("result from worker {}", rank))?;
-        let (res, obs) = decode_result(&payload, program)?;
+        let what = format!("result from worker {}", rank);
+        let payload = match read_blob(reader, &what) {
+            Ok(payload) => payload,
+            Err(e) => {
+                failure.died.push(rank);
+                failure.failed.push(rank);
+                failure.why.push(e);
+                continue;
+            }
+        };
+        let (res, obs) = match decode_result(&payload, program) {
+            Ok(decoded) => decoded,
+            Err(e) => {
+                failure.failed.push(rank);
+                failure.why.push(format!("{}: {}", what, e));
+                continue;
+            }
+        };
         match res {
             Ok((s, m, mem)) => {
                 stats.messages_sent += s.messages_sent;
                 stats.events += s.events;
                 metrics.merge(&m);
-                mems[rank] = Some(mem);
+                mems.push(mem);
             }
             Err(msg) => {
                 // Name the fault events the failed rank saw — they usually
                 // explain the failure better than the replay error does.
-                let faults: Vec<&str> = obs
-                    .iter()
-                    .filter_map(|ev| match &ev.body {
-                        Body::Fault { name, .. } => Some(name.as_str()),
-                        _ => None,
-                    })
-                    .collect();
-                let mut msg = format!("worker {}: {}", rank, msg);
-                if !faults.is_empty() {
-                    msg = format!("{} (faults: {})", msg, faults.join(", "));
+                let mut names = Vec::new();
+                for ev in &obs {
+                    let Body::Fault { name, peer, .. } = &ev.body else {
+                        continue;
+                    };
+                    names.push(name.as_str());
+                    if let Some(peer) = *peer {
+                        if observes_injection(name) && !failure.faulted.contains(&(peer, rank)) {
+                            failure.faulted.push((peer, rank));
+                        }
+                    }
                 }
-                worker_errors.push(msg);
+                let mut msg = format!("worker {}: {}", rank, msg);
+                if !names.is_empty() {
+                    msg = format!("{} (faults: {})", msg, names.join(", "));
+                }
+                failure.failed.push(rank);
+                failure.why.push(msg);
             }
         }
         if job.trace {
             rank_obs.push((rank, obs));
         }
     }
-    if !worker_errors.is_empty() {
-        return Err(worker_errors.join("; "));
+    if failure.failed.is_empty() {
+        return Ok((stats, metrics, mems, rank_obs));
     }
-    let mems: Vec<Memory> = mems.into_iter().map(|m| m.unwrap()).collect();
-    Ok((stats, metrics, mems, rank_obs))
+    failure.faults = rank_obs
+        .into_iter()
+        .map(|(rank, obs)| {
+            let faults = obs
+                .into_iter()
+                .filter(|ev| matches!(ev.body, Body::Fault { .. }))
+                .collect();
+            (rank, faults)
+        })
+        .collect();
+    Err(failure)
 }
 
-// ---------------------------------------------------------------------------
-// Supervised mode: lock-step epochs, heartbeats, checkpoints, gang respawn.
-//
-// The parent runs the replay as a sequence of *epochs* (the executor's
-// loop-level barrier cuts, [`SpmdExec::epoch_cuts`]). After each epoch every
-// worker ships a status — its checkpoint (counters, metrics and memory)
-// plus the fault events its transport recorded — and waits for a `Proceed`
-// directive. The parent commits the checkpoint once all ranks report, so
-// there is always a globally consistent cut to restart from. When a worker
-// fails (a link fault, abrupt socket close, error status, or missed
-// heartbeats) the whole generation is torn down and respawned from the last
-// committed checkpoint: links are meshes of fresh processes, so a gang
-// restart needs no live re-rendezvous. The reference executor runs on its
-// own thread throughout; the parent keeps its epochs from the committed one
-// on, so a respawned generation is streamed those and then follows the live
-// executor. The next generation's plan ([`FaultPlan::after_failure`]) drops
-// exactly the faults the failed one observed, so each fires once. When the
-// respawn budget runs dry the caller degrades to the in-process thread
-// backend.
-
-/// Control-frame tags on the worker → parent connection. Tags 0/1 are
-/// never sent (they keep the unsupervised single-blob protocol
-/// unambiguous).
-const TAG_STATUS: u8 = 2;
-const TAG_HEARTBEAT: u8 = 3;
-const TAG_RESULT: u8 = 4;
-
-/// One worker's end-of-epoch report.
-struct StatusMsg {
-    epoch: u32,
-    /// The checkpoint on success (an [`encode_state`] blob, kept encoded:
-    /// the parent only ever hands it back to a respawned worker, which
-    /// decodes and checks it), replay error otherwise.
-    body: Result<Vec<u8>, String>,
-    /// All fault events the worker accumulated so far (cumulative, so a
-    /// generation that dies later still leaves its evidence on record).
-    faults: Vec<TraceEvent>,
-}
-
-fn decode_status(payload: &[u8]) -> Result<StatusMsg, String> {
-    let mut d = Dec::new(payload);
-    let epoch = d.u32().map_err(|e| e.to_string())?;
-    let body = match d.u8().map_err(|e| e.to_string())? {
-        0 => Err(d.str().map_err(|e| e.to_string())?),
-        _ => Ok(d.bytes().map_err(|e| e.to_string())?),
-    };
-    let faults = decode_obs_events(&mut d)?;
-    d.done().map_err(|e| e.to_string())?;
-    Ok(StatusMsg {
-        epoch,
-        body,
-        faults,
-    })
-}
-
-enum ParentMsg {
-    Heartbeat { rank: usize },
-    Status { rank: usize, payload: Vec<u8> },
-    Result { rank: usize, payload: Vec<u8> },
-    Gone { rank: usize, why: String },
-}
-
-/// Per-connection reader thread: turns control frames into [`ParentMsg`]s
-/// until the worker delivers its result or the link dies.
-fn control_reader(
-    mut reader: FrameReader<NetStream>,
-    rank: usize,
-    tx: mpsc::Sender<ParentMsg>,
-) {
-    loop {
-        let msg = match reader.read_step() {
-            Ok(ReadStep::Frame((FrameKind::Blob, payload))) => match payload.split_first() {
-                Some((&TAG_HEARTBEAT, _)) => ParentMsg::Heartbeat { rank },
-                Some((&TAG_STATUS, rest)) => ParentMsg::Status {
-                    rank,
-                    payload: rest.to_vec(),
-                },
-                Some((&TAG_RESULT, rest)) => {
-                    let _ = tx.send(ParentMsg::Result {
-                        rank,
-                        payload: rest.to_vec(),
-                    });
-                    return;
-                }
-                other => {
-                    let _ = tx.send(ParentMsg::Gone {
-                        rank,
-                        why: format!("unknown control tag {:?}", other.map(|(t, _)| *t)),
-                    });
-                    return;
-                }
-            },
-            Ok(ReadStep::Frame((kind, _))) => {
-                let _ = tx.send(ParentMsg::Gone {
-                    rank,
-                    why: format!("unexpected {:?} control frame", kind),
-                });
-                return;
-            }
-            Ok(ReadStep::Idle) => continue,
-            Ok(ReadStep::Eof) => {
-                let _ = tx.send(ParentMsg::Gone {
-                    rank,
-                    why: "control connection closed (worker died?)".into(),
-                });
-                return;
-            }
-            Err(e) => {
-                let _ = tx.send(ParentMsg::Gone {
-                    rank,
-                    why: e.to_string(),
-                });
-                return;
-            }
-        };
-        if tx.send(msg).is_err() {
-            return;
-        }
-    }
-}
-
-fn kill_generation(children: &mut [(usize, Child)]) {
+fn kill_cohort(children: &mut [(usize, Child)]) {
     for (_, child) in children.iter_mut() {
         let _ = child.kill();
     }
     for (_, child) in children.iter_mut() {
         let _ = child.wait();
-    }
-}
-
-/// Globally consistent restart state: how many epochs every rank has
-/// committed, and each rank's checkpoint at that cut (as the encoded blob
-/// its worker reported).
-struct Committed {
-    epoch: u32,
-    states: Vec<Vec<u8>>,
-}
-
-enum GenOutcome {
-    /// Every rank delivered a successful result.
-    Finished(Vec<(RankResult, Vec<TraceEvent>)>),
-    /// At least one rank died or failed; the generation was torn down.
-    Failed(Failure),
-}
-
-/// Why a generation failed, and which planned faults it observed.
-#[derive(Default)]
-struct Failure {
-    /// Per failed rank, what went wrong. `None` ranks are setup failures
-    /// not attributable to one worker.
-    dead: Vec<(Option<usize>, String)>,
-    /// Ranks whose process died — control link closed or heartbeat
-    /// missed — without first reporting an error.
-    died: Vec<usize>,
-    /// `(from, to)` links on which rank `to` reported a fault about
-    /// `from` that an injection can cause.
-    faulted: Vec<(usize, usize)>,
-}
-
-/// Run one supervised generation: spawn all ranks, stream them the epochs
-/// from the committed one on (following the live executor), drive the
-/// lock-step epoch protocol, and either collect every result or tear the
-/// cohort down on the first failure. Salvages the fault events reported
-/// in statuses from failed generations. A failed reference run tears the
-/// cohort down and is the `Err`.
-#[allow(clippy::too_many_arguments)]
-fn run_generation(
-    job: &NetJob,
-    cfg: &NetRunConfig,
-    compiled: &Compiled,
-    feed: &Feed,
-    nproc: usize,
-    listener: &mut NetListener,
-    plan: &FaultPlan,
-    committed: &mut Committed,
-    pipe: &Mutex<BufTracer>,
-    recovery: &mut RecoveryCounters,
-    salvaged: &mut [Vec<TraceEvent>],
-) -> Result<GenOutcome, String> {
-    let trace = job.trace;
-    let program = &compiled.spmd.program;
-    let (mut children, met) = launch(cfg, nproc, listener)?;
-
-    // Rendezvous + dispatch. Failures here doom the generation, not the
-    // run: they are charged to the respawn budget like any worker death.
-    let setup = met.and_then(|(mut conns, addrs)| {
-        for (rank, conn) in conns.iter_mut().enumerate() {
-            let extras = JobExtras {
-                plan,
-                supervised: true,
-                resume: (committed.epoch > 0)
-                    .then(|| (committed.epoch, &committed.states[rank][..])),
-            };
-            let blob = encode_job(job, cfg, nproc, &addrs, &extras);
-            conn.writer
-                .write(FrameKind::Blob, &blob)
-                .map_err(|e| format!("dispatching job to worker {}: {}", rank, e))?;
-        }
-        Ok(conns)
-    });
-    let conns = match setup {
-        Ok(c) => c,
-        Err(e) => {
-            kill_generation(&mut children);
-            return Ok(GenOutcome::Failed(Failure {
-                dead: vec![(None, e)],
-                ..Failure::default()
-            }));
-        }
-    };
-
-    std::thread::scope(|scope| {
-        let (tx, rx) = mpsc::channel::<ParentMsg>();
-        let generation = feed.start_generation(committed.epoch as usize);
-        let (readers, _streams) = spawn_streams(scope, feed, generation, conns, Some(tx.clone()));
-        for (rank, reader) in readers.into_iter().enumerate() {
-            let tx = tx.clone();
-            std::thread::spawn(move || control_reader(reader, rank, tx));
-        }
-        drop(tx);
-
-        let mut last_heard: Vec<Instant> = vec![Instant::now(); nproc];
-        let mut statuses: Vec<Option<Vec<u8>>> = (0..nproc).map(|_| None).collect();
-        let mut results: Vec<Option<(RankResult, Vec<TraceEvent>)>> =
-            (0..nproc).map(|_| None).collect();
-        let mut prov_faults: Vec<Vec<TraceEvent>> = vec![Vec::new(); nproc];
-        let mut failure = Failure::default();
-        // A rank is "accounted" once it delivered a result or joined `failure.dead`.
-        let mut accounted: Vec<bool> = vec![false; nproc];
-        let mut expect_epoch = committed.epoch;
-        // Once a failure is seen, drain briefly: peers that error out on the
-        // dead rank's closed links deliver their error statuses (with the
-        // fault events they healed this epoch) before the teardown.
-        let mut drain_deadline: Option<Instant> = None;
-        let drain_grace = Duration::from_millis(1500);
-        let start_drain = |dl: &mut Option<Instant>| {
-            dl.get_or_insert_with(|| Instant::now() + drain_grace);
-        };
-
-        let outcome = loop {
-            if let Some(e) = feed.failure() {
-                break Err(e);
-            }
-            match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(ParentMsg::Heartbeat { rank }) => last_heard[rank] = Instant::now(),
-                Ok(ParentMsg::Status { rank, payload }) => {
-                    last_heard[rank] = Instant::now();
-                    match decode_status(&payload) {
-                        Ok(st) => {
-                            prov_faults[rank] = st.faults;
-                            match st.body {
-                                Ok(state)
-                                    if st.epoch == expect_epoch && drain_deadline.is_none() =>
-                                {
-                                    statuses[rank] = Some(state);
-                                }
-                                // A stale or raced status while draining only
-                                // contributes its salvage payload.
-                                Ok(_) => {}
-                                Err(msg) => {
-                                    if !accounted[rank] {
-                                        accounted[rank] = true;
-                                        failure.dead.push((
-                                            Some(rank),
-                                            format!("epoch {}: {}", st.epoch, msg),
-                                        ));
-                                    }
-                                    start_drain(&mut drain_deadline);
-                                }
-                            }
-                        }
-                        Err(e) => {
-                            if !accounted[rank] {
-                                accounted[rank] = true;
-                                failure
-                                    .dead
-                                    .push((Some(rank), format!("bad status: {}", e)));
-                            }
-                            start_drain(&mut drain_deadline);
-                        }
-                    }
-                }
-                Ok(ParentMsg::Result { rank, payload }) => {
-                    last_heard[rank] = Instant::now();
-                    match decode_result(&payload, program) {
-                        Ok((Ok(res), obs)) => {
-                            accounted[rank] = true;
-                            results[rank] = Some((Ok(res), obs));
-                        }
-                        Ok((Err(msg), _)) => {
-                            if !accounted[rank] {
-                                accounted[rank] = true;
-                                failure.dead.push((Some(rank), msg));
-                            }
-                            start_drain(&mut drain_deadline);
-                        }
-                        Err(e) => {
-                            if !accounted[rank] {
-                                accounted[rank] = true;
-                                failure
-                                    .dead
-                                    .push((Some(rank), format!("bad result: {}", e)));
-                            }
-                            start_drain(&mut drain_deadline);
-                        }
-                    }
-                }
-                Ok(ParentMsg::Gone { rank, why }) => {
-                    if !accounted[rank] {
-                        accounted[rank] = true;
-                        failure.died.push(rank);
-                        failure.dead.push((Some(rank), why));
-                        start_drain(&mut drain_deadline);
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                // All reader threads exited; the state checks below decide.
-                Err(mpsc::RecvTimeoutError::Disconnected) => {}
-            }
-
-            // Deadline-based failure detection: a worker that stops
-            // heartbeating is dead to the supervisor even if its socket is
-            // still open (wedged process, livelocked replay).
-            for rank in 0..nproc {
-                if !accounted[rank] && last_heard[rank].elapsed() > cfg.heartbeat_deadline {
-                    accounted[rank] = true;
-                    recovery.heartbeat_misses += 1;
-                    if trace {
-                        pipe.lock().unwrap().push(Body::Fault {
-                            name: "heartbeat-miss".into(),
-                            detail: format!(
-                                "rank {} silent for more than {:?}",
-                                rank, cfg.heartbeat_deadline
-                            ),
-                            peer: Some(rank),
-                            last_seq: None,
-                        });
-                    }
-                    failure.died.push(rank);
-                    failure.dead.push((
-                        Some(rank),
-                        format!("no heartbeat within {:?}", cfg.heartbeat_deadline),
-                    ));
-                    start_drain(&mut drain_deadline);
-                }
-            }
-
-            match drain_deadline {
-                None => {
-                    if results.iter().all(|r| r.is_some()) {
-                        let out = std::mem::take(&mut results);
-                        break Ok(GenOutcome::Finished(
-                            out.into_iter().map(|r| r.unwrap()).collect(),
-                        ));
-                    }
-                    if statuses.iter().all(|s| s.is_some()) {
-                        // Commit the epoch: every rank checkpointed this cut,
-                        // so it is a globally consistent restart point.
-                        committed.epoch = expect_epoch + 1;
-                        committed.states =
-                            statuses.iter_mut().map(|s| s.take().unwrap()).collect();
-                        if trace {
-                            pipe.lock().unwrap().push(Body::Fault {
-                                name: "checkpoint".into(),
-                                detail: format!(
-                                    "epoch {} committed across {} ranks",
-                                    expect_epoch, nproc
-                                ),
-                                peer: None,
-                                last_seq: None,
-                            });
-                        }
-                        expect_epoch += 1;
-                        // Every stream forwards a `Proceed`; epochs before the
-                        // commit are no longer needed for a respawn.
-                        feed.commit(committed.epoch as usize);
-                    }
-                }
-                Some(dl) => {
-                    if accounted.iter().all(|&a| a) || Instant::now() >= dl {
-                        break Ok(GenOutcome::Failed(std::mem::take(&mut failure)));
-                    }
-                }
-            }
-        };
-
-        match outcome {
-            Ok(GenOutcome::Finished(res)) => {
-                feed.retire();
-                let reap_errors = reap(&mut children, cfg.result_deadline);
-                if !reap_errors.is_empty() {
-                    return Err(reap_errors.join("; "));
-                }
-                Ok(GenOutcome::Finished(res))
-            }
-            Ok(GenOutcome::Failed(mut failure)) => {
-                // The faults each rank reported name the links whose
-                // injections fired; salvage the events, which would
-                // otherwise die with the generation.
-                for (rank, faults) in prov_faults.iter_mut().enumerate() {
-                    for ev in faults.iter() {
-                        let Body::Fault {
-                            name,
-                            peer: Some(peer),
-                            ..
-                        } = &ev.body
-                        else {
-                            continue;
-                        };
-                        let link = (*peer, rank);
-                        if observes_injection(name) && !failure.faulted.contains(&link) {
-                            failure.faulted.push(link);
-                        }
-                    }
-                    salvaged[rank].append(faults);
-                }
-                kill_generation(&mut children);
-                feed.retire();
-                Ok(GenOutcome::Failed(failure))
-            }
-            Err(e) => {
-                kill_generation(&mut children);
-                feed.retire();
-                Err(e)
-            }
-        }
-    })
-}
-
-enum SupvDrive {
-    Done(DriveOutput),
-    Exhausted(String),
-}
-
-/// The supervised replacement for the fire-and-collect driver: run the
-/// reference executor on its own thread while generations run until one
-/// finishes, respawning failed cohorts from the last committed checkpoint,
-/// then validate exactly like the default path. When the respawn budget
-/// is exhausted, degrade to the in-process thread backend and mark the
-/// result [`Replayed::degraded`].
-fn supervised_validate_replay(
-    job: &NetJob,
-    cfg: &NetRunConfig,
-    compiled: &Compiled,
-    nproc: usize,
-    init: &(impl Fn(&mut Memory) + Sync),
-    pipe: BufTracer,
-) -> Result<Replayed, String> {
-    let trace = job.trace;
-    let pipe = Mutex::new(pipe);
-    let feed = Arc::new(Feed::new(nproc, true));
-    let mut recovery = RecoveryCounters::default();
-    let mut salvaged: Vec<Vec<TraceEvent>> = vec![Vec::new(); nproc];
-    let (reference, drive) = std::thread::scope(|scope| {
-        let exec = scope.spawn(|| {
-            let reference = feed.run_reference(compiled, init, job.vectorize);
-            if trace && reference.is_ok() {
-                let mut pipe = pipe.lock().unwrap();
-                pipe.end("reference-exec");
-                pipe.begin("replay");
-            }
-            reference
-        });
-        let drive = supervise(
-            job,
-            cfg,
-            compiled,
-            &feed,
-            nproc,
-            &pipe,
-            &mut recovery,
-            &mut salvaged,
-        );
-        (exec.join().expect("reference executor panicked"), drive)
-    });
-    let mut pipe = pipe.into_inner().unwrap();
-    let drive = drive?;
-    let reference = reference?;
-
-    match drive {
-        SupvDrive::Done((stats, mut metrics, mems, mut rank_obs)) => {
-            check_owner_slots(&compiled.spmd, &mems, &reference)
-                .map_err(|e| format!("processes vs reference: {}", e))?;
-            metrics.recovery.merge(&recovery);
-            let obs = if trace {
-                pipe.end("replay");
-                // Fault evidence salvaged from rolled-back generations
-                // precedes the surviving generation's timeline.
-                for (rank, list) in salvaged.iter_mut().enumerate() {
-                    if list.is_empty() {
-                        continue;
-                    }
-                    if let Some((_, evs)) = rank_obs.iter_mut().find(|(r, _)| *r == rank) {
-                        let mut merged = std::mem::take(list);
-                        merged.append(evs);
-                        *evs = merged;
-                    } else {
-                        rank_obs.push((rank, std::mem::take(list)));
-                    }
-                }
-                Some(hpf_obs::Trace::merge(pipe.into_events(), rank_obs))
-            } else {
-                None
-            };
-            Ok(Replayed {
-                mems,
-                stats,
-                metrics,
-                obs,
-                degraded: false,
-            })
-        }
-        SupvDrive::Exhausted(reason) => {
-            recovery.fallbacks += 1;
-            eprintln!(
-                "phpf netrun: {}; degrading to the in-process thread backend",
-                reason
-            );
-            if trace {
-                pipe.push(Body::Fault {
-                    name: "fallback".into(),
-                    detail: format!("{}; re-running on the thread backend", reason),
-                    peer: None,
-                    last_seq: None,
-                });
-            }
-            let mut r = validate_replay_traced(&compiled.spmd, init, job.vectorize, trace)?;
-            r.metrics.recovery.merge(&recovery);
-            r.degraded = true;
-            if trace {
-                pipe.end("replay");
-                match &mut r.obs {
-                    Some(t) => t.prepend_pipeline(pipe.into_events()),
-                    None => r.obs = Some(hpf_obs::Trace::from_pipeline(pipe.into_events())),
-                }
-            }
-            Ok(r)
-        }
-    }
-}
-
-/// Run generations until one finishes or the respawn budget is exhausted.
-#[allow(clippy::too_many_arguments)]
-fn supervise(
-    job: &NetJob,
-    cfg: &NetRunConfig,
-    compiled: &Compiled,
-    feed: &Feed,
-    nproc: usize,
-    pipe: &Mutex<BufTracer>,
-    recovery: &mut RecoveryCounters,
-    salvaged: &mut [Vec<TraceEvent>],
-) -> Result<SupvDrive, String> {
-    let trace = job.trace;
-    let mut listener = NetListener::bind(cfg.addr_kind, "netrun").map_err(|e| e.to_string())?;
-    let mut plan = cfg.plan().resolve(nproc);
-    let budget = cfg.respawn_budget.unwrap_or(DEFAULT_RESPAWN_BUDGET);
-    let respawn_retry = RetryPolicy::default();
-    let mut committed = Committed {
-        epoch: 0,
-        states: Vec::new(),
-    };
-    let mut attempts: u32 = 0;
-
-    loop {
-        let outcome = run_generation(
-            job,
-            cfg,
-            compiled,
-            feed,
-            nproc,
-            &mut listener,
-            &plan,
-            &mut committed,
-            pipe,
-            recovery,
-            salvaged,
-        )?;
-        match outcome {
-            GenOutcome::Finished(results) => {
-                let mut stats = ReplayStats::default();
-                let mut metrics = CommMetrics::new(nproc, compiled.spmd.comms.len());
-                let mut mems = Vec::with_capacity(nproc);
-                let mut rank_obs: Vec<(usize, Vec<TraceEvent>)> = Vec::new();
-                for (rank, (res, obs)) in results.into_iter().enumerate() {
-                    let (s, m, mem) =
-                        res.expect("finished generation carries only successful results");
-                    stats.messages_sent += s.messages_sent;
-                    stats.events += s.events;
-                    metrics.merge(&m);
-                    mems.push(mem);
-                    if trace {
-                        rank_obs.push((rank, obs));
-                    }
-                }
-                return Ok(SupvDrive::Done((stats, metrics, mems, rank_obs)));
-            }
-            GenOutcome::Failed(Failure {
-                dead,
-                died,
-                faulted,
-            }) => {
-                attempts += 1;
-                let who = dead
-                    .iter()
-                    .map(|(r, why)| match r {
-                        Some(r) => format!("rank {}: {}", r, why),
-                        None => why.clone(),
-                    })
-                    .collect::<Vec<_>>()
-                    .join("; ");
-                if attempts > budget {
-                    return Ok(SupvDrive::Exhausted(format!(
-                        "respawn budget ({}) exhausted; last generation failed with: {}",
-                        budget, who
-                    )));
-                }
-                recovery.respawns += 1;
-                // The respawned cohort must not re-suffer the faults this
-                // generation observed; the others have yet to fire.
-                plan = plan.after_failure(&died, &faulted);
-                if trace {
-                    pipe.lock().unwrap().push(Body::Fault {
-                        name: "respawn".into(),
-                        detail: format!(
-                            "{}; gang-restarting from checkpoint epoch {} (attempt {}/{})",
-                            who, committed.epoch, attempts, budget
-                        ),
-                        peer: died
-                            .first()
-                            .copied()
-                            .or_else(|| dead.iter().find_map(|(r, _)| *r)),
-                        last_seq: None,
-                    });
-                }
-                std::thread::sleep(respawn_retry.delay(attempts - 1));
-            }
-        }
     }
 }
 
@@ -2297,37 +1645,21 @@ pub fn worker_main() -> Result<(), String> {
 
     let payload = read_blob(&mut reader, "job from parent")?;
     let wire = decode_job(&payload)?;
-    if wire.supervised {
-        return worker_supervised(&wire, rank, &listener, reader, writer);
-    }
     let compiled = compile_for(&wire)?;
     let program = &compiled.spmd.program;
-    let mut stream = ParentStream::new(reader, &compiled.spmd, wire.nproc);
-
-    let (result, obs) = run_rank(&wire, rank, &compiled, &mut stream, &listener);
+    let mut stream = ParentStream {
+        reader,
+        sp: &compiled.spmd,
+        nproc: wire.nproc,
+    };
+    // Untraced, the timeline holds only the transport's fault events:
+    // they tell the parent which planned injection fired.
+    let mut obs = BufTracer::for_rank(rank);
+    let result = run_rank_inner(&wire, rank, &compiled, &mut stream, &listener, &mut obs);
     writer
-        .write(FrameKind::Blob, &encode_result(&result, &obs, program))
+        .write(FrameKind::Blob, &encode_result(&result, obs.events(), program))
         .map_err(|e| format!("sending result: {}", e))?;
     result.map(|_| ())
-}
-
-/// Replay this rank, collecting its observability timeline when the job
-/// asks for one — on errors too, so a dead peer's fault events (with the
-/// link's last acknowledged sequence number) still reach the parent.
-fn run_rank(
-    wire: &WireJob,
-    rank: usize,
-    compiled: &Compiled,
-    stream: &mut ParentStream,
-    listener: &NetListener,
-) -> (RankResult, Vec<TraceEvent>) {
-    let mut obs = if wire.job.trace {
-        Some(hpf_obs::BufTracer::for_rank(rank))
-    } else {
-        None
-    };
-    let res = run_rank_inner(wire, rank, compiled, stream, listener, obs.as_mut());
-    (res, obs.map(|o| o.into_events()).unwrap_or_default())
 }
 
 /// Compile the job's source — deterministically the parent's lowered
@@ -2344,14 +1676,18 @@ fn compile_for(wire: &WireJob) -> Result<Compiled, String> {
     Ok(compiled)
 }
 
+/// Replay this rank under the job's fault plan. Comm events go to `obs`
+/// when the job is traced; the transport's fault events always do, on
+/// errors too, so a dead peer's faults (with the link's last acknowledged
+/// sequence number) still reach the parent.
 fn run_rank_inner(
     wire: &WireJob,
     rank: usize,
     compiled: &Compiled,
     stream: &mut ParentStream,
     listener: &NetListener,
-    mut obs: Option<&mut hpf_obs::BufTracer>,
-) -> Result<(ReplayStats, CommMetrics, Memory), String> {
+    obs: &mut BufTracer,
+) -> RankResult {
     let nproc = wire.nproc;
     let init = make_init(compiled, &wire.job.fills)?;
     let mut mem = Memory::zeroed(&compiled.spmd.program);
@@ -2359,6 +1695,10 @@ fn run_rank_inner(
     let mut transport =
         SocketTransport::connect_mesh(rank, nproc, listener, &wire.addrs, wire.mesh_cfg())
             .map_err(|e: NetError| format!("proc {}: mesh: {}", rank, e))?;
+    let injector = (!wire.plan.is_empty()).then(|| FaultInjector::new(&wire.plan, rank));
+    if let Some(inj) = &injector {
+        transport.set_fault_injector(inj.clone());
+    }
     if wire.fail_rank == Some(rank) {
         // Fault injection: die abruptly after the handshake so peers see
         // a closed link mid-replay, not a clean goodbye.
@@ -2375,177 +1715,24 @@ fn run_rank_inner(
                 &mut transport,
                 &mut stats,
                 &mut metrics,
-                obs.as_deref_mut(),
-                |_| {},
+                wire.job.trace.then_some(&mut *obs),
+                |_| {
+                    if injector.as_ref().is_some_and(FaultInjector::note_event) {
+                        // The fault plan's kill: die as abruptly as a
+                        // real crash, mid-epoch, without a goodbye.
+                        std::process::abort();
+                    }
+                },
             )?;
         }
         transport
             .finish()
             .map_err(|e| format!("proc {}: teardown: {}", rank, e))
     })();
-    if let Some(o) = obs {
-        o.absorb(transport.take_fault_events());
-    }
+    obs.absorb(transport.take_fault_events());
     replayed?;
     metrics.saw_in_flight(transport.peak_in_flight());
     Ok((stats, metrics, mem))
-}
-
-/// Supervised worker: heartbeats on a background thread, lock-step epoch
-/// replay with per-epoch checkpoint statuses, fault injection from the
-/// wire plan, and a final tagged result frame.
-fn worker_supervised(
-    wire: &WireJob,
-    rank: usize,
-    listener: &NetListener,
-    reader: FrameReader<NetStream>,
-    writer: FrameWriter<NetStream>,
-) -> Result<(), String> {
-    // Heartbeats start before the compile, the event stream and the mesh
-    // so the parent's deadline detector never mistakes a busy worker for
-    // a dead one. Dropping `stop` wakes the heartbeat thread at once, so
-    // the worker exits without waiting out an interval.
-    let control = Arc::new(Mutex::new(writer));
-    let (stop, stopped) = mpsc::channel::<()>();
-    let hb = {
-        let control = Arc::clone(&control);
-        let interval = wire.heartbeat_interval.max(Duration::from_millis(10));
-        std::thread::spawn(move || loop {
-            if control
-                .lock()
-                .unwrap()
-                .write(FrameKind::Blob, &[TAG_HEARTBEAT])
-                .is_err()
-            {
-                return;
-            }
-            if stopped.recv_timeout(interval) != Err(mpsc::RecvTimeoutError::Timeout) {
-                return;
-            }
-        })
-    };
-    let res = worker_supervised_inner(wire, rank, listener, reader, &control);
-    drop(stop);
-    let _ = hb.join();
-    res
-}
-
-fn worker_supervised_inner(
-    wire: &WireJob,
-    rank: usize,
-    listener: &NetListener,
-    reader: FrameReader<NetStream>,
-    control: &Arc<Mutex<FrameWriter<NetStream>>>,
-) -> Result<(), String> {
-    let compiled = compile_for(wire)?;
-    let program = &compiled.spmd.program;
-    let nproc = wire.nproc;
-    // The stream starts at the committed epoch.
-    let mut stream = ParentStream::new(reader, &compiled.spmd, nproc);
-    let init = make_init(&compiled, &wire.job.fills)?;
-    let mut mem = Memory::zeroed(program);
-    init(&mut mem);
-    let mut stats = ReplayStats::default();
-    let mut metrics = CommMetrics::new(nproc, compiled.spmd.comms.len());
-    let mut epoch = 0usize;
-    if let Some((done, blob)) = &wire.resume {
-        // Resume from the supervisor's committed checkpoint instead of
-        // the initial fills, counting on from its counters.
-        let mut d = Dec::new(blob);
-        (stats, metrics, mem) = decode_state(&mut d, program)?;
-        d.done().map_err(|e| e.to_string())?;
-        epoch = *done as usize;
-    }
-    let injector = (!wire.plan.is_empty()).then(|| FaultInjector::new(&wire.plan, rank));
-    let mut transport =
-        SocketTransport::connect_mesh(rank, nproc, listener, &wire.addrs, wire.mesh_cfg())
-            .map_err(|e: NetError| format!("proc {}: mesh: {}", rank, e))?;
-    if let Some(inj) = &injector {
-        transport.set_fault_injector(inj.clone());
-    }
-    if wire.fail_rank == Some(rank) {
-        // Legacy abrupt-death injection: deliberately NOT rescued — it
-        // models a crash outside the supervised protocol.
-        std::process::abort();
-    }
-
-    let mut obs = wire.job.trace.then(|| BufTracer::for_rank(rank));
-    let mut fault_log: Vec<TraceEvent> = Vec::new();
-    while let Some(seg) = stream.next_epoch()? {
-        let res = replay_rank_segment(
-            &compiled.spmd,
-            &seg,
-            &mut mem,
-            &mut transport,
-            &mut stats,
-            &mut metrics,
-            obs.as_mut(),
-            |_| {
-                if let Some(inj) = &injector {
-                    if inj.note_event() {
-                        // The fault plan's kill: die as abruptly as a real
-                        // crash, mid-epoch, without a goodbye.
-                        std::process::abort();
-                    }
-                }
-            },
-        );
-        if obs.is_none() {
-            fault_log.extend(transport.take_fault_events());
-        }
-        // Cumulative fault snapshot rides on every status so a later
-        // death cannot erase this epoch's fault evidence.
-        let faults: Vec<TraceEvent> = match &obs {
-            Some(o) => o
-                .events()
-                .iter()
-                .filter(|ev| matches!(ev.body, Body::Fault { .. }))
-                .cloned()
-                .collect(),
-            None => fault_log.clone(),
-        };
-        let mut enc = Enc::new();
-        enc.u8(TAG_STATUS);
-        enc.u32(epoch as u32);
-        match &res {
-            Ok(()) => {
-                let mut state = Enc::new();
-                metrics.saw_in_flight(transport.peak_in_flight());
-                encode_state(&mut state, &stats, &metrics, &mem, program);
-                enc.u8(1);
-                enc.bytes(&state.buf);
-            }
-            Err(msg) => {
-                enc.u8(0);
-                enc.str(msg);
-            }
-        }
-        encode_obs_events(&mut enc, &faults);
-        let sent = control.lock().unwrap().write(FrameKind::Blob, &enc.buf);
-        res?;
-        sent.map_err(|e| format!("sending epoch {} status: {}", epoch, e))?;
-        stream.wait_proceed()?;
-        epoch += 1;
-    }
-
-    let fin = transport.finish();
-    if let Some(o) = obs.as_mut() {
-        o.absorb(transport.take_fault_events());
-    }
-    metrics.saw_in_flight(transport.peak_in_flight());
-    let result: RankResult = match fin {
-        Ok(()) => Ok((stats, metrics, mem)),
-        Err(e) => Err(format!("proc {}: teardown: {}", rank, e)),
-    };
-    let obs_events = obs.map(|o| o.into_events()).unwrap_or_default();
-    let mut blob = vec![TAG_RESULT];
-    blob.extend(encode_result(&result, &obs_events, program));
-    control
-        .lock()
-        .unwrap()
-        .write(FrameKind::Blob, &blob)
-        .map_err(|e| format!("sending result: {}", e))?;
-    result.map(|_| ())
 }
 
 #[cfg(test)]

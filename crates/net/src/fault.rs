@@ -12,10 +12,11 @@
 //!
 //! Every injected fault is terminal where it lands: the receiver of a
 //! corrupt or dropped frame fails its replay, and a killed rank dies. The
-//! supervised driver then respawns the whole cohort from its last
-//! checkpoint under [`FaultPlan::after_failure`], which drops exactly the
-//! faults the failed generation observed, so every planned action fires
-//! once and the respawn loop terminates.
+//! multi-process driver then reruns the whole run from the start with a
+//! fresh cohort under [`FaultPlan::after_failure`], which drops exactly
+//! the faults the failed cohort observed, so every planned action fires
+//! once and the respawn loop terminates. Frame and event counts start
+//! from zero in every cohort: each is a fresh set of processes.
 
 use crate::retry::splitmix64;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -32,7 +33,7 @@ pub enum FaultAction {
     /// consuming its sequence number. The receiver sees a `seq-gap`.
     Drop { from: usize, to: usize, frame: u64 },
     /// Abort rank `rank`'s worker process after it has replayed `events`
-    /// events — an unrecoverable process death the supervisor must handle.
+    /// events — an unrecoverable process death the driver must handle.
     Kill { rank: usize, events: u64 },
 }
 
@@ -119,8 +120,26 @@ impl FaultPlan {
     /// Expand the `seed:` shorthand into concrete actions for a world of
     /// `nproc` ranks: one corrupted frame, one dropped frame, and one
     /// worker kill, all chosen by a SplitMix64 stream so the same seed
-    /// always yields the same schedule.
-    pub fn resolve(&self, nproc: usize) -> FaultPlan {
+    /// always yields the same schedule. An explicit action that names a
+    /// rank outside the world is an error: it could never fire.
+    pub fn resolve(&self, nproc: usize) -> Result<FaultPlan, String> {
+        for a in &self.actions {
+            let highest = match *a {
+                FaultAction::Corrupt { from, to, .. } | FaultAction::Drop { from, to, .. } => {
+                    from.max(to)
+                }
+                FaultAction::Kill { rank, .. } => rank,
+            };
+            if highest >= nproc {
+                return Err(format!(
+                    "fault action `{}` names rank {}, but the grid has {} processors (ranks 0..{})",
+                    a,
+                    highest,
+                    nproc,
+                    nproc.saturating_sub(1)
+                ));
+            }
+        }
         let mut actions = self.actions.clone();
         if let Some(seed) = self.seed {
             if nproc >= 2 {
@@ -148,10 +167,10 @@ impl FaultPlan {
                 });
             }
         }
-        FaultPlan {
+        Ok(FaultPlan {
             actions,
             seed: None,
-        }
+        })
     }
 
     /// The kill scheduled for `rank`, if any (first match wins).
@@ -162,8 +181,8 @@ impl FaultPlan {
         })
     }
 
-    /// The plan the next generation runs under after one failed. Only the
-    /// faults the failed generation observed are consumed:
+    /// The plan the next cohort runs under after one failed. Only the
+    /// faults the failed cohort observed are consumed:
     ///
     /// * the armed kill (see [`FaultPlan::kill_for`]) of every rank in
     ///   `died`, the ranks whose process died without first reporting an
@@ -173,7 +192,7 @@ impl FaultPlan {
     ///   `from -> to` with the lowest frame number: a link fails at its
     ///   first fault, so that is the one that fired.
     ///
-    /// Every other action stays for the next generation.
+    /// Every other action stays for the next cohort.
     pub fn after_failure(&self, died: &[usize], faulted: &[(usize, usize)]) -> FaultPlan {
         let mut actions = self.actions.clone();
         for &rank in died {
@@ -401,8 +420,8 @@ mod tests {
     #[test]
     fn seed_resolves_deterministically() {
         let plan = FaultPlan::parse("seed:42").unwrap();
-        let a = plan.resolve(4);
-        let b = plan.resolve(4);
+        let a = plan.resolve(4).unwrap();
+        let b = plan.resolve(4).unwrap();
         assert_eq!(a, b, "same seed + world size must resolve identically");
         assert!(a.seed.is_none());
         assert!(a.actions.iter().any(|x| matches!(x, FaultAction::Corrupt { .. })));
@@ -416,6 +435,22 @@ mod tests {
             }
         }
         assert_ne!(plan.resolve(4), plan.resolve(3));
+    }
+
+    #[test]
+    fn actions_outside_the_grid_are_rejected() {
+        for (plan, action, rank) in [
+            ("kill:9@5,corrupt:7>8@0", "kill:9@5", 9),
+            ("kill:1@5,corrupt:3>4@0", "corrupt:3>4@0", 4),
+            ("drop:4>0@1", "drop:4>0@1", 4),
+        ] {
+            let err = FaultPlan::parse(plan).unwrap().resolve(4).unwrap_err();
+            assert!(err.contains(&format!("`{}`", action)), "{}: {}", plan, err);
+            assert!(err.contains(&format!("rank {}", rank)), "{}: {}", plan, err);
+            assert!(err.contains("4 processors"), "{}: {}", plan, err);
+        }
+        let edge = FaultPlan::parse("corrupt:3>0@0,kill:3@1").unwrap();
+        assert_eq!(edge.resolve(4).unwrap(), edge);
     }
 
     #[test]

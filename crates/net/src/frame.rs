@@ -18,8 +18,8 @@
 //! and corruption fails the checksum. [`FrameError`] names each case so the
 //! transport can report which fault it saw on which link. Every detected
 //! fault is terminal for its link: the stream is not resynchronised, and
-//! the supervised multi-process driver heals the run by respawning the
-//! whole cohort from its last checkpoint.
+//! the self-healing multi-process driver reruns the whole run with a
+//! fresh cohort.
 //!
 //! The payload of data frames is a sequence of tagged values (see
 //! [`Enc::value`]); control frames (`Hello`/`Bye`) and the multi-process
@@ -317,13 +317,6 @@ impl Enc {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
-    /// Length-prefixed raw bytes (an opaque nested blob, e.g. a worker's
-    /// checkpointed memory riding inside a supervision message).
-    pub fn bytes(&mut self, b: &[u8]) {
-        self.u32(b.len() as u32);
-        self.buf.extend_from_slice(b);
-    }
-
     /// One tagged value: tag byte (0 = Int, 1 = Real, 2 = Bool) + 8 bytes.
     pub fn value(&mut self, v: Value) {
         match v {
@@ -426,12 +419,6 @@ impl<'a> Dec<'a> {
         let b = self.take(n)?;
         String::from_utf8(b.to_vec())
             .map_err(|e| FrameError::Decode(format!("bad utf-8 string: {}", e)))
-    }
-
-    /// Length-prefixed raw bytes (see [`Enc::bytes`]).
-    pub fn bytes(&mut self) -> Result<Vec<u8>, FrameError> {
-        let n = self.u32()? as usize;
-        Ok(self.take(n)?.to_vec())
     }
 
     pub fn value(&mut self) -> Result<Value, FrameError> {

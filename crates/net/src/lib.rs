@@ -26,8 +26,8 @@
 //!   and worker respawn;
 //! * [`fault`] — deterministic fault injection: a seeded, replayable plan
 //!   of frame corruptions, drops and worker kills that drives the
-//!   supervised driver's checkpointed respawn end-to-end, and the rule
-//!   that decides which planned faults a failed generation consumed.
+//!   multi-process driver's cohort respawn end-to-end, and the rule that
+//!   decides which planned faults a failed cohort consumed.
 //!
 //! The crate deliberately knows nothing about SPMD programs or traces —
 //! only about moving [`hpf_ir::Value`]s between ranks — so the runtime can

@@ -17,8 +17,8 @@
 //! time, never waited on forever. Reader threads poll with a short read
 //! timeout: an idle link just keeps waiting, while a timeout in the middle
 //! of a frame is reported as truncation. Every such fault is terminal for
-//! the link; the supervised driver above heals it by checkpointed gang
-//! respawn.
+//! the link; the driver above heals it by rerunning the whole run with a
+//! fresh cohort of processes.
 //!
 //! The in-flight gauge counts frames read off the wire but not yet
 //! consumed by `recv` — the receive-queue depth, the socket-world analogue

@@ -61,9 +61,11 @@ pub struct RecoveryCounters {
     /// by gang respawn, never by retransmission. The field keeps the
     /// `"recovery"` JSON layout that benchmark tooling reads.
     pub retransmits: u64,
-    /// Worker heartbeats that missed their deadline at the supervisor.
+    /// Worker heartbeats that missed their deadline. Always 0: workers do
+    /// not heartbeat, and a silent worker is declared dead at the result
+    /// deadline. The field keeps the `"recovery"` JSON layout.
     pub heartbeat_misses: u64,
-    /// Gang restarts of the worker cohort from an epoch checkpoint.
+    /// Failed worker cohorts rerun from the start by a fresh cohort.
     pub respawns: u64,
     /// Whole-job downgrades to the in-process thread backend.
     pub fallbacks: u64,
@@ -95,8 +97,8 @@ pub struct CommMetrics {
     /// assembly); the threaded runtime reports real sent-but-not-received
     /// messages across all channels.
     pub max_in_flight: u64,
-    /// Self-healing overhead: heartbeat misses, respawns and backend
-    /// fallbacks (all zero on a fault-free run).
+    /// Self-healing overhead: respawns and backend fallbacks (all zero on
+    /// a fault-free run).
     pub recovery: RecoveryCounters,
 }
 

@@ -119,9 +119,9 @@ pub fn replay_rank_traced<T: Transport>(
 /// Replay a *segment* of a rank's event list — the epoch-sized unit of
 /// [`crate::exec::SpmdExec::epoch_cuts`] — accumulating stats and metrics
 /// across calls. Unlike [`replay_rank_traced`] this neither tears the
-/// transport down nor folds in its in-flight peak, so a supervised worker
-/// can run epoch after epoch over one mesh (checkpointing between them)
-/// and finish only once. `tick` runs after every replayed event; the fault
+/// transport down nor folds in its in-flight peak, so a socket worker can
+/// replay each epoch over one mesh as the parent streams it and finish
+/// only once. `tick` runs after every replayed event; the fault
 /// plan's kill trigger hangs off it.
 ///
 /// Segments must start at epoch cuts: the worker's reduction stack is

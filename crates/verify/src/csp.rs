@@ -6,10 +6,11 @@
 //! the three schedule properties:
 //!
 //! * **S101** — per-epoch multiset matching: within every epoch (the
-//!   cut points the checkpointing runtime restarts from), each link
-//!   carries exactly as many send units as receive units, separately
-//!   for scalar and coalesced (vectorized) messages. A mismatch means a
-//!   restart from that cut replays or drops a message.
+//!   units the socket driver streams to its workers and each worker
+//!   replays as a segment), each link carries exactly as many send units
+//!   as receive units, separately for scalar and coalesced (vectorized)
+//!   messages. A mismatch means an epoch's replay sends or expects a
+//!   message the other side's epoch does not hold.
 //! * **S102** — deadlock-freedom: a greedy round-robin execution of the
 //!   CSP retires every event. FIFO links make the CSP confluent, so one
 //!   schedule suffices; a stuck configuration is reported with every
@@ -17,8 +18,8 @@
 //!   wait-for cycle).
 //! * **S103** — no message crosses an epoch cut: a send matched by a
 //!   receive in a different epoch means a coalescing group (or a plain
-//!   transfer) is still open when the cut is taken, exactly the class
-//!   of restart bug the self-healing runtime must never see.
+//!   transfer) is still open when the cut is taken, so the epoch handed
+//!   to the workers is not final.
 //! * **S104** — payload agreement: a matched send/receive pair must
 //!   agree on kind (scalar vs. coalesced), on the placed operation, and
 //!   on the slot vector, or the receiver scatters values into the wrong

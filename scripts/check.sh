@@ -118,9 +118,10 @@ echo "$out" | grep -q 'backend socket: replay on 4 worker processes matched' || 
     exit 1
 }
 
-echo "==> chaos smoke (DGEFA small, worker killed mid-stream, respawned from a checkpoint)"
-# Rank 1 dies at its 100th event, in the second of 11 epochs: the respawned
-# generation is streamed from the committed epoch on and must still match.
+echo "==> chaos smoke (DGEFA small, worker killed mid-stream, rerun by a fresh cohort)"
+# Rank 1 dies at its 100th event, in the second of 11 epochs: the failed
+# cohort is reaped, a fresh cohort reruns the whole run from the start
+# (reference executor included) and must still match, at one respawn.
 dgefachaos=$(mktemp -t phpfc-dgefa-chaos.XXXXXX)
 trap 'rm -f "$goldtrace" "$dgefachaos"' EXIT
 set +e
@@ -138,12 +139,15 @@ echo "$out" | grep -q 'backend socket: replay on 4 worker processes matched' || 
     echo "$out" >&2
     exit 1
 }
-for needle in '"name":"fault:respawn"' '"name":"fault:checkpoint"'; do
-    grep -q "$needle" "$dgefachaos" || {
-        echo "FAIL: DGEFA chaos trace lacks $needle" >&2
-        exit 1
-    }
-done
+grep -q '"name":"fault:respawn"' "$dgefachaos" || {
+    echo "FAIL: DGEFA chaos trace lacks \"name\":\"fault:respawn\"" >&2
+    exit 1
+}
+echo "$out" | grep '^BENCH_JSON {' | grep -q '"respawns":1,' || {
+    echo "FAIL: DGEFA chaos run did not report exactly one respawn" >&2
+    echo "$out" | grep '^BENCH_JSON {' >&2
+    exit 1
+}
 
 echo "==> trace smoke (TOMCATV small, socket backend, --trace)"
 tracefile=$(mktemp -t phpfc-trace.XXXXXX)
@@ -209,9 +213,9 @@ fi
 
 echo "==> chaos smoke (TOMCATV small, socket backend, injected faults)"
 # A corrupted frame plus a worker kill must self-heal: the receiver detects
-# the frame (bad-checksum) and each fault fails one generation, which
-# checkpointed gang respawn restarts. The run must still validate against
-# the reference and report its recovery work in both the trace and the
+# the frame (bad-checksum) and each fault fails one cohort, which a fresh
+# cohort reruns from the start. The run must still validate against the
+# reference and report its recovery work in both the trace and the
 # BENCH_JSON counters.
 chaostrace=$(mktemp -t phpfc-chaos.XXXXXX)
 trap 'rm -f "$goldtrace" "$dgefachaos" "$tracefile" "$chaostrace"' EXIT
@@ -230,7 +234,7 @@ echo "$out" | grep -q 'backend socket: replay on 4 worker processes matched' || 
     echo "$out" >&2
     exit 1
 }
-for needle in '"name":"fault:bad-checksum"' '"name":"fault:respawn"' '"name":"fault:checkpoint"'; do
+for needle in '"name":"fault:bad-checksum"' '"name":"fault:respawn"'; do
     grep -q "$needle" "$chaostrace" || {
         echo "FAIL: chaos trace lacks $needle" >&2
         exit 1

@@ -1,9 +1,9 @@
 //! Chaos suite: the self-healing socket backend must produce *bit-identical*
 //! results under injected faults. Every test drives a deterministic
-//! `FaultPlan` through the supervised driver and compares the outcome
-//! against a fault-free thread-backend run of the same program. Every
-//! fault — a corrupt or dropped frame as much as a killed worker — fails
-//! its generation, and the recovery ladder (checkpointed gang respawn →
+//! `FaultPlan` through the socket driver and compares the outcome against
+//! a fault-free thread-backend run of the same program. Every fault — a
+//! corrupt or dropped frame as much as a killed worker — fails its cohort,
+//! and the recovery ladder (rerun from the start by a fresh cohort →
 //! thread-backend fallback) may cost time, never correctness.
 
 use phpf::compile::netrun::{self, FaultPlan, NetJob, NetRunConfig, EVENT_CHUNK_BYTES};
@@ -55,7 +55,7 @@ fn cfg_with_plan(plan: &str) -> NetRunConfig {
 }
 
 /// Corrupted and dropped frames are terminal at the link: each fails its
-/// generation, and checkpointed gang respawn heals the run. Nothing is
+/// cohort, and a fresh cohort reruns the run. Nothing is
 /// retransmitted, nothing degrades, and the replay is bit-identical to the
 /// fault-free thread run — traffic counters included. The salvaged trace
 /// names each detected fault exactly once: each injection fired once.
@@ -97,17 +97,17 @@ fn link_faults_heal_by_gang_respawn() {
     assert!(names.contains(&"respawn"), "got {:?}", names);
 }
 
-/// A worker killed *after* the first committed checkpoint is respawned as
-/// part of a gang restart that resumes from that checkpoint — and the
-/// final memories still match the fault-free run bit for bit.
+/// A worker killed in the middle of the run fails its cohort; a fresh
+/// cohort reruns the whole run from the start, and the final memories
+/// still match the fault-free run bit for bit. No checkpoint is taken.
 #[test]
-fn gang_respawn_resumes_from_checkpoint() {
+fn killed_worker_heals_through_a_fresh_cohort() {
     let job = faulted_job(true);
     let compiled = job.compile().unwrap();
     let threads = thread_reference(&job);
 
-    // Place the kill in the middle of the second epoch of rank 1 so the
-    // respawned generation must resume from a non-trivial checkpoint.
+    // Place the kill in the middle of the second epoch of rank 1, after
+    // the workers replayed a whole epoch.
     let fills: Vec<(phpf::ir::VarId, Vec<f64>)> = job
         .fills
         .iter()
@@ -123,38 +123,42 @@ fn gang_respawn_resumes_from_checkpoint() {
     let cuts = exec.epoch_cuts();
     assert!(cuts.len() > 2, "kernel must have at least two epochs");
     let kill_at = (cuts[1][1] + cuts[2][1]) / 2;
-    assert!(kill_at > cuts[1][1], "kill must land after the first commit");
+    assert!(kill_at > cuts[1][1], "kill must land after the first epoch");
 
     let r = netrun::socket_validate_replay(&job, &cfg_with_plan(&format!("kill:1@{}", kill_at)))
         .expect("killed worker must be healed by respawn");
     assert!(!r.degraded);
-    assert!(
-        r.metrics.recovery.respawns >= 1,
-        "the kill must be visible in the respawn counter"
+    assert_eq!(
+        r.metrics.recovery.respawns, 1,
+        "the kill must cost exactly one fresh cohort"
     );
     assert_eq!(r.metrics.recovery.fallbacks, 0);
 
     check_owner_slots(&compiled.spmd, &r.mems, &threads.mems)
         .expect("post-respawn memories must be bit-identical to the thread run");
+    assert_eq!(r.metrics.per_proc, threads.metrics.per_proc);
 
     let trace = r.obs.expect("trace requested");
     let names = trace.fault_names();
-    for needed in ["checkpoint", "respawn"] {
-        assert!(
-            names.contains(&needed),
-            "trace must record `{}` events, got {:?}",
-            needed,
-            names
-        );
-    }
+    assert!(
+        names.contains(&"respawn"),
+        "trace must record the respawn, got {:?}",
+        names
+    );
+    assert!(
+        !names.contains(&"checkpoint"),
+        "no checkpoint is taken, got {:?}",
+        names
+    );
 }
 
-/// A respawned generation is streamed only its events from the committed
-/// cut onward. On DGEFA at n=72 the rank streams span several event
-/// frames; the kill lands mid-stream, so the resumed stream starts deep
-/// inside the trace and still matches the fault-free run bit for bit.
+/// A kill half-way through a rank's multi-frame event stream heals: on
+/// DGEFA at n=72 the rank streams span several event frames, the kill
+/// lands mid-stream after whole epochs were replayed, and the fresh
+/// cohort, streamed everything again from the start, still matches the
+/// fault-free run bit for bit.
 #[test]
-fn respawn_streams_events_from_the_committed_cut() {
+fn mid_stream_kill_heals_on_a_multi_frame_event_stream() {
     let job = NetJob::new(dgefa::source(72, SOURCE_P))
         .with_default_fills()
         .expect("kernel compiles");
@@ -176,10 +180,10 @@ fn respawn_streams_events_from_the_committed_cut() {
     let kill_at = events.len() / 2;
     assert!(
         exec.epoch_cuts().iter().any(|c| c[1] > 0 && c[1] < kill_at),
-        "an epoch must commit before the kill"
+        "an epoch must end before the kill"
     );
-    // Whatever cut before the kill commits, the resumed stream holds at
-    // least the second half of the rank's events: more than one frame.
+    // The half of the rank's events the killed cohort never replayed
+    // spans more than one frame.
     let mut e = Enc::new();
     encode_events(&mut e, &events[kill_at..], usize::MAX);
     assert!(e.buf.len() > 2 * EVENT_CHUNK_BYTES, "{} bytes", e.buf.len());
@@ -189,12 +193,12 @@ fn respawn_streams_events_from_the_committed_cut() {
     assert!(!r.degraded);
     assert!(r.metrics.recovery.respawns >= 1);
     check_owner_slots(&compiled.spmd, &r.mems, &threads.mems)
-        .expect("resumed memories must be bit-identical to the thread run");
+        .expect("healed memories must be bit-identical to the thread run");
 }
 
 /// Seeded plans (corrupt + drop + kill chosen by the seed) always converge
 /// to the fault-free answer: whatever the seed throws at the mesh, the
-/// supervised driver heals it deterministically.
+/// driver heals it deterministically.
 #[test]
 fn seeded_plans_are_bit_identical_to_fault_free() {
     let job = faulted_job(false);
@@ -212,13 +216,18 @@ fn seeded_plans_are_bit_identical_to_fault_free() {
         );
         check_owner_slots(&compiled.spmd, &r.mems, &threads.mems)
             .unwrap_or_else(|e| panic!("seed {}: memories diverge: {}", seed, e));
+        assert_eq!(
+            r.metrics.per_proc, threads.metrics.per_proc,
+            "seed {}",
+            seed
+        );
     }
 }
 
 /// The paper's acceptance matrix: on each of the three kernels (TOMCATV,
 /// DGEFA, APPSP), a plan injecting one corrupted frame on a live link plus
-/// one worker kill must heal — each by its own checkpointed gang respawn —
-/// and converge bit-identically to the fault-free thread run.
+/// one worker kill must heal — each by its own fresh cohort — and
+/// converge bit-identically to the fault-free thread run.
 #[test]
 fn each_kernel_heals_corrupt_frame_plus_worker_kill() {
     let kernels = [
@@ -235,8 +244,9 @@ fn each_kernel_heals_corrupt_frame_plus_worker_kill() {
 
         // Trace a reference run to aim the faults: corrupt the first frame
         // of a link that carries traffic in epoch 0, and kill rank 1 in the
-        // middle of epoch 1 — strictly after the corrupt fires and after
-        // the first checkpoint commits, so each fails its own generation.
+        // middle of epoch 1. The corrupt frame's receiver is rank 1, so
+        // rank 1 fails in epoch 0, before it reaches its kill: each fault
+        // fails its own cohort.
         let fills: Vec<(phpf::ir::VarId, Vec<f64>)> = job
             .fills
             .iter()
@@ -263,14 +273,19 @@ fn each_kernel_heals_corrupt_frame_plus_worker_kill() {
             })
             .unwrap_or_else(|| panic!("{}: no epoch-0 wire traffic to corrupt", name));
         let kill_at = (cuts[1][1] + cuts[2][1]) / 2;
-        assert!(kill_at > cuts[1][1], "{}: kill must land after the first commit", name);
+        assert!(
+            kill_at > cuts[1][1],
+            "{}: kill must land after epoch 0",
+            name
+        );
 
         let plan = format!("corrupt:{}>{}@0,kill:1@{}", link.0, link.1, kill_at);
         let r = netrun::socket_validate_replay(&job, &cfg_with_plan(&plan))
             .unwrap_or_else(|e| panic!("{} under `{}`: {}", name, plan, e));
         assert!(!r.degraded, "{}: must heal without degradation", name);
-        // The corrupt frame fails generation 1 in epoch 0, the kill fails
-        // generation 2 in epoch 1, and generation 3 finishes.
+        // The corrupt frame fails cohort 1 in epoch 0 and consumes only
+        // itself; the kill then fails cohort 2 in epoch 1, and cohort 3
+        // finishes.
         assert_eq!(
             r.metrics.recovery.respawns, 2,
             "{}: the corrupt frame and the kill must each cost one gang respawn",
@@ -279,12 +294,13 @@ fn each_kernel_heals_corrupt_frame_plus_worker_kill() {
         assert_eq!(r.metrics.recovery.fallbacks, 0, "{}", name);
         check_owner_slots(&compiled.spmd, &r.mems, &threads.mems)
             .unwrap_or_else(|e| panic!("{}: memories diverge from thread run: {}", name, e));
+        assert_eq!(r.metrics.per_proc, threads.metrics.per_proc, "{}", name);
     }
 }
 
 /// Supervision without faults is free of side effects: an empty plan with
-/// a respawn budget runs the epoch protocol, reports all-zero recovery
-/// counters, and matches the fault-free run exactly.
+/// a respawn budget runs one cohort, reports all-zero recovery counters,
+/// and matches the fault-free run exactly.
 #[test]
 fn supervised_clean_run_has_zero_counters() {
     let job = faulted_job(false);
@@ -342,8 +358,8 @@ fn exhausted_budget_degrades_to_thread_backend() {
 }
 
 /// A worker killed while the reference executor is still producing epochs
-/// is respawned from the committed epoch; the new generation follows the
-/// live executor and the run ends bit-identical to the fault-free one.
+/// fails its cohort; the fresh cohort follows its own live executor from
+/// the start, and the run ends bit-identical to the fault-free one.
 /// DGEFA at n=96 has 95 epochs and the kill lands in the third, while
 /// the executor is still producing them.
 #[test]
@@ -375,31 +391,38 @@ fn respawn_follows_the_live_executor() {
     assert!(!r.degraded);
     assert_eq!(r.metrics.recovery.respawns, 1);
     let obs = r.obs.as_ref().expect("trace requested");
-    let at = |pred: &dyn Fn(&Body) -> bool| {
+    let times = |pred: &dyn Fn(&Body) -> bool| -> Vec<u64> {
         obs.pipeline_events()
-            .find(|e| pred(&e.body))
+            .filter(|e| pred(&e.body))
             .map(|e| e.t_us)
-            .expect("event recorded")
+            .collect()
     };
-    let fault = |name: &str, detail: &str| {
-        let (name, detail) = (name.to_string(), detail.to_string());
-        move |b: &Body| matches!(b, Body::Fault { name: n, detail: d, .. } if *n == name && d.contains(&detail))
-    };
-    // The first generation replayed epochs while the executor ran...
-    let exec_end = at(&|b| matches!(b, Body::End { name } if name == "reference-exec"));
-    assert!(at(&fault("checkpoint", "epoch 1 committed")) < exec_end);
-    // ...and the respawn resumed from the epoch committed before the kill.
-    at(&fault("respawn", "from checkpoint epoch 2 "));
+    // Each cohort ran its own reference executor...
+    let exec_ends = times(&|b| matches!(b, Body::End { name } if name == "reference-exec"));
+    assert_eq!(exec_ends.len(), 2, "one reference-exec span per cohort");
+    assert_eq!(
+        times(&|b| matches!(b, Body::Begin { name } if name == "reference-exec")).len(),
+        2
+    );
+    // ...and the respawn came between them.
+    let respawns = times(&|b| matches!(b, Body::Fault { name, .. } if name == "respawn"));
+    assert_eq!(respawns.len(), 1);
+    assert!(
+        exec_ends[0] <= respawns[0] && respawns[0] <= exec_ends[1],
+        "respawn at {} us, reference-exec ends at {:?} us",
+        respawns[0],
+        exec_ends
+    );
     check_owner_slots(&compiled.spmd, &r.mems, &threads.mems)
-        .expect("resumed memories must be bit-identical to the thread run");
+        .expect("healed memories must be bit-identical to the thread run");
 }
 
-/// A healed run reports the traffic of the whole run, not just the part
-/// after its resume cut: each rank's cumulative counters ride on its
-/// checkpoint, and a respawned worker counts on from them. DGEFA at n=32
-/// with rank 1 killed in the middle of epoch 5 resumes from cut 5.
+/// A healed run reports the traffic of the whole run exactly once: the
+/// failed cohort's counters are discarded, and the fresh cohort counts
+/// the run from the start. DGEFA at n=32 with rank 1 killed in the middle
+/// of epoch 5.
 #[test]
-fn respawned_run_counts_traffic_before_the_resume_cut() {
+fn respawned_run_counts_the_traffic_of_the_whole_run() {
     let job = NetJob::new(dgefa::source(32, SOURCE_P))
         .with_default_fills()
         .expect("kernel compiles");
@@ -427,7 +450,7 @@ fn respawned_run_counts_traffic_before_the_resume_cut() {
     assert!(!r.degraded);
     assert_eq!(r.metrics.recovery.respawns, 1);
     check_owner_slots(&compiled.spmd, &r.mems, &threads.mems)
-        .expect("resumed memories must be bit-identical to the thread run");
+        .expect("healed memories must be bit-identical to the thread run");
     assert_eq!(r.metrics.per_proc, threads.metrics.per_proc);
     assert_eq!(r.metrics.messages(), threads.metrics.messages());
     assert_eq!(r.stats.messages_sent, threads.stats.messages_sent);

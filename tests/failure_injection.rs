@@ -264,6 +264,31 @@ fn killed_worker_process_is_caught() {
     );
 }
 
+/// A fault plan that names ranks outside the grid could never fire; the
+/// socket driver rejects it before it launches a worker, naming the action
+/// and the grid size, instead of reporting a clean run.
+#[test]
+fn fault_plan_outside_the_grid_is_rejected_before_launch() {
+    use phpf::compile::netrun::{FaultPlan, NetJob, NetRunConfig};
+    use std::time::{Duration, Instant};
+
+    let job = NetJob::new(STENCIL).with_default_fills().unwrap();
+    let cfg = NetRunConfig {
+        fault_plan: Some(FaultPlan::parse("kill:9@5,corrupt:7>8@0").unwrap()),
+        ..NetRunConfig::default()
+    };
+    let start = Instant::now();
+    let err = phpf::compile::netrun::socket_validate_replay(&job, &cfg)
+        .expect_err("an out-of-grid fault plan must fail the run");
+    assert!(err.contains("`kill:9@5`"), "error must name the action: {err}");
+    assert!(err.contains("4 processors"), "error must name the grid size: {err}");
+    assert!(
+        start.elapsed() < Duration::from_secs(5),
+        "rejection took {:?}: workers were launched",
+        start.elapsed()
+    );
+}
+
 /// A zero-extent processor grid is rejected while parsing, with the line
 /// of the directive, instead of panicking when the grid is built.
 #[test]

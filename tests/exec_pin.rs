@@ -134,6 +134,37 @@ DO k = 2, 7
 END DO
 "#;
 
+/// Subscript and operator paths none of the kernels above reach: a REAL
+/// scalar inside a subscript (truncated after the arithmetic), one scalar
+/// read twice in a subscript (`E(m+m)`), aligned scalars fetched from
+/// their owner inside a subscript, `MOD` and integer division inside
+/// subscripts, intrinsics over array reads, unary minus, and
+/// `.AND.`/`.OR.`/`.NOT.` in an IF predicate.
+const SUBSCRIPTS: &str = r#"
+!HPF$ PROCESSORS P(4)
+!HPF$ ALIGN (i) WITH A(i) :: B, C, D
+!HPF$ DISTRIBUTE (BLOCK) :: A
+REAL A(40), B(40), C(40), D(40), E(40)
+INTEGER i, m, k
+REAL x
+DO i = 2, 15
+  m = A(i) * 2.0 + i
+  x = B(i) * 0.5
+  D(i+1) = m * x
+  C(i) = E(m+m) + E(m) * E(x + x + i)
+END DO
+DO i = 2, 15
+  k = MOD(i, 4) + 1
+  C(i/2 + 1) = -A(k) + B(-i + 17) + E(k * 3 / 2) + D(MOD(i * 7, 5) + 1)
+END DO
+DO i = 2, 15
+  A(i) = ABS(B(i+1)) + MAX(C(i), D(i+1)) + SQRT(ABS(C(i-1))) + MIN(D(i-1), 2.0) - EXP(-E(i))
+  IF (A(i) > 1.0 .AND. .NOT. B(i) < 2.0 .OR. i == 3) THEN
+    C(i) = A(i) / 2
+  END IF
+END DO
+"#;
+
 fn check(name: &str, src: &str, expected: [u64; 4]) {
     let got = [
         pin(src, CoreConfig::full(), false, true),
@@ -219,6 +250,20 @@ fn grid_2d_outputs_pinned() {
             967888407171966547,
             14005349295303177361,
             14414929995833670972,
+        ],
+    );
+}
+
+#[test]
+fn subscript_paths_output_pinned() {
+    check(
+        "subscripts",
+        SUBSCRIPTS,
+        [
+            5690355897160403117,
+            18171967725305234759,
+            14109602170415150000,
+            12297377901212047908,
         ],
     );
 }

@@ -192,6 +192,57 @@ A(5) = 1.0
     assert!(!msg.contains("OutOfBounds {"), "{msg}");
 }
 
+/// Run-time errors read the same from the sequential interpreter and the
+/// reference executor: the out-of-bounds text names the array and the
+/// full index tuple, and type and division errors keep their wording.
+#[test]
+fn runtime_errors_match_between_interpreter_and_executor() {
+    const HEAD: &str = "!HPF$ PROCESSORS P(4)\n";
+    let cases = [
+        (
+            "!HPF$ DISTRIBUTE (BLOCK) :: A\nREAL A(8)\nINTEGER i\nDO i = 1, 9\n  A(i) = 1.0\nEND DO\n",
+            "index [9] out of bounds for a",
+        ),
+        (
+            "!HPF$ DISTRIBUTE (BLOCK) :: A, B\nREAL A(8), B(8)\nINTEGER i\nDO i = 1, 8\n  B(i) = A(i+1)\nEND DO\n",
+            "index [9] out of bounds for a",
+        ),
+        (
+            "!HPF$ DISTRIBUTE (*, BLOCK) :: A, B\nREAL A(4,8), B(4,8)\nINTEGER k, j\nDO j = 1, 8\n  DO k = 1, 4\n    B(k, j) = A(k+1, j)\n  END DO\nEND DO\n",
+            "index [5, 1] out of bounds for a",
+        ),
+        (
+            "!HPF$ DISTRIBUTE (BLOCK) :: A\nREAL A(8)\nLOGICAL f\nREAL x\nf = .TRUE.\nx = f + 1.0\nA(1) = x\n",
+            "type error: LOGICAL used as REAL",
+        ),
+        (
+            "!HPF$ DISTRIBUTE (BLOCK) :: A\nREAL A(8)\nLOGICAL f\nf = .TRUE.\nA(2) = A(f)\n",
+            "type error: LOGICAL used as INTEGER",
+        ),
+        (
+            "!HPF$ DISTRIBUTE (BLOCK) :: A\nREAL A(8)\nINTEGER k, n\nk = 0\nn = 7 / k\nA(1) = n\n",
+            "integer division by zero",
+        ),
+        (
+            "!HPF$ DISTRIBUTE (BLOCK) :: A\nREAL A(8)\nINTEGER k\nk = 0\nA(1) = A(8 / k)\n",
+            "integer division by zero",
+        ),
+        (
+            "!HPF$ DISTRIBUTE (BLOCK) :: A\nREAL A(8)\nINTEGER k\nk = 0\nA(2) = A(MOD(3, k))\n",
+            "integer division by zero",
+        ),
+    ];
+    for (body, want) in cases {
+        let src = format!("{HEAD}{body}");
+        let p = parse_program(&src).unwrap();
+        let interp = phpf::ir::interp::run_program(&p, |_| {}).unwrap_err();
+        assert_eq!(interp.to_string(), want, "interpreter on:\n{src}");
+        let c = compile_source(&src, Options::new(Version::SelectedAlignment)).unwrap();
+        let exec = SpmdExec::new(&c.spmd, |_| {}).run().unwrap_err();
+        assert_eq!(exec.to_string(), want, "executor on:\n{src}");
+    }
+}
+
 /// Parser robustness: malformed inputs return errors (never panic).
 #[test]
 fn parser_rejects_garbage_gracefully() {

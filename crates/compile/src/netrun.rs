@@ -62,7 +62,7 @@ use hpf_obs::{Body, BufTracer, CommKind, TraceEvent, Tracer};
 use hpf_spmd::metrics::{self, CommMetrics, RecoveryCounters};
 use hpf_spmd::{
     check_owner_slots, decode_events, encode_events, replay_rank_segment,
-    validate_replay_traced, Event, ReplayStats, Replayed, SpmdExec, SpmdProgram,
+    validate_replay_traced, Code, Event, ReplayStats, Replayed, SpmdExec, SpmdProgram,
 };
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -1706,10 +1706,12 @@ fn run_rank_inner(
     }
     let mut stats = ReplayStats::default();
     let mut metrics = CommMetrics::new(nproc, compiled.spmd.comms.len());
+    let code = Code::new(&compiled.spmd);
     let replayed = (|| {
         while let Some(events) = stream.next_epoch()? {
             replay_rank_segment(
                 &compiled.spmd,
+                &code,
                 &events,
                 &mut mem,
                 &mut transport,

@@ -13,14 +13,15 @@
 //! in [`CommMetrics`], directly comparable to the cost model's message
 //! predictions (checked by [`crate::crosscheck`]).
 
+use crate::code::{self, Code, Compiler, Ctx, Load, Site, Span, Stack, StmtCode};
 use crate::env::Env;
 use crate::guard::Guard;
-use crate::lower::{CommData, SpmdProgram};
+use crate::lower::SpmdProgram;
 use crate::metrics::CommMetrics;
 use hpf_analysis::RedOp;
 use hpf_dist::{dist_owner, ArrayMapping, GridDimRule, ProcGrid};
 use hpf_ir::interp::{eval_binop, eval_intrinsic, ArrayStore, InterpError, Memory};
-use hpf_ir::{ArrayRef, DistFormat, Expr, Label, LValue, Stmt, StmtId, Value, VarId};
+use hpf_ir::{ArrayRef, DistFormat, Label, Stmt, StmtId, Value, VarId};
 use hpf_obs::{Body, BufTracer, CommKind};
 use phpf_core::ScalarMapping;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -116,31 +117,16 @@ struct OpenGroup {
     seen: HashSet<Slot>,
 }
 
-/// A range of one of the executor's flat tables.
-#[derive(Debug, Clone, Copy)]
-struct Span {
-    start: usize,
-    end: usize,
-}
-
-impl Span {
-    fn range(self) -> std::ops::Range<usize> {
-        self.start..self.end
-    }
-}
-
-/// No locally-read scalars: the empty range of `local_vars`.
-const NO_LOCALS: Span = Span { start: 0, end: 0 };
-
 /// How one grid coordinate of an owner reference is found at run time.
 #[derive(Debug, Clone, Copy)]
-enum DimRule<'s> {
+enum DimRule {
     /// Every coordinate: a replicated, privatized or freed dimension.
     Any,
     At(usize),
-    /// Distribution owner of the template position of a subscript.
+    /// Distribution owner of the template position of a subscript
+    /// (compiled subscript code).
     Sub {
-        sub: &'s Expr,
+        sub: Span,
         dist: DistFormat,
         stride: i64,
         offset: i64,
@@ -160,10 +146,12 @@ struct OwnerRef {
 /// The executor.
 ///
 /// Everything the hot path looks up per statement instance is resolved in
-/// [`SpmdExec::new`] into dense tables indexed by `StmtId`/`VarId`, and the
-/// IR is borrowed from the program, never cloned. Owners are computed by
-/// arithmetic on pid digits ([`ProcGrid::resolve_with`]); subscripts,
-/// owner coordinates and intrinsic arguments go through reusable stacks.
+/// [`SpmdExec::new`] into dense tables indexed by `StmtId`/`VarId`, and
+/// every expression it evaluates (right-hand sides, targets, guard and
+/// aligned-scalar owner subscripts, IF predicates, DO bounds) is compiled
+/// once into [`Code`]. Owners are computed by arithmetic on pid digits
+/// ([`ProcGrid::resolve_with`]); owner coordinates go through a reusable
+/// stack.
 pub struct SpmdExec<'s> {
     sp: &'s SpmdProgram,
     grid: ProcGrid,
@@ -207,6 +195,8 @@ pub struct SpmdExec<'s> {
     debug_untracked: bool,
 
     // Per-program lookup tables.
+    /// The compiled program (taken out while [`SpmdExec::run`] runs it).
+    code: Code,
     /// By `StmtId`: the guard's owner reference, `None` for every pid.
     guards: Vec<Option<OwnerRef>>,
     /// By `VarId`: where a scalar read comes from — `None` for the
@@ -215,20 +205,14 @@ pub struct SpmdExec<'s> {
     /// By `VarId`: the mapping of each array.
     array_maps: Vec<Option<&'s ArrayMapping>>,
     /// Flat storage of every [`OwnerRef`]'s per-dimension rules.
-    dim_rules: Vec<DimRule<'s>>,
-    /// By `StmtId`: the (data, op index) pairs a fetch issued by the
-    /// statement resolves to, in `SpmdProgram::comm_index` order.
-    comms_of: Vec<Vec<(&'s CommData, usize)>>,
-    /// By `StmtId`: for a maxloc reduction IF, its locally-read scalars.
-    red_if: Vec<Option<Span>>,
-    /// Flat storage of the `red_if` scalar lists.
-    local_vars: Vec<VarId>,
+    dim_rules: Vec<DimRule>,
+    /// By `StmtId`: the (scalar, op index) pairs a scalar fetch issued by
+    /// the statement resolves to; the first match wins.
+    scalar_ops: Vec<Vec<(VarId, usize)>>,
 
     // Reusable stacks: a nested evaluation pushes above its caller's
     // entries and truncates back to where it started.
-    ints: Vec<i64>,
     coords: Vec<Option<usize>>,
-    vals: Vec<Value>,
     /// Executor pids of the statement instance being run.
     executors: Vec<usize>,
 }
@@ -250,12 +234,16 @@ impl<'s> SpmdExec<'s> {
         let p = &sp.program;
         let (n_stmts, n_vars) = (p.num_stmts(), p.vars.len());
 
+        let mut cc = Compiler::new(sp);
         let mut dim_rules = Vec::new();
         let guards = (0..n_stmts)
-            .map(|s| match sp.guard(StmtId(s as u32)) {
-                Guard::Everyone | Guard::Union => None,
-                Guard::OwnerOf { r, free_dims } => {
-                    Some(owner_ref(sp, &mut dim_rules, r, free_dims))
+            .map(|s| {
+                let s = StmtId(s as u32);
+                match sp.guard(s) {
+                    Guard::Everyone | Guard::Union => None,
+                    Guard::OwnerOf { r, free_dims } => {
+                        Some(owner_ref(sp, &mut cc, Ctx::of(s), &mut dim_rules, r, free_dims))
+                    }
                 }
             })
             .collect();
@@ -263,48 +251,24 @@ impl<'s> SpmdExec<'s> {
             .map(|v| match sp.scalar_mapping(VarId(v as u32)) {
                 ScalarMapping::Replicated | ScalarMapping::PrivateNoAlign => None,
                 ScalarMapping::Aligned { target, .. } => {
-                    Some(owner_ref(sp, &mut dim_rules, target, &[]))
+                    Some(owner_ref(sp, &mut cc, Ctx::SHARED, &mut dim_rules, target, &[]))
                 }
                 ScalarMapping::Reduction {
                     target,
                     reduce_dims,
                     ..
-                } => Some(owner_ref(sp, &mut dim_rules, target, reduce_dims)),
+                } => Some(owner_ref(
+                    sp,
+                    &mut cc,
+                    Ctx::SHARED,
+                    &mut dim_rules,
+                    target,
+                    reduce_dims,
+                )),
             })
             .collect();
         let array_maps = (0..n_vars).map(|v| sp.maps.get(VarId(v as u32))).collect();
-
-        let mut comms_of: Vec<Vec<(&CommData, usize)>> = vec![Vec::new(); n_stmts];
-        for (i, c) in sp.comms.iter().enumerate() {
-            let own = std::iter::once((c.stmt, &c.data));
-            for (s, d) in own.chain(c.merged.iter().map(|(s, d)| (*s, d))) {
-                let list = &mut comms_of[s.index()];
-                if !list.iter().any(|(x, _)| *x == d) {
-                    list.push((d, i));
-                }
-            }
-        }
-
-        // The accumulator's location variable and every scalar the body
-        // writes are read from each partial owner's own copy.
-        let mut local_vars = Vec::new();
-        let red_if = (0..n_stmts)
-            .map(|s| {
-                let s = StmtId(s as u32);
-                let (Stmt::If { then_body, .. }, ScalarMapping::Reduction { loc_var, .. }) =
-                    (p.stmt(s), sp.decisions.scalar(s))
-                else {
-                    return None;
-                };
-                let start = local_vars.len();
-                local_vars.extend(*loc_var);
-                local_vars.extend(then_body.iter().filter_map(|&t| p.stmt(t).written_var()));
-                Some(Span {
-                    start,
-                    end: local_vars.len(),
-                })
-            })
-            .collect();
+        let scalar_ops = (0..n_stmts).map(|s| cc.scalar_ops(s)).collect();
 
         SpmdExec {
             sp,
@@ -325,16 +289,13 @@ impl<'s> SpmdExec<'s> {
             open: HashMap::new(),
             ctrl_eval: false,
             debug_untracked: std::env::var_os("PHPF_DEBUG_UNTRACKED").is_some(),
+            code: cc.finish(),
             guards,
             scalar_owner,
             array_maps,
             dim_rules,
-            comms_of,
-            red_if,
-            local_vars,
-            ints: Vec::new(),
+            scalar_ops,
             coords: Vec::new(),
-            vals: Vec::new(),
             executors: Vec::new(),
         }
     }
@@ -574,9 +535,16 @@ impl<'s> SpmdExec<'s> {
 
     /// Run to completion.
     pub fn run(&mut self) -> Result<ExecStats, InterpError> {
+        let code = std::mem::take(&mut self.code);
+        let res = self.run_code(&code, &mut Stack::default());
+        self.code = code;
+        res
+    }
+
+    fn run_code(&mut self, code: &Code, st: &mut Stack) -> Result<ExecStats, InterpError> {
         let sp = self.sp;
         self.maybe_cut();
-        let flow = self.exec_block(&sp.program.body)?;
+        let flow = self.exec_block(code, st, &sp.program.body)?;
         // Execution is over, so every still-open coalescing group is done
         // growing; close them all so the final cut (which must cover the
         // whole trace) is never vetoed.
@@ -592,14 +560,19 @@ impl<'s> SpmdExec<'s> {
         &self.sp.program
     }
 
-    fn exec_block(&mut self, block: &[StmtId]) -> Result<Flow, InterpError> {
+    fn exec_block(
+        &mut self,
+        code: &Code,
+        st: &mut Stack,
+        block: &[StmtId],
+    ) -> Result<Flow, InterpError> {
         let mut idx = 0;
         while idx < block.len() {
             if self.loop_env.is_empty() {
                 // Top-level statement boundary: an epoch cut candidate.
                 self.maybe_cut();
             }
-            match self.exec_stmt(block[idx])? {
+            match self.exec_stmt(code, st, block[idx])? {
                 Flow::Normal => idx += 1,
                 Flow::Goto(l) => {
                     match block
@@ -615,53 +588,57 @@ impl<'s> SpmdExec<'s> {
         Ok(Flow::Normal)
     }
 
-    fn exec_stmt(&mut self, s: StmtId) -> Result<Flow, InterpError> {
+    /// Evaluate global control code (an IF predicate or DO bound) as
+    /// processor 0: fetches it cannot attribute are control traffic.
+    fn control<T>(
+        &mut self,
+        st: &mut Stack,
+        eval: impl FnOnce(&mut Reader<'_, 's>, &mut Stack) -> Result<T, InterpError>,
+    ) -> Result<T, InterpError> {
+        self.ctrl_eval = true;
+        let res = eval(&mut Reader { x: self, q: 0 }, st);
+        self.ctrl_eval = false;
+        res
+    }
+
+    fn exec_stmt(&mut self, code: &Code, st: &mut Stack, s: StmtId) -> Result<Flow, InterpError> {
         self.steps += 1;
         if self.steps > self.step_limit {
             return Err(InterpError::StepLimit);
         }
         self.cur_stmt = Some(s);
-        match self.p().stmt(s) {
-            Stmt::Assign { lhs, rhs } => {
+        match (self.p().stmt(s), code.stmt(s)) {
+            (Stmt::Assign { .. }, _) => {
                 let mut executors = std::mem::take(&mut self.executors);
-                self.guard_pids(s, &mut executors)?;
+                self.guard_pids(code, st, s, &mut executors)?;
                 self.stats.stmt_execs += executors.len() as u64;
                 for &q in &executors {
-                    let val = self.eval(rhs, q, NO_LOCALS)?;
-                    self.store(q, lhs, val)?;
-                    if let Some(t) = &mut self.trace {
-                        let env = Env::from(&self.loop_env[..]);
-                        t[q].push(Event::Exec { stmt: s, env });
+                    let (slot, val) = code.assign(s, &mut Reader { x: self, q }, st)?;
+                    code::store(&mut self.mems[q], slot, val)?;
+                    if self.trace.is_some() {
+                        let env = self.env(code, s, q);
+                        self.record(q, Event::Exec { stmt: s, env });
                     }
                 }
                 self.executors = executors;
                 Ok(Flow::Normal)
             }
-            Stmt::Do {
-                var,
-                lo,
-                hi,
-                step,
-                body,
-            } => {
+            (Stmt::Do { var, body, .. }, StmtCode::Do { lo, hi, step }) => {
                 let var = *var;
-                self.ctrl_eval = true;
-                let bounds = (|| -> Result<(i64, i64, i64), InterpError> {
+                let (lo, hi, step) = self.control(st, |r, st| {
                     Ok((
-                        self.eval(lo, 0, NO_LOCALS)?.as_int()?,
-                        self.eval(hi, 0, NO_LOCALS)?.as_int()?,
-                        self.eval(step, 0, NO_LOCALS)?.as_int()?,
+                        code.eval_int(lo, r, st)?,
+                        code.eval_int(hi, r, st)?,
+                        code.eval_int(step, r, st)?,
                     ))
-                })();
-                self.ctrl_eval = false;
-                let (lo, hi, st) = bounds?;
-                if st == 0 {
+                })?;
+                if step == 0 {
                     return Err(InterpError::DivisionByZero);
                 }
                 let mut i = lo;
                 let mut out = Flow::Normal;
                 self.loop_env.push((var, lo));
-                while (st > 0 && i <= hi) || (st < 0 && i >= hi) {
+                while (step > 0 && i <= hi) || (step < 0 && i >= hi) {
                     // A new iteration at this depth: coalesced messages of
                     // operations placed at this level or deeper are done.
                     self.close_groups(self.loop_env.len());
@@ -675,14 +652,14 @@ impl<'s> SpmdExec<'s> {
                         m.set_scalar(var, Value::Int(i));
                     }
                     self.loop_env.last_mut().unwrap().1 = i;
-                    match self.exec_block(body)? {
+                    match self.exec_block(code, st, body)? {
                         Flow::Normal => {}
                         Flow::Goto(l) => {
                             out = Flow::Goto(l);
                             break;
                         }
                     }
-                    i += st;
+                    i += step;
                 }
                 self.loop_env.pop();
                 for m in &mut self.mems {
@@ -692,59 +669,77 @@ impl<'s> SpmdExec<'s> {
                 self.run_reduces(s)?;
                 Ok(out)
             }
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
+            (Stmt::If { then_body, .. }, StmtCode::If { cond, maxloc: true }) => {
                 // A maxloc reduction IF executes with per-processor partial
                 // state (diverging branches); everything else is uniform.
-                if let Some(locals) = self.red_if[s.index()] {
-                    return self.exec_reduction_if(s, cond, then_body, locals);
-                }
-                self.ctrl_eval = true;
-                let c = self.eval(cond, 0, NO_LOCALS);
-                self.ctrl_eval = false;
-                let c = c?.as_bool()?;
-                self.exec_block(if c { then_body } else { else_body })
+                self.exec_reduction_if(code, st, s, cond, then_body)
             }
-            Stmt::Goto(l) => {
+            (
+                Stmt::If {
+                    then_body,
+                    else_body,
+                    ..
+                },
+                StmtCode::If { cond, .. },
+            ) => {
+                let c = self.control(st, |r, st| code.eval(cond, r, st))?.as_bool()?;
+                self.exec_block(code, st, if c { then_body } else { else_body })
+            }
+            (Stmt::Goto(l), _) => {
                 // A jump may re-enter earlier code without a loop-iteration
                 // boundary; conservatively close every coalescing group.
                 self.open.clear();
                 Ok(Flow::Goto(*l))
             }
-            Stmt::Continue => Ok(Flow::Normal),
+            (Stmt::Continue, _) => Ok(Flow::Normal),
+            (Stmt::Do { .. } | Stmt::If { .. }, _) => {
+                unreachable!("every statement the executor reaches is compiled")
+            }
         }
     }
 
+    /// The bindings an `Exec`/`CondExec` of `s` on `q` records: the
+    /// enclosing loops' indices, then q's value of every DO variable `s`
+    /// reads outside its loop (replay never sees a loop exit).
+    fn env(&self, code: &Code, s: StmtId, q: usize) -> Env {
+        let mut env = Env::from(&self.loop_env[..]);
+        for &v in code.exits(s) {
+            if let Value::Int(x) = self.mems[q].scalar(v) {
+                env.push(v, x);
+            }
+        }
+        env
+    }
+
     /// Maxloc pattern: each partial owner tests and updates its own
-    /// accumulator copy (`locals` are read from that copy).
+    /// accumulator copy (the compiled condition and body read the locals
+    /// from that copy).
     fn exec_reduction_if(
         &mut self,
+        code: &Code,
+        st: &mut Stack,
         s: StmtId,
-        cond: &Expr,
+        cond: Span,
         then_body: &[StmtId],
-        locals: Span,
     ) -> Result<Flow, InterpError> {
         let mut executors = std::mem::take(&mut self.executors);
-        self.guard_pids(s, &mut executors)?;
+        self.guard_pids(code, st, s, &mut executors)?;
         for &q in &executors {
             self.cur_stmt = Some(s);
-            let c = self.eval(cond, q, locals)?.as_bool()?;
-            if let Some(t) = &mut self.trace {
-                let env = Env::from(&self.loop_env[..]);
-                t[q].push(Event::CondExec { stmt: s, env });
+            let c = code.eval(cond, &mut Reader { x: self, q }, st)?.as_bool()?;
+            if self.trace.is_some() {
+                let env = self.env(code, s, q);
+                self.record(q, Event::CondExec { stmt: s, env });
             }
             if !c {
                 continue;
             }
             self.stats.stmt_execs += 1;
             for &t in then_body {
-                if let Stmt::Assign { lhs, rhs } = self.p().stmt(t) {
+                if self.p().stmt(t).is_assign() {
                     self.cur_stmt = Some(t);
-                    let val = self.eval(rhs, q, locals)?;
-                    self.store(q, lhs, val)?;
+                    let (slot, val) = code.assign(t, &mut Reader { x: self, q }, st)?;
+                    code::store(&mut self.mems[q], slot, val)?;
                 }
             }
         }
@@ -878,13 +873,19 @@ impl<'s> SpmdExec<'s> {
 
     /// Fill `out` with the pids executing statement `s` under its guard,
     /// ascending.
-    fn guard_pids(&mut self, s: StmtId, out: &mut Vec<usize>) -> Result<(), InterpError> {
+    fn guard_pids(
+        &mut self,
+        code: &Code,
+        st: &mut Stack,
+        s: StmtId,
+        out: &mut Vec<usize>,
+    ) -> Result<(), InterpError> {
         out.clear();
         let Some(own) = self.guards[s.index()] else {
             out.extend(self.grid.pids());
             return Ok(());
         };
-        let base = self.owner_coords(own, 0)?;
+        let base = self.owner_coords(code, st, own, 0)?;
         let coords = &self.coords[base..];
         if coords.iter().all(Option::is_some) {
             out.push(self.grid.resolve_with(0, |d| coords[d]));
@@ -903,7 +904,13 @@ impl<'s> SpmdExec<'s> {
     /// grid dimension (`None` where every coordinate holds a copy),
     /// evaluating the pinned dimensions' subscripts for `reader`; returns
     /// where they start.
-    fn owner_coords(&mut self, own: OwnerRef, reader: usize) -> Result<usize, InterpError> {
+    fn owner_coords(
+        &mut self,
+        code: &Code,
+        st: &mut Stack,
+        own: OwnerRef,
+        reader: usize,
+    ) -> Result<usize, InterpError> {
         let base = self.coords.len();
         for (g, k) in own.dims.range().enumerate() {
             let c = match self.dim_rules[k] {
@@ -917,7 +924,7 @@ impl<'s> SpmdExec<'s> {
                     t_lo,
                     t_extent,
                 } => {
-                    let x = self.eval(sub, reader, NO_LOCALS)?.as_int()?;
+                    let x = code.eval_int(sub, &mut Reader { x: self, q: reader }, st)?;
                     let pos0 = stride * x + offset - t_lo;
                     if pos0 < 0 || pos0 >= t_extent {
                         return Err(InterpError::OutOfBounds {
@@ -934,141 +941,64 @@ impl<'s> SpmdExec<'s> {
     }
 
     /// The pid `reader` takes a value owned per `own` from.
-    fn owner_pid(&mut self, own: OwnerRef, reader: usize) -> Result<usize, InterpError> {
-        let base = self.owner_coords(own, reader)?;
+    fn owner_pid(
+        &mut self,
+        code: &Code,
+        st: &mut Stack,
+        own: OwnerRef,
+        reader: usize,
+    ) -> Result<usize, InterpError> {
+        let base = self.owner_coords(code, st, own, reader)?;
         let coords = &self.coords[base..];
         let src = self.grid.resolve_with(reader, |d| coords[d]);
         self.coords.truncate(base);
         Ok(src)
     }
 
-    /// Index into `SpmdProgram::comms` of the operation a fetch of data
-    /// matching `is` by the current statement belongs to.
-    fn comm_op(&self, is: impl Fn(&CommData) -> bool) -> Option<usize> {
-        let s = self.cur_stmt?;
-        self.comms_of[s.index()]
-            .iter()
-            .find(|(d, _)| is(d))
-            .map(|&(_, i)| i)
-    }
-
-    /// Evaluate an expression for processor `q`. Scalars in `locals` (or
-    /// mapped replicated/private) read q's own copy; aligned scalars and
-    /// distributed array elements are fetched from their owners.
-    fn eval(&mut self, e: &Expr, q: usize, locals: Span) -> Result<Value, InterpError> {
-        match e {
-            Expr::IntLit(v) => Ok(Value::Int(*v)),
-            Expr::RealLit(v) => Ok(Value::Real(*v)),
-            Expr::BoolLit(b) => Ok(Value::Bool(*b)),
-            Expr::Scalar(v) => self.read_scalar(*v, q, locals),
-            Expr::Array(r) => {
-                let base = self.subscripts(r, q, locals)?;
-                let info = self.p().vars.info(r.array);
-                let shape = info.shape().expect("array ref");
-                let idx = &self.ints[base..];
-                if !shape.contains(idx) {
-                    return Err(InterpError::OutOfBounds {
-                        array: info.name.clone(),
-                        index: idx.to_vec(),
-                    });
-                }
-                let off = shape.linearize(idx);
-                let mapping = self.array_maps[r.array.index()].expect("mapped array");
-                let src = mapping.owner_pid(&self.grid, idx, q);
-                self.ints.truncate(base);
-                if src != q {
-                    let op = self.comm_op(|d| matches!(d, CommData::Array(x) if x == r));
-                    let elem_bytes = info.ty.byte_size() as u64;
-                    self.fetch(op, src, q, Slot::Elem(r.array, off), elem_bytes);
-                }
-                Ok(self.mems[src].array(r.array).get(off))
-            }
-            Expr::Unary(op, x) => {
-                let v = self.eval(x, q, locals)?;
-                match op {
-                    hpf_ir::UnOp::Neg => match v {
-                        Value::Int(i) => Ok(Value::Int(-i)),
-                        Value::Real(r) => Ok(Value::Real(-r)),
-                        Value::Bool(_) => {
-                            Err(InterpError::TypeError("negating LOGICAL".into()))
-                        }
-                    },
-                    hpf_ir::UnOp::Not => Ok(Value::Bool(!v.as_bool()?)),
-                }
-            }
-            Expr::Binary(op, a, b) => {
-                let va = self.eval(a, q, locals)?;
-                let vb = self.eval(b, q, locals)?;
-                eval_binop(*op, va, vb)
-            }
-            Expr::Intrinsic(i, args) => {
-                let base = self.vals.len();
-                for a in args {
-                    let v = self.eval(a, q, locals)?;
-                    self.vals.push(v);
-                }
-                let v = eval_intrinsic(*i, &self.vals[base..]);
-                self.vals.truncate(base);
-                v
-            }
-        }
-    }
-
-    /// Push the evaluated subscripts of `r` onto `ints`; returns where
-    /// they start.
-    fn subscripts(&mut self, r: &ArrayRef, q: usize, locals: Span) -> Result<usize, InterpError> {
-        let base = self.ints.len();
-        for sub in &r.subs {
-            let x = self.eval(sub, q, locals)?.as_int()?;
-            self.ints.push(x);
-        }
-        Ok(base)
-    }
-
-    fn read_scalar(&mut self, v: VarId, q: usize, locals: Span) -> Result<Value, InterpError> {
-        if self.local_vars[locals.range()].contains(&v) {
-            return Ok(self.mems[q].scalar(v));
-        }
-        // Replicated and private-without-alignment scalars are read from
-        // q's own copy; aligned and reduction scalars from their owner.
+    /// A scalar read by `q`: replicated and private-without-alignment
+    /// scalars come from q's own copy, aligned and reduction scalars from
+    /// their owner.
+    fn read_scalar(
+        &mut self,
+        code: &Code,
+        st: &mut Stack,
+        v: VarId,
+        q: usize,
+    ) -> Result<Value, InterpError> {
         let Some(own) = self.scalar_owner[v.index()] else {
             return Ok(self.mems[q].scalar(v));
         };
-        let src = self.owner_pid(own, q)?;
+        let src = self.owner_pid(code, st, own, q)?;
         if src != q {
             let bytes = self.p().vars.info(v).ty.byte_size() as u64;
-            let op = self.comm_op(|d| matches!(d, CommData::Scalar(w) if *w == v));
+            let op = self.cur_stmt.and_then(|s| {
+                self.scalar_ops[s.index()]
+                    .iter()
+                    .find(|&&(w, _)| w == v)
+                    .map(|&(_, i)| i)
+            });
             self.fetch(op, src, q, Slot::Scalar(v), bytes);
         }
         Ok(self.mems[src].scalar(v))
     }
 
-    fn store(&mut self, q: usize, lhs: &LValue, val: Value) -> Result<(), InterpError> {
-        match lhs {
-            LValue::Scalar(v) => {
-                let ty = self.p().vars.info(*v).ty;
-                let val = val.coerce(ty)?;
-                self.mems[q].set_scalar(*v, val);
-            }
-            LValue::Array(r) => {
-                let base = self.subscripts(r, q, NO_LOCALS)?;
-                let info = self.p().vars.info(r.array);
-                let shape = info.shape().expect("array lhs");
-                let idx = &self.ints[base..];
-                if !shape.contains(idx) {
-                    return Err(InterpError::OutOfBounds {
-                        array: info.name.clone(),
-                        index: idx.to_vec(),
-                    });
-                }
-                let off = shape.linearize(idx);
-                self.ints.truncate(base);
-                self.mems[q]
-                    .array_mut(r.array)
-                    .set(off, val.coerce(info.ty)?)?;
-            }
+    /// An array element read by `q`, fetched from its owner.
+    fn read_elem(
+        &mut self,
+        code: &Code,
+        site: &Site,
+        idx: &[i64],
+        off: usize,
+        q: usize,
+    ) -> Value {
+        let mapping = self.array_maps[site.array.index()].expect("mapped array");
+        let src = mapping.owner_pid(&self.grid, idx, q);
+        if src != q {
+            let op = code.site_op(site, self.cur_stmt);
+            let bytes = self.p().vars.info(site.array).ty.byte_size() as u64;
+            self.fetch(op, src, q, Slot::Elem(site.array, off), bytes);
         }
-        Ok(())
+        self.mems[src].array(site.array).get(off)
     }
 
     /// Gather the authoritative value of every element of an array
@@ -1088,12 +1018,41 @@ impl<'s> SpmdExec<'s> {
     }
 }
 
+/// Operand reads of the statement instance executing on processor `q`.
+struct Reader<'x, 's> {
+    x: &'x mut SpmdExec<'s>,
+    q: usize,
+}
+
+impl Load for Reader<'_, '_> {
+    fn scalar(&mut self, code: &Code, st: &mut Stack, v: VarId) -> Result<Value, InterpError> {
+        self.x.read_scalar(code, st, v, self.q)
+    }
+
+    fn own(&mut self, v: VarId) -> Value {
+        self.x.mems[self.q].scalar(v)
+    }
+
+    fn elem(
+        &mut self,
+        code: &Code,
+        site: &Site,
+        idx: &[i64],
+        off: usize,
+    ) -> Result<Value, InterpError> {
+        Ok(self.x.read_elem(code, site, idx, off, self.q))
+    }
+}
+
 /// Resolve an owner reference against its array's mapping: one
-/// [`DimRule`] per grid dimension appended to `dim_rules`. Dimensions in
-/// `free` are left unconstrained (reduction mapping).
+/// [`DimRule`] per grid dimension appended to `dim_rules`, its subscripts
+/// compiled in `cx`. Dimensions in `free` are left unconstrained
+/// (reduction mapping).
 fn owner_ref<'s>(
     sp: &'s SpmdProgram,
-    dim_rules: &mut Vec<DimRule<'s>>,
+    cc: &mut Compiler<'s>,
+    cx: Ctx,
+    dim_rules: &mut Vec<DimRule>,
     r: &'s ArrayRef,
     free: &[usize],
 ) -> OwnerRef {
@@ -1111,7 +1070,7 @@ fn owner_ref<'s>(
                     t_lo,
                     t_extent,
                 } => DimRule::Sub {
-                    sub: &r.subs[*array_dim],
+                    sub: cc.subscript(cx, &r.subs[*array_dim]),
                     dist: *dist,
                     stride: *stride,
                     offset: *offset,
@@ -1126,8 +1085,8 @@ fn owner_ref<'s>(
     OwnerRef {
         array: r.array,
         dims: Span {
-            start,
-            end: dim_rules.len(),
+            start: start as u32,
+            end: dim_rules.len() as u32,
         },
     }
 }

@@ -7,6 +7,9 @@
 //!   communication operations, reduction combines;
 //! * [`exec`] — the reference multi-memory executor (defines semantics;
 //!   every configuration must match the sequential interpreter);
+//! * [`code`] — statement code compiled once per program: flat postfix
+//!   code and resolved reference sites, which the executor and replay
+//!   both run;
 //! * [`codec`] — the binary form of a rank's recorded event list, which
 //!   the socket driver ships to its worker processes;
 //! * [`env`](mod@env) — the loop bindings an executed statement records, kept
@@ -26,6 +29,7 @@
 //! * [`crosscheck`] — validation that observed wire messages agree with
 //!   the cost model's predictions.
 
+pub mod code;
 pub mod codec;
 pub mod combine;
 pub mod costsim;
@@ -42,6 +46,7 @@ pub use costsim::{estimate, CostReport};
 pub use crosscheck::{cross_check, CrossCheck, OpCheck};
 pub use exec::{validate_against_sequential, ExecStats, SpmdExec};
 pub use guard::Guard;
+pub use code::Code;
 pub use codec::{decode_events, encode_events};
 pub use env::Env;
 pub use exec::{Event, Slot, Trace};

@@ -6,8 +6,8 @@
 //! [`Transport`]. The runtime *replays* the communication schedule
 //! recorded by the reference executor
 //! ([`crate::exec::SpmdExec::with_trace`]): each worker owns a private
-//! [`Memory`], evaluates its assignments purely locally, and obtains every
-//! remote operand through an actual message.
+//! [`Memory`], runs its assignments' compiled [`Code`] purely locally, and
+//! obtains every remote operand through an actual message.
 //!
 //! The replay revalidates the schedule end-to-end — if the compiler had
 //! failed to move a value that a processor needs, the worker would compute
@@ -21,13 +21,14 @@
 //! [`replay_rank_segment`], in separate OS processes over socket links,
 //! one epoch at a time as the events arrive.
 
+use crate::code::{self, Code, Load, Site, Stack, StmtCode};
 use crate::env::Env;
 use crate::exec::{Event, Slot, SpmdExec, Trace};
 use crate::lower::SpmdProgram;
 use crate::metrics::CommMetrics;
 use hpf_analysis::RedOp;
 use hpf_ir::interp::{eval_binop, eval_intrinsic, InterpError, Memory};
-use hpf_ir::{ArrayRef, Expr, LValue, Program, Stmt, Value};
+use hpf_ir::{Program, Value, VarId};
 use hpf_net::{channel_group, Transport, WireMsg};
 use hpf_obs::{Body, BufTracer, CommKind};
 use parking_lot::Mutex;
@@ -84,6 +85,18 @@ pub fn replay_rank_traced<T: Transport>(
     events: &[Event],
     mem: &mut Memory,
     transport: &mut T,
+    obs: Option<&mut BufTracer>,
+) -> Result<(ReplayStats, CommMetrics), String> {
+    replay_rank_code(sp, &Code::new(sp), events, mem, transport, obs)
+}
+
+/// [`replay_rank_traced`] with the program's code already compiled.
+fn replay_rank_code<T: Transport>(
+    sp: &SpmdProgram,
+    code: &Code,
+    events: &[Event],
+    mem: &mut Memory,
+    transport: &mut T,
     mut obs: Option<&mut BufTracer>,
 ) -> Result<(ReplayStats, CommMetrics), String> {
     let pid = transport.rank();
@@ -92,6 +105,7 @@ pub fn replay_rank_traced<T: Transport>(
     let mut metrics = CommMetrics::new(nproc, sp.comms.len());
     let mut err = replay_rank_segment(
         sp,
+        code,
         events,
         mem,
         transport,
@@ -121,8 +135,9 @@ pub fn replay_rank_traced<T: Transport>(
 /// across calls. Unlike [`replay_rank_traced`] this neither tears the
 /// transport down nor folds in its in-flight peak, so a socket worker can
 /// replay each epoch over one mesh as the parent streams it and finish
-/// only once. `tick` runs after every replayed event; the fault
-/// plan's kill trigger hangs off it.
+/// only once; it compiles `code` (with [`Code::new`]) once for all of
+/// them. `tick` runs after every replayed event; the fault plan's kill
+/// trigger hangs off it.
 ///
 /// Segments must start at epoch cuts: the worker's reduction stack is
 /// empty there (a `RecvPartial` batch and its `Combine` always share an
@@ -130,6 +145,7 @@ pub fn replay_rank_traced<T: Transport>(
 #[allow(clippy::too_many_arguments)]
 pub fn replay_rank_segment<T: Transport>(
     sp: &SpmdProgram,
+    code: &Code,
     events: &[Event],
     mem: &mut Memory,
     transport: &mut T,
@@ -143,6 +159,7 @@ pub fn replay_rank_segment<T: Transport>(
     let mut worker = RankWorker {
         sp,
         program: &sp.program,
+        code,
         pid,
         mem,
         transport,
@@ -151,8 +168,7 @@ pub fn replay_rank_segment<T: Transport>(
         stats: ReplayStats::default(),
         metrics: CommMetrics::new(nproc, sp.comms.len()),
         obs: obs.as_deref_mut(),
-        ints: Vec::new(),
-        vals: Vec::new(),
+        st: Stack::default(),
     };
     let mut err = None;
     for (i, ev) in events.iter().enumerate() {
@@ -195,6 +211,7 @@ pub fn replay_traced(
     let nproc = trace.len();
     let transports = channel_group(nproc);
     let program = &sp.program;
+    let code = &Code::new(sp);
     let total: Mutex<(ReplayStats, CommMetrics)> =
         Mutex::new((ReplayStats::default(), CommMetrics::new(nproc, sp.comms.len())));
     let timelines: Mutex<Vec<(usize, Vec<hpf_obs::TraceEvent>)>> = Mutex::new(Vec::new());
@@ -210,7 +227,7 @@ pub fn replay_traced(
                 init(&mut mem);
                 let mut obs = want_obs.then(|| BufTracer::for_rank(pid));
                 let res =
-                    replay_rank_traced(sp, events, &mut mem, &mut transport, obs.as_mut());
+                    replay_rank_code(sp, code, events, &mut mem, &mut transport, obs.as_mut());
                 if let Some(o) = obs {
                     timelines.lock().push((pid, o.into_events()));
                 }
@@ -246,6 +263,7 @@ type VecMemo<'a> = (usize, &'a [Slot], Arc<Vec<Value>>);
 struct RankWorker<'a, T: Transport> {
     sp: &'a SpmdProgram,
     program: &'a Program,
+    code: &'a Code,
     pid: usize,
     mem: &'a mut Memory,
     transport: &'a mut T,
@@ -261,10 +279,26 @@ struct RankWorker<'a, T: Transport> {
     metrics: CommMetrics,
     /// Observability timeline of this rank (owned by the caller).
     obs: Option<&'a mut BufTracer>,
-    // Reusable stacks of subscripts and intrinsic arguments: a nested
-    // evaluation pushes above its caller's entries and truncates back.
-    ints: Vec<i64>,
-    vals: Vec<Value>,
+    /// Evaluation stack of the compiled code.
+    st: Stack,
+}
+
+/// Replay's operand reads: purely local — by construction every remote
+/// operand has already arrived via a Recv event.
+struct Local<'m>(&'m Memory);
+
+impl Load for Local<'_> {
+    fn scalar(&mut self, _: &Code, _: &mut Stack, v: VarId) -> Result<Value, InterpError> {
+        Ok(self.0.scalar(v))
+    }
+
+    fn own(&mut self, v: VarId) -> Value {
+        self.0.scalar(v)
+    }
+
+    fn elem(&mut self, _: &Code, site: &Site, _: &[i64], off: usize) -> Result<Value, InterpError> {
+        Ok(self.0.array(site.array).get(off))
+    }
 }
 
 impl<'a, T: Transport> RankWorker<'a, T> {
@@ -403,30 +437,28 @@ impl<'a, T: Transport> RankWorker<'a, T> {
             Event::Exec { stmt, env } => {
                 self.last_vec = None;
                 self.bind(env);
-                let Stmt::Assign { lhs, rhs } = self.program.stmt(*stmt) else {
+                let StmtCode::Assign { .. } = self.code.stmt(*stmt) else {
                     return Err("Exec event on non-assignment".into());
                 };
-                let val = self.eval(rhs).map_err(|e| e.to_string())?;
-                self.assign(lhs, val).map_err(|e| e.to_string())?;
+                self.assign(*stmt).map_err(|e| e.to_string())?;
             }
             Event::CondExec { stmt, env } => {
                 self.last_vec = None;
                 self.bind(env);
-                let Stmt::If {
-                    cond, then_body, ..
-                } = self.program.stmt(*stmt)
+                let (hpf_ir::Stmt::If { then_body, .. }, StmtCode::If { cond, .. }) =
+                    (self.program.stmt(*stmt), self.code.stmt(*stmt))
                 else {
                     return Err("CondExec event on non-IF".into());
                 };
                 let c = self
-                    .eval(cond)
+                    .code
+                    .eval(cond, &mut Local(self.mem), &mut self.st)
                     .and_then(|v| v.as_bool())
                     .map_err(|e| e.to_string())?;
                 if c {
                     for &t in then_body {
-                        if let Stmt::Assign { lhs, rhs } = self.program.stmt(t) {
-                            let val = self.eval(rhs).map_err(|e| e.to_string())?;
-                            self.assign(lhs, val).map_err(|e| e.to_string())?;
+                        if self.program.stmt(t).is_assign() {
+                            self.assign(t).map_err(|e| e.to_string())?;
                         }
                     }
                 }
@@ -524,84 +556,10 @@ impl<'a, T: Transport> RankWorker<'a, T> {
         Ok(())
     }
 
-    /// Purely local expression evaluation — by construction every remote
-    /// operand has already arrived via a Recv event.
-    fn eval(&mut self, e: &Expr) -> Result<Value, InterpError> {
-        match e {
-            Expr::IntLit(v) => Ok(Value::Int(*v)),
-            Expr::RealLit(v) => Ok(Value::Real(*v)),
-            Expr::BoolLit(b) => Ok(Value::Bool(*b)),
-            Expr::Scalar(v) => Ok(self.mem.scalar(*v)),
-            Expr::Array(r) => {
-                let off = self.offset(r)?;
-                Ok(self.mem.array(r.array).get(off))
-            }
-            Expr::Unary(op, x) => {
-                let v = self.eval(x)?;
-                match op {
-                    hpf_ir::UnOp::Neg => match v {
-                        Value::Int(i) => Ok(Value::Int(-i)),
-                        Value::Real(r) => Ok(Value::Real(-r)),
-                        Value::Bool(_) => {
-                            Err(InterpError::TypeError("negating LOGICAL".into()))
-                        }
-                    },
-                    hpf_ir::UnOp::Not => Ok(Value::Bool(!v.as_bool()?)),
-                }
-            }
-            Expr::Binary(op, a, b) => {
-                let va = self.eval(a)?;
-                let vb = self.eval(b)?;
-                eval_binop(*op, va, vb)
-            }
-            Expr::Intrinsic(i, args) => {
-                let base = self.vals.len();
-                for a in args {
-                    let v = self.eval(a)?;
-                    self.vals.push(v);
-                }
-                let v = eval_intrinsic(*i, &self.vals[base..]);
-                self.vals.truncate(base);
-                v
-            }
-        }
-    }
-
-    /// Linear offset of the element `r` names, bounds-checked; the
-    /// subscripts go through the reusable `ints` stack.
-    fn offset(&mut self, r: &ArrayRef) -> Result<usize, InterpError> {
-        let base = self.ints.len();
-        for s in &r.subs {
-            let x = self.eval(s)?.as_int()?;
-            self.ints.push(x);
-        }
-        let info = self.program.vars.info(r.array);
-        let shape = info.shape().expect("array");
-        let idx = &self.ints[base..];
-        if !shape.contains(idx) {
-            return Err(InterpError::OutOfBounds {
-                array: info.name.clone(),
-                index: idx.to_vec(),
-            });
-        }
-        let off = shape.linearize(idx);
-        self.ints.truncate(base);
-        Ok(off)
-    }
-
-    fn assign(&mut self, lhs: &LValue, val: Value) -> Result<(), InterpError> {
-        match lhs {
-            LValue::Scalar(v) => {
-                let ty = self.program.vars.info(*v).ty;
-                self.mem.set_scalar(*v, val.coerce(ty)?);
-            }
-            LValue::Array(r) => {
-                let off = self.offset(r)?;
-                let ty = self.program.vars.info(r.array).ty;
-                self.mem.array_mut(r.array).set(off, val.coerce(ty)?)?;
-            }
-        }
-        Ok(())
+    /// Run assignment `s` on local memory.
+    fn assign(&mut self, s: hpf_ir::StmtId) -> Result<(), InterpError> {
+        let (slot, val) = self.code.assign(s, &mut Local(self.mem), &mut self.st)?;
+        code::store(self.mem, slot, val)
     }
 }
 

@@ -127,6 +127,8 @@ pub(crate) enum Target {
     Elem { subs: Span, site: u32, ty: ScalarTy },
 }
 
+pub(crate) type Fault = Box<InterpError>;
+
 /// The evaluation stacks. A nested evaluation pushes above its caller's
 /// entries and leaves them as it found them.
 #[derive(Debug, Default)]
@@ -139,7 +141,7 @@ pub(crate) struct Stack {
 pub(crate) trait Load {
     /// A scalar read (the executor may fetch it from its owner, which may
     /// evaluate more code on `st`).
-    fn scalar(&mut self, code: &Code, st: &mut Stack, v: VarId) -> Result<Value, InterpError>;
+    fn scalar(&mut self, code: &Code, st: &mut Stack, v: VarId) -> Result<Value, Fault>;
     /// A read of the executing rank's own copy of `v`.
     fn own(&mut self, v: VarId) -> Value;
     /// Element `off` (bounds-checked) of the array of `site`, at `idx`.
@@ -149,7 +151,7 @@ pub(crate) trait Load {
         site: &Site,
         idx: &[i64],
         off: usize,
-    ) -> Result<Value, InterpError>;
+    ) -> Result<Value, Fault>;
 }
 
 /// Compiled code of one lowered program.
@@ -204,7 +206,7 @@ impl Code {
         span: Span,
         l: &mut L,
         st: &mut Stack,
-    ) -> Result<Value, InterpError> {
+    ) -> Result<Value, Fault> {
         self.run(span, l, st)?;
         Ok(pop(&mut st.vals))
     }
@@ -215,7 +217,7 @@ impl Code {
         span: Span,
         l: &mut L,
         st: &mut Stack,
-    ) -> Result<i64, InterpError> {
+    ) -> Result<i64, Fault> {
         self.run(span, l, st)?;
         Ok(st.ints.pop().expect("subscript code pushes an index"))
     }
@@ -228,7 +230,7 @@ impl Code {
         s: StmtId,
         l: &mut L,
         st: &mut Stack,
-    ) -> Result<(Slot, Value), InterpError> {
+    ) -> Result<(Slot, Value), Fault> {
         let StmtCode::Assign { rhs, lhs } = self.stmt(s) else {
             unreachable!("assign on a non-assignment")
         };
@@ -247,26 +249,26 @@ impl Code {
     }
 
     /// Linear offset of `idx` in the array of `site`, bounds-checked.
-    fn offset(&self, site: &Site, idx: &[i64]) -> Result<usize, InterpError> {
+    fn offset(&self, site: &Site, idx: &[i64]) -> Result<usize, Fault> {
         let bounds = &self.bounds[site.bounds.range()];
         let oob = || InterpError::OutOfBounds {
             array: self.names[site.array.index()].clone(),
             index: idx.to_vec(),
         };
         if idx.len() != bounds.len() {
-            return Err(oob());
+            return Err(oob().into());
         }
         let mut off = 0;
         for (&i, b) in idx.iter().zip(bounds) {
             if i < b.lo || i > b.hi {
-                return Err(oob());
+                return Err(oob().into());
             }
             off += (i - b.lo) * b.stride;
         }
         Ok(off as usize)
     }
 
-    fn run<L: Load>(&self, span: Span, l: &mut L, st: &mut Stack) -> Result<(), InterpError> {
+    fn run<L: Load>(&self, span: Span, l: &mut L, st: &mut Stack) -> Result<(), Fault> {
         for op in &self.ops[span.range()] {
             match *op {
                 Op::Lit(v) => st.vals.push(v),
@@ -299,7 +301,7 @@ impl Code {
                         Value::Int(i) => Value::Int(-i),
                         Value::Real(r) => Value::Real(-r),
                         Value::Bool(_) => {
-                            return Err(InterpError::TypeError("negating LOGICAL".into()))
+                            return Err(InterpError::TypeError("negating LOGICAL".into()).into())
                         }
                     };
                 }
@@ -335,7 +337,7 @@ fn top(vals: &mut [Value]) -> &mut Value {
 /// [`eval_binop`] with the arithmetic the kernels spend their time in
 /// inlined; the same results for every operand.
 #[inline]
-fn binop(op: BinOp, a: Value, b: Value) -> Result<Value, InterpError> {
+fn binop(op: BinOp, a: Value, b: Value) -> Result<Value, Fault> {
     Ok(match (op, a, b) {
         (BinOp::Add, Value::Real(x), Value::Real(y)) => Value::Real(x + y),
         (BinOp::Sub, Value::Real(x), Value::Real(y)) => Value::Real(x - y),
@@ -343,12 +345,12 @@ fn binop(op: BinOp, a: Value, b: Value) -> Result<Value, InterpError> {
         (BinOp::Add, Value::Int(x), Value::Int(y)) => Value::Int(x.wrapping_add(y)),
         (BinOp::Sub, Value::Int(x), Value::Int(y)) => Value::Int(x.wrapping_sub(y)),
         (BinOp::Mul, Value::Int(x), Value::Int(y)) => Value::Int(x.wrapping_mul(y)),
-        _ => return eval_binop(op, a, b),
+        _ => return Ok(eval_binop(op, a, b)?),
     })
 }
 
 /// Store an [`Code::assign`] result into a rank's memory.
-pub(crate) fn store(mem: &mut Memory, slot: Slot, val: Value) -> Result<(), InterpError> {
+pub(crate) fn store(mem: &mut Memory, slot: Slot, val: Value) -> Result<(), Fault> {
     match slot {
         Slot::Scalar(v) => mem.set_scalar(v, val),
         Slot::Elem(v, off) => mem.array_mut(v).set(off, val)?,
@@ -392,6 +394,12 @@ impl Ctx<'static> {
         stmt: None,
         locals: &[],
     };
+}
+
+impl Ctx<'_> {
+    pub(crate) fn is_shared(&self) -> bool {
+        self.stmt.is_none()
+    }
 }
 
 impl<'s> Compiler<'s> {
@@ -684,6 +692,20 @@ impl<'s> Compiler<'s> {
             .iter()
             .find(|(d, _)| matches!(d, CommData::Array(x) if x == r))
             .map(|&(_, i)| i)
+    }
+
+    /// The scalars the code of `span` reads through the engine's load,
+    /// or `None` when it also reads an array element or an own copy.
+    pub(crate) fn scalar_reads(&self, span: Span) -> Option<Vec<VarId>> {
+        let mut out = Vec::new();
+        for op in &self.code.ops[span.range()] {
+            match *op {
+                Op::Scalar(v) | Op::Affine { var: v, .. } => out.push(v),
+                Op::Own(_) | Op::Elem(_) => return None,
+                _ => {}
+            }
+        }
+        Some(out)
     }
 
     /// The (data, op index) pairs of statement `s`'s fetches of scalars.

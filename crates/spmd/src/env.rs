@@ -103,7 +103,20 @@ impl FromIterator<(VarId, i64)> for Env {
 
 impl From<&[(VarId, i64)]> for Env {
     fn from(bindings: &[(VarId, i64)]) -> Env {
-        bindings.iter().copied().collect()
+        if bindings.len() > INLINE {
+            return Env(Repr::Spill(bindings.to_vec()));
+        }
+        let mut vars = [VarId(0); INLINE];
+        let mut vals = [0; INLINE];
+        for (k, &(v, x)) in bindings.iter().enumerate() {
+            vars[k] = v;
+            vals[k] = x;
+        }
+        Env(Repr::Inline {
+            len: bindings.len() as u8,
+            vars,
+            vals,
+        })
     }
 }
 

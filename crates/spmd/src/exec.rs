@@ -13,7 +13,7 @@
 //! in [`CommMetrics`], directly comparable to the cost model's message
 //! predictions (checked by [`crate::crosscheck`]).
 
-use crate::code::{self, Code, Compiler, Ctx, Load, Site, Span, Stack, StmtCode};
+use crate::code::{self, Code, Compiler, Ctx, Fault, Load, Site, Span, Stack, StmtCode};
 use crate::env::Env;
 use crate::guard::Guard;
 use crate::lower::SpmdProgram;
@@ -141,6 +141,33 @@ enum DimRule {
 struct OwnerRef {
     array: VarId,
     dims: Span,
+    /// Its subscripts read no array element and only replicated scalars:
+    /// every reader finds the same coordinates, and they cannot change
+    /// until one of those scalars is written, so [`SpmdExec::owner_pid`]
+    /// remembers the owner until then.
+    memo: bool,
+    /// No grid dimension is free: the owner is one pid for every reader.
+    pinned: bool,
+}
+
+/// How one grid coordinate of an array element's owner compares with a
+/// reader's own, for the division-free test [`SpmdExec::owns`].
+#[derive(Debug, Clone, Copy)]
+enum OwnTest {
+    /// Every coordinate holds a copy: the reader's own.
+    Any,
+    At(usize),
+    /// BLOCK: the template position `stride * index[dim] + shift` lies in
+    /// the reader's block of `block` positions (of `extent`).
+    Block {
+        dim: usize,
+        stride: i64,
+        shift: i64,
+        block: i64,
+        extent: i64,
+    },
+    /// Another format: the test gives up.
+    Other,
 }
 
 /// The executor.
@@ -188,6 +215,8 @@ pub struct SpmdExec<'s> {
     cur_stmt: Option<StmtId>,
     /// Open coalescing groups keyed by (op index, src pid, dst pid).
     open: HashMap<(usize, usize, usize), OpenGroup>,
+    /// The deepest placement level of an open group (when any is open).
+    open_deepest: usize,
     /// Inside a global control evaluation (IF predicate, DO bounds):
     /// unattributed fetches are control traffic, not schedule misses.
     ctrl_eval: bool,
@@ -204,11 +233,23 @@ pub struct SpmdExec<'s> {
     scalar_owner: Vec<Option<OwnerRef>>,
     /// By `VarId`: the mapping of each array.
     array_maps: Vec<Option<&'s ArrayMapping>>,
+    /// By `VarId`: where a mapped array's [`OwnTest`]s (one per grid
+    /// dimension) start in `own_tests`.
+    own_test_at: Vec<usize>,
+    own_tests: Vec<OwnTest>,
+    /// Grid coordinates of every pid, `grid.rank()` per pid.
+    pid_coords: Vec<usize>,
     /// Flat storage of every [`OwnerRef`]'s per-dimension rules.
     dim_rules: Vec<DimRule>,
     /// By `StmtId`: the (scalar, op index) pairs a scalar fetch issued by
     /// the statement resolves to; the first match wins.
     scalar_ops: Vec<Vec<(VarId, usize)>>,
+    /// Owners found since a scalar in `memo_vars` was last written, for
+    /// [`OwnerRef::memo`] references: (first rule index, reader (0 when
+    /// pinned), owner pid).
+    owners: Vec<(u32, usize, usize)>,
+    /// By `VarId`: read by the subscripts of a [`OwnerRef::memo`] reference.
+    memo_vars: Vec<bool>,
 
     // Reusable stacks: a nested evaluation pushes above its caller's
     // entries and truncates back to where it started.
@@ -235,14 +276,19 @@ impl<'s> SpmdExec<'s> {
         let (n_stmts, n_vars) = (p.num_stmts(), p.vars.len());
 
         let mut cc = Compiler::new(sp);
-        let mut dim_rules = Vec::new();
+        let mut refs = OwnerRefs {
+            sp,
+            dim_rules: Vec::new(),
+            built: Vec::new(),
+            memo_vars: vec![false; n_vars],
+        };
         let guards = (0..n_stmts)
             .map(|s| {
                 let s = StmtId(s as u32);
                 match sp.guard(s) {
                     Guard::Everyone | Guard::Union => None,
                     Guard::OwnerOf { r, free_dims } => {
-                        Some(owner_ref(sp, &mut cc, Ctx::of(s), &mut dim_rules, r, free_dims))
+                        Some(refs.get(&mut cc, Ctx::of(s), r, free_dims))
                     }
                 }
             })
@@ -251,23 +297,28 @@ impl<'s> SpmdExec<'s> {
             .map(|v| match sp.scalar_mapping(VarId(v as u32)) {
                 ScalarMapping::Replicated | ScalarMapping::PrivateNoAlign => None,
                 ScalarMapping::Aligned { target, .. } => {
-                    Some(owner_ref(sp, &mut cc, Ctx::SHARED, &mut dim_rules, target, &[]))
+                    Some(refs.get(&mut cc, Ctx::SHARED, target, &[]))
                 }
                 ScalarMapping::Reduction {
                     target,
                     reduce_dims,
                     ..
-                } => Some(owner_ref(
-                    sp,
-                    &mut cc,
-                    Ctx::SHARED,
-                    &mut dim_rules,
-                    target,
-                    reduce_dims,
-                )),
+                } => Some(refs.get(&mut cc, Ctx::SHARED, target, reduce_dims)),
             })
             .collect();
-        let array_maps = (0..n_vars).map(|v| sp.maps.get(VarId(v as u32))).collect();
+        let array_maps: Vec<_> = (0..n_vars).map(|v| sp.maps.get(VarId(v as u32))).collect();
+        let mut own_tests = Vec::new();
+        let own_test_at = array_maps
+            .iter()
+            .map(|m| {
+                let start = own_tests.len();
+                for (g, rule) in m.iter().flat_map(|m| m.rules.iter()).enumerate() {
+                    own_tests.push(own_test(rule, grid.extent(g)));
+                }
+                start
+            })
+            .collect();
+        let pid_coords = grid.pids().flat_map(|q| grid.coords_of(q)).collect();
         let scalar_ops = (0..n_stmts).map(|s| cc.scalar_ops(s)).collect();
 
         SpmdExec {
@@ -287,14 +338,20 @@ impl<'s> SpmdExec<'s> {
             vectorize: true,
             cur_stmt: None,
             open: HashMap::new(),
+            open_deepest: 0,
             ctrl_eval: false,
             debug_untracked: std::env::var_os("PHPF_DEBUG_UNTRACKED").is_some(),
             code: cc.finish(),
             guards,
             scalar_owner,
             array_maps,
-            dim_rules,
+            own_test_at,
+            own_tests,
+            pid_coords,
+            dim_rules: refs.dim_rules,
             scalar_ops,
+            owners: Vec::new(),
+            memo_vars: refs.memo_vars,
             coords: Vec::new(),
             executors: Vec::new(),
         }
@@ -447,6 +504,9 @@ impl<'s> SpmdExec<'s> {
                     let c = &self.sp.comms[i];
                     (c.level, c.stmt_level)
                 };
+                if self.open.is_empty() || lvl > self.open_deepest {
+                    self.open_deepest = lvl;
+                }
                 let (obs_send, obs_recv) = self.obs_message(
                     (CommKind::SendVec, CommKind::RecvVec),
                     (src, dst),
@@ -526,11 +586,12 @@ impl<'s> SpmdExec<'s> {
     /// deeper) advanced: the next fetch of its operation starts a new
     /// message.
     fn close_groups(&mut self, depth: usize) {
-        if self.open.is_empty() {
+        if self.open.is_empty() || self.open_deepest < depth {
             return;
         }
         let sp = self.sp;
         self.open.retain(|&(i, _, _), _| sp.comms[i].level < depth);
+        self.open_deepest = self.open.keys().map(|&(i, ..)| sp.comms[i].level).max().unwrap_or(0);
     }
 
     /// Run to completion.
@@ -538,10 +599,10 @@ impl<'s> SpmdExec<'s> {
         let code = std::mem::take(&mut self.code);
         let res = self.run_code(&code, &mut Stack::default());
         self.code = code;
-        res
+        res.map_err(|e| *e)
     }
 
-    fn run_code(&mut self, code: &Code, st: &mut Stack) -> Result<ExecStats, InterpError> {
+    fn run_code(&mut self, code: &Code, st: &mut Stack) -> Result<ExecStats, Fault> {
         let sp = self.sp;
         self.maybe_cut();
         let flow = self.exec_block(code, st, &sp.program.body)?;
@@ -552,7 +613,7 @@ impl<'s> SpmdExec<'s> {
         self.maybe_cut();
         match flow {
             Flow::Normal => Ok(self.stats),
-            Flow::Goto(l) => Err(InterpError::UnresolvedGoto(l.0)),
+            Flow::Goto(l) => Err(InterpError::UnresolvedGoto(l.0).into()),
         }
     }
 
@@ -565,7 +626,7 @@ impl<'s> SpmdExec<'s> {
         code: &Code,
         st: &mut Stack,
         block: &[StmtId],
-    ) -> Result<Flow, InterpError> {
+    ) -> Result<Flow, Fault> {
         let mut idx = 0;
         while idx < block.len() {
             if self.loop_env.is_empty() {
@@ -593,18 +654,18 @@ impl<'s> SpmdExec<'s> {
     fn control<T>(
         &mut self,
         st: &mut Stack,
-        eval: impl FnOnce(&mut Reader<'_, 's>, &mut Stack) -> Result<T, InterpError>,
-    ) -> Result<T, InterpError> {
+        eval: impl FnOnce(&mut Reader<'_, 's>, &mut Stack) -> Result<T, Fault>,
+    ) -> Result<T, Fault> {
         self.ctrl_eval = true;
         let res = eval(&mut Reader { x: self, q: 0 }, st);
         self.ctrl_eval = false;
         res
     }
 
-    fn exec_stmt(&mut self, code: &Code, st: &mut Stack, s: StmtId) -> Result<Flow, InterpError> {
+    fn exec_stmt(&mut self, code: &Code, st: &mut Stack, s: StmtId) -> Result<Flow, Fault> {
         self.steps += 1;
         if self.steps > self.step_limit {
-            return Err(InterpError::StepLimit);
+            return Err(InterpError::StepLimit.into());
         }
         self.cur_stmt = Some(s);
         match (self.p().stmt(s), code.stmt(s)) {
@@ -614,10 +675,10 @@ impl<'s> SpmdExec<'s> {
                 self.stats.stmt_execs += executors.len() as u64;
                 for &q in &executors {
                     let (slot, val) = code.assign(s, &mut Reader { x: self, q }, st)?;
-                    code::store(&mut self.mems[q], slot, val)?;
-                    if self.trace.is_some() {
-                        let env = self.env(code, s, q);
-                        self.record(q, Event::Exec { stmt: s, env });
+                    self.store(q, slot, val)?;
+                    if let Some(t) = &mut self.trace {
+                        let env = env(&self.loop_env, &self.mems[q], code.exits(s));
+                        t[q].push(Event::Exec { stmt: s, env });
                     }
                 }
                 self.executors = executors;
@@ -633,7 +694,7 @@ impl<'s> SpmdExec<'s> {
                     ))
                 })?;
                 if step == 0 {
-                    return Err(InterpError::DivisionByZero);
+                    return Err(InterpError::DivisionByZero.into());
                 }
                 let mut i = lo;
                 let mut out = Flow::Normal;
@@ -651,6 +712,7 @@ impl<'s> SpmdExec<'s> {
                     for m in &mut self.mems {
                         m.set_scalar(var, Value::Int(i));
                     }
+                    self.wrote(var);
                     self.loop_env.last_mut().unwrap().1 = i;
                     match self.exec_block(code, st, body)? {
                         Flow::Normal => {}
@@ -665,6 +727,7 @@ impl<'s> SpmdExec<'s> {
                 for m in &mut self.mems {
                     m.set_scalar(var, Value::Int(i));
                 }
+                self.wrote(var);
                 // Reduction combines attached to this loop.
                 self.run_reduces(s)?;
                 Ok(out)
@@ -698,17 +761,18 @@ impl<'s> SpmdExec<'s> {
         }
     }
 
-    /// The bindings an `Exec`/`CondExec` of `s` on `q` records: the
-    /// enclosing loops' indices, then q's value of every DO variable `s`
-    /// reads outside its loop (replay never sees a loop exit).
-    fn env(&self, code: &Code, s: StmtId, q: usize) -> Env {
-        let mut env = Env::from(&self.loop_env[..]);
-        for &v in code.exits(s) {
-            if let Value::Int(x) = self.mems[q].scalar(v) {
-                env.push(v, x);
-            }
+    fn store(&mut self, q: usize, slot: Slot, val: Value) -> Result<(), Fault> {
+        if let Slot::Scalar(v) = slot {
+            self.wrote(v);
         }
-        env
+        code::store(&mut self.mems[q], slot, val)
+    }
+
+    /// Forget the remembered owners when `v` is read by their subscripts.
+    fn wrote(&mut self, v: VarId) {
+        if self.memo_vars[v.index()] {
+            self.owners.clear();
+        }
     }
 
     /// Maxloc pattern: each partial owner tests and updates its own
@@ -721,15 +785,15 @@ impl<'s> SpmdExec<'s> {
         s: StmtId,
         cond: Span,
         then_body: &[StmtId],
-    ) -> Result<Flow, InterpError> {
+    ) -> Result<Flow, Fault> {
         let mut executors = std::mem::take(&mut self.executors);
         self.guard_pids(code, st, s, &mut executors)?;
         for &q in &executors {
             self.cur_stmt = Some(s);
             let c = code.eval(cond, &mut Reader { x: self, q }, st)?.as_bool()?;
-            if self.trace.is_some() {
-                let env = self.env(code, s, q);
-                self.record(q, Event::CondExec { stmt: s, env });
+            if let Some(t) = &mut self.trace {
+                let env = env(&self.loop_env, &self.mems[q], code.exits(s));
+                t[q].push(Event::CondExec { stmt: s, env });
             }
             if !c {
                 continue;
@@ -739,7 +803,7 @@ impl<'s> SpmdExec<'s> {
                 if self.p().stmt(t).is_assign() {
                     self.cur_stmt = Some(t);
                     let (slot, val) = code.assign(t, &mut Reader { x: self, q }, st)?;
-                    code::store(&mut self.mems[q], slot, val)?;
+                    self.store(q, slot, val)?;
                 }
             }
         }
@@ -747,7 +811,7 @@ impl<'s> SpmdExec<'s> {
         Ok(Flow::Normal)
     }
 
-    fn run_reduces(&mut self, l: StmtId) -> Result<(), InterpError> {
+    fn run_reduces(&mut self, l: StmtId) -> Result<(), Fault> {
         let sp = self.sp;
         for op in sp.reduces_of(l) {
             if op.reduce_dims.is_empty() {
@@ -859,6 +923,10 @@ impl<'s> SpmdExec<'s> {
                         }
                     }
                 }
+                self.wrote(op.acc);
+                if let Some(lv) = op.loc {
+                    self.wrote(lv);
+                }
                 for &q in &pids {
                     self.mems[q].set_scalar(op.acc, best_acc);
                     if let (Some(lv), Some(bl)) = (op.loc, best_loc) {
@@ -879,12 +947,16 @@ impl<'s> SpmdExec<'s> {
         st: &mut Stack,
         s: StmtId,
         out: &mut Vec<usize>,
-    ) -> Result<(), InterpError> {
+    ) -> Result<(), Fault> {
         out.clear();
         let Some(own) = self.guards[s.index()] else {
             out.extend(self.grid.pids());
             return Ok(());
         };
+        if own.memo && own.pinned {
+            out.push(self.owner_pid(code, st, own, 0)?);
+            return Ok(());
+        }
         let base = self.owner_coords(code, st, own, 0)?;
         let coords = &self.coords[base..];
         if coords.iter().all(Option::is_some) {
@@ -910,7 +982,7 @@ impl<'s> SpmdExec<'s> {
         st: &mut Stack,
         own: OwnerRef,
         reader: usize,
-    ) -> Result<usize, InterpError> {
+    ) -> Result<usize, Fault> {
         let base = self.coords.len();
         for (g, k) in own.dims.range().enumerate() {
             let c = match self.dim_rules[k] {
@@ -930,7 +1002,8 @@ impl<'s> SpmdExec<'s> {
                         return Err(InterpError::OutOfBounds {
                             array: self.p().vars.name(own.array).to_string(),
                             index: vec![x],
-                        });
+                        }
+                        .into());
                     }
                     Some(dist_owner(dist, pos0, t_extent, self.grid.extent(g)))
                 }
@@ -947,11 +1020,18 @@ impl<'s> SpmdExec<'s> {
         st: &mut Stack,
         own: OwnerRef,
         reader: usize,
-    ) -> Result<usize, InterpError> {
+    ) -> Result<usize, Fault> {
+        let key = (own.dims.start, if own.pinned { 0 } else { reader });
+        if let Some(&(.., src)) = self.owners.iter().find(|&&(k, r, _)| (k, r) == key) {
+            return Ok(src);
+        }
         let base = self.owner_coords(code, st, own, reader)?;
         let coords = &self.coords[base..];
         let src = self.grid.resolve_with(reader, |d| coords[d]);
         self.coords.truncate(base);
+        if own.memo {
+            self.owners.push((key.0, key.1, src));
+        }
         Ok(src)
     }
 
@@ -964,7 +1044,7 @@ impl<'s> SpmdExec<'s> {
         st: &mut Stack,
         v: VarId,
         q: usize,
-    ) -> Result<Value, InterpError> {
+    ) -> Result<Value, Fault> {
         let Some(own) = self.scalar_owner[v.index()] else {
             return Ok(self.mems[q].scalar(v));
         };
@@ -991,14 +1071,44 @@ impl<'s> SpmdExec<'s> {
         off: usize,
         q: usize,
     ) -> Value {
-        let mapping = self.array_maps[site.array.index()].expect("mapped array");
-        let src = mapping.owner_pid(&self.grid, idx, q);
+        let src = if self.owns(site.array, idx, q) {
+            q
+        } else {
+            let mapping = self.array_maps[site.array.index()].expect("mapped array");
+            mapping.owner_pid(&self.grid, idx, q)
+        };
         if src != q {
             let op = code.site_op(site, self.cur_stmt);
             let bytes = self.p().vars.info(site.array).ty.byte_size() as u64;
             self.fetch(op, src, q, Slot::Elem(site.array, off), bytes);
         }
         self.mems[src].array(site.array).get(off)
+    }
+
+    /// Does `q` hold element `idx` of `array` itself? `false` also when
+    /// a dimension's format has no division-free test; `owner_pid` then
+    /// decides.
+    fn owns(&self, array: VarId, idx: &[i64], q: usize) -> bool {
+        let rank = self.grid.rank();
+        let start = self.own_test_at[array.index()];
+        let tests = &self.own_tests[start..start + rank];
+        let mine = &self.pid_coords[q * rank..(q + 1) * rank];
+        tests.iter().zip(mine).all(|(t, &c)| match *t {
+            OwnTest::Any => true,
+            OwnTest::At(x) => x == c,
+            OwnTest::Block {
+                dim,
+                stride,
+                shift,
+                block,
+                extent,
+            } => {
+                let lo = c as i64 * block;
+                let pos0 = stride * idx[dim] + shift;
+                pos0 >= lo && pos0 < (lo + block).min(extent)
+            }
+            OwnTest::Other => false,
+        })
     }
 
     /// Gather the authoritative value of every element of an array
@@ -1025,7 +1135,7 @@ struct Reader<'x, 's> {
 }
 
 impl Load for Reader<'_, '_> {
-    fn scalar(&mut self, code: &Code, st: &mut Stack, v: VarId) -> Result<Value, InterpError> {
+    fn scalar(&mut self, code: &Code, st: &mut Stack, v: VarId) -> Result<Value, Fault> {
         self.x.read_scalar(code, st, v, self.q)
     }
 
@@ -1039,29 +1149,83 @@ impl Load for Reader<'_, '_> {
         site: &Site,
         idx: &[i64],
         off: usize,
-    ) -> Result<Value, InterpError> {
+    ) -> Result<Value, Fault> {
         Ok(self.x.read_elem(code, site, idx, off, self.q))
     }
 }
 
-/// Resolve an owner reference against its array's mapping: one
-/// [`DimRule`] per grid dimension appended to `dim_rules`, its subscripts
-/// compiled in `cx`. Dimensions in `free` are left unconstrained
-/// (reduction mapping).
-fn owner_ref<'s>(
+/// The bindings an `Exec`/`CondExec` records: the enclosing loops'
+/// indices, then the executing rank's value (in `mem`) of every DO
+/// variable the statement reads outside its loop (`exits`), which replay
+/// binds the same way, since it never sees a loop exit.
+fn env(loops: &[(VarId, i64)], mem: &Memory, exits: &[VarId]) -> Env {
+    let mut env = Env::from(loops);
+    for &v in exits {
+        if let Value::Int(x) = mem.scalar(v) {
+            env.push(v, x);
+        }
+    }
+    env
+}
+
+/// The [`OwnTest`] of one grid dimension's rule on a grid dimension of
+/// extent `nprocs`.
+fn own_test(rule: &GridDimRule, nprocs: usize) -> OwnTest {
+    match *rule {
+        GridDimRule::ByDim {
+            array_dim,
+            dist: DistFormat::Block,
+            stride,
+            offset,
+            t_lo,
+            t_extent,
+        } => OwnTest::Block {
+            dim: array_dim,
+            stride,
+            shift: offset - t_lo,
+            block: (t_extent + nprocs as i64 - 1) / nprocs as i64,
+            extent: t_extent,
+        },
+        GridDimRule::ByDim {
+            dist: DistFormat::Collapsed,
+            ..
+        } => OwnTest::At(0),
+        GridDimRule::ByDim { .. } => OwnTest::Other,
+        GridDimRule::Fixed(c) => OwnTest::At(c),
+        GridDimRule::Replicated | GridDimRule::Private => OwnTest::Any,
+    }
+}
+
+/// Builds the executor's owner references.
+struct OwnerRefs<'s> {
     sp: &'s SpmdProgram,
-    cc: &mut Compiler<'s>,
-    cx: Ctx,
-    dim_rules: &mut Vec<DimRule>,
-    r: &'s ArrayRef,
-    free: &[usize],
-) -> OwnerRef {
-    let start = dim_rules.len();
-    for (g, rule) in sp.maps.of(r.array).rules.iter().enumerate() {
-        dim_rules.push(if free.contains(&g) {
-            DimRule::Any
-        } else {
-            match rule {
+    /// Flat storage of every [`OwnerRef`]'s per-dimension rules.
+    dim_rules: Vec<DimRule>,
+    /// Every reference built: its target, free dimensions and whether it
+    /// was compiled outside any statement.
+    built: Vec<(&'s ArrayRef, &'s [usize], bool, OwnerRef)>,
+    memo_vars: Vec<bool>,
+}
+
+impl<'s> OwnerRefs<'s> {
+    /// The owner reference of `r` with the grid dimensions in `free` left
+    /// unconstrained (reduction mapping), its subscripts compiled in `cx`.
+    /// Equal targets share one reference (and so its remembered owners)
+    /// when their code cannot tell statements apart.
+    fn get(&mut self, cc: &mut Compiler<'s>, cx: Ctx, r: &'s ArrayRef, free: &'s [usize]) -> OwnerRef {
+        let shared = cx.is_shared();
+        let same = |&&(t, f, sh, own): &&(&ArrayRef, &[usize], bool, OwnerRef)| {
+            t == r && f == free && (own.memo || sh && shared)
+        };
+        if let Some(&(.., own)) = self.built.iter().find(same) {
+            return own;
+        }
+        let sp = self.sp;
+        let start = self.dim_rules.len();
+        let mut reads = Some(Vec::new());
+        for (g, rule) in sp.maps.of(r.array).rules.iter().enumerate() {
+            let rule = match rule {
+                _ if free.contains(&g) => DimRule::Any,
                 GridDimRule::ByDim {
                     array_dim,
                     dist,
@@ -1069,25 +1233,47 @@ fn owner_ref<'s>(
                     offset,
                     t_lo,
                     t_extent,
-                } => DimRule::Sub {
-                    sub: cc.subscript(cx, &r.subs[*array_dim]),
-                    dist: *dist,
-                    stride: *stride,
-                    offset: *offset,
-                    t_lo: *t_lo,
-                    t_extent: *t_extent,
-                },
+                } => {
+                    let sub = cc.subscript(cx, &r.subs[*array_dim]);
+                    if let (Some(all), Some(more)) = (&mut reads, cc.scalar_reads(sub)) {
+                        all.extend(more);
+                    } else {
+                        reads = None;
+                    }
+                    DimRule::Sub {
+                        sub,
+                        dist: *dist,
+                        stride: *stride,
+                        offset: *offset,
+                        t_lo: *t_lo,
+                        t_extent: *t_extent,
+                    }
+                }
                 GridDimRule::Fixed(c) => DimRule::At(*c),
                 GridDimRule::Replicated | GridDimRule::Private => DimRule::Any,
-            }
+            };
+            self.dim_rules.push(rule);
+        }
+        let rules = &self.dim_rules[start..];
+        let reads = reads.filter(|vs| {
+            vs.iter()
+                .all(|&v| matches!(sp.scalar_mapping(v), ScalarMapping::Replicated))
         });
-    }
-    OwnerRef {
-        array: r.array,
-        dims: Span {
-            start: start as u32,
-            end: dim_rules.len() as u32,
-        },
+        let memo = reads.is_some();
+        for v in reads.into_iter().flatten() {
+            self.memo_vars[v.index()] = true;
+        }
+        let own = OwnerRef {
+            array: r.array,
+            dims: Span {
+                start: start as u32,
+                end: self.dim_rules.len() as u32,
+            },
+            memo,
+            pinned: !rules.iter().any(|d| matches!(d, DimRule::Any)),
+        };
+        self.built.push((r, free, shared, own));
+        own
     }
 }
 

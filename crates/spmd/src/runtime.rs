@@ -21,7 +21,7 @@
 //! [`replay_rank_segment`], in separate OS processes over socket links,
 //! one epoch at a time as the events arrive.
 
-use crate::code::{self, Code, Load, Site, Stack, StmtCode};
+use crate::code::{self, Code, Fault, Load, Site, Stack, StmtCode};
 use crate::env::Env;
 use crate::exec::{Event, Slot, SpmdExec, Trace};
 use crate::lower::SpmdProgram;
@@ -288,7 +288,7 @@ struct RankWorker<'a, T: Transport> {
 struct Local<'m>(&'m Memory);
 
 impl Load for Local<'_> {
-    fn scalar(&mut self, _: &Code, _: &mut Stack, v: VarId) -> Result<Value, InterpError> {
+    fn scalar(&mut self, _: &Code, _: &mut Stack, v: VarId) -> Result<Value, Fault> {
         Ok(self.0.scalar(v))
     }
 
@@ -296,7 +296,7 @@ impl Load for Local<'_> {
         self.0.scalar(v)
     }
 
-    fn elem(&mut self, _: &Code, site: &Site, _: &[i64], off: usize) -> Result<Value, InterpError> {
+    fn elem(&mut self, _: &Code, site: &Site, _: &[i64], off: usize) -> Result<Value, Fault> {
         Ok(self.0.array(site.array).get(off))
     }
 }
@@ -453,7 +453,8 @@ impl<'a, T: Transport> RankWorker<'a, T> {
                 let c = self
                     .code
                     .eval(cond, &mut Local(self.mem), &mut self.st)
-                    .and_then(|v| v.as_bool())
+                    .map_err(|e| e.to_string())?
+                    .as_bool()
                     .map_err(|e| e.to_string())?;
                 if c {
                     for &t in then_body {
@@ -557,7 +558,7 @@ impl<'a, T: Transport> RankWorker<'a, T> {
     }
 
     /// Run assignment `s` on local memory.
-    fn assign(&mut self, s: hpf_ir::StmtId) -> Result<(), InterpError> {
+    fn assign(&mut self, s: hpf_ir::StmtId) -> Result<(), Fault> {
         let (slot, val) = self.code.assign(s, &mut Local(self.mem), &mut self.st)?;
         code::store(self.mem, slot, val)
     }

@@ -26,8 +26,7 @@ use crate::exec::Slot;
 use crate::lower::{CommData, SpmdProgram};
 use hpf_ir::interp::{eval_binop, eval_intrinsic, InterpError, Memory};
 use hpf_ir::{
-    ArrayRef, BinOp, Expr, Intrinsic, LValue, Program, ScalarTy, Stmt, StmtId, UnOp, Value,
-    VarId,
+    ArrayRef, BinOp, Expr, Intrinsic, LValue, Program, ScalarTy, Stmt, StmtId, UnOp, Value, VarId,
 };
 use phpf_core::ScalarMapping;
 
@@ -55,7 +54,11 @@ enum Op {
     /// maxloc reduction IF).
     Own(VarId),
     /// Subscript `coef·var + c`, `var` read through the engine's load.
-    Affine { var: VarId, coef: i64, c: i64 },
+    Affine {
+        var: VarId,
+        coef: i64,
+        c: i64,
+    },
     /// Constant subscript.
     Index(i64),
     /// Pop a value and push it as a subscript.
@@ -124,7 +127,11 @@ pub(crate) enum StmtCode {
 pub(crate) enum Target {
     Scalar(VarId, ScalarTy),
     /// `subs` pushes the subscripts of `site`.
-    Elem { subs: Span, site: u32, ty: ScalarTy },
+    Elem {
+        subs: Span,
+        site: u32,
+        ty: ScalarTy,
+    },
 }
 
 pub(crate) type Fault = Box<InterpError>;
@@ -145,13 +152,7 @@ pub(crate) trait Load {
     /// A read of the executing rank's own copy of `v`.
     fn own(&mut self, v: VarId) -> Value;
     /// Element `off` (bounds-checked) of the array of `site`, at `idx`.
-    fn elem(
-        &mut self,
-        code: &Code,
-        site: &Site,
-        idx: &[i64],
-        off: usize,
-    ) -> Result<Value, Fault>;
+    fn elem(&mut self, code: &Code, site: &Site, idx: &[i64], off: usize) -> Result<Value, Fault>;
 }
 
 /// Compiled code of one lowered program.
@@ -506,7 +507,13 @@ impl<'s> Compiler<'s> {
                     // own copy.
                     let mut own: Vec<VarId> = loc_var.iter().copied().collect();
                     own.extend(then_body.iter().filter_map(|&t| p.stmt(t).written_var()));
-                    let cond = self.expr(Ctx { stmt: Some(s), locals: &own }, cond);
+                    let cond = self.expr(
+                        Ctx {
+                            stmt: Some(s),
+                            locals: &own,
+                        },
+                        cond,
+                    );
                     self.block(then_body, loops, &own);
                     self.block(else_body, loops, locals);
                     let mut stmts = vec![s];
@@ -536,7 +543,12 @@ impl<'s> Compiler<'s> {
         let p = self.program();
         let start = self.code.exit_vars.len();
         for &t in stmts {
-            for v in p.stmt(t).read_exprs().into_iter().flat_map(Expr::scalar_reads) {
+            for v in p
+                .stmt(t)
+                .read_exprs()
+                .into_iter()
+                .flat_map(Expr::scalar_reads)
+            {
                 if self.do_vars.contains(&v)
                     && !loops.contains(&v)
                     && !self.code.exit_vars[start..].contains(&v)
@@ -663,7 +675,12 @@ impl<'s> Compiler<'s> {
     }
 
     fn site(&mut self, cx: Ctx, r: &'s ArrayRef) -> u32 {
-        let shape = self.program().vars.info(r.array).shape().expect("array ref");
+        let shape = self
+            .program()
+            .vars
+            .info(r.array)
+            .shape()
+            .expect("array ref");
         let start = self.code.bounds.len();
         let mut stride = 1;
         for &(lo, hi) in &shape.dims {

@@ -591,7 +591,12 @@ impl<'s> SpmdExec<'s> {
         }
         let sp = self.sp;
         self.open.retain(|&(i, _, _), _| sp.comms[i].level < depth);
-        self.open_deepest = self.open.keys().map(|&(i, ..)| sp.comms[i].level).max().unwrap_or(0);
+        self.open_deepest = self
+            .open
+            .keys()
+            .map(|&(i, ..)| sp.comms[i].level)
+            .max()
+            .unwrap_or(0);
     }
 
     /// Run to completion.
@@ -1063,14 +1068,7 @@ impl<'s> SpmdExec<'s> {
     }
 
     /// An array element read by `q`, fetched from its owner.
-    fn read_elem(
-        &mut self,
-        code: &Code,
-        site: &Site,
-        idx: &[i64],
-        off: usize,
-        q: usize,
-    ) -> Value {
+    fn read_elem(&mut self, code: &Code, site: &Site, idx: &[i64], off: usize, q: usize) -> Value {
         let src = if self.owns(site.array, idx, q) {
             q
         } else {
@@ -1143,13 +1141,7 @@ impl Load for Reader<'_, '_> {
         self.x.mems[self.q].scalar(v)
     }
 
-    fn elem(
-        &mut self,
-        code: &Code,
-        site: &Site,
-        idx: &[i64],
-        off: usize,
-    ) -> Result<Value, Fault> {
+    fn elem(&mut self, code: &Code, site: &Site, idx: &[i64], off: usize) -> Result<Value, Fault> {
         Ok(self.x.read_elem(code, site, idx, off, self.q))
     }
 }
@@ -1212,7 +1204,13 @@ impl<'s> OwnerRefs<'s> {
     /// unconstrained (reduction mapping), its subscripts compiled in `cx`.
     /// Equal targets share one reference (and so its remembered owners)
     /// when their code cannot tell statements apart.
-    fn get(&mut self, cc: &mut Compiler<'s>, cx: Ctx, r: &'s ArrayRef, free: &'s [usize]) -> OwnerRef {
+    fn get(
+        &mut self,
+        cc: &mut Compiler<'s>,
+        cx: Ctx,
+        r: &'s ArrayRef,
+        free: &'s [usize],
+    ) -> OwnerRef {
         let shared = cx.is_shared();
         let same = |&&(t, f, sh, own): &&(&ArrayRef, &[usize], bool, OwnerRef)| {
             t == r && f == free && (own.memo || sh && shared)

@@ -135,9 +135,9 @@ fn replay_rank_code<T: Transport>(
 /// across calls. Unlike [`replay_rank_traced`] this neither tears the
 /// transport down nor folds in its in-flight peak, so a socket worker can
 /// replay each epoch over one mesh as the parent streams it and finish
-/// only once; it compiles `code` (with [`Code::new`]) once for all of
-/// them. `tick` runs after every replayed event; the fault plan's kill
-/// trigger hangs off it.
+/// only once; the caller compiles `code` ([`Code::new`]) once for all
+/// segments. `tick` runs after every replayed event; the fault plan's
+/// kill trigger hangs off it.
 ///
 /// Segments must start at epoch cuts: the worker's reduction stack is
 /// empty there (a `RecvPartial` batch and its `Combine` always share an

@@ -118,6 +118,27 @@ echo "$out" | grep -q 'backend socket: replay on 4 worker processes matched' || 
     exit 1
 }
 
+echo "==> DO variable read after its loop (both backends match the reference)"
+# examples/hpf/do_exit_value.hpf reads the loop index after the loop; the
+# ranks that own B(1) never see the loop exit, so replay must take the
+# value from the reading statement's recorded bindings.
+for backend in thread socket; do
+    set +e
+    out=$(./target/release/phpfc examples/hpf/do_exit_value.hpf --backend "$backend" 2>&1)
+    status=$?
+    set -e
+    if [ "$status" -ne 0 ]; then
+        echo "FAIL: do_exit_value --backend $backend exited $status" >&2
+        echo "$out" >&2
+        exit "$status"
+    fi
+    echo "$out" | grep -q "backend $backend: replay on 4 worker .* matched" || {
+        echo "FAIL: do_exit_value --backend $backend replay did not match the reference" >&2
+        echo "$out" >&2
+        exit 1
+    }
+done
+
 echo "==> chaos smoke (DGEFA small, worker killed mid-stream, rerun by a fresh cohort)"
 # Rank 1 dies at its 100th event, in the second of 11 epochs: the failed
 # cohort is reaped, a fresh cohort reruns the whole run from the start

@@ -16,8 +16,9 @@ use phpf::spmd::{
 };
 
 /// Run one kernel on both backends with identical deterministic fills and
-/// assert traffic + memory equivalence.
-fn differential(name: &str, source: String, vectorize: bool) {
+/// assert traffic + memory equivalence; returns the (thread, socket)
+/// replays.
+fn differential(name: &str, source: String, vectorize: bool) -> (Replayed, Replayed) {
     let mut job = NetJob::new(source);
     job.vectorize = vectorize;
     job.version = Version::SelectedAlignment;
@@ -60,6 +61,7 @@ fn differential(name: &str, source: String, vectorize: bool) {
         threads.stats.messages_sent, sockets.stats.messages_sent,
         "{name}: replay stats disagree on message count"
     );
+    (threads, sockets)
 }
 
 /// Everything except the `max_in_flight` gauge must match exactly.
@@ -165,6 +167,24 @@ fn dgefa_multi_frame_event_stream_thread_vs_socket() {
         "largest rank stream is {largest} bytes, under two {EVENT_CHUNK_BYTES}-byte frames"
     );
     differential("DGEFA n=56", source, true);
+}
+
+/// A DO variable read after its loop holds its first out-of-range value,
+/// also on the ranks that never saw the loop exit: the reading
+/// statement's recorded bindings carry the value to replay. Both backends
+/// must match the interpreter on the element that reads it.
+#[test]
+fn do_variable_read_after_its_loop_thread_vs_socket() {
+    let source = include_str!("../examples/hpf/do_exit_value.hpf");
+    let program = phpf::ir::parse_program(source).unwrap();
+    let (seq, _) = phpf::ir::interp::run_program(&program, |_| {}).unwrap();
+    let b = program.vars.lookup("b").unwrap();
+    let want = seq.array(b).get(0);
+    assert_eq!(want, phpf::ir::Value::Real(9.0), "interpreter");
+    let (threads, sockets) = differential("DO exit value", source.to_string(), true);
+    // B(1) is owned by rank 0, which also ran the loop's first iterations.
+    assert_eq!(threads.mems[0].array(b).get(0), want, "thread replay");
+    assert_eq!(sockets.mems[0].array(b).get(0), want, "socket replay");
 }
 
 /// Two elements BLOCK-distributed over four processors: ranks 2 and 3 own

@@ -134,6 +134,8 @@ pub(crate) enum Target {
     },
 }
 
+/// An evaluation error, boxed so that a result on the hot path stays two
+/// words wide.
 pub(crate) type Fault = Box<InterpError>;
 
 /// The evaluation stacks. A nested evaluation pushes above its caller's
@@ -164,9 +166,8 @@ pub struct Code {
     /// By `StmtId`.
     stmts: Vec<StmtCode>,
     /// By `StmtId`: the DO variables the statement reads outside their
-    /// loops, stored in `exit_vars`.
-    exits: Vec<Span>,
-    exit_vars: Vec<VarId>,
+    /// loops.
+    exits: Vec<Vec<VarId>>,
     /// By `StmtId`, then `SiteOp::PerStmt` column: the operation of a
     /// shared site read by that statement.
     shared_ops: Vec<Option<u32>>,
@@ -187,7 +188,7 @@ impl Code {
 
     /// The DO variables statement `s` reads outside their loops.
     pub(crate) fn exits(&self, s: StmtId) -> &[VarId] {
-        &self.exit_vars[self.exits[s.index()].range()]
+        &self.exits[s.index()]
     }
 
     /// The communication operation a remote read through `site` by
@@ -327,10 +328,12 @@ impl Code {
     }
 }
 
+#[inline]
 fn pop(vals: &mut Vec<Value>) -> Value {
     vals.pop().expect("operand on the stack")
 }
 
+#[inline]
 fn top(vals: &mut [Value]) -> &mut Value {
     vals.last_mut().expect("operand on the stack")
 }
@@ -421,7 +424,7 @@ impl<'s> Compiler<'s> {
             sp,
             code: Code {
                 stmts: vec![StmtCode::None; n_stmts],
-                exits: vec![Span::default(); n_stmts],
+                exits: vec![Vec::new(); n_stmts],
                 names: p.vars.iter().map(|(_, info)| info.name.clone()).collect(),
                 ..Code::default()
             },
@@ -541,7 +544,7 @@ impl<'s> Compiler<'s> {
     /// loop indices.
     fn set_exits(&mut self, s: StmtId, stmts: &[StmtId], loops: &[VarId]) {
         let p = self.program();
-        let start = self.code.exit_vars.len();
+        let mut exits = Vec::new();
         for &t in stmts {
             for v in p
                 .stmt(t)
@@ -549,15 +552,12 @@ impl<'s> Compiler<'s> {
                 .into_iter()
                 .flat_map(Expr::scalar_reads)
             {
-                if self.do_vars.contains(&v)
-                    && !loops.contains(&v)
-                    && !self.code.exit_vars[start..].contains(&v)
-                {
-                    self.code.exit_vars.push(v);
+                if self.do_vars.contains(&v) && !loops.contains(&v) && !exits.contains(&v) {
+                    exits.push(v);
                 }
             }
         }
-        self.code.exits[s.index()] = self.span_from(start, self.code.exit_vars.len());
+        self.code.exits[s.index()] = exits;
     }
 
     fn span_from(&self, start: usize, end: usize) -> Span {

@@ -680,7 +680,7 @@ impl<'s> SpmdExec<'s> {
                 self.stats.stmt_execs += executors.len() as u64;
                 for &q in &executors {
                     let (slot, val) = code.assign(s, &mut Reader { x: self, q }, st)?;
-                    self.store(q, slot, val)?;
+                    self.set_slot(q, slot, val)?;
                     if let Some(t) = &mut self.trace {
                         let env = env(&self.loop_env, &self.mems[q], code.exits(s));
                         t[q].push(Event::Exec { stmt: s, env });
@@ -766,7 +766,8 @@ impl<'s> SpmdExec<'s> {
         }
     }
 
-    fn store(&mut self, q: usize, slot: Slot, val: Value) -> Result<(), Fault> {
+    /// Store an assignment's result into q's memory.
+    fn set_slot(&mut self, q: usize, slot: Slot, val: Value) -> Result<(), Fault> {
         if let Slot::Scalar(v) = slot {
             self.wrote(v);
         }
@@ -808,7 +809,7 @@ impl<'s> SpmdExec<'s> {
                 if self.p().stmt(t).is_assign() {
                     self.cur_stmt = Some(t);
                     let (slot, val) = code.assign(t, &mut Reader { x: self, q }, st)?;
-                    self.store(q, slot, val)?;
+                    self.set_slot(q, slot, val)?;
                 }
             }
         }

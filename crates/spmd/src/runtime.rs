@@ -440,7 +440,7 @@ impl<'a, T: Transport> RankWorker<'a, T> {
                 let StmtCode::Assign { .. } = self.code.stmt(*stmt) else {
                     return Err("Exec event on non-assignment".into());
                 };
-                self.assign(*stmt).map_err(|e| e.to_string())?;
+                self.run_assign(*stmt).map_err(|e| e.to_string())?;
             }
             Event::CondExec { stmt, env } => {
                 self.last_vec = None;
@@ -459,7 +459,7 @@ impl<'a, T: Transport> RankWorker<'a, T> {
                 if c {
                     for &t in then_body {
                         if self.program.stmt(t).is_assign() {
-                            self.assign(t).map_err(|e| e.to_string())?;
+                            self.run_assign(t).map_err(|e| e.to_string())?;
                         }
                     }
                 }
@@ -558,7 +558,7 @@ impl<'a, T: Transport> RankWorker<'a, T> {
     }
 
     /// Run assignment `s` on local memory.
-    fn assign(&mut self, s: hpf_ir::StmtId) -> Result<(), Fault> {
+    fn run_assign(&mut self, s: hpf_ir::StmtId) -> Result<(), Fault> {
         let (slot, val) = self.code.assign(s, &mut Local(self.mem), &mut self.st)?;
         code::store(self.mem, slot, val)
     }

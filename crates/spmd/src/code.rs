@@ -4,7 +4,7 @@
 //! a lowered program into flat postfix code over a reusable value stack,
 //! plus a table of array *reference sites*. The reference executor
 //! ([`crate::exec::SpmdExec`]) and replay ([`crate::runtime`]) both run that
-//! code through the [`Load`] trait, monomorphized per engine: the
+//! code through the `Load` trait, monomorphized per engine: the
 //! executor's loads resolve the owner of each operand, record the fetch and
 //! read the owner's memory; replay's loads read the rank's own memory.
 //!

@@ -626,12 +626,7 @@ impl<'s> SpmdExec<'s> {
         &self.sp.program
     }
 
-    fn exec_block(
-        &mut self,
-        code: &Code,
-        st: &mut Stack,
-        block: &[StmtId],
-    ) -> Result<Flow, Fault> {
+    fn exec_block(&mut self, code: &Code, st: &mut Stack, block: &[StmtId]) -> Result<Flow, Fault> {
         let mut idx = 0;
         while idx < block.len() {
             if self.loop_env.is_empty() {
@@ -750,7 +745,9 @@ impl<'s> SpmdExec<'s> {
                 },
                 StmtCode::If { cond, .. },
             ) => {
-                let c = self.control(st, |r, st| code.eval(cond, r, st))?.as_bool()?;
+                let c = self
+                    .control(st, |r, st| code.eval(cond, r, st))?
+                    .as_bool()?;
                 self.exec_block(code, st, if c { then_body } else { else_body })
             }
             (Stmt::Goto(l), _) => {

@@ -158,7 +158,7 @@ pub(crate) trait Load {
 }
 
 /// Compiled code of one lowered program.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Code {
     ops: Vec<Op>,
     sites: Vec<Site>,
@@ -423,10 +423,14 @@ impl<'s> Compiler<'s> {
         let mut cc = Compiler {
             sp,
             code: Code {
+                ops: Vec::new(),
+                sites: Vec::new(),
+                bounds: Vec::new(),
                 stmts: vec![StmtCode::None; n_stmts],
                 exits: vec![Vec::new(); n_stmts],
+                shared_ops: Vec::new(),
+                n_shared: 0,
                 names: p.vars.iter().map(|(_, info)| info.name.clone()).collect(),
-                ..Code::default()
             },
             comms_of,
             shared: Vec::new(),

@@ -225,7 +225,7 @@ pub struct SpmdExec<'s> {
 
     // Per-program lookup tables.
     /// The compiled program (taken out while [`SpmdExec::run`] runs it).
-    code: Code,
+    code: Option<Code>,
     /// By `StmtId`: the guard's owner reference, `None` for every pid.
     guards: Vec<Option<OwnerRef>>,
     /// By `VarId`: where a scalar read comes from — `None` for the
@@ -341,7 +341,7 @@ impl<'s> SpmdExec<'s> {
             open_deepest: 0,
             ctrl_eval: false,
             debug_untracked: std::env::var_os("PHPF_DEBUG_UNTRACKED").is_some(),
-            code: cc.finish(),
+            code: Some(cc.finish()),
             guards,
             scalar_owner,
             array_maps,
@@ -601,9 +601,9 @@ impl<'s> SpmdExec<'s> {
 
     /// Run to completion.
     pub fn run(&mut self) -> Result<ExecStats, InterpError> {
-        let code = std::mem::take(&mut self.code);
+        let code = self.code.take().expect("code is taken only while run runs");
         let res = self.run_code(&code, &mut Stack::default());
-        self.code = code;
+        self.code = Some(code);
         res.map_err(|e| *e)
     }
 

@@ -400,12 +400,6 @@ impl Ctx<'static> {
     };
 }
 
-impl Ctx<'_> {
-    pub(crate) fn is_shared(&self) -> bool {
-        self.stmt.is_none()
-    }
-}
-
 impl<'s> Compiler<'s> {
     pub(crate) fn new(sp: &'s SpmdProgram) -> Compiler<'s> {
         let p = &sp.program;
@@ -713,20 +707,6 @@ impl<'s> Compiler<'s> {
             .iter()
             .find(|(d, _)| matches!(d, CommData::Array(x) if x == r))
             .map(|&(_, i)| i)
-    }
-
-    /// The scalars the code of `span` reads through the engine's load,
-    /// or `None` when it also reads an array element or an own copy.
-    pub(crate) fn scalar_reads(&self, span: Span) -> Option<Vec<VarId>> {
-        let mut out = Vec::new();
-        for op in &self.code.ops[span.range()] {
-            match *op {
-                Op::Scalar(v) | Op::Affine { var: v, .. } => out.push(v),
-                Op::Own(_) | Op::Elem(_) => return None,
-                _ => {}
-            }
-        }
-        Some(out)
     }
 
     /// The (data, op index) pairs of statement `s`'s fetches of scalars.

@@ -141,33 +141,6 @@ enum DimRule {
 struct OwnerRef {
     array: VarId,
     dims: Span,
-    /// Its subscripts read no array element and only replicated scalars:
-    /// every reader finds the same coordinates, and they cannot change
-    /// until one of those scalars is written, so [`SpmdExec::owner_pid`]
-    /// remembers the owner until then.
-    memo: bool,
-    /// No grid dimension is free: the owner is one pid for every reader.
-    pinned: bool,
-}
-
-/// How one grid coordinate of an array element's owner compares with a
-/// reader's own, for the division-free test [`SpmdExec::owns`].
-#[derive(Debug, Clone, Copy)]
-enum OwnTest {
-    /// Every coordinate holds a copy: the reader's own.
-    Any,
-    At(usize),
-    /// BLOCK: the template position `stride * index[dim] + shift` lies in
-    /// the reader's block of `block` positions (of `extent`).
-    Block {
-        dim: usize,
-        stride: i64,
-        shift: i64,
-        block: i64,
-        extent: i64,
-    },
-    /// Another format: the test gives up.
-    Other,
 }
 
 /// The executor.
@@ -233,23 +206,11 @@ pub struct SpmdExec<'s> {
     scalar_owner: Vec<Option<OwnerRef>>,
     /// By `VarId`: the mapping of each array.
     array_maps: Vec<Option<&'s ArrayMapping>>,
-    /// By `VarId`: where a mapped array's [`OwnTest`]s (one per grid
-    /// dimension) start in `own_tests`.
-    own_test_at: Vec<usize>,
-    own_tests: Vec<OwnTest>,
-    /// Grid coordinates of every pid, `grid.rank()` per pid.
-    pid_coords: Vec<usize>,
     /// Flat storage of every [`OwnerRef`]'s per-dimension rules.
     dim_rules: Vec<DimRule>,
     /// By `StmtId`: the (scalar, op index) pairs a scalar fetch issued by
     /// the statement resolves to; the first match wins.
     scalar_ops: Vec<Vec<(VarId, usize)>>,
-    /// Owners found since a scalar in `memo_vars` was last written, for
-    /// [`OwnerRef::memo`] references: (first rule index, reader (0 when
-    /// pinned), owner pid).
-    owners: Vec<(u32, usize, usize)>,
-    /// By `VarId`: read by the subscripts of a [`OwnerRef::memo`] reference.
-    memo_vars: Vec<bool>,
 
     // Reusable stacks: a nested evaluation pushes above its caller's
     // entries and truncates back to where it started.
@@ -276,49 +237,49 @@ impl<'s> SpmdExec<'s> {
         let (n_stmts, n_vars) = (p.num_stmts(), p.vars.len());
 
         let mut cc = Compiler::new(sp);
-        let mut refs = OwnerRefs {
-            sp,
-            dim_rules: Vec::new(),
-            built: Vec::new(),
-            memo_vars: vec![false; n_vars],
-        };
+        let mut dim_rules = Vec::new();
         let guards = (0..n_stmts)
             .map(|s| {
                 let s = StmtId(s as u32);
                 match sp.guard(s) {
                     Guard::Everyone | Guard::Union => None,
-                    Guard::OwnerOf { r, free_dims } => {
-                        Some(refs.get(&mut cc, Ctx::of(s), r, free_dims))
-                    }
+                    Guard::OwnerOf { r, free_dims } => Some(owner_ref(
+                        sp,
+                        &mut cc,
+                        &mut dim_rules,
+                        Ctx::of(s),
+                        r,
+                        free_dims,
+                    )),
                 }
             })
             .collect();
         let scalar_owner = (0..n_vars)
             .map(|v| match sp.scalar_mapping(VarId(v as u32)) {
                 ScalarMapping::Replicated | ScalarMapping::PrivateNoAlign => None,
-                ScalarMapping::Aligned { target, .. } => {
-                    Some(refs.get(&mut cc, Ctx::SHARED, target, &[]))
-                }
+                ScalarMapping::Aligned { target, .. } => Some(owner_ref(
+                    sp,
+                    &mut cc,
+                    &mut dim_rules,
+                    Ctx::SHARED,
+                    target,
+                    &[],
+                )),
                 ScalarMapping::Reduction {
                     target,
                     reduce_dims,
                     ..
-                } => Some(refs.get(&mut cc, Ctx::SHARED, target, reduce_dims)),
+                } => Some(owner_ref(
+                    sp,
+                    &mut cc,
+                    &mut dim_rules,
+                    Ctx::SHARED,
+                    target,
+                    reduce_dims,
+                )),
             })
             .collect();
         let array_maps: Vec<_> = (0..n_vars).map(|v| sp.maps.get(VarId(v as u32))).collect();
-        let mut own_tests = Vec::new();
-        let own_test_at = array_maps
-            .iter()
-            .map(|m| {
-                let start = own_tests.len();
-                for (g, rule) in m.iter().flat_map(|m| m.rules.iter()).enumerate() {
-                    own_tests.push(own_test(rule, grid.extent(g)));
-                }
-                start
-            })
-            .collect();
-        let pid_coords = grid.pids().flat_map(|q| grid.coords_of(q)).collect();
         let scalar_ops = (0..n_stmts).map(|s| cc.scalar_ops(s)).collect();
 
         SpmdExec {
@@ -345,13 +306,8 @@ impl<'s> SpmdExec<'s> {
             guards,
             scalar_owner,
             array_maps,
-            own_test_at,
-            own_tests,
-            pid_coords,
-            dim_rules: refs.dim_rules,
+            dim_rules,
             scalar_ops,
-            owners: Vec::new(),
-            memo_vars: refs.memo_vars,
             coords: Vec::new(),
             executors: Vec::new(),
         }
@@ -674,10 +630,15 @@ impl<'s> SpmdExec<'s> {
                 self.guard_pids(code, st, s, &mut executors)?;
                 self.stats.stmt_execs += executors.len() as u64;
                 for &q in &executors {
+                    // The bindings hold the values the statement reads, so
+                    // they are taken before it stores its own.
+                    let env = self
+                        .trace
+                        .is_some()
+                        .then(|| env(&self.loop_env, &self.mems[q], code.exits(s)));
                     let (slot, val) = code.assign(s, &mut Reader { x: self, q }, st)?;
-                    self.set_slot(q, slot, val)?;
-                    if let Some(t) = &mut self.trace {
-                        let env = env(&self.loop_env, &self.mems[q], code.exits(s));
+                    code::store(&mut self.mems[q], slot, val)?;
+                    if let (Some(t), Some(env)) = (&mut self.trace, env) {
                         t[q].push(Event::Exec { stmt: s, env });
                     }
                 }
@@ -712,7 +673,6 @@ impl<'s> SpmdExec<'s> {
                     for m in &mut self.mems {
                         m.set_scalar(var, Value::Int(i));
                     }
-                    self.wrote(var);
                     self.loop_env.last_mut().unwrap().1 = i;
                     match self.exec_block(code, st, body)? {
                         Flow::Normal => {}
@@ -727,7 +687,6 @@ impl<'s> SpmdExec<'s> {
                 for m in &mut self.mems {
                     m.set_scalar(var, Value::Int(i));
                 }
-                self.wrote(var);
                 // Reduction combines attached to this loop.
                 self.run_reduces(s)?;
                 Ok(out)
@@ -763,21 +722,6 @@ impl<'s> SpmdExec<'s> {
         }
     }
 
-    /// Store an assignment's result into q's memory.
-    fn set_slot(&mut self, q: usize, slot: Slot, val: Value) -> Result<(), Fault> {
-        if let Slot::Scalar(v) = slot {
-            self.wrote(v);
-        }
-        code::store(&mut self.mems[q], slot, val)
-    }
-
-    /// Forget the remembered owners when `v` is read by their subscripts.
-    fn wrote(&mut self, v: VarId) {
-        if self.memo_vars[v.index()] {
-            self.owners.clear();
-        }
-    }
-
     /// Maxloc pattern: each partial owner tests and updates its own
     /// accumulator copy (the compiled condition and body read the locals
     /// from that copy).
@@ -806,7 +750,7 @@ impl<'s> SpmdExec<'s> {
                 if self.p().stmt(t).is_assign() {
                     self.cur_stmt = Some(t);
                     let (slot, val) = code.assign(t, &mut Reader { x: self, q }, st)?;
-                    self.set_slot(q, slot, val)?;
+                    code::store(&mut self.mems[q], slot, val)?;
                 }
             }
         }
@@ -926,10 +870,6 @@ impl<'s> SpmdExec<'s> {
                         }
                     }
                 }
-                self.wrote(op.acc);
-                if let Some(lv) = op.loc {
-                    self.wrote(lv);
-                }
                 for &q in &pids {
                     self.mems[q].set_scalar(op.acc, best_acc);
                     if let (Some(lv), Some(bl)) = (op.loc, best_loc) {
@@ -956,10 +896,6 @@ impl<'s> SpmdExec<'s> {
             out.extend(self.grid.pids());
             return Ok(());
         };
-        if own.memo && own.pinned {
-            out.push(self.owner_pid(code, st, own, 0)?);
-            return Ok(());
-        }
         let base = self.owner_coords(code, st, own, 0)?;
         let coords = &self.coords[base..];
         if coords.iter().all(Option::is_some) {
@@ -1024,17 +960,10 @@ impl<'s> SpmdExec<'s> {
         own: OwnerRef,
         reader: usize,
     ) -> Result<usize, Fault> {
-        let key = (own.dims.start, if own.pinned { 0 } else { reader });
-        if let Some(&(.., src)) = self.owners.iter().find(|&&(k, r, _)| (k, r) == key) {
-            return Ok(src);
-        }
         let base = self.owner_coords(code, st, own, reader)?;
         let coords = &self.coords[base..];
         let src = self.grid.resolve_with(reader, |d| coords[d]);
         self.coords.truncate(base);
-        if own.memo {
-            self.owners.push((key.0, key.1, src));
-        }
         Ok(src)
     }
 
@@ -1067,44 +996,14 @@ impl<'s> SpmdExec<'s> {
 
     /// An array element read by `q`, fetched from its owner.
     fn read_elem(&mut self, code: &Code, site: &Site, idx: &[i64], off: usize, q: usize) -> Value {
-        let src = if self.owns(site.array, idx, q) {
-            q
-        } else {
-            let mapping = self.array_maps[site.array.index()].expect("mapped array");
-            mapping.owner_pid(&self.grid, idx, q)
-        };
+        let mapping = self.array_maps[site.array.index()].expect("mapped array");
+        let src = mapping.owner_pid(&self.grid, idx, q);
         if src != q {
             let op = code.site_op(site, self.cur_stmt);
             let bytes = self.p().vars.info(site.array).ty.byte_size() as u64;
             self.fetch(op, src, q, Slot::Elem(site.array, off), bytes);
         }
         self.mems[src].array(site.array).get(off)
-    }
-
-    /// Does `q` hold element `idx` of `array` itself? `false` also when
-    /// a dimension's format has no division-free test; `owner_pid` then
-    /// decides.
-    fn owns(&self, array: VarId, idx: &[i64], q: usize) -> bool {
-        let rank = self.grid.rank();
-        let start = self.own_test_at[array.index()];
-        let tests = &self.own_tests[start..start + rank];
-        let mine = &self.pid_coords[q * rank..(q + 1) * rank];
-        tests.iter().zip(mine).all(|(t, &c)| match *t {
-            OwnTest::Any => true,
-            OwnTest::At(x) => x == c,
-            OwnTest::Block {
-                dim,
-                stride,
-                shift,
-                block,
-                extent,
-            } => {
-                let lo = c as i64 * block;
-                let pos0 = stride * idx[dim] + shift;
-                pos0 >= lo && pos0 < (lo + block).min(extent)
-            }
-            OwnTest::Other => false,
-        })
     }
 
     /// Gather the authoritative value of every element of an array
@@ -1158,70 +1057,24 @@ fn env(loops: &[(VarId, i64)], mem: &Memory, exits: &[VarId]) -> Env {
     env
 }
 
-/// The [`OwnTest`] of one grid dimension's rule on a grid dimension of
-/// extent `nprocs`.
-fn own_test(rule: &GridDimRule, nprocs: usize) -> OwnTest {
-    match *rule {
-        GridDimRule::ByDim {
-            array_dim,
-            dist: DistFormat::Block,
-            stride,
-            offset,
-            t_lo,
-            t_extent,
-        } => OwnTest::Block {
-            dim: array_dim,
-            stride,
-            shift: offset - t_lo,
-            block: (t_extent + nprocs as i64 - 1) / nprocs as i64,
-            extent: t_extent,
-        },
-        GridDimRule::ByDim {
-            dist: DistFormat::Collapsed,
-            ..
-        } => OwnTest::At(0),
-        GridDimRule::ByDim { .. } => OwnTest::Other,
-        GridDimRule::Fixed(c) => OwnTest::At(c),
-        GridDimRule::Replicated | GridDimRule::Private => OwnTest::Any,
-    }
-}
-
-/// Builds the executor's owner references.
-struct OwnerRefs<'s> {
+/// Resolve an owner reference against its array's mapping: one
+/// [`DimRule`] per grid dimension appended to `dim_rules`, its subscripts
+/// compiled in `cx`. Dimensions in `free` are left unconstrained
+/// (reduction mapping).
+fn owner_ref<'s>(
     sp: &'s SpmdProgram,
-    /// Flat storage of every [`OwnerRef`]'s per-dimension rules.
-    dim_rules: Vec<DimRule>,
-    /// Every reference built: its target, free dimensions and whether it
-    /// was compiled outside any statement.
-    built: Vec<(&'s ArrayRef, &'s [usize], bool, OwnerRef)>,
-    memo_vars: Vec<bool>,
-}
-
-impl<'s> OwnerRefs<'s> {
-    /// The owner reference of `r` with the grid dimensions in `free` left
-    /// unconstrained (reduction mapping), its subscripts compiled in `cx`.
-    /// Equal targets share one reference (and so its remembered owners)
-    /// when their code cannot tell statements apart.
-    fn get(
-        &mut self,
-        cc: &mut Compiler<'s>,
-        cx: Ctx,
-        r: &'s ArrayRef,
-        free: &'s [usize],
-    ) -> OwnerRef {
-        let shared = cx.is_shared();
-        let same = |&&(t, f, sh, own): &&(&ArrayRef, &[usize], bool, OwnerRef)| {
-            t == r && f == free && (own.memo || sh && shared)
-        };
-        if let Some(&(.., own)) = self.built.iter().find(same) {
-            return own;
-        }
-        let sp = self.sp;
-        let start = self.dim_rules.len();
-        let mut reads = Some(Vec::new());
-        for (g, rule) in sp.maps.of(r.array).rules.iter().enumerate() {
-            let rule = match rule {
-                _ if free.contains(&g) => DimRule::Any,
+    cc: &mut Compiler<'s>,
+    dim_rules: &mut Vec<DimRule>,
+    cx: Ctx,
+    r: &'s ArrayRef,
+    free: &[usize],
+) -> OwnerRef {
+    let start = dim_rules.len();
+    for (g, rule) in sp.maps.of(r.array).rules.iter().enumerate() {
+        dim_rules.push(if free.contains(&g) {
+            DimRule::Any
+        } else {
+            match rule {
                 GridDimRule::ByDim {
                     array_dim,
                     dist,
@@ -1229,47 +1082,25 @@ impl<'s> OwnerRefs<'s> {
                     offset,
                     t_lo,
                     t_extent,
-                } => {
-                    let sub = cc.subscript(cx, &r.subs[*array_dim]);
-                    if let (Some(all), Some(more)) = (&mut reads, cc.scalar_reads(sub)) {
-                        all.extend(more);
-                    } else {
-                        reads = None;
-                    }
-                    DimRule::Sub {
-                        sub,
-                        dist: *dist,
-                        stride: *stride,
-                        offset: *offset,
-                        t_lo: *t_lo,
-                        t_extent: *t_extent,
-                    }
-                }
+                } => DimRule::Sub {
+                    sub: cc.subscript(cx, &r.subs[*array_dim]),
+                    dist: *dist,
+                    stride: *stride,
+                    offset: *offset,
+                    t_lo: *t_lo,
+                    t_extent: *t_extent,
+                },
                 GridDimRule::Fixed(c) => DimRule::At(*c),
                 GridDimRule::Replicated | GridDimRule::Private => DimRule::Any,
-            };
-            self.dim_rules.push(rule);
-        }
-        let rules = &self.dim_rules[start..];
-        let reads = reads.filter(|vs| {
-            vs.iter()
-                .all(|&v| matches!(sp.scalar_mapping(v), ScalarMapping::Replicated))
+            }
         });
-        let memo = reads.is_some();
-        for v in reads.into_iter().flatten() {
-            self.memo_vars[v.index()] = true;
-        }
-        let own = OwnerRef {
-            array: r.array,
-            dims: Span {
-                start: start as u32,
-                end: self.dim_rules.len() as u32,
-            },
-            memo,
-            pinned: !rules.iter().any(|d| matches!(d, DimRule::Any)),
-        };
-        self.built.push((r, free, shared, own));
-        own
+    }
+    OwnerRef {
+        array: r.array,
+        dims: Span {
+            start: start as u32,
+            end: dim_rules.len() as u32,
+        },
     }
 }
 

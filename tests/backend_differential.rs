@@ -185,6 +185,33 @@ fn do_variable_read_after_its_loop_thread_vs_socket() {
     // B(1) is owned by rank 0, which also ran the loop's first iterations.
     assert_eq!(threads.mems[0].array(b).get(0), want, "thread replay");
     assert_eq!(sockets.mems[0].array(b).get(0), want, "socket replay");
+
+    // A statement that reads the DO variable and writes it: replay must
+    // bind the value read (9), not the one stored (8 / (9 - 8) = 8), or
+    // it divides by zero.
+    let source = r#"
+!HPF$ PROCESSORS P(4)
+!HPF$ DISTRIBUTE (BLOCK) :: A, B
+REAL A(8), B(8)
+INTEGER i
+DO i = 1, 8
+  A(i) = 1.0
+END DO
+i = 8 / (i - 8)
+B(i) = i
+"#;
+    let program = phpf::ir::parse_program(source).unwrap();
+    let (seq, _) = phpf::ir::interp::run_program(&program, |_| {}).unwrap();
+    let (b, i) = (program.vars.lookup("b").unwrap(), program.vars.lookup("i").unwrap());
+    let want = seq.array(b).get(7);
+    assert_eq!(want, phpf::ir::Value::Real(8.0), "interpreter");
+    let (threads, sockets) = differential("DO variable rewritten", source.to_string(), true);
+    // B(8) is owned by rank 3; every rank holds i = 8.
+    assert_eq!(threads.mems[3].array(b).get(7), want, "thread replay");
+    assert_eq!(sockets.mems[3].array(b).get(7), want, "socket replay");
+    for mems in [&threads.mems, &sockets.mems] {
+        assert!(mems.iter().all(|m| m.scalar(i) == phpf::ir::Value::Int(8)));
+    }
 }
 
 /// Two elements BLOCK-distributed over four processors: ranks 2 and 3 own

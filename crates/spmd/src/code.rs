@@ -709,6 +709,20 @@ impl<'s> Compiler<'s> {
             .map(|&(_, i)| i)
     }
 
+    /// The scalars the code of `span` reads through the engine's load,
+    /// or `None` when it also reads an array element or an own copy.
+    pub(crate) fn scalar_reads(&self, span: Span) -> Option<Vec<VarId>> {
+        let mut out = Vec::new();
+        for op in &self.code.ops[span.range()] {
+            match *op {
+                Op::Scalar(v) | Op::Affine { var: v, .. } => out.push(v),
+                Op::Own(_) | Op::Elem(_) => return None,
+                _ => {}
+            }
+        }
+        Some(out)
+    }
+
     /// The (data, op index) pairs of statement `s`'s fetches of scalars.
     pub(crate) fn scalar_ops(&self, s: usize) -> Vec<(VarId, usize)> {
         self.comms_of[s]

@@ -141,6 +141,25 @@ enum DimRule {
 struct OwnerRef {
     array: VarId,
     dims: Span,
+    /// No grid dimension is free: the owner is one pid for every reader.
+    pinned: bool,
+    /// Index of its [`Memo`] when its subscripts read nothing but scalars
+    /// from the reader's own copy.
+    memo: Option<u32>,
+}
+
+/// The owner an [`OwnerRef`] last resolved to. Its subscripts read only
+/// scalars from the reader's own copy (no element, no fetch), so equal
+/// values of those scalars give equal coordinates: a lookup that finds
+/// them unchanged reuses the owner, whatever wrote them in between.
+struct Memo {
+    /// The scalars the subscripts read.
+    reads: Vec<VarId>,
+    /// Their values when `found` was resolved.
+    vals: Vec<Value>,
+    /// (reader, owner pid) last resolved; any reader may reuse it when
+    /// the reference is pinned.
+    found: Option<(usize, usize)>,
 }
 
 /// The executor.
@@ -208,6 +227,7 @@ pub struct SpmdExec<'s> {
     array_maps: Vec<Option<&'s ArrayMapping>>,
     /// Flat storage of every [`OwnerRef`]'s per-dimension rules.
     dim_rules: Vec<DimRule>,
+    memos: Vec<Memo>,
     /// By `StmtId`: the (scalar, op index) pairs a scalar fetch issued by
     /// the statement resolves to; the first match wins.
     scalar_ops: Vec<Vec<(VarId, usize)>>,
@@ -237,46 +257,34 @@ impl<'s> SpmdExec<'s> {
         let (n_stmts, n_vars) = (p.num_stmts(), p.vars.len());
 
         let mut cc = Compiler::new(sp);
-        let mut dim_rules = Vec::new();
+        let mut refs = OwnerRefs {
+            sp,
+            dim_rules: Vec::new(),
+            memoized: Vec::new(),
+            memos: Vec::new(),
+        };
         let guards = (0..n_stmts)
             .map(|s| {
                 let s = StmtId(s as u32);
                 match sp.guard(s) {
                     Guard::Everyone | Guard::Union => None,
-                    Guard::OwnerOf { r, free_dims } => Some(owner_ref(
-                        sp,
-                        &mut cc,
-                        &mut dim_rules,
-                        Ctx::of(s),
-                        r,
-                        free_dims,
-                    )),
+                    Guard::OwnerOf { r, free_dims } => {
+                        Some(refs.get(&mut cc, Ctx::of(s), r, free_dims))
+                    }
                 }
             })
             .collect();
         let scalar_owner = (0..n_vars)
             .map(|v| match sp.scalar_mapping(VarId(v as u32)) {
                 ScalarMapping::Replicated | ScalarMapping::PrivateNoAlign => None,
-                ScalarMapping::Aligned { target, .. } => Some(owner_ref(
-                    sp,
-                    &mut cc,
-                    &mut dim_rules,
-                    Ctx::SHARED,
-                    target,
-                    &[],
-                )),
+                ScalarMapping::Aligned { target, .. } => {
+                    Some(refs.get(&mut cc, Ctx::SHARED, target, &[]))
+                }
                 ScalarMapping::Reduction {
                     target,
                     reduce_dims,
                     ..
-                } => Some(owner_ref(
-                    sp,
-                    &mut cc,
-                    &mut dim_rules,
-                    Ctx::SHARED,
-                    target,
-                    reduce_dims,
-                )),
+                } => Some(refs.get(&mut cc, Ctx::SHARED, target, reduce_dims)),
             })
             .collect();
         let array_maps: Vec<_> = (0..n_vars).map(|v| sp.maps.get(VarId(v as u32))).collect();
@@ -306,7 +314,8 @@ impl<'s> SpmdExec<'s> {
             guards,
             scalar_owner,
             array_maps,
-            dim_rules,
+            dim_rules: refs.dim_rules,
+            memos: refs.memos,
             scalar_ops,
             coords: Vec::new(),
             executors: Vec::new(),
@@ -896,17 +905,17 @@ impl<'s> SpmdExec<'s> {
             out.extend(self.grid.pids());
             return Ok(());
         };
+        if own.pinned {
+            out.push(self.owner_pid(code, st, own, 0)?);
+            return Ok(());
+        }
         let base = self.owner_coords(code, st, own, 0)?;
         let coords = &self.coords[base..];
-        if coords.iter().all(Option::is_some) {
-            out.push(self.grid.resolve_with(0, |d| coords[d]));
-        } else {
-            let grid = &self.grid;
-            out.extend(
-                grid.pids()
-                    .filter(|&p| grid.resolve_with(p, |d| coords[d]) == p),
-            );
-        }
+        let grid = &self.grid;
+        out.extend(
+            grid.pids()
+                .filter(|&p| grid.resolve_with(p, |d| coords[d]) == p),
+        );
         self.coords.truncate(base);
         Ok(())
     }
@@ -960,10 +969,25 @@ impl<'s> SpmdExec<'s> {
         own: OwnerRef,
         reader: usize,
     ) -> Result<usize, Fault> {
+        if let Some(m) = own.memo {
+            let (m, mem) = (&self.memos[m as usize], &self.mems[reader]);
+            if let Some((r, src)) = m.found {
+                let same = |(&v, &x): (&VarId, &Value)| mem.scalar(v) == x;
+                if (own.pinned || r == reader) && m.reads.iter().zip(&m.vals).all(same) {
+                    return Ok(src);
+                }
+            }
+        }
         let base = self.owner_coords(code, st, own, reader)?;
         let coords = &self.coords[base..];
         let src = self.grid.resolve_with(reader, |d| coords[d]);
         self.coords.truncate(base);
+        if let Some(m) = own.memo {
+            let (m, mem) = (&mut self.memos[m as usize], &self.mems[reader]);
+            m.vals.clear();
+            m.vals.extend(m.reads.iter().map(|&v| mem.scalar(v)));
+            m.found = Some((reader, src));
+        }
         Ok(src)
     }
 
@@ -1057,50 +1081,98 @@ fn env(loops: &[(VarId, i64)], mem: &Memory, exits: &[VarId]) -> Env {
     env
 }
 
-/// Resolve an owner reference against its array's mapping: one
-/// [`DimRule`] per grid dimension appended to `dim_rules`, its subscripts
-/// compiled in `cx`. Dimensions in `free` are left unconstrained
-/// (reduction mapping).
-fn owner_ref<'s>(
+/// Builds the executor's owner references.
+struct OwnerRefs<'s> {
     sp: &'s SpmdProgram,
-    cc: &mut Compiler<'s>,
-    dim_rules: &mut Vec<DimRule>,
-    cx: Ctx,
-    r: &'s ArrayRef,
-    free: &[usize],
-) -> OwnerRef {
-    let start = dim_rules.len();
-    for (g, rule) in sp.maps.of(r.array).rules.iter().enumerate() {
-        dim_rules.push(if free.contains(&g) {
-            DimRule::Any
-        } else {
-            match rule {
-                GridDimRule::ByDim {
-                    array_dim,
-                    dist,
-                    stride,
-                    offset,
-                    t_lo,
-                    t_extent,
-                } => DimRule::Sub {
-                    sub: cc.subscript(cx, &r.subs[*array_dim]),
-                    dist: *dist,
-                    stride: *stride,
-                    offset: *offset,
-                    t_lo: *t_lo,
-                    t_extent: *t_extent,
-                },
-                GridDimRule::Fixed(c) => DimRule::At(*c),
-                GridDimRule::Replicated | GridDimRule::Private => DimRule::Any,
-            }
-        });
-    }
-    OwnerRef {
-        array: r.array,
-        dims: Span {
-            start: start as u32,
-            end: dim_rules.len() as u32,
-        },
+    dim_rules: Vec<DimRule>,
+    /// The memoized references built so far, by target and free
+    /// dimensions.
+    memoized: Vec<(&'s ArrayRef, &'s [usize], OwnerRef)>,
+    memos: Vec<Memo>,
+}
+
+impl<'s> OwnerRefs<'s> {
+    /// The owner reference of `r` with the grid dimensions in `free` left
+    /// unconstrained (reduction mapping): one [`DimRule`] per grid
+    /// dimension, its subscripts compiled in `cx`. A memoized reference's
+    /// code reads no element and fetches nothing, so it does not depend
+    /// on the statement: equal targets share it, and so its memo.
+    fn get(
+        &mut self,
+        cc: &mut Compiler<'s>,
+        cx: Ctx,
+        r: &'s ArrayRef,
+        free: &'s [usize],
+    ) -> OwnerRef {
+        let same = |&&(t, f, _): &&(&ArrayRef, &[usize], OwnerRef)| t == r && f == free;
+        if let Some(&(.., own)) = self.memoized.iter().find(same) {
+            return own;
+        }
+        let sp = self.sp;
+        let start = self.dim_rules.len();
+        let mut reads = Some(Vec::new());
+        for (g, rule) in sp.maps.of(r.array).rules.iter().enumerate() {
+            self.dim_rules.push(if free.contains(&g) {
+                DimRule::Any
+            } else {
+                match rule {
+                    GridDimRule::ByDim {
+                        array_dim,
+                        dist,
+                        stride,
+                        offset,
+                        t_lo,
+                        t_extent,
+                    } => {
+                        let sub = cc.subscript(cx, &r.subs[*array_dim]);
+                        reads = reads.zip(cc.scalar_reads(sub)).map(|(mut all, more)| {
+                            all.extend(more);
+                            all
+                        });
+                        DimRule::Sub {
+                            sub,
+                            dist: *dist,
+                            stride: *stride,
+                            offset: *offset,
+                            t_lo: *t_lo,
+                            t_extent: *t_extent,
+                        }
+                    }
+                    GridDimRule::Fixed(c) => DimRule::At(*c),
+                    GridDimRule::Replicated | GridDimRule::Private => DimRule::Any,
+                }
+            });
+        }
+        // Only a scalar without an owner is read from the reader's copy.
+        let own_copy = |v: &VarId| {
+            matches!(
+                sp.scalar_mapping(*v),
+                ScalarMapping::Replicated | ScalarMapping::PrivateNoAlign
+            )
+        };
+        let reads = reads.filter(|vs| vs.iter().all(own_copy));
+        let own = OwnerRef {
+            array: r.array,
+            dims: Span {
+                start: start as u32,
+                end: self.dim_rules.len() as u32,
+            },
+            pinned: !self.dim_rules[start..]
+                .iter()
+                .any(|d| matches!(d, DimRule::Any)),
+            memo: reads.map(|reads| {
+                self.memos.push(Memo {
+                    reads,
+                    vals: Vec::new(),
+                    found: None,
+                });
+                self.memos.len() as u32 - 1
+            }),
+        };
+        if own.memo.is_some() {
+            self.memoized.push((r, free, own));
+        }
+        own
     }
 }
 

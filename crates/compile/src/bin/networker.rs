@@ -3,7 +3,7 @@
 //! Not meant to be invoked by hand: the parent driver
 //! (`hpf_compile::netrun::socket_validate_replay`, reachable via
 //! `phpfc --backend socket`) spawns one of these per virtual processor
-//! with the rendezvous address and rank in the environment.
+//! with the rendezvous socket path and rank in the environment.
 
 use std::process::ExitCode;
 

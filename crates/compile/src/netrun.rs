@@ -6,18 +6,20 @@
 //!
 //! * the *parent* ([`socket_validate_replay`]) compiles the program,
 //!   spawns one `networker` process per rank and plays rendezvous server:
-//!   each worker registers `(rank, data address, protocol number)` over a
-//!   framed control connection, and the parent answers with the job spec
-//!   plus the full address map. Only then does it run the reference
+//!   each worker registers `(rank, mesh socket path, protocol number)`
+//!   over a framed control connection (all links are Unix-domain), and
+//!   the parent answers with the job spec plus every rank's socket path. Only then does it run the reference
 //!   executor, for the authoritative memories and the per-rank event
 //!   trace. The executor hands off every finished epoch
-//!   ([`SpmdExec::with_epoch_sink`]), and one parent thread per rank
-//!   streams it to that rank's worker ([`hpf_spmd::encode_events`], in
-//!   Blob frames of at most about [`EVENT_CHUNK_BYTES`]) while the
-//!   executor produces the next one. An epoch is dropped once every
-//!   rank's stream has sent it, so the parent never holds the whole
-//!   trace. Finally it collects one result blob per rank (stats, wire
-//!   metrics, the rank's entire memory);
+//!   ([`SpmdExec::with_epoch_sink`]) and sends each rank its part over
+//!   that rank's own channel. One parent thread per rank streams it to
+//!   the rank's worker ([`hpf_spmd::encode_events`], in Blob frames of at
+//!   most about [`EVENT_CHUNK_BYTES`]) while the executor produces the
+//!   next epoch, and frees it once sent, so the parent never holds the
+//!   whole trace. Finally it collects one result blob per rank (stats,
+//!   wire metrics, the rank's entire memory, and its timeline as
+//!   chrome://tracing JSON, which [`hpf_obs::parse_chrome_json`] reads
+//!   back);
 //! * each *worker* ([`worker_main`], the `networker` binary) compiles the
 //!   same source (replay needs the lowered program), applies the fills,
 //!   meshes with its peers via [`SocketTransport::connect_mesh`], and
@@ -53,21 +55,21 @@ use crate::{compile_source, Compiled, Options, Version};
 use hpf_ir::interp::Memory;
 use hpf_ir::{Program, ScalarTy};
 use hpf_net::fault::observes_injection;
-use hpf_net::frame::{Dec, Enc, FrameKind, FrameReader, FrameWriter, ReadStep};
+use hpf_net::frame::{Dec, Enc, FrameError, FrameKind, FrameReader, FrameWriter, ReadStep};
 use hpf_net::socket::{
-    connect_backoff, Addr, AddrKind, NetListener, NetStream, SocketConfig, SocketTransport,
+    backoff, connect_backoff, framed, NetListener, SocketConfig, SocketTransport,
 };
-use hpf_net::{FaultInjector, NetError, RetryPolicy, Transport};
-use hpf_obs::{Body, BufTracer, CommKind, TraceEvent, Tracer};
+use hpf_net::{FaultInjector, Transport};
+use hpf_obs::{Body, BufTracer, Trace, TraceEvent, Tracer};
 use hpf_spmd::metrics::{self, CommMetrics, RecoveryCounters};
 use hpf_spmd::{
     check_owner_slots, decode_events, encode_events, replay_rank_segment,
     validate_replay_traced, Code, Event, ReplayStats, Replayed, SpmdExec, SpmdProgram,
 };
-use std::collections::VecDeque;
-use std::path::PathBuf;
+use std::os::unix::net::UnixStream;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::{Duration, Instant};
 
 pub use hpf_net::FaultPlan;
@@ -83,7 +85,7 @@ pub const ENV_WORKER_BIN: &str = "PHPF_NET_WORKER";
 /// Version of the parent ↔ worker control protocol, carried in every
 /// worker's registration frame. A registration without it comes from a
 /// worker binary that predates versioning.
-pub const PROTOCOL: u32 = 5;
+pub const PROTOCOL: u32 = 6;
 
 /// Soft size bound of one event-stream frame: a chunk stops taking events
 /// once its payload reaches this many bytes, so a frame exceeds it by at
@@ -177,10 +179,9 @@ impl NetJob {
 /// for a seeded plan's corrupt, drop and kill to each fail one.
 pub const DEFAULT_RESPAWN_BUDGET: u32 = 3;
 
-/// Deadlines, address family and recovery knobs for a multi-process run.
+/// Deadlines and recovery knobs for a multi-process run.
 #[derive(Debug, Clone)]
 pub struct NetRunConfig {
-    pub addr_kind: AddrKind,
     /// Per-link send/recv deadline inside the mesh.
     pub io_deadline: Duration,
     /// Mesh establishment and rendezvous deadline.
@@ -207,7 +208,6 @@ pub struct NetRunConfig {
 impl Default for NetRunConfig {
     fn default() -> Self {
         NetRunConfig {
-            addr_kind: AddrKind::default(),
             io_deadline: Duration::from_secs(5),
             connect_deadline: Duration::from_secs(10),
             result_deadline: Duration::from_secs(60),
@@ -234,13 +234,14 @@ impl NetRunConfig {
 
 const NO_RANK: u32 = u32::MAX;
 
-/// The job blob: the job itself, the worker-side knobs of `cfg`, the mesh
-/// address map and the (resolved, possibly respawn-pruned) fault plan.
+/// The job blob: the job itself, the worker-side knobs of `cfg`, every
+/// rank's mesh socket path and the (resolved, possibly respawn-pruned)
+/// fault plan.
 fn encode_job(
     job: &NetJob,
     cfg: &NetRunConfig,
     nproc: usize,
-    addrs: &[Addr],
+    paths: &[PathBuf],
     plan: &FaultPlan,
 ) -> Vec<u8> {
     let mut e = Enc::new();
@@ -272,9 +273,9 @@ fn encode_job(
     e.u64(cfg.io_deadline.as_millis() as u64);
     e.u64(cfg.connect_deadline.as_millis() as u64);
     e.u32(nproc as u32);
-    e.u32(addrs.len() as u32);
-    for a in addrs {
-        e.str(&a.to_string());
+    e.u32(paths.len() as u32);
+    for p in paths {
+        e.str(&p.to_string_lossy());
     }
     e.str(&plan.to_string());
     e.buf
@@ -286,7 +287,7 @@ struct WireJob {
     io_deadline: Duration,
     connect_deadline: Duration,
     nproc: usize,
-    addrs: Vec<Addr>,
+    paths: Vec<PathBuf>,
     plan: FaultPlan,
 }
 
@@ -301,51 +302,50 @@ impl WireJob {
 
 fn decode_job(payload: &[u8]) -> Result<WireJob, String> {
     let mut d = Dec::new(payload);
-    let source = d.str().map_err(|e| e.to_string())?;
-    let flag = d.str().map_err(|e| e.to_string())?;
+    let source = d.str()?;
+    let flag = d.str()?;
     let version =
         Version::from_flag(&flag).ok_or_else(|| format!("unknown version flag {:?}", flag))?;
-    let grid = match d.u8().map_err(|e| e.to_string())? {
+    let grid = match d.u8()? {
         0 => None,
         _ => {
-            let n = d.u32().map_err(|e| e.to_string())? as usize;
+            let n = d.u32()? as usize;
             let mut g = Vec::with_capacity(n);
             for _ in 0..n {
-                g.push(d.u32().map_err(|e| e.to_string())? as usize);
+                g.push(d.u32()? as usize);
             }
             Some(g)
         }
     };
-    let combine = d.boolean().map_err(|e| e.to_string())?;
-    let auto_priv = d.boolean().map_err(|e| e.to_string())?;
-    let vectorize = d.boolean().map_err(|e| e.to_string())?;
-    let trace = d.boolean().map_err(|e| e.to_string())?;
-    let nfills = d.u32().map_err(|e| e.to_string())? as usize;
+    let combine = d.boolean()?;
+    let auto_priv = d.boolean()?;
+    let vectorize = d.boolean()?;
+    let trace = d.boolean()?;
+    let nfills = d.u32()? as usize;
     let mut fills = Vec::with_capacity(nfills);
     for _ in 0..nfills {
-        let name = d.str().map_err(|e| e.to_string())?;
-        let n = d.u32().map_err(|e| e.to_string())? as usize;
+        let name = d.str()?;
+        let n = d.u32()? as usize;
         let mut data = Vec::with_capacity(n);
         for _ in 0..n {
-            data.push(d.f64().map_err(|e| e.to_string())?);
+            data.push(d.f64()?);
         }
         fills.push((name, data));
     }
-    let fail_rank = match d.u32().map_err(|e| e.to_string())? {
+    let fail_rank = match d.u32()? {
         NO_RANK => None,
         r => Some(r as usize),
     };
-    let io_deadline = Duration::from_millis(d.u64().map_err(|e| e.to_string())?);
-    let connect_deadline = Duration::from_millis(d.u64().map_err(|e| e.to_string())?);
-    let nproc = d.u32().map_err(|e| e.to_string())? as usize;
-    let naddrs = d.u32().map_err(|e| e.to_string())? as usize;
-    let mut addrs = Vec::with_capacity(naddrs);
-    for _ in 0..naddrs {
-        let s = d.str().map_err(|e| e.to_string())?;
-        addrs.push(Addr::parse(&s).map_err(|e| e.to_string())?);
+    let io_deadline = Duration::from_millis(d.u64()?);
+    let connect_deadline = Duration::from_millis(d.u64()?);
+    let nproc = d.u32()? as usize;
+    let npaths = d.u32()? as usize;
+    let mut paths = Vec::with_capacity(npaths);
+    for _ in 0..npaths {
+        paths.push(PathBuf::from(d.str()?));
     }
-    let plan = FaultPlan::parse(&d.str().map_err(|e| e.to_string())?)?;
-    d.done().map_err(|e| e.to_string())?;
+    let plan = FaultPlan::parse(&d.str()?)?;
+    d.done()?;
     Ok(WireJob {
         job: NetJob {
             source,
@@ -361,7 +361,7 @@ fn decode_job(payload: &[u8]) -> Result<WireJob, String> {
         io_deadline,
         connect_deadline,
         nproc,
-        addrs,
+        paths,
         plan,
     })
 }
@@ -385,6 +385,8 @@ fn intern_pattern(name: &str) -> Option<&'static str> {
     .find(|&k| k == name)
 }
 
+/// A worker's wire metrics. The recovery counters stay behind: a worker
+/// never sets them, and the parent counts respawns and fallbacks itself.
 fn encode_metrics(e: &mut Enc, m: &CommMetrics) {
     e.u32(m.per_proc.len() as u32);
     for p in &m.per_proc {
@@ -407,189 +409,38 @@ fn encode_metrics(e: &mut Enc, m: &CommMetrics) {
     }
     e.u64(m.untracked_messages);
     e.u64(m.max_in_flight);
-    e.u64(m.recovery.retransmits);
-    e.u64(m.recovery.heartbeat_misses);
-    e.u64(m.recovery.respawns);
-    e.u64(m.recovery.fallbacks);
 }
 
 fn decode_metrics(d: &mut Dec) -> Result<CommMetrics, String> {
-    let nproc = d.u32().map_err(|e| e.to_string())? as usize;
-    let nops_placeholder = 0;
-    let mut m = CommMetrics::new(nproc, nops_placeholder);
+    let nproc = d.u32()? as usize;
+    let mut m = CommMetrics::new(nproc, 0);
     for p in m.per_proc.iter_mut() {
-        p.sent_messages = d.u64().map_err(|e| e.to_string())?;
-        p.sent_bytes = d.u64().map_err(|e| e.to_string())?;
-        p.recv_messages = d.u64().map_err(|e| e.to_string())?;
-        p.recv_bytes = d.u64().map_err(|e| e.to_string())?;
+        p.sent_messages = d.u64()?;
+        p.sent_bytes = d.u64()?;
+        p.recv_messages = d.u64()?;
+        p.recv_bytes = d.u64()?;
     }
-    let npat = d.u32().map_err(|e| e.to_string())? as usize;
+    let npat = d.u32()? as usize;
     for _ in 0..npat {
-        let name = d.str().map_err(|e| e.to_string())?;
+        let name = d.str()?;
         let key = intern_pattern(&name)
             .ok_or_else(|| format!("unknown communication pattern {:?} in result", name))?;
         let c = m.per_pattern.entry(key).or_default();
-        c.messages = d.u64().map_err(|e| e.to_string())?;
-        c.bytes = d.u64().map_err(|e| e.to_string())?;
+        c.messages = d.u64()?;
+        c.bytes = d.u64()?;
     }
-    let nops = d.u32().map_err(|e| e.to_string())? as usize;
+    let nops = d.u32()? as usize;
     m.per_op = Vec::with_capacity(nops);
     for _ in 0..nops {
         m.per_op.push(metrics::OpMetrics {
-            messages: d.u64().map_err(|e| e.to_string())?,
-            bytes: d.u64().map_err(|e| e.to_string())?,
-            elements: d.u64().map_err(|e| e.to_string())?,
+            messages: d.u64()?,
+            bytes: d.u64()?,
+            elements: d.u64()?,
         });
     }
-    m.untracked_messages = d.u64().map_err(|e| e.to_string())?;
-    m.max_in_flight = d.u64().map_err(|e| e.to_string())?;
-    m.recovery.retransmits = d.u64().map_err(|e| e.to_string())?;
-    m.recovery.heartbeat_misses = d.u64().map_err(|e| e.to_string())?;
-    m.recovery.respawns = d.u64().map_err(|e| e.to_string())?;
-    m.recovery.fallbacks = d.u64().map_err(|e| e.to_string())?;
+    m.untracked_messages = d.u64()?;
+    m.max_in_flight = d.u64()?;
     Ok(m)
-}
-
-fn comm_kind_code(k: CommKind) -> u8 {
-    match k {
-        CommKind::Send => 0,
-        CommKind::Recv => 1,
-        CommKind::SendVec => 2,
-        CommKind::RecvVec => 3,
-        CommKind::Reduce => 4,
-        CommKind::Broadcast => 5,
-    }
-}
-
-fn comm_kind_from(code: u8) -> Result<CommKind, String> {
-    Ok(match code {
-        0 => CommKind::Send,
-        1 => CommKind::Recv,
-        2 => CommKind::SendVec,
-        3 => CommKind::RecvVec,
-        4 => CommKind::Reduce,
-        5 => CommKind::Broadcast,
-        _ => return Err(format!("unknown comm kind code {}", code)),
-    })
-}
-
-fn enc_opt_u64(e: &mut Enc, v: Option<u64>) {
-    match v {
-        Some(x) => {
-            e.u8(1);
-            e.u64(x);
-        }
-        None => e.u8(0),
-    }
-}
-
-fn dec_opt_u64(d: &mut Dec) -> Result<Option<u64>, String> {
-    match d.u8().map_err(|e| e.to_string())? {
-        0 => Ok(None),
-        _ => Ok(Some(d.u64().map_err(|e| e.to_string())?)),
-    }
-}
-
-/// Serialise one rank's observability timeline for the result blob.
-fn encode_obs_events(e: &mut Enc, events: &[TraceEvent]) {
-    e.u32(events.len() as u32);
-    for ev in events {
-        e.u64(ev.t_us);
-        e.u32(ev.rank.map(|r| r as u32).unwrap_or(NO_RANK));
-        match &ev.body {
-            Body::Begin { name } => {
-                e.u8(0);
-                e.str(name);
-            }
-            Body::End { name } => {
-                e.u8(1);
-                e.str(name);
-            }
-            Body::Comm {
-                kind,
-                from,
-                to,
-                op,
-                pattern,
-                level,
-                stmt_level,
-                place,
-                elems,
-                seq,
-            } => {
-                e.u8(2);
-                e.u8(comm_kind_code(*kind));
-                e.u32(*from as u32);
-                e.u32(*to as u32);
-                e.u32(op.map(|i| i as u32).unwrap_or(NO_RANK));
-                e.str(pattern);
-                e.u32(*level as u32);
-                e.u32(*stmt_level as u32);
-                e.str(place);
-                e.u64(*elems);
-                enc_opt_u64(e, *seq);
-            }
-            Body::Fault {
-                name,
-                detail,
-                peer,
-                last_seq,
-            } => {
-                e.u8(3);
-                e.str(name);
-                e.str(detail);
-                e.u32(peer.map(|p| p as u32).unwrap_or(NO_RANK));
-                enc_opt_u64(e, *last_seq);
-            }
-        }
-    }
-}
-
-fn decode_obs_events(d: &mut Dec) -> Result<Vec<TraceEvent>, String> {
-    let n = d.u32().map_err(|e| e.to_string())? as usize;
-    let mut events = Vec::with_capacity(n);
-    for _ in 0..n {
-        let t_us = d.u64().map_err(|e| e.to_string())?;
-        let rank = match d.u32().map_err(|e| e.to_string())? {
-            NO_RANK => None,
-            r => Some(r as usize),
-        };
-        let body = match d.u8().map_err(|e| e.to_string())? {
-            0 => Body::Begin {
-                name: d.str().map_err(|e| e.to_string())?,
-            },
-            1 => Body::End {
-                name: d.str().map_err(|e| e.to_string())?,
-            },
-            2 => Body::Comm {
-                kind: comm_kind_from(d.u8().map_err(|e| e.to_string())?)?,
-                from: d.u32().map_err(|e| e.to_string())? as usize,
-                to: d.u32().map_err(|e| e.to_string())? as usize,
-                op: match d.u32().map_err(|e| e.to_string())? {
-                    NO_RANK => None,
-                    i => Some(i as usize),
-                },
-                pattern: d.str().map_err(|e| e.to_string())?,
-                level: d.u32().map_err(|e| e.to_string())? as usize,
-                stmt_level: d.u32().map_err(|e| e.to_string())? as usize,
-                place: d.str().map_err(|e| e.to_string())?,
-                elems: d.u64().map_err(|e| e.to_string())?,
-                seq: dec_opt_u64(d)?,
-            },
-            3 => Body::Fault {
-                name: d.str().map_err(|e| e.to_string())?,
-                detail: d.str().map_err(|e| e.to_string())?,
-                peer: match d.u32().map_err(|e| e.to_string())? {
-                    NO_RANK => None,
-                    p => Some(p as usize),
-                },
-                last_seq: dec_opt_u64(d)?,
-            },
-            t => return Err(format!("unknown trace event tag {}", t)),
-        };
-        events.push(TraceEvent { t_us, rank, body });
-    }
-    Ok(events)
 }
 
 /// Serialise one rank's entire memory: variables in declaration order,
@@ -617,7 +468,7 @@ fn encode_memory(e: &mut Enc, program: &Program, mem: &Memory) {
 fn decode_memory(d: &mut Dec, program: &Program) -> Result<Memory, String> {
     const SCALAR: u32 = u32::MAX;
     let mut mem = Memory::zeroed(program);
-    let n = d.u32().map_err(|e| e.to_string())? as usize;
+    let n = d.u32()? as usize;
     if n != program.vars.len() {
         return Err(format!(
             "memory dump has {} variables, program has {}",
@@ -626,7 +477,7 @@ fn decode_memory(d: &mut Dec, program: &Program) -> Result<Memory, String> {
         ));
     }
     for (v, info) in program.vars.iter() {
-        let tag = d.u32().map_err(|e| e.to_string())?;
+        let tag = d.u32()?;
         match info.shape() {
             Some(sh) if tag != SCALAR => {
                 let len = sh.len() as usize;
@@ -637,14 +488,14 @@ fn decode_memory(d: &mut Dec, program: &Program) -> Result<Memory, String> {
                     ));
                 }
                 for off in 0..len {
-                    let val = d.value().map_err(|e| e.to_string())?;
+                    let val = d.value()?;
                     mem.array_mut(v)
                         .set(off, val)
                         .map_err(|e| format!("array {}: {}", info.name, e))?;
                 }
             }
             None if tag == SCALAR => {
-                mem.set_scalar(v, d.value().map_err(|e| e.to_string())?);
+                mem.set_scalar(v, d.value()?);
             }
             _ => {
                 return Err(format!(
@@ -658,8 +509,10 @@ fn decode_memory(d: &mut Dec, program: &Program) -> Result<Memory, String> {
 }
 
 /// A rank's result: its cumulative counters, wire metrics and memory, or
-/// its replay error; then its timeline.
-fn encode_result(res: &RankResult, obs: &[TraceEvent], program: &Program) -> Vec<u8> {
+/// its replay error; then its timeline as chrome JSON. The timeline rides
+/// along in both arms: a failed replay still ships its transport's fault
+/// events, and its comm events when traced.
+fn encode_result(res: &RankResult, timeline: &Trace, program: &Program) -> Vec<u8> {
     let mut e = Enc::new();
     match res {
         Ok((stats, m, mem)) => {
@@ -674,9 +527,7 @@ fn encode_result(res: &RankResult, obs: &[TraceEvent], program: &Program) -> Vec
             e.str(msg);
         }
     }
-    // The timeline rides along in both arms: a failed replay still ships
-    // its transport's fault events, and its comm events when traced.
-    encode_obs_events(&mut e, obs);
+    e.str(&timeline.to_chrome_json());
     e.buf
 }
 
@@ -687,25 +538,19 @@ fn decode_result(
     program: &Program,
 ) -> Result<(RankResult, Vec<TraceEvent>), String> {
     let mut d = Dec::new(payload);
-    match d.u8().map_err(|e| e.to_string())? {
-        0 => {
-            let msg = d.str().map_err(|e| e.to_string())?;
-            let obs = decode_obs_events(&mut d)?;
-            d.done().map_err(|e| e.to_string())?;
-            Ok((Err(msg), obs))
-        }
+    let res = match d.u8()? {
+        0 => Err(d.str()?),
         _ => {
             let stats = ReplayStats {
-                messages_sent: d.u64().map_err(|e| e.to_string())?,
-                events: d.u64().map_err(|e| e.to_string())?,
+                messages_sent: d.u64()?,
+                events: d.u64()?,
             };
-            let m = decode_metrics(&mut d)?;
-            let mem = decode_memory(&mut d, program)?;
-            let obs = decode_obs_events(&mut d)?;
-            d.done().map_err(|e| e.to_string())?;
-            Ok((Ok((stats, m, mem)), obs))
+            Ok((stats, decode_metrics(&mut d)?, decode_memory(&mut d, program)?))
         }
-    }
+    };
+    let timeline = hpf_obs::parse_chrome_json(&d.str()?)?;
+    d.done()?;
+    Ok((res, timeline.events))
 }
 
 fn make_init<'a>(
@@ -840,16 +685,16 @@ fn reap(children: &mut [(usize, Child)], grace: Duration) -> Vec<String> {
 }
 
 struct Conn {
-    reader: FrameReader<NetStream>,
-    writer: FrameWriter<NetStream>,
+    reader: FrameReader<UnixStream>,
+    writer: FrameWriter<UnixStream>,
 }
 
-fn read_blob(reader: &mut FrameReader<NetStream>, what: &str) -> Result<Vec<u8>, String> {
+fn read_blob(reader: &mut FrameReader<UnixStream>, what: &str) -> Result<Vec<u8>, String> {
     blob(reader.read_step(), what)
 }
 
 /// The payload of a Blob frame read by `step`, or an error naming `what`.
-fn blob(step: Result<ReadStep, hpf_net::frame::FrameError>, what: &str) -> Result<Vec<u8>, String> {
+fn blob(step: Result<ReadStep, FrameError>, what: &str) -> Result<Vec<u8>, String> {
     match step {
         Ok(ReadStep::Frame((FrameKind::Blob, payload))) => Ok(payload),
         Ok(ReadStep::Frame((kind, _))) => {
@@ -862,16 +707,19 @@ fn blob(step: Result<ReadStep, hpf_net::frame::FrameError>, what: &str) -> Resul
 }
 
 /// Spawn one `networker` child per rank, pointed at the parent's
-/// rendezvous address.
+/// rendezvous socket. Its path travels as `unix:<path>`, the form workers
+/// of every protocol parse, so a stale worker still registers and is told
+/// apart by its protocol number.
 fn spawn_workers(
     bin: &PathBuf,
-    parent_addr: &Addr,
+    listener: &NetListener,
     nproc: usize,
 ) -> Result<Vec<(usize, Child)>, String> {
+    let parent = format!("unix:{}", listener.path().display());
     let mut children: Vec<(usize, Child)> = Vec::with_capacity(nproc);
     for rank in 0..nproc {
         let child = Command::new(bin)
-            .env(ENV_PARENT, parent_addr.to_string())
+            .env(ENV_PARENT, &parent)
             .env(ENV_RANK, rank.to_string())
             .stdin(Stdio::null())
             .stdout(Stdio::null())
@@ -883,9 +731,9 @@ fn spawn_workers(
     Ok(children)
 }
 
-/// A spawned cohort, and its control connections plus mesh address map
+/// A spawned cohort, and its control connections plus mesh socket paths
 /// when the rendezvous succeeded.
-type Cohort = (Vec<(usize, Child)>, Result<(Vec<Conn>, Vec<Addr>), String>);
+type Cohort = (Vec<(usize, Child)>, Result<(Vec<Conn>, Vec<PathBuf>), String>);
 
 /// Spawn one worker per rank and run the rendezvous. A cohort whose
 /// registration carries another [`PROTOCOL`] number is killed. If its
@@ -897,8 +745,7 @@ fn launch(cfg: &NetRunConfig, nproc: usize, listener: &mut NetListener) -> Resul
     let mut bin = worker_bin()?;
     let mut rebuilt = false;
     loop {
-        let parent_addr = listener.addr().map_err(|e| e.to_string())?;
-        let mut children = spawn_workers(&bin, &parent_addr, nproc)?;
+        let mut children = spawn_workers(&bin, listener, nproc)?;
         match rendezvous(cfg, nproc, listener) {
             Ok(met) => return Ok((children, Ok(met))),
             Err(MeetError::Failed(e)) => return Ok((children, Err(e))),
@@ -917,8 +764,7 @@ fn launch(cfg: &NetRunConfig, nproc: usize, listener: &mut NetListener) -> Resul
                 }
                 bin = build_worker()?;
                 rebuilt = true;
-                *listener =
-                    NetListener::bind(cfg.addr_kind, "netrun").map_err(|e| e.to_string())?;
+                *listener = NetListener::bind("netrun")?;
             }
         }
     }
@@ -929,135 +775,57 @@ fn launch(cfg: &NetRunConfig, nproc: usize, listener: &mut NetListener) -> Resul
 const EPOCH_END: u8 = 1;
 const STREAM_END: u8 = 2;
 
-/// The hand-off between the reference executor and the per-rank stream
-/// threads of one cohort: finished epochs, each as one event list per
-/// rank.
-struct Feed {
-    state: Mutex<FeedState>,
-    changed: Condvar,
+/// What the reference executor hands one rank's stream thread: an epoch
+/// of that rank's events, or `None` at the end of a successful run. A
+/// failed or panicking executor drops its senders instead, and the
+/// streams stop without an end of stream.
+type EpochMsg = Option<Vec<Event>>;
+
+/// Run the reference executor, sending each rank its part of every
+/// finished epoch, then the end of stream; returns the reference
+/// memories.
+fn run_reference(
+    compiled: &Compiled,
+    init: &(impl Fn(&mut Memory) + Sync),
+    vectorize: bool,
+    senders: Vec<Sender<EpochMsg>>,
+) -> Result<Vec<Memory>, String> {
+    let sink = senders.clone();
+    let mut exec = SpmdExec::new(&compiled.spmd, init).with_epoch_sink(move |epoch| {
+        // A stream that broke has dropped its receiver; its epochs are
+        // dropped here.
+        for (tx, events) in sink.iter().zip(epoch) {
+            let _ = tx.send(Some(events));
+        }
+    });
+    if !vectorize {
+        exec = exec.without_vectorization();
+    }
+    exec.run().map_err(|e| format!("reference run failed: {}", e))?;
+    for tx in &senders {
+        let _ = tx.send(None);
+    }
+    Ok(exec.mems)
 }
 
-struct FeedState {
-    /// Absolute index of `epochs[0]`.
-    first: usize,
-    epochs: VecDeque<Vec<Arc<Vec<Event>>>>,
-    /// The executor's outcome, once it stopped.
-    done: Option<Result<(), String>>,
-    /// Per rank: the next epoch its stream sends (`usize::MAX` once the
-    /// stream broke). An epoch is dropped once every stream has sent it.
-    next: Vec<usize>,
-}
-
-/// What a stream thread writes next.
-enum StreamStep {
-    Epoch(Arc<Vec<Event>>),
-    End,
-}
-
-impl Feed {
-    fn new(nproc: usize) -> Feed {
-        Feed {
-            state: Mutex::new(FeedState {
-                first: 0,
-                epochs: VecDeque::new(),
-                done: None,
-                next: vec![0; nproc],
-            }),
-            changed: Condvar::new(),
-        }
-    }
-
-    fn update<R>(&self, f: impl FnOnce(&mut FeedState) -> R) -> R {
-        let r = f(&mut self.state.lock().unwrap());
-        self.changed.notify_all();
-        r
-    }
-
-    /// Run the reference executor, publishing every finished epoch, and
-    /// record its outcome; returns the reference memories.
-    fn run_reference(
-        self: &Arc<Feed>,
-        compiled: &Compiled,
-        init: &(impl Fn(&mut Memory) + Sync),
-        vectorize: bool,
-    ) -> Result<Vec<Memory>, String> {
-        /// Marks the executor failed if it unwinds, so no stream thread
-        /// waits for an epoch that never comes.
-        struct Unwinding<'a>(&'a Feed);
-        impl Drop for Unwinding<'_> {
-            fn drop(&mut self) {
-                if std::thread::panicking() {
-                    self.0.update(|st| st.done = Some(Err("reference executor panicked".into())));
-                }
-            }
-        }
-        let _unwinding = Unwinding(self);
-        let feed = Arc::clone(self);
-        let mut exec = SpmdExec::new(&compiled.spmd, init).with_epoch_sink(move |epoch| {
-            feed.update(|st| {
-                st.epochs
-                    .push_back(epoch.into_iter().map(Arc::new).collect())
-            })
-        });
-        if !vectorize {
-            exec = exec.without_vectorization();
-        }
-        let res = exec.run().map(|_| ()).map_err(|e| format!("reference run failed: {}", e));
-        self.update(|st| st.done = Some(res.clone()));
-        res.map(|()| exec.mems)
-    }
-
-    /// Wait for what `rank`'s stream writes next; `None` once the executor
-    /// failed.
-    fn next_step(&self, rank: usize) -> Option<StreamStep> {
-        let mut st = self.state.lock().unwrap();
-        loop {
-            let pending = st.next[rank].checked_sub(st.first);
-            if let Some(epoch) = pending.and_then(|k| st.epochs.get(k)) {
-                return Some(StreamStep::Epoch(Arc::clone(&epoch[rank])));
-            }
-            match &st.done {
-                Some(Ok(())) => return Some(StreamStep::End),
-                Some(Err(_)) => return None,
-                None => {}
-            }
-            st = self.changed.wait(st).unwrap();
-        }
-    }
-
-    /// `rank`'s stream sent its next epoch (`ok`), or broke and sends no
-    /// more.
-    fn sent(&self, rank: usize, ok: bool) {
-        self.update(|st| {
-            st.next[rank] = if ok { st.next[rank] + 1 } else { usize::MAX };
-            let floor = st.next.iter().copied().min().unwrap_or(0);
-            while st.first < floor && st.epochs.pop_front().is_some() {
-                st.first += 1;
-            }
-        })
-    }
-}
-
-/// One rank's stream thread: write each finished epoch to the worker as it
-/// arrives, then the end of stream. This thread is the connection's only
-/// writer.
-fn stream_rank(feed: &Feed, rank: usize, mut writer: FrameWriter<NetStream>) -> Result<(), String> {
+/// One rank's stream thread: write each epoch to the worker as it
+/// arrives, then the end of stream. An epoch is freed once it is sent.
+/// This thread is the connection's only writer.
+fn stream_rank(
+    epochs: Receiver<EpochMsg>,
+    rank: usize,
+    mut writer: FrameWriter<UnixStream>,
+) -> Result<(), String> {
     let mut enc = Enc::new();
-    while let Some(step) = feed.next_step(rank) {
-        let (events, flags) = match &step {
-            StreamStep::Epoch(events) => (&events[..], EPOCH_END),
-            StreamStep::End => (&[][..], STREAM_END),
+    while let Ok(epoch) = epochs.recv() {
+        let (events, flags) = match &epoch {
+            Some(events) => (&events[..], EPOCH_END),
+            None => (&[][..], STREAM_END),
         };
-        if let Err(e) = send_chunks(&mut writer, &mut enc, events, flags) {
-            feed.sent(rank, false);
-            return Err(format!("streaming events to worker {}: {}", rank, e));
-        }
-        match step {
-            StreamStep::Epoch(events) => {
-                drop(events);
-                feed.sent(rank, true);
-            }
-            StreamStep::End => return Ok(()),
+        send_chunks(&mut writer, &mut enc, events, flags)
+            .map_err(|e| format!("streaming events to worker {}: {}", rank, e))?;
+        if epoch.is_none() {
+            break;
         }
     }
     Ok(())
@@ -1067,7 +835,7 @@ fn stream_rank(feed: &Feed, rank: usize, mut writer: FrameWriter<NetStream>) -> 
 /// [`EVENT_CHUNK_BYTES`], all built in `enc`'s reused buffer; the last
 /// frame carries `flags` (no events: one empty chunk).
 fn send_chunks(
-    writer: &mut FrameWriter<NetStream>,
+    writer: &mut FrameWriter<UnixStream>,
     enc: &mut Enc,
     events: &[Event],
     flags: u8,
@@ -1088,28 +856,10 @@ fn send_chunks(
     }
 }
 
-type StreamThread<'scope> = std::thread::ScopedJoinHandle<'scope, Result<(), String>>;
-
-/// Start one [`stream_rank`] thread per connection; returns the
-/// connections' readers and the threads.
-fn spawn_streams<'scope, 'env>(
-    scope: &'scope std::thread::Scope<'scope, 'env>,
-    feed: &'env Feed,
-    conns: Vec<Conn>,
-) -> (Vec<FrameReader<NetStream>>, Vec<StreamThread<'scope>>) {
-    conns
-        .into_iter()
-        .enumerate()
-        .map(|(rank, Conn { reader, writer })| {
-            (reader, scope.spawn(move || stream_rank(feed, rank, writer)))
-        })
-        .unzip()
-}
-
 /// The worker's side of the parent → worker stream after the job: each
 /// epoch's event chunks, then the end of stream.
 struct ParentStream<'p> {
-    reader: FrameReader<NetStream>,
+    reader: FrameReader<UnixStream>,
     sp: &'p SpmdProgram,
     nproc: usize,
 }
@@ -1243,7 +993,7 @@ pub fn socket_validate_replay(job: &NetJob, cfg: &NetRunConfig) -> Result<Replay
             });
             salvaged.extend(failure.faults);
         }
-        std::thread::sleep(RetryPolicy::default().delay(recovery.respawns as u32 - 1));
+        std::thread::sleep(backoff(recovery.respawns as u32 - 1));
     }
 }
 
@@ -1324,10 +1074,10 @@ fn run_cohort(
     if job.trace {
         pipe.begin("reference-exec");
     }
-    let mut listener = NetListener::bind(cfg.addr_kind, "netrun").map_err(|e| e.to_string())?;
+    let mut listener = NetListener::bind("netrun")?;
     let (mut children, met) = launch(cfg, nproc, &mut listener)?;
-    let dispatched = met.and_then(|(mut conns, addrs)| {
-        let job_blob = encode_job(job, cfg, nproc, &addrs, plan);
+    let dispatched = met.and_then(|(mut conns, paths)| {
+        let job_blob = encode_job(job, cfg, nproc, &paths, plan);
         for (rank, conn) in conns.iter_mut().enumerate() {
             conn.writer
                 .write(FrameKind::Blob, &job_blob)
@@ -1370,13 +1120,19 @@ fn stream_and_collect(
     children: &mut Vec<(usize, Child)>,
     pipe: &mut BufTracer,
 ) -> Result<CohortOutcome, String> {
-    let feed = Arc::new(Feed::new(conns.len()));
     std::thread::scope(|scope| {
-        let (mut readers, streams) = spawn_streams(scope, &feed, conns);
-        let reference = match feed.run_reference(compiled, init, job.vectorize) {
+        // One stream thread per rank, fed by its own channel.
+        let (mut readers, mut streams, mut senders) = (Vec::new(), Vec::new(), Vec::new());
+        for (rank, Conn { reader, writer }) in conns.into_iter().enumerate() {
+            let (tx, rx) = channel();
+            readers.push(reader);
+            streams.push(scope.spawn(move || stream_rank(rx, rank, writer)));
+            senders.push(tx);
+        }
+        let reference = match run_reference(compiled, init, job.vectorize, senders) {
             Ok(mems) => mems,
             Err(e) => {
-                // The stream threads see the failure and stop.
+                // The senders are gone: the stream threads stop.
                 kill_cohort(children);
                 children.clear();
                 return Err(e);
@@ -1415,32 +1171,33 @@ type DriveOutput = (
 #[derive(Debug, PartialEq)]
 struct Registration {
     rank: usize,
-    addr: String,
+    /// The worker's mesh socket path.
+    path: String,
     /// `None` for a worker that predates protocol numbers.
     protocol: Option<u32>,
 }
 
-fn encode_registration(rank: usize, addr: &Addr) -> Vec<u8> {
+fn encode_registration(rank: usize, path: &Path) -> Vec<u8> {
     let mut e = Enc::new();
     e.u32(rank as u32);
-    e.str(&addr.to_string());
+    e.str(&path.to_string_lossy());
     e.u32(PROTOCOL);
     e.buf
 }
 
 fn decode_registration(payload: &[u8]) -> Result<Registration, String> {
     let mut d = Dec::new(payload);
-    let rank = d.u32().map_err(|e| e.to_string())? as usize;
-    let addr = d.str().map_err(|e| e.to_string())?;
+    let rank = d.u32()? as usize;
+    let path = d.str()?;
     let protocol = if d.remaining() == 0 {
         None
     } else {
-        Some(d.u32().map_err(|e| e.to_string())?)
+        Some(d.u32()?)
     };
-    d.done().map_err(|e| e.to_string())?;
+    d.done()?;
     Ok(Registration {
         rank,
-        addr,
+        path,
         protocol,
     })
 }
@@ -1462,34 +1219,29 @@ impl From<String> for MeetError {
 }
 
 /// Rendezvous: accept one control connection per rank, each registering
-/// `(rank, data address, protocol)`. Returns the per-rank connections and
-/// mesh address map.
+/// `(rank, mesh socket path, protocol)`. Returns the per-rank connections
+/// and mesh socket paths.
 fn rendezvous(
     cfg: &NetRunConfig,
     nproc: usize,
     listener: &NetListener,
-) -> Result<(Vec<Conn>, Vec<Addr>), MeetError> {
+) -> Result<(Vec<Conn>, Vec<PathBuf>), MeetError> {
     let mut conns: Vec<Option<Conn>> = (0..nproc).map(|_| None).collect();
-    let mut addrs: Vec<Option<Addr>> = (0..nproc).map(|_| None).collect();
+    let mut paths: Vec<Option<PathBuf>> = (0..nproc).map(|_| None).collect();
     for _ in 0..nproc {
         let stream = listener
             .accept_deadline(cfg.connect_deadline)
             .map_err(|e| format!("rendezvous: {}", e))?;
         // The write timeout keeps a worker that stops reading its event
         // stream from wedging the parent.
-        stream
-            .set_read_timeout(Some(cfg.result_deadline))
-            .and_then(|()| stream.set_write_timeout(Some(cfg.result_deadline)))
-            .map_err(|e| format!("rendezvous: set timeout: {}", e))?;
-        let reader_stream = stream
-            .try_clone()
-            .map_err(|e| format!("rendezvous: clone stream: {}", e))?;
-        let mut reader = FrameReader::new(reader_stream);
-        let writer = FrameWriter::new(stream);
+        let (mut reader, writer) = stream
+            .set_write_timeout(Some(cfg.result_deadline))
+            .and_then(|()| framed(stream, cfg.result_deadline))
+            .map_err(|e| format!("rendezvous: link setup: {}", e))?;
         let payload = read_blob(&mut reader, "worker registration")?;
         let Registration {
             rank,
-            addr: addr_s,
+            path,
             protocol,
         } = decode_registration(&payload)?;
         if protocol != Some(PROTOCOL) {
@@ -1504,12 +1256,12 @@ fn rendezvous(
         if conns[rank].is_some() {
             return Err(format!("worker rank {} registered twice", rank).into());
         }
-        addrs[rank] = Some(Addr::parse(&addr_s).map_err(|e| e.to_string())?);
+        paths[rank] = Some(PathBuf::from(path));
         conns[rank] = Some(Conn { reader, writer });
     }
     Ok((
         conns.into_iter().map(|c| c.unwrap()).collect(),
-        addrs.into_iter().map(|a| a.unwrap()).collect(),
+        paths.into_iter().map(|p| p.unwrap()).collect(),
     ))
 }
 
@@ -1521,7 +1273,7 @@ fn rendezvous(
 fn collect_results(
     job: &NetJob,
     compiled: &Compiled,
-    readers: &mut [FrameReader<NetStream>],
+    readers: &mut [FrameReader<UnixStream>],
 ) -> Result<DriveOutput, Failure> {
     let nproc = readers.len();
     let program = &compiled.spmd.program;
@@ -1619,28 +1371,16 @@ pub fn worker_main() -> Result<(), String> {
         .map_err(|_| format!("{} not set", ENV_RANK))?
         .parse()
         .map_err(|e| format!("bad {}: {}", ENV_RANK, e))?;
-    let parent_addr = Addr::parse(&parent).map_err(|e| e.to_string())?;
-    let kind = match parent_addr {
-        Addr::Tcp(_) => AddrKind::Tcp,
-        Addr::Unix(_) => AddrKind::Unix,
-    };
-    let listener =
-        NetListener::bind(kind, &format!("rank{}", rank)).map_err(|e| e.to_string())?;
-    let my_addr = listener.addr().map_err(|e| e.to_string())?;
+    let parent = PathBuf::from(parent.strip_prefix("unix:").unwrap_or(&parent));
+    let listener = NetListener::bind(&format!("rank{}", rank))?;
 
-    let stream = connect_backoff(&parent_addr, Duration::from_secs(10))
+    let stream = connect_backoff(&parent, Duration::from_secs(10))
         .map_err(|e| format!("reaching parent: {}", e))?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .map_err(|e| format!("set timeout: {}", e))?;
-    let reader_stream = stream
-        .try_clone()
-        .map_err(|e| format!("clone stream: {}", e))?;
-    let mut reader = FrameReader::new(reader_stream);
-    let mut writer = FrameWriter::new(stream);
+    let (mut reader, mut writer) = framed(stream, Duration::from_secs(30))
+        .map_err(|e| format!("link to parent: {}", e))?;
 
     writer
-        .write(FrameKind::Blob, &encode_registration(rank, &my_addr))
+        .write(FrameKind::Blob, &encode_registration(rank, listener.path()))
         .map_err(|e| format!("registering with parent: {}", e))?;
 
     let payload = read_blob(&mut reader, "job from parent")?;
@@ -1656,8 +1396,9 @@ pub fn worker_main() -> Result<(), String> {
     // they tell the parent which planned injection fired.
     let mut obs = BufTracer::for_rank(rank);
     let result = run_rank_inner(&wire, rank, &compiled, &mut stream, &listener, &mut obs);
+    let timeline = Trace::from_ranks(vec![(rank, obs.into_events())]);
     writer
-        .write(FrameKind::Blob, &encode_result(&result, obs.events(), program))
+        .write(FrameKind::Blob, &encode_result(&result, &timeline, program))
         .map_err(|e| format!("sending result: {}", e))?;
     result.map(|_| ())
 }
@@ -1693,8 +1434,8 @@ fn run_rank_inner(
     let mut mem = Memory::zeroed(&compiled.spmd.program);
     init(&mut mem);
     let mut transport =
-        SocketTransport::connect_mesh(rank, nproc, listener, &wire.addrs, wire.mesh_cfg())
-            .map_err(|e: NetError| format!("proc {}: mesh: {}", rank, e))?;
+        SocketTransport::connect_mesh(rank, nproc, listener, &wire.paths, wire.mesh_cfg())
+            .map_err(|e| format!("proc {}: mesh: {}", rank, e))?;
     let injector = (!wire.plan.is_empty()).then(|| FaultInjector::new(&wire.plan, rank));
     if let Some(inj) = &injector {
         transport.set_fault_injector(inj.clone());
@@ -1740,56 +1481,59 @@ fn run_rank_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpf_obs::CommKind;
 
-    /// Connect to `addr` and send `payload` as a worker registration. The
+    /// Connect to `path` and send `payload` as a worker registration. The
     /// frame stays readable on the parent's side after this side closes.
-    fn fake_worker(addr: Addr, payload: Vec<u8>) -> std::thread::JoinHandle<()> {
+    fn fake_worker(path: PathBuf, payload: Vec<u8>) -> std::thread::JoinHandle<()> {
         std::thread::spawn(move || {
-            let stream = connect_backoff(&addr, Duration::from_secs(5)).expect("connect");
+            let stream = connect_backoff(&path, Duration::from_secs(5)).expect("connect");
             let mut w = FrameWriter::new(stream);
             w.write(FrameKind::Blob, &payload).expect("register");
         })
     }
 
-    fn meet(payload: Vec<u8>) -> Result<(Vec<Conn>, Vec<Addr>), MeetError> {
-        let listener = NetListener::bind(AddrKind::default(), "regtest").unwrap();
-        let worker = fake_worker(listener.addr().unwrap(), payload);
+    fn meet(payload: Vec<u8>) -> Result<(Vec<Conn>, Vec<PathBuf>), MeetError> {
+        let listener = NetListener::bind("regtest").unwrap();
+        let worker = fake_worker(listener.path().to_path_buf(), payload);
         let res = rendezvous(&NetRunConfig::default(), 1, &listener);
         worker.join().unwrap();
         res
     }
 
-    fn old_registration(rank: u32, addr: &str) -> Vec<u8> {
+    fn old_registration(rank: u32, path: &str) -> Vec<u8> {
         let mut e = Enc::new();
         e.u32(rank);
-        e.str(addr);
+        e.str(path);
         e.buf
     }
 
+    const WORKER_SOCK: &str = "/tmp/phpf-net-4000-0-rank0.sock";
+
     #[test]
     fn registration_round_trips_with_the_protocol_number() {
-        let addr = Addr::parse("tcp:127.0.0.1:4000").unwrap();
-        let reg = decode_registration(&encode_registration(3, &addr)).unwrap();
+        let path = Path::new(WORKER_SOCK);
+        let reg = decode_registration(&encode_registration(3, path)).unwrap();
         assert_eq!(
             reg,
             Registration {
                 rank: 3,
-                addr: addr.to_string(),
+                path: WORKER_SOCK.into(),
                 protocol: Some(PROTOCOL),
             }
         );
         // The protocol number is the only addition: four bytes.
         assert_eq!(
-            encode_registration(3, &addr).len(),
-            old_registration(3, &addr.to_string()).len() + 4
+            encode_registration(3, path).len(),
+            old_registration(3, WORKER_SOCK).len() + 4
         );
     }
 
     #[test]
     fn unnumbered_registration_is_stale() {
-        let reg = decode_registration(&old_registration(0, "tcp:127.0.0.1:4000")).unwrap();
+        let reg = decode_registration(&old_registration(0, WORKER_SOCK)).unwrap();
         assert_eq!(reg.protocol, None);
-        match meet(old_registration(0, "tcp:127.0.0.1:4000")) {
+        match meet(old_registration(0, WORKER_SOCK)) {
             Err(MeetError::Stale { rank: 0, got: None }) => {}
             Err(MeetError::Failed(e)) => panic!("expected a stale-worker error, got {e}"),
             other => panic!("expected a stale-worker error, got {:?}", other.is_ok()),
@@ -1798,7 +1542,7 @@ mod tests {
 
     #[test]
     fn wrong_protocol_number_is_stale() {
-        let mut payload = old_registration(0, "tcp:127.0.0.1:4000");
+        let mut payload = old_registration(0, WORKER_SOCK);
         payload.extend_from_slice(&(PROTOCOL + 7).to_le_bytes());
         match meet(payload) {
             Err(MeetError::Stale {
@@ -1812,19 +1556,93 @@ mod tests {
 
     #[test]
     fn current_registration_meets() {
-        let addr = Addr::parse("tcp:127.0.0.1:4000").unwrap();
-        let (conns, addrs) = meet(encode_registration(0, &addr)).unwrap_or_else(|e| match e {
+        let path = Path::new(WORKER_SOCK);
+        let (conns, paths) = meet(encode_registration(0, path)).unwrap_or_else(|e| match e {
             MeetError::Failed(e) => panic!("{e}"),
             MeetError::Stale { got, .. } => panic!("stale: {got:?}"),
         });
         assert_eq!(conns.len(), 1);
-        assert_eq!(addrs, vec![addr]);
+        assert_eq!(paths, vec![path.to_path_buf()]);
     }
 
     #[test]
     fn trailing_bytes_after_the_protocol_number_are_rejected() {
-        let mut payload = encode_registration(0, &Addr::parse("tcp:127.0.0.1:4000").unwrap());
+        let mut payload = encode_registration(0, Path::new(WORKER_SOCK));
         payload.push(0);
         assert!(decode_registration(&payload).is_err());
+    }
+
+    /// A rank-2 timeline with every optional field of the comm and fault
+    /// events both present and absent.
+    fn timeline() -> Vec<TraceEvent> {
+        let comm = |op: Option<usize>, seq: Option<u64>| Body::Comm {
+            kind: CommKind::SendVec,
+            from: 2,
+            to: 3,
+            op,
+            pattern: "shift".into(),
+            level: 1,
+            stmt_level: 2,
+            place: "hoisted L2->L1".into(),
+            elems: 8,
+            seq,
+        };
+        let fault = |peer: Option<usize>, last_seq: Option<u64>| Body::Fault {
+            name: "bad-checksum".into(),
+            detail: "payload \"checksum\" mismatch\n".into(),
+            peer,
+            last_seq,
+        };
+        [
+            comm(None, Some(4)),
+            comm(Some(3), None),
+            fault(None, None),
+            fault(Some(1), Some(7)),
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(t, body)| TraceEvent {
+            t_us: 10 * t as u64,
+            rank: Some(2),
+            body,
+        })
+        .collect()
+    }
+
+    #[test]
+    fn results_round_trip_with_their_timeline() {
+        let compiled = NetJob::new(include_str!("../../../examples/hpf/do_exit_value.hpf"))
+            .compile()
+            .unwrap();
+        let sp = &compiled.spmd;
+        let program = &sp.program;
+        let mut mem = Memory::zeroed(program);
+        let a = program.vars.lookup("a").unwrap();
+        mem.fill_real(a, &[1.5; 8]);
+        mem.set_scalar(program.vars.lookup("i").unwrap(), hpf_ir::Value::Int(9));
+        let mut metrics = CommMetrics::new(4, sp.comms.len());
+        metrics.note_message("shift", None, 0, 1, 8);
+        metrics.max_in_flight = 2;
+        let stats = ReplayStats {
+            messages_sent: 5,
+            events: 12,
+        };
+        let events = timeline();
+        let trace = Trace::from_ranks(vec![(2, events.clone())]);
+        let ok: RankResult = Ok((stats, metrics, mem));
+        let (res, obs) = decode_result(&encode_result(&ok, &trace, program), program).unwrap();
+        assert_eq!(res, ok);
+        assert_eq!(obs, events);
+        let err: RankResult = Err("proc 2: seq-gap".into());
+        let (res, obs) = decode_result(&encode_result(&err, &trace, program), program).unwrap();
+        assert_eq!(res, err);
+        assert_eq!(obs, events);
+
+        // A garbled timeline is an error, not a panic.
+        let mut e = Enc::new();
+        e.u8(0);
+        e.str("boom");
+        e.str("[{\"name\":\"Warp\",\"ph\":\"i\"");
+        assert!(decode_result(&e.buf, program).is_err());
     }
 }

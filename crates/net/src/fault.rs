@@ -18,7 +18,6 @@
 //! once and the respawn loop terminates. Frame and event counts start
 //! from zero in every cohort: each is a fresh set of processes.
 
-use crate::retry::splitmix64;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -236,6 +235,14 @@ impl FaultPlan {
 /// `decode` fault from a connection the dead peer reset.
 pub fn observes_injection(name: &str) -> bool {
     matches!(name, "bad-checksum" | "seq-gap" | "deadline")
+}
+
+/// SplitMix64: the standard 64-bit mixer that expands a `seed:N` plan.
+fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e3779b97f4a7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+    z ^ (z >> 31)
 }
 
 fn parse_num(s: &str, tok: &str) -> Result<u64, String> {

@@ -13,17 +13,15 @@
 //! * [`channel`] — the in-process backend (one endpoint per thread over
 //!   `std::sync::mpsc` channels), refactored out of `hpf-spmd::runtime`;
 //! * [`socket`] — the multi-process backend: one OS process per virtual
-//!   processor, full-mesh TCP or Unix-domain links, a rank-exchange
-//!   handshake at connect time, per-link send/receive deadlines and
-//!   bounded exponential-backoff connection establishment;
+//!   processor, full-mesh Unix-domain links addressed by socket path, a
+//!   rank-exchange handshake at connect time, per-link send/receive
+//!   deadlines and connection establishment with a plain doubling backoff
+//!   bounded by a deadline;
 //! * [`frame`] — the length-prefixed binary wire codec shared by the
 //!   socket links and the job/result plumbing of the multi-process driver
 //!   (sequence numbers catch dropped and duplicated frames, a checksum
 //!   catches corruption, and the length prefix makes truncation
 //!   detectable; every detected fault is terminal for its link);
-//! * [`retry`] — the workspace's single backoff policy (exponential,
-//!   jittered, attempt- and deadline-capped), shared by mesh connection
-//!   and worker respawn;
 //! * [`fault`] — deterministic fault injection: a seeded, replayable plan
 //!   of frame corruptions, drops and worker kills that drives the
 //!   multi-process driver's cohort respawn end-to-end, and the rule that
@@ -36,7 +34,6 @@
 pub mod channel;
 pub mod fault;
 pub mod frame;
-pub mod retry;
 pub mod socket;
 
 use hpf_ir::Value;
@@ -46,8 +43,7 @@ use std::sync::Arc;
 pub use channel::{channel_group, ChannelTransport};
 pub use fault::{FaultAction, FaultInjector, FaultPlan, Injection};
 pub use frame::{FrameError, FrameKind};
-pub use retry::RetryPolicy;
-pub use socket::{Addr, AddrKind, NetListener, NetStream, SocketConfig, SocketTransport};
+pub use socket::{NetListener, SocketConfig, SocketTransport};
 
 /// What travels between ranks: a single value or a coalesced section.
 ///
@@ -165,6 +161,20 @@ impl From<FrameError> for NetError {
         let mut n = NetError::new(NetErrorKind::Codec, e.to_string());
         n.fault = Some(e.name());
         n
+    }
+}
+
+/// Decode and transport errors read as their message where the caller
+/// reports failures as strings, so `?` converts them.
+impl From<FrameError> for String {
+    fn from(e: FrameError) -> String {
+        e.to_string()
+    }
+}
+
+impl From<NetError> for String {
+    fn from(e: NetError) -> String {
+        e.to_string()
     }
 }
 

@@ -1,5 +1,6 @@
 //! The multi-process backend: one OS process per virtual processor,
-//! full-mesh TCP or Unix-domain links.
+//! full-mesh Unix-domain links. A rank's address is its listener's socket
+//! path.
 //!
 //! Mesh establishment follows the classic rank-ordered scheme: rank `i`
 //! actively connects to every lower rank (with bounded exponential
@@ -26,12 +27,11 @@
 
 use crate::fault::{FaultInjector, Injection};
 use crate::frame::{self, Dec, Enc, FrameKind, FrameReader, FrameWriter, ReadStep};
-use crate::retry::RetryPolicy;
 use crate::{NetError, NetErrorKind, Transport, WireMsg};
-use std::io::{Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::io::Write;
+use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
@@ -46,201 +46,61 @@ const POLL: Duration = Duration::from_millis(500);
 /// Accept loops poll at this interval while waiting for peers.
 const ACCEPT_POLL: Duration = Duration::from_millis(2);
 
-/// Which address family a listener should bind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AddrKind {
-    Tcp,
-    Unix,
-}
-
-impl Default for AddrKind {
-    fn default() -> Self {
-        if cfg!(unix) {
-            AddrKind::Unix
-        } else {
-            AddrKind::Tcp
-        }
-    }
-}
-
-impl AddrKind {
-    pub fn name(self) -> &'static str {
-        match self {
-            AddrKind::Tcp => "tcp",
-            AddrKind::Unix => "unix",
-        }
-    }
-
-    pub fn from_name(s: &str) -> Option<AddrKind> {
-        match s {
-            "tcp" => Some(AddrKind::Tcp),
-            "unix" => Some(AddrKind::Unix),
-            _ => None,
-        }
-    }
-}
-
-/// A peer address, printable as `tcp:<host:port>` or `unix:<path>` so it
-/// can travel through environment variables and rendezvous messages.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Addr {
-    Tcp(String),
-    Unix(PathBuf),
-}
-
-impl std::fmt::Display for Addr {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Addr::Tcp(a) => write!(f, "tcp:{}", a),
-            Addr::Unix(p) => write!(f, "unix:{}", p.display()),
-        }
-    }
-}
-
-impl Addr {
-    pub fn parse(s: &str) -> Result<Addr, NetError> {
-        if let Some(rest) = s.strip_prefix("tcp:") {
-            Ok(Addr::Tcp(rest.to_string()))
-        } else if let Some(rest) = s.strip_prefix("unix:") {
-            Ok(Addr::Unix(PathBuf::from(rest)))
-        } else {
-            Err(NetError::new(
-                NetErrorKind::Protocol,
-                format!("unparseable address {:?} (want tcp:... or unix:...)", s),
-            ))
-        }
-    }
-}
-
-/// A connected stream of either family.
-#[derive(Debug)]
-pub enum NetStream {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-}
-
-impl NetStream {
-    pub fn try_clone(&self) -> std::io::Result<NetStream> {
-        match self {
-            NetStream::Tcp(s) => s.try_clone().map(NetStream::Tcp),
-            NetStream::Unix(s) => s.try_clone().map(NetStream::Unix),
-        }
-    }
-
-    pub fn set_read_timeout(&self, d: Option<Duration>) -> std::io::Result<()> {
-        match self {
-            NetStream::Tcp(s) => s.set_read_timeout(d),
-            NetStream::Unix(s) => s.set_read_timeout(d),
-        }
-    }
-
-    pub fn set_write_timeout(&self, d: Option<Duration>) -> std::io::Result<()> {
-        match self {
-            NetStream::Tcp(s) => s.set_write_timeout(d),
-            NetStream::Unix(s) => s.set_write_timeout(d),
-        }
-    }
-
-    pub fn shutdown(&self, how: Shutdown) -> std::io::Result<()> {
-        match self {
-            NetStream::Tcp(s) => s.shutdown(how),
-            NetStream::Unix(s) => s.shutdown(how),
-        }
-    }
-}
-
-impl Read for NetStream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            NetStream::Tcp(s) => s.read(buf),
-            NetStream::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for NetStream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            NetStream::Tcp(s) => s.write(buf),
-            NetStream::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            NetStream::Tcp(s) => s.flush(),
-            NetStream::Unix(s) => s.flush(),
-        }
-    }
-}
-
 static SOCK_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-/// A bound listener of either family. Unix listeners unlink their socket
-/// file on drop.
+/// A bound Unix-domain listener. Its address is its socket path, which it
+/// unlinks on drop.
 #[derive(Debug)]
-pub enum NetListener {
-    Tcp(TcpListener),
-    Unix(UnixListener, PathBuf),
+pub struct NetListener {
+    listener: UnixListener,
+    path: PathBuf,
 }
 
 impl NetListener {
-    /// Bind an ephemeral listener: loopback port 0 for TCP, a unique
-    /// temp-dir path for Unix. `tag` makes the socket filename readable.
-    pub fn bind(kind: AddrKind, tag: &str) -> Result<NetListener, NetError> {
-        match kind {
-            AddrKind::Tcp => {
-                let l = TcpListener::bind("127.0.0.1:0").map_err(|e| {
-                    NetError::new(NetErrorKind::Io, format!("tcp bind failed: {}", e))
-                })?;
-                Ok(NetListener::Tcp(l))
-            }
-            AddrKind::Unix => NetListener::bind_unix(std::env::temp_dir().join(format!(
-                "phpf-net-{}-{}-{}.sock",
-                std::process::id(),
-                SOCK_COUNTER.fetch_add(1, Ordering::Relaxed),
-                tag
-            ))),
-        }
+    /// Bind an ephemeral listener at a unique temp-dir path. `tag` makes
+    /// the socket filename readable.
+    pub fn bind(tag: &str) -> Result<NetListener, NetError> {
+        NetListener::bind_at(std::env::temp_dir().join(format!(
+            "phpf-net-{}-{}-{}.sock",
+            std::process::id(),
+            SOCK_COUNTER.fetch_add(1, Ordering::Relaxed),
+            tag
+        )))
     }
 
-    /// Bind a Unix listener at `path`, which embeds this process's id and
-    /// a per-process counter. A file already there was left by an earlier
-    /// process with the same (recycled) id that died without unlinking it,
-    /// such as a killed worker; it is removed so the bind does not fail
-    /// with "address in use".
-    fn bind_unix(path: PathBuf) -> Result<NetListener, NetError> {
+    /// Bind at `path`, which embeds this process's id and a per-process
+    /// counter. A file already there was left by an earlier process with
+    /// the same (recycled) id that died without unlinking it, such as a
+    /// killed worker; it is removed so the bind does not fail with
+    /// "address in use".
+    fn bind_at(path: PathBuf) -> Result<NetListener, NetError> {
         let _ = std::fs::remove_file(&path);
-        let l = UnixListener::bind(&path).map_err(|e| {
+        let listener = UnixListener::bind(&path).map_err(|e| {
             NetError::new(
                 NetErrorKind::Io,
                 format!("unix bind at {} failed: {}", path.display(), e),
             )
         })?;
-        Ok(NetListener::Unix(l, path))
+        Ok(NetListener { listener, path })
     }
 
-    pub fn addr(&self) -> Result<Addr, NetError> {
-        match self {
-            NetListener::Tcp(l) => l
-                .local_addr()
-                .map(|a| Addr::Tcp(a.to_string()))
-                .map_err(|e| NetError::new(NetErrorKind::Io, format!("local_addr: {}", e))),
-            NetListener::Unix(_, p) => Ok(Addr::Unix(p.clone())),
-        }
+    /// The socket path peers connect to.
+    pub fn path(&self) -> &Path {
+        &self.path
     }
 
     /// Accept one connection, polling non-blockingly until the deadline.
-    pub fn accept_deadline(&self, deadline: Duration) -> Result<NetStream, NetError> {
+    pub fn accept_deadline(&self, deadline: Duration) -> Result<UnixStream, NetError> {
+        let io = |what: &str, e: std::io::Error| {
+            NetError::new(NetErrorKind::Io, format!("{}: {}", what, e))
+        };
         let start = Instant::now();
-        self.set_nonblocking(true)?;
+        self.listener
+            .set_nonblocking(true)
+            .map_err(|e| io("set_nonblocking", e))?;
         let res = loop {
-            let r = match self {
-                NetListener::Tcp(l) => l.accept().map(|(s, _)| NetStream::Tcp(s)),
-                NetListener::Unix(l, _) => l.accept().map(|(s, _)| NetStream::Unix(s)),
-            };
-            match r {
-                Ok(s) => break Ok(s),
+            match self.listener.accept() {
+                Ok((s, _)) => break Ok(s),
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     if start.elapsed() >= deadline {
                         break Err(NetError::new(
@@ -251,40 +111,25 @@ impl NetListener {
                     std::thread::sleep(ACCEPT_POLL);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    break Err(NetError::new(
-                        NetErrorKind::Io,
-                        format!("accept failed: {}", e),
-                    ))
-                }
+                Err(e) => break Err(io("accept failed", e)),
             }
         };
-        self.set_nonblocking(false)?;
+        self.listener
+            .set_nonblocking(false)
+            .map_err(|e| io("set_nonblocking", e))?;
         let stream = res?;
         // Accepted sockets do not inherit the listener's non-blocking
         // mode on every platform; normalise.
-        match &stream {
-            NetStream::Tcp(s) => s.set_nonblocking(false),
-            NetStream::Unix(s) => s.set_nonblocking(false),
-        }
-        .map_err(|e| NetError::new(NetErrorKind::Io, format!("set_nonblocking: {}", e)))?;
+        stream
+            .set_nonblocking(false)
+            .map_err(|e| io("set_nonblocking", e))?;
         Ok(stream)
-    }
-
-    fn set_nonblocking(&self, nb: bool) -> Result<(), NetError> {
-        match self {
-            NetListener::Tcp(l) => l.set_nonblocking(nb),
-            NetListener::Unix(l, _) => l.set_nonblocking(nb),
-        }
-        .map_err(|e| NetError::new(NetErrorKind::Io, format!("set_nonblocking: {}", e)))
     }
 }
 
 impl Drop for NetListener {
     fn drop(&mut self) {
-        if let NetListener::Unix(_, p) = self {
-            let _ = std::fs::remove_file(p);
-        }
+        let _ = std::fs::remove_file(&self.path);
     }
 }
 
@@ -318,34 +163,48 @@ fn classify_io(e: &std::io::Error) -> NetErrorKind {
     }
 }
 
-/// Connect with bounded exponential backoff: peers bind their listeners
-/// in arbitrary order, so early refusals are retried until the deadline.
-/// The schedule is the shared [`RetryPolicy`] (jittered doubling from 1 ms
-/// to a 50 ms cap); the wall-clock deadline stays the primary bound.
-pub fn connect_backoff(addr: &Addr, deadline: Duration) -> Result<NetStream, NetError> {
+/// The pause before retry `attempt` (0-based): 1 ms doubling to a 50 ms
+/// cap.
+pub fn backoff(attempt: u32) -> Duration {
+    Duration::from_millis(1u64 << attempt.min(6)).min(Duration::from_millis(50))
+}
+
+/// Connect with bounded exponential backoff ([`backoff`]): peers bind
+/// their listeners in arbitrary order, so early refusals are retried
+/// until the wall-clock deadline.
+pub fn connect_backoff(path: &Path, deadline: Duration) -> Result<UnixStream, NetError> {
     let start = Instant::now();
-    let mut schedule = RetryPolicy::connect(deadline).schedule();
+    let mut attempt = 0;
     loop {
-        let res = match addr {
-            Addr::Tcp(a) => TcpStream::connect(a).map(NetStream::Tcp),
-            Addr::Unix(p) => UnixStream::connect(p).map(NetStream::Unix),
-        };
-        match res {
+        let e = match UnixStream::connect(path) {
             Ok(s) => return Ok(s),
-            Err(e) => {
-                let delay = match schedule.next() {
-                    Some(d) if start.elapsed() < deadline => d,
-                    _ => {
-                        return Err(NetError::new(
-                            NetErrorKind::Handshake,
-                            format!("connect to {} failed within {:?}: {}", addr, deadline, e),
-                        ))
-                    }
-                };
-                std::thread::sleep(delay.min(deadline.saturating_sub(start.elapsed())));
-            }
+            Err(e) => e,
+        };
+        let left = deadline.saturating_sub(start.elapsed());
+        if left.is_zero() {
+            return Err(NetError::new(
+                NetErrorKind::Handshake,
+                format!(
+                    "connect to {} failed within {:?}: {}",
+                    path.display(),
+                    deadline,
+                    e
+                ),
+            ));
         }
+        std::thread::sleep(backoff(attempt).min(left));
+        attempt += 1;
     }
+}
+
+/// Split a connected stream into a framed reader, whose reads time out
+/// after `read_timeout`, and a framed writer.
+pub fn framed(
+    stream: UnixStream,
+    read_timeout: Duration,
+) -> std::io::Result<(FrameReader<UnixStream>, FrameWriter<UnixStream>)> {
+    stream.set_read_timeout(Some(read_timeout))?;
+    Ok((FrameReader::new(stream.try_clone()?), FrameWriter::new(stream)))
 }
 
 fn hello_payload(from: usize, to: usize, nproc: usize) -> Vec<u8> {
@@ -388,7 +247,7 @@ type LinkQueue = Receiver<Result<WireMsg, NetError>>;
 /// fault injector keys on.
 #[derive(Debug)]
 struct LinkSender {
-    writer: FrameWriter<NetStream>,
+    writer: FrameWriter<UnixStream>,
     /// Ordinal of data frames sent on this link, the counter fault plans
     /// address.
     data_sent: u64,
@@ -423,20 +282,20 @@ impl SocketTransport {
     /// Establish this rank's links to every peer: connect (with backoff)
     /// to each lower rank, accept one connection from each higher rank,
     /// run the rank-exchange handshake on every link, then start the
-    /// per-link reader threads. `addrs[j]` is rank `j`'s listener address;
+    /// per-link reader threads. `paths[j]` is rank `j`'s listener socket;
     /// `listener` is this rank's own (already bound, so its address was
     /// shared before any peer tries to connect).
     pub fn connect_mesh(
         rank: usize,
         nproc: usize,
         listener: &NetListener,
-        addrs: &[Addr],
+        paths: &[PathBuf],
         cfg: SocketConfig,
     ) -> Result<SocketTransport, NetError> {
-        if addrs.len() != nproc {
+        if paths.len() != nproc {
             return Err(NetError::new(
                 NetErrorKind::Protocol,
-                format!("{} addresses for a world of {}", addrs.len(), nproc),
+                format!("{} socket paths for a world of {}", paths.len(), nproc),
             ));
         }
         if rank >= nproc {
@@ -445,26 +304,17 @@ impl SocketTransport {
                 format!("rank {} out of range for nproc {}", rank, nproc),
             ));
         }
-        let mut links: Vec<Option<(FrameReader<NetStream>, FrameWriter<NetStream>)>> =
+        let mut links: Vec<Option<(FrameReader<UnixStream>, FrameWriter<UnixStream>)>> =
             (0..nproc).map(|_| None).collect();
 
         // Active side: connect to lower ranks, introduce ourselves, wait
         // for the echo.
         for peer in 0..rank {
-            let stream = connect_backoff(&addrs[peer], cfg.connect_deadline)
+            let stream = connect_backoff(&paths[peer], cfg.connect_deadline)
                 .map_err(|e| e.on_link(rank, peer))?;
-            stream
-                .set_read_timeout(Some(cfg.connect_deadline))
-                .map_err(|e| {
-                    NetError::new(NetErrorKind::Io, format!("set timeout: {}", e))
-                        .on_link(rank, peer)
-                })?;
-            let reader_stream = stream.try_clone().map_err(|e| {
-                NetError::new(NetErrorKind::Io, format!("clone stream: {}", e))
-                    .on_link(rank, peer)
+            let (mut reader, mut writer) = framed(stream, cfg.connect_deadline).map_err(|e| {
+                NetError::new(NetErrorKind::Io, format!("link setup: {}", e)).on_link(rank, peer)
             })?;
-            let mut reader = FrameReader::new(reader_stream);
-            let mut writer = FrameWriter::new(stream);
             writer
                 .write(FrameKind::Hello, &hello_payload(rank, peer, nproc))
                 .map_err(|e| {
@@ -496,14 +346,8 @@ impl SocketTransport {
                     detail: format!("rank {} waiting for higher-rank peers: {}", rank, e.detail),
                     fault: e.fault,
                 })?;
-            stream
-                .set_read_timeout(Some(cfg.connect_deadline))
-                .map_err(|e| NetError::new(NetErrorKind::Io, format!("set timeout: {}", e)))?;
-            let reader_stream = stream.try_clone().map_err(|e| {
-                NetError::new(NetErrorKind::Io, format!("clone stream: {}", e))
-            })?;
-            let mut reader = FrameReader::new(reader_stream);
-            let mut writer = FrameWriter::new(stream);
+            let (mut reader, mut writer) = framed(stream, cfg.connect_deadline)
+                .map_err(|e| NetError::new(NetErrorKind::Io, format!("link setup: {}", e)))?;
             let (from, to, peer_nproc) = expect_hello(&mut reader, rank, usize::MAX)?;
             if to != rank || peer_nproc != nproc || from <= rank || from >= nproc {
                 return Err(NetError::new(
@@ -646,7 +490,7 @@ impl SocketTransport {
 }
 
 fn expect_hello(
-    reader: &mut FrameReader<NetStream>,
+    reader: &mut FrameReader<UnixStream>,
     rank: usize,
     peer: usize,
 ) -> Result<(usize, usize, usize), NetError> {
@@ -684,7 +528,7 @@ fn expect_hello(
 }
 
 fn reader_loop(
-    mut reader: FrameReader<NetStream>,
+    mut reader: FrameReader<UnixStream>,
     tx: Sender<Result<WireMsg, NetError>>,
     stopping: Arc<AtomicBool>,
     gauge: Arc<Gauge>,
@@ -873,22 +717,34 @@ mod tests {
     use super::*;
     use hpf_ir::Value;
 
-    fn mesh(kind: AddrKind, nproc: usize, cfg: SocketConfig) -> Vec<SocketTransport> {
+    fn mesh(nproc: usize, cfg: SocketConfig) -> Vec<SocketTransport> {
         let listeners: Vec<NetListener> = (0..nproc)
-            .map(|r| NetListener::bind(kind, &format!("t{}", r)).unwrap())
+            .map(|r| NetListener::bind(&format!("t{}", r)).unwrap())
             .collect();
-        let addrs: Vec<Addr> = listeners.iter().map(|l| l.addr().unwrap()).collect();
+        let paths: Vec<PathBuf> = listeners.iter().map(|l| l.path().to_path_buf()).collect();
         let handles: Vec<_> = listeners
             .into_iter()
             .enumerate()
             .map(|(rank, listener)| {
-                let addrs = addrs.clone();
+                let paths = paths.clone();
                 std::thread::spawn(move || {
-                    SocketTransport::connect_mesh(rank, nproc, &listener, &addrs, cfg).unwrap()
+                    SocketTransport::connect_mesh(rank, nproc, &listener, &paths, cfg).unwrap()
                 })
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
+    }
+
+    /// A socket path nobody listens on.
+    fn missing_path(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("phpf-net-{}-{}-missing.sock", std::process::id(), tag))
+    }
+
+    #[test]
+    fn backoff_doubles_to_its_cap() {
+        let ms: Vec<u64> = (0..8).map(|k| backoff(k).as_millis() as u64).collect();
+        assert_eq!(ms, [1, 2, 4, 8, 16, 32, 50, 50]);
+        assert_eq!(backoff(u32::MAX), Duration::from_millis(50));
     }
 
     #[test]
@@ -901,14 +757,15 @@ mod tests {
         // a worker process that was killed.
         drop(UnixListener::bind(&path).unwrap());
         assert!(path.exists());
-        let l = NetListener::bind_unix(path.clone()).unwrap();
-        assert!(matches!(l.addr().unwrap(), Addr::Unix(p) if p == path));
+        let l = NetListener::bind_at(path.clone()).unwrap();
+        assert_eq!(l.path(), path);
         drop(l);
         assert!(!path.exists());
     }
 
-    fn exercise(kind: AddrKind) {
-        let group = mesh(kind, 3, SocketConfig::default());
+    #[test]
+    fn unix_mesh_roundtrip() {
+        let group = mesh(3, SocketConfig::default());
         let handles: Vec<_> = group
             .into_iter()
             .map(|mut t| {
@@ -955,22 +812,12 @@ mod tests {
     }
 
     #[test]
-    fn tcp_mesh_roundtrip() {
-        exercise(AddrKind::Tcp);
-    }
-
-    #[test]
-    fn unix_mesh_roundtrip() {
-        exercise(AddrKind::Unix);
-    }
-
-    #[test]
     fn silent_peer_hits_recv_deadline() {
         let cfg = SocketConfig {
             io_deadline: Duration::from_millis(100),
             ..SocketConfig::default()
         };
-        let mut group = mesh(AddrKind::default(), 2, cfg);
+        let mut group = mesh(2, cfg);
         let start = Instant::now();
         let err = group[0].recv(1).unwrap_err();
         assert_eq!(err.kind, NetErrorKind::Deadline);
@@ -983,20 +830,21 @@ mod tests {
 
     #[test]
     fn handshake_rejects_wrong_world_size() {
-        let listener = NetListener::bind(AddrKind::default(), "hs").unwrap();
-        let addr = listener.addr().unwrap();
+        let listener = NetListener::bind("hs").unwrap();
+        let path = listener.path().to_path_buf();
         let cfg = SocketConfig {
             connect_deadline: Duration::from_secs(2),
             ..SocketConfig::default()
         };
         // A rank-1 process that believes the world has 3 ranks.
         let h = std::thread::spawn(move || {
-            let my_listener = NetListener::bind(AddrKind::default(), "hs-peer").unwrap();
-            let addrs = vec![addr, my_listener.addr().unwrap(), my_listener.addr().unwrap()];
-            SocketTransport::connect_mesh(1, 3, &my_listener, &addrs, cfg)
+            let my_listener = NetListener::bind("hs-peer").unwrap();
+            let mine = my_listener.path().to_path_buf();
+            let paths = vec![path, mine.clone(), mine];
+            SocketTransport::connect_mesh(1, 3, &my_listener, &paths, cfg)
         });
-        let addrs = vec![listener.addr().unwrap(), Addr::Tcp("127.0.0.1:1".into())];
-        let err = SocketTransport::connect_mesh(0, 2, &listener, &addrs, cfg).unwrap_err();
+        let paths = vec![listener.path().to_path_buf(), missing_path("hs")];
+        let err = SocketTransport::connect_mesh(0, 2, &listener, &paths, cfg).unwrap_err();
         assert_eq!(err.kind, NetErrorKind::Handshake);
         let _ = h.join();
     }
@@ -1007,7 +855,6 @@ mod tests {
     fn injected_link_fault_is_terminal_and_named() {
         use crate::fault::{FaultInjector, FaultPlan};
         let mut group = mesh(
-            AddrKind::default(),
             2,
             SocketConfig {
                 io_deadline: Duration::from_secs(2),
@@ -1029,15 +876,14 @@ mod tests {
     fn missing_peer_bounds_connect() {
         // Nobody is listening on this address; the backoff must give up
         // within the connect deadline.
-        let listener = NetListener::bind(AddrKind::Tcp, "mp").unwrap();
-        let dead = Addr::Tcp("127.0.0.1:1".into());
+        let listener = NetListener::bind("mp").unwrap();
         let cfg = SocketConfig {
             connect_deadline: Duration::from_millis(200),
             ..SocketConfig::default()
         };
-        let addrs = vec![dead, listener.addr().unwrap()];
+        let paths = vec![missing_path("mp"), listener.path().to_path_buf()];
         let start = Instant::now();
-        let err = SocketTransport::connect_mesh(1, 2, &listener, &addrs, cfg).unwrap_err();
+        let err = SocketTransport::connect_mesh(1, 2, &listener, &paths, cfg).unwrap_err();
         assert_eq!(err.kind, NetErrorKind::Handshake);
         assert!(start.elapsed() < Duration::from_secs(10));
     }

@@ -10,12 +10,11 @@
 
 use hpf_net::frame::{encode_frame, Enc, FrameKind, HEADER_LEN};
 use hpf_net::{
-    Addr, AddrKind, NetError, NetErrorKind, NetListener, SocketConfig, SocketTransport,
-    Transport, WireMsg,
+    NetError, NetErrorKind, NetListener, SocketConfig, SocketTransport, Transport, WireMsg,
 };
 use hpf_ir::Value;
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::os::unix::net::UnixStream;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -44,14 +43,12 @@ fn one_value(v: f64) -> Vec<u8> {
 /// the test's control. The returned transport has completed the handshake;
 /// `misbehave` then runs on the peer's stream.
 fn rank0_with_raw_peer(
-    misbehave: impl FnOnce(TcpStream) + Send + 'static,
+    misbehave: impl FnOnce(UnixStream) + Send + 'static,
 ) -> (SocketTransport, JoinHandle<()>) {
-    let listener = NetListener::bind(AddrKind::Tcp, "fault").unwrap();
-    let Addr::Tcp(addr) = listener.addr().unwrap() else {
-        panic!("tcp listener yields tcp addr")
-    };
+    let listener = NetListener::bind("fault").unwrap();
+    let path = listener.path().to_path_buf();
     let peer = std::thread::spawn(move || {
-        let mut s = TcpStream::connect(&addr).expect("connect to rank 0");
+        let mut s = UnixStream::connect(&path).expect("connect to rank 0");
         // Handshake by hand: introduce ourselves as rank 1 of 2 (frame
         // seq 0 on this direction of the link) and swallow the echo.
         s.write_all(&encode_frame(FrameKind::Hello, 0, &hello(1, 0, 2)))
@@ -60,8 +57,8 @@ fn rank0_with_raw_peer(
         s.read_exact(&mut echo).expect("hello echo from rank 0");
         misbehave(s);
     });
-    let addrs = vec![listener.addr().unwrap(), listener.addr().unwrap()];
-    let t = SocketTransport::connect_mesh(0, 2, &listener, &addrs, test_config())
+    let paths = vec![listener.path().to_path_buf(), listener.path().to_path_buf()];
+    let t = SocketTransport::connect_mesh(0, 2, &listener, &paths, test_config())
         .expect("mesh with raw peer");
     (t, peer)
 }
@@ -176,7 +173,7 @@ fn silent_peer_hits_the_deadline() {
 /// Inject a fault, let the receive fail, and return the merged trace the
 /// runtime would build from this rank's timeline.
 fn trace_after_fault(
-    misbehave: impl FnOnce(TcpStream) + Send + 'static,
+    misbehave: impl FnOnce(UnixStream) + Send + 'static,
     kind: NetErrorKind,
     needle: &str,
 ) -> hpf_obs::Trace {
@@ -196,15 +193,15 @@ fn injected_faults_are_named_in_the_trace() {
         (
             "seq-gap",
             "dropped frame",
-            Box::new(|mut s: TcpStream| {
+            Box::new(|mut s: UnixStream| {
                 s.write_all(&encode_frame(FrameKind::One, 2, &one_value(3.25)))
                     .unwrap();
-            }) as Box<dyn FnOnce(TcpStream) + Send>,
+            }) as Box<dyn FnOnce(UnixStream) + Send>,
         ),
         (
             "truncated",
             "truncated frame",
-            Box::new(|mut s: TcpStream| {
+            Box::new(|mut s: UnixStream| {
                 let f = encode_frame(FrameKind::One, 1, &one_value(1.0));
                 s.write_all(&f[..HEADER_LEN + 4]).unwrap();
                 drop(s);
@@ -213,7 +210,7 @@ fn injected_faults_are_named_in_the_trace() {
         (
             "bad-checksum",
             "checksum",
-            Box::new(|mut s: TcpStream| {
+            Box::new(|mut s: UnixStream| {
                 let mut f = encode_frame(FrameKind::One, 1, &one_value(2.0));
                 let last = f.len() - 1;
                 f[last] ^= 0xff;

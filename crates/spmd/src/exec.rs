@@ -186,9 +186,10 @@ pub struct SpmdExec<'s> {
     /// Epoch boundaries of the recorded trace: snapshots of every rank's
     /// trace length, taken at top-level statement boundaries and outermost
     /// loop iteration starts — but only while no coalescing group is open,
-    /// so every event before a cut is final. Supervised replay restarts a
-    /// failed rank from the last committed cut. Always absolute positions
-    /// in the whole recorded stream, also when an epoch sink drains it.
+    /// so every event before a cut is final. The epoch sink hands off the
+    /// events between consecutive cuts, and socket workers replay them one
+    /// epoch at a time. Always absolute positions in the whole recorded
+    /// stream, also when an epoch sink drains it.
     cuts: Vec<Vec<usize>>,
     /// Receives every finished epoch (see [`SpmdExec::with_epoch_sink`]).
     sink: Option<EpochSink>,

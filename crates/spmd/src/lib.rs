@@ -53,7 +53,6 @@ pub use exec::{Event, Slot, Trace};
 pub use lower::{lower, CommData, CommOp, ReduceOp, Schedule, ScheduleOp, SpmdProgram};
 pub use metrics::{CommMetrics, RecoveryCounters};
 pub use runtime::{
-    check_owner_slots, replay, replay_rank, replay_rank_segment, replay_rank_traced,
-    replay_traced, validate_replay, validate_replay_opts, validate_replay_traced, Replayed,
-    ReplayStats,
+    check_owner_slots, replay, replay_rank_segment, replay_traced, validate_replay,
+    validate_replay_opts, validate_replay_traced, Replayed, ReplayStats,
 };

@@ -16,10 +16,10 @@
 //! the lowered programs are real SPMD programs, not a bookkeeping fiction:
 //! no worker ever touches another worker's memory.
 //!
-//! The per-rank engine is [`replay_rank`], generic over the transport; the
-//! multi-process driver in `hpf-compile::netrun` runs its segment form,
-//! [`replay_rank_segment`], in separate OS processes over socket links,
-//! one epoch at a time as the events arrive.
+//! The per-rank engine is [`replay_rank_segment`], generic over the
+//! transport: the threaded replay runs it once per rank over the whole
+//! event list, and the socket workers of `hpf-compile::netrun` run it in
+//! separate OS processes, one epoch at a time as the events arrive.
 
 use crate::code::{self, Code, Fault, Load, Site, Stack, StmtCode};
 use crate::env::Env;
@@ -60,37 +60,14 @@ pub struct Replayed {
 }
 
 /// Replay one rank's recorded event list over a transport, mutating the
-/// rank's (already initialised) memory in place. Returns this rank's
-/// stats and its unmerged metrics contribution (the transport's in-flight
-/// peak already folded in), and tears the transport down. This is the
-/// shared engine of the threaded replay below and the per-process workers
-/// of the socket backend.
-pub fn replay_rank<T: Transport>(
-    sp: &SpmdProgram,
-    events: &[Event],
-    mem: &mut Memory,
-    transport: &mut T,
-) -> Result<(ReplayStats, CommMetrics), String> {
-    replay_rank_traced(sp, events, mem, transport, None)
-}
-
-/// [`replay_rank`] with an optional observability timeline: every wire
-/// message this rank sends or receives is recorded as a comm event (sends
-/// tagged with the link's wire sequence number when the transport frames
-/// its links), and any fault events the transport accumulated are drained
-/// into the timeline — on errors too, so a trace survives a dead peer and
-/// ends with the link's last acknowledged sequence number.
-pub fn replay_rank_traced<T: Transport>(
-    sp: &SpmdProgram,
-    events: &[Event],
-    mem: &mut Memory,
-    transport: &mut T,
-    obs: Option<&mut BufTracer>,
-) -> Result<(ReplayStats, CommMetrics), String> {
-    replay_rank_code(sp, &Code::new(sp), events, mem, transport, obs)
-}
-
-/// [`replay_rank_traced`] with the program's code already compiled.
+/// rank's (already initialised) memory in place, with an optional
+/// observability timeline: every wire message this rank sends or receives
+/// is recorded as a comm event (sends tagged with the link's wire sequence
+/// number when the transport frames its links), and any fault events the
+/// transport accumulated are drained into the timeline — on errors too.
+/// Returns this rank's stats and its unmerged metrics contribution (the
+/// transport's in-flight peak already folded in), and tears the transport
+/// down. This is the per-thread engine of the threaded replay below.
 fn replay_rank_code<T: Transport>(
     sp: &SpmdProgram,
     code: &Code,
@@ -132,7 +109,7 @@ fn replay_rank_code<T: Transport>(
 
 /// Replay a *segment* of a rank's event list — the epoch-sized unit of
 /// [`crate::exec::SpmdExec::epoch_cuts`] — accumulating stats and metrics
-/// across calls. Unlike [`replay_rank_traced`] this neither tears the
+/// across calls. Unlike [`replay_rank_code`] this neither tears the
 /// transport down nor folds in its in-flight peak, so a socket worker can
 /// replay each epoch over one mesh as the parent streams it and finish
 /// only once; the caller compiles `code` ([`Code::new`]) once for all

@@ -194,6 +194,7 @@ events = json.load(open(sys.argv[1]))
 assert isinstance(events, list) and events, "trace must be a non-empty JSON array"
 begins = ends = comms = 0
 span_names = []
+comm_pids = set()
 for e in events:
     ph = e["ph"]
     assert ph in ("M", "B", "E", "i"), f"unknown phase type {ph!r}"
@@ -212,6 +213,7 @@ for e in events:
         assert e["cat"] in ("comm", "fault"), e
         if e["cat"] == "comm":
             comms += 1
+            comm_pids.add(e["pid"])
             args = e["args"]
             for key in ("pattern", "place", "elems"):
                 assert key in args, f"comm event missing {key}: {e}"
@@ -219,6 +221,10 @@ assert begins == ends, f"unbalanced spans: {begins} begins, {ends} ends"
 for phase in ("parse", "ssa", "mapping", "privatization", "lower", "replay"):
     assert phase in span_names, f"missing pipeline span {phase!r}: {span_names}"
 assert comms > 0, "trace carries no communication events"
+# Rank r is pid r + 1. Each worker's timeline reaches the parent through
+# its result blob, so every rank row must carry comm events.
+for pid in range(1, 5):
+    assert pid in comm_pids, f"rank {pid - 1} (pid {pid}) has no comm events: {sorted(comm_pids)}"
 print(f"trace schema OK: {begins} spans, {comms} comm events")
 EOF
 else

@@ -337,12 +337,21 @@ fn main() -> ExitCode {
                 trace_path.is_some(),
             )
             .map(|r| {
-                println!(
-                    "backend thread: replay on {} worker threads matched the reference \
-                     executor ({} wire messages)",
-                    compiled.spmd.maps.grid.total(),
-                    r.stats.messages_sent
-                );
+                let nproc = compiled.spmd.maps.grid.total();
+                let engine = r.engine.expect("the thread backend reports its engine");
+                match engine {
+                    hpf_spmd::Engine::Node => println!(
+                        "backend thread: node programs on {} worker threads matched the \
+                         sequential interpreter ({} wire messages)",
+                        nproc, r.stats.messages_sent
+                    ),
+                    hpf_spmd::Engine::Replay(_) => println!(
+                        "backend thread: replay on {} worker threads matched the reference \
+                         executor ({} wire messages)",
+                        nproc, r.stats.messages_sent
+                    ),
+                }
+                println!("engine: {}", engine);
                 println!(
                     "BENCH_JSON {{\"table\":\"replay\",\"backend\":\"thread\",\
                      \"degraded\":false,\"metrics\":{}}}",

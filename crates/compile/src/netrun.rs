@@ -956,6 +956,7 @@ pub fn socket_validate_replay(job: &NetJob, cfg: &NetRunConfig) -> Result<Replay
                     metrics,
                     obs,
                     degraded: false,
+                    engine: None,
                 });
             }
             Err(failure) => failure,

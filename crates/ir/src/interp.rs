@@ -233,8 +233,8 @@ impl<'p> Interp<'p> {
 
     /// Run the whole program against `mem`.
     pub fn run(mut self, mem: &mut Memory) -> Result<InterpStats, InterpError> {
-        let body: Vec<StmtId> = self.program.body.clone();
-        match self.exec_block(&body, mem)? {
+        let program = self.program;
+        match self.exec_block(&program.body, mem)? {
             Flow::Normal => Ok(self.stats),
             Flow::Goto(l) => Err(InterpError::UnresolvedGoto(l.0)),
         }
@@ -265,7 +265,10 @@ impl<'p> Interp<'p> {
         if self.stats.steps > self.step_limit {
             return Err(InterpError::StepLimit);
         }
-        match self.program.stmt(id) {
+        // Borrow the statement from the program, not through `self`, so
+        // loop and branch bodies need no copy.
+        let program = self.program;
+        match program.stmt(id) {
             Stmt::Assign { lhs, rhs } => {
                 let val = self.eval(rhs, mem)?;
                 match lhs {
@@ -294,12 +297,11 @@ impl<'p> Interp<'p> {
                 if step == 0 {
                     return Err(InterpError::DivisionByZero);
                 }
-                let body = body.clone();
                 let var = *var;
                 let mut i = lo;
                 while (step > 0 && i <= hi) || (step < 0 && i >= hi) {
                     mem.set_scalar(var, Value::Int(i));
-                    match self.exec_block(&body, mem)? {
+                    match self.exec_block(body, mem)? {
                         Flow::Normal => {}
                         // A GOTO escaping the loop body exits the loop
                         // (Fortran: branch out of DO).
@@ -318,8 +320,7 @@ impl<'p> Interp<'p> {
                 else_body,
             } => {
                 let c = self.eval(cond, mem)?.as_bool()?;
-                let b = if c { then_body.clone() } else { else_body.clone() };
-                self.exec_block(&b, mem)
+                self.exec_block(if c { then_body } else { else_body }, mem)
             }
             Stmt::Goto(l) => Ok(Flow::Goto(*l)),
             Stmt::Continue => Ok(Flow::Normal),
@@ -332,19 +333,29 @@ impl<'p> Interp<'p> {
         subs: &[Expr],
         mem: &mut Memory,
     ) -> Result<usize, InterpError> {
-        let mut idx = Vec::with_capacity(subs.len());
-        for s in subs {
-            idx.push(self.eval(s, mem)?.as_int()?);
+        // Subscripts of up to seven dimensions (Fortran's limit) stay on
+        // the stack.
+        let mut inline = [0i64; 7];
+        let mut spilled = Vec::new();
+        let idx: &mut [i64] = match inline.get_mut(..subs.len()) {
+            Some(idx) => idx,
+            None => {
+                spilled.resize(subs.len(), 0);
+                &mut spilled
+            }
+        };
+        for (x, s) in idx.iter_mut().zip(subs) {
+            *x = self.eval(s, mem)?.as_int()?;
         }
         let info = self.program.vars.info(array);
         let shape = info.shape().expect("array ref to scalar");
-        if !shape.contains(&idx) {
+        if !shape.contains(idx) {
             return Err(InterpError::OutOfBounds {
                 array: info.name.clone(),
-                index: idx,
+                index: idx.to_vec(),
             });
         }
-        Ok(shape.linearize(&idx))
+        Ok(shape.linearize(idx))
     }
 
     /// Evaluate an expression.

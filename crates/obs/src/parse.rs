@@ -14,6 +14,9 @@ use crate::{Body, CommKind, Trace, TraceEvent};
 enum Json {
     Null,
     Bool(bool),
+    /// An integer literal, kept exact (trace fields are `u64`).
+    Int(i128),
+    /// A number with a fraction or an exponent.
     Num(f64),
     Str(String),
     Arr(Vec<Json>),
@@ -23,6 +26,7 @@ enum Json {
 impl Json {
     fn as_u64(&self) -> Option<u64> {
         match self {
+            Json::Int(n) => u64::try_from(*n).ok(),
             Json::Num(n) if *n >= 0.0 => Some(*n as u64),
             _ => None,
         }
@@ -119,11 +123,14 @@ impl<'a> Parser<'a> {
         {
             self.pos += 1;
         }
-        std::str::from_utf8(&self.src[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| self.err("malformed number"))
+        let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap_or("");
+        let exact = !text.contains(['.', 'e', 'E']);
+        let parsed = if exact {
+            text.parse::<i128>().ok().map(Json::Int)
+        } else {
+            text.parse::<f64>().ok().map(Json::Num)
+        };
+        parsed.ok_or_else(|| self.err("malformed number"))
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -406,6 +413,31 @@ mod tests {
             parse_chrome_json(&parsed.to_chrome_json()).unwrap(),
             parsed
         );
+    }
+
+    /// Integer fields above 2^53 come back exactly, not rounded to the
+    /// nearest `f64`.
+    #[test]
+    fn roundtrips_integers_above_f64_precision() {
+        let big = (1u64 << 53) + 1;
+        let mut r0 = BufTracer::for_rank(0);
+        r0.record(Body::Comm {
+            kind: CommKind::Send,
+            from: 0,
+            to: 1,
+            op: None,
+            pattern: "element".into(),
+            level: 0,
+            stmt_level: 0,
+            place: "inner".into(),
+            elems: big,
+            seq: Some(big),
+        });
+        let mut t = Trace::from_ranks(vec![(0, r0.into_events())]);
+        t.events[0].t_us = big;
+        let parsed = parse_chrome_json(&t.to_chrome_json()).expect("parses");
+        assert_eq!(parsed, t);
+        assert_eq!(parsed.events[0].t_us, big);
     }
 
     #[test]

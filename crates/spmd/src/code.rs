@@ -99,6 +99,14 @@ pub(crate) struct Site {
     op: SiteOp,
 }
 
+/// A read of value code: an array element through a site, or a scalar
+/// through the engine's load.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Read {
+    Elem(u32),
+    Scalar(VarId),
+}
+
 /// How a statement is compiled.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum StmtCode {
@@ -162,6 +170,8 @@ pub(crate) trait Load {
 pub struct Code {
     ops: Vec<Op>,
     sites: Vec<Site>,
+    /// By site: its subscript code, which pushes `rank` indices.
+    site_subs: Vec<Span>,
     bounds: Vec<Bound>,
     /// By `StmtId`.
     stmts: Vec<StmtCode>,
@@ -199,6 +209,41 @@ impl Code {
             SiteOp::PerStmt(k) => self.shared_ops[stmt?.index() * self.n_shared + k as usize],
         };
         op.map(|i| i as usize)
+    }
+
+    /// The array reads (`Op::Elem` sites) and scalar reads of value code
+    /// `span`, in evaluation order.
+    pub(crate) fn reads(&self, span: Span) -> Vec<Read> {
+        self.ops[span.range()]
+            .iter()
+            .filter_map(|op| match *op {
+                Op::Elem(k) => Some(Read::Elem(k)),
+                Op::Scalar(v) => Some(Read::Scalar(v)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    pub(crate) fn site(&self, k: u32) -> &Site {
+        &self.sites[k as usize]
+    }
+
+    /// Evaluate the subscripts of site `k` into `idx` and return the
+    /// element's linear offset, bounds-checked.
+    pub(crate) fn site_index<L: Load>(
+        &self,
+        k: u32,
+        l: &mut L,
+        st: &mut Stack,
+        idx: &mut Vec<i64>,
+    ) -> Result<usize, Fault> {
+        let site = &self.sites[k as usize];
+        let base = st.ints.len();
+        self.run(self.site_subs[k as usize], l, st)?;
+        idx.clear();
+        idx.extend_from_slice(&st.ints[base..]);
+        st.ints.truncate(base);
+        self.offset(site, idx)
     }
 
     /// Evaluate value code. After an error the stack is left as it is:
@@ -419,6 +464,7 @@ impl<'s> Compiler<'s> {
             code: Code {
                 ops: Vec::new(),
                 sites: Vec::new(),
+                site_subs: Vec::new(),
                 bounds: Vec::new(),
                 stmts: vec![StmtCode::None; n_stmts],
                 exits: vec![Vec::new(); n_stmts],
@@ -471,11 +517,14 @@ impl<'s> Compiler<'s> {
                     LValue::Scalar(v) => Target::Scalar(*v, p.vars.info(*v).ty),
                     // The target's subscripts read every scalar from its
                     // owner, locals included.
-                    LValue::Array(r) => Target::Elem {
-                        subs: self.subscripts(Ctx::of(s), &r.subs),
-                        site: self.site(Ctx::of(s), r),
-                        ty: p.vars.info(r.array).ty,
-                    },
+                    LValue::Array(r) => {
+                        let subs = self.subscripts(Ctx::of(s), &r.subs);
+                        Target::Elem {
+                            subs,
+                            site: self.site(Ctx::of(s), r, subs),
+                            ty: p.vars.info(r.array).ty,
+                        }
+                    }
                 };
                 self.set_exits(s, &[s], loops);
                 StmtCode::Assign { rhs, lhs }
@@ -595,10 +644,8 @@ impl<'s> Compiler<'s> {
             Expr::Scalar(v) if cx.locals.contains(v) => Op::Own(*v),
             Expr::Scalar(v) => Op::Scalar(*v),
             Expr::Array(r) => {
-                for sub in &r.subs {
-                    self.push_subscript(cx, sub);
-                }
-                Op::Elem(self.site(cx, r))
+                let subs = self.subscripts(cx, &r.subs);
+                Op::Elem(self.site(cx, r, subs))
             }
             Expr::Unary(op, x) => {
                 self.push_expr(cx, x);
@@ -672,7 +719,7 @@ impl<'s> Compiler<'s> {
         })
     }
 
-    fn site(&mut self, cx: Ctx, r: &'s ArrayRef) -> u32 {
+    fn site(&mut self, cx: Ctx, r: &'s ArrayRef, subs: Span) -> u32 {
         let shape = self
             .program()
             .vars
@@ -698,6 +745,7 @@ impl<'s> Compiler<'s> {
             bounds: self.span_from(start, self.code.bounds.len()),
             op,
         });
+        self.code.site_subs.push(subs);
         self.code.sites.len() as u32 - 1
     }
 

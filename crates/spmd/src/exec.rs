@@ -119,7 +119,7 @@ struct OpenGroup {
 
 /// How one grid coordinate of an owner reference is found at run time.
 #[derive(Debug, Clone, Copy)]
-enum DimRule {
+pub(crate) enum DimRule {
     /// Every coordinate: a replicated, privatized or freed dimension.
     Any,
     At(usize),
@@ -138,21 +138,22 @@ enum DimRule {
 /// An owner reference resolved against its array's mapping once per
 /// program: one [`DimRule`] per grid dimension, stored in `dim_rules`.
 #[derive(Debug, Clone, Copy)]
-struct OwnerRef {
-    array: VarId,
-    dims: Span,
+pub(crate) struct OwnerRef {
+    pub(crate) array: VarId,
+    pub(crate) dims: Span,
     /// No grid dimension is free: the owner is one pid for every reader.
-    pinned: bool,
+    pub(crate) pinned: bool,
     /// Index of its [`Memo`] when its subscripts read nothing but scalars
     /// from the reader's own copy.
-    memo: Option<u32>,
+    pub(crate) memo: Option<u32>,
 }
 
 /// The owner an [`OwnerRef`] last resolved to. Its subscripts read only
 /// scalars from the reader's own copy (no element, no fetch), so equal
 /// values of those scalars give equal coordinates: a lookup that finds
 /// them unchanged reuses the owner, whatever wrote them in between.
-struct Memo {
+#[derive(Clone)]
+pub(crate) struct Memo {
     /// The scalars the subscripts read.
     reads: Vec<VarId>,
     /// Their values when `found` was resolved.
@@ -160,6 +161,25 @@ struct Memo {
     /// (reader, owner pid) last resolved; any reader may reuse it when
     /// the reference is pinned.
     found: Option<(usize, usize)>,
+}
+
+impl Memo {
+    /// The owner last found for `reader` (for any reader when `pinned`),
+    /// if the scalars in `mem` still hold the values it was found with.
+    #[inline]
+    pub(crate) fn hit(&self, mem: &Memory, reader: usize, pinned: bool) -> Option<usize> {
+        let (r, src) = self.found?;
+        let same = |(&v, &x): (&VarId, &Value)| mem.scalar(v) == x;
+        ((pinned || r == reader) && self.reads.iter().zip(&self.vals).all(same)).then_some(src)
+    }
+
+    /// Remember `src` as the owner found for `reader` with the scalars'
+    /// values in `mem`.
+    pub(crate) fn remember(&mut self, mem: &Memory, reader: usize, src: usize) {
+        self.vals.clear();
+        self.vals.extend(self.reads.iter().map(|&v| mem.scalar(v)));
+        self.found = Some((reader, src));
+    }
 }
 
 /// The executor.
@@ -258,36 +278,7 @@ impl<'s> SpmdExec<'s> {
         let (n_stmts, n_vars) = (p.num_stmts(), p.vars.len());
 
         let mut cc = Compiler::new(sp);
-        let mut refs = OwnerRefs {
-            sp,
-            dim_rules: Vec::new(),
-            memoized: Vec::new(),
-            memos: Vec::new(),
-        };
-        let guards = (0..n_stmts)
-            .map(|s| {
-                let s = StmtId(s as u32);
-                match sp.guard(s) {
-                    Guard::Everyone | Guard::Union => None,
-                    Guard::OwnerOf { r, free_dims } => {
-                        Some(refs.get(&mut cc, Ctx::of(s), r, free_dims))
-                    }
-                }
-            })
-            .collect();
-        let scalar_owner = (0..n_vars)
-            .map(|v| match sp.scalar_mapping(VarId(v as u32)) {
-                ScalarMapping::Replicated | ScalarMapping::PrivateNoAlign => None,
-                ScalarMapping::Aligned { target, .. } => {
-                    Some(refs.get(&mut cc, Ctx::SHARED, target, &[]))
-                }
-                ScalarMapping::Reduction {
-                    target,
-                    reduce_dims,
-                    ..
-                } => Some(refs.get(&mut cc, Ctx::SHARED, target, reduce_dims)),
-            })
-            .collect();
+        let owners = owner_tables(sp, &mut cc);
         let array_maps: Vec<_> = (0..n_vars).map(|v| sp.maps.get(VarId(v as u32))).collect();
         let scalar_ops = (0..n_stmts).map(|s| cc.scalar_ops(s)).collect();
 
@@ -312,11 +303,11 @@ impl<'s> SpmdExec<'s> {
             ctrl_eval: false,
             debug_untracked: std::env::var_os("PHPF_DEBUG_UNTRACKED").is_some(),
             code: Some(cc.finish()),
-            guards,
-            scalar_owner,
+            guards: owners.guards,
+            scalar_owner: owners.scalar_owner,
             array_maps,
-            dim_rules: refs.dim_rules,
-            memos: refs.memos,
+            dim_rules: owners.dim_rules,
+            memos: owners.memos,
             scalar_ops,
             coords: Vec::new(),
             executors: Vec::new(),
@@ -859,25 +850,8 @@ impl<'s> SpmdExec<'s> {
                 let mut best_acc = self.mems[pids[0]].scalar(op.acc);
                 let mut best_loc = op.loc.map(|lv| self.mems[pids[0]].scalar(lv));
                 for &q in &pids[1..] {
-                    let v = self.mems[q].scalar(op.acc);
-                    match op.op {
-                        RedOp::Sum => best_acc = eval_binop(hpf_ir::BinOp::Add, best_acc, v)?,
-                        RedOp::Prod => best_acc = eval_binop(hpf_ir::BinOp::Mul, best_acc, v)?,
-                        RedOp::Max => {
-                            best_acc =
-                                eval_intrinsic(hpf_ir::Intrinsic::Max, &[best_acc, v])?
-                        }
-                        RedOp::Min => {
-                            best_acc =
-                                eval_intrinsic(hpf_ir::Intrinsic::Min, &[best_acc, v])?
-                        }
-                        RedOp::MaxLoc => {
-                            let gt = eval_binop(hpf_ir::BinOp::Gt, v, best_acc)?.as_bool()?;
-                            if gt {
-                                best_acc = v;
-                                best_loc = op.loc.map(|lv| self.mems[q].scalar(lv));
-                            }
-                        }
+                    if fold(op.op, &mut best_acc, self.mems[q].scalar(op.acc))? {
+                        best_loc = op.loc.map(|lv| self.mems[q].scalar(lv));
                     }
                 }
                 for &q in &pids {
@@ -971,12 +945,8 @@ impl<'s> SpmdExec<'s> {
         reader: usize,
     ) -> Result<usize, Fault> {
         if let Some(m) = own.memo {
-            let (m, mem) = (&self.memos[m as usize], &self.mems[reader]);
-            if let Some((r, src)) = m.found {
-                let same = |(&v, &x): (&VarId, &Value)| mem.scalar(v) == x;
-                if (own.pinned || r == reader) && m.reads.iter().zip(&m.vals).all(same) {
-                    return Ok(src);
-                }
+            if let Some(src) = self.memos[m as usize].hit(&self.mems[reader], reader, own.pinned) {
+                return Ok(src);
             }
         }
         let base = self.owner_coords(code, st, own, reader)?;
@@ -984,10 +954,7 @@ impl<'s> SpmdExec<'s> {
         let src = self.grid.resolve_with(reader, |d| coords[d]);
         self.coords.truncate(base);
         if let Some(m) = own.memo {
-            let (m, mem) = (&mut self.memos[m as usize], &self.mems[reader]);
-            m.vals.clear();
-            m.vals.extend(m.reads.iter().map(|&v| mem.scalar(v)));
-            m.found = Some((reader, src));
+            self.memos[m as usize].remember(&self.mems[reader], reader, src);
         }
         Ok(src)
     }
@@ -1080,6 +1047,55 @@ fn env(loops: &[(VarId, i64)], mem: &Memory, exits: &[VarId]) -> Env {
         }
     }
     env
+}
+
+/// The owner references of a program, their subscripts compiled into the
+/// code `cc` builds.
+pub(crate) struct OwnerTables {
+    /// By `StmtId`: the guard's owner reference, `None` for every pid.
+    pub(crate) guards: Vec<Option<OwnerRef>>,
+    /// By `VarId`: the owner of an aligned or reduction scalar's target,
+    /// `None` for a scalar read from the reader's own copy.
+    pub(crate) scalar_owner: Vec<Option<OwnerRef>>,
+    /// Flat storage of every [`OwnerRef`]'s per-dimension rules.
+    pub(crate) dim_rules: Vec<DimRule>,
+    pub(crate) memos: Vec<Memo>,
+}
+
+pub(crate) fn owner_tables<'s>(sp: &'s SpmdProgram, cc: &mut Compiler<'s>) -> OwnerTables {
+    let p = &sp.program;
+    let mut refs = OwnerRefs {
+        sp,
+        dim_rules: Vec::new(),
+        memoized: Vec::new(),
+        memos: Vec::new(),
+    };
+    let guards = (0..p.num_stmts())
+        .map(|s| {
+            let s = StmtId(s as u32);
+            match sp.guard(s) {
+                Guard::Everyone | Guard::Union => None,
+                Guard::OwnerOf { r, free_dims } => Some(refs.get(cc, Ctx::of(s), r, free_dims)),
+            }
+        })
+        .collect();
+    let scalar_owner = (0..p.vars.len())
+        .map(|v| match sp.scalar_mapping(VarId(v as u32)) {
+            ScalarMapping::Replicated | ScalarMapping::PrivateNoAlign => None,
+            ScalarMapping::Aligned { target, .. } => Some(refs.get(cc, Ctx::SHARED, target, &[])),
+            ScalarMapping::Reduction {
+                target,
+                reduce_dims,
+                ..
+            } => Some(refs.get(cc, Ctx::SHARED, target, reduce_dims)),
+        })
+        .collect();
+    OwnerTables {
+        guards,
+        scalar_owner,
+        dim_rules: refs.dim_rules,
+        memos: refs.memos,
+    }
 }
 
 /// Builds the executor's owner references.
@@ -1175,6 +1191,24 @@ impl<'s> OwnerRefs<'s> {
         }
         own
     }
+}
+
+/// Fold partial `v` into `best` under reduction `op`. Returns `true` when
+/// a MAXLOC partial wins, so its location replaces the best one.
+pub(crate) fn fold(op: RedOp, best: &mut Value, v: Value) -> Result<bool, InterpError> {
+    *best = match op {
+        RedOp::Sum => eval_binop(hpf_ir::BinOp::Add, *best, v)?,
+        RedOp::Prod => eval_binop(hpf_ir::BinOp::Mul, *best, v)?,
+        RedOp::Max => eval_intrinsic(hpf_ir::Intrinsic::Max, &[*best, v])?,
+        RedOp::Min => eval_intrinsic(hpf_ir::Intrinsic::Min, &[*best, v])?,
+        RedOp::MaxLoc => {
+            if !eval_binop(hpf_ir::BinOp::Gt, v, *best)?.as_bool()? {
+                return Ok(false);
+            }
+            v
+        }
+    };
+    Ok(op == RedOp::MaxLoc)
 }
 
 /// Run a lowered program and check its results element-by-element against

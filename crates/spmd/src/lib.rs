@@ -14,6 +14,10 @@
 //!   the socket driver ships to its worker processes;
 //! * [`env`](mod@env) — the loop bindings an executed statement records, kept
 //!   inline up to four deep;
+//! * [`node`] — rank-local node programs: each rank of the thread backend
+//!   runs the compiled code for itself, with sends and receives derived
+//!   from the placed communication operations, and [`node::engine`]
+//!   names the programs that still need the executor and replay;
 //! * [`runtime`] — a message-passing replay runtime over a pluggable
 //!   [`hpf_net::Transport`] (one thread per virtual processor on the
 //!   in-process channel backend; the socket backend runs the same
@@ -39,6 +43,7 @@ pub mod exec;
 pub mod guard;
 pub mod lower;
 pub mod metrics;
+pub mod node;
 pub mod runtime;
 
 pub use combine::{combine_messages, CombineStats};
@@ -52,6 +57,7 @@ pub use env::Env;
 pub use exec::{Event, Slot, Trace};
 pub use lower::{lower, CommData, CommOp, ReduceOp, Schedule, ScheduleOp, SpmdProgram};
 pub use metrics::{CommMetrics, RecoveryCounters};
+pub use node::{engine, Engine, Fallback};
 pub use runtime::{
     check_owner_slots, replay, replay_rank_segment, replay_traced, validate_replay,
     validate_replay_opts, validate_replay_traced, Replayed, ReplayStats,

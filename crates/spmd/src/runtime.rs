@@ -20,25 +20,32 @@
 //! transport: the threaded replay runs it once per rank over the whole
 //! event list, and the socket workers of `hpf-compile::netrun` run it in
 //! separate OS processes, one epoch at a time as the events arrive.
+//!
+//! On threads, [`validate_replay`] and its variants replay only the
+//! programs [`crate::node::engine`] keeps off node programs; every other
+//! program runs as [`crate::node`] programs, checked against the
+//! sequential interpreter.
 
 use crate::code::{self, Code, Fault, Load, Site, Stack, StmtCode};
 use crate::env::Env;
-use crate::exec::{Event, Slot, SpmdExec, Trace};
+use crate::exec::{fold, Event, Slot, SpmdExec, Trace};
 use crate::lower::SpmdProgram;
 use crate::metrics::CommMetrics;
 use hpf_analysis::RedOp;
-use hpf_ir::interp::{eval_binop, eval_intrinsic, InterpError, Memory};
+use hpf_ir::interp::{InterpError, Memory};
 use hpf_ir::{Program, Value, VarId};
 use hpf_net::{channel_group, Transport, WireMsg};
 use hpf_obs::{Body, BufTracer, CommKind};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use crate::node::{self, Engine};
+use std::sync::{Arc, Mutex};
 
 /// Statistics from a replay.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplayStats {
     /// Wire messages sent (a coalesced `SendVec` counts once).
     pub messages_sent: u64,
+    /// Events replayed; for node programs, the statement instances run
+    /// plus the messages sent and received.
     pub events: u64,
 }
 
@@ -57,6 +64,10 @@ pub struct Replayed {
     /// gracefully degraded to the in-process thread backend; the threaded
     /// runtime itself never sets this.
     pub degraded: bool,
+    /// The engine [`validate_replay_traced`] picked: node programs, or the
+    /// reference executor and a replay of its trace (with the reason).
+    /// `None` for a replay of a trace the caller recorded.
+    pub engine: Option<Engine>,
 }
 
 /// Replay one rank's recorded event list over a transport, mutating the
@@ -192,46 +203,81 @@ pub fn replay_traced(
     let total: Mutex<(ReplayStats, CommMetrics)> =
         Mutex::new((ReplayStats::default(), CommMetrics::new(nproc, sp.comms.len())));
     let timelines: Mutex<Vec<(usize, Vec<hpf_obs::TraceEvent>)>> = Mutex::new(Vec::new());
-    let results: Vec<Result<Memory, String>> = std::thread::scope(|scope| {
+    let joined: Vec<std::thread::Result<Result<Memory, String>>> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(nproc);
         for (pid, mut transport) in transports.into_iter().enumerate() {
             let events = &trace[pid];
             let init = &init;
             let total = &total;
             let timelines = &timelines;
-            handles.push(scope.spawn(move || {
+            let rank = std::thread::Builder::new().name(format!("rank {}", pid));
+            let spawned = rank.spawn_scoped(scope, move || {
                 let mut mem = Memory::zeroed(program);
                 init(&mut mem);
                 let mut obs = want_obs.then(|| BufTracer::for_rank(pid));
                 let res =
                     replay_rank_code(sp, code, events, &mut mem, &mut transport, obs.as_mut());
                 if let Some(o) = obs {
-                    timelines.lock().push((pid, o.into_events()));
+                    timelines.lock().unwrap().push((pid, o.into_events()));
                 }
                 let (s, m) = res?;
-                let mut t = total.lock();
+                let mut t = total.lock().unwrap();
                 t.0.messages_sent += s.messages_sent;
                 t.0.events += s.events;
                 t.1.merge(&m);
                 Ok(mem)
-            }));
+            });
+            handles.push(spawned.expect("spawn a rank thread"));
         }
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+        handles.into_iter().map(|h| h.join()).collect()
     });
+    let mems = join_ranks(joined)?;
 
-    let obs = want_obs.then(|| hpf_obs::Trace::from_ranks(timelines.into_inner()));
-    let mut mems = Vec::with_capacity(nproc);
-    for r in results {
-        mems.push(r?);
-    }
-    let (stats, metrics) = total.into_inner();
+    let timelines = timelines.into_inner().unwrap_or_else(|e| e.into_inner());
+    let obs = want_obs.then(|| hpf_obs::Trace::from_ranks(timelines));
+    let (stats, metrics) = total.into_inner().unwrap_or_else(|e| e.into_inner());
     Ok(Replayed {
         mems,
         stats,
         metrics,
         obs,
         degraded: false,
+        engine: None,
     })
+}
+
+/// The results of joined rank threads, in rank order, or the first
+/// failure: a rank that panicked is reported before the link errors its
+/// panic caused on its peers.
+pub(crate) fn join_ranks<T>(
+    joined: Vec<std::thread::Result<Result<T, String>>>,
+) -> Result<Vec<T>, String> {
+    let mut failed = None;
+    let mut outs = Vec::with_capacity(joined.len());
+    for (pid, r) in joined.into_iter().enumerate() {
+        match r {
+            Err(e) => return Err(format!("proc {}: panicked: {}", pid, panic_text(e))),
+            Ok(Err(e)) => {
+                failed.get_or_insert(e);
+            }
+            Ok(Ok(out)) => outs.push(out),
+        }
+    }
+    match failed {
+        Some(e) => Err(e),
+        None => Ok(outs),
+    }
+}
+
+/// A panic's message.
+pub(crate) fn panic_text(e: Box<dyn std::any::Any + Send>) -> String {
+    match e.downcast::<String>() {
+        Ok(s) => *s,
+        Err(e) => match e.downcast::<&'static str>() {
+            Ok(s) => (*s).to_string(),
+            Err(_) => "panicked".to_string(),
+        },
+    }
 }
 
 /// Memoised `SendVec` payload: (comm op, section slots, shared buffer).
@@ -262,7 +308,7 @@ struct RankWorker<'a, T: Transport> {
 
 /// Replay's operand reads: purely local — by construction every remote
 /// operand has already arrived via a Recv event.
-struct Local<'m>(&'m Memory);
+pub(crate) struct Local<'m>(pub(crate) &'m Memory);
 
 impl Load for Local<'_> {
     fn scalar(&mut self, _: &Code, _: &mut Stack, v: VarId) -> Result<Value, Fault> {
@@ -471,32 +517,8 @@ impl<'a, T: Transport> RankWorker<'a, T> {
                         .stack
                         .pop()
                         .ok_or_else(|| "combine stack underflow".to_string())?;
-                    match op {
-                        RedOp::Sum => {
-                            best = eval_binop(hpf_ir::BinOp::Add, best, v)
-                                .map_err(|e| e.to_string())?
-                        }
-                        RedOp::Prod => {
-                            best = eval_binop(hpf_ir::BinOp::Mul, best, v)
-                                .map_err(|e| e.to_string())?
-                        }
-                        RedOp::Max => {
-                            best = eval_intrinsic(hpf_ir::Intrinsic::Max, &[best, v])
-                                .map_err(|e| e.to_string())?
-                        }
-                        RedOp::Min => {
-                            best = eval_intrinsic(hpf_ir::Intrinsic::Min, &[best, v])
-                                .map_err(|e| e.to_string())?
-                        }
-                        RedOp::MaxLoc => {
-                            let gt = eval_binop(hpf_ir::BinOp::Gt, v, best)
-                                .and_then(|x| x.as_bool())
-                                .map_err(|e| e.to_string())?;
-                            if gt {
-                                best = v;
-                                best_loc = vl;
-                            }
-                        }
+                    if fold(*op, &mut best, v).map_err(|e| e.to_string())? {
+                        best_loc = vl;
                     }
                 }
                 self.mem.set_scalar(*acc, best);
@@ -552,11 +574,56 @@ pub fn check_owner_slots(
     mems: &[Memory],
     reference: &[Memory],
 ) -> Result<(), String> {
+    compare_owner_slots(sp, mems, false, |pid, v, off, got| {
+        let want = reference[pid].array(v).get(off);
+        (got == want).then_some(()).ok_or("diverged from reference")
+    })
+}
+
+/// Compare the owner slots of `mems` with the sequential interpreter's
+/// memory `seq`: bit for bit, or within the 1e-9 relative tolerance of
+/// [`crate::validate_against_sequential`] when a Sum or Prod reduction
+/// combines partials across ranks (it adds them in another order). Arrays
+/// with privatized dimensions are skipped: their contents after the loop
+/// are unspecified.
+fn check_against_interpreter(
+    sp: &SpmdProgram,
+    mems: &[Memory],
+    seq: &Memory,
+) -> Result<(), String> {
+    let tolerant = sp
+        .reduces
+        .iter()
+        .any(|r| !r.reduce_dims.is_empty() && matches!(r.op, RedOp::Sum | RedOp::Prod));
+    compare_owner_slots(sp, mems, true, |_, v, off, got| {
+        let want = seq.array(v).get(off);
+        let same = match (got, want) {
+            (Value::Real(g), Value::Real(w)) if tolerant => {
+                (g - w).abs() <= 1e-9 * (1.0 + w.abs())
+            }
+            (Value::Real(g), Value::Real(w)) => g.to_bits() == w.to_bits(),
+            _ => got == want,
+        };
+        same.then_some(()).ok_or("differs from the sequential interpreter")
+    })
+}
+
+/// Run `check(pid, array, offset, value)` on every owner slot of `mems`,
+/// skipping arrays with privatized dimensions when `skip_private`.
+fn compare_owner_slots(
+    sp: &SpmdProgram,
+    mems: &[Memory],
+    skip_private: bool,
+    check: impl Fn(usize, VarId, usize, Value) -> Result<(), &'static str>,
+) -> Result<(), String> {
     let grid = &sp.maps.grid;
     let mut idx = Vec::new();
     for (v, info) in sp.program.vars.arrays() {
         let shape = info.shape().unwrap();
         let mapping = sp.maps.of(v);
+        if skip_private && !mapping.private_dims().is_empty() {
+            continue;
+        }
         // Without replicated or privatized dimensions each element has
         // exactly one owner; otherwise a pid owns a copy exactly when the
         // element resolves to itself for that reader.
@@ -570,11 +637,11 @@ pub fn check_owner_slots(
                 } else {
                     pid == single
                 };
-                if owns && mems[pid].array(v).get(off) != reference[pid].array(v).get(off) {
-                    return Err(format!(
-                        "proc {} array {} diverged from reference at {:?}",
-                        pid, info.name, idx
-                    ));
+                if !owns {
+                    continue;
+                }
+                if let Err(what) = check(pid, v, off, mems[pid].array(v).get(off)) {
+                    return Err(format!("proc {} array {} {} at {:?}", pid, info.name, what, idx));
                 }
             }
         }
@@ -582,9 +649,8 @@ pub fn check_owner_slots(
     Ok(())
 }
 
-/// Record a trace with the reference executor, replay it on threads, and
-/// check that every processor's memory matches the reference. Returns the
-/// replay result (memories, stats, metrics).
+/// Run a lowered program on threads and check every processor's owner
+/// slots. Returns the run's memories, stats and metrics.
 pub fn validate_replay(
     sp: &SpmdProgram,
     init: impl Fn(&mut Memory) + Sync,
@@ -592,10 +658,9 @@ pub fn validate_replay(
     validate_replay_opts(sp, init, true)
 }
 
-/// [`validate_replay`] with explicit control over message vectorization in
-/// the recording executor: `vectorize = false` records per-element
-/// `Send`/`Recv` events only (the differential baseline for the coalesced
-/// schedule).
+/// [`validate_replay`] with explicit control over message vectorization:
+/// `vectorize = false` moves every remote element as its own message (the
+/// differential baseline for the coalesced schedule).
 pub fn validate_replay_opts(
     sp: &SpmdProgram,
     init: impl Fn(&mut Memory) + Sync,
@@ -605,22 +670,54 @@ pub fn validate_replay_opts(
 }
 
 /// [`validate_replay_opts`] with an optional merged observability trace of
-/// the threaded replay (`want_obs = true` fills [`Replayed::obs`]).
+/// the ranks (`want_obs = true` fills [`Replayed::obs`]).
+///
+/// The engine comes from [`node::engine`]. Node programs run on one thread
+/// per rank with the sequential interpreter on a thread beside them, and
+/// the ranks' owner slots are checked against the interpreter
+/// ([`check_against_interpreter`]). A program that falls back records a
+/// trace with the reference executor, replays it on threads and checks the
+/// owner slots against the executor's memories.
 pub fn validate_replay_traced(
     sp: &SpmdProgram,
     init: impl Fn(&mut Memory) + Sync,
     vectorize: bool,
     want_obs: bool,
 ) -> Result<Replayed, String> {
+    let why = match node::engine(sp) {
+        Engine::Node => {
+            let (ranks, seq) = std::thread::scope(|scope| {
+                let oracle = std::thread::Builder::new()
+                    .name("oracle".into())
+                    .spawn_scoped(scope, || hpf_ir::interp::run_program(&sp.program, &init))
+                    .expect("spawn the oracle thread");
+                let ranks = node::run(sp, &init, vectorize, want_obs);
+                (ranks, oracle.join())
+            });
+            let seq = match seq {
+                Ok(Ok((mem, _))) => mem,
+                Ok(Err(e)) => return ranks.and(Err(format!("sequential run failed: {}", e))),
+                Err(e) => {
+                    return Err(format!("sequential interpreter panicked: {}", panic_text(e)))
+                }
+            };
+            let ranks = ranks?;
+            check_against_interpreter(sp, &ranks.mems, &seq)
+                .map_err(|e| format!("threads vs interpreter: {}", e))?;
+            return Ok(ranks);
+        }
+        Engine::Replay(why) => why,
+    };
     let mut exec = SpmdExec::new(sp, &init).with_trace();
     if !vectorize {
         exec = exec.without_vectorization();
     }
     exec.run().map_err(|e| format!("reference run failed: {}", e))?;
     let trace = exec.trace.take().expect("trace recorded");
-    let replayed = replay_traced(sp, &trace, &init, want_obs)?;
+    let mut replayed = replay_traced(sp, &trace, &init, want_obs)?;
     check_owner_slots(sp, &replayed.mems, &exec.mems)
         .map_err(|e| format!("threads vs reference: {}", e))?;
+    replayed.engine = Some(Engine::Replay(why));
     Ok(replayed)
 }
 

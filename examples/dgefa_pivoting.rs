@@ -26,7 +26,9 @@ fn main() {
     }
 
     // Execute on the threaded runtime: one OS thread per virtual
-    // processor, values moving only through crossbeam channels.
+    // processor, values moving only through `std::sync::mpsc` channels.
+    // DGEFA's pivot search reads the matrix, so its ranks replay the
+    // reference executor's trace instead of running node programs.
     let a0 = dgefa::init_matrix(n);
     let a = compiled.spmd.program.vars.lookup("a").unwrap();
     let replayed = validate_replay(&compiled.spmd, move |m| {

@@ -132,12 +132,29 @@ for backend in thread socket; do
         echo "$out" >&2
         exit "$status"
     fi
-    echo "$out" | grep -q "backend $backend: replay on 4 worker .* matched" || {
+    echo "$out" | grep -q "backend $backend: .* on 4 worker .* matched" || {
         echo "FAIL: do_exit_value --backend $backend replay did not match the reference" >&2
         echo "$out" >&2
         exit 1
     }
 done
+
+echo "==> thread backend engine choice (node programs, or exec+replay with its reason)"
+# TOMCATV's ranks run their own node programs; DGEFA's pivot search reads
+# the matrix in an IF predicate, so it stays on the reference executor and
+# replay, and phpfc names that reason.
+out=$(./target/release/phpfc examples/hpf/tomcatv_small.hpf --backend thread 2>&1)
+echo "$out" | grep -qx 'engine: node programs' || {
+    echo "FAIL: TOMCATV on the thread backend did not run as node programs" >&2
+    echo "$out" >&2
+    exit 1
+}
+out=$(./target/release/phpfc examples/hpf/dgefa_small.hpf --backend thread 2>&1)
+echo "$out" | grep -q '^engine: exec+replay (IF .* reads an array element or a non-replicated scalar)$' || {
+    echo "FAIL: DGEFA on the thread backend did not name its exec+replay reason" >&2
+    echo "$out" >&2
+    exit 1
+}
 
 echo "==> chaos smoke (DGEFA small, worker killed mid-stream, rerun by a fresh cohort)"
 # Rank 1 dies at its 100th event, in the second of 11 epochs: the failed

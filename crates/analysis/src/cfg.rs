@@ -196,24 +196,6 @@ impl Cfg {
         self.back_edges.get(&l).map(|v| v.as_slice()).unwrap_or(&[])
     }
 
-    /// All back edges in the graph.
-    pub fn all_back_edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.back_edges.values().flatten().copied()
-    }
-
-    /// Successors of `n`, optionally suppressing a set of cut edges.
-    pub fn succs_filtered<'a>(
-        &'a self,
-        n: NodeId,
-        cut: &'a [(NodeId, NodeId)],
-    ) -> impl Iterator<Item = NodeId> + 'a {
-        self.nodes[n.index()]
-            .succs
-            .iter()
-            .copied()
-            .filter(move |&s| !cut.contains(&(n, s)))
-    }
-
     /// Reverse-postorder of nodes (good iteration order for forward
     /// dataflow).
     pub fn rpo(&self) -> Vec<NodeId> {

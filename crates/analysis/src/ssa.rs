@@ -31,8 +31,6 @@ pub struct Ssa {
     pub version: HashMap<StmtId, u32>,
     /// Pruned phi sites.
     pub phis: Vec<PhiSite>,
-    /// Dominance frontier of each node.
-    frontier: Vec<Vec<NodeId>>,
 }
 
 impl Ssa {
@@ -72,11 +70,7 @@ impl Ssa {
             }
         }
         phis.sort_by_key(|p| (p.node, p.var));
-        Ssa {
-            version,
-            phis,
-            frontier,
-        }
+        Ssa { version, phis }
     }
 
     /// SSA version of a definition site (1-based per variable).
@@ -87,10 +81,6 @@ impl Ssa {
     /// Phi sites for one variable.
     pub fn phis_of(&self, var: VarId) -> impl Iterator<Item = &PhiSite> {
         self.phis.iter().filter(move |p| p.var == var)
-    }
-
-    pub fn frontier_of(&self, n: NodeId) -> &[NodeId] {
-        &self.frontier[n.index()]
     }
 }
 

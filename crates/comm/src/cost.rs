@@ -8,10 +8,8 @@
 //! vs. vectorized communication, replication vs. privatization, 1-D vs.
 //! 2-D distributions) reproduce.
 
-use serde::{Deserialize, Serialize};
-
 /// Machine timing parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineParams {
     pub name: String,
     /// Per-message startup (seconds).
@@ -117,7 +115,7 @@ pub fn log2_ceil(p: usize) -> u32 {
 
 /// Aggregate cost/telemetry of a simulated run (per processor maxima are
 /// taken by the simulator; these are the totals it reports).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CostBreakdown {
     pub compute_s: f64,
     pub comm_s: f64,

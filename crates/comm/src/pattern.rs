@@ -107,10 +107,6 @@ pub enum CommPattern {
 }
 
 impl CommPattern {
-    pub fn is_local(self) -> bool {
-        self == CommPattern::Local
-    }
-
     /// Stable short name, used as the key of per-pattern metrics counters
     /// and in JSON reports.
     pub fn name(self) -> &'static str {

@@ -59,12 +59,12 @@ use hpf_net::frame::{Dec, Enc, FrameError, FrameKind, FrameReader, FrameWriter, 
 use hpf_net::socket::{
     backoff, connect_backoff, framed, NetListener, SocketConfig, SocketTransport,
 };
-use hpf_net::{FaultInjector, Transport};
+use hpf_net::FaultInjector;
 use hpf_obs::{Body, BufTracer, Trace, TraceEvent, Tracer};
 use hpf_spmd::metrics::{self, CommMetrics, RecoveryCounters};
 use hpf_spmd::{
     check_owner_slots, decode_events, encode_events, replay_rank_segment,
-    validate_replay_traced, Code, Event, ReplayStats, Replayed, SpmdExec, SpmdProgram,
+    validate_replay_traced, Code, Event, ReplayStats, Replayed, SpmdExec, SpmdProgram, Wire,
 };
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -1418,10 +1418,11 @@ fn compile_for(wire: &WireJob) -> Result<Compiled, String> {
     Ok(compiled)
 }
 
-/// Replay this rank under the job's fault plan. Comm events go to `obs`
-/// when the job is traced; the transport's fault events always do, on
-/// errors too, so a dead peer's faults (with the link's last acknowledged
-/// sequence number) still reach the parent.
+/// Replay this rank under the job's fault plan. The rank's [`Wire`]
+/// records comm events when the job is traced and the transport's fault
+/// events always, on errors too, so a dead peer's faults (with the link's
+/// last acknowledged sequence number) still reach the parent; its
+/// timeline replaces `obs`.
 fn run_rank_inner(
     wire: &WireJob,
     rank: usize,
@@ -1446,37 +1447,23 @@ fn run_rank_inner(
         // a closed link mid-replay, not a clean goodbye.
         std::process::abort();
     }
-    let mut stats = ReplayStats::default();
-    let mut metrics = CommMetrics::new(nproc, compiled.spmd.comms.len());
+    let mut endpoint = Wire::new(&compiled.spmd, transport, wire.job.trace);
     let code = Code::new(&compiled.spmd);
     let replayed = (|| {
         while let Some(events) = stream.next_epoch()? {
-            replay_rank_segment(
-                &compiled.spmd,
-                &code,
-                &events,
-                &mut mem,
-                &mut transport,
-                &mut stats,
-                &mut metrics,
-                wire.job.trace.then_some(&mut *obs),
-                |_| {
-                    if injector.as_ref().is_some_and(FaultInjector::note_event) {
-                        // The fault plan's kill: die as abruptly as a
-                        // real crash, mid-epoch, without a goodbye.
-                        std::process::abort();
-                    }
-                },
-            )?;
+            replay_rank_segment(&code, &events, &mut mem, &mut endpoint, |_| {
+                if injector.as_ref().is_some_and(FaultInjector::note_event) {
+                    // The fault plan's kill: die as abruptly as a real
+                    // crash, mid-epoch, without a goodbye.
+                    std::process::abort();
+                }
+            })?;
         }
-        transport
-            .finish()
-            .map_err(|e| format!("proc {}: teardown: {}", rank, e))
+        Ok(())
     })();
-    obs.absorb(transport.take_fault_events());
-    replayed?;
-    metrics.saw_in_flight(transport.peak_in_flight());
-    Ok((stats, metrics, mem))
+    let (res, timeline) = endpoint.finish(replayed.map(|()| mem));
+    *obs = timeline;
+    res
 }
 
 #[cfg(test)]

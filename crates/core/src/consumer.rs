@@ -136,41 +136,6 @@ fn refs_containing_var_all_local(
     true
 }
 
-/// Would the rhs array references of `stmt` need communication to reach the
-/// owner of the lhs reference? (`true` = all provably local.)
-pub fn rhs_refs_all_local(
-    p: &Program,
-    a: &Analysis<'_>,
-    maps: &MappingTable,
-    stmt: StmtId,
-) -> bool {
-    let Stmt::Assign { lhs, rhs } = p.stmt(stmt) else {
-        return false;
-    };
-    let dst: Option<SymbolicOwner> = match lhs {
-        LValue::Array(r) => {
-            symbolic_owner(p, &a.cfg, &a.dom, &a.induction, maps.of(r.array), stmt, r)
-        }
-        // Scalar lhs whose mapping is not yet known: be conservative and
-        // require replicated sources.
-        LValue::Scalar(_) => Some(SymbolicOwner::replicated(maps.grid.rank())),
-    };
-    let Some(dst) = dst else { return false };
-    for r in rhs.array_refs() {
-        let m = maps.of(r.array);
-        if m.is_fully_replicated() {
-            continue;
-        }
-        let Some(src) = symbolic_owner(p, &a.cfg, &a.dom, &a.induction, m, stmt, r) else {
-            return false;
-        };
-        if classify(&src, &dst) != CommPattern::Local {
-            return false;
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,12 +1,10 @@
 //! Multi-dimensional (virtual) processor grids.
 
-use serde::{Deserialize, Serialize};
-
 /// A processor grid: `dims[d]` processors along grid dimension `d`.
 /// Processors are identified both by linear id (`0..total()`) and by
 /// coordinate vector; the linearization is row-major on coordinates
 /// (last dimension fastest), matching HPF `PROCESSORS P(d1,d2)`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ProcGrid {
     dims: Vec<usize>,
 }

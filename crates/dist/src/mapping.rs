@@ -13,12 +13,11 @@
 
 use crate::grid::ProcGrid;
 use hpf_ir::{DistFormat, Program, VarId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Rule deriving the processor coordinate of one grid dimension from an
 /// array element index.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GridDimRule {
     /// Coordinate = distribution owner of template position
     /// `stride * index[array_dim] + offset`, where the template dimension
@@ -141,7 +140,7 @@ pub fn block_range(extent: i64, nprocs: usize, coord: usize) -> (i64, i64) {
 }
 
 /// The complete mapping of one array.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArrayMapping {
     pub array: VarId,
     /// One rule per grid dimension.

@@ -7,13 +7,12 @@
 
 use crate::expr::{BinOp, Expr, UnOp};
 use crate::program::VarId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// An affine integer form: constant plus integer-coefficient terms over
 /// variables. Terms with zero coefficient are never stored.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Affine {
     pub c0: i64,
     pub terms: BTreeMap<VarId, i64>,

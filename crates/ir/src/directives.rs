@@ -9,11 +9,10 @@
 
 use crate::program::VarId;
 use crate::stmt::StmtId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// `!HPF$ PROCESSORS P(d1, d2, ...)` — the (virtual) processor grid.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProcGridDecl {
     pub name: String,
     pub dims: Vec<usize>,
@@ -38,7 +37,7 @@ impl ProcGridDecl {
 }
 
 /// Per-array-dimension distribution format.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DistFormat {
     /// `BLOCK` — contiguous equal chunks.
     Block,
@@ -59,14 +58,14 @@ impl DistFormat {
 /// `!HPF$ DISTRIBUTE (f1, ..., fk) :: A` — distribution of an array's
 /// dimensions over the processor grid. Distributed dimensions are assigned
 /// to grid dimensions in order of appearance.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistributeDirective {
     pub array: VarId,
     pub formats: Vec<DistFormat>,
 }
 
 /// One dimension of an `ALIGN` directive's target reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlignDim {
     /// Target dimension tracks alignee dimension `alignee_dim` as
     /// `stride * i + offset`.
@@ -84,7 +83,7 @@ pub enum AlignDim {
 
 /// `!HPF$ ALIGN B(i) WITH A(i, *)` — alignment of `alignee` with `target`.
 /// `dims[d]` describes target dimension `d`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AlignDirective {
     pub alignee: VarId,
     pub target: VarId,
@@ -109,7 +108,7 @@ impl AlignDirective {
 }
 
 /// Parallel-loop assertion attached to a `DO` statement.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IndependentInfo {
     /// `INDEPENDENT` was asserted.
     pub independent: bool,
@@ -122,7 +121,7 @@ pub struct IndependentInfo {
 }
 
 /// All directives of a program.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Directives {
     pub grid: Option<ProcGridDecl>,
     pub distributes: Vec<DistributeDirective>,

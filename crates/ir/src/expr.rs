@@ -2,11 +2,10 @@
 //! intrinsics.
 
 use crate::program::VarId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Binary operators. Comparison operators yield `LOGICAL` values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     Add,
     Sub,
@@ -56,14 +55,14 @@ impl BinOp {
 }
 
 /// Unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnOp {
     Neg,
     Not,
 }
 
 /// Intrinsic functions appearing in the benchmark kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Intrinsic {
     Abs,
     Sqrt,
@@ -110,7 +109,7 @@ impl Intrinsic {
 }
 
 /// An array element reference `A(s1, ..., sk)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArrayRef {
     pub array: VarId,
     pub subs: Vec<Expr>,
@@ -127,7 +126,7 @@ impl ArrayRef {
 }
 
 /// An expression tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     IntLit(i64),
     RealLit(f64),
@@ -188,14 +187,6 @@ impl Expr {
     pub fn cmp(self, op: BinOp, rhs: Expr) -> Expr {
         debug_assert!(op.is_comparison() || op.is_logical());
         Expr::Binary(op, Box::new(self), Box::new(rhs))
-    }
-
-    /// True for expressions with no sub-expressions.
-    pub fn is_leaf(&self) -> bool {
-        matches!(
-            self,
-            Expr::IntLit(_) | Expr::RealLit(_) | Expr::BoolLit(_) | Expr::Scalar(_)
-        )
     }
 
     /// If this is an integer literal, its value.

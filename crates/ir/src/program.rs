@@ -4,11 +4,10 @@
 use crate::directives::Directives;
 use crate::stmt::{Label, Stmt, StmtId, StmtNode};
 use crate::types::{VarInfo, VarKind};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Index of a variable in the [`VarTable`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VarId(pub u32);
 
 impl VarId {
@@ -18,7 +17,7 @@ impl VarId {
 }
 
 /// Interned table of declared variables.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct VarTable {
     vars: Vec<VarInfo>,
     by_name: HashMap<String, VarId>,
@@ -81,7 +80,7 @@ impl VarTable {
 
 /// A whole program: declarations, HPF directives, and a statement arena
 /// whose roots are `body`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Program {
     pub vars: VarTable,
     pub directives: Directives,

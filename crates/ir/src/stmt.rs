@@ -2,10 +2,9 @@
 
 use crate::expr::{ArrayRef, Expr};
 use crate::program::VarId;
-use serde::{Deserialize, Serialize};
 
 /// Index of a statement in the [`crate::Program`] arena.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StmtId(pub u32);
 
 impl StmtId {
@@ -15,11 +14,11 @@ impl StmtId {
 }
 
 /// A Fortran numeric statement label (target of `GOTO`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Label(pub u32);
 
 /// Left-hand side of an assignment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LValue {
     Scalar(VarId),
     Array(ArrayRef),
@@ -47,7 +46,7 @@ impl LValue {
 
 /// Statement kinds. Block-structured statements hold the [`StmtId`]s of
 /// their children; the arena in [`crate::Program`] owns all nodes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Stmt {
     /// `lhs = rhs`
     Assign { lhs: LValue, rhs: Expr },
@@ -78,10 +77,6 @@ impl Stmt {
 
     pub fn is_loop(&self) -> bool {
         matches!(self, Stmt::Do { .. })
-    }
-
-    pub fn is_control(&self) -> bool {
-        matches!(self, Stmt::If { .. } | Stmt::Goto(_))
     }
 
     /// Child statement blocks, in order.
@@ -128,7 +123,7 @@ impl Stmt {
 
 /// An arena node: a statement plus its optional label and its parent link
 /// (filled in by [`crate::Program::rebuild_topology`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StmtNode {
     pub stmt: Stmt,
     pub label: Option<Label>,

@@ -1,12 +1,10 @@
 //! Variable types and shapes.
 
-use serde::{Deserialize, Serialize};
-
 /// The elemental type of a scalar or of an array's elements.
 ///
 /// The paper's programs only need Fortran `INTEGER`, `REAL` (we use f64
 /// precision, matching `REAL*8` in the benchmark codes) and `LOGICAL`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScalarTy {
     Int,
     Real,
@@ -36,7 +34,7 @@ impl ScalarTy {
 
 /// Declared shape of an array: per-dimension inclusive bounds
 /// `lo(d)..=hi(d)`, Fortran-style (default lower bound 1).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ArrayShape {
     pub dims: Vec<(i64, i64)>,
 }
@@ -118,14 +116,14 @@ impl ArrayShape {
 }
 
 /// Whether a variable is a scalar or an array.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum VarKind {
     Scalar,
     Array(ArrayShape),
 }
 
 /// A declared variable: name, elemental type and kind.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VarInfo {
     pub name: String,
     pub ty: ScalarTy,

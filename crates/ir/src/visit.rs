@@ -1,7 +1,7 @@
 //! Program walkers used by the analyses: enumerate statements with their
 //! reads/writes, collect references per variable, etc.
 
-use crate::expr::{ArrayRef, Expr};
+use crate::expr::Expr;
 use crate::program::{Program, VarId};
 use crate::stmt::{LValue, Stmt, StmtId};
 
@@ -87,31 +87,6 @@ pub fn collect_stmt_scalar_reads(st: &Stmt, id: StmtId, out: &mut Vec<ScalarRead
         }
         Stmt::If { cond, .. } => collect_expr(cond, id, ReadCtx::Condition, out),
         Stmt::Goto(_) | Stmt::Continue => {}
-    }
-}
-
-/// All array references read by a statement (RHS and condition positions),
-/// excluding the LHS reference.
-pub fn rhs_array_refs(st: &Stmt) -> Vec<&ArrayRef> {
-    let mut out = Vec::new();
-    for e in st.read_exprs_rhs_only() {
-        for r in e.array_refs() {
-            out.push(r);
-        }
-    }
-    out
-}
-
-impl Stmt {
-    /// The read expressions excluding LHS subscripts (those are reads too,
-    /// but they belong to the LHS reference for comm purposes).
-    pub fn read_exprs_rhs_only(&self) -> Vec<&Expr> {
-        match self {
-            Stmt::Assign { rhs, .. } => vec![rhs],
-            Stmt::Do { lo, hi, step, .. } => vec![lo, hi, step],
-            Stmt::If { cond, .. } => vec![cond],
-            Stmt::Goto(_) | Stmt::Continue => vec![],
-        }
     }
 }
 

@@ -18,11 +18,12 @@ use crate::env::Env;
 use crate::guard::Guard;
 use crate::lower::SpmdProgram;
 use crate::metrics::CommMetrics;
+use crate::wire::{comm_event, slot_bytes};
 use hpf_analysis::RedOp;
 use hpf_dist::{dist_owner, ArrayMapping, GridDimRule, ProcGrid};
 use hpf_ir::interp::{eval_binop, eval_intrinsic, ArrayStore, InterpError, Memory};
 use hpf_ir::{ArrayRef, DistFormat, Label, Stmt, StmtId, Value, VarId};
-use hpf_obs::{Body, BufTracer, CommKind};
+use hpf_obs::{BufTracer, CommKind};
 use phpf_core::ScalarMapping;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -366,18 +367,7 @@ impl<'s> SpmdExec<'s> {
         let Some(obs) = &mut self.obs else {
             return (None, None);
         };
-        let mk = |kind: CommKind| Body::Comm {
-            kind,
-            from: src,
-            to: dst,
-            op,
-            pattern: pattern.to_string(),
-            level,
-            stmt_level,
-            place: hpf_comm::placement_tag(level, stmt_level),
-            elems,
-            seq: None,
-        };
+        let mk = |kind| comm_event(kind, (src, dst), op, pattern, (level, stmt_level), elems, None);
         let s = obs[src].push(mk(send_kind));
         let r = obs[dst].push(mk(recv_kind));
         (Some(s), Some(r))
@@ -780,8 +770,8 @@ impl<'s> SpmdExec<'s> {
                 // the leader, which folds and broadcasts the result back.
                 {
                     let leader = pids[0];
-                    let acc_bytes = self.p().vars.info(op.acc).ty.byte_size() as u64;
-                    let loc_bytes = op.loc.map(|lv| self.p().vars.info(lv).ty.byte_size() as u64);
+                    let acc_bytes = slot_bytes(self.p(), Slot::Scalar(op.acc));
+                    let loc_bytes = op.loc.map(|lv| slot_bytes(self.p(), Slot::Scalar(lv)));
                     for &q in &pids[1..] {
                         for (a, b) in [(q, leader), (leader, q)] {
                             self.metrics
@@ -974,7 +964,7 @@ impl<'s> SpmdExec<'s> {
         };
         let src = self.owner_pid(code, st, own, q)?;
         if src != q {
-            let bytes = self.p().vars.info(v).ty.byte_size() as u64;
+            let bytes = slot_bytes(self.p(), Slot::Scalar(v));
             let op = self.cur_stmt.and_then(|s| {
                 self.scalar_ops[s.index()]
                     .iter()
@@ -992,8 +982,8 @@ impl<'s> SpmdExec<'s> {
         let src = mapping.owner_pid(&self.grid, idx, q);
         if src != q {
             let op = code.site_op(site, self.cur_stmt);
-            let bytes = self.p().vars.info(site.array).ty.byte_size() as u64;
-            self.fetch(op, src, q, Slot::Elem(site.array, off), bytes);
+            let slot = Slot::Elem(site.array, off);
+            self.fetch(op, src, q, slot, slot_bytes(self.p(), slot));
         }
         self.mems[src].array(site.array).get(off)
     }
@@ -1211,45 +1201,23 @@ pub(crate) fn fold(op: RedOp, best: &mut Value, v: Value) -> Result<bool, Interp
     Ok(op == RedOp::MaxLoc)
 }
 
-/// Run a lowered program and check its results element-by-element against
-/// the sequential interpreter. Arrays whose mapping contains privatized
-/// dimensions are skipped (their post-loop contents are unspecified, per
-/// HPF `NEW` semantics). Returns the executor stats on success.
+/// Run a lowered program and check every owner slot against the
+/// sequential interpreter ([`crate::runtime::check_against_interpreter`]:
+/// bit for bit, unless a Sum or Prod reduction combines partials across
+/// ranks). Arrays whose mapping contains privatized dimensions are
+/// skipped (their post-loop contents are unspecified, per HPF `NEW`
+/// semantics). Returns the executor stats on success.
 pub fn validate_against_sequential(
     sp: &SpmdProgram,
     init: impl Fn(&mut Memory),
 ) -> Result<ExecStats, String> {
-    // Sequential golden run.
     let (seq_mem, _) = hpf_ir::interp::run_program(&sp.program, |m| init(m))
         .map_err(|e| format!("sequential run failed: {}", e))?;
-    // SPMD run.
     let mut exec = SpmdExec::new(sp, init);
     let stats = exec.run().map_err(|e| format!("spmd run failed: {}", e))?;
-    // Compare arrays.
-    for (v, info) in sp.program.vars.arrays() {
-        let mapping = sp.maps.of(v);
-        if !mapping.private_dims().is_empty() {
-            continue;
-        }
-        let got = exec.gather_array(v);
-        let want = seq_mem.array(v);
-        if !stores_close(&got, want) {
-            return Err(format!("array {} diverged from sequential", info.name));
-        }
-    }
+    crate::runtime::check_against_interpreter(sp, &exec.mems, &seq_mem)
+        .map_err(|e| format!("executor vs interpreter: {}", e))?;
     Ok(stats)
-}
-
-fn stores_close(a: &ArrayStore, b: &ArrayStore) -> bool {
-    match (a, b) {
-        (ArrayStore::Real(x), ArrayStore::Real(y)) => x
-            .iter()
-            .zip(y)
-            .all(|(u, v)| (u - v).abs() <= 1e-9 * (1.0 + v.abs())),
-        (ArrayStore::Int(x), ArrayStore::Int(y)) => x == y,
-        (ArrayStore::Bool(x), ArrayStore::Bool(y)) => x == y,
-        _ => false,
-    }
 }
 
 #[cfg(test)]

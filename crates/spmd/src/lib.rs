@@ -23,6 +23,9 @@
 //!   in-process channel backend; the socket backend runs the same
 //!   per-rank engine in separate OS processes) that replays the compiled
 //!   communication schedule and revalidates it;
+//! * [`wire`] — one rank's end of the wire, which the replay and the node
+//!   programs share: sends and receives of one value or one section with
+//!   their wire metrics and timeline events, and the rank's teardown;
 //! * [`costsim`] — the analytic SP2 performance model that regenerates
 //!   the paper's tables;
 //! * [`combine`] — global message combining across loop nests (the
@@ -45,6 +48,7 @@ pub mod lower;
 pub mod metrics;
 pub mod node;
 pub mod runtime;
+pub mod wire;
 
 pub use combine::{combine_messages, CombineStats};
 pub use costsim::{estimate, CostReport};
@@ -62,3 +66,4 @@ pub use runtime::{
     check_owner_slots, replay, replay_rank_segment, replay_traced, validate_replay,
     validate_replay_opts, validate_replay_traced, Replayed, ReplayStats,
 };
+pub use wire::Wire;

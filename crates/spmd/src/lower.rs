@@ -130,15 +130,6 @@ impl Schedule {
     pub fn hoisted_count(&self) -> usize {
         self.ops.iter().filter(|o| o.hoisted()).count()
     }
-
-    /// The operation satisfying a fetch of `data` issued by `stmt`,
-    /// looking through merges.
-    pub fn op_for(&self, stmt: StmtId, data: &CommData) -> Option<&ScheduleOp> {
-        self.ops.iter().find(|o| {
-            (o.stmt == stmt && &o.data == data)
-                || o.merged.iter().any(|(s, d)| *s == stmt && d == data)
-        })
-    }
 }
 
 /// The lowered SPMD program.

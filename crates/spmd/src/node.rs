@@ -32,23 +32,23 @@
 //!   over messages, folding in the executor's order.
 //!
 //! Every rank therefore sends exactly the messages the reference executor
-//! records, in the same order per rank, so [`CommMetrics`] and the
-//! per-rank timelines equal those of a trace replay. Programs whose
-//! control flow, guards or subscripts depend on data another rank owns
-//! (GOTOs, data-dependent IFs and DO bounds, DGEFA's pivot search) keep
-//! the reference executor and replay: [`engine`] says which engine runs a
-//! program and why.
+//! records, in the same order per rank, through the same [`Wire`], so the
+//! wire metrics and the per-rank timelines equal those of a trace replay.
+//! Programs whose control flow, guards or subscripts depend on data
+//! another rank owns (GOTOs, data-dependent IFs and DO bounds, DGEFA's
+//! pivot search) keep the reference executor and replay: [`engine`] says
+//! which engine runs a program and why.
 
 use crate::code::{Code, Compiler, Fault, Load, Read, Stack, StmtCode};
 use crate::exec::{fold, owner_tables, DimRule, Memo, OwnerRef, OwnerTables, Slot};
 use crate::lower::SpmdProgram;
-use crate::metrics::CommMetrics;
-use crate::runtime::{join_ranks, Local, ReplayStats, Replayed};
+use crate::runtime::{run_ranks, Local, Replayed};
+use crate::wire::{self, Wire};
 use hpf_dist::{dist_owner, shrink_bounds, ArrayMapping, GridDimRule, IterSet, ProcGrid};
 use hpf_ir::interp::{InterpError, Memory};
 use hpf_ir::{Affine, ArrayRef, DistFormat, Expr, LValue, Program, Stmt, StmtId, Value, VarId};
-use hpf_net::{channel_group, Transport, WireMsg};
-use hpf_obs::{Body, BufTracer, CommKind};
+use hpf_net::Transport;
+use hpf_obs::CommKind;
 use phpf_core::ScalarMapping;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -777,19 +777,11 @@ struct Inbound {
     seen: HashSet<Slot>,
 }
 
-/// What one rank hands back.
-struct RankOut {
-    mem: Memory,
-    stats: ReplayStats,
-    metrics: CommMetrics,
-    obs: Option<BufTracer>,
-}
-
 /// The same bound as the reference executor's.
 const STEP_LIMIT: u64 = 2_000_000_000;
 
 /// One rank's node program.
-struct Rank<'a, T: Transport> {
+struct Rank<'a, 'w, T: Transport> {
     plan: &'a Plan<'a>,
     p: &'a Program,
     grid: &'a ProcGrid,
@@ -797,7 +789,7 @@ struct Rank<'a, T: Transport> {
     /// This rank's grid coordinates.
     coords_me: Vec<usize>,
     mem: Memory,
-    transport: T,
+    wire: &'w mut Wire<'a, T>,
     vectorize: bool,
     /// Enclosing loops of the statement being run.
     depth: usize,
@@ -808,9 +800,6 @@ struct Rank<'a, T: Transport> {
     outbox: HashMap<(usize, usize), Outbound>,
     /// Sections received, by (op, owner).
     inbox: HashMap<(usize, usize), Inbound>,
-    stats: ReplayStats,
-    metrics: CommMetrics,
-    obs: Option<BufTracer>,
     /// The transport error behind the last `comm_fault()`.
     comm_err: Option<String>,
     /// This rank's copies of the owner references' memos.
@@ -829,36 +818,30 @@ fn comm_fault() -> Fault {
     Box::new(InterpError::TypeError("communication failed".into()))
 }
 
-impl<'a, T: Transport> Rank<'a, T> {
+impl<'a, T: Transport> Rank<'a, '_, T> {
     /// Run the node program.
-    fn run(mut self) -> Result<RankOut, String> {
+    fn run(mut self) -> Result<Memory, String> {
         let body = &self.p.body;
-        let mut res = self.block(body).and_then(|()| self.close(0));
-        if res.is_ok() {
-            if let Err(e) = self.transport.finish() {
-                self.comm_err = Some(format!("teardown: {}", e));
-                res = Err(comm_fault());
-            }
-        }
-        if let Some(o) = &mut self.obs {
-            o.absorb(self.transport.take_fault_events());
-        }
-        if let Err(e) = res {
+        if let Err(e) = self.block(body).and_then(|()| self.close(0)) {
             let msg = self.comm_err.take().unwrap_or_else(|| e.to_string());
             return Err(format!("proc {}: {}", self.pid, msg));
         }
-        self.metrics.saw_in_flight(self.transport.peak_in_flight());
-        Ok(RankOut {
-            mem: self.mem,
-            stats: self.stats,
-            metrics: self.metrics,
-            obs: self.obs,
-        })
+        Ok(self.mem)
     }
 
     fn fail(&mut self, msg: String) -> Fault {
         self.comm_err = Some(msg);
         comm_fault()
+    }
+
+    /// One message over the wire: it counts as an event, and its error
+    /// fails the rank.
+    fn message<R>(
+        &mut self,
+        op: impl FnOnce(&mut Wire<'a, T>, &Memory) -> Result<R, String>,
+    ) -> Result<R, Fault> {
+        self.wire.count_event();
+        op(self.wire, &self.mem).map_err(|e| self.fail(e))
     }
 
     fn block(&mut self, block: &'a [StmtId]) -> Result<(), Fault> {
@@ -890,7 +873,7 @@ impl<'a, T: Transport> Rank<'a, T> {
                 for &q in &pids {
                     self.cur = s;
                     if q == self.pid {
-                        self.stats.events += 1;
+                        self.wire.count_event();
                         let mut st = std::mem::take(&mut self.st);
                         let res = code.assign(s, self, &mut st);
                         self.st = st;
@@ -1184,27 +1167,12 @@ impl<'a, T: Transport> Rank<'a, T> {
                 }
                 out.sent = true;
                 let slots = std::mem::take(&mut out.slots);
-                let vals: Arc<Vec<Value>> = Arc::new(slots.iter().map(|&x| self.load(x)).collect());
-                let pattern = plan.sp.comms[i].pattern.name();
-                self.metrics.note_message(pattern, Some(i), self.pid, q, 0);
-                for &x in &slots {
-                    let b = self.slot_bytes(x);
-                    self.metrics.note_payload(pattern, i, self.pid, q, b);
-                }
-                self.send(q, &WireMsg::Many(vals), || {
-                    format!("section send (op {}) to {}", i, q)
+                self.message(|w, mem| {
+                    let vals = slots.iter().map(|&x| wire::load(mem, x)).collect();
+                    w.send_section(q, i, &slots, Arc::new(vals))
                 })?;
-                let seq = self.transport.link_seq(q);
-                self.obs_comm(
-                    CommKind::SendVec,
-                    (self.pid, q),
-                    Some(i),
-                    pattern,
-                    slots.len() as u64,
-                    seq,
-                );
             } else {
-                self.send_one(q, slot)?;
+                self.message(|w, mem| w.send_one(mem, q, slot))?;
             }
         }
         Ok(())
@@ -1359,23 +1327,7 @@ impl<'a, T: Transport> Rank<'a, T> {
         if self.vectorize && plan.hoisted(op) {
             let i = op.unwrap();
             if !self.inbox.contains_key(&(i, src)) {
-                let vals =
-                    match self.recv(src, || format!("section recv (op {}) from {}", i, src))? {
-                        WireMsg::Many(v) => v,
-                        WireMsg::One(_) => {
-                            return Err(self
-                                .fail("expected a coalesced section, got a single value".into()))
-                        }
-                    };
-                let pattern = plan.sp.comms[i].pattern.name();
-                self.obs_comm(
-                    CommKind::RecvVec,
-                    (src, self.pid),
-                    Some(i),
-                    pattern,
-                    vals.len() as u64,
-                    None,
-                );
+                let vals = self.message(|w, _| w.recv_section(src, i, None))?;
                 self.opened(i);
                 self.inbox.insert(
                     (i, src),
@@ -1396,13 +1348,13 @@ impl<'a, T: Transport> Rank<'a, T> {
                     )));
                 };
                 inb.next += 1;
-                self.store_slot(slot, v)?;
+                wire::store(self.p, &mut self.mem, slot, v)?;
             }
         } else {
-            let v = self.recv_one(src, CommKind::Recv, crate::metrics::ELEMENT)?;
-            self.store_slot(slot, v)?;
+            let v = self.message(|w, _| w.recv_one(src, CommKind::Recv))?;
+            wire::store(self.p, &mut self.mem, slot, v)?;
         }
-        Ok(self.load(slot))
+        Ok(wire::load(&self.mem, slot))
     }
 
     /// Combine the reductions of loop `l` across ranks at its exit: the
@@ -1424,11 +1376,11 @@ impl<'a, T: Transport> Rank<'a, T> {
             let vars: Vec<VarId> = std::iter::once(op.acc).chain(op.loc).collect();
             if self.pid != leader {
                 for &v in &vars {
-                    self.send_one(leader, Slot::Scalar(v))?;
+                    self.message(|w, mem| w.send_one(mem, leader, Slot::Scalar(v)))?;
                 }
                 for &v in &vars {
-                    let x = self.recv_one(leader, CommKind::Recv, crate::metrics::ELEMENT)?;
-                    self.store_slot(Slot::Scalar(v), x)?;
+                    let x = self.message(|w, _| w.recv_one(leader, CommKind::Recv))?;
+                    wire::store(self.p, &mut self.mem, Slot::Scalar(v), x)?;
                 }
                 continue;
             }
@@ -1436,7 +1388,7 @@ impl<'a, T: Transport> Rank<'a, T> {
             for &q in &members[1..] {
                 let mut got = Vec::with_capacity(vars.len());
                 for _ in &vars {
-                    got.push(self.recv_one(q, CommKind::Reduce, crate::metrics::REDUCE)?);
+                    got.push(self.message(|w, _| w.recv_one(q, CommKind::Reduce))?);
                 }
                 partials.push(got);
             }
@@ -1453,121 +1405,9 @@ impl<'a, T: Transport> Rank<'a, T> {
             }
             for &q in &members[1..] {
                 for &v in &vars {
-                    self.send_one(q, Slot::Scalar(v))?;
+                    self.message(|w, mem| w.send_one(mem, q, Slot::Scalar(v)))?;
                 }
             }
-        }
-        Ok(())
-    }
-
-    /// Send the value of `slot` to `to` as one message.
-    fn send_one(&mut self, to: usize, slot: Slot) -> Result<(), Fault> {
-        let v = self.load(slot);
-        self.send(to, &WireMsg::One(v), || format!("element send to {}", to))?;
-        let bytes = self.slot_bytes(slot);
-        self.metrics
-            .note_message(crate::metrics::ELEMENT, None, self.pid, to, bytes);
-        let seq = self.transport.link_seq(to);
-        self.obs_comm(
-            CommKind::Send,
-            (self.pid, to),
-            None,
-            crate::metrics::ELEMENT,
-            1,
-            seq,
-        );
-        Ok(())
-    }
-
-    fn send(
-        &mut self,
-        to: usize,
-        msg: &WireMsg,
-        what: impl FnOnce() -> String,
-    ) -> Result<(), Fault> {
-        if let Err(e) = self.transport.send(to, msg) {
-            return Err(self.fail(format!("{}: {}", what(), e)));
-        }
-        self.stats.messages_sent += 1;
-        self.stats.events += 1;
-        Ok(())
-    }
-
-    fn recv(&mut self, from: usize, what: impl FnOnce() -> String) -> Result<WireMsg, Fault> {
-        self.stats.events += 1;
-        match self.transport.recv(from) {
-            Ok(m) => Ok(m),
-            Err(e) => Err(self.fail(format!("{}: {}", what(), e))),
-        }
-    }
-
-    /// Receive one value from `from`, recorded as a `kind` event.
-    fn recv_one(&mut self, from: usize, kind: CommKind, pattern: &str) -> Result<Value, Fault> {
-        match self.recv(from, || format!("recv from {}", from))? {
-            WireMsg::One(v) => {
-                self.obs_comm(kind, (from, self.pid), None, pattern, 1, None);
-                Ok(v)
-            }
-            WireMsg::Many(_) => {
-                Err(self.fail("expected a single-value message, got a section".into()))
-            }
-        }
-    }
-
-    fn obs_comm(
-        &mut self,
-        kind: CommKind,
-        (from, to): (usize, usize),
-        op: Option<usize>,
-        pattern: &str,
-        elems: u64,
-        seq: Option<u64>,
-    ) {
-        let Some(o) = self.obs.as_mut() else {
-            return;
-        };
-        let (level, stmt_level) = match op {
-            Some(i) => {
-                let c = &self.plan.sp.comms[i];
-                (c.level, c.stmt_level)
-            }
-            None => (0, 0),
-        };
-        o.push(Body::Comm {
-            kind,
-            from,
-            to,
-            op,
-            pattern: pattern.to_string(),
-            level,
-            stmt_level,
-            place: hpf_comm::placement_tag(level, stmt_level),
-            elems,
-            seq,
-        });
-    }
-
-    fn slot_bytes(&self, slot: Slot) -> u64 {
-        let v = match slot {
-            Slot::Scalar(v) | Slot::Elem(v, _) => v,
-        };
-        self.p.vars.info(v).ty.byte_size() as u64
-    }
-
-    fn load(&self, slot: Slot) -> Value {
-        match slot {
-            Slot::Scalar(v) => self.mem.scalar(v),
-            Slot::Elem(v, off) => self.mem.array(v).get(off),
-        }
-    }
-
-    fn store_slot(&mut self, slot: Slot, val: Value) -> Result<(), Fault> {
-        match slot {
-            Slot::Scalar(v) => {
-                let ty = self.p.vars.info(v).ty;
-                self.mem.set_scalar(v, val.coerce(ty)?);
-            }
-            Slot::Elem(v, off) => self.mem.array_mut(v).set(off, val)?,
         }
         Ok(())
     }
@@ -1575,7 +1415,7 @@ impl<'a, T: Transport> Rank<'a, T> {
 
 /// This rank's own operand reads: local when it owns the operand, else
 /// received.
-impl<T: Transport> Load for Rank<'_, T> {
+impl<T: Transport> Load for Rank<'_, '_, T> {
     fn scalar(&mut self, _: &Code, _: &mut Stack, v: VarId) -> Result<Value, Fault> {
         let Some(own) = self.plan.owners.scalar_owner[v.index()] else {
             return Ok(self.mem.scalar(v));
@@ -1621,69 +1461,32 @@ pub fn run(
 ) -> Result<Replayed, String> {
     let plan = &Plan::new(sp);
     let grid = &sp.maps.grid;
-    let nproc = grid.total();
-    let transports = channel_group(nproc);
-    let joined = std::thread::scope(|scope| {
-        let handles: Vec<_> = transports
-            .into_iter()
-            .enumerate()
-            .map(|(pid, transport)| {
-                std::thread::Builder::new()
-                    .name(format!("rank {}", pid))
-                    .spawn_scoped(scope, move || {
-                        let mut mem = Memory::zeroed(&sp.program);
-                        init(&mut mem);
-                        let rank = Rank {
-                            plan,
-                            p: &sp.program,
-                            grid,
-                            pid,
-                            coords_me: grid.coords_of(pid),
-                            mem,
-                            transport,
-                            vectorize,
-                            depth: 0,
-                            steps: 0,
-                            cur: StmtId(0),
-                            outbox: HashMap::new(),
-                            inbox: HashMap::new(),
-                            stats: ReplayStats::default(),
-                            metrics: CommMetrics::new(nproc, sp.comms.len()),
-                            obs: want_obs.then(|| BufTracer::for_rank(pid)),
-                            comm_err: None,
-                            memos: plan.owners.memos.clone(),
-                            deepest: None,
-                            st: Stack::default(),
-                            owner_coords: Vec::new(),
-                            idx: Vec::new(),
-                            pids: Vec::new(),
-                        };
-                        rank.run()
-                    })
-                    .expect("spawn a rank thread")
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join()).collect()
-    });
-    let mut stats = ReplayStats::default();
-    let mut metrics = CommMetrics::new(nproc, sp.comms.len());
-    let mut mems = Vec::with_capacity(nproc);
-    let mut timelines = Vec::new();
-    for (pid, out) in join_ranks(joined)?.into_iter().enumerate() {
-        stats.messages_sent += out.stats.messages_sent;
-        stats.events += out.stats.events;
-        metrics.merge(&out.metrics);
-        mems.push(out.mem);
-        if let Some(o) = out.obs {
-            timelines.push((pid, o.into_events()));
+    let mut out = run_ranks(sp, grid.total(), init, want_obs, |wire, mem| {
+        let pid = wire.rank();
+        Rank {
+            plan,
+            p: &sp.program,
+            grid,
+            pid,
+            coords_me: grid.coords_of(pid),
+            mem,
+            wire,
+            vectorize,
+            depth: 0,
+            steps: 0,
+            cur: StmtId(0),
+            outbox: HashMap::new(),
+            inbox: HashMap::new(),
+            comm_err: None,
+            memos: plan.owners.memos.clone(),
+            deepest: None,
+            st: Stack::default(),
+            owner_coords: Vec::new(),
+            idx: Vec::new(),
+            pids: Vec::new(),
         }
-    }
-    Ok(Replayed {
-        mems,
-        stats,
-        metrics,
-        obs: want_obs.then(|| hpf_obs::Trace::from_ranks(timelines)),
-        degraded: false,
-        engine: Some(Engine::Node),
-    })
+        .run()
+    })?;
+    out.engine = Some(Engine::Node);
+    Ok(out)
 }

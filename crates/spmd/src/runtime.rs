@@ -7,7 +7,8 @@
 //! recorded by the reference executor
 //! ([`crate::exec::SpmdExec::with_trace`]): each worker owns a private
 //! [`Memory`], runs its assignments' compiled [`Code`] purely locally, and
-//! obtains every remote operand through an actual message.
+//! obtains every remote operand through an actual message, over its
+//! [`Wire`].
 //!
 //! The replay revalidates the schedule end-to-end — if the compiler had
 //! failed to move a value that a processor needs, the worker would compute
@@ -19,7 +20,9 @@
 //! The per-rank engine is [`replay_rank_segment`], generic over the
 //! transport: the threaded replay runs it once per rank over the whole
 //! event list, and the socket workers of `hpf-compile::netrun` run it in
-//! separate OS processes, one epoch at a time as the events arrive.
+//! separate OS processes, one epoch at a time as the events arrive. One
+//! thread driver ([`run_ranks`]) runs every rank engine, the replay and
+//! the node programs alike.
 //!
 //! On threads, [`validate_replay`] and its variants replay only the
 //! programs [`crate::node::engine`] keeps off node programs; every other
@@ -31,13 +34,14 @@ use crate::env::Env;
 use crate::exec::{fold, Event, Slot, SpmdExec, Trace};
 use crate::lower::SpmdProgram;
 use crate::metrics::CommMetrics;
-use hpf_analysis::RedOp;
-use hpf_ir::interp::{InterpError, Memory};
-use hpf_ir::{Program, Value, VarId};
-use hpf_net::{channel_group, Transport, WireMsg};
-use hpf_obs::{Body, BufTracer, CommKind};
 use crate::node::{self, Engine};
-use std::sync::{Arc, Mutex};
+use crate::wire::{self, Wire};
+use hpf_analysis::RedOp;
+use hpf_ir::interp::Memory;
+use hpf_ir::{Program, Value, VarId};
+use hpf_net::{channel_group, ChannelTransport, Transport};
+use hpf_obs::CommKind;
+use std::sync::Arc;
 
 /// Statistics from a replay.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -70,112 +74,43 @@ pub struct Replayed {
     pub engine: Option<Engine>,
 }
 
-/// Replay one rank's recorded event list over a transport, mutating the
-/// rank's (already initialised) memory in place, with an optional
-/// observability timeline: every wire message this rank sends or receives
-/// is recorded as a comm event (sends tagged with the link's wire sequence
-/// number when the transport frames its links), and any fault events the
-/// transport accumulated are drained into the timeline — on errors too.
-/// Returns this rank's stats and its unmerged metrics contribution (the
-/// transport's in-flight peak already folded in), and tears the transport
-/// down. This is the per-thread engine of the threaded replay below.
-fn replay_rank_code<T: Transport>(
-    sp: &SpmdProgram,
-    code: &Code,
-    events: &[Event],
-    mem: &mut Memory,
-    transport: &mut T,
-    mut obs: Option<&mut BufTracer>,
-) -> Result<(ReplayStats, CommMetrics), String> {
-    let pid = transport.rank();
-    let nproc = transport.nproc();
-    let mut stats = ReplayStats::default();
-    let mut metrics = CommMetrics::new(nproc, sp.comms.len());
-    let mut err = replay_rank_segment(
-        sp,
-        code,
-        events,
-        mem,
-        transport,
-        &mut stats,
-        &mut metrics,
-        obs.as_deref_mut(),
-        |_| {},
-    )
-    .err();
-    if err.is_none() {
-        if let Err(e) = transport.finish() {
-            err = Some(format!("proc {}: teardown: {}", pid, e));
-        }
-    }
-    if let Some(o) = obs {
-        o.absorb(transport.take_fault_events());
-    }
-    if let Some(e) = err {
-        return Err(e);
-    }
-    metrics.saw_in_flight(transport.peak_in_flight());
-    Ok((stats, metrics))
-}
-
 /// Replay a *segment* of a rank's event list — the epoch-sized unit of
-/// [`crate::exec::SpmdExec::epoch_cuts`] — accumulating stats and metrics
-/// across calls. Unlike [`replay_rank_code`] this neither tears the
-/// transport down nor folds in its in-flight peak, so a socket worker can
-/// replay each epoch over one mesh as the parent streams it and finish
-/// only once; the caller compiles `code` ([`Code::new`]) once for all
+/// [`crate::exec::SpmdExec::epoch_cuts`] — over the rank's [`Wire`],
+/// mutating its (already initialised) memory in place. The wire keeps
+/// stats and metrics across calls, so a socket worker can replay each
+/// epoch over one mesh as the parent streams it and end with one
+/// [`Wire::finish`]; the threaded replay runs one segment of the whole
+/// list. The caller compiles `code` ([`Code::new`]) once for all
 /// segments. `tick` runs after every replayed event; the fault plan's
 /// kill trigger hangs off it.
 ///
 /// Segments must start at epoch cuts: the worker's reduction stack is
 /// empty there (a `RecvPartial` batch and its `Combine` always share an
 /// epoch), so a fresh internal worker per segment is sound.
-#[allow(clippy::too_many_arguments)]
 pub fn replay_rank_segment<T: Transport>(
-    sp: &SpmdProgram,
     code: &Code,
     events: &[Event],
     mem: &mut Memory,
-    transport: &mut T,
-    stats: &mut ReplayStats,
-    metrics: &mut CommMetrics,
-    mut obs: Option<&mut BufTracer>,
+    wire: &mut Wire<'_, T>,
     mut tick: impl FnMut(u64),
 ) -> Result<(), String> {
-    let pid = transport.rank();
-    let nproc = transport.nproc();
+    let pid = wire.rank();
     let mut worker = RankWorker {
-        sp,
-        program: &sp.program,
+        program: &wire.sp().program,
         code,
-        pid,
         mem,
-        transport,
+        wire,
         stack: Vec::new(),
         last_vec: None,
-        stats: ReplayStats::default(),
-        metrics: CommMetrics::new(nproc, sp.comms.len()),
-        obs: obs.as_deref_mut(),
         st: Stack::default(),
     };
-    let mut err = None;
     for (i, ev) in events.iter().enumerate() {
-        if let Err(e) = worker.step(ev) {
-            err = Some(format!("proc {}: {}", pid, e));
-            break;
-        }
+        worker
+            .step(ev)
+            .map_err(|e| format!("proc {}: {}", pid, e))?;
         tick(i as u64);
     }
-    stats.messages_sent += worker.stats.messages_sent;
-    stats.events += worker.stats.events;
-    metrics.merge(&worker.metrics);
-    if let Some(o) = obs {
-        o.absorb(transport.take_fault_events());
-    }
-    match err {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    Ok(())
 }
 
 /// Run the threaded replay of a recorded trace; returns the per-processor
@@ -196,81 +131,82 @@ pub fn replay_traced(
     init: impl Fn(&mut Memory) + Sync,
     want_obs: bool,
 ) -> Result<Replayed, String> {
-    let nproc = trace.len();
-    let transports = channel_group(nproc);
-    let program = &sp.program;
     let code = &Code::new(sp);
-    let total: Mutex<(ReplayStats, CommMetrics)> =
-        Mutex::new((ReplayStats::default(), CommMetrics::new(nproc, sp.comms.len())));
-    let timelines: Mutex<Vec<(usize, Vec<hpf_obs::TraceEvent>)>> = Mutex::new(Vec::new());
-    let joined: Vec<std::thread::Result<Result<Memory, String>>> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(nproc);
-        for (pid, mut transport) in transports.into_iter().enumerate() {
-            let events = &trace[pid];
-            let init = &init;
-            let total = &total;
-            let timelines = &timelines;
-            let rank = std::thread::Builder::new().name(format!("rank {}", pid));
-            let spawned = rank.spawn_scoped(scope, move || {
-                let mut mem = Memory::zeroed(program);
-                init(&mut mem);
-                let mut obs = want_obs.then(|| BufTracer::for_rank(pid));
-                let res =
-                    replay_rank_code(sp, code, events, &mut mem, &mut transport, obs.as_mut());
-                if let Some(o) = obs {
-                    timelines.lock().unwrap().push((pid, o.into_events()));
-                }
-                let (s, m) = res?;
-                let mut t = total.lock().unwrap();
-                t.0.messages_sent += s.messages_sent;
-                t.0.events += s.events;
-                t.1.merge(&m);
-                Ok(mem)
-            });
-            handles.push(spawned.expect("spawn a rank thread"));
-        }
-        handles.into_iter().map(|h| h.join()).collect()
-    });
-    let mems = join_ranks(joined)?;
-
-    let timelines = timelines.into_inner().unwrap_or_else(|e| e.into_inner());
-    let obs = want_obs.then(|| hpf_obs::Trace::from_ranks(timelines));
-    let (stats, metrics) = total.into_inner().unwrap_or_else(|e| e.into_inner());
-    Ok(Replayed {
-        mems,
-        stats,
-        metrics,
-        obs,
-        degraded: false,
-        engine: None,
+    run_ranks(sp, trace.len(), &init, want_obs, |wire, mut mem| {
+        let events = &trace[wire.rank()];
+        replay_rank_segment(code, events, &mut mem, wire, |_| {})?;
+        Ok(mem)
     })
 }
 
-/// The results of joined rank threads, in rank order, or the first
-/// failure: a rank that panicked is reported before the link errors its
-/// panic caused on its peers.
-pub(crate) fn join_ranks<T>(
-    joined: Vec<std::thread::Result<Result<T, String>>>,
-) -> Result<Vec<T>, String> {
+/// Run one rank engine per scoped thread over the in-process channel
+/// backend and merge what the ranks hand back. `rank` gets the rank's
+/// [`Wire`] and its memory, zeroed and filled by `init`, and returns the
+/// memory it ends with; [`Wire::finish`] ends every rank. A rank that
+/// fails or panics fails the run with an error naming it.
+pub(crate) fn run_ranks<'s>(
+    sp: &'s SpmdProgram,
+    nproc: usize,
+    init: &(impl Fn(&mut Memory) + Sync),
+    want_obs: bool,
+    rank: impl Fn(&mut Wire<'s, ChannelTransport>, Memory) -> Result<Memory, String> + Sync,
+) -> Result<Replayed, String> {
+    let rank = &rank;
+    let joined: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = channel_group(nproc)
+            .into_iter()
+            .enumerate()
+            .map(|(pid, transport)| {
+                let thread = std::thread::Builder::new().name(format!("rank {}", pid));
+                let spawned = thread.spawn_scoped(scope, move || {
+                    let mut mem = Memory::zeroed(&sp.program);
+                    init(&mut mem);
+                    let mut wire = Wire::new(sp, transport, want_obs);
+                    let run = rank(&mut wire, mem);
+                    let (res, timeline) = wire.finish(run);
+                    res.map(|out| (out, timeline))
+                });
+                spawned.expect("spawn a rank thread")
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    let mut out = Replayed {
+        mems: Vec::with_capacity(nproc),
+        stats: ReplayStats::default(),
+        metrics: CommMetrics::new(nproc, sp.comms.len()),
+        obs: None,
+        degraded: false,
+        engine: None,
+    };
+    let mut timelines = Vec::with_capacity(nproc);
+    // A rank that panicked is reported before the link errors its panic
+    // caused on its peers; otherwise the first failed rank is.
     let mut failed = None;
-    let mut outs = Vec::with_capacity(joined.len());
-    for (pid, r) in joined.into_iter().enumerate() {
-        match r {
+    for (pid, joined) in joined.into_iter().enumerate() {
+        match joined {
             Err(e) => return Err(format!("proc {}: panicked: {}", pid, panic_text(e))),
             Ok(Err(e)) => {
                 failed.get_or_insert(e);
             }
-            Ok(Ok(out)) => outs.push(out),
+            Ok(Ok(((stats, metrics, mem), timeline))) => {
+                out.stats.messages_sent += stats.messages_sent;
+                out.stats.events += stats.events;
+                out.metrics.merge(&metrics);
+                out.mems.push(mem);
+                timelines.push((pid, timeline.into_events()));
+            }
         }
     }
-    match failed {
-        Some(e) => Err(e),
-        None => Ok(outs),
+    if let Some(e) = failed {
+        return Err(e);
     }
+    out.obs = want_obs.then(|| hpf_obs::Trace::from_ranks(timelines));
+    Ok(out)
 }
 
 /// A panic's message.
-pub(crate) fn panic_text(e: Box<dyn std::any::Any + Send>) -> String {
+fn panic_text(e: Box<dyn std::any::Any + Send>) -> String {
     match e.downcast::<String>() {
         Ok(s) => *s,
         Err(e) => match e.downcast::<&'static str>() {
@@ -283,13 +219,11 @@ pub(crate) fn panic_text(e: Box<dyn std::any::Any + Send>) -> String {
 /// Memoised `SendVec` payload: (comm op, section slots, shared buffer).
 type VecMemo<'a> = (usize, &'a [Slot], Arc<Vec<Value>>);
 
-struct RankWorker<'a, T: Transport> {
-    sp: &'a SpmdProgram,
-    program: &'a Program,
+struct RankWorker<'a, 's, T: Transport> {
+    program: &'s Program,
     code: &'a Code,
-    pid: usize,
     mem: &'a mut Memory,
-    transport: &'a mut T,
+    wire: &'a mut Wire<'s, T>,
     /// Stack of received reduction partials `(acc, loc)`.
     stack: Vec<(Value, Option<Value>)>,
     /// Memo of the last materialised `SendVec` payload, so a broadcast
@@ -298,10 +232,6 @@ struct RankWorker<'a, T: Transport> {
     /// values per destination. Invalidated by any event that mutates
     /// local memory.
     last_vec: Option<VecMemo<'a>>,
-    stats: ReplayStats,
-    metrics: CommMetrics,
-    /// Observability timeline of this rank (owned by the caller).
-    obs: Option<&'a mut BufTracer>,
     /// Evaluation stack of the compiled code.
     st: Stack,
 }
@@ -324,90 +254,15 @@ impl Load for Local<'_> {
     }
 }
 
-impl<'a, T: Transport> RankWorker<'a, T> {
-    /// Record one comm event on this rank's timeline. Sends carry the
-    /// link's wire sequence number (socket backend); receive-side numbers
-    /// would race the reader thread, so they stay `None`.
-    fn obs_comm(
-        &mut self,
-        kind: CommKind,
-        (from, to): (usize, usize),
-        op: Option<usize>,
-        pattern: &str,
-        elems: u64,
-        seq: Option<u64>,
-    ) {
-        let Some(o) = self.obs.as_deref_mut() else {
-            return;
-        };
-        let (level, stmt_level) = match op {
-            Some(i) => {
-                let c = &self.sp.comms[i];
-                (c.level, c.stmt_level)
-            }
-            None => (0, 0),
-        };
-        o.push(Body::Comm {
-            kind,
-            from,
-            to,
-            op,
-            pattern: pattern.to_string(),
-            level,
-            stmt_level,
-            place: hpf_comm::placement_tag(level, stmt_level),
-            elems,
-            seq,
-        });
-    }
-    /// Send one wire message.
-    fn send_msg(&mut self, to: usize, msg: &WireMsg) -> Result<(), String> {
-        self.transport.send(to, msg).map_err(|e| e.to_string())?;
-        self.stats.messages_sent += 1;
-        Ok(())
-    }
-
-    fn recv_msg(&mut self, from: usize) -> Result<WireMsg, String> {
-        self.transport.recv(from).map_err(|e| e.to_string())
-    }
-
-    fn recv_one(&mut self, from: usize) -> Result<Value, String> {
-        match self.recv_msg(from)? {
-            WireMsg::One(v) => Ok(v),
-            WireMsg::Many(_) => Err("expected a single-value message, got a section".into()),
-        }
-    }
-
-    fn slot_bytes(&self, slot: Slot) -> u64 {
-        let v = match slot {
-            Slot::Scalar(v) => v,
-            Slot::Elem(v, _) => v,
-        };
-        self.program.vars.info(v).ty.byte_size() as u64
-    }
-
+impl<'a, T: Transport> RankWorker<'a, '_, T> {
     fn step(&mut self, ev: &'a Event) -> Result<(), String> {
-        self.stats.events += 1;
+        self.wire.count_event();
         match ev {
-            Event::Send { to, slot } => {
-                let v = self.load(*slot);
-                let bytes = self.slot_bytes(*slot);
-                self.send_msg(*to, &WireMsg::One(v))
-                    .map_err(|e| format!("element send to {}: {}", to, e))?;
-                // The trace does not attribute per-element sends to an
-                // operation; count them under the generic element pattern.
-                self.metrics
-                    .note_message(crate::metrics::ELEMENT, None, self.pid, *to, bytes);
-                let seq = self.transport.link_seq(*to);
-                self.obs_comm(CommKind::Send, (self.pid, *to), None, crate::metrics::ELEMENT, 1, seq);
-            }
+            Event::Send { to, slot } => self.wire.send_one(self.mem, *to, *slot)?,
             Event::Recv { from, slot } => {
-                let v = self
-                    .recv_one(*from)
-                    .map_err(|e| format!("element recv from {}: {}", from, e))?;
-                self.obs_comm(CommKind::Recv, (*from, self.pid), None, crate::metrics::ELEMENT, 1, None);
+                let v = self.wire.recv_one(*from, CommKind::Recv)?;
                 self.last_vec = None;
-                self.store_slot(*slot, v).map_err(|e| e.to_string())?;
+                wire::store(self.program, self.mem, *slot, v).map_err(|e| e.to_string())?;
             }
             Event::SendVec { to, op, slots } => {
                 let vals = match &self.last_vec {
@@ -416,45 +271,18 @@ impl<'a, T: Transport> RankWorker<'a, T> {
                     }
                     _ => {
                         let buf: Arc<Vec<Value>> =
-                            Arc::new(slots.iter().map(|&s| self.load(s)).collect());
+                            Arc::new(slots.iter().map(|&s| wire::load(self.mem, s)).collect());
                         self.last_vec = Some((*op, slots, buf.clone()));
                         buf
                     }
                 };
-                let pattern = self.sp.comms[*op].pattern.name();
-                self.metrics
-                    .note_message(pattern, Some(*op), self.pid, *to, 0);
-                for &s in slots {
-                    let b = self.slot_bytes(s);
-                    self.metrics.note_payload(pattern, *op, self.pid, *to, b);
-                }
-                self.send_msg(*to, &WireMsg::Many(vals))
-                    .map_err(|e| format!("section send (op {}) to {}: {}", op, to, e))?;
-                let seq = self.transport.link_seq(*to);
-                self.obs_comm(CommKind::SendVec, (self.pid, *to), Some(*op), pattern, slots.len() as u64, seq);
+                self.wire.send_section(*to, *op, slots, vals)?;
             }
             Event::RecvVec { from, op, slots } => {
-                let vals = match self
-                    .recv_msg(*from)
-                    .map_err(|e| format!("section recv (op {}) from {}: {}", op, from, e))?
-                {
-                    WireMsg::Many(v) => v,
-                    WireMsg::One(_) => {
-                        return Err("expected a coalesced section, got a single value".into())
-                    }
-                };
-                if vals.len() != slots.len() {
-                    return Err(format!(
-                        "section length mismatch: got {}, expected {}",
-                        vals.len(),
-                        slots.len()
-                    ));
-                }
-                let pattern = self.sp.comms[*op].pattern.name();
-                self.obs_comm(CommKind::RecvVec, (*from, self.pid), Some(*op), pattern, slots.len() as u64, None);
+                let vals = self.wire.recv_section(*from, *op, Some(slots.len()))?;
                 self.last_vec = None;
                 for (&s, &v) in slots.iter().zip(vals.iter()) {
-                    self.store_slot(s, v).map_err(|e| e.to_string())?;
+                    wire::store(self.program, self.mem, s, v).map_err(|e| e.to_string())?;
                 }
             }
             Event::Exec { stmt, env } => {
@@ -488,16 +316,9 @@ impl<'a, T: Transport> RankWorker<'a, T> {
                 }
             }
             Event::RecvPartial { from, has_loc } => {
-                let acc = self
-                    .recv_one(*from)
-                    .map_err(|e| format!("reduction partial from {}: {}", from, e))?;
-                self.obs_comm(CommKind::Reduce, (*from, self.pid), None, crate::metrics::REDUCE, 1, None);
+                let acc = self.wire.recv_one(*from, CommKind::Reduce)?;
                 let loc = if *has_loc {
-                    let l = self
-                        .recv_one(*from)
-                        .map_err(|e| format!("reduction location from {}: {}", from, e))?;
-                    self.obs_comm(CommKind::Reduce, (*from, self.pid), None, crate::metrics::REDUCE, 1, None);
-                    Some(l)
+                    Some(self.wire.recv_one(*from, CommKind::Reduce)?)
                 } else {
                     None
                 };
@@ -536,26 +357,6 @@ impl<'a, T: Transport> RankWorker<'a, T> {
         }
     }
 
-    fn load(&self, slot: Slot) -> Value {
-        match slot {
-            Slot::Scalar(v) => self.mem.scalar(v),
-            Slot::Elem(v, off) => self.mem.array(v).get(off),
-        }
-    }
-
-    fn store_slot(&mut self, slot: Slot, val: Value) -> Result<(), InterpError> {
-        match slot {
-            Slot::Scalar(v) => {
-                let ty = self.program.vars.info(v).ty;
-                self.mem.set_scalar(v, val.coerce(ty)?);
-            }
-            Slot::Elem(v, off) => {
-                self.mem.array_mut(v).set(off, val)?;
-            }
-        }
-        Ok(())
-    }
-
     /// Run assignment `s` on local memory.
     fn run_assign(&mut self, s: hpf_ir::StmtId) -> Result<(), Fault> {
         let (slot, val) = self.code.assign(s, &mut Local(self.mem), &mut self.st)?;
@@ -581,12 +382,13 @@ pub fn check_owner_slots(
 }
 
 /// Compare the owner slots of `mems` with the sequential interpreter's
-/// memory `seq`: bit for bit, or within the 1e-9 relative tolerance of
-/// [`crate::validate_against_sequential`] when a Sum or Prod reduction
-/// combines partials across ranks (it adds them in another order). Arrays
-/// with privatized dimensions are skipped: their contents after the loop
-/// are unspecified.
-fn check_against_interpreter(
+/// memory `seq`: bit for bit, or within a 1e-9 relative tolerance when a
+/// Sum or Prod reduction combines partials across ranks (it adds them in
+/// another order). Arrays with privatized dimensions are skipped: their
+/// contents after the loop are unspecified. The one rule for every
+/// comparison with the interpreter: the thread backend's runs and
+/// [`crate::validate_against_sequential`].
+pub(crate) fn check_against_interpreter(
     sp: &SpmdProgram,
     mems: &[Memory],
     seq: &Memory,
@@ -792,6 +594,75 @@ END DO
         })
         .unwrap();
         assert!(r.stats.messages_sent > 0);
+    }
+
+    /// Owner slots of the interpreter's memory on every rank, with `b`'s
+    /// element at offset `off` one ulp off on its owner; returns that
+    /// owner's pid.
+    fn one_ulp_off(sp: &SpmdProgram, seq: &Memory, off: usize) -> (Vec<Memory>, usize) {
+        let b = sp.program.vars.lookup("b").unwrap();
+        let mut idx = Vec::new();
+        sp.program.vars.info(b).shape().unwrap().delinearize_into(off, &mut idx);
+        let owner = sp.maps.of(b).owner_pid(&sp.maps.grid, &idx, 0);
+        let mut mems = vec![seq.clone(); sp.maps.grid.total()];
+        let Value::Real(x) = seq.array(b).get(off) else {
+            panic!("b is REAL");
+        };
+        let bumped = Value::Real(f64::from_bits(x.to_bits() + 1));
+        mems[owner].array_mut(b).set(off, bumped).unwrap();
+        (mems, owner)
+    }
+
+    #[test]
+    fn interpreter_check_is_bit_exact_without_cross_rank_sums() {
+        let src = r#"
+!HPF$ PROCESSORS P(4)
+!HPF$ DISTRIBUTE (BLOCK) :: A, B
+REAL A(32), B(32)
+INTEGER i
+DO i = 2, 31
+  B(i) = (A(i-1) + A(i+1)) * 0.5
+END DO
+"#;
+        let sp = lowered(src, CoreConfig::full());
+        let a = sp.program.vars.lookup("a").unwrap();
+        let data: Vec<f64> = (0..32).map(|i| i as f64 / 3.0).collect();
+        let init = |m: &mut Memory| m.fill_real(a, &data);
+        let (seq, _) = hpf_ir::interp::run_program(&sp.program, init).unwrap();
+        let (mems, owner) = one_ulp_off(&sp, &seq, 20);
+        assert_eq!(owner, 2);
+        let err = check_against_interpreter(&sp, &mems, &seq).unwrap_err();
+        assert_eq!(err, "proc 2 array b differs from the sequential interpreter at [21]");
+    }
+
+    #[test]
+    fn interpreter_check_tolerates_cross_rank_sums() {
+        let src = r#"
+!HPF$ PROCESSORS P(2,2)
+!HPF$ ALIGN B(i) WITH A(i,1)
+!HPF$ DISTRIBUTE (BLOCK, BLOCK) :: A
+REAL A(8,8), B(8)
+INTEGER i, j
+REAL s
+DO i = 1, 8
+  s = 0.0
+  DO j = 1, 8
+    s = s + A(i,j)
+  END DO
+  B(i) = s
+END DO
+"#;
+        let sp = lowered(src, CoreConfig::full());
+        assert!(sp
+            .reduces
+            .iter()
+            .any(|r| !r.reduce_dims.is_empty() && r.op == RedOp::Sum));
+        let a = sp.program.vars.lookup("a").unwrap();
+        let data: Vec<f64> = (0..64).map(|i| i as f64 / 7.0).collect();
+        let init = |m: &mut Memory| m.fill_real(a, &data);
+        let (seq, _) = hpf_ir::interp::run_program(&sp.program, init).unwrap();
+        let (mems, _) = one_ulp_off(&sp, &seq, 5);
+        check_against_interpreter(&sp, &mems, &seq).unwrap();
     }
 
     #[test]

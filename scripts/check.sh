@@ -301,4 +301,7 @@ echo "$out" | grep '^BENCH_JSON {' | grep -q '"recovery":{"retransmits":0,"heart
     exit 1
 }
 
+echo "==> non-test lines and panic sites per crate (information only)"
+sh scripts/loc.sh
+
 echo "OK: build, tests, lints, verification, bench output, socket smoke, trace smoke and chaos smoke all clean"

@@ -271,7 +271,16 @@ fn main() -> ExitCode {
     };
 
     if verify {
-        let report = compiled.verify(init);
+        // Verify the schedule the chosen backend runs: socket workers
+        // replay the executor's trace; the thread backend (and a run
+        // without one) picks its engine per program.
+        let report = if backend == Some(Backend::Socket) {
+            println!("verify: exec+replay (socket workers replay the executor's trace)");
+            compiled.verify_executor_schedule(init)
+        } else {
+            println!("verify: {}", hpf_spmd::engine(&compiled.spmd));
+            compiled.verify(init)
+        };
         print!("{}", compiled.render_diagnostics(&report));
         if !report.is_clean() {
             eprintln!(

@@ -186,11 +186,22 @@ impl Compiled {
 
     /// Run the static verifier (`hpf-verify`) on the lowered program:
     /// privatization soundness, schedule matching / deadlock-freedom /
-    /// epoch-cut closure, and happens-before race detection. `init` must
-    /// reproduce the intended initial memory — a data-dependent schedule
-    /// (DGEFA's pivoting) communicates differently under different data.
-    pub fn verify(&self, init: impl Fn(&mut hpf_ir::Memory)) -> hpf_verify::VerifyReport {
+    /// epoch-cut closure, and happens-before race detection, on the
+    /// schedule the thread backend runs ([`hpf_spmd::engine`]). `init`
+    /// must reproduce the intended initial memory — a data-dependent
+    /// schedule (DGEFA's pivoting) communicates differently under
+    /// different data.
+    pub fn verify(&self, init: impl Fn(&mut hpf_ir::Memory) + Sync) -> hpf_verify::VerifyReport {
         hpf_verify::verify_execution(&self.spmd, init)
+    }
+
+    /// [`Compiled::verify`] on the reference executor's trace and epoch
+    /// cuts, the schedule socket workers replay.
+    pub fn verify_executor_schedule(
+        &self,
+        init: impl Fn(&mut hpf_ir::Memory),
+    ) -> hpf_verify::VerifyReport {
+        hpf_verify::verify_executor_schedule(&self.spmd, init)
     }
 
     /// Cross-validate a recorded observability trace (`--trace` output,

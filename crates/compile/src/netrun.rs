@@ -85,7 +85,7 @@ pub const ENV_WORKER_BIN: &str = "PHPF_NET_WORKER";
 /// Version of the parent ↔ worker control protocol, carried in every
 /// worker's registration frame. A registration without it comes from a
 /// worker binary that predates versioning.
-pub const PROTOCOL: u32 = 6;
+pub const PROTOCOL: u32 = 7;
 
 /// Soft size bound of one event-stream frame: a chunk stops taking events
 /// once its payload reaches this many bytes, so a frame exceeds it by at
@@ -378,7 +378,6 @@ fn intern_pattern(name: &str) -> Option<&'static str> {
         "point-to-point",
         metrics::REDUCE,
         metrics::UNTRACKED,
-        metrics::ELEMENT,
         metrics::CONTROL,
     ]
     .into_iter()

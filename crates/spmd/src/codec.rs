@@ -11,15 +11,17 @@
 //! ```text
 //! chunk  := u32 count, count × event
 //! event  := u8 tag, fields
-//!   0 Send      uv to,   slot
-//!   1 Recv      uv from, slot
+//!   0 Send      uv to,   slot, tag
+//!   1 Recv      uv from, slot, tag
 //!   2 SendVec   uv to,   uv op, uv n, n × slot
 //!   3 RecvVec   uv from, uv op, uv n, n × slot
 //!   4 Exec      uv stmt, env
 //!   5 CondExec  uv stmt, env
-//!   6 RecvPartial uv from, u8 has_loc
+//!   6 RecvPartial uv from, u8 has_loc, uv level
 //!   7 Combine   u8 redop, uv acc, u8 has_loc, [uv loc], uv count
 //! slot   := u8 0, uv var | u8 1, uv var, uv offset
+//! tag    := u8 0, uv op | u8 k, uv level   (k: 1 control, 2 untracked,
+//!                                           3 reduce, 4 broadcast)
 //! env    := uv depth, depth × (uv var, iv value)
 //! ```
 //!
@@ -29,7 +31,7 @@
 //! replay that consumes it.
 
 use crate::env::Env;
-use crate::exec::{Event, Slot};
+use crate::exec::{Event, Slot, Tag};
 use crate::lower::SpmdProgram;
 use hpf_analysis::RedOp;
 use hpf_ir::{StmtId, VarId};
@@ -56,6 +58,18 @@ fn enc_slots(e: &mut Enc, slots: &[Slot]) {
     }
 }
 
+fn enc_tag(e: &mut Enc, tag: Tag) {
+    let (k, x) = match tag {
+        Tag::Op(i) => (0, i),
+        Tag::Control(l) => (1, l),
+        Tag::Untracked(l) => (2, l),
+        Tag::Reduce(l) => (3, l),
+        Tag::Broadcast(l) => (4, l),
+    };
+    e.u8(k);
+    e.uvar(x as u64);
+}
+
 fn enc_env(e: &mut Enc, env: &Env) {
     e.uvar(env.len() as u64);
     for (v, x) in env.iter() {
@@ -76,15 +90,17 @@ fn redop_code(op: RedOp) -> u8 {
 
 fn enc_event(e: &mut Enc, ev: &Event) {
     match ev {
-        Event::Send { to, slot } => {
+        Event::Send { to, slot, tag } => {
             e.u8(0);
             e.uvar(*to as u64);
             enc_slot(e, *slot);
+            enc_tag(e, *tag);
         }
-        Event::Recv { from, slot } => {
+        Event::Recv { from, slot, tag } => {
             e.u8(1);
             e.uvar(*from as u64);
             enc_slot(e, *slot);
+            enc_tag(e, *tag);
         }
         Event::SendVec { to, op, slots } => {
             e.u8(2);
@@ -108,10 +124,15 @@ fn enc_event(e: &mut Enc, ev: &Event) {
             e.uvar(stmt.0.into());
             enc_env(e, env);
         }
-        Event::RecvPartial { from, has_loc } => {
+        Event::RecvPartial {
+            from,
+            has_loc,
+            level,
+        } => {
             e.u8(6);
             e.uvar(*from as u64);
             e.boolean(*has_loc);
+            e.uvar(*level as u64);
         }
         Event::Combine {
             op,
@@ -175,6 +196,12 @@ fn id(d: &mut Dec, limit: usize, what: &str) -> Result<usize, FrameError> {
     Ok(i as usize)
 }
 
+/// A loop level, as a varint.
+fn level(d: &mut Dec) -> Result<usize, FrameError> {
+    let l = d.uvar()?;
+    usize::try_from(l).map_err(|_| bad(format!("loop level {} too large", l)))
+}
+
 impl Bounds {
     fn peer(&self, d: &mut Dec) -> Result<usize, FrameError> {
         id(d, self.nproc, "peer rank")
@@ -221,6 +248,22 @@ impl Bounds {
         }
     }
 
+    fn tag(&self, d: &mut Dec) -> Result<Tag, FrameError> {
+        match d.u8()? {
+            0 => Ok(Tag::Op(self.op(d)?)),
+            k @ 1..=4 => {
+                let l = level(d)?;
+                Ok(match k {
+                    1 => Tag::Control(l),
+                    2 => Tag::Untracked(l),
+                    3 => Tag::Reduce(l),
+                    _ => Tag::Broadcast(l),
+                })
+            }
+            t => Err(bad(format!("unknown message tag {}", t))),
+        }
+    }
+
     fn slots(&self, d: &mut Dec) -> Result<Vec<Slot>, FrameError> {
         let n = d.uvar()?;
         // Every slot takes at least two bytes: a corrupt count cannot
@@ -247,10 +290,12 @@ impl Bounds {
             0 => Event::Send {
                 to: self.peer(d)?,
                 slot: self.slot(d)?,
+                tag: self.tag(d)?,
             },
             1 => Event::Recv {
                 from: self.peer(d)?,
                 slot: self.slot(d)?,
+                tag: self.tag(d)?,
             },
             2 => Event::SendVec {
                 to: self.peer(d)?,
@@ -273,6 +318,7 @@ impl Bounds {
             6 => Event::RecvPartial {
                 from: self.peer(d)?,
                 has_loc: d.boolean()?,
+                level: level(d)?,
             },
             7 => {
                 let op = match d.u8()? {
@@ -322,8 +368,8 @@ pub fn decode_events(
             .collect(),
     };
     let n = d.u32()? as usize;
-    // The smallest event (RecvPartial) takes three bytes.
-    let mut events = Vec::with_capacity(n.min(d.remaining() / 3));
+    // The smallest event (RecvPartial) takes four bytes.
+    let mut events = Vec::with_capacity(n.min(d.remaining() / 4));
     for i in 0..n {
         let ev = bounds
             .event(d)

@@ -35,15 +35,72 @@ pub enum Slot {
     Elem(VarId, usize),
 }
 
+/// The class of a per-element message: the traffic class its wire
+/// metrics tally and the loop levels its timeline events carry, the same
+/// in the executor that records it and in every engine that sends it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Tag {
+    /// An element of placed communication operation `op` (an index into
+    /// `SpmdProgram::comms`), at the operation's pattern and levels.
+    Op(usize),
+    /// Data the executor reads while it evaluates an IF predicate or a DO
+    /// bound for every rank, `level` loops deep.
+    Control(usize),
+    /// A read no placed operation accounts for, `level` loops deep.
+    Untracked(usize),
+    /// A reduction partial on its way to the group leader, combined at the
+    /// exit of a loop nested `level` deep.
+    Reduce(usize),
+    /// A combined reduction value the leader sends back to a member.
+    Broadcast(usize),
+}
+
+impl Tag {
+    /// The placed operation, for an element of one.
+    pub fn op(self) -> Option<usize> {
+        match self {
+            Tag::Op(i) => Some(i),
+            _ => None,
+        }
+    }
+
+    /// The pattern key its wire metrics tally it under.
+    pub fn pattern(self, sp: &SpmdProgram) -> &'static str {
+        match self {
+            Tag::Op(i) => sp.comms[i].pattern.name(),
+            Tag::Control(_) => crate::metrics::CONTROL,
+            Tag::Untracked(_) => crate::metrics::UNTRACKED,
+            Tag::Reduce(_) | Tag::Broadcast(_) => crate::metrics::REDUCE,
+        }
+    }
+
+    /// The (placement level, statement level) of its timeline events.
+    pub fn levels(self, sp: &SpmdProgram) -> (usize, usize) {
+        match self {
+            Tag::Op(i) => (sp.comms[i].level, sp.comms[i].stmt_level),
+            Tag::Control(l) | Tag::Untracked(l) | Tag::Reduce(l) | Tag::Broadcast(l) => (l, l),
+        }
+    }
+
+    /// The timeline kinds of its send and of its receive.
+    pub fn kinds(self) -> (CommKind, CommKind) {
+        match self {
+            Tag::Reduce(_) => (CommKind::Reduce, CommKind::Reduce),
+            Tag::Broadcast(_) => (CommKind::Broadcast, CommKind::Broadcast),
+            _ => (CommKind::Send, CommKind::Recv),
+        }
+    }
+}
+
 /// One event of a recorded execution trace (consumed by
 /// [`crate::runtime`]'s replay; [`crate::codec`] is its wire form for the
 /// socket backend's worker processes).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// Send the local value of `slot` to processor `to`.
-    Send { to: usize, slot: Slot },
+    Send { to: usize, slot: Slot, tag: Tag },
     /// Receive a value from processor `from` into `slot`.
-    Recv { from: usize, slot: Slot },
+    Recv { from: usize, slot: Slot, tag: Tag },
     /// Send the local values of `slots` to `to` as one coalesced message
     /// (the vectorized form of the hoisted communication operation `op`,
     /// an index into `SpmdProgram::comms`).
@@ -64,8 +121,13 @@ pub enum Event {
     /// Evaluate a (maxloc) IF locally and run its body when true.
     CondExec { stmt: StmtId, env: Env },
     /// Receive a reduction partial (acc, then loc if present) onto the
-    /// value stack.
-    RecvPartial { from: usize, has_loc: bool },
+    /// value stack, for a combine at the exit of a loop nested `level`
+    /// deep.
+    RecvPartial {
+        from: usize,
+        has_loc: bool,
+        level: usize,
+    },
     /// Fold `count` stacked partials into the local accumulator.
     Combine {
         op: RedOp,
@@ -500,9 +562,10 @@ impl<'s> SpmdExec<'s> {
                 self.metrics.note_payload(pattern, i, src, dst, bytes);
             }
         } else {
-            let pattern = match op {
-                Some(i) => self.sp.comms[i].pattern.name(),
-                None if self.ctrl_eval => crate::metrics::CONTROL,
+            let depth = self.loop_env.len();
+            let tag = match op {
+                Some(i) => Tag::Op(i),
+                None if self.ctrl_eval => Tag::Control(depth),
                 None => {
                     if self.debug_untracked {
                         eprintln!(
@@ -510,21 +573,16 @@ impl<'s> SpmdExec<'s> {
                             self.cur_stmt, slot, src, dst
                         );
                     }
-                    crate::metrics::UNTRACKED
+                    Tag::Untracked(depth)
                 }
             };
+            let pattern = tag.pattern(self.sp);
             self.metrics.note_message(pattern, op, src, dst, bytes);
-            let (lvl, slvl) = match op {
-                Some(i) => {
-                    let c = &self.sp.comms[i];
-                    (c.level, c.stmt_level)
-                }
-                None => (self.loop_env.len(), self.loop_env.len()),
-            };
-            self.obs_message((CommKind::Send, CommKind::Recv), (src, dst), op, pattern, (lvl, slvl), 1);
+            let levels = tag.levels(self.sp);
+            self.obs_message(tag.kinds(), (src, dst), op, pattern, levels, 1);
             if self.trace.is_some() {
-                self.record(src, Event::Send { to: dst, slot });
-                self.record(dst, Event::Recv { from: src, slot });
+                self.record(src, Event::Send { to: dst, slot, tag });
+                self.record(dst, Event::Recv { from: src, slot, tag });
             }
         }
     }
@@ -766,75 +824,32 @@ impl<'s> SpmdExec<'s> {
                 groups.entry(leader).or_default().push(pid);
             }
             for pids in groups.into_values() {
-                // Wire traffic of the combine: members stream partials to
-                // the leader, which folds and broadcasts the result back.
-                {
-                    let leader = pids[0];
-                    let acc_bytes = slot_bytes(self.p(), Slot::Scalar(op.acc));
-                    let loc_bytes = op.loc.map(|lv| slot_bytes(self.p(), Slot::Scalar(lv)));
-                    for &q in &pids[1..] {
-                        for (a, b) in [(q, leader), (leader, q)] {
-                            self.metrics
-                                .note_message(crate::metrics::REDUCE, None, a, b, acc_bytes);
-                            if let Some(lb) = loc_bytes {
-                                self.metrics
-                                    .note_message(crate::metrics::REDUCE, None, a, b, lb);
-                            }
-                        }
+                // Wire traffic of the combine, in each rank's program
+                // order: the members send their partials (acc, then loc)
+                // to the leader, which folds them all and then sends the
+                // result back to each member in turn.
+                let leader = pids[0];
+                let lvl = self.loop_env.len();
+                let slots: Vec<Slot> =
+                    std::iter::once(op.acc).chain(op.loc).map(Slot::Scalar).collect();
+                for &q in &pids[1..] {
+                    for &slot in &slots {
+                        self.reduce_message(Tag::Reduce(lvl), q, leader, slot);
                     }
+                    let has_loc = op.loc.is_some();
+                    self.record(leader, Event::RecvPartial { from: q, has_loc, level: lvl });
                 }
-                if self.obs.is_some() {
-                    // One obs event pair per wire message: members stream
-                    // partials (acc, then loc) to the leader, the leader
-                    // broadcasts the folded result back.
-                    let leader = pids[0];
-                    let lvl = self.loop_env.len();
-                    let n_msgs = 1 + usize::from(op.loc.is_some());
-                    for &q in &pids[1..] {
-                        for _ in 0..n_msgs {
-                            self.obs_message(
-                                (CommKind::Reduce, CommKind::Reduce),
-                                (q, leader),
-                                None,
-                                crate::metrics::REDUCE,
-                                (lvl, lvl),
-                                1,
-                            );
-                        }
-                        for _ in 0..n_msgs {
-                            self.obs_message(
-                                (CommKind::Broadcast, CommKind::Broadcast),
-                                (leader, q),
-                                None,
-                                crate::metrics::REDUCE,
-                                (lvl, lvl),
-                                1,
-                            );
-                        }
-                    }
-                }
-                if self.trace.is_some() {
-                    let leader = pids[0];
-                    for &q in &pids[1..] {
-                        self.record(q, Event::Send { to: leader, slot: Slot::Scalar(op.acc) });
-                        if let Some(lv) = op.loc {
-                            self.record(q, Event::Send { to: leader, slot: Slot::Scalar(lv) });
-                        }
-                        self.record(leader, Event::RecvPartial { from: q, has_loc: op.loc.is_some() });
-                    }
-                    self.record(leader, Event::Combine {
-                        op: op.op,
-                        acc: op.acc,
-                        loc: op.loc,
-                        count: pids.len() - 1,
-                    });
-                    for &q in &pids[1..] {
-                        self.record(leader, Event::Send { to: q, slot: Slot::Scalar(op.acc) });
-                        self.record(q, Event::Recv { from: leader, slot: Slot::Scalar(op.acc) });
-                        if let Some(lv) = op.loc {
-                            self.record(leader, Event::Send { to: q, slot: Slot::Scalar(lv) });
-                            self.record(q, Event::Recv { from: leader, slot: Slot::Scalar(lv) });
-                        }
+                self.record(leader, Event::Combine {
+                    op: op.op,
+                    acc: op.acc,
+                    loc: op.loc,
+                    count: pids.len() - 1,
+                });
+                for &q in &pids[1..] {
+                    for &slot in &slots {
+                        let tag = Tag::Broadcast(lvl);
+                        self.reduce_message(tag, leader, q, slot);
+                        self.record(q, Event::Recv { from: leader, slot, tag });
                     }
                 }
                 let mut best_acc = self.mems[pids[0]].scalar(op.acc);
@@ -854,6 +869,16 @@ impl<'s> SpmdExec<'s> {
             }
         }
         Ok(())
+    }
+
+    /// One message of a reduction combine: its metrics, its timeline
+    /// events and its send in the trace (the receive is the caller's).
+    fn reduce_message(&mut self, tag: Tag, src: usize, dst: usize, slot: Slot) {
+        let bytes = slot_bytes(self.p(), slot);
+        let pattern = tag.pattern(self.sp);
+        self.metrics.note_message(pattern, None, src, dst, bytes);
+        self.obs_message(tag.kinds(), (src, dst), None, pattern, tag.levels(self.sp), 1);
+        self.record(src, Event::Send { to: dst, slot, tag });
     }
 
     /// Fill `out` with the pids executing statement `s` under its guard,

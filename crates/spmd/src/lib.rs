@@ -18,6 +18,8 @@
 //!   runs the compiled code for itself, with sends and receives derived
 //!   from the placed communication operations, and [`node::engine`]
 //!   names the programs that still need the executor and replay;
+//!   [`node::record`] runs them recording each rank's schedule for the
+//!   verifier;
 //! * [`runtime`] — a message-passing replay runtime over a pluggable
 //!   [`hpf_net::Transport`] (one thread per virtual processor on the
 //!   in-process channel backend; the socket backend runs the same
@@ -58,7 +60,7 @@ pub use guard::Guard;
 pub use code::Code;
 pub use codec::{decode_events, encode_events};
 pub use env::Env;
-pub use exec::{Event, Slot, Trace};
+pub use exec::{Event, Slot, Tag, Trace};
 pub use lower::{lower, CommData, CommOp, ReduceOp, Schedule, ScheduleOp, SpmdProgram};
 pub use metrics::{CommMetrics, RecoveryCounters};
 pub use node::{engine, Engine, Fallback};

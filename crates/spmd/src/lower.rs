@@ -7,7 +7,7 @@ use hpf_analysis::Analysis;
 use hpf_comm::pattern::{classify, symbolic_owner, CommPattern, DimPos, SymbolicOwner};
 use hpf_comm::placement::{place_comm, var_change_level, Placement};
 use hpf_dist::MappingTable;
-use hpf_ir::{ArrayRef, LValue, Program, Stmt, StmtId, VarId};
+use hpf_ir::{ArrayRef, ArrayShape, LValue, Program, Stmt, StmtId, VarId};
 use phpf_core::{ArrayMappingDecision, Decisions, ScalarMapping};
 use std::collections::HashMap;
 
@@ -152,6 +152,24 @@ impl SpmdProgram {
 
     pub fn scalar_mapping(&self, v: VarId) -> &ScalarMapping {
         self.var_mapping.get(&v).unwrap_or(&ScalarMapping::Replicated)
+    }
+
+    /// The array reference assignment `s` writes, with the array's shape,
+    /// when the write lands on owned data that two ranks could race on: a
+    /// distributed array with no privatized dimension. Replicated copies
+    /// are written everywhere by design and privatized dimensions give
+    /// each rank its own copy.
+    pub fn owned_write(&self, s: StmtId) -> Option<(&ArrayRef, &ArrayShape)> {
+        let Stmt::Assign {
+            lhs: LValue::Array(r),
+            ..
+        } = self.program.stmt(s)
+        else {
+            return None;
+        };
+        let m = self.maps.of(r.array);
+        let shape = self.program.vars.info(r.array).shape()?;
+        (!m.is_fully_replicated() && m.private_dims().is_empty()).then_some((r, shape))
     }
 
     pub fn reduces_of(&self, l: StmtId) -> Vec<&ReduceOp> {

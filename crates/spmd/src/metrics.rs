@@ -17,9 +17,6 @@ pub const REDUCE: &str = "reduce";
 /// any placed communication operation. A non-zero count under this key
 /// means the lowering's communication schedule missed real traffic.
 pub const UNTRACKED: &str = "untracked";
-/// Pattern key used by the replay runtime for per-element `Send` events,
-/// whose originating operation is not recorded in the trace.
-pub const ELEMENT: &str = "element";
 /// Pattern key for data read while evaluating control predicates and loop
 /// bounds globally (the executor's uniform branch decision). The schedule
 /// places no operation for these — privatized predicates read local data

@@ -4,8 +4,9 @@
 //! way the paper's compiler emits SPMD node programs (§4): it walks the
 //! program's control flow, evaluates every guard for itself, runs the
 //! statement instances it owns, and obtains every remote operand through a
-//! message. Nobody simulates the other ranks and no event trace is
-//! recorded.
+//! message. Nobody simulates the other ranks and, on the run path, no
+//! event trace is recorded; for the verifier, [`record`] has each rank
+//! record its own schedule in the executor's trace shape.
 //!
 //! * *Iterations.* Before a loop runs, a rank bounds the iterations it
 //!   visits with `hpf_dist::shrink_bounds`: per owner reference in the
@@ -40,15 +41,15 @@
 //! which engine runs a program and why.
 
 use crate::code::{Code, Compiler, Fault, Load, Read, Stack, StmtCode};
-use crate::exec::{fold, owner_tables, DimRule, Memo, OwnerRef, OwnerTables, Slot};
+use crate::env::Env;
+use crate::exec::{fold, owner_tables, DimRule, Event, Memo, OwnerRef, OwnerTables, Slot, Tag};
 use crate::lower::SpmdProgram;
-use crate::runtime::{run_ranks, Local, Replayed};
+use crate::runtime::{panic_text, run_ranks, spawn_ranks, Local, Replayed};
 use crate::wire::{self, Wire};
 use hpf_dist::{dist_owner, shrink_bounds, ArrayMapping, GridDimRule, IterSet, ProcGrid};
 use hpf_ir::interp::{InterpError, Memory};
 use hpf_ir::{Affine, ArrayRef, DistFormat, Expr, LValue, Program, Stmt, StmtId, Value, VarId};
 use hpf_net::Transport;
-use hpf_obs::CommKind;
 use phpf_core::ScalarMapping;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -775,6 +776,73 @@ struct Inbound {
     vals: Arc<Vec<Value>>,
     next: usize,
     seen: HashSet<Slot>,
+    /// Where its `RecvVec` sits in the recorded events, when recording.
+    event: Option<usize>,
+}
+
+/// A rank's schedule as the verifier reads it ([`record`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct RankSchedule {
+    /// The rank's messages, reduction steps and owned writes
+    /// ([`SpmdProgram::owned_write`]), in the shape of the reference
+    /// executor's trace: per-element `Send`/`Recv`; a `SendVec` with the
+    /// section the owner worked out; a `RecvVec` whose slots are the
+    /// elements the reader read, in first-read order; `RecvPartial` and
+    /// `Combine`; `Exec` with the enclosing loops' bindings.
+    pub events: Vec<Event>,
+    /// Why the rank stopped before its program's end, if it did.
+    pub stop: Option<Stop>,
+}
+
+/// Why a recorded rank stopped early.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Stop {
+    /// Its own code failed, at statement `stmt` (`None`: it panicked).
+    Fault { stmt: Option<StmtId>, error: String },
+    /// A message failed: its peer stopped, or never sent. A receive that
+    /// failed is the rank's last event.
+    Message(String),
+}
+
+/// What a recording rank keeps.
+struct Recorder<'a> {
+    /// By `StmtId`: for an owned write, the DO variables of its enclosing
+    /// loops, outermost first.
+    writes: &'a [Option<Vec<VarId>>],
+    events: Vec<Event>,
+}
+
+impl Recorder<'_> {
+    /// The bindings of owned write `s` about to run on `mem`, as the
+    /// executor records them: the enclosing loops' indices, then the DO
+    /// variables it reads outside their loops. `None` for a statement that
+    /// is not recorded.
+    fn env(&self, s: StmtId, mem: &Memory, code: &Code) -> Option<Env> {
+        let loops = self.writes[s.index()].as_ref()?;
+        let mut env = Env::new();
+        for &v in loops.iter().chain(code.exits(s)) {
+            if let Value::Int(x) = mem.scalar(v) {
+                env.push(v, x);
+            }
+        }
+        Some(env)
+    }
+}
+
+/// By `StmtId`: the enclosing loops' DO variables of every owned write.
+fn recorded_writes(sp: &SpmdProgram) -> Vec<Option<Vec<VarId>>> {
+    let p = &sp.program;
+    (0..p.num_stmts())
+        .map(|s| {
+            let s = StmtId(s as u32);
+            sp.owned_write(s).map(|_| {
+                p.enclosing_loops(s)
+                    .into_iter()
+                    .filter_map(|l| p.loop_var(l))
+                    .collect()
+            })
+        })
+        .collect()
 }
 
 /// The same bound as the reference executor's.
@@ -802,6 +870,10 @@ struct Rank<'a, 'w, T: Transport> {
     inbox: HashMap<(usize, usize), Inbound>,
     /// The transport error behind the last `comm_fault()`.
     comm_err: Option<String>,
+    /// The rank stopped at a message.
+    message_failed: bool,
+    /// The recorder, when the rank records its schedule.
+    rec: Option<Recorder<'a>>,
     /// This rank's copies of the owner references' memos.
     memos: Vec<Memo>,
     /// The deepest placement level of an owed or received section.
@@ -818,15 +890,88 @@ fn comm_fault() -> Fault {
     Box::new(InterpError::TypeError("communication failed".into()))
 }
 
-impl<'a, T: Transport> Rank<'a, '_, T> {
+impl<'a, 'w, T: Transport> Rank<'a, 'w, T> {
+    fn new(
+        plan: &'a Plan<'a>,
+        wire: &'w mut Wire<'a, T>,
+        mem: Memory,
+        vectorize: bool,
+    ) -> Rank<'a, 'w, T> {
+        let grid = &plan.sp.maps.grid;
+        let pid = wire.rank();
+        Rank {
+            plan,
+            p: &plan.sp.program,
+            grid,
+            pid,
+            coords_me: grid.coords_of(pid),
+            mem,
+            wire,
+            vectorize,
+            depth: 0,
+            steps: 0,
+            cur: StmtId(0),
+            outbox: HashMap::new(),
+            inbox: HashMap::new(),
+            comm_err: None,
+            message_failed: false,
+            rec: None,
+            memos: plan.owners.memos.clone(),
+            deepest: None,
+            st: Stack::default(),
+            owner_coords: Vec::new(),
+            idx: Vec::new(),
+            pids: Vec::new(),
+        }
+    }
+
     /// Run the node program.
     fn run(mut self) -> Result<Memory, String> {
-        let body = &self.p.body;
-        if let Err(e) = self.block(body).and_then(|()| self.close(0)) {
-            let msg = self.comm_err.take().unwrap_or_else(|| e.to_string());
-            return Err(format!("proc {}: {}", self.pid, msg));
+        match self.walk() {
+            Ok(()) => Ok(self.mem),
+            Err(e) => {
+                let pid = self.pid;
+                Err(format!("proc {}: {}", pid, self.error_text(e)))
+            }
         }
-        Ok(self.mem)
+    }
+
+    /// Run the node program and hand back what it recorded.
+    fn record(mut self) -> RankSchedule {
+        let stop = self.walk().err().map(|e| {
+            let error = self.error_text(e);
+            if self.message_failed {
+                Stop::Message(error)
+            } else {
+                Stop::Fault {
+                    stmt: Some(self.cur),
+                    error,
+                }
+            }
+        });
+        let events = self.rec.take().map_or_else(Vec::new, |r| r.events);
+        RankSchedule { events, stop }
+    }
+
+    fn walk(&mut self) -> Result<(), Fault> {
+        let body = &self.p.body;
+        self.block(body).and_then(|()| self.close(0))
+    }
+
+    fn error_text(&mut self, e: Fault) -> String {
+        self.comm_err.take().unwrap_or_else(|| e.to_string())
+    }
+
+    /// Record `ev`, when recording.
+    fn note(&mut self, ev: Event) {
+        if let Some(rec) = &mut self.rec {
+            rec.events.push(ev);
+        }
+    }
+
+    /// The class of a per-element message through `op`.
+    fn tag(&self, op: Option<usize>) -> Tag {
+        op.map_or(Tag::Untracked(self.depth), Tag::Op)
     }
 
     fn fail(&mut self, msg: String) -> Fault {
@@ -841,7 +986,10 @@ impl<'a, T: Transport> Rank<'a, '_, T> {
         op: impl FnOnce(&mut Wire<'a, T>, &Memory) -> Result<R, String>,
     ) -> Result<R, Fault> {
         self.wire.count_event();
-        op(self.wire, &self.mem).map_err(|e| self.fail(e))
+        op(self.wire, &self.mem).map_err(|e| {
+            self.message_failed = true;
+            self.fail(e)
+        })
     }
 
     fn block(&mut self, block: &'a [StmtId]) -> Result<(), Fault> {
@@ -865,20 +1013,24 @@ impl<'a, T: Transport> Rank<'a, '_, T> {
 
     fn stmt(&mut self, s: StmtId) -> Result<(), Fault> {
         self.tick()?;
+        self.cur = s;
         let code = &self.plan.code;
         match (self.p.stmt(s), code.stmt(s)) {
             (Stmt::Assign { .. }, _) => {
                 let mut pids = std::mem::take(&mut self.pids);
                 self.guard_pids(s, &mut pids)?;
                 for &q in &pids {
-                    self.cur = s;
                     if q == self.pid {
                         self.wire.count_event();
+                        let env = self.rec.as_ref().and_then(|r| r.env(s, &self.mem, code));
                         let mut st = std::mem::take(&mut self.st);
                         let res = code.assign(s, self, &mut st);
                         self.st = st;
                         let (slot, val) = res?;
                         crate::code::store(&mut self.mem, slot, val)?;
+                        if let Some(env) = env {
+                            self.note(Event::Exec { stmt: s, env });
+                        }
                     } else if !self.plan.reads[s.index()].is_empty() {
                         self.serve(q, s)?;
                     }
@@ -900,6 +1052,7 @@ impl<'a, T: Transport> Rank<'a, '_, T> {
                 self.depth -= 1;
                 self.mem
                     .set_scalar(*var, Value::Int(exit_value(lo, hi, step)));
+                self.cur = s;
                 self.reduce(s)
             }
             (
@@ -1171,8 +1324,11 @@ impl<'a, T: Transport> Rank<'a, '_, T> {
                     let vals = slots.iter().map(|&x| wire::load(mem, x)).collect();
                     w.send_section(q, i, &slots, Arc::new(vals))
                 })?;
+                self.note(Event::SendVec { to: q, op: i, slots });
             } else {
-                self.message(|w, mem| w.send_one(mem, q, slot))?;
+                let tag = self.tag(op);
+                self.message(|w, mem| w.send_one(mem, q, slot, tag))?;
+                self.note(Event::Send { to: q, slot, tag });
             }
         }
         Ok(())
@@ -1327,6 +1483,11 @@ impl<'a, T: Transport> Rank<'a, '_, T> {
         if self.vectorize && plan.hoisted(op) {
             let i = op.unwrap();
             if !self.inbox.contains_key(&(i, src)) {
+                let event = self.rec.as_mut().map(|r| {
+                    let slots = Vec::new();
+                    r.events.push(Event::RecvVec { from: src, op: i, slots });
+                    r.events.len() - 1
+                });
                 let vals = self.message(|w, _| w.recv_section(src, i, None))?;
                 self.opened(i);
                 self.inbox.insert(
@@ -1335,6 +1496,7 @@ impl<'a, T: Transport> Rank<'a, '_, T> {
                         vals,
                         next: 0,
                         seen: HashSet::new(),
+                        event,
                     },
                 );
             }
@@ -1348,10 +1510,17 @@ impl<'a, T: Transport> Rank<'a, '_, T> {
                     )));
                 };
                 inb.next += 1;
+                if let (Some(rec), Some(k)) = (&mut self.rec, inb.event) {
+                    if let Event::RecvVec { slots, .. } = &mut rec.events[k] {
+                        slots.push(slot);
+                    }
+                }
                 wire::store(self.p, &mut self.mem, slot, v)?;
             }
         } else {
-            let v = self.message(|w, _| w.recv_one(src, CommKind::Recv))?;
+            let tag = self.tag(op);
+            self.note(Event::Recv { from: src, slot, tag });
+            let v = self.message(|w, _| w.recv_one(src, tag))?;
             wire::store(self.p, &mut self.mem, slot, v)?;
         }
         Ok(wire::load(&self.mem, slot))
@@ -1373,22 +1542,27 @@ impl<'a, T: Transport> Rank<'a, '_, T> {
                 |pid: usize| grid.resolve_with(pid, |d| op.reduce_dims.contains(&d).then_some(0));
             let leader = leader_of(self.pid);
             let members: Vec<usize> = grid.pids().filter(|&q| leader_of(q) == leader).collect();
-            let vars: Vec<VarId> = std::iter::once(op.acc).chain(op.loc).collect();
+            let slots: Vec<Slot> = std::iter::once(op.acc).chain(op.loc).map(Slot::Scalar).collect();
+            let (partial, result) = (Tag::Reduce(self.depth), Tag::Broadcast(self.depth));
             if self.pid != leader {
-                for &v in &vars {
-                    self.message(|w, mem| w.send_one(mem, leader, Slot::Scalar(v)))?;
+                for &slot in &slots {
+                    self.message(|w, mem| w.send_one(mem, leader, slot, partial))?;
+                    self.note(Event::Send { to: leader, slot, tag: partial });
                 }
-                for &v in &vars {
-                    let x = self.message(|w, _| w.recv_one(leader, CommKind::Recv))?;
-                    wire::store(self.p, &mut self.mem, Slot::Scalar(v), x)?;
+                for &slot in &slots {
+                    self.note(Event::Recv { from: leader, slot, tag: result });
+                    let x = self.message(|w, _| w.recv_one(leader, result))?;
+                    wire::store(self.p, &mut self.mem, slot, x)?;
                 }
                 continue;
             }
             let mut partials = Vec::with_capacity(members.len());
             for &q in &members[1..] {
-                let mut got = Vec::with_capacity(vars.len());
-                for _ in &vars {
-                    got.push(self.message(|w, _| w.recv_one(q, CommKind::Reduce))?);
+                let has_loc = op.loc.is_some();
+                self.note(Event::RecvPartial { from: q, has_loc, level: self.depth });
+                let mut got = Vec::with_capacity(slots.len());
+                for _ in &slots {
+                    got.push(self.message(|w, _| w.recv_one(q, partial))?);
                 }
                 partials.push(got);
             }
@@ -1403,9 +1577,16 @@ impl<'a, T: Transport> Rank<'a, '_, T> {
             if let (Some(lv), Some(bl)) = (op.loc, best_loc) {
                 self.mem.set_scalar(lv, bl);
             }
+            self.note(Event::Combine {
+                op: op.op,
+                acc: op.acc,
+                loc: op.loc,
+                count: members.len() - 1,
+            });
             for &q in &members[1..] {
-                for &v in &vars {
-                    self.message(|w, mem| w.send_one(mem, q, Slot::Scalar(v)))?;
+                for &slot in &slots {
+                    self.message(|w, mem| w.send_one(mem, q, slot, result))?;
+                    self.note(Event::Send { to: q, slot, tag: result });
                 }
             }
         }
@@ -1460,33 +1641,42 @@ pub fn run(
     want_obs: bool,
 ) -> Result<Replayed, String> {
     let plan = &Plan::new(sp);
-    let grid = &sp.maps.grid;
-    let mut out = run_ranks(sp, grid.total(), init, want_obs, |wire, mem| {
-        let pid = wire.rank();
-        Rank {
-            plan,
-            p: &sp.program,
-            grid,
-            pid,
-            coords_me: grid.coords_of(pid),
-            mem,
-            wire,
-            vectorize,
-            depth: 0,
-            steps: 0,
-            cur: StmtId(0),
-            outbox: HashMap::new(),
-            inbox: HashMap::new(),
-            comm_err: None,
-            memos: plan.owners.memos.clone(),
-            deepest: None,
-            st: Stack::default(),
-            owner_coords: Vec::new(),
-            idx: Vec::new(),
-            pids: Vec::new(),
-        }
-        .run()
+    let mut out = run_ranks(sp, sp.maps.grid.total(), init, want_obs, |wire, mem| {
+        Rank::new(plan, wire, mem, vectorize).run()
     })?;
     out.engine = Some(Engine::Node);
     Ok(out)
+}
+
+/// Run the node programs of `sp` as [`run`] does, vectorized and
+/// untraced, each rank recording its own schedule: the verifier's input
+/// for every program [`engine`] admits. A rank that fails stops there and
+/// says why; its peers stop at the messages it never sends.
+pub fn record(sp: &SpmdProgram, init: &(impl Fn(&mut Memory) + Sync)) -> Vec<RankSchedule> {
+    let plan = &Plan::new(sp);
+    let writes = &recorded_writes(sp);
+    let ends = spawn_ranks(sp, sp.maps.grid.total(), init, false, |wire, mem| {
+        let mut rank = Rank::new(plan, wire, mem, true);
+        rank.rec = Some(Recorder {
+            writes,
+            events: Vec::new(),
+        });
+        Ok(rank.record())
+    });
+    ends.into_iter()
+        .map(|end| match end {
+            Ok((Ok((_, _, schedule)), _)) => schedule,
+            Ok((Err(e), _)) => RankSchedule {
+                events: Vec::new(),
+                stop: Some(Stop::Message(e)),
+            },
+            Err(e) => RankSchedule {
+                events: Vec::new(),
+                stop: Some(Stop::Fault {
+                    stmt: None,
+                    error: format!("panicked: {}", panic_text(e)),
+                }),
+            },
+        })
+        .collect()
 }

@@ -21,7 +21,7 @@
 //! transport: the threaded replay runs it once per rank over the whole
 //! event list, and the socket workers of `hpf-compile::netrun` run it in
 //! separate OS processes, one epoch at a time as the events arrive. One
-//! thread driver ([`run_ranks`]) runs every rank engine, the replay and
+//! thread driver ([`spawn_ranks`]) runs every rank engine, the replay and
 //! the node programs alike.
 //!
 //! On threads, [`validate_replay`] and its variants replay only the
@@ -31,7 +31,7 @@
 
 use crate::code::{self, Code, Fault, Load, Site, Stack, StmtCode};
 use crate::env::Env;
-use crate::exec::{fold, Event, Slot, SpmdExec, Trace};
+use crate::exec::{fold, Event, Slot, SpmdExec, Tag, Trace};
 use crate::lower::SpmdProgram;
 use crate::metrics::CommMetrics;
 use crate::node::{self, Engine};
@@ -40,7 +40,7 @@ use hpf_analysis::RedOp;
 use hpf_ir::interp::Memory;
 use hpf_ir::{Program, Value, VarId};
 use hpf_net::{channel_group, ChannelTransport, Transport};
-use hpf_obs::CommKind;
+use hpf_obs::BufTracer;
 use std::sync::Arc;
 
 /// Statistics from a replay.
@@ -139,20 +139,25 @@ pub fn replay_traced(
     })
 }
 
+/// What a rank thread of [`spawn_ranks`] ends with: the engine's output
+/// with the rank's stats and metrics (or its error) and the rank's
+/// timeline, or the panic that ended it.
+pub(crate) type RankEnd<M> =
+    std::thread::Result<(Result<(ReplayStats, CommMetrics, M), String>, BufTracer)>;
+
 /// Run one rank engine per scoped thread over the in-process channel
-/// backend and merge what the ranks hand back. `rank` gets the rank's
-/// [`Wire`] and its memory, zeroed and filled by `init`, and returns the
-/// memory it ends with; [`Wire::finish`] ends every rank. A rank that
-/// fails or panics fails the run with an error naming it.
-pub(crate) fn run_ranks<'s>(
+/// backend. `rank` gets the rank's [`Wire`] and its memory, zeroed and
+/// filled by `init`; [`Wire::finish`] ends every rank. Returns each rank's
+/// end, in rank order.
+pub(crate) fn spawn_ranks<'s, M: Send>(
     sp: &'s SpmdProgram,
     nproc: usize,
     init: &(impl Fn(&mut Memory) + Sync),
     want_obs: bool,
-    rank: impl Fn(&mut Wire<'s, ChannelTransport>, Memory) -> Result<Memory, String> + Sync,
-) -> Result<Replayed, String> {
+    rank: impl Fn(&mut Wire<'s, ChannelTransport>, Memory) -> Result<M, String> + Sync,
+) -> Vec<RankEnd<M>> {
     let rank = &rank;
-    let joined: Vec<_> = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = channel_group(nproc)
             .into_iter()
             .enumerate()
@@ -163,14 +168,26 @@ pub(crate) fn run_ranks<'s>(
                     init(&mut mem);
                     let mut wire = Wire::new(sp, transport, want_obs);
                     let run = rank(&mut wire, mem);
-                    let (res, timeline) = wire.finish(run);
-                    res.map(|out| (out, timeline))
+                    wire.finish(run)
                 });
                 spawned.expect("spawn a rank thread")
             })
             .collect();
         handles.into_iter().map(|h| h.join()).collect()
-    });
+    })
+}
+
+/// [`spawn_ranks`] for engines that end with the rank's memory: merges
+/// what the ranks hand back. A rank that fails or panics fails the run
+/// with an error naming it.
+pub(crate) fn run_ranks<'s>(
+    sp: &'s SpmdProgram,
+    nproc: usize,
+    init: &(impl Fn(&mut Memory) + Sync),
+    want_obs: bool,
+    rank: impl Fn(&mut Wire<'s, ChannelTransport>, Memory) -> Result<Memory, String> + Sync,
+) -> Result<Replayed, String> {
+    let joined = spawn_ranks(sp, nproc, init, want_obs, rank);
     let mut out = Replayed {
         mems: Vec::with_capacity(nproc),
         stats: ReplayStats::default(),
@@ -186,10 +203,10 @@ pub(crate) fn run_ranks<'s>(
     for (pid, joined) in joined.into_iter().enumerate() {
         match joined {
             Err(e) => return Err(format!("proc {}: panicked: {}", pid, panic_text(e))),
-            Ok(Err(e)) => {
+            Ok((Err(e), _)) => {
                 failed.get_or_insert(e);
             }
-            Ok(Ok(((stats, metrics, mem), timeline))) => {
+            Ok((Ok((stats, metrics, mem)), timeline)) => {
                 out.stats.messages_sent += stats.messages_sent;
                 out.stats.events += stats.events;
                 out.metrics.merge(&metrics);
@@ -206,7 +223,7 @@ pub(crate) fn run_ranks<'s>(
 }
 
 /// A panic's message.
-fn panic_text(e: Box<dyn std::any::Any + Send>) -> String {
+pub(crate) fn panic_text(e: Box<dyn std::any::Any + Send>) -> String {
     match e.downcast::<String>() {
         Ok(s) => *s,
         Err(e) => match e.downcast::<&'static str>() {
@@ -258,9 +275,9 @@ impl<'a, T: Transport> RankWorker<'a, '_, T> {
     fn step(&mut self, ev: &'a Event) -> Result<(), String> {
         self.wire.count_event();
         match ev {
-            Event::Send { to, slot } => self.wire.send_one(self.mem, *to, *slot)?,
-            Event::Recv { from, slot } => {
-                let v = self.wire.recv_one(*from, CommKind::Recv)?;
+            Event::Send { to, slot, tag } => self.wire.send_one(self.mem, *to, *slot, *tag)?,
+            Event::Recv { from, slot, tag } => {
+                let v = self.wire.recv_one(*from, *tag)?;
                 self.last_vec = None;
                 wire::store(self.program, self.mem, *slot, v).map_err(|e| e.to_string())?;
             }
@@ -315,10 +332,15 @@ impl<'a, T: Transport> RankWorker<'a, '_, T> {
                     }
                 }
             }
-            Event::RecvPartial { from, has_loc } => {
-                let acc = self.wire.recv_one(*from, CommKind::Reduce)?;
+            Event::RecvPartial {
+                from,
+                has_loc,
+                level,
+            } => {
+                let tag = Tag::Reduce(*level);
+                let acc = self.wire.recv_one(*from, tag)?;
                 let loc = if *has_loc {
-                    Some(self.wire.recv_one(*from, CommKind::Reduce)?)
+                    Some(self.wire.recv_one(*from, tag)?)
                 } else {
                     None
                 };

@@ -12,9 +12,9 @@
 //! the section's length), and [`Wire::finish`] tears the transport down
 //! once for every engine.
 
-use crate::exec::Slot;
+use crate::exec::{Slot, Tag};
 use crate::lower::SpmdProgram;
-use crate::metrics::{CommMetrics, ELEMENT, REDUCE};
+use crate::metrics::CommMetrics;
 use crate::runtime::ReplayStats;
 use hpf_ir::interp::{InterpError, Memory};
 use hpf_ir::{Program, Value};
@@ -65,14 +65,24 @@ impl<'s, T: Transport> Wire<'s, T> {
         self.stats.events += 1;
     }
 
-    /// Send the value of `slot` in `mem` to `to` as one element message.
-    pub(crate) fn send_one(&mut self, mem: &Memory, to: usize, slot: Slot) -> Result<(), String> {
+    /// Send the value of `slot` in `mem` to `to` as one element message of
+    /// class `tag`.
+    pub(crate) fn send_one(
+        &mut self,
+        mem: &Memory,
+        to: usize,
+        slot: Slot,
+        tag: Tag,
+    ) -> Result<(), String> {
         self.send(to, &WireMsg::One(load(mem, slot)))
             .map_err(|e| format!("element send to {}: {}", to, e))?;
         let bytes = slot_bytes(&self.sp.program, slot);
+        let pattern = tag.pattern(self.sp);
         self.metrics
-            .note_message(ELEMENT, None, self.pid, to, bytes);
-        self.record_send(CommKind::Send, to, None, ELEMENT, 1);
+            .note_message(pattern, tag.op(), self.pid, to, bytes);
+        let seq = self.transport.link_seq(to);
+        let levels = tag.levels(self.sp);
+        self.record(tag.kinds().0, (self.pid, to), tag.op(), pattern, levels, 1, seq);
         Ok(())
     }
 
@@ -94,16 +104,18 @@ impl<'s, T: Transport> Wire<'s, T> {
             let bytes = slot_bytes(&self.sp.program, s);
             self.metrics.note_payload(pattern, op, self.pid, to, bytes);
         }
-        self.record_send(CommKind::SendVec, to, Some(op), pattern, slots.len() as u64);
+        let seq = self.transport.link_seq(to);
+        let levels = Tag::Op(op).levels(self.sp);
+        let elems = slots.len() as u64;
+        self.record(CommKind::SendVec, (self.pid, to), Some(op), pattern, levels, elems, seq);
         Ok(())
     }
 
-    /// Receive one value from `from`: an element, or a reduction value
-    /// when `kind` is [`CommKind::Reduce`].
-    pub(crate) fn recv_one(&mut self, from: usize, kind: CommKind) -> Result<Value, String> {
-        let (what, pattern) = match kind {
-            CommKind::Reduce => ("reduction partial", REDUCE),
-            _ => ("element recv", ELEMENT),
+    /// Receive one value of class `tag` from `from`.
+    pub(crate) fn recv_one(&mut self, from: usize, tag: Tag) -> Result<Value, String> {
+        let what = match tag {
+            Tag::Reduce(_) => "reduction partial",
+            _ => "element recv",
         };
         let fail = |e: String| format!("{} from {}: {}", what, from, e);
         let v = match self.transport.recv(from).map_err(|e| fail(e.to_string()))? {
@@ -114,7 +126,8 @@ impl<'s, T: Transport> Wire<'s, T> {
                 ))
             }
         };
-        self.record(kind, (from, self.pid), None, pattern, 1, None);
+        let (pattern, levels) = (tag.pattern(self.sp), tag.levels(self.sp));
+        self.record(tag.kinds().1, (from, self.pid), tag.op(), pattern, levels, 1, None);
         Ok(v)
     }
 
@@ -143,14 +156,9 @@ impl<'s, T: Transport> Wire<'s, T> {
             )));
         }
         let pattern = self.sp.comms[op].pattern.name();
-        self.record(
-            CommKind::RecvVec,
-            (from, self.pid),
-            Some(op),
-            pattern,
-            vals.len() as u64,
-            None,
-        );
+        let levels = Tag::Op(op).levels(self.sp);
+        let elems = vals.len() as u64;
+        self.record(CommKind::RecvVec, (from, self.pid), Some(op), pattern, levels, elems, None);
         Ok(vals)
     }
 
@@ -160,39 +168,24 @@ impl<'s, T: Transport> Wire<'s, T> {
         Ok(())
     }
 
-    /// A send's comm event carries the link's wire sequence number (socket
-    /// backend); receive-side numbers would race the reader thread, so
-    /// receives carry none.
-    fn record_send(
-        &mut self,
-        kind: CommKind,
-        to: usize,
-        op: Option<usize>,
-        pattern: &str,
-        elems: u64,
-    ) {
-        let seq = self.transport.link_seq(to);
-        self.record(kind, (self.pid, to), op, pattern, elems, seq);
-    }
-
+    /// A message's comm event, when the run is traced. A send's carries the
+    /// link's wire sequence number (socket backend); receive-side numbers
+    /// would race the reader thread, so receives carry none.
+    #[allow(clippy::too_many_arguments)]
     fn record(
         &mut self,
         kind: CommKind,
         ends: (usize, usize),
         op: Option<usize>,
         pattern: &str,
+        levels: (usize, usize),
         elems: u64,
         seq: Option<u64>,
     ) {
-        if !self.traced {
-            return;
+        if self.traced {
+            self.timeline
+                .push(comm_event(kind, ends, op, pattern, levels, elems, seq));
         }
-        let levels = op.map_or((0, 0), |i| {
-            let c = &self.sp.comms[i];
-            (c.level, c.stmt_level)
-        });
-        self.timeline
-            .push(comm_event(kind, ends, op, pattern, levels, elems, seq));
     }
 
     /// End the rank: after an engine run that succeeded, tear the
@@ -331,6 +324,7 @@ END DO
             Event::Recv {
                 from: 0,
                 slot: slots[0],
+                tag: crate::Tag::Op(0),
             },
             section(2),
         );

@@ -1,7 +1,8 @@
 //! The lowered communication schedule as a message-passing CSP.
 //!
-//! The per-rank event lists the executor compiles (its replay `Trace`)
-//! are a closed CSP: sends are asynchronous enqueues onto per-link FIFO
+//! The per-rank event lists of a schedule (the executor's replay
+//! `Trace`, or the streams the node programs record, which have one
+//! epoch) are a closed CSP: sends are asynchronous enqueues onto per-link FIFO
 //! channels, receives block on their link's head. This module proves
 //! the three schedule properties:
 //!
@@ -21,9 +22,9 @@
 //!   transfer) is still open when the cut is taken, so the epoch handed
 //!   to the workers is not final.
 //! * **S104** — payload agreement: a matched send/receive pair must
-//!   agree on kind (scalar vs. coalesced), on the placed operation, and
-//!   on the slot vector, or the receiver scatters values into the wrong
-//!   memory.
+//!   agree on kind (scalar vs. coalesced), on the placed operation (or
+//!   the class of a per-element message), and on the slot vector, or the
+//!   receiver scatters values into the wrong memory.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -80,7 +81,7 @@ pub fn simulate(trace: &Trace) -> Sim {
                             None => break 'rank,
                         }
                     }
-                    Event::RecvPartial { from, has_loc } => {
+                    Event::RecvPartial { from, has_loc, .. } => {
                         let need = 1 + *has_loc as usize;
                         let q = links.entry((*from, r)).or_default();
                         if q.len() < need {
@@ -214,13 +215,22 @@ pub fn check_schedule(p: &Program, trace: &Trace, cuts: &[Vec<usize>]) -> (Vec<D
         let send = &trace[pr.send.0][pr.send.1];
         let recv = &trace[pr.recv.0][pr.recv.1];
         let complaint: Option<String> = match (send, recv) {
-            (Event::Send { slot: ss, .. }, Event::Recv { slot: rs, .. }) => {
+            (
+                Event::Send {
+                    slot: ss, tag: st, ..
+                },
+                Event::Recv {
+                    slot: rs, tag: rt, ..
+                },
+            ) => {
                 if ss != rs {
                     Some(format!(
                         "slot mismatch: sends {}, receives into {}",
                         slot_text(p, ss),
                         slot_text(p, rs)
                     ))
+                } else if st != rt {
+                    Some(format!("message class mismatch: sends {:?}, receives {:?}", st, rt))
                 } else {
                     None
                 }
@@ -293,7 +303,7 @@ fn check_epoch_matching(trace: &Trace, cuts: &[Vec<usize>], out: &mut Vec<Diagno
             match e {
                 Event::Send { to, .. } => tally.entry((ep, r, *to)).or_default()[0] += 1,
                 Event::Recv { from, .. } => tally.entry((ep, *from, r)).or_default()[1] += 1,
-                Event::RecvPartial { from, has_loc } => {
+                Event::RecvPartial { from, has_loc, .. } => {
                     tally.entry((ep, *from, r)).or_default()[1] += 1 + *has_loc as usize
                 }
                 Event::SendVec { to, .. } => tally.entry((ep, r, *to)).or_default()[2] += 1,
@@ -335,9 +345,11 @@ fn check_epoch_matching(trace: &Trace, cuts: &[Vec<usize>], out: &mut Vec<Diagno
 /// Render a replay event for a diagnostic note.
 pub fn event_text(p: &Program, e: &Event) -> String {
     match e {
-        Event::Send { to, slot } => format!("Send {} to rank {}", slot_text(p, slot), to),
-        Event::Recv { from, slot } => {
-            format!("Recv {} from rank {}", slot_text(p, slot), from)
+        Event::Send { to, slot, tag } => {
+            format!("Send {} to rank {} ({:?})", slot_text(p, slot), to, tag)
+        }
+        Event::Recv { from, slot, tag } => {
+            format!("Recv {} from rank {} ({:?})", slot_text(p, slot), from, tag)
         }
         Event::SendVec { to, op, slots } => format!(
             "SendVec op{} ({} slot(s)) to rank {}",
@@ -357,7 +369,7 @@ pub fn event_text(p: &Program, e: &Event) -> String {
         Event::CondExec { stmt, .. } => {
             format!("CondExec stmt {} `{}`", stmt.0, crate::render::stmt_text(p, *stmt))
         }
-        Event::RecvPartial { from, has_loc } => format!(
+        Event::RecvPartial { from, has_loc, .. } => format!(
             "RecvPartial from rank {}{}",
             from,
             if *has_loc { " (with loc)" } else { "" }

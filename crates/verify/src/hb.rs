@@ -16,7 +16,7 @@
 use std::collections::{HashMap, HashSet};
 
 use hpf_analysis::Analysis;
-use hpf_ir::{Affine, ArrayShape, LValue, Stmt, StmtId, VarId};
+use hpf_ir::{Affine, ArrayShape, StmtId, VarId};
 use hpf_spmd::{Env, Event, SpmdProgram, Trace};
 
 use crate::csp::Sim;
@@ -211,20 +211,9 @@ enum WriteAttr<'p> {
 impl<'p> WriteAttr<'p> {
     fn of(sp: &'p SpmdProgram, a: &Analysis<'_>, stmt: StmtId) -> WriteAttr<'p> {
         let p = &sp.program;
-        let Stmt::Assign {
-            lhs: LValue::Array(r),
-            ..
-        } = p.stmt(stmt)
-        else {
+        let Some((r, shape)) = sp.owned_write(stmt) else {
             return WriteAttr::Skip;
         };
-        let m = sp.maps.of(r.array);
-        let Some(shape) = p.vars.info(r.array).shape() else {
-            return WriteAttr::Skip;
-        };
-        if m.is_fully_replicated() || !m.private_dims().is_empty() {
-            return WriteAttr::Skip;
-        }
         let subs: Option<Vec<Affine>> = r
             .subs
             .iter()

@@ -20,10 +20,23 @@
 //!   against the static happens-before relation: `T300`–`T302`.
 //!
 //! Entry points: [`verify_static`] (decisions only, no execution),
-//! [`verify_execution`] (compiles the schedule by running the
-//! reference executor, then checks everything), [`verify_schedule_trace`]
-//! (checks a supplied replay trace — the negative-corpus hook), and
-//! [`verify_recorded_trace`] (`--verify-trace`).
+//! [`verify_execution`] (runs the schedule the thread backend runs, then
+//! checks everything), [`verify_executor_schedule`] (the same checks on
+//! the reference executor's trace and epoch cuts, which socket workers
+//! replay), [`verify_schedule_trace`] (checks a supplied schedule — the
+//! negative-corpus hook), and [`verify_recorded_trace`]
+//! (`--verify-trace`).
+//!
+//! [`verify_execution`] checks the schedule that runs. For every program
+//! [`hpf_spmd::engine`] admits, that is the node programs': the P ranks
+//! run on threads, each recording its own messages, reduction steps and
+//! owned writes ([`hpf_spmd::node::record`]), and the checks read those
+//! streams with one epoch (node programs take no epoch cuts). Every
+//! other program runs on the reference executor and replay, and is
+//! checked on the executor's trace and epoch cuts, as before. A rank
+//! whose own code fails is an `S100` naming the rank and the statement;
+//! a rank that stops at a receive keeps it as its last event, so a
+//! blocked run is an `S102` naming each stuck rank.
 
 pub mod csp;
 pub mod diag;
@@ -36,7 +49,8 @@ pub use diag::{Diagnostic, Severity, VerifyReport, VerifyVerdict};
 
 use hpf_analysis::Analysis;
 use hpf_ir::Memory;
-use hpf_spmd::{SpmdExec, SpmdProgram};
+use hpf_spmd::node::{self, Stop};
+use hpf_spmd::{Engine, SpmdExec, SpmdProgram, Trace};
 
 /// Verify the statically decidable properties: every privatization /
 /// alignment decision against the paper's side conditions, and operand
@@ -48,30 +62,92 @@ pub fn verify_static(sp: &SpmdProgram) -> VerifyReport {
     report
 }
 
-/// Full verification: the static checks, then the schedule the
-/// reference executor compiles for this program (its replay trace and
-/// epoch cuts) checked for matching, deadlock-freedom, cut-closure and
-/// happens-before races.
-pub fn verify_execution(sp: &SpmdProgram, init: impl Fn(&mut Memory)) -> VerifyReport {
+/// Full verification: the static checks, then the schedule the thread
+/// backend runs, checked for matching, deadlock-freedom, cut-closure and
+/// happens-before races: the node programs' own schedule when
+/// [`hpf_spmd::engine`] admits the program, else the reference
+/// executor's trace and epoch cuts.
+pub fn verify_execution(sp: &SpmdProgram, init: impl Fn(&mut Memory) + Sync) -> VerifyReport {
+    match hpf_spmd::engine(sp) {
+        Engine::Node => verify_with(sp, |report| node_schedule(sp, &init, report)),
+        Engine::Replay(_) => verify_executor_schedule(sp, init),
+    }
+}
+
+/// Full verification of the reference executor's schedule (its replay
+/// trace and epoch cuts), whatever engine the thread backend picks: the
+/// schedule socket workers replay.
+pub fn verify_executor_schedule(sp: &SpmdProgram, init: impl Fn(&mut Memory)) -> VerifyReport {
+    verify_with(sp, |report| {
+        let mut exec = SpmdExec::new(sp, init).with_trace();
+        if let Err(e) = exec.run() {
+            report.push(Diagnostic::error(
+                "S100",
+                format!("reference execution failed before the schedule completed: {}", e),
+            ));
+            return None;
+        }
+        let cuts = exec.epoch_cuts().to_vec();
+        exec.trace.take().map(|trace| (trace, cuts))
+    })
+}
+
+/// The static checks, then the schedule and epoch cuts `schedule` yields
+/// (or the diagnostics it reports instead).
+fn verify_with(
+    sp: &SpmdProgram,
+    schedule: impl FnOnce(&mut VerifyReport) -> Option<(Trace, Vec<Vec<usize>>)>,
+) -> VerifyReport {
     let a = Analysis::run(&sp.program);
     let mut report = VerifyReport::default();
     report.extend(privatize::verify_privatization(sp, &a));
-
-    let mut exec = SpmdExec::new(sp, init).with_trace();
-    if let Err(e) = exec.run() {
-        report.push(Diagnostic::error(
-            "S100",
-            format!("reference execution failed before the schedule completed: {}", e),
-        ));
+    let Some((trace, cuts)) = schedule(&mut report) else {
         return report;
-    }
-    let cuts = exec.epoch_cuts().to_vec();
-    let trace = exec.trace.take().expect("with_trace records a trace");
-
+    };
     let (diags, sim) = csp::check_schedule(&sp.program, &trace, &cuts);
     report.extend(diags);
     report.extend(hb::check_races(sp, &a, &trace, &sim));
     report
+}
+
+/// The node programs' recorded schedule, with one epoch. A rank whose
+/// own code failed is an `S100` at the statement it ran, and then there
+/// is no schedule to check. A rank that stopped at a message is an
+/// `S100` too, and its schedule is checked with that message last.
+fn node_schedule(
+    sp: &SpmdProgram,
+    init: &(impl Fn(&mut Memory) + Sync),
+    report: &mut VerifyReport,
+) -> Option<(Trace, Vec<Vec<usize>>)> {
+    let ranks = node::record(sp, init);
+    let faulted = ranks
+        .iter()
+        .any(|r| matches!(r.stop, Some(Stop::Fault { .. })));
+    for (r, rank) in ranks.iter().enumerate() {
+        match &rank.stop {
+            Some(Stop::Fault { stmt, error }) => {
+                let d = Diagnostic::error(
+                    "S100",
+                    format!("rank {} failed before its node program completed: {}", r, error),
+                );
+                report.push(match stmt {
+                    Some(s) => d.at(*s),
+                    None => d,
+                });
+            }
+            // The peers of a failed rank stop at the messages it never
+            // sends: only the failed rank is named.
+            Some(Stop::Message(error)) if !faulted => report.push(Diagnostic::error(
+                "S100",
+                format!("rank {} stopped at a message: {}", r, error),
+            )),
+            _ => {}
+        }
+    }
+    if faulted {
+        return None;
+    }
+    Some((ranks.into_iter().map(|r| r.events).collect(), Vec::new()))
 }
 
 /// Check a supplied replay trace + epoch cuts (rather than one freshly
@@ -163,6 +239,35 @@ END DO
         let recorded = exec.take_obs().unwrap();
         let report = verify_recorded_trace(&sp, &recorded, init);
         assert!(report.is_clean(), "got: {:?}", report.diags);
+    }
+
+    /// A reduction combined over four ranks: the leader receives every
+    /// partial before it sends any result, on the executor's timeline as
+    /// on the ranks', and per-element messages keep their class.
+    #[test]
+    fn four_rank_reduction_node_trace_is_a_linearization() {
+        let src = r#"
+!HPF$ PROCESSORS P(1,4)
+!HPF$ ALIGN B(i) WITH A(i,1)
+!HPF$ DISTRIBUTE (BLOCK, BLOCK) :: A
+REAL A(8,8), B(8)
+INTEGER i, j
+REAL s
+DO i = 1, 8
+  s = 0.0
+  DO j = 1, 8
+    s = s + A(i,j)
+  END DO
+  B(i) = s
+END DO
+"#;
+        let sp = pipeline(src, CoreConfig::full());
+        assert!(sp.reduces.iter().any(|r| !r.reduce_dims.is_empty()));
+        assert_eq!(hpf_spmd::engine(&sp), hpf_spmd::Engine::Node);
+        let run = hpf_spmd::validate_replay_traced(&sp, init, true, true).unwrap();
+        let report = verify_recorded_trace(&sp, run.obs.as_ref().unwrap(), init);
+        assert!(report.is_clean(), "got: {:?}", report.diags);
+        assert!(verify_execution(&sp, init).is_clean());
     }
 
     #[test]

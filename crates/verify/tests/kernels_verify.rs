@@ -2,13 +2,16 @@
 //! the pipeline produces for TOMCATV, DGEFA and APPSP — under every
 //! compiler version, with and without message combining, and under
 //! both BLOCK and CYCLIC distributions of the partitioned dimension —
-//! must verify clean.
+//! must verify clean. The default configuration's verdicts are pinned
+//! with the schedule they checked: TOMCATV and APPSP the node programs',
+//! DGEFA the reference executor's.
 
 use hpf_analysis::Analysis;
 use hpf_dist::MappingTable;
 use hpf_ir::parse_program;
 use hpf_kernels::{appsp, dgefa, tomcatv};
-use hpf_spmd::SpmdProgram;
+use hpf_spmd::{Engine, SpmdProgram};
+use hpf_verify::{Severity, VerifyReport};
 use phpf_core::{CoreConfig, ScalarPolicy};
 
 fn compile(src: &str, cfg: CoreConfig, combine: bool) -> SpmdProgram {
@@ -126,4 +129,58 @@ fn appsp_2d_verifies_clean() {
     let n = 6;
     let src = appsp::source_2d(n, 2, 2, 1);
     assert_clean(&src, &[("rsd", appsp::init_field(n))], "APPSP 2-D");
+}
+
+/// Verify `src` under the default configuration, filling `array` with
+/// `data`.
+fn verify_default(src: &str, array: &str, data: &[f64]) -> (SpmdProgram, VerifyReport) {
+    let sp = compile(src, CoreConfig::full(), false);
+    let v = sp.program.vars.lookup(array).expect("kernel array");
+    let report = hpf_verify::verify_execution(&sp, |m| m.fill_real(v, data));
+    (sp, report)
+}
+
+fn warnings(report: &VerifyReport) -> Vec<&hpf_verify::Diagnostic> {
+    report
+        .diags
+        .iter()
+        .filter(|d| d.severity == Severity::Warning)
+        .collect()
+}
+
+#[test]
+fn tomcatv_and_appsp_verify_as_node_programs_without_warnings() {
+    let n = 12;
+    let (x0, _) = tomcatv::init_mesh(n);
+    let cases = [
+        ("TOMCATV", tomcatv::source(n, 4, 2), "x", x0),
+        ("APPSP 1-D", appsp::source_1d(6, 4, 1), "rsd", appsp::init_field(6)),
+        ("APPSP 2-D", appsp::source_2d(6, 2, 2, 1), "rsd", appsp::init_field(6)),
+    ];
+    for (what, src, array, data) in cases {
+        let (sp, report) = verify_default(&src, array, &data);
+        assert_eq!(hpf_spmd::engine(&sp), Engine::Node, "{what}: verified schedule");
+        assert!(report.is_clean(), "{what}: {:#?}", report.diags);
+        assert!(warnings(&report).is_empty(), "{what}: {:#?}", report.diags);
+    }
+}
+
+#[test]
+fn dgefa_verifies_on_the_executor_with_one_r200_at_the_pivot_row_write() {
+    let n = 16;
+    let (sp, report) = verify_default(&dgefa::source(n, 4), "a", &dgefa::init_matrix(n));
+    assert!(
+        matches!(hpf_spmd::engine(&sp), Engine::Replay(_)),
+        "DGEFA falls back to the executor's schedule"
+    );
+    assert!(report.is_clean(), "{:#?}", report.diags);
+    let warned = warnings(&report);
+    assert_eq!(warned.len(), 1, "{:#?}", report.diags);
+    assert_eq!(warned[0].code, "R200");
+    let stmt = warned[0].stmt.expect("the R200 names its statement");
+    assert_eq!(
+        hpf_verify::render::stmt_text(&sp.program, stmt),
+        "a(l,j) = a(k,j)",
+        "the pivot-row write"
+    );
 }

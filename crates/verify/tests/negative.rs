@@ -2,12 +2,15 @@
 //! corruption must trip its intended diagnostic, with the offending
 //! statement or epoch named. These are the verifier's teeth — the
 //! kernels prove no false positives, this file proves no false
-//! negatives on the bug classes the ISSUE names.
+//! negatives on the bug classes the verifier exists for. The schedule
+//! corruptions run on the reference executor's trace and again on a
+//! node-program schedule (which has one epoch, so the epoch-cut cases
+//! stay with the executor).
 
 use hpf_analysis::Analysis;
 use hpf_dist::MappingTable;
-use hpf_ir::{parse_program, LValue, Program, Stmt, StmtId};
-use hpf_spmd::{Event, SpmdExec, SpmdProgram};
+use hpf_ir::{parse_program, LValue, Memory, Program, Stmt, StmtId};
+use hpf_spmd::{Engine, Event, SpmdExec, SpmdProgram, Trace};
 use hpf_verify::csp::simulate;
 use phpf_core::{CoreConfig, Decisions, ScalarMapping};
 
@@ -199,14 +202,15 @@ fn circular_wait_trips_s102() {
     // ranks receive first, so neither send is ever reached.
     let x = sp.program.vars.lookup("x").expect("x exists");
     let slot = hpf_spmd::Slot::Scalar(x);
+    let tag = hpf_spmd::Tag::Untracked(0);
     let mut corrupted: hpf_spmd::Trace = vec![Vec::new(); trace.len()];
     corrupted[0] = vec![
-        Event::Recv { from: 1, slot },
-        Event::Send { to: 1, slot },
+        Event::Recv { from: 1, slot, tag },
+        Event::Send { to: 1, slot, tag },
     ];
     corrupted[1] = vec![
-        Event::Recv { from: 0, slot },
-        Event::Send { to: 0, slot },
+        Event::Recv { from: 0, slot, tag },
+        Event::Send { to: 0, slot, tag },
     ];
     let report = hpf_verify::verify_schedule_trace(&sp, &corrupted, &cuts);
     assert!(report.has("S102"), "got: {:#?}", report.diags);
@@ -216,6 +220,147 @@ fn circular_wait_trips_s102() {
         diag.notes.iter().any(|n| n.contains("rank 1")),
         "names the blocked ranks: {:#?}",
         diag
+    );
+}
+
+// ------------------------------------------------ node-program schedules
+
+/// stencil2d's schedule as its node programs record it: each rank's own
+/// messages, reduction steps and owned writes, in one epoch.
+fn node_schedule() -> (SpmdProgram, Trace) {
+    let (p, maps, d) = analysis_pipeline(include_str!("../../../examples/hpf/stencil2d.hpf"));
+    let sp = lower_with(&p, &maps, d);
+    assert_eq!(hpf_spmd::engine(&sp), Engine::Node);
+    let ranks = hpf_spmd::node::record(&sp, &|_: &mut Memory| {});
+    assert!(ranks.iter().all(|r| r.stop.is_none()), "{:?}", ranks.iter().map(|r| &r.stop));
+    (sp, ranks.into_iter().map(|r| r.events).collect())
+}
+
+/// The first event on any rank that `pick` selects, as (rank, index).
+fn first_event(trace: &Trace, pick: impl Fn(&Event) -> bool) -> (usize, usize) {
+    trace
+        .iter()
+        .enumerate()
+        .find_map(|(r, evs)| evs.iter().position(&pick).map(|i| (r, i)))
+        .expect("the schedule has such an event")
+}
+
+#[test]
+fn node_schedule_is_clean() {
+    let (sp, trace) = node_schedule();
+    let report = hpf_verify::verify_schedule_trace(&sp, &trace, &[]);
+    assert!(report.is_clean(), "{:#?}", report.diags);
+}
+
+/// Corruption 1 on a node schedule: drop a coalesced receive (S101).
+#[test]
+fn node_dropped_recvvec_trips_s101() {
+    let (sp, mut trace) = node_schedule();
+    let (r, i) = first_event(&trace, |e| matches!(e, Event::RecvVec { .. }));
+    trace[r].remove(i);
+    let report = hpf_verify::verify_schedule_trace(&sp, &trace, &[]);
+    assert!(report.has("S101"), "got: {:#?}", report.diags);
+}
+
+/// Corruption 3 on a node schedule: the reader read one element fewer
+/// than the owner's send-set walk sent (S104).
+#[test]
+fn node_truncated_recvvec_slots_trip_s104() {
+    let (sp, mut trace) = node_schedule();
+    let (r, i) = first_event(&trace, |e| matches!(e, Event::RecvVec { slots, .. } if slots.len() > 1));
+    if let Event::RecvVec { slots, .. } = &mut trace[r][i] {
+        slots.pop();
+    }
+    let report = hpf_verify::verify_schedule_trace(&sp, &trace, &[]);
+    assert!(report.has("S104"), "got: {:#?}", report.diags);
+}
+
+/// A two-rank receive-first graft in front of a node schedule deadlocks
+/// it (S102), naming both blocked ranks.
+#[test]
+fn node_receive_first_graft_trips_s102() {
+    let (sp, mut trace) = node_schedule();
+    let s = sp.program.vars.lookup("s").expect("s exists");
+    let (slot, tag) = (hpf_spmd::Slot::Scalar(s), hpf_spmd::Tag::Untracked(0));
+    for (me, peer) in [(0, 1), (1, 0)] {
+        let graft = [
+            Event::Recv { from: peer, slot, tag },
+            Event::Send { to: peer, slot, tag },
+        ];
+        trace[me].splice(0..0, graft);
+    }
+    let report = hpf_verify::verify_schedule_trace(&sp, &trace, &[]);
+    let diag = report.errors().find(|d| d.code == "S102").expect("S102");
+    for r in ["rank 0", "rank 1"] {
+        assert!(diag.notes.iter().any(|n| n.contains(r)), "names {r}: {:#?}", diag);
+    }
+}
+
+/// One rank's owned write copied onto another rank, ahead of anything
+/// that could order the two, is a race (R201).
+#[test]
+fn node_copied_write_trips_r201() {
+    let (sp, mut trace) = node_schedule();
+    // Rank 0's first write, before it has received anything: its clock
+    // knows of no other rank.
+    let recv = trace[0]
+        .iter()
+        .position(|e| matches!(e, Event::Recv { .. } | Event::RecvVec { .. } | Event::RecvPartial { .. }))
+        .unwrap_or(trace[0].len());
+    let write = trace[0][..recv]
+        .iter()
+        .find(|e| matches!(e, Event::Exec { .. }))
+        .expect("rank 0 writes before it receives")
+        .clone();
+    trace[1].insert(0, write);
+    let report = hpf_verify::verify_schedule_trace(&sp, &trace, &[]);
+    assert!(report.has("R201"), "got: {:#?}", report.diags);
+}
+
+/// A node-admitted program in which one rank's own statement fails (an
+/// integer division by zero only rank 3 executes): the verifier names
+/// that rank and the statement, without waiting for a channel deadline.
+#[test]
+fn failing_rank_trips_s100_naming_it() {
+    let src = r#"
+!HPF$ PROCESSORS P(4)
+!HPF$ DISTRIBUTE (BLOCK) :: A, B
+INTEGER A(16), B(16)
+INTEGER i
+DO i = 1, 16
+  A(i) = 12 / (i - 14)
+END DO
+DO i = 2, 15
+  B(i) = A(i-1) + A(i+1)
+END DO
+"#;
+    let (p, maps, d) = analysis_pipeline(src);
+    let sp = lower_with(&p, &maps, d);
+    assert_eq!(hpf_spmd::engine(&sp), Engine::Node);
+    let start = std::time::Instant::now();
+    let report = hpf_verify::verify_execution(&sp, |_| {});
+    assert!(
+        start.elapsed() < std::time::Duration::from_secs(5),
+        "took {:?}",
+        start.elapsed()
+    );
+    let s100: Vec<_> = report.errors().filter(|d| d.code == "S100").collect();
+    assert_eq!(s100.len(), 1, "got: {:#?}", report.diags);
+    assert!(s100[0].message.contains("rank 3"), "names the rank: {:#?}", s100[0]);
+    let stmt = s100[0].stmt.expect("located");
+    assert_eq!(hpf_verify::render::stmt_text(&p, stmt), "a(i) = 12 / (i - 14)");
+    // Rank 2 waits for rank 3's boundary element: the receive that fails
+    // is the last event it records.
+    let ranks = hpf_spmd::node::record(&sp, &|_: &mut Memory| {});
+    assert!(matches!(ranks[3].stop, Some(hpf_spmd::node::Stop::Fault { .. })));
+    assert!(matches!(ranks[2].stop, Some(hpf_spmd::node::Stop::Message(_))));
+    assert!(
+        matches!(
+            ranks[2].events.last(),
+            Some(Event::Recv { from: 3, .. } | Event::RecvVec { from: 3, .. })
+        ),
+        "{:?}",
+        ranks[2].events.last()
     );
 }
 

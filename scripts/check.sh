@@ -52,6 +52,44 @@ echo "$out" | grep -q 'linearization of the static happens-before relation' || {
     exit 1
 }
 
+echo "==> every example traced on both backends, then cross-validated (--trace, --verify-trace)"
+# Each backend's per-rank comm timelines, per-element messages included
+# (their class and loop levels travel with the events), must be a
+# linearization of the schedule --verify-trace derives.
+extrace=$(mktemp -t phpfc-example.XXXXXX)
+for hpf in examples/hpf/*.hpf; do
+    for backend in thread socket; do
+        set +e
+        out=$(./target/release/phpfc "$hpf" --backend "$backend" --trace "$extrace" 2>&1) &&
+            out=$(./target/release/phpfc "$hpf" --verify-trace "$extrace" 2>&1)
+        status=$?
+        set -e
+        if [ "$status" -ne 0 ] || ! echo "$out" | grep -q 'linearization of the static happens-before relation'; then
+            echo "FAIL: $hpf --backend $backend: --trace then --verify-trace did not pass" >&2
+            echo "$out" >&2
+            rm -f "$extrace"
+            exit 1
+        fi
+    done
+done
+rm -f "$extrace"
+
+echo "==> phpfc --verify names the schedule it checked"
+# TOMCATV is verified on its node programs' own schedule; DGEFA falls
+# back to the reference executor's trace, with the engine's reason.
+out=$(./target/release/phpfc examples/hpf/tomcatv_small.hpf --verify 2>&1)
+echo "$out" | grep -qx 'verify: node programs' || {
+    echo "FAIL: TOMCATV --verify did not check the node programs' schedule" >&2
+    echo "$out" >&2
+    exit 1
+}
+out=$(./target/release/phpfc examples/hpf/dgefa_small.hpf --verify 2>&1)
+echo "$out" | grep -q '^verify: exec+replay (IF .* reads an array element or a non-replicated scalar)$' || {
+    echo "FAIL: DGEFA --verify did not name the executor's schedule and its reason" >&2
+    echo "$out" >&2
+    exit 1
+}
+
 echo "==> bench binaries emit BENCH_JSON (with a backend name and verification verdict)"
 for bin in table1 table2 table3; do
     out=$(cargo run -q --release -p phpf-bench --bin "$bin")

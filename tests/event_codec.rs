@@ -5,7 +5,7 @@
 use phpf::compile::{compile_source, Options, Version};
 use phpf::ir::{Memory, ScalarTy, StmtId};
 use phpf::net::frame::{Dec, Enc};
-use phpf::spmd::{decode_events, encode_events, Env, Event, Slot, SpmdExec, SpmdProgram};
+use phpf::spmd::{decode_events, encode_events, Env, Event, Slot, SpmdExec, SpmdProgram, Tag};
 
 const TOMCATV: &str = include_str!("../examples/hpf/tomcatv_small.hpf");
 const DGEFA: &str = include_str!("../examples/hpf/dgefa_small.hpf");
@@ -44,9 +44,9 @@ fn decode(bytes: &[u8], sp: &SpmdProgram, nproc: usize) -> Result<Vec<Event>, St
 }
 
 /// One event of every variant, with the edge cases the wire form must
-/// carry: empty sections, `Combine` with and without `loc`, env depths
-/// 0-3 and 6 (past the inline bindings) and element offsets above
-/// `u32::MAX`.
+/// carry: every message tag, empty sections, `Combine` with and without
+/// `loc`, env depths 0-3 and 6 (past the inline bindings) and element
+/// offsets above `u32::MAX`.
 fn every_variant(sp: &SpmdProgram) -> Vec<Event> {
     let var = |n: &str| sp.program.vars.lookup(n).expect("declared");
     let (a, h, s, m, i, k) = (var("a"), var("h"), var("s"), var("m"), var("i"), var("k"));
@@ -57,12 +57,28 @@ fn every_variant(sp: &SpmdProgram) -> Vec<Event> {
         Event::Send {
             to: 3,
             slot: Slot::Scalar(s),
+            tag: Tag::Reduce(2),
         },
         Event::Recv {
             from: 0,
             slot: Slot::Elem(a, 15),
+            tag: Tag::Op(0),
         },
-        Event::Send { to: 1, slot: big },
+        Event::Send {
+            to: 1,
+            slot: big,
+            tag: Tag::Control(0),
+        },
+        Event::Recv {
+            from: 2,
+            slot: Slot::Scalar(m),
+            tag: Tag::Broadcast(1),
+        },
+        Event::Send {
+            to: 0,
+            slot: Slot::Elem(a, 1),
+            tag: Tag::Untracked(300),
+        },
         Event::SendVec {
             to: 2,
             op: 0,
@@ -86,10 +102,12 @@ fn every_variant(sp: &SpmdProgram) -> Vec<Event> {
         Event::RecvPartial {
             from: 2,
             has_loc: true,
+            level: 1,
         },
         Event::RecvPartial {
             from: 1,
             has_loc: false,
+            level: 0,
         },
         Event::Combine {
             op: phpf::analysis::RedOp::Sum,
@@ -235,6 +253,7 @@ fn bad_tags_are_errors() {
     let mut bytes = encode(&[Event::RecvPartial {
         from: 0,
         has_loc: false,
+        level: 0,
     }]);
     bytes[4] = 42;
     let err = decode(&bytes, &sp, 4).unwrap_err();
@@ -243,11 +262,17 @@ fn bad_tags_are_errors() {
     let mut bytes = encode(&[Event::Send {
         to: 0,
         slot: Slot::Scalar(s),
+        tag: Tag::Control(0),
     }]);
     // Count, event tag, one-byte varint `to`, then the slot tag.
     bytes[4 + 1 + 1] = 9;
     let err = decode(&bytes, &sp, 4).unwrap_err();
     assert!(err.contains("unknown slot tag 9"), "{err}");
+    // Unknown message tag: after the two-byte scalar slot.
+    bytes[4 + 1 + 1] = 0;
+    bytes[4 + 1 + 1 + 2] = 5;
+    let err = decode(&bytes, &sp, 4).unwrap_err();
+    assert!(err.contains("unknown message tag 5"), "{err}");
     // Unknown reduction op.
     let mut bytes = encode(&[Event::Combine {
         op: phpf::analysis::RedOp::Sum,
@@ -285,6 +310,7 @@ fn out_of_range_ids_are_errors() {
             Event::Send {
                 to: 4,
                 slot: Slot::Scalar(s),
+                tag: Tag::Op(0),
             },
             "peer rank 4",
         ),
@@ -292,6 +318,7 @@ fn out_of_range_ids_are_errors() {
             Event::RecvPartial {
                 from: 7,
                 has_loc: true,
+                level: 0,
             },
             "peer rank 7",
         ),
@@ -307,6 +334,7 @@ fn out_of_range_ids_are_errors() {
             Event::Recv {
                 from: 0,
                 slot: Slot::Elem(a, 16),
+                tag: Tag::Op(0),
             },
             "offset 16",
         ),
@@ -314,6 +342,7 @@ fn out_of_range_ids_are_errors() {
             Event::Recv {
                 from: 0,
                 slot: Slot::Scalar(a),
+                tag: Tag::Op(0),
             },
             "array, not a scalar",
         ),
@@ -321,6 +350,7 @@ fn out_of_range_ids_are_errors() {
             Event::Recv {
                 from: 0,
                 slot: Slot::Elem(s, 0),
+                tag: Tag::Op(0),
             },
             "scalar, not an array",
         ),
@@ -328,8 +358,17 @@ fn out_of_range_ids_are_errors() {
             Event::Send {
                 to: 0,
                 slot: Slot::Scalar(phpf::ir::VarId(sp.program.vars.len() as u32)),
+                tag: Tag::Op(0),
             },
             "out of range",
+        ),
+        (
+            Event::Recv {
+                from: 0,
+                slot: Slot::Scalar(s),
+                tag: Tag::Op(sp.comms.len()),
+            },
+            "comm op",
         ),
         (
             Event::Exec {

@@ -185,9 +185,9 @@ fn tomcatv_output_pinned() {
         TOMCATV,
         [
             13757954940045893149,
-            13966231667570830931,
+            10558412148385136099,
             15196926606106337319,
-            6978314194402641647,
+            4854755977780939611,
         ],
     );
 }
@@ -198,10 +198,10 @@ fn dgefa_output_pinned() {
         "dgefa",
         DGEFA,
         [
-            17465564599812352228,
-            1833662505698892401,
-            7438748844208905858,
-            16156804674112702621,
+            16317593844983003482,
+            10174067336034332537,
+            14730193057691606852,
+            13952593697429950033,
         ],
     );
 }
@@ -213,9 +213,9 @@ fn appsp_output_pinned() {
         APPSP,
         [
             13593094093380325342,
-            16065916084288658653,
+            11111071201329348273,
             15939760979345598939,
-            15464443941420702739,
+            9196680430580831159,
         ],
     );
 }
@@ -227,19 +227,19 @@ fn grid_2d_outputs_pinned() {
         STENCIL2D,
         [
             744992418087881560,
-            13563342732158884853,
+            10245492103820440809,
             14168395302798648623,
-            14164225327154568270,
+            15782188697135328334,
         ],
     );
     check(
         "reduce2d",
         REDUCE2D,
         [
-            10616463253520488256,
-            10616463253520488256,
+            16707058194679295776,
+            16707058194679295776,
             6737581966432747088,
-            11434003927120290021,
+            18071402961785215653,
         ],
     );
     check(
@@ -247,9 +247,9 @@ fn grid_2d_outputs_pinned() {
         PARTIAL2D,
         [
             5566695571269497923,
-            967888407171966547,
+            4210606495873203515,
             14005349295303177361,
-            14414929995833670972,
+            16430314188869554228,
         ],
     );
 }
@@ -260,10 +260,10 @@ fn subscript_paths_output_pinned() {
         "subscripts",
         SUBSCRIPTS,
         [
-            5690355897160403117,
-            18171967725305234759,
-            14109602170415150000,
-            12297377901212047908,
+            10247000489997444535,
+            11448691717565460471,
+            4028463081989530216,
+            5268546151305068332,
         ],
     );
 }
@@ -282,7 +282,7 @@ fn combined_messages_output_pinned() {
         got,
         [
             12884489894122643597,
-            17465564599812352228,
+            16317593844983003482,
             13593094093380325342,
             744992418087881560
         ],

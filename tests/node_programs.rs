@@ -4,15 +4,17 @@
 //! own node programs must end with the executor's owner slots bit for
 //! bit, send exactly the replay's messages (every `CommMetrics` field but
 //! the `max_in_flight` gauge) and tell each rank's comm story in the
-//! replay's order. DGEFA, an indirect subscript and Figure 1 must fall
-//! back to exec+replay and say why.
+//! replay's order. The schedule the ranks record for the verifier
+//! (`node::record`) must be the executor's trace, event for event, less
+//! the statements that cannot race. DGEFA, an indirect subscript and
+//! Figure 1 must fall back to exec+replay and say why.
 
 use phpf::compile::{compile_source, Compiled, Options, Version};
 use phpf::ir::Memory;
 use phpf::kernels::{appsp, dgefa, tomcatv};
 use phpf::spmd::{
-    check_owner_slots, engine, replay_traced, validate_replay, validate_replay_traced, CommMetrics,
-    Engine, Fallback, SpmdExec,
+    check_owner_slots, engine, node, replay_traced, validate_replay, validate_replay_traced,
+    CommMetrics, Engine, Event, Fallback, SpmdExec, SpmdProgram, Trace,
 };
 
 const VERSIONS: [Version; 6] = [
@@ -93,7 +95,28 @@ fn check(name: &str, src: &str, vectorize: bool) {
                 "{what}: rank {r} comm timeline"
             );
         }
+        if vectorize {
+            let recorded = node::record(sp, &init);
+            let want = verifier_view(sp, exec.trace.as_ref().unwrap());
+            for (r, (rank, want)) in recorded.iter().zip(&want).enumerate() {
+                assert_eq!(rank.stop, None, "{what}: rank {r} stopped");
+                assert!(rank.events == *want, "{what}: rank {r} recorded schedule");
+            }
+        }
     }
+}
+
+/// The executor's trace as the node programs record it: every event but
+/// the `Exec` of a statement that cannot race.
+fn verifier_view(sp: &SpmdProgram, trace: &Trace) -> Trace {
+    let kept = |e: &&Event| match e {
+        Event::Exec { stmt, .. } => sp.owned_write(*stmt).is_some(),
+        _ => true,
+    };
+    trace
+        .iter()
+        .map(|evs| evs.iter().filter(kept).cloned().collect())
+        .collect()
 }
 
 fn cyclic(src: &str) -> String {

@@ -195,6 +195,6 @@ END DO
     };
     println!(
         "{}",
-        phpf_bench::bench_json_full("ablations", "sim", &rows, Some(&trace), verified.as_ref())
+        phpf_bench::bench_json("ablations", "sim", &rows, Some(&trace), verified.as_ref())
     );
 }

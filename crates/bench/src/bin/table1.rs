@@ -75,6 +75,6 @@ fn main() {
     .expect("traced compile");
     println!(
         "{}",
-        phpf_bench::bench_json_full("table1", "sim", &rows, Some(&trace), verified.as_ref())
+        phpf_bench::bench_json("table1", "sim", &rows, Some(&trace), verified.as_ref())
     );
 }

@@ -77,6 +77,6 @@ fn main() {
     .expect("traced compile");
     println!(
         "{}",
-        phpf_bench::bench_json_full("table2", "sim", &rows, Some(&trace), verified.as_ref())
+        phpf_bench::bench_json("table2", "sim", &rows, Some(&trace), verified.as_ref())
     );
 }

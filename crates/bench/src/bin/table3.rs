@@ -80,7 +80,7 @@ fn main() {
     .expect("traced compile");
     println!(
         "{}",
-        phpf_bench::bench_json_full("table3", "sim", &rows, Some(&trace), verified.as_ref())
+        phpf_bench::bench_json("table3", "sim", &rows, Some(&trace), verified.as_ref())
     );
 
     // Extension beyond the paper: a fixed 3-D distribution (the layout the

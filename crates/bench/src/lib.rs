@@ -8,9 +8,8 @@
 //!   privatization.
 //!
 //! Each table function returns structured rows; the `table1`/`table2`/
-//! `table3` binaries print them in the paper's layout, and the Criterion
-//! benches under `benches/` time the compiler pipeline itself on the same
-//! programs.
+//! `table3` binaries print them in the paper's layout, followed by one
+//! [`bench_json`] line.
 
 use hpf_compile::{compile_source, Options, Version};
 use hpf_kernels::{appsp, dgefa, tomcatv};
@@ -124,28 +123,15 @@ pub fn render(title: &str, header: &[&str], rows: &[Vec<Cell>], procs: &[usize])
 /// scripts can tell apart cost-model simulations (`"sim"`, what the
 /// table binaries emit) from real replays (`"thread"` / `"socket"`,
 /// the `phpfc --backend` names).
-pub fn bench_json(table: &str, backend: &str, rows: &[Vec<Cell>]) -> String {
-    bench_json_traced(table, backend, rows, None)
-}
-
-/// [`bench_json`] with an optional observability trace attached: a
-/// `"trace"` field carrying the pipeline phase spans (name + wall-clock
-/// microseconds) that produced the numbers, so a BENCH_JSON consumer can
-/// attribute compile-side cost without parsing a separate file.
-pub fn bench_json_traced(
-    table: &str,
-    backend: &str,
-    rows: &[Vec<Cell>],
-    trace: Option<&hpf_obs::Trace>,
-) -> String {
-    bench_json_full(table, backend, rows, trace, None)
-}
-
-/// [`bench_json_traced`] with the verifier's verdict attached as a
+///
+/// A `trace` adds a `"trace"` field carrying the pipeline phase spans
+/// (name + wall-clock microseconds) that produced the numbers, so a
+/// BENCH_JSON consumer can attribute compile-side cost without parsing a
+/// separate file. `verified` adds the verifier's verdict as a
 /// `"verified":{"privatization":…,"schedule":…,"races":…}` field, so a
-/// BENCH_JSON consumer can tell checked numbers from unchecked ones
-/// (`--no-verify` runs omit the field).
-pub fn bench_json_full(
+/// consumer can tell checked numbers from unchecked ones (`--no-verify`
+/// runs omit the field).
+pub fn bench_json(
     table: &str,
     backend: &str,
     rows: &[Vec<Cell>],
@@ -303,7 +289,7 @@ mod tests {
             comm_seconds: 0.5,
             messages: 12.0,
         }]];
-        let line = bench_json("table1", "sim", &rows);
+        let line = bench_json("table1", "sim", &rows, None, None);
         assert!(line.starts_with("BENCH_JSON {"));
         assert!(line.contains("\"backend\":\"sim\""), "{}", line);
         assert!(line.contains("\"table\":\"table1\""), "{}", line);
@@ -321,7 +307,7 @@ mod tests {
         }]];
         let src = hpf_kernels::tomcatv::source(12, 4, 1);
         let trace = pipeline_trace(&src, Options::default()).unwrap();
-        let line = bench_json_traced("table1", "sim", &rows, Some(&trace));
+        let line = bench_json("table1", "sim", &rows, Some(&trace), None);
         assert!(line.starts_with("BENCH_JSON {"), "{}", line);
         assert!(line.contains("\"trace\":{\"spans\":["), "{}", line);
         for phase in ["parse", "ssa", "mapping", "privatization", "lower"] {
@@ -332,8 +318,10 @@ mod tests {
                 line
             );
         }
-        // Without a trace the line is unchanged from bench_json.
-        assert_eq!(bench_json_traced("t", "sim", &rows, None), bench_json("t", "sim", &rows));
+        // Without a trace or a verdict the line carries neither field.
+        let bare = bench_json("t", "sim", &rows, None, None);
+        assert!(!bare.contains("\"trace\""), "{}", bare);
+        assert!(!bare.contains("\"verified\""), "{}", bare);
     }
 
     /// Table 1's qualitative content at a reduced size: selected <

@@ -7,13 +7,15 @@
 //!                  [--combine]         enable global message combining
 //!                  [--auto-priv]       enable automatic array privatization
 //!                  [--estimate]        print the simulated SP2 cost
-//!                  [--observe]         execute and print observed traffic
+//!                  [--observe]         run on the backend, print observed
+//!                                      traffic and cross-check it
+//!                                      against the cost model
 //!                  [--backend thread|socket]
-//!                                      replay the schedule on a real
-//!                                      message-passing backend (threads
-//!                                      over channels, or one OS process
-//!                                      per virtual processor over
-//!                                      sockets); implies --observe
+//!                                      the message-passing backend to run
+//!                                      on (threads over channels, the
+//!                                      default, or one OS process per
+//!                                      virtual processor over sockets);
+//!                                      implies --observe
 //!                  [--trace <path>]    record an observability trace of
 //!                                      the run (pipeline phase spans +
 //!                                      per-rank comm events), write it as
@@ -29,9 +31,7 @@
 //!                                      when the budget is exhausted —
 //!                                      thread-backend fallback; a plan
 //!                                      naming a rank outside the grid is
-//!                                      an error; also read from the
-//!                                      PHPF_FAULT_PLAN environment
-//!                                      variable
+//!                                      an error
 //!                  [--verify]          run the static verifier on the
 //!                                      lowered program (privatization
 //!                                      soundness, schedule matching /
@@ -87,11 +87,11 @@ fn main() -> ExitCode {
     let mut estimate = false;
     let mut observe = false;
     let mut pretty = false;
-    let mut backend: Option<Backend> = None;
+    let mut backend = Backend::Thread;
     let mut trace_path: Option<String> = None;
     let mut verify = false;
     let mut verify_trace_path: Option<String> = None;
-    let mut fault_plan_src: Option<String> = std::env::var("PHPF_FAULT_PLAN").ok();
+    let mut fault_plan_src: Option<String> = None;
     let mut net_io_deadline_ms: Option<u64> = None;
     let mut net_connect_deadline_ms: Option<u64> = None;
 
@@ -110,14 +110,14 @@ fn main() -> ExitCode {
             "--backend" => {
                 let Some(v) = args.next() else { return usage() };
                 backend = match v.as_str() {
-                    "thread" => Some(Backend::Thread),
-                    "socket" => Some(Backend::Socket),
+                    "thread" => Backend::Thread,
+                    "socket" => Backend::Socket,
                     other => {
                         eprintln!("unknown backend '{}' (thread|socket)", other);
                         return usage();
                     }
                 };
-                // A backend is only observable by replaying the schedule.
+                // A backend is only observable by running on it.
                 observe = true;
             }
             "--procs" => {
@@ -228,7 +228,7 @@ fn main() -> ExitCode {
     // Pipeline phase spans land here; the socket backend records its own
     // (its driver recompiles), so only the in-process paths use this one.
     let mut pipe = hpf_obs::BufTracer::pipeline();
-    let want_pipe_spans = trace_path.is_some() && backend != Some(Backend::Socket);
+    let want_pipe_spans = trace_path.is_some() && backend != Backend::Socket;
     let compiled = match if want_pipe_spans {
         compile_source_traced(&src, opts, &mut pipe)
     } else {
@@ -272,9 +272,9 @@ fn main() -> ExitCode {
 
     if verify {
         // Verify the schedule the chosen backend runs: socket workers
-        // replay the executor's trace; the thread backend (and a run
-        // without one) picks its engine per program.
-        let report = if backend == Some(Backend::Socket) {
+        // replay the executor's trace; the thread backend picks its
+        // engine per program.
+        let report = if backend == Backend::Socket {
             println!("verify: exec+replay (socket workers replay the executor's trace)");
             compiled.verify_executor_schedule(init)
         } else {
@@ -323,23 +323,11 @@ fn main() -> ExitCode {
     }
 
     if observe {
-        // Reference executor, or a real message-passing replay validated
-        // against it.
+        // A real message-passing run, validated against its oracle.
         let mut trace_out: Option<hpf_obs::Trace> = None;
         let mut degraded = false;
         let observed = match backend {
-            None if trace_path.is_some() => {
-                let mut exec = hpf_spmd::SpmdExec::new(&compiled.spmd, init).with_obs();
-                match exec.run() {
-                    Ok(_) => {
-                        trace_out = exec.take_obs();
-                        Ok(exec.metrics)
-                    }
-                    Err(e) => Err(format!("execution failed: {}", e)),
-                }
-            }
-            None => compiled.observe(init).map(|(_, metrics)| metrics),
-            Some(Backend::Thread) => hpf_spmd::validate_replay_traced(
+            Backend::Thread => hpf_spmd::validate_replay_traced(
                 &compiled.spmd,
                 init,
                 true,
@@ -369,7 +357,7 @@ fn main() -> ExitCode {
                 trace_out = r.obs;
                 r.metrics
             }),
-            Some(Backend::Socket) => {
+            Backend::Socket => {
                 let job = netrun::NetJob {
                     source: src.clone(),
                     version,

@@ -160,28 +160,16 @@ impl Compiled {
         report::render(self)
     }
 
-    /// Execute the program on the reference SPMD executor and return the
-    /// per-element statistics together with the wire-level communication
-    /// metrics ([`hpf_spmd::CommMetrics`]) the run produced.
-    pub fn observe(
-        &self,
-        init: impl Fn(&mut hpf_ir::Memory),
-    ) -> Result<(hpf_spmd::ExecStats, hpf_spmd::CommMetrics), String> {
-        let mut exec = hpf_spmd::SpmdExec::new(&self.spmd, init);
-        exec.run().map_err(|e| format!("execution failed: {}", e))?;
-        let stats = exec.stats;
-        Ok((stats, exec.metrics))
-    }
-
-    /// Execute the program and validate the observed wire traffic against
-    /// the cost model's per-operation message predictions.
+    /// Run the program on the thread backend ([`hpf_spmd::validate_replay`])
+    /// and validate its wire traffic against the cost model's
+    /// per-operation message predictions.
     pub fn cross_check(
         &self,
-        init: impl Fn(&mut hpf_ir::Memory),
+        init: impl Fn(&mut hpf_ir::Memory) + Sync,
     ) -> Result<hpf_spmd::CrossCheck, String> {
-        let (_, metrics) = self.observe(init)?;
-        let cost = self.estimate();
-        hpf_spmd::cross_check(&self.spmd, &cost, &metrics)
+        let run = hpf_spmd::validate_replay(&self.spmd, init)
+            .map_err(|e| format!("execution failed: {}", e))?;
+        hpf_spmd::cross_check(&self.spmd, &self.estimate(), &run.metrics)
     }
 
     /// Run the static verifier (`hpf-verify`) on the lowered program:
@@ -210,7 +198,7 @@ impl Compiled {
     pub fn verify_trace(
         &self,
         recorded: &hpf_obs::Trace,
-        init: impl Fn(&mut hpf_ir::Memory),
+        init: impl Fn(&mut hpf_ir::Memory) + Sync,
     ) -> hpf_verify::VerifyReport {
         hpf_verify::verify_recorded_trace(&self.spmd, recorded, init)
     }

@@ -212,29 +212,14 @@ impl BufTracer {
         self.origin.elapsed().as_micros() as u64
     }
 
-    /// Append an event body, returning its index (so coalescing callers
-    /// can come back and grow it via [`BufTracer::bump_elems`]).
-    pub fn push(&mut self, body: Body) -> usize {
+    /// Append an event body.
+    pub fn push(&mut self, body: Body) {
         let ev = TraceEvent {
             t_us: self.now_us(),
             rank: self.rank,
             body,
         };
         self.events.push(ev);
-        self.events.len() - 1
-    }
-
-    /// Grow the element count of a previously recorded comm event — the
-    /// hook vectorized groups use when a later iteration coalesces into
-    /// an already-open message.
-    pub fn bump_elems(&mut self, idx: usize, by: u64) {
-        if let Some(TraceEvent {
-            body: Body::Comm { elems, .. },
-            ..
-        }) = self.events.get_mut(idx)
-        {
-            *elems += by;
-        }
     }
 
     /// Append already-stamped events recorded elsewhere (e.g. transport
@@ -603,15 +588,14 @@ mod tests {
     }
 
     #[test]
-    fn buffer_records_in_order_and_bumps() {
+    fn buffer_records_in_order() {
         let mut b = BufTracer::for_rank(1);
         b.begin("replay");
-        let i = b.push(comm(CommKind::SendVec, 1, 0, Some(4)));
-        b.bump_elems(i, 2);
+        b.push(comm(CommKind::SendVec, 1, 0, Some(4)));
         b.end("replay");
         let evs = b.into_events();
         assert_eq!(evs.len(), 3);
-        assert!(matches!(&evs[1].body, Body::Comm { elems: 5, .. }));
+        assert!(matches!(&evs[1].body, Body::Comm { elems: 3, .. }));
         assert!(evs.iter().all(|e| e.rank == Some(1)));
         assert!(evs.windows(2).all(|w| w[0].t_us <= w[1].t_us));
     }

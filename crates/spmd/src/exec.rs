@@ -18,12 +18,12 @@ use crate::env::Env;
 use crate::guard::Guard;
 use crate::lower::SpmdProgram;
 use crate::metrics::CommMetrics;
-use crate::wire::{comm_event, slot_bytes};
+use crate::wire::slot_bytes;
 use hpf_analysis::RedOp;
 use hpf_dist::{dist_owner, ArrayMapping, GridDimRule, ProcGrid};
 use hpf_ir::interp::{eval_binop, eval_intrinsic, ArrayStore, InterpError, Memory};
 use hpf_ir::{ArrayRef, DistFormat, Label, Stmt, StmtId, Value, VarId};
-use hpf_obs::{BufTracer, CommKind};
+use hpf_obs::CommKind;
 use phpf_core::ScalarMapping;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -171,11 +171,6 @@ struct OpenGroup {
     /// traces are append-only.
     send_idx: Option<usize>,
     recv_idx: Option<usize>,
-    /// Positions of the group's comm events in the sender's and receiver's
-    /// observability timelines (present only when observing), so each
-    /// coalesced element grows the open message's `elems` in place.
-    obs_send: Option<usize>,
-    obs_recv: Option<usize>,
     /// Slots already carried — repeat fetches of one element are free.
     seen: HashSet<Slot>,
 }
@@ -278,10 +273,6 @@ pub struct SpmdExec<'s> {
     sink: Option<EpochSink>,
     /// Per rank: events already handed to the sink (zero without one).
     drained: Vec<usize>,
-    /// When present, one observability timeline per processor: every wire
-    /// message yields a send-side event on the source rank's timeline and
-    /// a receive-side event on the destination rank's.
-    pub obs: Option<Vec<BufTracer>>,
     /// Current loop-variable bindings (outermost first).
     loop_env: Vec<(VarId, i64)>,
     /// Coalesce hoisted fetches into vectorized messages (default on).
@@ -296,8 +287,6 @@ pub struct SpmdExec<'s> {
     /// Inside a global control evaluation (IF predicate, DO bounds):
     /// unattributed fetches are control traffic, not schedule misses.
     ctrl_eval: bool,
-    /// `PHPF_DEBUG_UNTRACKED` was set when the executor was created.
-    debug_untracked: bool,
 
     // Per-program lookup tables.
     /// The compiled program (taken out while [`SpmdExec::run`] runs it).
@@ -357,14 +346,12 @@ impl<'s> SpmdExec<'s> {
             cuts: Vec::new(),
             sink: None,
             drained: vec![0; nproc],
-            obs: None,
             loop_env: Vec::new(),
             vectorize: true,
             cur_stmt: None,
             open: HashMap::new(),
             open_deepest: 0,
             ctrl_eval: false,
-            debug_untracked: std::env::var_os("PHPF_DEBUG_UNTRACKED").is_some(),
             code: Some(cc.finish()),
             guards: owners.guards,
             scalar_owner: owners.scalar_owner,
@@ -392,47 +379,6 @@ impl<'s> SpmdExec<'s> {
     pub fn with_epoch_sink(mut self, sink: impl FnMut(Trace) + 'static) -> Self {
         self.sink = Some(Box::new(sink));
         self.with_trace()
-    }
-
-    /// Enable observability recording (one timeline per processor).
-    pub fn with_obs(mut self) -> Self {
-        self.obs = Some((0..self.grid.total()).map(BufTracer::for_rank).collect());
-        self
-    }
-
-    /// Take the recorded observability timelines as one merged trace
-    /// (ranks in ascending order). `None` unless [`SpmdExec::with_obs`]
-    /// was used.
-    pub fn take_obs(&mut self) -> Option<hpf_obs::Trace> {
-        self.obs.take().map(|ts| {
-            hpf_obs::Trace::from_ranks(
-                ts.into_iter()
-                    .enumerate()
-                    .map(|(r, t)| (r, t.into_events()))
-                    .collect(),
-            )
-        })
-    }
-
-    /// Record one wire message on both endpoint timelines; returns the
-    /// (send, recv) event indices for in-place growth of coalesced groups.
-    #[allow(clippy::too_many_arguments)]
-    fn obs_message(
-        &mut self,
-        (send_kind, recv_kind): (CommKind, CommKind),
-        (src, dst): (usize, usize),
-        op: Option<usize>,
-        pattern: &str,
-        (level, stmt_level): (usize, usize),
-        elems: u64,
-    ) -> (Option<usize>, Option<usize>) {
-        let Some(obs) = &mut self.obs else {
-            return (None, None);
-        };
-        let mk = |kind| comm_event(kind, (src, dst), op, pattern, (level, stmt_level), elems, None);
-        let s = obs[src].push(mk(send_kind));
-        let r = obs[dst].push(mk(recv_kind));
-        (Some(s), Some(r))
     }
 
     /// Disable fetch coalescing: every cross-processor element moves as
@@ -509,28 +455,15 @@ impl<'s> SpmdExec<'s> {
                     }
                     None => (None, None),
                 };
-                let (lvl, slvl) = {
-                    let c = &self.sp.comms[i];
-                    (c.level, c.stmt_level)
-                };
+                let lvl = self.sp.comms[i].level;
                 if self.open.is_empty() || lvl > self.open_deepest {
                     self.open_deepest = lvl;
                 }
-                let (obs_send, obs_recv) = self.obs_message(
-                    (CommKind::SendVec, CommKind::RecvVec),
-                    (src, dst),
-                    Some(i),
-                    pattern,
-                    (lvl, slvl),
-                    0,
-                );
                 self.open.insert(
                     key,
                     OpenGroup {
                         send_idx,
                         recv_idx,
-                        obs_send,
-                        obs_recv,
                         seen: HashSet::new(),
                     },
                 );
@@ -551,14 +484,6 @@ impl<'s> SpmdExec<'s> {
                         slots.push(slot);
                     }
                 }
-                if let Some(obs) = &mut self.obs {
-                    if let Some(x) = g.obs_send {
-                        obs[src].bump_elems(x, 1);
-                    }
-                    if let Some(x) = g.obs_recv {
-                        obs[dst].bump_elems(x, 1);
-                    }
-                }
                 self.metrics.note_payload(pattern, i, src, dst, bytes);
             }
         } else {
@@ -566,20 +491,10 @@ impl<'s> SpmdExec<'s> {
             let tag = match op {
                 Some(i) => Tag::Op(i),
                 None if self.ctrl_eval => Tag::Control(depth),
-                None => {
-                    if self.debug_untracked {
-                        eprintln!(
-                            "untracked fetch at stmt {:?} slot {:?} {}->{}",
-                            self.cur_stmt, slot, src, dst
-                        );
-                    }
-                    Tag::Untracked(depth)
-                }
+                None => Tag::Untracked(depth),
             };
             let pattern = tag.pattern(self.sp);
             self.metrics.note_message(pattern, op, src, dst, bytes);
-            let levels = tag.levels(self.sp);
-            self.obs_message(tag.kinds(), (src, dst), op, pattern, levels, 1);
             if self.trace.is_some() {
                 self.record(src, Event::Send { to: dst, slot, tag });
                 self.record(dst, Event::Recv { from: src, slot, tag });
@@ -871,13 +786,12 @@ impl<'s> SpmdExec<'s> {
         Ok(())
     }
 
-    /// One message of a reduction combine: its metrics, its timeline
-    /// events and its send in the trace (the receive is the caller's).
+    /// One message of a reduction combine: its metrics and its send in the
+    /// trace (the receive is the caller's).
     fn reduce_message(&mut self, tag: Tag, src: usize, dst: usize, slot: Slot) {
         let bytes = slot_bytes(self.p(), slot);
         let pattern = tag.pattern(self.sp);
         self.metrics.note_message(pattern, None, src, dst, bytes);
-        self.obs_message(tag.kinds(), (src, dst), None, pattern, tag.levels(self.sp), 1);
         self.record(src, Event::Send { to: dst, slot, tag });
     }
 

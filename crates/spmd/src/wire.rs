@@ -175,16 +175,26 @@ impl<'s, T: Transport> Wire<'s, T> {
     fn record(
         &mut self,
         kind: CommKind,
-        ends: (usize, usize),
+        (from, to): (usize, usize),
         op: Option<usize>,
         pattern: &str,
-        levels: (usize, usize),
+        (level, stmt_level): (usize, usize),
         elems: u64,
         seq: Option<u64>,
     ) {
         if self.traced {
-            self.timeline
-                .push(comm_event(kind, ends, op, pattern, levels, elems, seq));
+            self.timeline.push(Body::Comm {
+                kind,
+                from,
+                to,
+                op,
+                pattern: pattern.to_string(),
+                level,
+                stmt_level,
+                place: hpf_comm::placement_tag(level, stmt_level),
+                elems,
+                seq,
+            });
         }
     }
 
@@ -207,31 +217,6 @@ impl<'s, T: Transport> Wire<'s, T> {
             (self.stats, self.metrics, out)
         });
         (res, self.timeline)
-    }
-}
-
-/// A `Body::Comm` event: the one constructor for the executor's simulated
-/// messages and the ranks' real ones.
-pub(crate) fn comm_event(
-    kind: CommKind,
-    (from, to): (usize, usize),
-    op: Option<usize>,
-    pattern: &str,
-    (level, stmt_level): (usize, usize),
-    elems: u64,
-    seq: Option<u64>,
-) -> Body {
-    Body::Comm {
-        kind,
-        from,
-        to,
-        op,
-        pattern: pattern.to_string(),
-        level,
-        stmt_level,
-        place: hpf_comm::placement_tag(level, stmt_level),
-        elems,
-        seq,
     }
 }
 

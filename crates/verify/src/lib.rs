@@ -172,7 +172,7 @@ pub fn verify_schedule_trace(
 pub fn verify_recorded_trace(
     sp: &SpmdProgram,
     recorded: &hpf_obs::Trace,
-    init: impl Fn(&mut Memory),
+    init: impl Fn(&mut Memory) + Sync,
 ) -> VerifyReport {
     let mut report = VerifyReport::default();
     report.extend(trace::verify_recorded_trace(sp, recorded, init));
@@ -231,21 +231,24 @@ END DO
         }
     }
 
+    /// The thread backend's timelines of one run.
+    fn recorded(sp: &SpmdProgram) -> hpf_obs::Trace {
+        let run = hpf_spmd::validate_replay_traced(sp, init, true, true).unwrap();
+        run.obs.unwrap()
+    }
+
     #[test]
     fn figure1_recorded_trace_is_a_linearization() {
         let sp = pipeline(FIG1, CoreConfig::full());
-        let mut exec = SpmdExec::new(&sp, init).with_obs();
-        exec.run().unwrap();
-        let recorded = exec.take_obs().unwrap();
+        let recorded = recorded(&sp);
         let report = verify_recorded_trace(&sp, &recorded, init);
         assert!(report.is_clean(), "got: {:?}", report.diags);
     }
 
-    /// A reduction combined over four ranks: the leader receives every
-    /// partial before it sends any result, on the executor's timeline as
-    /// on the ranks', and per-element messages keep their class.
+    /// A reduction combined over four ranks runs as node programs, and
+    /// their recorded schedule verifies clean.
     #[test]
-    fn four_rank_reduction_node_trace_is_a_linearization() {
+    fn four_rank_reduction_node_schedule_verifies() {
         let src = r#"
 !HPF$ PROCESSORS P(1,4)
 !HPF$ ALIGN B(i) WITH A(i,1)
@@ -264,18 +267,14 @@ END DO
         let sp = pipeline(src, CoreConfig::full());
         assert!(sp.reduces.iter().any(|r| !r.reduce_dims.is_empty()));
         assert_eq!(hpf_spmd::engine(&sp), hpf_spmd::Engine::Node);
-        let run = hpf_spmd::validate_replay_traced(&sp, init, true, true).unwrap();
-        let report = verify_recorded_trace(&sp, run.obs.as_ref().unwrap(), init);
+        let report = verify_execution(&sp, init);
         assert!(report.is_clean(), "got: {:?}", report.diags);
-        assert!(verify_execution(&sp, init).is_clean());
     }
 
     #[test]
     fn swapped_comm_events_are_rejected() {
         let sp = pipeline(FIG1, CoreConfig::full());
-        let mut exec = SpmdExec::new(&sp, init).with_obs();
-        exec.run().unwrap();
-        let mut recorded = exec.take_obs().unwrap();
+        let mut recorded = recorded(&sp);
         // Swap the first two adjacent, distinct comm events of one rank:
         // a reordering across a happens-before edge (program order).
         let mut swapped = false;

@@ -1,16 +1,20 @@
 //! Recorded-trace cross-validation (`--verify-trace`).
 //!
-//! The static happens-before relation of a compiled program is exactly
-//! the reference executor's schedule: program order per rank plus
-//! per-link FIFO message matching. A recorded hpf-obs trace (from any
-//! backend: the executor itself, the threaded replay, or the socket
-//! runtime) is a linearization of that relation iff each rank's
-//! observed communication sequence equals the schedule's — the per-rank
-//! sequences fix program order, and FIFO links fix the cross-rank
-//! matching, so no reordering across a happens-before edge can leave
-//! the per-rank sequences intact. **T301** reports the first
-//! divergence per rank; **T300** reports a recorded trace whose shape
-//! (rank count) cannot belong to this program.
+//! The static happens-before relation of a compiled program is its
+//! schedule: program order per rank plus per-link FIFO message matching.
+//! The expected per-rank communication sequences come from the thread
+//! backend's traced run ([`hpf_spmd::validate_replay_traced`]): the node
+//! programs where [`hpf_spmd::engine`] admits the program, the reference
+//! executor and a replay of its trace otherwise. Both engines, and the
+//! socket workers' replay, tell each rank's comm story in the same order.
+//! A recorded hpf-obs trace (from either backend) is a linearization of
+//! that relation iff each rank's observed communication sequence equals
+//! the schedule's — the per-rank sequences fix program order, and FIFO
+//! links fix the cross-rank matching, so no reordering across a
+//! happens-before edge can leave the per-rank sequences intact. **T301**
+//! reports the first divergence per rank; **T300** reports a run of the
+//! program that fails, or a recorded trace whose shape (rank count)
+//! cannot belong to this program.
 //!
 //! The comparison keys on everything semantically meaningful in a comm
 //! event — kind, endpoints, placed operation, pattern, placement
@@ -19,7 +23,7 @@
 
 use hpf_ir::Memory;
 use hpf_obs::{Body, Trace as ObsTrace};
-use hpf_spmd::{SpmdExec, SpmdProgram};
+use hpf_spmd::SpmdProgram;
 
 use crate::diag::Diagnostic;
 
@@ -82,24 +86,25 @@ fn comm_keys(t: &ObsTrace, rank: usize) -> Vec<Key> {
         .collect()
 }
 
-/// Replay the program on the reference executor and assert the recorded
-/// trace's dynamic communication order is a linearization of the static
+/// Run the program on the thread backend and assert the recorded trace's
+/// dynamic communication order is a linearization of the static
 /// happens-before relation.
 pub fn verify_recorded_trace(
     sp: &SpmdProgram,
     recorded: &ObsTrace,
-    init: impl Fn(&mut Memory),
+    init: impl Fn(&mut Memory) + Sync,
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let mut exec = SpmdExec::new(sp, init).with_obs();
-    if let Err(e) = exec.run() {
-        out.push(Diagnostic::error(
-            "T300",
-            format!("reference execution of the compiled program failed: {}", e),
-        ));
-        return out;
-    }
-    let expected = exec.take_obs().expect("with_obs records a trace");
+    let expected = match hpf_spmd::validate_replay_traced(sp, init, true, true) {
+        Ok(run) => run.obs.expect("a traced run keeps its timelines"),
+        Err(e) => {
+            out.push(Diagnostic::error(
+                "T300",
+                format!("thread-backend run of the compiled program failed: {}", e),
+            ));
+            return out;
+        }
+    };
 
     let faults = recorded.fault_names();
     if !faults.is_empty() {

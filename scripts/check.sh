@@ -52,6 +52,46 @@ echo "$out" | grep -q 'linearization of the static happens-before relation' || {
     exit 1
 }
 
+echo "==> a reordered trace is rejected (--verify-trace reports T301)"
+# Swap two adjacent, distinct comm events of one rank in the golden trace
+# (the timestamps stay where they were): a reordering across a
+# program-order happens-before edge, which --verify-trace must reject.
+if command -v python3 >/dev/null 2>&1; then
+    tampered=$(mktemp -t phpfc-tampered.XXXXXX)
+    trap 'rm -f "$goldtrace" "$tampered"' EXIT
+    python3 - "$goldtrace" "$tampered" <<'EOF'
+import json, sys
+events = json.load(open(sys.argv[1]))
+per_rank = {}
+for i, e in enumerate(events):
+    if e.get("cat") == "comm":
+        per_rank.setdefault(e["pid"], []).append(i)
+def swap():
+    for idx in per_rank.values():
+        for a, b in zip(idx, idx[1:]):
+            ea, eb = dict(events[a], ts=0), dict(events[b], ts=0)
+            if ea != eb:
+                events[a] = dict(eb, ts=events[a]["ts"])
+                events[b] = dict(ea, ts=events[b]["ts"])
+                return
+    sys.exit("no rank has two distinct adjacent comm events to swap")
+swap()
+json.dump(events, open(sys.argv[2], "w"))
+EOF
+    set +e
+    out=$(./target/release/phpfc examples/hpf/tomcatv_small.hpf --verify-trace "$tampered" 2>&1)
+    status=$?
+    set -e
+    rm -f "$tampered"
+    if [ "$status" -eq 0 ] || ! echo "$out" | grep -q 'T301'; then
+        echo "FAIL: --verify-trace accepted a reordered trace or printed no T301 (exit $status)" >&2
+        echo "$out" >&2
+        exit 1
+    fi
+else
+    echo "python3 not found: skipping the reordered-trace stage"
+fi
+
 echo "==> every example traced on both backends, then cross-validated (--trace, --verify-trace)"
 # Each backend's per-rank comm timelines, per-element messages included
 # (their class and loop levels travel with the events), must be a

@@ -1,5 +1,5 @@
 //! Acceptance tests tying the three layers together: for each paper
-//! kernel the wire messages observed by the executor must agree with the
+//! kernel the wire messages of its thread-backend run must agree with the
 //! cost model's per-operation predictions, and the vectorized schedule
 //! must send strictly fewer messages through the threaded runtime than
 //! the per-element schedule.

@@ -175,8 +175,9 @@ END DO
 }
 
 /// A run-time failure renders through `Display` with a single prefix:
-/// `execution failed: index [5] out of bounds for a`, never the Debug
-/// form of the error.
+/// `execution failed: proc 0: index [5] out of bounds for a` from the
+/// cost-model cross-check's thread run, never the Debug form of the
+/// error.
 #[test]
 fn out_of_bounds_renders_once_with_display() {
     let src = r#"
@@ -186,7 +187,7 @@ REAL A(4)
 A(5) = 1.0
 "#;
     let c = compile_source(src, Options::new(Version::SelectedAlignment)).unwrap();
-    let msg = c.observe(|_| {}).unwrap_err();
+    let msg = c.cross_check(|_| {}).unwrap_err();
     assert_eq!(msg.matches("index [5] out of bounds for a").count(), 1, "{msg}");
     assert_eq!(msg.matches("execution failed").count(), 1, "{msg}");
     assert!(!msg.contains("OutOfBounds {"), "{msg}");

@@ -1,5 +1,6 @@
 //! Node programs against the reference executor and trace replay: on the
-//! paper's TOMCATV and APPSP (1-D and 2-D grids), under all six versions,
+//! paper's TOMCATV and APPSP (1-D and 2-D grids) and on a sum reduction
+//! over a 1×4 grid, under all six versions,
 //! BLOCK and CYCLIC, vectorized and per-element, the ranks that run their
 //! own node programs must end with the executor's owner slots bit for
 //! bit, send exactly the replay's messages (every `CommMetrics` field but
@@ -163,6 +164,33 @@ fn appsp_2d_cyclic() {
     let src = cyclic(&appsp::source_2d(8, 2, 2, 1));
     check("APPSP 2-D CYCLIC", &src, true);
     check("APPSP 2-D CYCLIC", &src, false);
+}
+
+/// A sum reduction combined over the four ranks of a 1×4 grid: the
+/// leader receives every partial before it sends any result, on the node
+/// programs' timelines as on the replay's, and per-element messages keep
+/// their class.
+#[test]
+fn four_rank_sum_reduction() {
+    let src = r#"
+!HPF$ PROCESSORS P(1,4)
+!HPF$ ALIGN B(i) WITH A(i,1)
+!HPF$ DISTRIBUTE (BLOCK, BLOCK) :: A
+REAL A(8,8), B(8)
+INTEGER i, j
+REAL s
+DO i = 1, 8
+  s = 0.0
+  DO j = 1, 8
+    s = s + A(i,j)
+  END DO
+  B(i) = s
+END DO
+"#;
+    let c = compile_source(src, Options::new(Version::SelectedAlignment)).unwrap();
+    assert!(c.spmd.reduces.iter().any(|r| !r.reduce_dims.is_empty()));
+    check("1x4 sum reduction", src, true);
+    check("1x4 sum reduction", src, false);
 }
 
 /// DGEFA's pivot test reads the matrix: it stays on exec+replay, and the

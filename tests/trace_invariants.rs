@@ -2,8 +2,9 @@
 //!
 //! * pipeline spans strictly nest on every stream, for random programs;
 //! * traced Send/Recv event counts equal the wire-level [`CommMetrics`]
-//!   tallies exactly, rank by rank, on random kernels (both the reference
-//!   executor's timelines and the threaded replay's);
+//!   tallies exactly, rank by rank, on random kernels (the thread
+//!   backend's timelines, on random stencils and on a guarded stencil
+//!   with random data);
 //! * per-link wire sequence numbers stamped on traced socket send events
 //!   are strictly monotone.
 //!
@@ -14,7 +15,7 @@
 use phpf::compile::netrun::{self, NetJob, NetRunConfig};
 use phpf::compile::{compile_source_traced, Options, Version};
 use phpf::obs::{Body, BufTracer, Trace};
-use phpf::spmd::{validate_replay_traced, CommMetrics, SpmdExec};
+use phpf::spmd::{validate_replay_traced, CommMetrics};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -104,8 +105,8 @@ proptest! {
         prop_assert!(trace.fault_names().is_empty());
     }
 
-    /// The reference executor's per-rank timelines also match its meters,
-    /// on the guarded stencil with random data (both IF paths exercised).
+    /// The thread backend's per-rank timelines also match its meters on
+    /// the guarded stencil with random data (both IF paths exercised).
     #[test]
     fn exec_trace_counts_match_metrics(
         bd in proptest::collection::vec(
@@ -125,17 +126,15 @@ proptest! {
             pr.vars.lookup("b").unwrap(),
             pr.vars.lookup("c").unwrap(),
         );
-        let mut exec = SpmdExec::new(&c.spmd, move |m| {
+        let init = move |m: &mut phpf::ir::Memory| {
             m.fill_real(a, &ad);
             m.fill_real(b, &bd);
             m.fill_real(cc, &cd);
-        })
-        .with_obs();
-        exec.run().unwrap();
-        let metrics = exec.metrics.clone();
-        let trace = exec.take_obs().unwrap();
+        };
+        let r = validate_replay_traced(&c.spmd, init, true, true).unwrap();
+        let trace = r.obs.unwrap();
         trace.check_nesting().unwrap();
-        assert_counts_match("guarded stencil", &trace, &metrics);
+        assert_counts_match("guarded stencil", &trace, &r.metrics);
     }
 }
 

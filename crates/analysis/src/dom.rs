@@ -1,7 +1,7 @@
 //! Dominator tree over the CFG (iterative Cooper–Harvey–Kennedy algorithm).
 //!
-//! Used by the SSA construction and by sanity checks ("a definition
-//! dominates its same-iteration uses").
+//! Used by induction-variable substitution: a use sees an update's
+//! "after" value when the update dominates it.
 
 use crate::cfg::{Cfg, NodeId};
 
@@ -9,7 +9,6 @@ use crate::cfg::{Cfg, NodeId};
 #[derive(Debug, Clone)]
 pub struct Dominators {
     idom: Vec<Option<NodeId>>,
-    rpo_index: Vec<usize>,
 }
 
 impl Dominators {
@@ -44,7 +43,7 @@ impl Dominators {
                 }
             }
         }
-        Dominators { idom, rpo_index }
+        Dominators { idom }
     }
 
     fn intersect(
@@ -90,11 +89,6 @@ impl Dominators {
 
     pub fn is_reachable(&self, n: NodeId) -> bool {
         self.idom[n.index()].is_some()
-    }
-
-    #[allow(dead_code)]
-    fn rpo_of(&self, n: NodeId) -> usize {
-        self.rpo_index[n.index()]
     }
 }
 

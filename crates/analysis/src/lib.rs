@@ -5,13 +5,14 @@
 //! algorithm builds on (paper Sec. 2.2: "It follows an earlier program
 //! analysis phase which constructs the static single assignment (SSA)
 //! representation of the program and performs constant propagation and
-//! induction variable recognition").
+//! induction variable recognition"). The mapping phase here reads
+//! reaching definitions directly instead (one definition, one mapping
+//! decision), so no SSA form is built.
 //!
 //! * [`cfg`](mod@cfg) — control-flow graph with identified loop back edges
 //! * [`dom`] — dominator tree
 //! * [`reach`] — reaching definitions / def-use chains (with back-edge cuts)
 //! * [`liveness`] — live scalars, including liveness across loop exits
-//! * [`ssa`] — pruned phi placement and definition versioning
 //! * [`constprop`] — constant propagation and expression folding
 //! * [`induction`] — induction variables and affine closed forms
 //! * [`privcheck`] — scalar and array privatizability
@@ -34,7 +35,6 @@ pub mod liveness;
 pub mod privcheck;
 pub mod reach;
 pub mod reduction;
-pub mod ssa;
 
 pub use cfg::{Cfg, NodeId};
 pub use constprop::ConstProp;
@@ -44,7 +44,6 @@ pub use liveness::Liveness;
 pub use privcheck::{PrivCheck, Privatizable};
 pub use reach::ReachingDefs;
 pub use reduction::{find_reductions, RedOp, Reduction};
-pub use ssa::Ssa;
 
 use hpf_ir::Program;
 
@@ -56,7 +55,6 @@ pub struct Analysis<'p> {
     pub dom: Dominators,
     pub rd: ReachingDefs,
     pub live: Liveness,
-    pub ssa: Ssa,
     pub constprop: ConstProp,
     pub induction: InductionAnalysis,
     pub reductions: Vec<Reduction>,
@@ -69,7 +67,6 @@ impl<'p> Analysis<'p> {
         let dom = Dominators::compute(&cfg);
         let rd = ReachingDefs::compute(program, &cfg);
         let live = Liveness::compute(program, &cfg);
-        let ssa = Ssa::compute(program, &cfg, &dom, &live);
         let constprop = ConstProp::compute(program, &cfg);
         let induction = InductionAnalysis::compute(program, &cfg, &rd, &constprop);
         let reductions = find_reductions(program);
@@ -79,7 +76,6 @@ impl<'p> Analysis<'p> {
             dom,
             rd,
             live,
-            ssa,
             constprop,
             induction,
             reductions,

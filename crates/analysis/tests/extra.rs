@@ -1,6 +1,5 @@
-//! Additional hpf-analysis coverage: SSA frontiers on irregular CFGs,
-//! liveness through nested control, reductions inside deeper nests,
-//! induction interactions.
+//! Additional hpf-analysis coverage: liveness through nested control,
+//! reductions inside deeper nests, induction interactions.
 
 use hpf_analysis::{Analysis, Privatizable, RedOp};
 use hpf_ir::{parse_program, Program, StmtId};
@@ -136,30 +135,6 @@ END DO
         Privatizable::No,
         "single-branch def leaks the previous iteration's value"
     );
-}
-
-#[test]
-fn ssa_phis_for_branchy_loop() {
-    let src = r#"
-REAL B(8), D(8)
-INTEGER i
-REAL t
-DO i = 1, 8
-  IF (B(i) > 0.0) THEN
-    t = B(i)
-  ELSE
-    t = -B(i)
-  END IF
-  D(i) = t
-END DO
-"#;
-    let p = parse_program(src).unwrap();
-    let a = Analysis::run(&p);
-    let t = p.vars.lookup("t").unwrap();
-    // One phi at the IF join (t is dead around the back edge, so no
-    // header phi survives pruning).
-    let phis: Vec<_> = a.ssa.phis_of(t).collect();
-    assert_eq!(phis.len(), 1, "{:?}", phis);
 }
 
 #[test]

@@ -182,19 +182,15 @@ END DO
     let trace = phpf_bench::pipeline_trace(&src2d, Options::new(Version::SelectedAlignment))
         .expect("traced compile");
     // Static verification of the ablated configurations at validation
-    // size (skip with --no-verify).
-    let verified = if phpf_bench::verification_disabled() {
-        None
-    } else {
-        Some(phpf_bench::verify_small(
-            "ablations (APPSP 2-D)",
-            &appsp::source_2d(6, 2, 2, 1),
-            &[Version::SelectedAlignment, Version::NoPartialPrivatization],
-            &[("rsd", appsp::init_field(6))],
-        ))
-    };
+    // size.
+    let verified = phpf_bench::verify_small(
+        "ablations (APPSP 2-D)",
+        &appsp::source_2d(6, 2, 2, 1),
+        &[Version::SelectedAlignment, Version::NoPartialPrivatization],
+        &[("rsd", appsp::init_field(6))],
+    );
     println!(
         "{}",
-        phpf_bench::bench_json("ablations", "sim", &rows, Some(&trace), verified.as_ref())
+        phpf_bench::bench_json("ablations", "sim", &rows, &trace, &verified)
     );
 }

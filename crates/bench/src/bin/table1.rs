@@ -28,22 +28,18 @@ fn main() {
         .unwrap_or_else(|e| panic!("{}: {}", v.name(), e));
         println!("validated {:<22} (n={}, P=4): results match sequential", v.name(), n_small);
     }
-    // Static verification of every configuration (skip with --no-verify).
-    let verified = if phpf_bench::verification_disabled() {
-        None
-    } else {
-        let (x0, y0) = tomcatv::init_mesh(n_small);
-        Some(phpf_bench::verify_small(
-            "TOMCATV",
-            &src,
-            &[
-                Version::Replication,
-                Version::ProducerAlignment,
-                Version::SelectedAlignment,
-            ],
-            &[("x", x0), ("y", y0)],
-        ))
-    };
+    // Static verification of every configuration.
+    let (x0, y0) = tomcatv::init_mesh(n_small);
+    let verified = phpf_bench::verify_small(
+        "TOMCATV",
+        &src,
+        &[
+            Version::Replication,
+            Version::ProducerAlignment,
+            Version::SelectedAlignment,
+        ],
+        &[("x", x0), ("y", y0)],
+    );
     println!();
 
     // The paper's configuration: n = 513, 16 thin nodes.
@@ -75,6 +71,6 @@ fn main() {
     .expect("traced compile");
     println!(
         "{}",
-        phpf_bench::bench_json("table1", "sim", &rows, Some(&trace), verified.as_ref())
+        phpf_bench::bench_json("table1", "sim", &rows, &trace, &verified)
     );
 }

@@ -32,17 +32,13 @@ fn main() {
             check.predicted_total
         );
     }
-    // Static verification of both configurations (skip with --no-verify).
-    let verified = if phpf_bench::verification_disabled() {
-        None
-    } else {
-        Some(phpf_bench::verify_small(
-            "DGEFA",
-            &src,
-            &[Version::NoReductionAlignment, Version::SelectedAlignment],
-            &[("a", dgefa::init_matrix(n_small))],
-        ))
-    };
+    // Static verification of both configurations.
+    let verified = phpf_bench::verify_small(
+        "DGEFA",
+        &src,
+        &[Version::NoReductionAlignment, Version::SelectedAlignment],
+        &[("a", dgefa::init_matrix(n_small))],
+    );
     println!();
 
     let n = 512;
@@ -77,6 +73,6 @@ fn main() {
     .expect("traced compile");
     println!(
         "{}",
-        phpf_bench::bench_json("table2", "sim", &rows, Some(&trace), verified.as_ref())
+        phpf_bench::bench_json("table2", "sim", &rows, &trace, &verified)
     );
 }

@@ -24,28 +24,23 @@ fn main() {
         .unwrap_or_else(|e| panic!("{}: {}", name, e));
         println!("validated {:<22} (n={}): results match sequential", name, n_small);
     }
-    // Static verification of every configuration under both distributions
-    // (skip with --no-verify).
-    let verified = if phpf_bench::verification_disabled() {
-        None
-    } else {
-        let v1 = phpf_bench::verify_small(
-            "APPSP 1-D",
-            &appsp::source_1d(n_small, 2, 1),
-            &[Version::NoArrayPrivatization, Version::SelectedAlignment],
-            &[("rsd", appsp::init_field(n_small))],
-        );
-        let v2 = phpf_bench::verify_small(
-            "APPSP 2-D",
-            &appsp::source_2d(n_small, 2, 2, 1),
-            &[Version::NoPartialPrivatization, Version::SelectedAlignment],
-            &[("rsd", appsp::init_field(n_small))],
-        );
-        Some(hpf_verify::VerifyVerdict {
-            privatization: v1.privatization && v2.privatization,
-            schedule: v1.schedule && v2.schedule,
-            races: v1.races && v2.races,
-        })
+    // Static verification of every configuration under both distributions.
+    let v1 = phpf_bench::verify_small(
+        "APPSP 1-D",
+        &appsp::source_1d(n_small, 2, 1),
+        &[Version::NoArrayPrivatization, Version::SelectedAlignment],
+        &[("rsd", appsp::init_field(n_small))],
+    );
+    let v2 = phpf_bench::verify_small(
+        "APPSP 2-D",
+        &appsp::source_2d(n_small, 2, 2, 1),
+        &[Version::NoPartialPrivatization, Version::SelectedAlignment],
+        &[("rsd", appsp::init_field(n_small))],
+    );
+    let verified = hpf_verify::VerifyVerdict {
+        privatization: v1.privatization && v2.privatization,
+        schedule: v1.schedule && v2.schedule,
+        races: v1.races && v2.races,
     };
     println!();
 
@@ -80,7 +75,7 @@ fn main() {
     .expect("traced compile");
     println!(
         "{}",
-        phpf_bench::bench_json("table3", "sim", &rows, Some(&trace), verified.as_ref())
+        phpf_bench::bench_json("table3", "sim", &rows, &trace, &verified)
     );
 
     // Extension beyond the paper: a fixed 3-D distribution (the layout the

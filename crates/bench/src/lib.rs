@@ -124,19 +124,17 @@ pub fn render(title: &str, header: &[&str], rows: &[Vec<Cell>], procs: &[usize])
 /// table binaries emit) from real replays (`"thread"` / `"socket"`,
 /// the `phpfc --backend` names).
 ///
-/// A `trace` adds a `"trace"` field carrying the pipeline phase spans
-/// (name + wall-clock microseconds) that produced the numbers, so a
-/// BENCH_JSON consumer can attribute compile-side cost without parsing a
-/// separate file. `verified` adds the verifier's verdict as a
-/// `"verified":{"privatization":…,"schedule":…,"races":…}` field, so a
-/// consumer can tell checked numbers from unchecked ones (`--no-verify`
-/// runs omit the field).
+/// The `"trace"` field carries the pipeline phase spans (name +
+/// wall-clock microseconds) that produced the numbers, so a BENCH_JSON
+/// consumer can attribute compile-side cost without parsing a separate
+/// file; `"verified":{"privatization":…,"schedule":…,"races":…}` carries
+/// the verifier's verdict on the configurations at validation size.
 pub fn bench_json(
     table: &str,
     backend: &str,
     rows: &[Vec<Cell>],
-    trace: Option<&hpf_obs::Trace>,
-    verified: Option<&hpf_verify::VerifyVerdict>,
+    trace: &hpf_obs::Trace,
+    verified: &hpf_verify::VerifyVerdict,
 ) -> String {
     let mut out = format!(
         "BENCH_JSON {{\"table\":\"{}\",\"backend\":\"{}\",\"cells\":[",
@@ -156,22 +154,12 @@ pub fn bench_json(
         }
     }
     out.push(']');
-    if let Some(t) = trace {
-        out.push_str(",\"trace\":");
-        out.push_str(&t.span_summary_json());
-    }
-    if let Some(v) = verified {
-        out.push_str(",\"verified\":");
-        out.push_str(&v.to_json());
-    }
+    out.push_str(",\"trace\":");
+    out.push_str(&trace.span_summary_json());
+    out.push_str(",\"verified\":");
+    out.push_str(&verified.to_json());
     out.push('}');
     out
-}
-
-/// True when the benchmark invocation opted out of verification with
-/// `--no-verify` (the verifier runs by default at the validation size).
-pub fn verification_disabled() -> bool {
-    std::env::args().any(|a| a == "--no-verify")
 }
 
 /// Run the static verifier on `src` compiled under each version at the
@@ -289,7 +277,12 @@ mod tests {
             comm_seconds: 0.5,
             messages: 12.0,
         }]];
-        let line = bench_json("table1", "sim", &rows, None, None);
+        let verdict = hpf_verify::VerifyVerdict {
+            privatization: true,
+            schedule: true,
+            races: true,
+        };
+        let line = bench_json("table1", "sim", &rows, &hpf_obs::Trace::default(), &verdict);
         assert!(line.starts_with("BENCH_JSON {"));
         assert!(line.contains("\"backend\":\"sim\""), "{}", line);
         assert!(line.contains("\"table\":\"table1\""), "{}", line);
@@ -307,7 +300,12 @@ mod tests {
         }]];
         let src = hpf_kernels::tomcatv::source(12, 4, 1);
         let trace = pipeline_trace(&src, Options::default()).unwrap();
-        let line = bench_json("table1", "sim", &rows, Some(&trace), None);
+        let verdict = hpf_verify::VerifyVerdict {
+            privatization: true,
+            schedule: false,
+            races: true,
+        };
+        let line = bench_json("table1", "sim", &rows, &trace, &verdict);
         assert!(line.starts_with("BENCH_JSON {"), "{}", line);
         assert!(line.contains("\"trace\":{\"spans\":["), "{}", line);
         for phase in ["parse", "ssa", "mapping", "privatization", "lower"] {
@@ -318,10 +316,11 @@ mod tests {
                 line
             );
         }
-        // Without a trace or a verdict the line carries neither field.
-        let bare = bench_json("t", "sim", &rows, None, None);
-        assert!(!bare.contains("\"trace\""), "{}", bare);
-        assert!(!bare.contains("\"verified\""), "{}", bare);
+        assert!(
+            line.contains("\"verified\":{\"privatization\":true,\"schedule\":false,\"races\":true}"),
+            "{}",
+            line
+        );
     }
 
     /// Table 1's qualitative content at a reduced size: selected <

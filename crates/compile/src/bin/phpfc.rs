@@ -54,7 +54,9 @@
 //! ```
 //!
 //! With no flags it prints the compilation report (mapping decisions,
-//! guards, communication schedule).
+//! guards, communication schedule, the iterations each rank visits).
+//! `--fault-plan` and the two deadlines need `--backend socket`; without
+//! it they are a usage error (exit 2).
 
 use hpf_compile::{compile_source, compile_source_traced, netrun, Options, Version};
 use std::process::ExitCode;
@@ -183,6 +185,17 @@ fn main() -> ExitCode {
         }
     }
     let Some(file) = file else { return usage() };
+    if backend != Backend::Socket {
+        let socket_only = [
+            ("--fault-plan", fault_plan_src.is_some()),
+            ("--net-io-deadline-ms", net_io_deadline_ms.is_some()),
+            ("--net-connect-deadline-ms", net_connect_deadline_ms.is_some()),
+        ];
+        if let Some((flag, _)) = socket_only.iter().find(|(_, given)| *given) {
+            eprintln!("phpfc: {} needs --backend socket", flag);
+            return usage();
+        }
+    }
     let fault_plan = match fault_plan_src.as_deref().map(str::trim) {
         None | Some("") => None,
         Some(s) => match netrun::FaultPlan::parse(s) {

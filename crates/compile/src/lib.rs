@@ -215,7 +215,10 @@ pub fn compile(p: &Program, options: Options) -> Result<Compiled, String> {
 }
 
 /// [`compile`] with a wall-clock span recorded on `tracer` for every
-/// pipeline phase: `ssa` (the analysis bundle culminating in SSA form),
+/// pipeline phase: `ssa` (the analysis bundle: CFG, dominators, reaching
+/// definitions, liveness, constant propagation, induction variables and
+/// reductions; the span keeps the name of the paper's SSA phase, which
+/// this bundle stands in for),
 /// `mapping` (alignment/distribution tables), `privatization` (the
 /// paper's DetermineMapping over scalars and arrays), `lower`, and
 /// `combine` when global message combining is on.

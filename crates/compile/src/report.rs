@@ -1,11 +1,12 @@
-//! Human-readable compilation reports: mapping decisions, guards and the
-//! placed communication schedule — the `--explain` view of the compiler.
+//! Human-readable compilation reports: mapping decisions, guards, the
+//! placed communication schedule and the iterations each rank visits —
+//! the `--explain` view of the compiler.
 
 use crate::Compiled;
-use hpf_analysis::Analysis;
-use hpf_dist::{shrink_bounds, GridDimRule, IterSet};
-use hpf_ir::Stmt;
-use hpf_spmd::{CommData, Guard};
+use hpf_dist::IterSet;
+use hpf_ir::pretty::print_expr;
+use hpf_ir::{Expr, Stmt};
+use hpf_spmd::{node, CommData, Engine, Guard};
 use std::fmt::Write;
 
 /// Render the full report.
@@ -73,113 +74,50 @@ pub fn render(c: &Compiled) -> String {
         );
     }
 
-    // Shrunk loop bounds: the owner-computes iteration sets of partitioned
-    // assignments, when the distribution admits closed-form shrinking
-    // (BLOCK / CYCLIC with unit-stride subscripts).
-    let _ = writeln!(out, "== local iteration sets (loop-bound shrinking) ==");
-    let a = Analysis::run(p);
-    let mut shown = 0;
-    let mut ids: Vec<_> = c.spmd.guards.keys().copied().collect();
-    ids.sort();
-    for s in ids {
-        let Guard::OwnerOf { r, free_dims } = c.spmd.guard(s) else {
-            continue;
-        };
-        if !p.stmt(s).is_assign() {
-            continue;
+    // The iterations each rank visits, as the node programs bound them.
+    let _ = writeln!(out, "== local iteration sets ==");
+    let loops = match node::loop_visits(&c.spmd) {
+        Ok(loops) => {
+            let _ = writeln!(out, "engine: {}", Engine::Node);
+            loops
         }
-        let Some(&l) = p.enclosing_loops(s).last() else {
-            continue;
-        };
-        let Stmt::Do { lo, hi, .. } = p.stmt(l) else { continue };
-        let (Some(lo_v), Some(hi_v)) = (
-            hpf_analysis::constprop::fold_expr(lo, &|w| a.constprop.const_at(&a.cfg, l, w))
-                .and_then(|v| match v {
-                    hpf_ir::Value::Int(x) => Some(x),
-                    _ => None,
-                }),
-            hpf_analysis::constprop::fold_expr(hi, &|w| a.constprop.const_at(&a.cfg, l, w))
-                .and_then(|v| match v {
-                    hpf_ir::Value::Int(x) => Some(x),
-                    _ => None,
-                }),
-        ) else {
-            continue;
-        };
-        let lv = p.loop_var(l).unwrap();
-        let mapping = c.spmd.maps.of(r.array);
-        for (g, rule) in mapping.rules.iter().enumerate() {
-            if free_dims.contains(&g) {
-                continue;
-            }
-            let GridDimRule::ByDim {
-                array_dim,
-                dist,
-                stride,
-                offset,
-                t_lo,
-                t_extent,
-            } = rule
-            else {
-                continue;
-            };
-            let Some(sub) = r.subs.get(*array_dim) else { continue };
-            let Some(aff) = a.induction.affine_view(p, &a.cfg, &a.dom, s, sub) else {
-                continue;
-            };
-            let coef = aff.coeff(lv);
-            if coef == 0 {
-                continue;
-            }
-            // Template position = stride*(coef*i + rest) + offset.
-            let b = stride * (aff.c0) + offset; // only valid if aff has no other vars
-            if aff.terms.len() != 1 {
-                continue;
-            }
-            let mut line = format!(
-                "s{:<4} DO {} = {}, {}: ",
-                s.0,
-                p.vars.name(lv),
-                lo_v,
-                hi_v
-            );
-            let mut any = false;
-            for coord in 0..c.spmd.maps.grid.extent(g) {
-                match shrink_bounds(
-                    *dist,
-                    c.spmd.maps.grid.extent(g),
-                    *t_lo,
-                    *t_extent,
-                    coord,
-                    stride * coef,
-                    b,
-                    lo_v,
-                    hi_v,
-                ) {
-                    Some(IterSet::Range(a1, b1)) => {
-                        let _ = write!(line, "[{}:{}..{}] ", coord, a1, b1);
-                        any = true;
-                    }
-                    Some(IterSet::Strided { first, last, step }) => {
-                        let _ = write!(line, "[{}:{}..{}:{}] ", coord, first, last, step);
-                        any = true;
-                    }
-                    Some(IterSet::Empty) => {
-                        let _ = write!(line, "[{}:-] ", coord);
-                        any = true;
-                    }
-                    _ => {}
-                }
-            }
-            if any {
-                let _ = writeln!(out, "{}", line);
-                shown += 1;
-            }
-            break;
+        Err(why) => {
+            let _ = writeln!(out, "engine: {}", Engine::Replay(why));
+            Vec::new()
         }
-    }
-    if shown == 0 {
-        let _ = writeln!(out, "(runtime ownership guards)");
+    };
+    for lv in loops {
+        let Stmt::Do { var, lo, hi, .. } = p.stmt(lv.stmt) else {
+            continue;
+        };
+        let owners = match &lv.owners {
+            None => "every iteration".to_string(),
+            Some(refs) => {
+                let refs: Vec<String> = refs
+                    .iter()
+                    .map(|&r| print_expr(p, &Expr::Array(r.clone())))
+                    .collect();
+                format!("owner of {}", refs.join(" | "))
+            }
+        };
+        let _ = writeln!(
+            out,
+            "s{:<4} DO {} = {}, {}: {}",
+            lv.stmt.0,
+            p.vars.name(*var),
+            print_expr(p, lo),
+            print_expr(p, hi),
+            owners
+        );
+        for d in &lv.dims {
+            let _ = write!(out, "        grid dim {}:", d.g);
+            for (coord, sets) in d.sets.iter().enumerate() {
+                let sets: Vec<String> = sets.iter().map(set_text).collect();
+                let text = if sets.is_empty() { "-".to_string() } else { sets.join(" ") };
+                let _ = write!(out, " [{}:{}]", coord, text);
+            }
+            let _ = writeln!(out);
+        }
     }
 
     let _ = writeln!(out, "== reductions ==");
@@ -193,6 +131,15 @@ pub fn render(c: &Compiled) -> String {
         );
     }
     out
+}
+
+fn set_text(set: &IterSet) -> String {
+    match *set {
+        IterSet::All => "all".to_string(),
+        IterSet::Empty => "-".to_string(),
+        IterSet::Range(a, b) => format!("{}..{}", a, b),
+        IterSet::Strided { first, last, step } => format!("{}..{}:{}", first, last, step),
+    }
 }
 
 /// Render a verifier report rustc-style: one `error[CODE]:` /

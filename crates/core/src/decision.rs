@@ -1,9 +1,9 @@
 //! Mapping decisions: the output of the paper's algorithm.
 //!
 //! The phpf compiler "uses the SSA representation to associate a separate
-//! mapping decision with each assignment to a scalar" (Sec. 2.2). Here a
-//! scalar decision is keyed by the defining [`StmtId`] (one definition per
-//! statement), array decisions by `(loop, array)`, and control-flow
+//! mapping decision with each assignment to a scalar" (Sec. 2.2). Here,
+//! without SSA form, a scalar decision is keyed by the defining
+//! [`StmtId`] (one definition per statement), array decisions by `(loop, array)`, and control-flow
 //! decisions by the statement.
 
 use hpf_ir::{ArrayRef, Program, StmtId, VarId};

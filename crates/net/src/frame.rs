@@ -476,10 +476,6 @@ impl<W: std::io::Write> FrameWriter<W> {
         s
     }
 
-    pub fn into_inner(self) -> W {
-        self.w
-    }
-
     pub fn get_ref(&self) -> &W {
         &self.w
     }

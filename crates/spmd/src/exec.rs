@@ -21,7 +21,7 @@ use crate::metrics::CommMetrics;
 use crate::wire::slot_bytes;
 use hpf_analysis::RedOp;
 use hpf_dist::{dist_owner, ArrayMapping, GridDimRule, ProcGrid};
-use hpf_ir::interp::{eval_binop, eval_intrinsic, ArrayStore, InterpError, Memory};
+use hpf_ir::interp::{eval_binop, eval_intrinsic, InterpError, Memory};
 use hpf_ir::{ArrayRef, DistFormat, Label, Stmt, StmtId, Value, VarId};
 use hpf_obs::CommKind;
 use phpf_core::ScalarMapping;
@@ -925,22 +925,6 @@ impl<'s> SpmdExec<'s> {
             self.fetch(op, src, q, slot, slot_bytes(self.p(), slot));
         }
         self.mems[src].array(site.array).get(off)
-    }
-
-    /// Gather the authoritative value of every element of an array
-    /// (fetching each element from an owner).
-    pub fn gather_array(&self, v: VarId) -> ArrayStore {
-        let info = self.p().vars.info(v);
-        let shape = info.shape().expect("array");
-        let mut out = ArrayStore::zeroed(info.ty, shape.len() as usize);
-        let mapping = self.sp.maps.of(v);
-        let mut idx = Vec::with_capacity(shape.rank());
-        for off in 0..shape.len() as usize {
-            shape.delinearize_into(off, &mut idx);
-            let src = mapping.owner_pid(&self.grid, &idx, 0);
-            out.set(off, self.mems[src].array(v).get(off)).unwrap();
-        }
-        out
     }
 }
 

@@ -19,7 +19,8 @@
 //!   from the placed communication operations, and [`node::engine`]
 //!   names the programs that still need the executor and replay;
 //!   [`node::record`] runs them recording each rank's schedule for the
-//!   verifier;
+//!   verifier, and [`node::loop_visits`] says which iterations each rank
+//!   visits, for the compile report;
 //! * [`runtime`] — a message-passing replay runtime over a pluggable
 //!   [`hpf_net::Transport`] (one thread per virtual processor on the
 //!   in-process channel backend; the socket backend runs the same

@@ -14,7 +14,8 @@
 //!   it owns. The union of those sets is every iteration in which the rank
 //!   executes a statement or owns an operand another rank reads; a
 //!   reference the function cannot bound makes the rank visit every
-//!   iteration, where the guard decides.
+//!   iteration, where the guard decides. [`loop_visits`] hands this plan
+//!   to the compile report.
 //! * *Receives.* A rank's first read of a remote element of a hoisted
 //!   operation receives that operation's whole section from the owner; its
 //!   later reads of the same section take the next value in order, or, for
@@ -365,6 +366,14 @@ enum TermDim {
     },
 }
 
+impl TermDim {
+    fn grid_dim(&self) -> usize {
+        match *self {
+            TermDim::Fixed { g, .. } | TermDim::ByDim { g, .. } => g,
+        }
+    }
+}
+
 /// An owner reference in a loop: the iterations in which a rank owns the
 /// referenced element, bounded per grid dimension. `exact` when every
 /// grid dimension is bounded, so the bound is the owner set itself.
@@ -384,8 +393,10 @@ struct StmtTerms {
 }
 
 /// What bounds a loop's iterations per rank.
-struct LoopTerms {
+struct LoopTerms<'s> {
     terms: Vec<Term>,
+    /// By term: the first reference it stands for.
+    refs: Vec<&'s ArrayRef>,
     stmts: Vec<StmtTerms>,
 }
 
@@ -402,7 +413,7 @@ struct Plan<'s> {
     reads: Vec<Vec<Read>>,
     /// By `StmtId` of a DO: the owner references that bound the
     /// iterations a rank visits; `None` to visit them all.
-    terms: Vec<Option<LoopTerms>>,
+    terms: Vec<Option<LoopTerms<'s>>>,
     /// By `StmtId`: the hoisted operations whose sections are worked out
     /// just before the statement runs, with the rest of its block.
     enum_at: Vec<Vec<usize>>,
@@ -439,20 +450,8 @@ impl<'s> Plan<'s> {
                 _ => Vec::new(),
             })
             .collect();
-        let combines: Vec<bool> = (0..n_stmts)
-            .map(|s| {
-                sp.reduces_of(StmtId(s as u32))
-                    .iter()
-                    .any(|r| !r.reduce_dims.is_empty())
-            })
-            .collect();
-        let whole = whole_loops(p, &combines);
-        let mut terms: Vec<Option<LoopTerms>> = (0..n_stmts).map(|_| None).collect();
-        for s in p.preorder() {
-            if let Stmt::Do { var, .. } = p.stmt(s) {
-                terms[s.index()] = loop_terms(sp, s, *var, &whole);
-            }
-        }
+        let combines = combines(sp);
+        let terms = all_loop_terms(sp, &combines);
         let mut enum_at = vec![Vec::new(); n_stmts];
         let mut under: Vec<Vec<usize>> = vec![Vec::new(); n_stmts];
         for r in regions(sp) {
@@ -497,6 +496,137 @@ impl<'s> Plan<'s> {
     }
 }
 
+/// The iterations of one DO loop the ranks visit, as the node programs
+/// bound them ([`loop_visits`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct LoopVisits<'s> {
+    pub stmt: StmtId,
+    /// The owner references that bound the iterations a rank visits, one
+    /// per distinct owner: a rank visits the iterations in which it owns
+    /// one of them. `None` when every rank visits every iteration.
+    pub owners: Option<Vec<&'s ArrayRef>>,
+    /// The grid dimensions along which the loop's constant bounds and
+    /// subscripts that read no scalar but the DO variable give each
+    /// coordinate its own iterations.
+    pub dims: Vec<DimVisits>,
+}
+
+/// The iterations a rank may visit, by its coordinate along one grid
+/// dimension.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DimVisits {
+    pub g: usize,
+    /// By coordinate: disjoint ranges first, then strided sets; `[All]`
+    /// for every iteration, `[]` for none.
+    pub sets: Vec<Vec<IterSet>>,
+}
+
+/// Which iterations each rank visits, for every DO loop of `sp` in
+/// program order: the plan the node programs run, with each coordinate's
+/// sets from the functions a rank bounds its loops with. `Err` says why
+/// the node programs do not run `sp` ([`engine`]).
+pub fn loop_visits(sp: &SpmdProgram) -> Result<Vec<LoopVisits<'_>>, Fallback> {
+    if let Some(why) = fallback(sp) {
+        return Err(why);
+    }
+    let p = &sp.program;
+    let grid = &sp.maps.grid;
+    let terms = all_loop_terms(sp, &combines(sp));
+    let mut out = Vec::new();
+    for s in p.preorder() {
+        let Stmt::Do { lo, hi, .. } = p.stmt(s) else {
+            continue;
+        };
+        let Some(lt) = &terms[s.index()] else {
+            out.push(LoopVisits {
+                stmt: s,
+                owners: None,
+                dims: Vec::new(),
+            });
+            continue;
+        };
+        let mut dims = Vec::new();
+        let constant = |e: &Expr| Affine::from_expr(e).and_then(|f| f.as_const());
+        if let (Some(lo), Some(hi)) = (constant(lo), constant(hi)) {
+            let (a, b) = (lo.min(hi), lo.max(hi));
+            let mut coords = vec![0; grid.rank()];
+            for g in 0..grid.rank() {
+                let mut sets = Vec::new();
+                for c in 0..grid.extent(g) {
+                    coords[g] = c;
+                    sets.push(union(lt.terms.iter().map(|t| {
+                        match t.dims.iter().find(|d| d.grid_dim() == g) {
+                            Some(d) => dim_set(d, grid, &coords, &|_| None, a, b).0,
+                            None => IterSet::All,
+                        }
+                    })));
+                }
+                if sets.iter().any(|s| *s != [IterSet::All]) {
+                    dims.push(DimVisits { g, sets });
+                }
+            }
+        }
+        out.push(LoopVisits {
+            stmt: s,
+            owners: Some(lt.refs.clone()),
+            dims,
+        });
+    }
+    Ok(out)
+}
+
+/// The union of `sets`: `[All]` when one is `All`, else its ranges merged
+/// and sorted, then its distinct strided sets.
+fn union(sets: impl IntoIterator<Item = IterSet>) -> Vec<IterSet> {
+    let mut ranges = Vec::new();
+    let mut strided = Vec::new();
+    for set in sets {
+        match set {
+            IterSet::All => return vec![IterSet::All],
+            IterSet::Empty => {}
+            IterSet::Range(a, b) => ranges.push((a, b)),
+            IterSet::Strided { first, last, step } => strided.push((first, last, step)),
+        }
+    }
+    ranges.sort_unstable();
+    strided.sort_unstable();
+    strided.dedup();
+    let mut out: Vec<IterSet> = Vec::new();
+    for (a, b) in ranges {
+        match out.last_mut() {
+            Some(IterSet::Range(_, hi)) if a <= hi.saturating_add(1) => *hi = (*hi).max(b),
+            _ => out.push(IterSet::Range(a, b)),
+        }
+    }
+    let strided = strided.into_iter();
+    out.extend(strided.map(|(first, last, step)| IterSet::Strided { first, last, step }));
+    out
+}
+
+/// By loop `StmtId`: it combines a reduction across ranks at its exit.
+fn combines(sp: &SpmdProgram) -> Vec<bool> {
+    (0..sp.program.num_stmts())
+        .map(|s| {
+            sp.reduces_of(StmtId(s as u32))
+                .iter()
+                .any(|r| !r.reduce_dims.is_empty())
+        })
+        .collect()
+}
+
+/// By `StmtId` of a DO: what bounds the iterations a rank visits.
+fn all_loop_terms<'s>(sp: &'s SpmdProgram, combines: &[bool]) -> Vec<Option<LoopTerms<'s>>> {
+    let p = &sp.program;
+    let whole = whole_loops(p, combines);
+    let mut terms: Vec<Option<LoopTerms>> = (0..p.num_stmts()).map(|_| None).collect();
+    for s in p.preorder() {
+        if let Stmt::Do { var, .. } = p.stmt(s) {
+            terms[s.index()] = loop_terms(sp, s, *var, &whole);
+        }
+    }
+    terms
+}
+
 /// By `StmtId`: the loops every rank must run in full wherever they are
 /// nested, because every rank takes part in something they do: a
 /// reduction combined at their exit, or leaving their DO variable at
@@ -529,7 +659,12 @@ fn whole_loops(p: &Program, combines: &[bool]) -> Vec<bool> {
 /// guards and remote-capable reads. `None` when some statement runs on
 /// every rank, a reference has no bounding dimension, or a loop inside it
 /// must run in full ([`whole_loops`]): every rank visits every iteration.
-fn loop_terms(sp: &SpmdProgram, l: StmtId, v: VarId, whole: &[bool]) -> Option<LoopTerms> {
+fn loop_terms<'s>(
+    sp: &'s SpmdProgram,
+    l: StmtId,
+    v: VarId,
+    whole: &[bool],
+) -> Option<LoopTerms<'s>> {
     let p = &sp.program;
     let Stmt::Do { body, .. } = p.stmt(l) else {
         return None;
@@ -542,14 +677,16 @@ fn loop_terms(sp: &SpmdProgram, l: StmtId, v: VarId, whole: &[bool]) -> Option<L
     }
     let mut out = LoopTerms {
         terms: Vec::new(),
+        refs: Vec::new(),
         stmts: Vec::new(),
     };
-    let mut add = |r: &ArrayRef, free: &[usize]| -> Option<usize> {
+    let mut add = |r: &'s ArrayRef, free: &[usize]| -> Option<usize> {
         let t = term(sp, r, free, v, &changing)?;
         Some(match out.terms.iter().position(|x| *x == t) {
             Some(i) => i,
             None => {
                 out.terms.push(t);
+                out.refs.push(r);
                 out.terms.len() - 1
             }
         })
@@ -710,6 +847,87 @@ fn minus(x: IterSet, e: &IterSet, a: i64, b: i64, out: &mut Vec<IterSet>) {
     }
 }
 
+/// The iterations `a..=b` in which the rank at grid coordinates `coords`
+/// owns the element of an owner reference, and whether that is exactly
+/// where it does. `scalar` gives the integer values of the scalars its
+/// subscripts read, where known.
+fn term_set(
+    t: &Term,
+    grid: &ProcGrid,
+    coords: &[usize],
+    scalar: &impl Fn(VarId) -> Option<i64>,
+    a: i64,
+    b: i64,
+) -> (IterSet, bool) {
+    let (mut set, mut exact) = (IterSet::All, t.exact);
+    for dim in &t.dims {
+        let (s, e) = dim_set(dim, grid, coords, scalar, a, b);
+        set = meet(set, s);
+        exact &= e;
+        if set == IterSet::Empty {
+            return (set, true);
+        }
+    }
+    (set, exact)
+}
+
+/// The iterations `a..=b` in which the rank at grid coordinates `coords`
+/// is the owner along one grid dimension of a reference (it reads only
+/// that dimension's coordinate), and whether the set is exact rather than
+/// a superset.
+fn dim_set(
+    dim: &TermDim,
+    grid: &ProcGrid,
+    coords: &[usize],
+    scalar: &impl Fn(VarId) -> Option<i64>,
+    a: i64,
+    b: i64,
+) -> (IterSet, bool) {
+    let mine = |c: usize, g: usize| {
+        if c == coords[g] {
+            IterSet::All
+        } else {
+            IterSet::Empty
+        }
+    };
+    match *dim {
+        TermDim::Fixed { g, at } => (mine(at, g), true),
+        TermDim::ByDim {
+            g,
+            k,
+            c0,
+            ref rest,
+            dist,
+            stride,
+            offset,
+            t_lo,
+            t_extent,
+        } => {
+            let mut c = c0;
+            for &(u, coef) in rest {
+                match scalar(u) {
+                    Some(x) => c = c.wrapping_add(coef.wrapping_mul(x)),
+                    None => return (IterSet::All, false),
+                }
+            }
+            let nprocs = grid.extent(g);
+            if k == 0 {
+                let pos0 = stride * c + offset - t_lo;
+                if pos0 < 0 || pos0 >= t_extent {
+                    return (IterSet::All, false);
+                }
+                (mine(dist_owner(dist, pos0, t_extent, nprocs), g), true)
+            } else {
+                let (ka, kb) = (stride * k, stride * c + offset);
+                match shrink_bounds(dist, nprocs, t_lo, t_extent, coords[g], ka, kb, a, b) {
+                    Some(set) => (set, true),
+                    None => (IterSet::All, false),
+                }
+            }
+        }
+    }
+}
+
 /// The iterations of one loop entry a rank visits.
 enum Visit {
     All,
@@ -718,11 +936,10 @@ enum Visit {
 
 impl Visit {
     fn new(sets: Vec<IterSet>) -> Visit {
-        let sets: Vec<IterSet> = sets.into_iter().filter(|s| *s != IterSet::Empty).collect();
-        if sets.contains(&IterSet::All) {
-            return Visit::All;
+        match union(sets) {
+            sets if sets == [IterSet::All] => Visit::All,
+            sets => Visit::Sets(sets),
         }
-        Visit::Sets(sets)
     }
 
     /// The first visited iteration from `i` on, in loop order, or `None`
@@ -1102,7 +1319,15 @@ impl<'a, 'w, T: Transport> Rank<'a, 'w, T> {
             return Visit::All;
         };
         let (a, b) = (lo.min(hi), lo.max(hi));
-        let sets: Vec<(IterSet, bool)> = lt.terms.iter().map(|t| self.term_set(t, a, b)).collect();
+        let scalar = |u: VarId| match self.mem.scalar(u) {
+            Value::Int(x) => Some(x),
+            _ => None,
+        };
+        let sets: Vec<(IterSet, bool)> = lt
+            .terms
+            .iter()
+            .map(|t| term_set(t, self.grid, &self.coords_me, &scalar, a, b))
+            .collect();
         let mut out = Vec::new();
         if !serving {
             out.extend(sets.into_iter().map(|(set, _)| set));
@@ -1120,80 +1345,6 @@ impl<'a, 'w, T: Transport> Rank<'a, 'w, T> {
             }
         }
         Visit::new(out)
-    }
-
-    /// The iterations `a..=b` in which this rank owns the element of an
-    /// owner reference, and whether that is exactly where it does.
-    fn term_set(&self, t: &Term, a: i64, b: i64) -> (IterSet, bool) {
-        let (mut set, mut exact) = (IterSet::All, t.exact);
-        for dim in &t.dims {
-            let (s, e) = self.dim_set(dim, a, b);
-            set = meet(set, s);
-            exact &= e;
-            if set == IterSet::Empty {
-                return (set, true);
-            }
-        }
-        (set, exact)
-    }
-
-    /// The iterations `a..=b` in which this rank's coordinate along one
-    /// dimension of a reference is the owner's, and whether the set is
-    /// exact rather than a superset.
-    fn dim_set(&self, dim: &TermDim, a: i64, b: i64) -> (IterSet, bool) {
-        let mine = |c: usize, g: usize| {
-            if c == self.coords_me[g] {
-                IterSet::All
-            } else {
-                IterSet::Empty
-            }
-        };
-        match *dim {
-            TermDim::Fixed { g, at } => (mine(at, g), true),
-            TermDim::ByDim {
-                g,
-                k,
-                c0,
-                ref rest,
-                dist,
-                stride,
-                offset,
-                t_lo,
-                t_extent,
-            } => {
-                let mut c = c0;
-                for &(u, coef) in rest {
-                    match self.mem.scalar(u) {
-                        Value::Int(x) => c = c.wrapping_add(coef.wrapping_mul(x)),
-                        _ => return (IterSet::All, false),
-                    }
-                }
-                let nprocs = self.grid.extent(g);
-                if k == 0 {
-                    let pos0 = stride * c + offset - t_lo;
-                    if pos0 < 0 || pos0 >= t_extent {
-                        return (IterSet::All, false);
-                    }
-                    (mine(dist_owner(dist, pos0, t_extent, nprocs), g), true)
-                } else {
-                    let (ka, kb) = (stride * k, stride * c + offset);
-                    match shrink_bounds(
-                        dist,
-                        nprocs,
-                        t_lo,
-                        t_extent,
-                        self.coords_me[g],
-                        ka,
-                        kb,
-                        a,
-                        b,
-                    ) {
-                        Some(set) => (set, true),
-                        None => (IterSet::All, false),
-                    }
-                }
-            }
-        }
     }
 
     /// Fill `out` with the pids executing `s` under its guard, ascending.

@@ -19,31 +19,6 @@ fn lowered(src: &str, cfg: CoreConfig) -> SpmdProgram {
 }
 
 #[test]
-fn gather_array_assembles_authoritative_values() {
-    let src = r#"
-!HPF$ PROCESSORS P(4)
-!HPF$ DISTRIBUTE (CYCLIC) :: A
-REAL A(12)
-INTEGER i
-DO i = 1, 12
-  A(i) = i * 2.0
-END DO
-"#;
-    let sp = lowered(src, CoreConfig::full());
-    let mut exec = SpmdExec::new(&sp, |_| {});
-    exec.run().unwrap();
-    let a = sp.program.vars.lookup("a").unwrap();
-    let gathered = exec.gather_array(a);
-    match gathered {
-        hpf_ir::interp::ArrayStore::Real(v) => {
-            let want: Vec<f64> = (1..=12).map(|x| x as f64 * 2.0).collect();
-            assert_eq!(v, want);
-        }
-        _ => panic!("real array"),
-    }
-}
-
-#[test]
 fn union_guard_statements_execute_everywhere() {
     // z uses only replicated data: PrivateNoAlign, executed by all pids,
     // every local copy consistent.

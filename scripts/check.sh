@@ -234,6 +234,49 @@ echo "$out" | grep -q '^engine: exec+replay (IF .* reads an array element or a n
     exit 1
 }
 
+echo "==> compile report prints the node programs' iteration sets"
+# The report's local iteration sets are the plan the ranks run. TOMCATV:
+# every DO j runs in full and each DO i is bounded by the owner of
+# column j, j+1 or j-1; no loop is left to a runtime-guard placeholder.
+# stencil2d: along grid dim 0, each coordinate also visits the halo row
+# it serves its neighbour (17 for coordinate 0, 16 for coordinate 1).
+out=$(./target/release/phpfc examples/hpf/tomcatv_small.hpf 2>&1)
+for pattern in '^engine: node programs$' \
+    '^s[0-9]* *DO j = 2, 11: every iteration$' \
+    '^s[0-9]* *DO i = 2, 11: owner of .*,j + 1).*,j - 1)$'; do
+    echo "$out" | grep -q "$pattern" || {
+        echo "FAIL: TOMCATV report lacks a line matching $pattern" >&2
+        echo "$out" >&2
+        exit 1
+    }
+done
+if echo "$out" | grep -q '(runtime ownership guards)'; then
+    echo "FAIL: TOMCATV report still prints (runtime ownership guards)" >&2
+    exit 1
+fi
+out=$(./target/release/phpfc examples/hpf/stencil2d.hpf 2>&1)
+echo "$out" | grep -qx ' *grid dim 0: \[0:2\.\.17\] \[1:16\.\.31\]' || {
+    echo "FAIL: stencil2d report lacks the halo rows 17 and 16 of its first nest" >&2
+    echo "$out" >&2
+    exit 1
+}
+
+echo "==> socket-only flags without --backend socket are a usage error"
+set +e
+out=$(./target/release/phpfc examples/hpf/tomcatv_small.hpf --fault-plan 'kill:1@5' 2>&1)
+status=$?
+set -e
+if [ "$status" -ne 2 ]; then
+    echo "FAIL: --fault-plan on the thread backend exited $status, not 2" >&2
+    echo "$out" >&2
+    exit 1
+fi
+echo "$out" | grep -q -- '--fault-plan needs --backend socket' || {
+    echo "FAIL: the --fault-plan usage error does not name --backend socket" >&2
+    echo "$out" >&2
+    exit 1
+}
+
 echo "==> chaos smoke (DGEFA small, worker killed mid-stream, rerun by a fresh cohort)"
 # Rank 1 dies at its 100th event, in the second of 11 epochs: the failed
 # cohort is reaped, a fresh cohort reruns the whole run from the start

@@ -41,7 +41,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`ir`] | `hpf-ir` | AST, directives, parser, builder, interpreter |
-//! | [`analysis`] | `hpf-analysis` | CFG/SSA/reaching defs/liveness/induction/reductions/privatizability |
+//! | [`analysis`] | `hpf-analysis` | CFG/dominators/reaching defs/liveness/induction/reductions/privatizability |
 //! | [`dist`] | `hpf-dist` | grids, ALIGN/DISTRIBUTE composition, ownership, iteration partitioning |
 //! | [`comm`] | `hpf-comm` | pattern classification, AlignLevel & message vectorization, SP2 cost model |
 //! | [`core`] | `phpf-core` | **the paper**: DetermineMapping, reduction mapping, partial privatization, control-flow privatization |

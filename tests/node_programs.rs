@@ -297,3 +297,108 @@ END DO
     // A(16) is owned by rank 3 and reads the exit value of `DO i = 1, 15`.
     assert_eq!(r.mems[3].array(a).get(15), phpf::ir::Value::Real(16.0));
 }
+
+/// The local iteration sets of a compile report.
+fn iteration_section(c: &Compiled) -> String {
+    let report = c.report();
+    let after = report
+        .split("== local iteration sets ==\n")
+        .nth(1)
+        .unwrap_or_else(|| panic!("no local iteration sets:\n{report}"));
+    after.split("== reductions ==").next().unwrap_or("").to_string()
+}
+
+/// The compile report prints the node programs' own plan: the engine,
+/// then per DO loop the owner references that bound a rank's iterations
+/// (or every iteration) and, for constant bounds, each coordinate's sets.
+/// stencil2d's first nest shows the halo rows: along grid dimension 0,
+/// coordinate 0 visits row 17 and coordinate 1 row 16 to serve their
+/// neighbours. A fallback program prints only its engine line.
+#[test]
+fn report_prints_the_node_plan() {
+    let compiled =
+        |src: &str| compile_source(src, Options::new(Version::SelectedAlignment)).unwrap();
+
+    let stencil = iteration_section(&compiled(include_str!("../examples/hpf/stencil2d.hpf")));
+    assert!(stencil.starts_with("engine: node programs\n"), "{stencil}");
+    for line in [
+        "s3    DO j = 2, 31: every iteration\n",
+        "s2    DO i = 2, 31: owner of v(i,j) | u(i - 1,j) | u(i + 1,j) | u(i,j - 1) | u(i,j + 1)\n\
+         \x20       grid dim 0: [0:2..17] [1:16..31]\n",
+        "s5    DO i = 2, 31: owner of u(i,j)\n        grid dim 0: [0:2..16] [1:17..31]\n",
+    ] {
+        assert!(stencil.contains(line), "stencil2d lacks {line:?}:\n{stencil}");
+    }
+
+    // TOMCATV: each `DO i` is bounded by the owner of column j, j+1 or
+    // j-1, which no constant set can say; every `DO j` runs in full.
+    let tomcatv = iteration_section(&compiled(&tomcatv::source(12, 4, 1)));
+    assert!(tomcatv.starts_with("engine: node programs\n"), "{tomcatv}");
+    let loops: Vec<&str> = tomcatv.lines().skip(1).collect();
+    assert!(loops.iter().any(|l| l.contains("DO i = 2, 11: owner of")
+        && l.contains(",j + 1)")
+        && l.contains(",j - 1)")), "{tomcatv}");
+    for l in &loops {
+        assert!(
+            (l.contains("DO j =") && l.ends_with("every iteration"))
+                || (l.contains("DO i =") && l.contains("owner of"))
+                || l.contains("DO it = 1, 1: every iteration"),
+            "TOMCATV: {l}"
+        );
+    }
+
+    let appsp = iteration_section(&compiled(&appsp::source_2d(8, 2, 2, 1)));
+    assert!(appsp.starts_with("engine: node programs\n"), "{appsp}");
+    assert!(appsp.contains(": owner of rsd("), "{appsp}");
+
+    let c = compiled(&dgefa::source(8, 4));
+    let dgefa = iteration_section(&c);
+    assert_eq!(dgefa, format!("engine: {}\n", engine(&c.spmd)));
+    assert!(dgefa.starts_with("engine: exec+replay (IF "), "{dgefa}");
+
+    for (name, section) in [("stencil2d", &stencil), ("TOMCATV", &tomcatv), ("APPSP 2-D", &appsp)] {
+        assert!(!section.contains("(runtime ownership guards)"), "{name}: {section}");
+    }
+}
+
+/// Every iteration in which a rank executes an owned write, as its
+/// recorded schedule shows, lies in a set the report prints for that
+/// rank's grid coordinate: stencil2d under BLOCK on its 2×2 grid and under
+/// CYCLIC on a 4×2 grid.
+#[test]
+fn recorded_executions_lie_in_the_reported_sets() {
+    let block = include_str!("../examples/hpf/stencil2d.hpf").to_string();
+    let cyclic = cyclic(&block).replace("PROCESSORS P(2,2)", "PROCESSORS P(4,2)");
+    for (name, src) in [("BLOCK", block), ("CYCLIC", cyclic)] {
+        let c = compile_source(&src, Options::new(Version::SelectedAlignment)).unwrap();
+        let sp = &c.spmd;
+        let p = &sp.program;
+        let loops = node::loop_visits(sp).unwrap_or_else(|why| panic!("{name}: {why}"));
+        let mut checked = 0;
+        for (pid, rank) in node::record(sp, &fill(&c)).iter().enumerate() {
+            assert_eq!(rank.stop, None, "{name}: rank {pid} stopped");
+            let coords = sp.maps.grid.coords_of(pid);
+            for ev in &rank.events {
+                let Event::Exec { stmt, env } = ev else {
+                    continue;
+                };
+                for l in p.enclosing_loops(*stmt) {
+                    let Some(lv) = loops.iter().find(|lv| lv.stmt == l) else {
+                        continue;
+                    };
+                    let i = env.get(p.loop_var(l).unwrap()).unwrap();
+                    for d in &lv.dims {
+                        let sets = &d.sets[coords[d.g]];
+                        assert!(
+                            sets.iter().any(|s| s.contains(i)),
+                            "{name}: rank {pid} runs s{} at {i}, outside {sets:?}",
+                            stmt.0
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 0, "{name}: no execution lies in a bounded loop");
+    }
+}

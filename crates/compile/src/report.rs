@@ -1,12 +1,12 @@
 //! Human-readable compilation reports: mapping decisions, guards, the
-//! placed communication schedule and the iterations each rank visits —
-//! the `--explain` view of the compiler.
+//! placed communication schedule, the iterations each rank visits and
+//! the elements each rank stores — the `--explain` view of the compiler.
 
 use crate::Compiled;
 use hpf_dist::IterSet;
 use hpf_ir::pretty::print_expr;
-use hpf_ir::{Expr, Stmt};
-use hpf_spmd::{node, CommData, Engine, Guard};
+use hpf_ir::{Expr, HeldDim, Stmt};
+use hpf_spmd::{node, stores, CommData, Engine, Guard};
 use std::fmt::Write;
 
 /// Render the full report.
@@ -120,6 +120,35 @@ pub fn render(c: &Compiled) -> String {
         }
     }
 
+    // What each rank of the node programs allocates, from the derivation
+    // its stores use.
+    let _ = writeln!(out, "== rank stores ==");
+    let grid = &c.spmd.maps.grid;
+    let mut per_rank = vec![0u64; grid.total()];
+    let stores = stores::rank_stores(&c.spmd);
+    for (v, info) in p.vars.arrays() {
+        let Some(shape) = info.shape() else { continue };
+        let whole = shape.len() as u64 * hpf_ir::store::stored_bytes(info.ty) as u64;
+        let _ = writeln!(out, "{}: {} bytes whole", info.name, whole);
+        for st in stores.iter().filter(|st| st.array == v) {
+            per_rank[st.pid] += st.bytes;
+            let held = if st.dims.iter().zip(&shape.dims).all(|(d, &(lo, hi))| d.is_range(lo, hi)) {
+                "whole".to_string()
+            } else {
+                let dims: Vec<String> = st.dims.iter().map(held_text).collect();
+                format!("({})", dims.join(", "))
+            };
+            let coords = grid.coords_of(st.pid);
+            let _ = writeln!(out, "  {:?} {} {} bytes", coords, held, st.bytes);
+        }
+    }
+    let totals: Vec<String> = per_rank
+        .iter()
+        .enumerate()
+        .map(|(pid, b)| format!("[{}] {}", pid, b))
+        .collect();
+    let _ = writeln!(out, "bytes per rank: {}", totals.join(" "));
+
     let _ = writeln!(out, "== reductions ==");
     for r in &c.spmd.reduces {
         let _ = writeln!(
@@ -131,6 +160,25 @@ pub fn render(c: &Compiled) -> String {
         );
     }
     out
+}
+
+/// One dimension of a rank's store: `lo:hi`, a cyclic set with its block
+/// and coordinate and how many indices it holds, or a listed set.
+fn held_text(d: &HeldDim) -> String {
+    match *d {
+        HeldDim::Range { lo, hi } if lo > hi => "-".to_string(),
+        HeldDim::Range { lo, hi } => format!("{}:{}", lo, hi),
+        HeldDim::Cyclic {
+            lo,
+            hi,
+            block,
+            procs,
+            coord,
+            len,
+            ..
+        } => format!("{}:{} cyclic({}) {}/{} x{}", lo, hi, block, coord, procs, len),
+        HeldDim::Listed(ref v) => format!("{} listed", v.len()),
+    }
 }
 
 fn set_text(set: &IterSet) -> String {

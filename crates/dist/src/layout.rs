@@ -1,72 +1,201 @@
-//! Per-processor data extents: how many elements of an array a processor
-//! owns, and aggregate balance statistics.
+//! Per-processor data extents: which elements of an array a processor
+//! holds, how many, and aggregate balance statistics.
 //!
-//! The threaded SPMD runtime stores whole arrays per processor for
-//! simplicity (correctness is policed by ownership and explicit
-//! communication); this module supplies the *accounting* view — owned
-//! element counts drive the computation-time model, and the balance report
-//! feeds the experiment write-ups.
+//! [`held_dims`] is the one derivation of a processor's section of an
+//! array: per array dimension, the indices it owns. BLOCK gives a
+//! contiguous range, CYCLIC and CYCLIC(k) a cyclic set with a closed-form
+//! local index, and replicated, privatized and undistributed dimensions
+//! every index. The node programs' rank stores hold exactly this section
+//! (`hpf_ir::store`), the compile report prints it, the owner-slot checks
+//! walk it, and [`owned_count`] counts it for the balance report. The
+//! sequential interpreter, the reference executor and trace replay still
+//! store whole arrays.
 
 use crate::grid::ProcGrid;
-use crate::mapping::{ArrayMapping, GridCoord, GridDimRule};
-use hpf_ir::ArrayShape;
+use crate::mapping::{block_range, dist_owner, ArrayMapping, GridDimRule};
+use hpf_ir::{ArrayShape, DistFormat, HeldDim};
 
-/// Number of elements of `shape` owned by processor `pid` under `mapping`.
-/// Replicated and privatized dimensions count fully (each copy holds all of
-/// them).
-pub fn owned_count(mapping: &ArrayMapping, grid: &ProcGrid, shape: &ArrayShape, pid: usize) -> i64 {
-    let coords = grid.coords_of(pid);
-    let mut count: i64 = 1;
-    let mut counted_dims = vec![false; shape.rank()];
+/// The indices of each dimension of an array of `shape` that the
+/// processor at grid coordinates `coords` holds under `mapping`: along a
+/// distributed dimension the indices it owns, along replicated, privatized
+/// and undistributed dimensions every index, and nothing at all when a
+/// `Fixed` rule (or an alignment to a constant position) pins the array
+/// to another coordinate.
+pub fn held_dims(
+    mapping: &ArrayMapping,
+    grid: &ProcGrid,
+    shape: &ArrayShape,
+    coords: &[usize],
+) -> Vec<HeldDim> {
+    let nothing = || vec![HeldDim::EMPTY; shape.rank()];
+    // By array dimension: the grid dimensions whose rule reads it.
+    let mut rules: Vec<Vec<usize>> = vec![Vec::new(); shape.rank()];
     for (g, rule) in mapping.rules.iter().enumerate() {
-        match rule {
+        match *rule {
+            GridDimRule::Fixed(c) if coords[g] != c => return nothing(),
             GridDimRule::ByDim {
-                array_dim,
+                stride: 0,
                 dist,
-                stride,
                 offset,
                 t_lo,
                 t_extent,
+                ..
             } => {
-                let (lo, hi) = shape.dims[*array_dim];
-                let mut c = 0i64;
-                for idx in lo..=hi {
-                    let pos0 = stride * idx + offset - t_lo;
-                    if pos0 >= 0
-                        && pos0 < *t_extent
-                        && crate::mapping::dist_owner(*dist, pos0, *t_extent, grid.extent(g))
-                            == coords[g]
-                    {
-                        c += 1;
-                    }
-                }
-                count *= c;
-                counted_dims[*array_dim] = true;
-            }
-            GridDimRule::Fixed(c) => {
-                if coords[g] != *c {
-                    return 0;
+                let p = offset - t_lo;
+                if p < 0 || p >= t_extent || dist_owner(dist, p, t_extent, grid.extent(g)) != coords[g]
+                {
+                    return nothing();
                 }
             }
-            GridDimRule::Replicated | GridDimRule::Private => {}
+            GridDimRule::ByDim { array_dim, .. } => rules[array_dim].push(g),
+            GridDimRule::Fixed(_) | GridDimRule::Replicated | GridDimRule::Private => {}
         }
     }
-    for (d, &done) in counted_dims.iter().enumerate() {
-        if !done {
-            count *= shape.extent(d);
-        }
-    }
-    count
+    shape
+        .dims
+        .iter()
+        .zip(&rules)
+        .map(|(&(lo, hi), gs)| {
+            let closed = match gs[..] {
+                [] => Some(HeldDim::Range { lo, hi }),
+                [g] => closed_form(&mapping.rules[g], grid.extent(g), coords[g], lo, hi),
+                _ => None,
+            };
+            closed.unwrap_or_else(|| {
+                // Several rules on one dimension, or a cyclic one under a
+                // non-unit alignment stride: test every index.
+                let owns = |i: i64| {
+                    gs.iter().all(|&g| {
+                        let rule = &mapping.rules[g];
+                        rule_owner(rule, grid.extent(g), i) == Some(coords[g])
+                    })
+                };
+                listed((lo..=hi).filter(|&i| owns(i)).collect())
+            })
+        })
+        .collect()
 }
 
-/// True when `pid` owns (a copy of) the element.
-pub fn owns(
-    mapping: &ArrayMapping,
-    grid: &ProcGrid,
-    pid: usize,
-    idx: &[i64],
-) -> bool {
-    mapping.owner_on(grid, idx).contains_pid(grid, pid)
+/// The coordinate that owns index `i` under a `ByDim` rule, `None` when
+/// its template position falls outside the template.
+fn rule_owner(rule: &GridDimRule, nprocs: usize, i: i64) -> Option<usize> {
+    let GridDimRule::ByDim {
+        dist,
+        stride,
+        offset,
+        t_lo,
+        t_extent,
+        ..
+    } = *rule
+    else {
+        return None;
+    };
+    let p = stride * i + offset - t_lo;
+    (0..t_extent)
+        .contains(&p)
+        .then(|| dist_owner(dist, p, t_extent, nprocs))
+}
+
+/// Held indices, ascending: a range when they are contiguous.
+fn listed(v: Vec<i64>) -> HeldDim {
+    match (v.first(), v.last()) {
+        (None, _) | (_, None) => HeldDim::EMPTY,
+        (Some(&lo), Some(&hi)) if hi - lo + 1 == v.len() as i64 => HeldDim::Range { lo, hi },
+        _ => HeldDim::Listed(v),
+    }
+}
+
+fn floor_div(a: i64, b: i64) -> i64 {
+    let q = a / b;
+    if a % b != 0 && ((a < 0) != (b < 0)) {
+        q - 1
+    } else {
+        q
+    }
+}
+
+/// The indices `lo..=hi` whose position `stride·i + off` lies in
+/// `p0..=p1` (`stride` non-zero), as `(first, last)`.
+fn indices_at(stride: i64, off: i64, p0: i64, p1: i64, lo: i64, hi: i64) -> (i64, i64) {
+    let (a, b) = if stride > 0 { (p0, p1) } else { (p1, p0) };
+    let first = -floor_div(-(a - off), stride);
+    let last = floor_div(b - off, stride);
+    (first.max(lo), last.min(hi))
+}
+
+/// The indices `lo..=hi` of one array dimension that coordinate `c` of
+/// `nprocs` owns under a `ByDim` rule with a non-zero stride, in closed
+/// form: a range under BLOCK (any stride) or a collapsed distribution, a
+/// cyclic set under CYCLIC(k) with a unit stride, `None` otherwise.
+fn closed_form(rule: &GridDimRule, nprocs: usize, c: usize, lo: i64, hi: i64) -> Option<HeldDim> {
+    let GridDimRule::ByDim {
+        dist,
+        stride,
+        offset,
+        t_lo,
+        t_extent,
+        ..
+    } = *rule
+    else {
+        return None;
+    };
+    let off = offset - t_lo;
+    let range = |(lo, hi): (i64, i64)| {
+        Some(if lo > hi { HeldDim::EMPTY } else { HeldDim::Range { lo, hi } })
+    };
+    // The indices whose position lies in the template.
+    let (lo, hi) = indices_at(stride, off, 0, t_extent - 1, lo, hi);
+    if lo > hi {
+        return Some(HeldDim::EMPTY);
+    }
+    let block = match dist {
+        DistFormat::Block => {
+            let (p0, p1) = block_range(t_extent, nprocs, c);
+            return range(indices_at(stride, off, p0, p1, lo, hi));
+        }
+        DistFormat::Collapsed => return range(if c == 0 { (lo, hi) } else { (1, 0) }),
+        DistFormat::Cyclic => 1,
+        DistFormat::BlockCyclic(k) => k as i64,
+    };
+    if stride.abs() != 1 {
+        return None;
+    }
+    // Blocks of `block` positions dealt round `np` coordinates: the
+    // first and last position of `p0..=p1` in a block of `c`.
+    let (np, c) = (nprocs as i64, c as i64);
+    let (pa, pb) = {
+        let (x, y) = (stride * lo + off, stride * hi + off);
+        (x.min(y), x.max(y))
+    };
+    let ahead = (c - (pa / block) % np).rem_euclid(np);
+    let first = if ahead == 0 { pa } else { (pa / block + ahead) * block };
+    let behind = ((pb / block) % np - c).rem_euclid(np);
+    let last = if behind == 0 { pb } else { (pb / block - behind) * block + block - 1 };
+    if first > last {
+        return Some(HeldDim::EMPTY);
+    }
+    let local = |p: i64| (p / (block * np)) * block + p % block;
+    Some(HeldDim::Cyclic {
+        lo,
+        hi,
+        dir: stride,
+        offset: off,
+        block,
+        procs: np,
+        coord: c,
+        base: local(first),
+        len: local(last) - local(first) + 1,
+    })
+}
+
+/// Number of elements of `shape` owned by processor `pid` under `mapping`:
+/// the size of its [`held_dims`] section. Replicated and privatized
+/// dimensions count fully (each copy holds all of them).
+pub fn owned_count(mapping: &ArrayMapping, grid: &ProcGrid, shape: &ArrayShape, pid: usize) -> i64 {
+    held_dims(mapping, grid, shape, &grid.coords_of(pid))
+        .iter()
+        .map(|d| d.count() as i64)
+        .product()
 }
 
 /// Load-balance summary over all processors for one array.
@@ -100,74 +229,6 @@ pub fn replication_factor(
     shape: &ArrayShape,
 ) -> f64 {
     balance(mapping, grid, shape).total_copies as f64 / shape.len() as f64
-}
-
-/// Owner pids of a whole rectangular region (union over elements) — used
-/// by the communication classifier for region transfers.
-pub fn region_owners(
-    mapping: &ArrayMapping,
-    grid: &ProcGrid,
-    region: &[(i64, i64)],
-) -> Vec<usize> {
-    let mut pids: Vec<usize> = Vec::new();
-    // Enumerate region lattice (regions in the kernels are small in the
-    // distributed dims; callers keep this bounded).
-    let mut idx: Vec<i64> = region.iter().map(|&(lo, _)| lo).collect();
-    loop {
-        let own = mapping.owner_on(grid, &idx);
-        for p in own.pids(grid) {
-            if !pids.contains(&p) {
-                pids.push(p);
-            }
-        }
-        // Advance odometer.
-        let mut d = 0;
-        loop {
-            if d == idx.len() {
-                pids.sort_unstable();
-                return pids;
-            }
-            idx[d] += 1;
-            if idx[d] <= region[d].1 {
-                break;
-            }
-            idx[d] = region[d].0;
-            d += 1;
-        }
-    }
-}
-
-/// Do all elements of the region share a single owner set?
-pub fn region_single_owner(
-    mapping: &ArrayMapping,
-    grid: &ProcGrid,
-    region: &[(i64, i64)],
-) -> Option<usize> {
-    let owners = region_owners(mapping, grid, region);
-    if owners.len() == 1 {
-        Some(owners[0])
-    } else {
-        // A replicated array reports all pids; treat "everyone" as no
-        // single owner unless the grid is trivial.
-        None
-    }
-}
-
-pub use crate::mapping::GridCoord as Coord;
-
-/// Convenience: is the owner set of `idx` a single processor (fully
-/// determined coordinates)?
-pub fn unique_owner(
-    mapping: &ArrayMapping,
-    grid: &ProcGrid,
-    idx: &[i64],
-) -> Option<usize> {
-    let o = mapping.owner_on(grid, idx);
-    if o.per_dim.iter().all(|c| matches!(c, GridCoord::At(_))) {
-        o.single(grid)
-    } else {
-        None
-    }
 }
 
 #[cfg(test)]
@@ -204,39 +265,61 @@ mod tests {
         assert!((replication_factor(t.of(e), &t.grid, shape) - 4.0).abs() < 1e-12);
     }
 
-    #[test]
-    fn ownership_consistency() {
-        let (p, t) = setup(
-            "!HPF$ PROCESSORS P(3)\n!HPF$ DISTRIBUTE (CYCLIC) :: A\nREAL A(10)\n",
-        );
-        let a = p.vars.lookup("a").unwrap();
-        // Every element owned by exactly one pid.
-        for i in 1..=10i64 {
-            let owners: Vec<usize> = t
-                .grid
-                .pids()
-                .filter(|&pid| owns(t.of(a), &t.grid, pid, &[i]))
-                .collect();
-            assert_eq!(owners.len(), 1);
-            assert_eq!(Some(owners[0]), unique_owner(t.of(a), &t.grid, &[i]));
+    /// For every array and rank: an element is in the rank's box exactly
+    /// when the rank is in its owner set, the held elements fill positions
+    /// `0..len` once each, and `owned_count` is their number.
+    fn boxes_match_owner_sets(src: &str) {
+        let (p, t) = setup(src);
+        for (v, info) in p.vars.arrays() {
+            let shape = info.shape().unwrap();
+            let m = t.of(v);
+            for pid in t.grid.pids() {
+                let dims = held_dims(m, &t.grid, shape, &t.grid.coords_of(pid));
+                let held = hpf_ir::HeldBox::new(shape, dims);
+                let mut positions = Vec::new();
+                for off in 0..shape.len() as usize {
+                    let idx = shape.delinearize(off);
+                    let owns = m.owner_on(&t.grid, &idx).contains_pid(&t.grid, pid);
+                    let at = held.local(&idx);
+                    assert_eq!(at.is_some(), owns, "{} {:?} on {}:\n{}", info.name, idx, pid, src);
+                    positions.extend(at);
+                }
+                positions.sort_unstable();
+                assert_eq!(positions, (0..held.len()).collect::<Vec<_>>(), "{}", info.name);
+                assert_eq!(owned_count(m, &t.grid, shape, pid), held.len() as i64);
+            }
         }
     }
 
     #[test]
-    fn region_owner_queries() {
-        let (p, t) = setup(
-            "!HPF$ PROCESSORS P(4)\n!HPF$ DISTRIBUTE (*, BLOCK) :: A\nREAL A(8,16)\n",
+    fn held_boxes_are_the_owner_sets() {
+        boxes_match_owner_sets(
+            "!HPF$ PROCESSORS P(4)\n!HPF$ DISTRIBUTE (CYCLIC(3)) :: A\n\
+             !HPF$ ALIGN B(i) WITH A(i+2)\n!HPF$ ALIGN C(i) WITH A(2*i)\n\
+             REAL A(32), B(20), C(16)\n",
         );
-        let a = p.vars.lookup("a").unwrap();
-        // A column region lives on one processor.
-        assert_eq!(
-            region_single_owner(t.of(a), &t.grid, &[(1, 8), (2, 2)]),
-            Some(0)
+        boxes_match_owner_sets(
+            "!HPF$ PROCESSORS P(3)\n!HPF$ DISTRIBUTE (CYCLIC) :: A\n\
+             !HPF$ ALIGN B(i) WITH A(i+2)\n!HPF$ ALIGN C(i) WITH A(3*i)\n\
+             REAL A(24), B(20), C(8), E(0:5)\n",
         );
-        // A row region spans all processors.
-        assert_eq!(
-            region_owners(t.of(a), &t.grid, &[(1, 1), (1, 16)]),
-            vec![0, 1, 2, 3]
+        boxes_match_owner_sets(
+            "!HPF$ PROCESSORS P(4)\n!HPF$ DISTRIBUTE (BLOCK) :: A\n\
+             !HPF$ ALIGN B(i) WITH A(2*i)\n!HPF$ ALIGN C(i) WITH A(i-3)\n\
+             REAL A(17), B(8), C(4:20)\n",
+        );
+        boxes_match_owner_sets(
+            "!HPF$ PROCESSORS P(2,3)\n!HPF$ DISTRIBUTE (BLOCK, CYCLIC(2)) :: H\n\
+             !HPF$ ALIGN A(i) WITH H(i,3)\n!HPF$ ALIGN G(i,j) WITH H(j,i)\n\
+             REAL H(7,11), A(7), G(11,7)\n",
+        );
+        boxes_match_owner_sets(
+            "!HPF$ PROCESSORS P(2,2)\n!HPF$ DISTRIBUTE (CYCLIC, CYCLIC) :: H\n\
+             !HPF$ ALIGN D(i) WITH H(i,i)\nREAL H(8,8), D(8)\n",
+        );
+        boxes_match_owner_sets(
+            "!HPF$ PROCESSORS P(2,2)\n!HPF$ DISTRIBUTE (BLOCK,*) :: H\n\
+             !HPF$ DISTRIBUTE (*, CYCLIC(3)) :: K\nREAL H(8,8), K(5,13)\n",
         );
     }
 

@@ -224,14 +224,6 @@ impl ArrayMapping {
     pub fn owner_pid(&self, grid: &ProcGrid, idx: &[i64], reader: usize) -> usize {
         grid.resolve_with(reader, |g| self.coord_on(grid, g, idx).at())
     }
-
-    /// Is some grid dimension replicated or privatized (several pids hold
-    /// each element)?
-    pub fn has_copies(&self) -> bool {
-        self.rules
-            .iter()
-            .any(|r| matches!(r, GridDimRule::Replicated | GridDimRule::Private))
-    }
 }
 
 /// All array mappings of a program on a given grid.

@@ -7,7 +7,9 @@
 use crate::expr::{BinOp, Expr, Intrinsic, UnOp};
 use crate::program::{Program, VarId};
 use crate::stmt::{LValue, Label, Stmt, StmtId};
-use crate::types::{ScalarTy, VarKind};
+use crate::types::ScalarTy;
+
+pub use crate::store::{ArrayStore, Elems, HeldBox, HeldDim, Memory};
 
 /// A runtime value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,117 +62,6 @@ impl Value {
     }
 }
 
-/// Array element storage, one variant per elemental type.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ArrayStore {
-    Int(Vec<i64>),
-    Real(Vec<f64>),
-    Bool(Vec<bool>),
-}
-
-impl ArrayStore {
-    pub fn zeroed(ty: ScalarTy, len: usize) -> ArrayStore {
-        match ty {
-            ScalarTy::Int => ArrayStore::Int(vec![0; len]),
-            ScalarTy::Real => ArrayStore::Real(vec![0.0; len]),
-            ScalarTy::Bool => ArrayStore::Bool(vec![false; len]),
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        match self {
-            ArrayStore::Int(v) => v.len(),
-            ArrayStore::Real(v) => v.len(),
-            ArrayStore::Bool(v) => v.len(),
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    pub fn get(&self, i: usize) -> Value {
-        match self {
-            ArrayStore::Int(v) => Value::Int(v[i]),
-            ArrayStore::Real(v) => Value::Real(v[i]),
-            ArrayStore::Bool(v) => Value::Bool(v[i]),
-        }
-    }
-
-    pub fn set(&mut self, i: usize, val: Value) -> Result<(), InterpError> {
-        match self {
-            ArrayStore::Int(v) => v[i] = val.as_int()?,
-            ArrayStore::Real(v) => v[i] = val.as_real()?,
-            ArrayStore::Bool(v) => v[i] = val.as_bool()?,
-        }
-        Ok(())
-    }
-}
-
-/// Flat memory for one run: scalars and arrays indexed by [`VarId`].
-/// All storage is zero-initialized (documented deviation from Fortran's
-/// "undefined" semantics; it makes runs deterministic).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Memory {
-    pub scalars: Vec<Value>,
-    pub arrays: Vec<Option<ArrayStore>>,
-}
-
-impl Memory {
-    pub fn zeroed(p: &Program) -> Memory {
-        let mut scalars = Vec::with_capacity(p.vars.len());
-        let mut arrays = Vec::with_capacity(p.vars.len());
-        for (_, info) in p.vars.iter() {
-            match &info.kind {
-                VarKind::Scalar => {
-                    scalars.push(Value::zero(info.ty));
-                    arrays.push(None);
-                }
-                VarKind::Array(shape) => {
-                    scalars.push(Value::zero(info.ty));
-                    arrays.push(Some(ArrayStore::zeroed(info.ty, shape.len() as usize)));
-                }
-            }
-        }
-        Memory { scalars, arrays }
-    }
-
-    pub fn set_scalar(&mut self, v: VarId, val: Value) {
-        self.scalars[v.index()] = val;
-    }
-
-    pub fn scalar(&self, v: VarId) -> Value {
-        self.scalars[v.index()]
-    }
-
-    pub fn array(&self, v: VarId) -> &ArrayStore {
-        self.arrays[v.index()].as_ref().expect("not an array")
-    }
-
-    pub fn array_mut(&mut self, v: VarId) -> &mut ArrayStore {
-        self.arrays[v.index()].as_mut().expect("not an array")
-    }
-
-    /// Fill a real array from a slice (column-major order).
-    pub fn fill_real(&mut self, v: VarId, data: &[f64]) {
-        match self.array_mut(v) {
-            ArrayStore::Real(dst) => {
-                assert_eq!(dst.len(), data.len());
-                dst.copy_from_slice(data);
-            }
-            _ => panic!("fill_real on non-real array"),
-        }
-    }
-
-    /// Read a real array as a flat slice.
-    pub fn real_slice(&self, v: VarId) -> &[f64] {
-        match self.array(v) {
-            ArrayStore::Real(d) => d,
-            _ => panic!("real_slice on non-real array"),
-        }
-    }
-}
-
 /// Errors raised during interpretation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum InterpError {
@@ -183,6 +74,11 @@ pub enum InterpError {
     /// Step budget exceeded (guards against runaway GOTO cycles).
     StepLimit,
     UnresolvedGoto(u32),
+    /// An engine's access to an element its rank's store does not hold.
+    NotHeld {
+        array: String,
+        index: Vec<i64>,
+    },
 }
 
 impl std::fmt::Display for InterpError {
@@ -195,6 +91,9 @@ impl std::fmt::Display for InterpError {
             InterpError::DivisionByZero => write!(f, "integer division by zero"),
             InterpError::StepLimit => write!(f, "interpreter step limit exceeded"),
             InterpError::UnresolvedGoto(l) => write!(f, "GOTO {} left the program", l),
+            InterpError::NotHeld { array, index } => {
+                write!(f, "{}{:?} is outside this rank's store", array, index)
+            }
         }
     }
 }
@@ -568,13 +467,10 @@ mod tests {
         });
         let p = b.finish();
         let (mem, stats) = run_program(&p, |_| {}).unwrap();
-        match mem.array(d) {
-            ArrayStore::Int(v) => {
-                // D(3..=10) = 2..=9
-                assert_eq!(&v[2..10], &[2, 3, 4, 5, 6, 7, 8, 9]);
-            }
-            _ => unreachable!(),
-        }
+        // D(3..=10) = 2..=9
+        let got: Vec<Value> = (2..10).map(|k| mem.array(d).get(k)).collect();
+        let want: Vec<Value> = (2..10).map(Value::Int).collect();
+        assert_eq!(got, want);
         assert!(stats.steps > 8);
     }
 

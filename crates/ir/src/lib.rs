@@ -38,6 +38,7 @@ pub mod parse;
 pub mod pretty;
 pub mod program;
 pub mod stmt;
+pub mod store;
 pub mod types;
 pub mod visit;
 
@@ -46,6 +47,7 @@ pub use build::ProgramBuilder;
 pub use directives::{AlignDim, AlignDirective, DistFormat, DistributeDirective, ProcGridDecl};
 pub use expr::{ArrayRef, BinOp, Expr, Intrinsic, UnOp};
 pub use interp::{Interp, Memory, Value};
+pub use store::{HeldBox, HeldDim};
 pub use parse::parse_program;
 pub use program::{Program, VarId, VarTable};
 pub use stmt::{LValue, Label, Stmt, StmtId, StmtNode};

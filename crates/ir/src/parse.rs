@@ -693,9 +693,9 @@ impl Parser {
                 }
                 self.program
                     .vars
-                    .declare(VarInfo::array(name, ty, ArrayShape { dims }));
+                    .declare_at(VarInfo::array(name, ty, ArrayShape { dims }), lp.line);
             } else {
-                self.program.vars.declare(VarInfo::scalar(name, ty));
+                self.program.vars.declare_at(VarInfo::scalar(name, ty), lp.line);
             }
             if lp.at_end() {
                 return Ok(());

@@ -21,6 +21,8 @@ impl VarId {
 pub struct VarTable {
     vars: Vec<VarInfo>,
     by_name: HashMap<String, VarId>,
+    /// By `VarId`: the source line of the declaration, when parsed.
+    lines: Vec<Option<usize>>,
 }
 
 impl VarTable {
@@ -39,7 +41,20 @@ impl VarTable {
         let id = VarId(self.vars.len() as u32);
         self.by_name.insert(info.name.clone(), id);
         self.vars.push(info);
+        self.lines.push(None);
         id
+    }
+
+    /// [`VarTable::declare`] a variable declared on source line `line`.
+    pub fn declare_at(&mut self, info: VarInfo, line: usize) -> VarId {
+        let id = self.declare(info);
+        self.lines[id.index()] = Some(line);
+        id
+    }
+
+    /// The source line a parsed variable was declared on.
+    pub fn line(&self, id: VarId) -> Option<usize> {
+        self.lines.get(id.index()).copied().flatten()
     }
 
     pub fn lookup(&self, name: &str) -> Option<VarId> {

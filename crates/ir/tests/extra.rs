@@ -1,7 +1,7 @@
 //! Additional hpf-ir coverage: parser corners, pretty round trips on
 //! every construct, program query edge cases, interpreter details.
 
-use hpf_ir::interp::{run_program, ArrayStore, Value};
+use hpf_ir::interp::{run_program, Value};
 use hpf_ir::pretty::print_program;
 use hpf_ir::{parse_program, BinOp, Expr, ProgramBuilder, Stmt};
 
@@ -47,10 +47,10 @@ END DO
 "#;
     let p = parse_program(src).unwrap();
     let (mem, _) = run_program(&p, |_| {}).unwrap();
-    match mem.array(p.vars.lookup("b").unwrap()) {
-        ArrayStore::Real(v) => assert_eq!(v, &[-2.0, -1.0, 0.0, 1.0, 2.0]),
-        _ => panic!(),
-    }
+    assert_eq!(
+        mem.real_slice(p.vars.lookup("b").unwrap()),
+        &[-2.0, -1.0, 0.0, 1.0, 2.0]
+    );
 }
 
 #[test]

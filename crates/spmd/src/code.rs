@@ -270,13 +270,15 @@ impl Code {
     }
 
     /// Evaluate assignment `s`: the slot it writes and its value, coerced
-    /// to the target's declared type. The right-hand side is evaluated
-    /// before the target's subscripts, as in the interpreter.
+    /// to the target's declared type; an element target's subscripts are
+    /// left in `idx`. The right-hand side is evaluated before the target's
+    /// subscripts, as in the interpreter.
     pub(crate) fn assign<L: Load>(
         &self,
         s: StmtId,
         l: &mut L,
         st: &mut Stack,
+        idx: &mut Vec<i64>,
     ) -> Result<(Slot, Value), Fault> {
         let StmtCode::Assign { rhs, lhs } = self.stmt(s) else {
             unreachable!("assign on a non-assignment")
@@ -288,11 +290,22 @@ impl Code {
                 let base = st.ints.len();
                 self.run(subs, l, st)?;
                 let site = &self.sites[site as usize];
-                let off = self.offset(site, &st.ints[base..])?;
+                idx.clear();
+                idx.extend_from_slice(&st.ints[base..]);
                 st.ints.truncate(base);
+                let off = self.offset(site, idx)?;
                 Ok((Slot::Elem(site.array, off), val.coerce(ty)?))
             }
         }
+    }
+
+    /// The fault of an access to element `idx` of `array` that the
+    /// rank's store does not hold.
+    pub(crate) fn not_held(&self, array: VarId, idx: &[i64]) -> Fault {
+        Box::new(InterpError::NotHeld {
+            array: self.names[array.index()].clone(),
+            index: idx.to_vec(),
+        })
     }
 
     /// Linear offset of `idx` in the array of `site`, bounds-checked.

@@ -310,6 +310,8 @@ pub struct SpmdExec<'s> {
     coords: Vec<Option<usize>>,
     /// Executor pids of the statement instance being run.
     executors: Vec<usize>,
+    /// An assignment target's subscripts.
+    target: Vec<i64>,
 }
 
 impl<'s> SpmdExec<'s> {
@@ -361,6 +363,7 @@ impl<'s> SpmdExec<'s> {
             scalar_ops,
             coords: Vec::new(),
             executors: Vec::new(),
+            target: Vec::new(),
         }
     }
 
@@ -600,7 +603,10 @@ impl<'s> SpmdExec<'s> {
                         .trace
                         .is_some()
                         .then(|| env(&self.loop_env, &self.mems[q], code.exits(s)));
-                    let (slot, val) = code.assign(s, &mut Reader { x: self, q }, st)?;
+                    let mut target = std::mem::take(&mut self.target);
+                    let res = code.assign(s, &mut Reader { x: self, q }, st, &mut target);
+                    self.target = target;
+                    let (slot, val) = res?;
                     code::store(&mut self.mems[q], slot, val)?;
                     if let (Some(t), Some(env)) = (&mut self.trace, env) {
                         t[q].push(Event::Exec { stmt: s, env });
@@ -713,7 +719,10 @@ impl<'s> SpmdExec<'s> {
             for &t in then_body {
                 if self.p().stmt(t).is_assign() {
                     self.cur_stmt = Some(t);
-                    let (slot, val) = code.assign(t, &mut Reader { x: self, q }, st)?;
+                    let mut target = std::mem::take(&mut self.target);
+                    let res = code.assign(t, &mut Reader { x: self, q }, st, &mut target);
+                    self.target = target;
+                    let (slot, val) = res?;
                     code::store(&mut self.mems[q], slot, val)?;
                 }
             }

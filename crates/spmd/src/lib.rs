@@ -51,6 +51,7 @@ pub mod lower;
 pub mod metrics;
 pub mod node;
 pub mod runtime;
+pub mod stores;
 pub mod wire;
 
 pub use combine::{combine_messages, CombineStats};

@@ -16,12 +16,17 @@
 //!   reference the function cannot bound makes the rank visit every
 //!   iteration, where the guard decides. [`loop_visits`] hands this plan
 //!   to the compile report.
+//! * *Stores.* A rank allocates only the elements it owns
+//!   ([`crate::stores::rank_memory`]) and addresses them by the subscripts
+//!   it evaluated; an access outside its store is a fault naming the rank
+//!   and the statement.
 //! * *Receives.* A rank's first read of a remote element of a hoisted
 //!   operation receives that operation's whole section from the owner; its
 //!   later reads of the same section take the next value in order, or, for
-//!   an element already read, the local copy. Per-element operations
-//!   receive one value per read. This is the executor's coalescing rule
-//!   seen from the reader: a section holds each element once, in
+//!   an element already read, the value the section's cache kept for it.
+//!   Per-element operations receive one value per read. No received value
+//!   is written into the rank's arrays. This is the executor's coalescing
+//!   rule seen from the reader: a section holds each element once, in
 //!   first-read order, until the operation's placement loop advances.
 //! * *Sends.* At the statement where the owner's walk passes another
 //!   rank's first read of a section, it sends the section. Its elements are
@@ -46,7 +51,9 @@ use crate::env::Env;
 use crate::exec::{fold, owner_tables, DimRule, Event, Memo, OwnerRef, OwnerTables, Slot, Tag};
 use crate::lower::SpmdProgram;
 use crate::runtime::{panic_text, run_ranks, spawn_ranks, Local, Replayed};
-use crate::wire::{self, Wire};
+use crate::stores;
+use crate::wire::Wire;
+use hpf_analysis::{Cfg, ReachingDefs};
 use hpf_dist::{dist_owner, shrink_bounds, ArrayMapping, GridDimRule, IterSet, ProcGrid};
 use hpf_ir::interp::{InterpError, Memory};
 use hpf_ir::{Affine, ArrayRef, DistFormat, Expr, LValue, Program, Stmt, StmtId, Value, VarId};
@@ -629,27 +636,21 @@ fn all_loop_terms<'s>(sp: &'s SpmdProgram, combines: &[bool]) -> Vec<Option<Loop
 
 /// By `StmtId`: the loops every rank must run in full wherever they are
 /// nested, because every rank takes part in something they do: a
-/// reduction combined at their exit, or leaving their DO variable at
-/// its exit value for a statement that reads it outside the loop.
+/// reduction combined at their exit, or a definition of their DO variable
+/// that reaches a use outside the loop (or in its own bounds), by
+/// reaching definitions.
 fn whole_loops(p: &Program, combines: &[bool]) -> Vec<bool> {
     let mut whole = combines.to_vec();
-    let loops: Vec<(StmtId, VarId)> = p
-        .preorder()
-        .into_iter()
-        .filter_map(|s| p.loop_var(s).map(|v| (s, v)))
-        .collect();
-    for t in p.preorder() {
-        for v in p
-            .stmt(t)
-            .read_exprs()
-            .into_iter()
-            .flat_map(Expr::scalar_reads)
+    let cfg = Cfg::build(p);
+    let rd = ReachingDefs::compute(p, &cfg);
+    for l in p.preorder() {
+        if p.loop_var(l).is_some()
+            && rd
+                .reached_uses(p, &cfg, l)
+                .into_iter()
+                .any(|t| t == l || !p.is_self_or_ancestor(l, t))
         {
-            for &(l, _) in loops.iter().filter(|&&(_, w)| w == v) {
-                if l == t || !p.is_self_or_ancestor(l, t) {
-                    whole[l.index()] = true;
-                }
-            }
+            whole[l.index()] = true;
         }
     }
     whole
@@ -979,20 +980,32 @@ fn exit_value(lo: i64, hi: i64, step: i64) -> i64 {
     lo.wrapping_add(trips.wrapping_mul(step))
 }
 
+/// Where a value this rank sends lives: a scalar, or an element at its
+/// position in the rank's store.
+#[derive(Debug, Clone, Copy)]
+enum Held {
+    Scalar(VarId),
+    Elem(VarId, usize),
+}
+
 /// A section this rank owes a reader, worked out ahead of the reader's
 /// first read.
 #[derive(Default)]
 struct Outbound {
     slots: Vec<Slot>,
+    /// By slot: where its value is read when the section is sent.
+    held: Vec<Held>,
     seen: HashSet<Slot>,
     sent: bool,
 }
 
-/// A section this rank received, consumed in first-read order.
+/// A section this rank received, consumed in first-read order. Its values
+/// stay here: a rank's stores hold only what it owns.
 struct Inbound {
     vals: Arc<Vec<Value>>,
     next: usize,
-    seen: HashSet<Slot>,
+    /// The slots read so far, with their values.
+    seen: HashMap<Slot, Value>,
     /// Where its `RecvVec` sits in the recorded events, when recording.
     event: Option<usize>,
 }
@@ -1099,6 +1112,8 @@ struct Rank<'a, 'w, T: Transport> {
     st: Stack,
     owner_coords: Vec<Option<usize>>,
     idx: Vec<i64>,
+    /// An assignment target's subscripts.
+    target: Vec<i64>,
     pids: Vec<usize>,
 }
 
@@ -1138,6 +1153,7 @@ impl<'a, 'w, T: Transport> Rank<'a, 'w, T> {
             st: Stack::default(),
             owner_coords: Vec::new(),
             idx: Vec::new(),
+            target: Vec::new(),
             pids: Vec::new(),
         }
     }
@@ -1148,7 +1164,13 @@ impl<'a, 'w, T: Transport> Rank<'a, 'w, T> {
             Ok(()) => Ok(self.mem),
             Err(e) => {
                 let pid = self.pid;
-                Err(format!("proc {}: {}", pid, self.error_text(e)))
+                let at = match *e {
+                    InterpError::NotHeld { .. } => {
+                        format!("s{} `{}`: ", self.cur.0, stmt_text(self.p, self.cur))
+                    }
+                    _ => String::new(),
+                };
+                Err(format!("proc {}: {}{}", pid, at, self.error_text(e)))
             }
         }
     }
@@ -1241,10 +1263,12 @@ impl<'a, 'w, T: Transport> Rank<'a, 'w, T> {
                         self.wire.count_event();
                         let env = self.rec.as_ref().and_then(|r| r.env(s, &self.mem, code));
                         let mut st = std::mem::take(&mut self.st);
-                        let res = code.assign(s, self, &mut st);
+                        let mut target = std::mem::take(&mut self.target);
+                        let res = code.assign(s, self, &mut st, &mut target);
                         self.st = st;
+                        self.target = target;
                         let (slot, val) = res?;
-                        crate::code::store(&mut self.mem, slot, val)?;
+                        self.store(slot, val)?;
                         if let Some(env) = env {
                             self.note(Event::Exec { stmt: s, env });
                         }
@@ -1287,6 +1311,34 @@ impl<'a, 'w, T: Transport> Rank<'a, 'w, T> {
             }
             (Stmt::Continue, _) => Ok(()),
             _ => unreachable!("node programs have no GOTO and every reached statement is compiled"),
+        }
+    }
+
+    /// Store an assignment's result; an element target's subscripts are
+    /// in `self.target`.
+    fn store(&mut self, slot: Slot, val: Value) -> Result<(), Fault> {
+        match slot {
+            Slot::Scalar(v) => self.mem.set_scalar(v, val),
+            Slot::Elem(a, off) => {
+                let store = self.mem.array_mut(a);
+                match store.at(&self.target, off) {
+                    Some(k) => store.store(k, val)?,
+                    None => return Err(self.plan.code.not_held(a, &self.target)),
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Where this rank reads the value of `slot` it sends; an element's
+    /// subscripts are in `self.idx` ([`Rank::locate`]).
+    fn held(&self, slot: Slot) -> Result<Held, Fault> {
+        match slot {
+            Slot::Scalar(v) => Ok(Held::Scalar(v)),
+            Slot::Elem(a, off) => match self.mem.array(a).at(&self.idx, off) {
+                Some(k) => Ok(Held::Elem(a, k)),
+                None => Err(self.plan.code.not_held(a, &self.idx)),
+            },
         }
     }
 
@@ -1419,7 +1471,8 @@ impl<'a, 'w, T: Transport> Rank<'a, 'w, T> {
     }
 
     /// Where `reader`'s read `r` of statement `s` comes from: the owner,
-    /// the slot and the operation.
+    /// the slot and the operation. An element's subscripts are left in
+    /// `self.idx`.
     fn locate(
         &mut self,
         r: Read,
@@ -1471,14 +1524,16 @@ impl<'a, 'w, T: Transport> Rank<'a, 'w, T> {
                 }
                 out.sent = true;
                 let slots = std::mem::take(&mut out.slots);
+                let held = std::mem::take(&mut out.held);
                 self.message(|w, mem| {
-                    let vals = slots.iter().map(|&x| wire::load(mem, x)).collect();
+                    let vals = held.iter().map(|&h| value(mem, h)).collect();
                     w.send_section(q, i, &slots, Arc::new(vals))
                 })?;
                 self.note(Event::SendVec { to: q, op: i, slots });
             } else {
                 let tag = self.tag(op);
-                self.message(|w, mem| w.send_one(mem, q, slot, tag))?;
+                let h = self.held(slot)?;
+                self.message(|w, mem| w.send_one(q, slot, value(mem, h), tag))?;
                 self.note(Event::Send { to: q, slot, tag });
             }
         }
@@ -1528,9 +1583,13 @@ impl<'a, 'w, T: Transport> Rank<'a, 'w, T> {
                         match op {
                             Some(i) if src == self.pid && ops.contains(&i) => {
                                 self.opened(i);
+                                // A fault here is located at the reading
+                                // statement.
+                                let h = self.held(slot).inspect_err(|_| self.cur = s)?;
                                 let out = self.outbox.entry((i, q)).or_default();
                                 if out.seen.insert(slot) {
                                     out.slots.push(slot);
+                                    out.held.push(h);
                                 }
                             }
                             _ => {}
@@ -1646,35 +1705,37 @@ impl<'a, 'w, T: Transport> Rank<'a, 'w, T> {
                     Inbound {
                         vals,
                         next: 0,
-                        seen: HashSet::new(),
+                        seen: HashMap::new(),
                         event,
                     },
                 );
             }
             let inb = self.inbox.get_mut(&(i, src)).expect("just received");
-            if inb.seen.insert(slot) {
-                let Some(&v) = inb.vals.get(inb.next) else {
-                    let n = inb.vals.len();
-                    return Err(self.fail(format!(
-                        "section of op {} from {} carried {} values, more were read",
-                        i, src, n
-                    )));
-                };
-                inb.next += 1;
-                if let (Some(rec), Some(k)) = (&mut self.rec, inb.event) {
-                    if let Event::RecvVec { slots, .. } = &mut rec.events[k] {
-                        slots.push(slot);
-                    }
-                }
-                wire::store(self.p, &mut self.mem, slot, v)?;
+            if let Some(&v) = inb.seen.get(&slot) {
+                return Ok(v);
             }
+            let Some(&v) = inb.vals.get(inb.next) else {
+                let n = inb.vals.len();
+                return Err(self.fail(format!(
+                    "section of op {} from {} carried {} values, more were read",
+                    i, src, n
+                )));
+            };
+            inb.next += 1;
+            let v = v.coerce(slot_ty(self.p, slot))?;
+            inb.seen.insert(slot, v);
+            if let (Some(rec), Some(k)) = (&mut self.rec, inb.event) {
+                if let Event::RecvVec { slots, .. } = &mut rec.events[k] {
+                    slots.push(slot);
+                }
+            }
+            Ok(v)
         } else {
             let tag = self.tag(op);
             self.note(Event::Recv { from: src, slot, tag });
             let v = self.message(|w, _| w.recv_one(src, tag))?;
-            wire::store(self.p, &mut self.mem, slot, v)?;
+            Ok(v.coerce(slot_ty(self.p, slot))?)
         }
-        Ok(wire::load(&self.mem, slot))
     }
 
     /// Combine the reductions of loop `l` across ranks at its exit: the
@@ -1697,13 +1758,14 @@ impl<'a, 'w, T: Transport> Rank<'a, 'w, T> {
             let (partial, result) = (Tag::Reduce(self.depth), Tag::Broadcast(self.depth));
             if self.pid != leader {
                 for &slot in &slots {
-                    self.message(|w, mem| w.send_one(mem, leader, slot, partial))?;
+                    let h = self.held(slot)?;
+                    self.message(|w, mem| w.send_one(leader, slot, value(mem, h), partial))?;
                     self.note(Event::Send { to: leader, slot, tag: partial });
                 }
                 for &slot in &slots {
                     self.note(Event::Recv { from: leader, slot, tag: result });
                     let x = self.message(|w, _| w.recv_one(leader, result))?;
-                    wire::store(self.p, &mut self.mem, slot, x)?;
+                    crate::wire::store(self.p, &mut self.mem, slot, x)?;
                 }
                 continue;
             }
@@ -1736,7 +1798,8 @@ impl<'a, 'w, T: Transport> Rank<'a, 'w, T> {
             });
             for &q in &members[1..] {
                 for &slot in &slots {
-                    self.message(|w, mem| w.send_one(mem, q, slot, result))?;
+                    let h = self.held(slot)?;
+                    self.message(|w, mem| w.send_one(q, slot, value(mem, h), result))?;
                     self.note(Event::Send { to: q, slot, tag: result });
                 }
             }
@@ -1771,14 +1834,32 @@ impl<T: Transport> Load for Rank<'_, '_, T> {
         idx: &[i64],
         off: usize,
     ) -> Result<Value, Fault> {
+        let store = self.mem.array(site.array);
+        if let Some(k) = store.at(idx, off) {
+            return Ok(store.load(k));
+        }
         let mapping = self.plan.array_maps[site.array.index()].expect("mapped array");
         let src = mapping.owner_pid(self.grid, idx, self.pid);
         if src == self.pid {
-            return Ok(self.mem.array(site.array).get(off));
+            return Err(code.not_held(site.array, idx));
         }
         let op = code.site_op(site, Some(self.cur));
         self.remote(op, src, Slot::Elem(site.array, off))
     }
+}
+
+/// The value at `h` in `mem`.
+fn value(mem: &Memory, h: Held) -> Value {
+    match h {
+        Held::Scalar(v) => mem.scalar(v),
+        Held::Elem(a, k) => mem.array(a).load(k),
+    }
+}
+
+/// The declared type of `slot`'s variable.
+fn slot_ty(p: &Program, slot: Slot) -> hpf_ir::ScalarTy {
+    let (Slot::Scalar(v) | Slot::Elem(v, _)) = slot;
+    p.vars.info(v).ty
 }
 
 /// Run the node programs of `sp` on one thread per rank over the
@@ -1791,8 +1872,10 @@ pub fn run(
     vectorize: bool,
     want_obs: bool,
 ) -> Result<Replayed, String> {
+    stores::check_budget(sp, true)?;
     let plan = &Plan::new(sp);
-    let mut out = run_ranks(sp, sp.maps.grid.total(), init, want_obs, |wire, mem| {
+    let memory = |pid| stores::rank_memory(sp, pid);
+    let mut out = run_ranks(sp, sp.maps.grid.total(), init, want_obs, memory, |wire, mem| {
         Rank::new(plan, wire, mem, vectorize).run()
     })?;
     out.engine = Some(Engine::Node);
@@ -1804,9 +1887,23 @@ pub fn run(
 /// for every program [`engine`] admits. A rank that fails stops there and
 /// says why; its peers stop at the messages it never sends.
 pub fn record(sp: &SpmdProgram, init: &(impl Fn(&mut Memory) + Sync)) -> Vec<RankSchedule> {
+    let nproc = sp.maps.grid.total();
+    if let Err(error) = stores::check_budget(sp, true) {
+        // Rank 0 reports it; the others never start.
+        return (0..nproc)
+            .map(|pid| RankSchedule {
+                events: Vec::new(),
+                stop: Some(match pid {
+                    0 => Stop::Fault { stmt: None, error: error.clone() },
+                    _ => Stop::Message("not started".into()),
+                }),
+            })
+            .collect();
+    }
     let plan = &Plan::new(sp);
     let writes = &recorded_writes(sp);
-    let ends = spawn_ranks(sp, sp.maps.grid.total(), init, false, |wire, mem| {
+    let memory = |pid| stores::rank_memory(sp, pid);
+    let ends = spawn_ranks(sp, nproc, init, false, memory, |wire, mem| {
         let mut rank = Rank::new(plan, wire, mem, true);
         rank.rec = Some(Recorder {
             writes,
@@ -1830,4 +1927,74 @@ pub fn record(sp: &SpmdProgram, init: &(impl Fn(&mut Memory) + Sync)) -> Vec<Ran
             },
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hpf_analysis::Analysis;
+    use hpf_dist::layout::held_dims;
+    use hpf_dist::MappingTable;
+    use hpf_ir::HeldDim;
+    use phpf_core::CoreConfig;
+
+    fn lowered(src: &str) -> SpmdProgram {
+        let p = hpf_ir::parse_program(src).unwrap();
+        let a = Analysis::run(&p);
+        let maps = MappingTable::from_program(&p, None).unwrap();
+        let d = phpf_core::map_program(&p, &a, &maps, CoreConfig::full());
+        crate::lower::lower(&p, &a, &maps, d)
+    }
+
+    /// A remote element read twice within its section's lifetime is
+    /// received once: the second read takes the value the section's cache
+    /// kept, not the section's next value.
+    #[test]
+    fn a_value_read_again_comes_from_the_section_cache() {
+        let sp = lowered(
+            "!HPF$ PROCESSORS P(2)\n!HPF$ DISTRIBUTE (BLOCK) :: A, B\nREAL A(8), B(8)\n\
+             INTEGER i\nDO i = 2, 8\n  B(i) = A(1) + A(1) * 2.0 + A(2)\nEND DO\n",
+        );
+        assert_eq!(engine(&sp), Engine::Node);
+        let a = sp.program.vars.lookup("a").unwrap();
+        let data: Vec<f64> = (1..=8).map(|x| x as f64).collect();
+        let r = crate::validate_replay(&sp, |m| m.fill_real(a, &data)).unwrap();
+        let b = sp.program.vars.lookup("b").unwrap();
+        assert_eq!(r.mems[1].array(b).get(7), Value::Real(1.0 + 2.0 + 2.0));
+    }
+
+    /// A rank whose store lacks an element it owns fails where it first
+    /// touches it, with an error naming the rank, the statement and the
+    /// element; nothing panics. The program sends no message, so the
+    /// other rank ends cleanly and the failed rank's error is the run's.
+    #[test]
+    fn an_access_outside_a_rank_store_is_a_located_fault() {
+        let sp = lowered(
+            "!HPF$ PROCESSORS P(2)\n!HPF$ DISTRIBUTE (BLOCK) :: A, B\n\
+             REAL A(8), B(8)\nINTEGER i\nDO i = 1, 8\n  B(i) = A(i) * 2.0\nEND DO\n",
+        );
+        let p = &sp.program;
+        let plan = &Plan::new(&sp);
+        let grid = &sp.maps.grid;
+        // Rank 1 holds nothing of `lacking`.
+        let run = |lacking: &str| {
+            let lacking = p.vars.lookup(lacking).unwrap();
+            let memory = |pid: usize| {
+                Memory::boxed(p, |v, shape| {
+                    Some(match (pid, v == lacking) {
+                        (1, true) => vec![HeldDim::EMPTY],
+                        _ => held_dims(sp.maps.of(v), grid, shape, &grid.coords_of(pid)),
+                    })
+                })
+            };
+            run_ranks(&sp, 2, &|_: &mut Memory| {}, false, memory, |wire, mem| {
+                Rank::new(plan, wire, mem, true).run()
+            })
+            .unwrap_err()
+        };
+        let at = "proc 1: s0 `b(i) = a(i) * 2.0`: ";
+        // A read, then a write.
+        assert_eq!(run("a"), format!("{at}a[5] is outside this rank's store"));
+        assert_eq!(run("b"), format!("{at}b[5] is outside this rank's store"));
+    }
 }

@@ -37,7 +37,9 @@ use crate::metrics::CommMetrics;
 use crate::node::{self, Engine};
 use crate::wire::{self, Wire};
 use hpf_analysis::RedOp;
+use hpf_dist::layout::held_dims;
 use hpf_ir::interp::Memory;
+use hpf_ir::HeldBox;
 use hpf_ir::{Program, Value, VarId};
 use hpf_net::{channel_group, ChannelTransport, Transport};
 use hpf_obs::BufTracer;
@@ -103,6 +105,7 @@ pub fn replay_rank_segment<T: Transport>(
         stack: Vec::new(),
         last_vec: None,
         st: Stack::default(),
+        target: Vec::new(),
     };
     for (i, ev) in events.iter().enumerate() {
         worker
@@ -132,7 +135,8 @@ pub fn replay_traced(
     want_obs: bool,
 ) -> Result<Replayed, String> {
     let code = &Code::new(sp);
-    run_ranks(sp, trace.len(), &init, want_obs, |wire, mut mem| {
+    let whole = |_| Memory::zeroed(&sp.program);
+    run_ranks(sp, trace.len(), &init, want_obs, whole, |wire, mut mem| {
         let events = &trace[wire.rank()];
         replay_rank_segment(code, events, &mut mem, wire, |_| {})?;
         Ok(mem)
@@ -146,7 +150,7 @@ pub(crate) type RankEnd<M> =
     std::thread::Result<(Result<(ReplayStats, CommMetrics, M), String>, BufTracer)>;
 
 /// Run one rank engine per scoped thread over the in-process channel
-/// backend. `rank` gets the rank's [`Wire`] and its memory, zeroed and
+/// backend. `rank` gets the rank's [`Wire`] and its memory, `memory(pid)`
 /// filled by `init`; [`Wire::finish`] ends every rank. Returns each rank's
 /// end, in rank order.
 pub(crate) fn spawn_ranks<'s, M: Send>(
@@ -154,9 +158,10 @@ pub(crate) fn spawn_ranks<'s, M: Send>(
     nproc: usize,
     init: &(impl Fn(&mut Memory) + Sync),
     want_obs: bool,
+    memory: impl Fn(usize) -> Memory + Sync,
     rank: impl Fn(&mut Wire<'s, ChannelTransport>, Memory) -> Result<M, String> + Sync,
 ) -> Vec<RankEnd<M>> {
-    let rank = &rank;
+    let (rank, memory) = (&rank, &memory);
     std::thread::scope(|scope| {
         let handles: Vec<_> = channel_group(nproc)
             .into_iter()
@@ -164,7 +169,7 @@ pub(crate) fn spawn_ranks<'s, M: Send>(
             .map(|(pid, transport)| {
                 let thread = std::thread::Builder::new().name(format!("rank {}", pid));
                 let spawned = thread.spawn_scoped(scope, move || {
-                    let mut mem = Memory::zeroed(&sp.program);
+                    let mut mem = memory(pid);
                     init(&mut mem);
                     let mut wire = Wire::new(sp, transport, want_obs);
                     let run = rank(&mut wire, mem);
@@ -185,9 +190,10 @@ pub(crate) fn run_ranks<'s>(
     nproc: usize,
     init: &(impl Fn(&mut Memory) + Sync),
     want_obs: bool,
+    memory: impl Fn(usize) -> Memory + Sync,
     rank: impl Fn(&mut Wire<'s, ChannelTransport>, Memory) -> Result<Memory, String> + Sync,
 ) -> Result<Replayed, String> {
-    let joined = spawn_ranks(sp, nproc, init, want_obs, rank);
+    let joined = spawn_ranks(sp, nproc, init, want_obs, memory, rank);
     let mut out = Replayed {
         mems: Vec::with_capacity(nproc),
         stats: ReplayStats::default(),
@@ -251,6 +257,8 @@ struct RankWorker<'a, 's, T: Transport> {
     last_vec: Option<VecMemo<'a>>,
     /// Evaluation stack of the compiled code.
     st: Stack,
+    /// An assignment target's subscripts.
+    target: Vec<i64>,
 }
 
 /// Replay's operand reads: purely local — by construction every remote
@@ -266,8 +274,12 @@ impl Load for Local<'_> {
         self.0.scalar(v)
     }
 
-    fn elem(&mut self, _: &Code, site: &Site, _: &[i64], off: usize) -> Result<Value, Fault> {
-        Ok(self.0.array(site.array).get(off))
+    fn elem(&mut self, code: &Code, site: &Site, idx: &[i64], off: usize) -> Result<Value, Fault> {
+        let store = self.0.array(site.array);
+        match store.at(idx, off) {
+            Some(k) => Ok(store.load(k)),
+            None => Err(code.not_held(site.array, idx)),
+        }
     }
 }
 
@@ -275,7 +287,10 @@ impl<'a, T: Transport> RankWorker<'a, '_, T> {
     fn step(&mut self, ev: &'a Event) -> Result<(), String> {
         self.wire.count_event();
         match ev {
-            Event::Send { to, slot, tag } => self.wire.send_one(self.mem, *to, *slot, *tag)?,
+            Event::Send { to, slot, tag } => {
+                let val = wire::load(self.mem, *slot);
+                self.wire.send_one(*to, *slot, val, *tag)?
+            }
             Event::Recv { from, slot, tag } => {
                 let v = self.wire.recv_one(*from, *tag)?;
                 self.last_vec = None;
@@ -381,7 +396,9 @@ impl<'a, T: Transport> RankWorker<'a, '_, T> {
 
     /// Run assignment `s` on local memory.
     fn run_assign(&mut self, s: hpf_ir::StmtId) -> Result<(), Fault> {
-        let (slot, val) = self.code.assign(s, &mut Local(self.mem), &mut self.st)?;
+        let (slot, val) =
+            self.code
+                .assign(s, &mut Local(self.mem), &mut self.st, &mut self.target)?;
         code::store(self.mem, slot, val)
     }
 }
@@ -441,7 +458,10 @@ pub(crate) fn check_against_interpreter(
 }
 
 /// Run `check(pid, array, offset, value)` on every owner slot of `mems`,
-/// skipping arrays with privatized dimensions when `skip_private`.
+/// skipping arrays with privatized dimensions when `skip_private`. Each
+/// rank's owner slots are its `held_dims` box, walked in place when its
+/// store holds exactly that box. A rank whose store lacks one of its owner
+/// slots fails the comparison.
 fn compare_owner_slots(
     sp: &SpmdProgram,
     mems: &[Memory],
@@ -449,32 +469,35 @@ fn compare_owner_slots(
     check: impl Fn(usize, VarId, usize, Value) -> Result<(), &'static str>,
 ) -> Result<(), String> {
     let grid = &sp.maps.grid;
-    let mut idx = Vec::new();
+    if mems.len() != grid.total() {
+        return Err(format!("{} memories for {} ranks", mems.len(), grid.total()));
+    }
     for (v, info) in sp.program.vars.arrays() {
         let shape = info.shape().unwrap();
         let mapping = sp.maps.of(v);
         if skip_private && !mapping.private_dims().is_empty() {
             continue;
         }
-        // Without replicated or privatized dimensions each element has
-        // exactly one owner; otherwise a pid owns a copy exactly when the
-        // element resolves to itself for that reader.
-        let copies = mapping.has_copies();
-        for off in 0..shape.len() as usize {
-            shape.delinearize_into(off, &mut idx);
-            let single = mapping.owner_pid(grid, &idx, 0);
-            for pid in grid.pids() {
-                let owns = if copies {
-                    mapping.owner_pid(grid, &idx, pid) == pid
-                } else {
-                    pid == single
-                };
-                if !owns {
-                    continue;
+        for (pid, mem) in grid.pids().zip(mems) {
+            let dims = held_dims(mapping, grid, shape, &grid.coords_of(pid));
+            let store = mem.array(v);
+            let in_place = store.held().is_some_and(|b| b.dims() == &dims[..]);
+            let mut failed = None;
+            HeldBox::new(shape, dims).for_each(|k, off| {
+                if failed.is_some() {
+                    return;
                 }
-                if let Err(what) = check(pid, v, off, mems[pid].array(v).get(off)) {
-                    return Err(format!("proc {} array {} {} at {:?}", pid, info.name, what, idx));
+                let got = if in_place { Some(store.load(k)) } else { store.try_get(off) };
+                let res = got
+                    .ok_or("does not hold its owner slot")
+                    .and_then(|got| check(pid, v, off, got));
+                if let Err(what) = res {
+                    failed = Some((off, what));
                 }
+            });
+            if let Some((off, what)) = failed {
+                let idx = shape.delinearize(off);
+                return Err(format!("proc {} array {} {} at {:?}", pid, info.name, what, idx));
             }
         }
     }
@@ -516,7 +539,9 @@ pub fn validate_replay_traced(
     vectorize: bool,
     want_obs: bool,
 ) -> Result<Replayed, String> {
-    let why = match node::engine(sp) {
+    let engine = node::engine(sp);
+    crate::stores::check_budget(sp, engine == Engine::Node)?;
+    let why = match engine {
         Engine::Node => {
             let (ranks, seq) = std::thread::scope(|scope| {
                 let oracle = std::thread::Builder::new()

@@ -65,16 +65,16 @@ impl<'s, T: Transport> Wire<'s, T> {
         self.stats.events += 1;
     }
 
-    /// Send the value of `slot` in `mem` to `to` as one element message of
+    /// Send `val`, the value of `slot`, to `to` as one element message of
     /// class `tag`.
     pub(crate) fn send_one(
         &mut self,
-        mem: &Memory,
         to: usize,
         slot: Slot,
+        val: Value,
         tag: Tag,
     ) -> Result<(), String> {
-        self.send(to, &WireMsg::One(load(mem, slot)))
+        self.send(to, &WireMsg::One(val))
             .map_err(|e| format!("element send to {}: {}", to, e))?;
         let bytes = slot_bytes(&self.sp.program, slot);
         let pattern = tag.pattern(self.sp);

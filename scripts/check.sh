@@ -236,13 +236,15 @@ echo "$out" | grep -q '^engine: exec+replay (IF .* reads an array element or a n
 
 echo "==> compile report prints the node programs' iteration sets"
 # The report's local iteration sets are the plan the ranks run. TOMCATV:
-# every DO j runs in full and each DO i is bounded by the owner of
-# column j, j+1 or j-1; no loop is left to a runtime-guard placeholder.
+# each DO j is bounded by the owners of its columns (the first nest's
+# with the halo columns j+1 and j-1) and each DO i by the owner of column
+# j, j+1 or j-1; no loop is left to a runtime-guard placeholder.
 # stencil2d: along grid dim 0, each coordinate also visits the halo row
 # it serves its neighbour (17 for coordinate 0, 16 for coordinate 1).
 out=$(./target/release/phpfc examples/hpf/tomcatv_small.hpf 2>&1)
 for pattern in '^engine: node programs$' \
-    '^s[0-9]* *DO j = 2, 11: every iteration$' \
+    '^s[0-9]* *DO j = 2, 11: owner of ' \
+    '^ *grid dim 0: \[0:2\.\.4\] \[1:3\.\.7\] \[2:6\.\.10\] \[3:9\.\.11\]$' \
     '^s[0-9]* *DO i = 2, 11: owner of .*,j + 1).*,j - 1)$'; do
     echo "$out" | grep -q "$pattern" || {
         echo "FAIL: TOMCATV report lacks a line matching $pattern" >&2
@@ -273,6 +275,29 @@ if [ "$status" -ne 2 ]; then
 fi
 echo "$out" | grep -q -- '--fault-plan needs --backend socket' || {
     echo "FAIL: the --fault-plan usage error does not name --backend socket" >&2
+    echo "$out" >&2
+    exit 1
+}
+
+echo "==> a run over the memory budget is refused with a located error"
+# 16 ranks each holding a replicated 4000x4000 REAL array need about 2 GiB:
+# phpfc sizes the run from the layouts before allocating anything and
+# exits 1 naming the array, its declaration line and the grid (no OOM
+# kill, no panic).
+bighpf=$(mktemp -t phpfc-budget.XXXXXX)
+printf '!HPF$ PROCESSORS P(16)\nREAL A(4000,4000)\nA(1,1) = 1.0\n' > "$bighpf"
+set +e
+out=$(./target/release/phpfc "$bighpf" --observe 2>&1)
+status=$?
+set -e
+rm -f "$bighpf"
+if [ "$status" -ne 1 ] || echo "$out" | grep -q 'panicked'; then
+    echo "FAIL: an oversized run exited $status, not 1 with an error" >&2
+    echo "$out" >&2
+    exit 1
+fi
+echo "$out" | grep -q 'memory budget exceeded: .*array `a` (declared on line 2) .*16-processor grid \[16\]' || {
+    echo "FAIL: the budget error does not name the array, its line and the grid" >&2
     echo "$out" >&2
     exit 1
 }

@@ -12,12 +12,14 @@ fn check(src: &str, arrays: &[&str], n: i64) {
         let p = &c.spmd.program;
         let ids: Vec<_> = arrays
             .iter()
-            .map(|a| p.vars.lookup(a).expect("array exists"))
+            .map(|a| {
+                let id = p.vars.lookup(a).expect("array exists");
+                (id, p.vars.info(id).shape().unwrap().len() as usize)
+            })
             .collect();
         let nn = n;
         validate_against_sequential(&c.spmd, move |m| {
-            for (k, &id) in ids.iter().enumerate() {
-                let len = m.real_slice(id).len();
+            for (k, &(id, len)) in ids.iter().enumerate() {
                 let data: Vec<f64> = (0..len)
                     .map(|i| 0.5 + (i as f64) * 0.125 + k as f64)
                     .collect();

@@ -35,11 +35,10 @@ fn fill(c: &Compiled) -> impl Fn(&mut Memory) + Sync {
         .vars
         .arrays()
         .filter(|(_, info)| info.ty == phpf::ir::ScalarTy::Real)
-        .map(|(v, _)| v)
+        .map(|(v, info)| (v, info.shape().unwrap().len() as usize))
         .collect();
     move |m: &mut Memory| {
-        for (k, &v) in arrays.iter().enumerate() {
-            let n = m.real_slice(v).len();
+        for (k, &(v, n)) in arrays.iter().enumerate() {
             let data: Vec<f64> = (0..n)
                 .map(|i| 1.0 + ((i * 7 + k * 3) % 23) as f64 * 0.0625)
                 .collect();
@@ -305,15 +304,15 @@ fn iteration_section(c: &Compiled) -> String {
         .split("== local iteration sets ==\n")
         .nth(1)
         .unwrap_or_else(|| panic!("no local iteration sets:\n{report}"));
-    after.split("== reductions ==").next().unwrap_or("").to_string()
+    after.split("== rank stores ==").next().unwrap_or("").to_string()
 }
 
 /// The compile report prints the node programs' own plan: the engine,
 /// then per DO loop the owner references that bound a rank's iterations
 /// (or every iteration) and, for constant bounds, each coordinate's sets.
-/// stencil2d's first nest shows the halo rows: along grid dimension 0,
-/// coordinate 0 visits row 17 and coordinate 1 row 16 to serve their
-/// neighbours. A fallback program prints only its engine line.
+/// stencil2d's first nest shows the halo rows and columns: along each grid
+/// dimension, coordinate 0 visits index 17 and coordinate 1 index 16 to
+/// serve their neighbours. A fallback program prints only its engine line.
 #[test]
 fn report_prints_the_node_plan() {
     let compiled =
@@ -322,27 +321,37 @@ fn report_prints_the_node_plan() {
     let stencil = iteration_section(&compiled(include_str!("../examples/hpf/stencil2d.hpf")));
     assert!(stencil.starts_with("engine: node programs\n"), "{stencil}");
     for line in [
-        "s3    DO j = 2, 31: every iteration\n",
+        "s3    DO j = 2, 31: owner of v(i,j) | u(i,j - 1) | u(i,j + 1)\n\
+         \x20       grid dim 1: [0:2..17] [1:16..31]\n",
         "s2    DO i = 2, 31: owner of v(i,j) | u(i - 1,j) | u(i + 1,j) | u(i,j - 1) | u(i,j + 1)\n\
          \x20       grid dim 0: [0:2..17] [1:16..31]\n",
+        "s6    DO j = 2, 31: owner of u(i,j)\n        grid dim 1: [0:2..16] [1:17..31]\n",
         "s5    DO i = 2, 31: owner of u(i,j)\n        grid dim 0: [0:2..16] [1:17..31]\n",
     ] {
         assert!(stencil.contains(line), "stencil2d lacks {line:?}:\n{stencil}");
     }
 
-    // TOMCATV: each `DO i` is bounded by the owner of column j, j+1 or
-    // j-1, which no constant set can say; every `DO j` runs in full.
+    // TOMCATV: no DO variable's exit value reaches a use outside its
+    // loop, so each `DO j` is bounded by the owners of columns j, j+1 and
+    // j-1 (the first nest's halo columns), and each `DO i` by the owner
+    // of its column.
     let tomcatv = iteration_section(&compiled(&tomcatv::source(12, 4, 1)));
     assert!(tomcatv.starts_with("engine: node programs\n"), "{tomcatv}");
-    let loops: Vec<&str> = tomcatv.lines().skip(1).collect();
+    assert!(tomcatv.contains("DO it = 1, 1: every iteration\n"), "{tomcatv}");
+    for sets in [
+        "        grid dim 0: [0:2..4] [1:3..7] [2:6..10] [3:9..11]\n",
+        "        grid dim 0: [0:2..3] [1:4..6] [2:7..9] [3:10..11]\n",
+    ] {
+        assert!(tomcatv.contains(sets), "TOMCATV lacks {sets:?}:\n{tomcatv}");
+    }
+    let loops: Vec<&str> = tomcatv.lines().filter(|l| l.contains(" DO ")).collect();
     assert!(loops.iter().any(|l| l.contains("DO i = 2, 11: owner of")
         && l.contains(",j + 1)")
         && l.contains(",j - 1)")), "{tomcatv}");
     for l in &loops {
         assert!(
-            (l.contains("DO j =") && l.ends_with("every iteration"))
-                || (l.contains("DO i =") && l.contains("owner of"))
-                || l.contains("DO it = 1, 1: every iteration"),
+            l.contains("DO it = 1, 1: every iteration")
+                || (l.contains("DO j = 2, 11: owner of") || l.contains("DO i = 2, 11: owner of")),
             "TOMCATV: {l}"
         );
     }

@@ -276,7 +276,7 @@ fn minimize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Analysis;
+    use crate::{var, Analysis};
     use hpf_ir::parse_program;
 
     fn setup(src: &str) -> (Program, StmtId) {
@@ -312,7 +312,7 @@ END DO
 "#,
         );
         let a = Analysis::run(&p);
-        let c = p.vars.lookup("c").unwrap();
+        let c = var(&p, "c");
         assert_eq!(
             auto_privatizable_arrays(&p, &a.cfg, &a.dom, &a.induction, kloop),
             vec![c]
@@ -342,7 +342,7 @@ END DO
         );
         let a = Analysis::run(&p);
         // The read precedes the write: cross-iteration flow possible.
-        let c = p.vars.lookup("c").unwrap();
+        let c = var(&p, "c");
         assert!(!auto_privatizable_arrays(&p, &a.cfg, &a.dom, &a.induction, kloop).contains(&c));
     }
 
@@ -370,7 +370,7 @@ END DO
 "#,
         );
         let a = Analysis::run(&p);
-        let c = p.vars.lookup("c").unwrap();
+        let c = var(&p, "c");
         assert!(!auto_privatizable_arrays(&p, &a.cfg, &a.dom, &a.induction, kloop).contains(&c));
     }
 
@@ -397,7 +397,7 @@ S(1) = C(2,2)
 "#,
         );
         let a = Analysis::run(&p);
-        let c = p.vars.lookup("c").unwrap();
+        let c = var(&p, "c");
         assert!(!auto_privatizable_arrays(&p, &a.cfg, &a.dom, &a.induction, kloop).contains(&c));
     }
 
@@ -425,7 +425,7 @@ END DO
 "#,
         );
         let a = Analysis::run(&p);
-        let c = p.vars.lookup("c").unwrap();
+        let c = var(&p, "c");
         assert!(!auto_privatizable_arrays(&p, &a.cfg, &a.dom, &a.induction, kloop).contains(&c));
     }
 
@@ -445,7 +445,7 @@ END DO
 "#,
         );
         let a = Analysis::run(&p);
-        let r = p.vars.lookup("r").unwrap();
+        let r = var(&p, "r");
         assert!(auto_privatizable_arrays(&p, &a.cfg, &a.dom, &a.induction, kloop).contains(&r));
     }
 }

@@ -62,10 +62,6 @@ impl BitSet {
         self.words.iter_mut().for_each(|w| *w = 0);
     }
 
-    pub fn is_clear(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(move |(wi, &w)| {
             (0..64).filter_map(move |b| {
@@ -113,6 +109,6 @@ mod tests {
         assert!(!a.union_with(&b));
         assert_eq!(a.count(), 2);
         a.subtract(&b);
-        assert!(a.is_clear());
+        assert_eq!(a.count(), 0);
     }
 }

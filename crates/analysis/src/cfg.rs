@@ -226,18 +226,14 @@ impl Cfg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpf_ir::{Expr, ProgramBuilder};
+    use crate::parsed;
 
     #[test]
     fn straight_line() {
-        let mut b = ProgramBuilder::new();
-        let x = b.real_scalar("x");
-        let s1 = b.assign_scalar(x, Expr::real(1.0));
-        let s2 = b.assign_scalar(x, Expr::real(2.0));
-        let p = b.finish();
+        let (p, s) = parsed("REAL x\nx = 1.0\nx = 2.0");
         let cfg = Cfg::build(&p);
-        let n1 = cfg.node_of(s1);
-        let n2 = cfg.node_of(s2);
+        let n1 = cfg.node_of(s[0]);
+        let n2 = cfg.node_of(s[1]);
         assert_eq!(cfg.nodes[cfg.entry.index()].succs, vec![n1]);
         assert_eq!(cfg.nodes[n1.index()].succs, vec![n2]);
         assert_eq!(cfg.nodes[n2.index()].succs, vec![cfg.exit]);
@@ -245,17 +241,17 @@ mod tests {
 
     #[test]
     fn loop_edges_and_back_edge() {
-        let mut b = ProgramBuilder::new();
-        let i = b.int_scalar("i");
-        let x = b.real_scalar("x");
-        let mut body_stmt = None;
-        let lp = b.do_loop(i, Expr::int(1), Expr::int(4), |b| {
-            body_stmt = Some(b.assign_scalar(x, Expr::real(0.0)));
-        });
-        let p = b.finish();
+        let (p, s) = parsed(
+            "INTEGER i
+REAL x
+DO i = 1, 4
+  x = 0.0
+END DO",
+        );
+        let (lp, body_stmt) = (s[0], s[1]);
         let cfg = Cfg::build(&p);
         let h = cfg.node_of(lp);
-        let bd = cfg.node_of(body_stmt.unwrap());
+        let bd = cfg.node_of(body_stmt);
         // Header has edges into body and to exit.
         assert!(cfg.nodes[h.index()].succs.contains(&bd));
         assert!(cfg.nodes[h.index()].succs.contains(&cfg.exit));
@@ -266,26 +262,22 @@ mod tests {
 
     #[test]
     fn if_else_edges() {
-        let mut b = ProgramBuilder::new();
-        let x = b.real_scalar("x");
-        let y = b.real_scalar("y");
-        let mut t = None;
-        let mut e = None;
-        let iff = b.if_then_else(
-            Expr::scalar(x).cmp(hpf_ir::BinOp::Gt, Expr::real(0.0)),
-            |b| {
-                t = Some(b.assign_scalar(y, Expr::real(1.0)));
-            },
-            |b| {
-                e = Some(b.assign_scalar(y, Expr::real(2.0)));
-            },
+        let (p, s) = parsed(
+            "REAL x, y
+IF (x > 0.0) THEN
+  y = 1.0
+ELSE
+  y = 2.0
+END IF
+x = 3.0",
         );
-        let after = b.assign_scalar(x, Expr::real(3.0));
-        let p = b.finish();
+        let [iff, t, e, after] = s[..] else {
+            panic!("four statements");
+        };
         let cfg = Cfg::build(&p);
         let ni = cfg.node_of(iff);
-        let nt = cfg.node_of(t.unwrap());
-        let ne = cfg.node_of(e.unwrap());
+        let nt = cfg.node_of(t);
+        let ne = cfg.node_of(e);
         let na = cfg.node_of(after);
         assert!(cfg.nodes[ni.index()].succs.contains(&nt));
         assert!(cfg.nodes[ni.index()].succs.contains(&ne));
@@ -295,16 +287,18 @@ mod tests {
 
     #[test]
     fn goto_edge_targets_label() {
-        let mut b = ProgramBuilder::new();
-        let i = b.int_scalar("i");
-        let mut g = None;
-        let lp = b.do_loop(i, Expr::int(1), Expr::int(4), |b| {
-            g = Some(b.goto(100));
-        });
-        let c = b.continue_label(100);
-        let p = b.finish();
+        let (p, s) = parsed(
+            "INTEGER i
+DO i = 1, 4
+  GOTO 100
+END DO
+100 CONTINUE",
+        );
+        let [lp, g, c] = s[..] else {
+            panic!("three statements");
+        };
         let cfg = Cfg::build(&p);
-        let ng = cfg.node_of(g.unwrap());
+        let ng = cfg.node_of(g);
         let nc = cfg.node_of(c);
         assert_eq!(cfg.nodes[ng.index()].succs, vec![nc]);
         // The goto leaves the loop: no back edge from it.
@@ -316,13 +310,13 @@ mod tests {
 
     #[test]
     fn rpo_starts_at_entry() {
-        let mut b = ProgramBuilder::new();
-        let i = b.int_scalar("i");
-        let x = b.real_scalar("x");
-        b.do_loop(i, Expr::int(1), Expr::int(4), |b| {
-            b.assign_scalar(x, Expr::real(0.0));
-        });
-        let p = b.finish();
+        let (p, _) = parsed(
+            "INTEGER i
+REAL x
+DO i = 1, 4
+  x = 0.0
+END DO",
+        );
         let cfg = Cfg::build(&p);
         let rpo = cfg.rpo();
         assert_eq!(rpo[0], cfg.entry);
@@ -331,10 +325,8 @@ mod tests {
 
     #[test]
     fn empty_loop_body_self_edge() {
-        let mut b = ProgramBuilder::new();
-        let i = b.int_scalar("i");
-        let lp = b.do_loop(i, Expr::int(1), Expr::int(4), |_| {});
-        let p = b.finish();
+        let (p, s) = parsed("INTEGER i\nDO i = 1, 4\nEND DO");
+        let lp = s[0];
         let cfg = Cfg::build(&p);
         let h = cfg.node_of(lp);
         assert!(cfg.nodes[h.index()].succs.contains(&h));

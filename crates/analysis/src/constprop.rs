@@ -292,69 +292,59 @@ fn as_real(v: Value) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpf_ir::{Expr, ProgramBuilder};
+    use crate::{parsed, var};
+    use hpf_ir::Expr;
 
     #[test]
     fn propagates_straight_line() {
-        let mut b = ProgramBuilder::new();
-        let m = b.int_scalar("m");
-        let k = b.int_scalar("k");
-        b.assign_scalar(m, Expr::int(2));
-        let s2 = b.assign_scalar(k, Expr::scalar(m).add(Expr::int(3)));
-        let s3 = b.assign_scalar(m, Expr::scalar(k));
-        let p = b.finish();
+        let (p, s) = parsed("INTEGER m, k\nm = 2\nk = m + 3\nm = k");
+        let (m, k) = (var(&p, "m"), var(&p, "k"));
         let cfg = Cfg::build(&p);
         let cp = ConstProp::compute(&p, &cfg);
-        assert_eq!(cp.const_at(&cfg, s2, m), Some(Value::Int(2)));
-        assert_eq!(cp.const_at(&cfg, s3, k), Some(Value::Int(5)));
+        assert_eq!(cp.const_at(&cfg, s[1], m), Some(Value::Int(2)));
+        assert_eq!(cp.const_at(&cfg, s[2], k), Some(Value::Int(5)));
     }
 
     #[test]
     fn loop_entry_value() {
-        // m = 2 ; do i { m = m + 1 } — at loop entry m == 2 even though m is
-        // NAC inside the loop.
-        let mut b = ProgramBuilder::new();
-        let m = b.int_scalar("m");
-        let i = b.int_scalar("i");
-        b.assign_scalar(m, Expr::int(2));
-        let mut inloop = None;
-        let lp = b.do_loop(i, Expr::int(1), Expr::int(4), |b| {
-            inloop = Some(b.assign_scalar(m, Expr::scalar(m).add(Expr::int(1))));
-        });
-        let p = b.finish();
+        // At loop entry m == 2 even though m is NAC inside the loop.
+        let (p, s) = parsed(
+            "INTEGER m, i
+m = 2
+DO i = 1, 4
+  m = m + 1
+END DO",
+        );
+        let [_, lp, inloop] = s[..] else {
+            panic!("three statements");
+        };
+        let m = var(&p, "m");
         let cfg = Cfg::build(&p);
         let cp = ConstProp::compute(&p, &cfg);
         assert_eq!(cp.const_at_loop_entry(&p, &cfg, lp, m), Some(Value::Int(2)));
-        assert_eq!(cp.const_at(&cfg, inloop.unwrap(), m), None);
+        assert_eq!(cp.const_at(&cfg, inloop, m), None);
     }
 
     #[test]
     fn branch_meet() {
-        let mut b = ProgramBuilder::new();
-        let c = b.bool_scalar("c");
-        let x = b.int_scalar("x");
-        let y = b.int_scalar("y");
-        b.if_then_else(
-            Expr::scalar(c),
-            |b| {
-                b.assign_scalar(x, Expr::int(5));
-            },
-            |b| {
-                b.assign_scalar(x, Expr::int(5));
-            },
+        let (p, s) = parsed(
+            "LOGICAL c
+INTEGER x, y
+IF (c) THEN
+  x = 5
+ELSE
+  x = 5
+END IF
+y = x
+IF (c) THEN
+  x = 1
+ELSE
+  x = 2
+END IF
+y = x",
         );
-        let same = b.assign_scalar(y, Expr::scalar(x));
-        b.if_then_else(
-            Expr::scalar(c),
-            |b| {
-                b.assign_scalar(x, Expr::int(1));
-            },
-            |b| {
-                b.assign_scalar(x, Expr::int(2));
-            },
-        );
-        let diff = b.assign_scalar(y, Expr::scalar(x));
-        let p = b.finish();
+        let (same, diff) = (s[3], s[7]);
+        let x = var(&p, "x");
         let cfg = Cfg::build(&p);
         let cp = ConstProp::compute(&p, &cfg);
         assert_eq!(cp.const_at(&cfg, same, x), Some(Value::Int(5)));

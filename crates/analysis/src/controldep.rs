@@ -14,19 +14,6 @@
 
 use hpf_ir::{Program, Stmt, StmtId};
 
-/// The controlling `IF` ancestors of a statement, innermost first.
-pub fn controllers(p: &Program, s: StmtId) -> Vec<StmtId> {
-    let mut out = Vec::new();
-    let mut cur = p.parent(s);
-    while let Some(c) = cur {
-        if matches!(p.stmt(c), Stmt::If { .. }) {
-            out.push(c);
-        }
-        cur = p.parent(c);
-    }
-    out
-}
-
 /// Statements control-dependent on control statement `s` (conservative
 /// superset on the structured tree).
 pub fn dependents(p: &Program, s: StmtId) -> Vec<StmtId> {
@@ -105,89 +92,74 @@ fn goto_skipped(p: &Program, g: StmtId) -> Vec<StmtId> {
     }
 }
 
-/// Is statement `t` (transitively) control-dependent on `s`?
-pub fn is_dependent(p: &Program, s: StmtId, t: StmtId) -> bool {
-    dependents(p, s).contains(&t)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpf_ir::{BinOp, Expr, ProgramBuilder};
+    use crate::parsed;
 
     #[test]
     fn if_branches_are_dependent() {
-        let mut b = ProgramBuilder::new();
-        let x = b.real_scalar("x");
-        let c = b.bool_scalar("c");
-        let mut t = None;
-        let mut e = None;
-        let iff = b.if_then_else(
-            Expr::scalar(c),
-            |b| {
-                t = Some(b.assign_scalar(x, Expr::real(1.0)));
-            },
-            |b| {
-                e = Some(b.assign_scalar(x, Expr::real(2.0)));
-            },
+        let (p, s) = parsed(
+            "REAL x
+LOGICAL c
+IF (c) THEN
+  x = 1.0
+ELSE
+  x = 2.0
+END IF
+x = 3.0",
         );
-        let after = b.assign_scalar(x, Expr::real(3.0));
-        let p = b.finish();
+        let [iff, t, e, after] = s[..] else {
+            panic!("four statements");
+        };
         let deps = dependents(&p, iff);
-        assert!(deps.contains(&t.unwrap()));
-        assert!(deps.contains(&e.unwrap()));
+        assert!(deps.contains(&t));
+        assert!(deps.contains(&e));
         assert!(!deps.contains(&after));
-        assert_eq!(controllers(&p, t.unwrap()), vec![iff]);
-        assert!(controllers(&p, after).is_empty());
+    }
+
+    #[test]
+    fn nested_if_statements_depend_on_the_outer_if() {
+        let (p, s) = parsed(
+            "REAL x
+LOGICAL c, d
+IF (c) THEN
+  IF (d) THEN
+    x = 1.0
+  END IF
+END IF",
+        );
+        let [outer, inner, assign] = s[..] else {
+            panic!("three statements");
+        };
+        let deps = dependents(&p, outer);
+        assert!(deps.contains(&inner));
+        assert!(deps.contains(&assign));
+        assert_eq!(dependents(&p, inner), vec![assign]);
     }
 
     #[test]
     fn forward_goto_skips_statements() {
         // Figure 7 shape: if (cond) goto 100; S1; S2; 100 continue
-        let mut b = ProgramBuilder::new();
-        let i = b.int_scalar("i");
-        let a = b.real_array("A", &[8]);
-        let mut s1 = None;
-        let mut s2 = None;
-        let mut goto_id = None;
-        b.do_loop(i, Expr::int(1), Expr::int(8), |b| {
-            b.if_then(
-                Expr::array(a, vec![Expr::scalar(i)]).cmp(BinOp::Lt, Expr::real(0.0)),
-                |b| {
-                    goto_id = Some(b.goto(100));
-                },
-            );
-            s1 = Some(b.assign_array(a, vec![Expr::scalar(i)], Expr::real(1.0)));
-            s2 = Some(b.assign_array(a, vec![Expr::scalar(i)], Expr::real(2.0)));
-            b.continue_label(100);
-        });
-        let p = b.finish();
-        let deps = dependents(&p, goto_id.unwrap());
-        assert!(deps.contains(&s1.unwrap()));
-        assert!(deps.contains(&s2.unwrap()));
-        // The IF's dependents include the skipped statements via the GOTO.
-        let iff = p.parent(goto_id.unwrap()).unwrap();
-        let ifdeps = dependents(&p, iff);
-        assert!(ifdeps.contains(&s1.unwrap()));
-    }
-
-    #[test]
-    fn nested_if_controllers() {
-        let mut b = ProgramBuilder::new();
-        let x = b.real_scalar("x");
-        let c = b.bool_scalar("c");
-        let mut inner_stmt = None;
-        let mut inner_if = None;
-        let outer_if = b.if_then(Expr::scalar(c), |b| {
-            inner_if = Some(b.if_then(Expr::scalar(c), |b| {
-                inner_stmt = Some(b.assign_scalar(x, Expr::real(1.0)));
-            }));
-        });
-        let p = b.finish();
-        assert_eq!(
-            controllers(&p, inner_stmt.unwrap()),
-            vec![inner_if.unwrap(), outer_if]
+        let (p, s) = parsed(
+            "INTEGER i
+REAL A(8)
+DO i = 1, 8
+  IF (A(i) < 0.0) GOTO 100
+  A(i) = 1.0
+  A(i) = 2.0
+100 CONTINUE
+END DO",
         );
-        assert!(is_dependent(&p, outer_if, inner_stmt.unwrap()));
+        let [_, _, goto_id, s1, s2, _] = s[..] else {
+            panic!("six statements");
+        };
+        let deps = dependents(&p, goto_id);
+        assert!(deps.contains(&s1));
+        assert!(deps.contains(&s2));
+        // The IF's dependents include the skipped statements via the GOTO.
+        let iff = p.parent(goto_id).unwrap();
+        let ifdeps = dependents(&p, iff);
+        assert!(ifdeps.contains(&s1));
     }
 }

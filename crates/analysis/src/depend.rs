@@ -306,8 +306,9 @@ pub fn arrays_with_memory_carried_writes(
 mod tests {
     use super::*;
     use crate::constprop::ConstProp;
+    use crate::{parsed, var};
     use crate::reach::ReachingDefs;
-    use hpf_ir::{Expr, ProgramBuilder};
+    use hpf_ir::Expr;
 
     fn full(p: &Program) -> (Cfg, Dominators, InductionAnalysis) {
         let cfg = Cfg::build(p);
@@ -336,148 +337,114 @@ mod tests {
 
     #[test]
     fn vectorization_blocked_by_write() {
-        // do i { A(i+1) = ...; x = A(i) } — A written in loop, read A(i)
-        // may see the write: comm for A(i) cannot be hoisted.
-        let mut b = ProgramBuilder::new();
-        let a = b.real_array("A", &[16]);
-        let i = b.int_scalar("i");
-        let x = b.real_scalar("x");
-        let mut rd_stmt = None;
-        let lp = b.do_loop(i, Expr::int(1), Expr::int(15), |b| {
-            b.assign_array(
-                a,
-                vec![Expr::scalar(i).add(Expr::int(1))],
-                Expr::real(1.0),
-            );
-            rd_stmt = Some(b.assign_scalar(x, Expr::array(a, vec![Expr::scalar(i)])));
-        });
-        let p = b.finish();
+        // A written in loop, read A(i) may see the write: comm for A(i)
+        // cannot be hoisted.
+        let (p, s) = parsed(
+            "REAL A(16)
+INTEGER i
+REAL x
+DO i = 1, 15
+  A(i+1) = 1.0
+  x = A(i)
+END DO",
+        );
+        let [a, i] = ["a", "i"].map(|n| var(&p, n));
+        let (lp, rd_stmt) = (s[0], s[2]);
         let (cfg, dom, ia) = full(&p);
         let read = ArrayRef::new(a, vec![Expr::scalar(i)]);
-        assert!(flow_dep_in_loop(&p, &cfg, &dom, &ia, lp, rd_stmt.unwrap(), &read));
+        assert!(flow_dep_in_loop(&p, &cfg, &dom, &ia, lp, rd_stmt, &read));
     }
 
     #[test]
     fn vectorization_allowed_without_write() {
-        // do i { x = B(i); A(i) = x } — B never written: B(i) hoistable.
-        let mut b = ProgramBuilder::new();
-        let a = b.real_array("A", &[16]);
-        let bb = b.real_array("B", &[16]);
-        let i = b.int_scalar("i");
-        let x = b.real_scalar("x");
-        let mut rd_stmt = None;
-        let lp = b.do_loop(i, Expr::int(1), Expr::int(16), |b| {
-            rd_stmt = Some(b.assign_scalar(x, Expr::array(bb, vec![Expr::scalar(i)])));
-            b.assign_array(a, vec![Expr::scalar(i)], Expr::scalar(x));
-        });
-        let p = b.finish();
+        // B never written: B(i) hoistable.
+        let (p, s) = parsed(
+            "REAL A(16), B(16)
+INTEGER i
+REAL x
+DO i = 1, 16
+  x = B(i)
+  A(i) = x
+END DO",
+        );
+        let [bb, i] = ["b", "i"].map(|n| var(&p, n));
+        let (lp, rd_stmt) = (s[0], s[1]);
         let (cfg, dom, ia) = full(&p);
         let read = ArrayRef::new(bb, vec![Expr::scalar(i)]);
-        assert!(!flow_dep_in_loop(&p, &cfg, &dom, &ia, lp, rd_stmt.unwrap(), &read));
+        assert!(!flow_dep_in_loop(&p, &cfg, &dom, &ia, lp, rd_stmt, &read));
     }
 
     #[test]
     fn disjoint_strides_independent() {
-        // do i { A(2i) = ...; x = A(2i+1) } — provably independent.
-        let mut b = ProgramBuilder::new();
-        let a = b.real_array("A", &[40]);
-        let i = b.int_scalar("i");
-        let x = b.real_scalar("x");
-        let mut rd_stmt = None;
-        let lp = b.do_loop(i, Expr::int(1), Expr::int(15), |b| {
-            b.assign_array(
-                a,
-                vec![Expr::int(2).mul(Expr::scalar(i))],
-                Expr::real(1.0),
-            );
-            rd_stmt = Some(b.assign_scalar(
-                x,
-                Expr::array(a, vec![Expr::int(2).mul(Expr::scalar(i)).add(Expr::int(1))]),
-            ));
-        });
-        let p = b.finish();
+        // A(2i) = ...; x = A(2i+1) — provably independent.
+        let (p, s) = parsed(
+            "REAL A(40)
+INTEGER i
+REAL x
+DO i = 1, 15
+  A(2*i) = 1.0
+  x = A(2*i+1)
+END DO",
+        );
+        let [a, i] = ["a", "i"].map(|n| var(&p, n));
+        let (lp, rd_stmt) = (s[0], s[2]);
         let (cfg, dom, ia) = full(&p);
         let read = ArrayRef::new(
             a,
             vec![Expr::int(2).mul(Expr::scalar(i)).add(Expr::int(1))],
         );
-        assert!(!flow_dep_in_loop(&p, &cfg, &dom, &ia, lp, rd_stmt.unwrap(), &read));
+        assert!(!flow_dep_in_loop(&p, &cfg, &dom, &ia, lp, rd_stmt, &read));
     }
 
     #[test]
     fn triangular_ranges_disjoint_dgefa() {
-        // do k { x = A(k); do j = k+1, n { A(j) = ... } } — the write range
-        // [k+1, n] never touches the read at k: the read hoists out of the
-        // j loop (and the k-loop write blocks hoisting only above k).
-        let mut b = ProgramBuilder::new();
-        let a = b.real_array("A", &[16]);
-        let k = b.int_scalar("k");
-        let j = b.int_scalar("j");
-        let x = b.real_scalar("x");
-        let mut rd_stmt = None;
-        let mut jloop = None;
-        let kloop = b.do_loop(k, Expr::int(1), Expr::int(15), |b| {
-            rd_stmt = Some(b.assign_scalar(x, Expr::array(a, vec![Expr::scalar(k)])));
-            jloop = Some(b.do_loop(
-                j,
-                Expr::scalar(k).add(Expr::int(1)),
-                Expr::int(16),
-                |b| {
-                    b.assign_array(a, vec![Expr::scalar(j)], Expr::scalar(x));
-                },
-            ));
-        });
-        let p = b.finish();
+        // The write range [k+1, n] never touches the read at k: the read
+        // hoists out of the j loop (and the k-loop write blocks hoisting
+        // only above k).
+        let (p, s) = parsed(
+            "REAL A(16)
+INTEGER k, j
+REAL x
+DO k = 1, 15
+  x = A(k)
+  DO j = k+1, 16
+    A(j) = x
+  END DO
+END DO",
+        );
+        let [a, k] = ["a", "k"].map(|n| var(&p, n));
+        let [kloop, rd_stmt, jloop, _] = s[..] else {
+            panic!("four statements");
+        };
         let (cfg, dom, ia) = full(&p);
         let read = ArrayRef::new(a, vec![Expr::scalar(k)]);
         // No flow dep from the j-loop writes into the read of A(k)...
-        assert!(!flow_dep_in_loop(
-            &p,
-            &cfg,
-            &dom,
-            &ia,
-            jloop.unwrap(),
-            rd_stmt.unwrap(),
-            &read
-        ));
+        assert!(!flow_dep_in_loop(&p, &cfg, &dom, &ia, jloop, rd_stmt, &read));
         // ...but across k iterations the write range does reach A(k).
-        assert!(flow_dep_in_loop(
-            &p,
-            &cfg,
-            &dom,
-            &ia,
-            kloop,
-            rd_stmt.unwrap(),
-            &read
-        ));
+        assert!(flow_dep_in_loop(&p, &cfg, &dom, &ia, kloop, rd_stmt, &read));
     }
 
     #[test]
     fn memory_carried_writes_found() {
-        // The APPSP pattern: do k { do i { C(i,1) = ... } } — C's subscripts
-        // don't involve k: memory-carried in the k loop.
-        let mut b = ProgramBuilder::new();
-        let c = b.real_array("C", &[8, 8]);
-        let k = b.int_scalar("k");
-        let i = b.int_scalar("i");
-        let lp = b.do_loop(k, Expr::int(1), Expr::int(8), |b| {
-            b.do_loop(i, Expr::int(1), Expr::int(8), |b| {
-                b.assign_array(c, vec![Expr::scalar(i), Expr::int(1)], Expr::real(0.0));
-            });
-        });
-        let p = b.finish();
+        // The APPSP pattern: C's subscripts don't involve k: memory-carried
+        // in the k loop.
+        let (p, s) = parsed(
+            "REAL C(8,8)
+INTEGER k, i
+DO k = 1, 8
+  DO i = 1, 8
+    C(i,1) = 0.0
+  END DO
+END DO",
+        );
+        let c = var(&p, "c");
+        let (lp, iloop) = (s[0], s[1]);
         let (cfg, dom, ia) = full(&p);
         assert_eq!(
             arrays_with_memory_carried_writes(&p, &cfg, &dom, &ia, lp),
             vec![c]
         );
         // But not in the i loop itself (subscript varies with i).
-        let iloop = p
-            .preorder()
-            .into_iter()
-            .find(|&s| p.loop_var(s) == Some(i))
-            .unwrap();
         assert!(arrays_with_memory_carried_writes(&p, &cfg, &dom, &ia, iloop).is_empty());
-        let _ = lp;
     }
 }

@@ -86,40 +86,33 @@ impl Dominators {
             }
         }
     }
-
-    pub fn is_reachable(&self, n: NodeId) -> bool {
-        self.idom[n.index()].is_some()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpf_ir::{Expr, ProgramBuilder};
+    use crate::parsed;
 
     #[test]
     fn diamond_dominance() {
-        let mut b = ProgramBuilder::new();
-        let c = b.bool_scalar("c");
-        let x = b.real_scalar("x");
-        let mut t = None;
-        let mut e = None;
-        let iff = b.if_then_else(
-            Expr::scalar(c),
-            |b| {
-                t = Some(b.assign_scalar(x, Expr::real(1.0)));
-            },
-            |b| {
-                e = Some(b.assign_scalar(x, Expr::real(2.0)));
-            },
+        let (p, s) = parsed(
+            "LOGICAL c
+REAL x
+IF (c) THEN
+  x = 1.0
+ELSE
+  x = 2.0
+END IF
+x = 3.0",
         );
-        let join = b.assign_scalar(x, Expr::real(3.0));
-        let p = b.finish();
+        let [iff, t, e, join] = s[..] else {
+            panic!("four statements");
+        };
         let cfg = Cfg::build(&p);
         let dom = Dominators::compute(&cfg);
         let ni = cfg.node_of(iff);
-        let nt = cfg.node_of(t.unwrap());
-        let ne = cfg.node_of(e.unwrap());
+        let nt = cfg.node_of(t);
+        let ne = cfg.node_of(e);
         let nj = cfg.node_of(join);
         assert!(dom.dominates(ni, nt));
         assert!(dom.dominates(ni, ne));
@@ -130,20 +123,21 @@ mod tests {
 
     #[test]
     fn loop_header_dominates_body() {
-        let mut b = ProgramBuilder::new();
-        let i = b.int_scalar("i");
-        let x = b.real_scalar("x");
-        let mut body = None;
-        let lp = b.do_loop(i, Expr::int(1), Expr::int(4), |b| {
-            body = Some(b.assign_scalar(x, Expr::real(0.0)));
-        });
-        let after = b.assign_scalar(x, Expr::real(1.0));
-        let p = b.finish();
+        let (p, s) = parsed(
+            "INTEGER i
+REAL x
+DO i = 1, 4
+  x = 0.0
+END DO
+x = 1.0",
+        );
+        let [lp, body, after] = s[..] else {
+            panic!("three statements");
+        };
         let cfg = Cfg::build(&p);
         let dom = Dominators::compute(&cfg);
-        assert!(dom.dominates(cfg.node_of(lp), cfg.node_of(body.unwrap())));
+        assert!(dom.dominates(cfg.node_of(lp), cfg.node_of(body)));
         assert!(dom.dominates(cfg.node_of(lp), cfg.node_of(after)));
-        assert!(!dom.dominates(cfg.node_of(body.unwrap()), cfg.node_of(after)));
-        assert!(dom.is_reachable(cfg.node_of(after)));
+        assert!(!dom.dominates(cfg.node_of(body), cfg.node_of(after)));
     }
 }

@@ -217,8 +217,8 @@ fn affine_const(e: &Expr) -> Option<i64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{parsed, var};
     use hpf_ir::interp::run_program;
-    use hpf_ir::ProgramBuilder;
 
     fn analyse(p: &Program) -> (Cfg, Dominators, InductionAnalysis) {
         let cfg = Cfg::build(p);
@@ -229,22 +229,23 @@ mod tests {
         (cfg, dom, ia)
     }
 
-    /// The paper's Figure 1 induction variable: m = 2; do i = 2, n-1
-    /// { m = m + 1; ... D(m) = ... } — closed form m = i + 1 after update.
+    /// The paper's Figure 1 induction variable: closed form m = i + 1
+    /// after the update.
     #[test]
     fn figure1_closed_form() {
-        let mut b = ProgramBuilder::new();
-        let d_arr = b.real_array("D", &[20]);
-        let i = b.int_scalar("i");
-        let m = b.int_scalar("m");
-        b.assign_scalar(m, Expr::int(2));
-        let mut upd = None;
-        let mut use_site = None;
-        let lp = b.do_loop(i, Expr::int(2), Expr::int(19), |b| {
-            upd = Some(b.assign_scalar(m, Expr::scalar(m).add(Expr::int(1))));
-            use_site = Some(b.assign_array(d_arr, vec![Expr::scalar(m)], Expr::real(1.0)));
-        });
-        let p = b.finish();
+        let (p, s) = parsed(
+            "REAL D(20)
+INTEGER i, m
+m = 2
+DO i = 2, 19
+  m = m + 1
+  D(m) = 1.0
+END DO",
+        );
+        let [i, m] = ["i", "m"].map(|n| var(&p, n));
+        let [_, lp, upd, use_site] = s[..] else {
+            panic!("four statements");
+        };
         let (cfg, dom, ia) = analyse(&p);
         let iv = ia.of(lp, m).expect("m recognized");
         assert_eq!(iv.step, 1);
@@ -254,30 +255,29 @@ mod tests {
         assert_eq!(iv.after.coeff(i), 1);
         // The subscript of D(m) is affine i+1 at the use site.
         let view = ia
-            .affine_view(&p, &cfg, &dom, use_site.unwrap(), &Expr::scalar(m))
+            .affine_view(&p, &cfg, &dom, use_site, &Expr::scalar(m))
             .unwrap();
         assert_eq!(view, iv.after);
-        assert!(ia.is_induction_def(upd.unwrap()));
+        assert!(ia.is_induction_def(upd));
     }
 
     #[test]
     fn before_value_used_above_update() {
-        // do i = 1, 8 { D(m) = 1.0 ; m = m + 2 } with m = 0 on entry:
-        // at the use (before the update) m = 2*(i-1).
-        let mut b = ProgramBuilder::new();
-        let d_arr = b.real_array("D", &[20]);
-        let i = b.int_scalar("i");
-        let m = b.int_scalar("m");
-        b.assign_scalar(m, Expr::int(2));
-        let mut use_site = None;
-        b.do_loop(i, Expr::int(1), Expr::int(8), |b| {
-            use_site = Some(b.assign_array(d_arr, vec![Expr::scalar(m)], Expr::real(1.0)));
-            b.assign_scalar(m, Expr::scalar(m).add(Expr::int(2)));
-        });
-        let p = b.finish();
+        // At the use (before the update) m = init + 2*(i-1).
+        let (p, s) = parsed(
+            "REAL D(20)
+INTEGER i, m
+m = 2
+DO i = 1, 8
+  D(m) = 1.0
+  m = m + 2
+END DO",
+        );
+        let [i, m] = ["i", "m"].map(|n| var(&p, n));
+        let use_site = s[2];
         let (cfg, dom, ia) = analyse(&p);
         let view = ia
-            .affine_view(&p, &cfg, &dom, use_site.unwrap(), &Expr::scalar(m))
+            .affine_view(&p, &cfg, &dom, use_site, &Expr::scalar(m))
             .unwrap();
         // before = init + 2*(i-1) = 2i
         assert_eq!(view.coeff(i), 2);
@@ -286,32 +286,32 @@ mod tests {
 
     #[test]
     fn conditional_update_rejected() {
-        let mut b = ProgramBuilder::new();
-        let i = b.int_scalar("i");
-        let m = b.int_scalar("m");
-        let c = b.bool_scalar("c");
-        b.assign_scalar(m, Expr::int(0));
-        let lp = b.do_loop(i, Expr::int(1), Expr::int(8), |b| {
-            b.if_then(Expr::scalar(c), |b| {
-                b.assign_scalar(m, Expr::scalar(m).add(Expr::int(1)));
-            });
-        });
-        let p = b.finish();
+        let (p, s) = parsed(
+            "INTEGER i, m
+LOGICAL c
+m = 0
+DO i = 1, 8
+  IF (c) THEN
+    m = m + 1
+  END IF
+END DO",
+        );
+        let (lp, m) = (s[1], var(&p, "m"));
         let (_, _, ia) = analyse(&p);
         assert!(ia.of(lp, m).is_none());
     }
 
     #[test]
     fn unknown_init_rejected() {
-        let mut b = ProgramBuilder::new();
-        let a = b.int_array("A", &[4]);
-        let i = b.int_scalar("i");
-        let m = b.int_scalar("m");
-        b.assign_scalar(m, Expr::array(a, vec![Expr::int(1)]));
-        let lp = b.do_loop(i, Expr::int(1), Expr::int(8), |b| {
-            b.assign_scalar(m, Expr::scalar(m).add(Expr::int(1)));
-        });
-        let p = b.finish();
+        let (p, s) = parsed(
+            "INTEGER A(4)
+INTEGER i, m
+m = A(1)
+DO i = 1, 8
+  m = m + 1
+END DO",
+        );
+        let (lp, m) = (s[1], var(&p, "m"));
         let (_, _, ia) = analyse(&p);
         assert!(ia.of(lp, m).is_none());
     }
@@ -319,16 +319,16 @@ mod tests {
     #[test]
     fn closed_form_rewrite_preserves_semantics() {
         let build = || {
-            let mut b = ProgramBuilder::new();
-            let d_arr = b.int_array("D", &[20]);
-            let i = b.int_scalar("i");
-            let m = b.int_scalar("m");
-            b.assign_scalar(m, Expr::int(2));
-            b.do_loop(i, Expr::int(2), Expr::int(19), |b| {
-                b.assign_scalar(m, Expr::scalar(m).add(Expr::int(1)));
-                b.assign_array(d_arr, vec![Expr::scalar(m)], Expr::scalar(m).mul(Expr::int(3)));
-            });
-            b.finish()
+            parsed(
+                "INTEGER D(20)
+INTEGER i, m
+m = 2
+DO i = 2, 19
+  m = m + 1
+  D(m) = m * 3
+END DO",
+            )
+            .0
         };
         let p1 = build();
         let mut p2 = build();
@@ -336,8 +336,8 @@ mod tests {
         assert_eq!(ia.apply_closed_forms(&mut p2), 1);
         let (m1, _) = run_program(&p1, |_| {}).unwrap();
         let (m2, _) = run_program(&p2, |_| {}).unwrap();
-        let d1 = p1.vars.lookup("D").unwrap();
-        let d2 = p2.vars.lookup("D").unwrap();
+        let d1 = var(&p1, "d");
+        let d2 = var(&p2, "d");
         assert_eq!(m1.array(d1), m2.array(d2));
     }
 }

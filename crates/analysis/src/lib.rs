@@ -93,6 +93,20 @@ impl<'p> Analysis<'p> {
     }
 }
 
+/// A test program parsed from `src`, and its statements in preorder.
+#[cfg(test)]
+pub(crate) fn parsed(src: &str) -> (hpf_ir::Program, Vec<hpf_ir::StmtId>) {
+    let p = hpf_ir::parse_program(src).unwrap();
+    let stmts = p.preorder();
+    (p, stmts)
+}
+
+/// The id of the test program's variable `name`.
+#[cfg(test)]
+pub(crate) fn var(p: &hpf_ir::Program, name: &str) -> hpf_ir::VarId {
+    p.vars.lookup(name).unwrap()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,7 +134,7 @@ END DO
         let p = parse_program(src).unwrap();
         let a = Analysis::run(&p);
         // m recognized as an induction variable of the i loop.
-        let m = p.vars.lookup("m").unwrap();
+        let m = var(&p, "m");
         let lp = p
             .preorder()
             .into_iter()
@@ -132,7 +146,7 @@ END DO
         // x, y, z privatizable without copy-out.
         let mut pc = a.priv_check();
         for name in ["x", "y", "z"] {
-            let v = p.vars.lookup(name).unwrap();
+            let v = var(&p, name);
             let def = hpf_ir::visit::defs_of(&p, v)[0];
             assert!(
                 pc.scalar_privatizable(lp, def).without_copy_out(),

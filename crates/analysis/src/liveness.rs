@@ -102,21 +102,26 @@ impl Liveness {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpf_ir::{Expr, ProgramBuilder};
+    use crate::{parsed, var};
+
+    /// `src` parsed, its first statement (the loop) and its scalar `x`.
+    fn loop_and_x(src: &str) -> (Program, StmtId, VarId) {
+        let (p, s) = parsed(src);
+        let x = var(&p, "x");
+        (p, s[0], x)
+    }
 
     #[test]
     fn scalar_dead_after_loop() {
-        // do i { x = A(i); B(i) = x }  — x not live after the loop.
-        let mut b = ProgramBuilder::new();
-        let a = b.real_array("A", &[8]);
-        let bb = b.real_array("B", &[8]);
-        let i = b.int_scalar("i");
-        let x = b.real_scalar("x");
-        let lp = b.do_loop(i, Expr::int(1), Expr::int(8), |b| {
-            b.assign_scalar(x, Expr::array(a, vec![Expr::scalar(i)]));
-            b.assign_array(bb, vec![Expr::scalar(i)], Expr::scalar(x));
-        });
-        let p = b.finish();
+        let (p, lp, x) = loop_and_x(
+            "REAL A(8), B(8)
+INTEGER i
+REAL x
+DO i = 1, 8
+  x = A(i)
+  B(i) = x
+END DO",
+        );
         let cfg = Cfg::build(&p);
         let lv = Liveness::compute(&p, &cfg);
         assert!(!lv.live_after_loop(&p, &cfg, lp, x));
@@ -124,17 +129,15 @@ mod tests {
 
     #[test]
     fn scalar_live_after_loop() {
-        // do i { x = A(i) } ; y = x — x live after the loop.
-        let mut b = ProgramBuilder::new();
-        let a = b.real_array("A", &[8]);
-        let i = b.int_scalar("i");
-        let x = b.real_scalar("x");
-        let y = b.real_scalar("y");
-        let lp = b.do_loop(i, Expr::int(1), Expr::int(8), |b| {
-            b.assign_scalar(x, Expr::array(a, vec![Expr::scalar(i)]));
-        });
-        b.assign_scalar(y, Expr::scalar(x));
-        let p = b.finish();
+        let (p, lp, x) = loop_and_x(
+            "REAL A(8)
+INTEGER i
+REAL x, y
+DO i = 1, 8
+  x = A(i)
+END DO
+y = x",
+        );
         let cfg = Cfg::build(&p);
         let lv = Liveness::compute(&p, &cfg);
         assert!(lv.live_after_loop(&p, &cfg, lp, x));
@@ -142,27 +145,20 @@ mod tests {
 
     #[test]
     fn live_through_goto_exit() {
-        // do i { x = A(i); if (...) goto 100 } ; ... ; 100 y = x
-        let mut b = ProgramBuilder::new();
-        let a = b.real_array("A", &[8]);
-        let i = b.int_scalar("i");
-        let x = b.real_scalar("x");
-        let y = b.real_scalar("y");
-        let lp = b.do_loop(i, Expr::int(1), Expr::int(8), |b| {
-            b.assign_scalar(x, Expr::array(a, vec![Expr::scalar(i)]));
-            b.if_then(
-                Expr::scalar(x).cmp(hpf_ir::BinOp::Gt, Expr::real(0.5)),
-                |b| {
-                    b.goto(100);
-                },
-            );
-            // overwrite x before the back edge so it is NOT live around it
-            b.assign_scalar(x, Expr::real(0.0));
-        });
-        b.assign_scalar(y, Expr::real(0.0));
-        let tgt = b.assign_scalar(y, Expr::scalar(x));
-        b.label_stmt(tgt, 100);
-        let p = b.finish();
+        // x is overwritten before the back edge, so it is NOT live around
+        // it; only the GOTO exit carries it to its use.
+        let (p, lp, x) = loop_and_x(
+            "REAL A(8)
+INTEGER i
+REAL x, y
+DO i = 1, 8
+  x = A(i)
+  IF (x > 0.5) GOTO 100
+  x = 0.0
+END DO
+y = 0.0
+100 y = x",
+        );
         let cfg = Cfg::build(&p);
         let lv = Liveness::compute(&p, &cfg);
         assert!(lv.live_after_loop(&p, &cfg, lp, x));

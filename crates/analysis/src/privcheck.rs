@@ -188,7 +188,7 @@ impl<'p> PrivCheck<'p> {
 mod tests {
     use super::*;
     use crate::constprop::ConstProp;
-    use hpf_ir::{Expr, ProgramBuilder};
+    use crate::{parsed, var};
 
     struct Ctx {
         p: Program,
@@ -197,148 +197,124 @@ mod tests {
         live: Liveness,
     }
 
-    fn ctx(p: Program) -> Ctx {
+    /// The analyses of `src`, its statement `def` (in preorder) and the
+    /// loop, its first statement or the first after one scalar
+    /// initialisation.
+    fn ctx(src: &str, loop_at: usize, def: usize) -> (Ctx, StmtId, StmtId) {
+        let (p, s) = parsed(src);
+        let (lp, d) = (s[loop_at], s[def]);
         let cfg = Cfg::build(&p);
         let rd = ReachingDefs::compute(&p, &cfg);
         let live = Liveness::compute(&p, &cfg);
-        Ctx { p, cfg, rd, live }
+        (Ctx { p, cfg, rd, live }, lp, d)
     }
 
     #[test]
     fn def_before_use_privatizable() {
-        // do i { x = B(i) + C(i); D(i) = x } — x privatizable, no copy-out.
-        let mut b = ProgramBuilder::new();
-        let bb = b.real_array("B", &[8]);
-        let cc = b.real_array("C", &[8]);
-        let dd = b.real_array("D", &[8]);
-        let i = b.int_scalar("i");
-        let x = b.real_scalar("x");
-        let mut dx = None;
-        let lp = b.do_loop(i, Expr::int(1), Expr::int(8), |b| {
-            dx = Some(b.assign_scalar(
-                x,
-                Expr::array(bb, vec![Expr::scalar(i)]).add(Expr::array(cc, vec![Expr::scalar(i)])),
-            ));
-            b.assign_array(dd, vec![Expr::scalar(i)], Expr::scalar(x));
-        });
-        let c = ctx(b.finish());
+        // x privatizable, no copy-out.
+        let (c, lp, dx) = ctx(
+            "REAL B(8), C(8), D(8)
+INTEGER i
+REAL x
+DO i = 1, 8
+  x = B(i) + C(i)
+  D(i) = x
+END DO",
+            0,
+            1,
+        );
         let mut pc = PrivCheck::new(&c.p, &c.cfg, &c.rd, &c.live);
         assert_eq!(
-            pc.scalar_privatizable(lp, dx.unwrap()),
+            pc.scalar_privatizable(lp, dx),
             Privatizable::Yes { copy_out: false }
         );
     }
 
+    /// x read before written: the value flows from the previous iteration.
+    const CROSS_ITERATION: &str = "REAL B(8), D(8)
+INTEGER i
+REAL x
+x = 0.0
+DO i = 1, 8
+  D(i) = x
+  x = B(i)
+END DO";
+
     #[test]
     fn cross_iteration_flow_rejected() {
-        // do i { D(i) = x; x = B(i) } — x read before written: the value
-        // flows from the previous iteration.
-        let mut b = ProgramBuilder::new();
-        let bb = b.real_array("B", &[8]);
-        let dd = b.real_array("D", &[8]);
-        let i = b.int_scalar("i");
-        let x = b.real_scalar("x");
-        b.assign_scalar(x, Expr::real(0.0));
-        let mut dx = None;
-        let lp = b.do_loop(i, Expr::int(1), Expr::int(8), |b| {
-            b.assign_array(dd, vec![Expr::scalar(i)], Expr::scalar(x));
-            dx = Some(b.assign_scalar(x, Expr::array(bb, vec![Expr::scalar(i)])));
-        });
-        let c = ctx(b.finish());
+        let (c, lp, dx) = ctx(CROSS_ITERATION, 1, 3);
         let mut pc = PrivCheck::new(&c.p, &c.cfg, &c.rd, &c.live);
-        assert_eq!(pc.scalar_privatizable(lp, dx.unwrap()), Privatizable::No);
+        assert_eq!(pc.scalar_privatizable(lp, dx), Privatizable::No);
     }
 
     #[test]
     fn live_after_loop_needs_copy_out() {
-        // do i { x = B(i) ; D(i) = x } ; y = x
-        let mut b = ProgramBuilder::new();
-        let bb = b.real_array("B", &[8]);
-        let dd = b.real_array("D", &[8]);
-        let i = b.int_scalar("i");
-        let x = b.real_scalar("x");
-        let y = b.real_scalar("y");
-        let mut dx = None;
-        let lp = b.do_loop(i, Expr::int(1), Expr::int(8), |b| {
-            dx = Some(b.assign_scalar(x, Expr::array(bb, vec![Expr::scalar(i)])));
-            b.assign_array(dd, vec![Expr::scalar(i)], Expr::scalar(x));
-        });
-        b.assign_scalar(y, Expr::scalar(x));
-        let c = ctx(b.finish());
+        let (c, lp, dx) = ctx(
+            "REAL B(8), D(8)
+INTEGER i
+REAL x, y
+DO i = 1, 8
+  x = B(i)
+  D(i) = x
+END DO
+y = x",
+            0,
+            1,
+        );
         let mut pc = PrivCheck::new(&c.p, &c.cfg, &c.rd, &c.live);
         assert_eq!(
-            pc.scalar_privatizable(lp, dx.unwrap()),
+            pc.scalar_privatizable(lp, dx),
             Privatizable::Yes { copy_out: true }
         );
     }
 
     #[test]
     fn reduction_accumulator_not_privatizable() {
-        // do j { s = s + A(j) } — s flows across iterations.
-        let mut b = ProgramBuilder::new();
-        let a = b.real_array("A", &[8]);
-        let j = b.int_scalar("j");
-        let s = b.real_scalar("s");
-        b.assign_scalar(s, Expr::real(0.0));
-        let mut ds = None;
-        let lp = b.do_loop(j, Expr::int(1), Expr::int(8), |b| {
-            ds = Some(b.assign_scalar(
-                s,
-                Expr::scalar(s).add(Expr::array(a, vec![Expr::scalar(j)])),
-            ));
-        });
-        let c = ctx(b.finish());
+        // s flows across iterations.
+        let (c, lp, ds) = ctx(
+            "REAL A(8)
+INTEGER j
+REAL s
+s = 0.0
+DO j = 1, 8
+  s = s + A(j)
+END DO",
+            1,
+            2,
+        );
         let mut pc = PrivCheck::new(&c.p, &c.cfg, &c.rd, &c.live);
-        assert_eq!(pc.scalar_privatizable(lp, ds.unwrap()), Privatizable::No);
+        assert_eq!(pc.scalar_privatizable(lp, ds), Privatizable::No);
     }
 
     #[test]
     fn new_clause_overrides() {
         // Same cross-iteration shape, but NEW(x) asserts privatizability.
-        let mut b = ProgramBuilder::new();
-        let bb = b.real_array("B", &[8]);
-        let dd = b.real_array("D", &[8]);
-        let i = b.int_scalar("i");
-        let x = b.real_scalar("x");
-        b.assign_scalar(x, Expr::real(0.0));
-        let mut dx = None;
-        let lp = b.do_loop(i, Expr::int(1), Expr::int(8), |b| {
-            b.assign_array(dd, vec![Expr::scalar(i)], Expr::scalar(x));
-            dx = Some(b.assign_scalar(x, Expr::array(bb, vec![Expr::scalar(i)])));
-        });
-        b.independent(lp, vec![x]);
-        let c = ctx(b.finish());
+        let src = CROSS_ITERATION.replace("DO i", "!HPF$ INDEPENDENT, NEW(x)\nDO i");
+        let (c, lp, dx) = ctx(&src, 1, 3);
         let mut pc = PrivCheck::new(&c.p, &c.cfg, &c.rd, &c.live);
-        assert!(pc.scalar_privatizable(lp, dx.unwrap()).without_copy_out());
+        assert!(pc.scalar_privatizable(lp, dx).without_copy_out());
     }
 
     #[test]
     fn array_privatizability_from_new_and_inference() {
         // APPSP-like: privatizable work array via NEW and via NO_VALUE_DEPS.
         let build = |use_new: bool| {
-            let mut b = ProgramBuilder::new();
-            let cw = b.real_array("C", &[8, 8]);
-            let r = b.real_array("R", &[8, 8]);
-            let k = b.int_scalar("k");
-            let i = b.int_scalar("i");
-            let lp = b.do_loop(k, Expr::int(1), Expr::int(8), |b| {
-                b.do_loop(i, Expr::int(1), Expr::int(8), |b| {
-                    b.assign_array(cw, vec![Expr::scalar(i), Expr::int(1)], Expr::real(0.0));
-                });
-                b.do_loop(i, Expr::int(1), Expr::int(8), |b| {
-                    b.assign_array(
-                        r,
-                        vec![Expr::scalar(i), Expr::scalar(k)],
-                        Expr::array(cw, vec![Expr::scalar(i), Expr::int(1)]),
-                    );
-                });
-            });
-            if use_new {
-                b.independent(lp, vec![cw]);
-            } else {
-                b.no_value_deps(lp);
-            }
-            (b.finish(), lp, cw)
+            let directive = if use_new { "INDEPENDENT, NEW(c)" } else { "NO_VALUE_DEPS" };
+            let (p, s) = parsed(&format!(
+                "REAL C(8,8), R(8,8)
+INTEGER k, i
+!HPF$ {directive}
+DO k = 1, 8
+  DO i = 1, 8
+    C(i,1) = 0.0
+  END DO
+  DO i = 1, 8
+    R(i,k) = C(i,1)
+  END DO
+END DO"
+            ));
+            let cw = var(&p, "c");
+            (p, s[0], cw)
         };
         for use_new in [true, false] {
             let (p, lp, cw) = build(use_new);

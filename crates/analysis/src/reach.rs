@@ -204,18 +204,15 @@ impl ReachingDefs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpf_ir::{BinOp, Expr, ProgramBuilder};
+    use crate::{parsed, var};
 
     #[test]
     fn straight_line_chains() {
-        let mut b = ProgramBuilder::new();
-        let x = b.real_scalar("x");
-        let y = b.real_scalar("y");
-        let d1 = b.assign_scalar(x, Expr::real(1.0));
-        let u1 = b.assign_scalar(y, Expr::scalar(x));
-        let d2 = b.assign_scalar(x, Expr::real(2.0));
-        let u2 = b.assign_scalar(y, Expr::scalar(x));
-        let p = b.finish();
+        let (p, s) = parsed("REAL x, y\nx = 1.0\ny = x\nx = 2.0\ny = x");
+        let [d1, u1, d2, u2] = s[..] else {
+            panic!("four statements");
+        };
+        let x = var(&p, "x");
         let cfg = Cfg::build(&p);
         let rd = ReachingDefs::compute(&p, &cfg);
         assert_eq!(rd.reaching_defs(&cfg, u1, x), vec![d1]);
@@ -227,95 +224,94 @@ mod tests {
 
     #[test]
     fn branch_merges_defs() {
-        let mut b = ProgramBuilder::new();
-        let x = b.real_scalar("x");
-        let y = b.real_scalar("y");
-        let c = b.bool_scalar("c");
-        let mut d1 = None;
-        let mut d2 = None;
-        b.if_then_else(
-            Expr::scalar(c),
-            |b| {
-                d1 = Some(b.assign_scalar(x, Expr::real(1.0)));
-            },
-            |b| {
-                d2 = Some(b.assign_scalar(x, Expr::real(2.0)));
-            },
+        let (p, s) = parsed(
+            "REAL x, y
+LOGICAL c
+IF (c) THEN
+  x = 1.0
+ELSE
+  x = 2.0
+END IF
+y = x",
         );
-        let u = b.assign_scalar(y, Expr::scalar(x));
-        let p = b.finish();
+        let [_, d1, d2, u] = s[..] else {
+            panic!("four statements");
+        };
+        let x = var(&p, "x");
         let cfg = Cfg::build(&p);
         let rd = ReachingDefs::compute(&p, &cfg);
         let mut defs = rd.reaching_defs(&cfg, u, x);
         defs.sort();
-        assert_eq!(defs, vec![d1.unwrap(), d2.unwrap()]);
-        assert!(!rd.is_unique_def(&p, &cfg, d1.unwrap()));
+        assert_eq!(defs, vec![d1, d2]);
+        assert!(!rd.is_unique_def(&p, &cfg, d1));
     }
 
     #[test]
     fn loop_carried_def_reaches_via_back_edge_only() {
-        // s = 0 ; do i { y = s ; s = s + 1 }
         // Uncut: the use of s in `y = s` sees both the init and the in-loop
         // def. With the loop's back edges cut it sees only the init.
-        let mut b = ProgramBuilder::new();
-        let i = b.int_scalar("i");
-        let s = b.real_scalar("s");
-        let y = b.real_scalar("y");
-        let d0 = b.assign_scalar(s, Expr::real(0.0));
-        let mut use_s = None;
-        let mut d1 = None;
-        let lp = b.do_loop(i, Expr::int(1), Expr::int(4), |b| {
-            use_s = Some(b.assign_scalar(y, Expr::scalar(s)));
-            d1 = Some(b.assign_scalar(s, Expr::scalar(s).add(Expr::real(1.0))));
-        });
-        let p = b.finish();
+        let (p, stmts) = parsed(
+            "INTEGER i
+REAL s, y
+s = 0.0
+DO i = 1, 4
+  y = s
+  s = s + 1.0
+END DO",
+        );
+        let [d0, lp, use_s, d1] = stmts[..] else {
+            panic!("four statements");
+        };
+        let s = var(&p, "s");
         let cfg = Cfg::build(&p);
 
         let rd = ReachingDefs::compute(&p, &cfg);
-        let mut defs = rd.reaching_defs(&cfg, use_s.unwrap(), s);
+        let mut defs = rd.reaching_defs(&cfg, use_s, s);
         defs.sort();
-        let mut expect = vec![d0, d1.unwrap()];
+        let mut expect = vec![d0, d1];
         expect.sort();
         assert_eq!(defs, expect);
 
         let rd_cut = ReachingDefs::compute_with_cut(&p, &cfg, cfg.back_edges_of(lp));
-        assert_eq!(rd_cut.reaching_defs(&cfg, use_s.unwrap(), s), vec![d0]);
+        assert_eq!(rd_cut.reaching_defs(&cfg, use_s, s), vec![d0]);
     }
 
     #[test]
     fn def_before_use_in_same_iteration() {
-        // do i { x = A(i) ; y = x }  — with back edge cut, the use still
-        // sees the in-loop def: same-iteration flow.
-        let mut b = ProgramBuilder::new();
-        let a = b.real_array("A", &[8]);
-        let i = b.int_scalar("i");
-        let x = b.real_scalar("x");
-        let y = b.real_scalar("y");
-        let mut dx = None;
-        let mut uy = None;
-        let lp = b.do_loop(i, Expr::int(1), Expr::int(8), |b| {
-            dx = Some(b.assign_scalar(x, Expr::array(a, vec![Expr::scalar(i)])));
-            uy = Some(b.assign_scalar(y, Expr::scalar(x)));
-        });
-        let p = b.finish();
+        // With the back edge cut, the use still sees the in-loop def:
+        // same-iteration flow.
+        let (p, s) = parsed(
+            "REAL A(8)
+INTEGER i
+REAL x, y
+DO i = 1, 8
+  x = A(i)
+  y = x
+END DO",
+        );
+        let [lp, dx, uy] = s[..] else {
+            panic!("three statements");
+        };
+        let x = var(&p, "x");
         let cfg = Cfg::build(&p);
         let rd_cut = ReachingDefs::compute_with_cut(&p, &cfg, cfg.back_edges_of(lp));
-        assert_eq!(rd_cut.reaching_defs(&cfg, uy.unwrap(), x), vec![dx.unwrap()]);
-        assert!(rd_cut.is_unique_def(&p, &cfg, dx.unwrap()));
+        assert_eq!(rd_cut.reaching_defs(&cfg, uy, x), vec![dx]);
+        assert!(rd_cut.is_unique_def(&p, &cfg, dx));
     }
 
     #[test]
     fn do_stmt_defines_loop_var() {
-        let mut b = ProgramBuilder::new();
-        let i = b.int_scalar("i");
-        let y = b.int_scalar("y");
-        let lp = b.do_loop(i, Expr::int(1), Expr::int(4), |b| {
-            b.assign_scalar(y, Expr::scalar(i));
-        });
-        let u_after = b.if_then(Expr::scalar(i).cmp(BinOp::Gt, Expr::int(4)), |b| {
-            b.assign_scalar(y, Expr::int(0));
-        });
-        let p = b.finish();
+        let (p, s) = parsed(
+            "INTEGER i, y
+DO i = 1, 4
+  y = i
+END DO
+IF (i > 4) THEN
+  y = 0
+END IF",
+        );
+        let (lp, u_after) = (s[0], s[2]);
+        let i = var(&p, "i");
         let cfg = Cfg::build(&p);
         let rd = ReachingDefs::compute(&p, &cfg);
         assert_eq!(rd.def_var(lp), Some(i));

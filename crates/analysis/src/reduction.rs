@@ -216,118 +216,94 @@ fn exclusive_in_loop(p: &Program, l: StmtId, s: StmtId, var: VarId) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpf_ir::{Expr, ProgramBuilder};
+    use crate::{parsed, var};
 
     #[test]
     fn sum_reduction_figure5() {
-        // do i { s = 0; do j { s = s + A(i,j) } ; B(i) = s }
-        let mut b = ProgramBuilder::new();
-        let a = b.real_array("A", &[8, 8]);
-        let bb = b.real_array("B", &[8]);
-        let i = b.int_scalar("i");
-        let j = b.int_scalar("j");
-        let s = b.real_scalar("s");
-        b.do_loop(i, Expr::int(1), Expr::int(8), |b| {
-            b.assign_scalar(s, Expr::real(0.0));
-            b.do_loop(j, Expr::int(1), Expr::int(8), |b| {
-                b.assign_scalar(
-                    s,
-                    Expr::scalar(s).add(Expr::array(a, vec![Expr::scalar(i), Expr::scalar(j)])),
-                );
-            });
-            b.assign_array(bb, vec![Expr::scalar(i)], Expr::scalar(s));
-        });
-        let p = b.finish();
+        let (p, _) = parsed(
+            "REAL A(8,8), B(8)
+INTEGER i, j
+REAL s
+DO i = 1, 8
+  s = 0.0
+  DO j = 1, 8
+    s = s + A(i,j)
+  END DO
+  B(i) = s
+END DO",
+        );
         let reds = find_reductions(&p);
         assert_eq!(reds.len(), 1);
         let r = &reds[0];
         assert_eq!(r.op, RedOp::Sum);
-        assert_eq!(r.var, s);
-        assert_eq!(r.operand.as_ref().unwrap().array, a);
+        assert_eq!(r.var, var(&p, "s"));
+        assert_eq!(r.operand.as_ref().unwrap().array, var(&p, "a"));
         // Carried by the j loop.
-        assert_eq!(p.loop_var(r.loop_id), Some(j));
+        assert_eq!(p.loop_var(r.loop_id), Some(var(&p, "j")));
     }
 
     #[test]
     fn maxloc_dgefa_pattern() {
-        // do j { if (ABS(A(j)) > tmax) { tmax = ABS(A(j)); l = j } }
-        let mut b = ProgramBuilder::new();
-        let a = b.real_array("A", &[8]);
-        let j = b.int_scalar("j");
-        let tmax = b.real_scalar("tmax");
-        let lv = b.int_scalar("l");
-        b.assign_scalar(tmax, Expr::real(0.0));
-        b.do_loop(j, Expr::int(1), Expr::int(8), |b| {
-            let cand = Expr::Intrinsic(
-                Intrinsic::Abs,
-                vec![Expr::array(a, vec![Expr::scalar(j)])],
-            );
-            b.if_then(cand.clone().cmp(BinOp::Gt, Expr::scalar(tmax)), |b| {
-                b.assign_scalar(tmax, cand.clone());
-                b.assign_scalar(lv, Expr::scalar(j));
-            });
-        });
-        let p = b.finish();
+        let (p, _) = parsed(
+            "REAL A(8)
+INTEGER j
+REAL tmax
+INTEGER l
+tmax = 0.0
+DO j = 1, 8
+  IF (ABS(A(j)) > tmax) THEN
+    tmax = ABS(A(j))
+    l = j
+  END IF
+END DO",
+        );
         let reds = find_reductions(&p);
         assert_eq!(reds.len(), 1);
         let r = &reds[0];
         assert_eq!(r.op, RedOp::MaxLoc);
-        assert_eq!(r.var, tmax);
-        assert_eq!(r.loc_var, Some(lv));
-        assert_eq!(r.operand.as_ref().unwrap().array, a);
+        assert_eq!(r.var, var(&p, "tmax"));
+        assert_eq!(r.loc_var, Some(var(&p, "l")));
+        assert_eq!(r.operand.as_ref().unwrap().array, var(&p, "a"));
     }
 
     #[test]
     fn operand_reading_accumulator_rejected() {
-        let mut b = ProgramBuilder::new();
-        let j = b.int_scalar("j");
-        let s = b.real_scalar("s");
-        b.do_loop(j, Expr::int(1), Expr::int(8), |b| {
-            // s = s + s*2 — not a reduction.
-            b.assign_scalar(
-                s,
-                Expr::scalar(s).add(Expr::scalar(s).mul(Expr::real(2.0))),
-            );
-        });
-        let p = b.finish();
+        // s = s + s*2 — not a reduction.
+        let (p, _) = parsed(
+            "INTEGER j
+REAL s
+DO j = 1, 8
+  s = s + s * 2.0
+END DO",
+        );
         assert!(find_reductions(&p).is_empty());
     }
 
     #[test]
     fn extra_use_in_loop_rejected() {
-        let mut b = ProgramBuilder::new();
-        let a = b.real_array("A", &[8]);
-        let d = b.real_array("D", &[8]);
-        let j = b.int_scalar("j");
-        let s = b.real_scalar("s");
-        b.do_loop(j, Expr::int(1), Expr::int(8), |b| {
-            b.assign_scalar(
-                s,
-                Expr::scalar(s).add(Expr::array(a, vec![Expr::scalar(j)])),
-            );
-            // s escapes into D every iteration: not a plain reduction.
-            b.assign_array(d, vec![Expr::scalar(j)], Expr::scalar(s));
-        });
-        let p = b.finish();
+        // s escapes into D every iteration: not a plain reduction.
+        let (p, _) = parsed(
+            "REAL A(8), D(8)
+INTEGER j
+REAL s
+DO j = 1, 8
+  s = s + A(j)
+  D(j) = s
+END DO",
+        );
         assert!(find_reductions(&p).is_empty());
     }
 
     #[test]
     fn max_intrinsic_reduction() {
-        let mut b = ProgramBuilder::new();
-        let a = b.real_array("A", &[8]);
-        let j = b.int_scalar("j");
-        let s = b.real_scalar("s");
-        b.do_loop(j, Expr::int(1), Expr::int(8), |b| {
-            b.assign_scalar(
-                s,
-                Expr::Intrinsic(
-                    Intrinsic::Max,
-                    vec![Expr::scalar(s), Expr::array(a, vec![Expr::scalar(j)])],
-                ),
-            );
-        });
-        let p = b.finish();
+        let (p, _) = parsed(
+            "REAL A(8)
+INTEGER j
+REAL s
+DO j = 1, 8
+  s = MAX(s, A(j))
+END DO",
+        );
         let reds = find_reductions(&p);
         assert_eq!(reds.len(), 1);
         assert_eq!(reds[0].op, RedOp::Max);

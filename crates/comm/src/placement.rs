@@ -185,11 +185,6 @@ pub struct Placement {
 }
 
 impl Placement {
-    /// Number of loop levels the communication was hoisted across.
-    pub fn hoisted_levels(&self) -> usize {
-        self.stmt_level - self.level
-    }
-
     /// True when the message still sits in the innermost loop around the
     /// statement (the expensive case the paper's algorithm avoids).
     pub fn is_inner_loop(&self) -> bool {
@@ -424,7 +419,6 @@ END DO
         let pl = place_comm(&p, &a.cfg, &a.dom, &a.induction, maps.of(b), s, &r);
         assert_eq!(pl.level, 0);
         assert_eq!(pl.stmt_level, 1);
-        assert_eq!(pl.hoisted_levels(), 1);
         assert!(!pl.is_inner_loop());
         let f = vectorization_factor(&p, &a.cfg, &a.constprop, s, pl);
         assert_eq!(f, Some(16));

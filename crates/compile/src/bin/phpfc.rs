@@ -268,20 +268,8 @@ fn main() -> ExitCode {
     // this init: DGEFA-style data-dependent schedules communicate
     // differently under different data, so the verifier must replay the
     // same memory the observed runs used.
-    let arrays: Vec<_> = compiled
-        .spmd
-        .program
-        .vars
-        .arrays()
-        .filter(|(_, info)| info.ty == hpf_ir::ScalarTy::Real)
-        .map(|(v, info)| (v, info.shape().unwrap().len() as usize))
-        .collect();
-    let init = |m: &mut hpf_ir::Memory| {
-        for &(v, n) in &arrays {
-            let data: Vec<f64> = (0..n).map(|k| 1.0 + k as f64 * 0.25).collect();
-            m.fill_real(v, &data);
-        }
-    };
+    // A socket run's workers get the same data from `NetJob::with_default_fills`.
+    let init = |m: &mut hpf_ir::Memory| netrun::fill_defaults(&compiled.spmd.program, m);
 
     if verify {
         // Verify the schedule the chosen backend runs: socket workers
@@ -353,12 +341,12 @@ fn main() -> ExitCode {
                     hpf_spmd::Engine::Node => println!(
                         "backend thread: node programs on {} worker threads matched the \
                          sequential interpreter ({} wire messages)",
-                        nproc, r.stats.messages_sent
+                        nproc, r.metrics.messages()
                     ),
                     hpf_spmd::Engine::Replay(_) => println!(
                         "backend thread: replay on {} worker threads matched the reference \
                          executor ({} wire messages)",
-                        nproc, r.stats.messages_sent
+                        nproc, r.metrics.messages()
                     ),
                 }
                 println!("engine: {}", engine);
@@ -397,14 +385,14 @@ fn main() -> ExitCode {
                                 "backend socket: DEGRADED — recovery budget exhausted; \
                                  result validated on the in-process thread fallback \
                                  ({} wire messages)",
-                                r.stats.messages_sent
+                                r.metrics.messages()
                             );
                         } else {
                             println!(
                                 "backend socket: replay on {} worker processes matched the \
                                  reference executor ({} wire messages)",
                                 compiled.spmd.maps.grid.total(),
-                                r.stats.messages_sent
+                                r.metrics.messages()
                             );
                         }
                         println!(

@@ -53,7 +53,7 @@
 
 use crate::{compile_source, Compiled, Options, Version};
 use hpf_ir::interp::Memory;
-use hpf_ir::{Program, ScalarTy};
+use hpf_ir::{Program, ScalarTy, VarId};
 use hpf_net::fault::observes_injection;
 use hpf_net::frame::{Dec, Enc, FrameError, FrameKind, FrameReader, FrameWriter, ReadStep};
 use hpf_net::socket::{
@@ -64,7 +64,7 @@ use hpf_obs::{Body, BufTracer, Trace, TraceEvent, Tracer};
 use hpf_spmd::metrics::{self, CommMetrics, RecoveryCounters};
 use hpf_spmd::{
     check_owner_slots, decode_events, encode_events, replay_rank_segment,
-    validate_replay_traced, Code, Event, ReplayStats, Replayed, SpmdExec, SpmdProgram, Wire,
+    validate_replay_traced, Code, Event, Replayed, SpmdExec, SpmdProgram, Wire,
 };
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -85,7 +85,7 @@ pub const ENV_WORKER_BIN: &str = "PHPF_NET_WORKER";
 /// Version of the parent ↔ worker control protocol, carried in every
 /// worker's registration frame. A registration without it comes from a
 /// worker binary that predates versioning.
-pub const PROTOCOL: u32 = 7;
+pub const PROTOCOL: u32 = 8;
 
 /// Soft size bound of one event-stream frame: a chunk stops taking events
 /// once its payload reaches this many bytes, so a frame exceeds it by at
@@ -152,26 +152,44 @@ impl NetJob {
         crate::compile_source_traced(&self.source, self.options(), tracer)
     }
 
-    /// Fill every REAL array with the deterministic default pattern
-    /// (`1.0 + k * 0.25`) used by `phpfc --observe`.
+    /// Fill every REAL array with the data `phpfc` runs and verifies with
+    /// (see [`fill_defaults`]).
     pub fn with_default_fills(mut self) -> Result<NetJob, String> {
         let compiled = self.compile()?;
-        self.fills = compiled
-            .spmd
-            .program
-            .vars
-            .arrays()
-            .filter(|(_, info)| info.ty == ScalarTy::Real)
-            .map(|(_, info)| {
-                let n = info.shape().unwrap().len() as usize;
-                (
-                    info.name.clone(),
-                    (0..n).map(|k| 1.0 + k as f64 * 0.25).collect(),
-                )
-            })
+        let program = &compiled.spmd.program;
+        self.fills = real_arrays(program)
+            .map(|(v, n)| (program.vars.name(v).to_string(), default_data(n)))
             .collect();
         Ok(self)
     }
+}
+
+/// The deterministic default contents of an `n`-element REAL array:
+/// `1.0 + k * 0.25` at linear offset `k`. `phpfc`'s runs and verifiers
+/// ([`fill_defaults`]) and its socket jobs ([`NetJob::with_default_fills`])
+/// all use it, and must: DGEFA's schedule depends on the data, so a
+/// verifier that checked other data would check another schedule.
+fn default_data(n: usize) -> Vec<f64> {
+    (0..n).map(|k| 1.0 + k as f64 * 0.25).collect()
+}
+
+/// Fill every REAL array of `m` with its default data, `1.0 + k * 0.25` at
+/// linear offset `k`. The data is built
+/// here, one array at a time, so nothing is allocated before a run has
+/// passed its memory budget check.
+pub fn fill_defaults(program: &Program, m: &mut Memory) {
+    for (v, n) in real_arrays(program) {
+        m.fill_real(v, &default_data(n));
+    }
+}
+
+/// Each REAL array with its declared element count.
+fn real_arrays(program: &Program) -> impl Iterator<Item = (VarId, usize)> + '_ {
+    program
+        .vars
+        .arrays()
+        .filter(|(_, info)| info.ty == ScalarTy::Real)
+        .map(|(v, info)| (v, info.shape().unwrap().len() as usize))
 }
 
 /// Failed cohorts the driver reruns before it degrades to the thread
@@ -507,17 +525,14 @@ fn decode_memory(d: &mut Dec, program: &Program) -> Result<Memory, String> {
     Ok(mem)
 }
 
-/// A rank's result: its cumulative counters, wire metrics and memory, or
-/// its replay error; then its timeline as chrome JSON. The timeline rides
+/// A rank's result: its wire metrics and memory, or its replay error; then its timeline as chrome JSON. The timeline rides
 /// along in both arms: a failed replay still ships its transport's fault
 /// events, and its comm events when traced.
 fn encode_result(res: &RankResult, timeline: &Trace, program: &Program) -> Vec<u8> {
     let mut e = Enc::new();
     match res {
-        Ok((stats, m, mem)) => {
+        Ok((m, mem)) => {
             e.u8(1);
-            e.u64(stats.messages_sent);
-            e.u64(stats.events);
             encode_metrics(&mut e, m);
             encode_memory(&mut e, program, mem);
         }
@@ -530,7 +545,7 @@ fn encode_result(res: &RankResult, timeline: &Trace, program: &Program) -> Vec<u
     e.buf
 }
 
-type RankResult = Result<(ReplayStats, CommMetrics, Memory), String>;
+type RankResult = Result<(CommMetrics, Memory), String>;
 
 fn decode_result(
     payload: &[u8],
@@ -539,13 +554,7 @@ fn decode_result(
     let mut d = Dec::new(payload);
     let res = match d.u8()? {
         0 => Err(d.str()?),
-        _ => {
-            let stats = ReplayStats {
-                messages_sent: d.u64()?,
-                events: d.u64()?,
-            };
-            Ok((stats, decode_metrics(&mut d)?, decode_memory(&mut d, program)?))
-        }
+        _ => Ok((decode_metrics(&mut d)?, decode_memory(&mut d, program)?)),
     };
     let timeline = hpf_obs::parse_chrome_json(&d.str()?)?;
     d.done()?;
@@ -928,7 +937,7 @@ pub fn socket_validate_replay(job: &NetJob, cfg: &NetRunConfig) -> Result<Replay
     let mut salvaged: Vec<(usize, Vec<TraceEvent>)> = Vec::new();
     loop {
         let failure = match run_cohort(job, cfg, &compiled, &init, &plan, &mut pipe)? {
-            Ok((reference, (stats, mut metrics, mems, mut rank_obs))) => {
+            Ok((reference, (mut metrics, mems, mut rank_obs))) => {
                 check_owner_slots(&compiled.spmd, &mems, &reference)
                     .map_err(|e| format!("processes vs reference: {}", e))?;
                 metrics.recovery.merge(&recovery);
@@ -951,7 +960,6 @@ pub fn socket_validate_replay(job: &NetJob, cfg: &NetRunConfig) -> Result<Replay
                 };
                 return Ok(Replayed {
                     mems,
-                    stats,
                     metrics,
                     obs,
                     degraded: false,
@@ -1160,12 +1168,7 @@ fn stream_and_collect(
     })
 }
 
-type DriveOutput = (
-    ReplayStats,
-    CommMetrics,
-    Vec<Memory>,
-    Vec<(usize, Vec<TraceEvent>)>,
-);
+type DriveOutput = (CommMetrics, Vec<Memory>, Vec<(usize, Vec<TraceEvent>)>);
 
 /// A worker's first frame on its control connection.
 #[derive(Debug, PartialEq)]
@@ -1277,7 +1280,6 @@ fn collect_results(
 ) -> Result<DriveOutput, Failure> {
     let nproc = readers.len();
     let program = &compiled.spmd.program;
-    let mut stats = ReplayStats::default();
     let mut metrics = CommMetrics::new(nproc, compiled.spmd.comms.len());
     let mut mems: Vec<Memory> = Vec::with_capacity(nproc);
     let mut rank_obs: Vec<(usize, Vec<TraceEvent>)> = Vec::new();
@@ -1302,9 +1304,7 @@ fn collect_results(
             }
         };
         match res {
-            Ok((s, m, mem)) => {
-                stats.messages_sent += s.messages_sent;
-                stats.events += s.events;
+            Ok((m, mem)) => {
                 metrics.merge(&m);
                 mems.push(mem);
             }
@@ -1336,7 +1336,7 @@ fn collect_results(
         }
     }
     if failure.failed.is_empty() {
-        return Ok((stats, metrics, mems, rank_obs));
+        return Ok((metrics, mems, rank_obs));
     }
     failure.faults = rank_obs
         .into_iter()
@@ -1610,13 +1610,9 @@ mod tests {
         let mut metrics = CommMetrics::new(4, sp.comms.len());
         metrics.note_message("shift", None, 0, 1, 8);
         metrics.max_in_flight = 2;
-        let stats = ReplayStats {
-            messages_sent: 5,
-            events: 12,
-        };
         let events = timeline();
         let trace = Trace::from_ranks(vec![(2, events.clone())]);
-        let ok: RankResult = Ok((stats, metrics, mem));
+        let ok: RankResult = Ok((metrics, mem));
         let (res, obs) = decode_result(&encode_result(&ok, &trace, program), program).unwrap();
         assert_eq!(res, ok);
         assert_eq!(obs, events);

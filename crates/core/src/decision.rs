@@ -228,14 +228,12 @@ impl fmt::Display for ScalarMapping {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpf_ir::{Expr, ProgramBuilder};
+    use hpf_ir::{parse_program, Expr};
 
     #[test]
     fn defaults_and_report() {
-        let mut b = ProgramBuilder::new();
-        let x = b.real_scalar("x");
-        let def = b.assign_scalar(x, Expr::real(1.0));
-        let p = b.finish();
+        let p = parse_program("REAL x\nx = 1.0").unwrap();
+        let def = p.body[0];
         let mut d = Decisions::default();
         assert!(d.scalar(def).is_replicated());
         d.set_scalar(def, ScalarMapping::PrivateNoAlign);
@@ -246,11 +244,8 @@ mod tests {
 
     #[test]
     fn align_target_accessor() {
-        let mut b = ProgramBuilder::new();
-        let a = b.real_array("A", &[4]);
-        let x = b.real_scalar("x");
-        let def = b.assign_scalar(x, Expr::real(1.0));
-        let _p = b.finish();
+        let p = parse_program("REAL A(4)\nREAL x\nx = 1.0").unwrap();
+        let (a, def) = (p.vars.lookup("a").unwrap(), p.body[0]);
         let m = ScalarMapping::Aligned {
             target_stmt: def,
             target: ArrayRef::new(a, vec![Expr::int(1)]),

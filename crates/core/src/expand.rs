@@ -46,16 +46,16 @@ pub fn expand_scalar(
         return Err("expansion target is an array".into());
     }
     let new_name = format!("{}__x", info.name);
-    if p.vars.lookup(&new_name).is_some() {
-        return Err(format!("{} already exists", new_name));
-    }
-    let arr = p.vars.declare(VarInfo {
-        name: new_name,
-        ty: info.ty,
-        kind: VarKind::Array(ArrayShape {
-            dims: vec![(lo_v, hi_v)],
-        }),
-    });
+    let arr = p
+        .vars
+        .declare(VarInfo {
+            name: new_name.clone(),
+            ty: info.ty,
+            kind: VarKind::Array(ArrayShape {
+                dims: vec![(lo_v, hi_v)],
+            }),
+        })
+        .ok_or_else(|| format!("{} already exists", new_name))?;
 
     // Rewrite the loop subtree.
     let subtree: Vec<StmtId> = p

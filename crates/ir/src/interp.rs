@@ -451,21 +451,21 @@ pub fn run_program(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::ProgramBuilder;
+    use crate::parse::parse_program;
 
     #[test]
     fn loop_with_induction() {
-        // m = 2; do i = 2, 9 { m = m + 1; D(m) = i }
-        let mut b = ProgramBuilder::new();
-        let d = b.int_array("D", &[12]);
-        let i = b.int_scalar("i");
-        let m = b.int_scalar("m");
-        b.assign_scalar(m, Expr::int(2));
-        b.do_loop(i, Expr::int(2), Expr::int(9), |b| {
-            b.assign_scalar(m, Expr::scalar(m).add(Expr::int(1)));
-            b.assign_array(d, vec![Expr::scalar(m)], Expr::scalar(i));
-        });
-        let p = b.finish();
+        let p = parse_program(
+            "INTEGER D(12)
+INTEGER i, m
+m = 2
+DO i = 2, 9
+  m = m + 1
+  D(m) = i
+END DO",
+        )
+        .unwrap();
+        let d = p.vars.lookup("d").unwrap();
         let (mem, stats) = run_program(&p, |_| {}).unwrap();
         // D(3..=10) = 2..=9
         let got: Vec<Value> = (2..10).map(|k| mem.array(d).get(k)).collect();
@@ -476,131 +476,103 @@ mod tests {
 
     #[test]
     fn goto_exits_loop() {
-        // do i = 1, 100 { s = s + 1; if (i >= 3) goto 100 } ; 100 continue
-        let mut b = ProgramBuilder::new();
-        let i = b.int_scalar("i");
-        let s = b.int_scalar("s");
-        b.do_loop(i, Expr::int(1), Expr::int(100), |b| {
-            b.assign_scalar(s, Expr::scalar(s).add(Expr::int(1)));
-            b.if_then(Expr::scalar(i).cmp(BinOp::Ge, Expr::int(3)), |b| {
-                b.goto(100);
-            });
-        });
-        b.continue_label(100);
-        let p = b.finish();
+        let p = parse_program(
+            "INTEGER i, s
+DO i = 1, 100
+  s = s + 1
+  IF (i >= 3) GOTO 100
+END DO
+100 CONTINUE",
+        )
+        .unwrap();
         let (mem, _) = run_program(&p, |_| {}).unwrap();
-        assert_eq!(mem.scalar(s), Value::Int(3));
+        assert_eq!(mem.scalar(p.vars.lookup("s").unwrap()), Value::Int(3));
     }
 
     #[test]
     fn backward_goto_loop() {
-        // k = 0; 10 k = k + 1; if (k < 5) goto 10
-        let mut b = ProgramBuilder::new();
-        let k = b.int_scalar("k");
-        b.assign_scalar(k, Expr::int(0));
-        let inc = b.assign_scalar(k, Expr::scalar(k).add(Expr::int(1)));
-        b.label_stmt(inc, 10);
-        b.if_then(Expr::scalar(k).cmp(BinOp::Lt, Expr::int(5)), |b| {
-            b.goto(10);
-        });
-        let p = b.finish();
+        let p = parse_program(
+            "INTEGER k
+k = 0
+10 k = k + 1
+IF (k < 5) GOTO 10",
+        )
+        .unwrap();
         let (mem, _) = run_program(&p, |_| {}).unwrap();
-        assert_eq!(mem.scalar(k), Value::Int(5));
+        assert_eq!(mem.scalar(p.vars.lookup("k").unwrap()), Value::Int(5));
     }
 
     #[test]
     fn reduction_sum() {
-        // s = 0; do j = 1, n { s = s + A(j) }
         let n = 16i64;
-        let mut b = ProgramBuilder::new();
-        let a = b.real_array("A", &[n]);
-        let j = b.int_scalar("j");
-        let s = b.real_scalar("s");
-        b.assign_scalar(s, Expr::real(0.0));
-        b.do_loop(j, Expr::int(1), Expr::int(n), |b| {
-            b.assign_scalar(
-                s,
-                Expr::scalar(s).add(Expr::array(a, vec![Expr::scalar(j)])),
-            );
-        });
-        let p = b.finish();
+        let p = parse_program(
+            "REAL A(16)
+INTEGER j
+REAL s
+s = 0.0
+DO j = 1, 16
+  s = s + A(j)
+END DO",
+        )
+        .unwrap();
+        let a = p.vars.lookup("a").unwrap();
         let (mem, _) = run_program(&p, |m| {
             let data: Vec<f64> = (1..=n).map(|x| x as f64).collect();
             m.fill_real(a, &data);
         })
         .unwrap();
+        let s = p.vars.lookup("s").unwrap();
         assert_eq!(mem.scalar(s), Value::Real((n * (n + 1) / 2) as f64));
     }
 
     #[test]
     fn if_else_branches() {
-        let mut b = ProgramBuilder::new();
-        let x = b.int_scalar("x");
-        let y = b.int_scalar("y");
-        b.assign_scalar(x, Expr::int(7));
-        b.if_then_else(
-            Expr::scalar(x).cmp(BinOp::Gt, Expr::int(10)),
-            |b| {
-                b.assign_scalar(y, Expr::int(1));
-            },
-            |b| {
-                b.assign_scalar(y, Expr::int(2));
-            },
-        );
-        let p = b.finish();
+        let p = parse_program(
+            "INTEGER x, y
+x = 7
+IF (x > 10) THEN
+  y = 1
+ELSE
+  y = 2
+END IF",
+        )
+        .unwrap();
         let (mem, _) = run_program(&p, |_| {}).unwrap();
-        assert_eq!(mem.scalar(y), Value::Int(2));
+        assert_eq!(mem.scalar(p.vars.lookup("y").unwrap()), Value::Int(2));
     }
 
     #[test]
     fn oob_is_reported() {
-        let mut b = ProgramBuilder::new();
-        let a = b.real_array("A", &[4]);
-        b.assign_array(a, vec![Expr::int(5)], Expr::real(1.0));
-        let p = b.finish();
+        let p = parse_program("REAL A(4)\nA(5) = 1.0").unwrap();
         let err = run_program(&p, |_| {}).unwrap_err();
         assert!(matches!(err, InterpError::OutOfBounds { .. }));
     }
 
     #[test]
     fn intrinsics() {
-        let mut b = ProgramBuilder::new();
-        let x = b.real_scalar("x");
-        let y = b.real_scalar("y");
-        b.assign_scalar(x, Expr::Intrinsic(Intrinsic::Sqrt, vec![Expr::real(9.0)]));
-        b.assign_scalar(
-            y,
-            Expr::Intrinsic(
-                Intrinsic::Sign,
-                vec![Expr::real(5.0), Expr::real(-2.0)],
-            ),
-        );
-        let p = b.finish();
+        let p = parse_program("REAL x, y\nx = SQRT(9.0)\ny = SIGN(5.0, -2.0)").unwrap();
         let (mem, _) = run_program(&p, |_| {}).unwrap();
-        assert_eq!(mem.scalar(x), Value::Real(3.0));
-        assert_eq!(mem.scalar(y), Value::Real(-5.0));
+        assert_eq!(mem.scalar(p.vars.lookup("x").unwrap()), Value::Real(3.0));
+        assert_eq!(mem.scalar(p.vars.lookup("y").unwrap()), Value::Real(-5.0));
     }
 
     #[test]
     fn integer_division_truncates() {
-        let mut b = ProgramBuilder::new();
-        let x = b.int_scalar("x");
-        b.assign_scalar(x, Expr::int(7).div(Expr::int(2)));
-        let p = b.finish();
+        let p = parse_program("INTEGER x\nx = 7 / 2").unwrap();
         let (mem, _) = run_program(&p, |_| {}).unwrap();
-        assert_eq!(mem.scalar(x), Value::Int(3));
+        assert_eq!(mem.scalar(p.vars.lookup("x").unwrap()), Value::Int(3));
     }
 
     #[test]
     fn do_step_negative() {
-        let mut b = ProgramBuilder::new();
-        let i = b.int_scalar("i");
-        let s = b.int_scalar("s");
-        b.do_loop_step(i, Expr::int(10), Expr::int(1), Expr::int(-2), |b| {
-            b.assign_scalar(s, Expr::scalar(s).add(Expr::scalar(i)));
-        });
-        let p = b.finish();
+        let p = parse_program(
+            "INTEGER i, s
+DO i = 10, 1, -2
+  s = s + i
+END DO",
+        )
+        .unwrap();
         let (mem, _) = run_program(&p, |_| {}).unwrap();
-        assert_eq!(mem.scalar(s), Value::Int(10 + 8 + 6 + 4 + 2));
+        assert_eq!(mem.scalar(p.vars.lookup("s").unwrap()), Value::Int(10 + 8 + 6 + 4 + 2));
     }
 }

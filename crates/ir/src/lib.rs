@@ -19,18 +19,15 @@
 //! analysis can key results by a stable [`StmtId`], plus an interned
 //! variable table keyed by [`VarId`].
 //!
-//! Three front doors are provided:
-//!
-//! * [`build::ProgramBuilder`] — a programmatic builder used by the kernels,
-//! * [`parse::parse_program`] — a small text-DSL parser for mini-HPF source,
-//! * [`pretty`] — the inverse pretty-printer.
+//! Programs enter through one front door, [`parse::parse_program`], a small
+//! text-DSL parser for mini-HPF source (the kernels generate source text);
+//! [`pretty`] is its inverse pretty-printer.
 //!
 //! [`interp`] contains a sequential interpreter which defines the *golden*
 //! semantics of a program: every parallelization produced by the rest of the
 //! workspace is validated against it.
 
 pub mod affine;
-pub mod build;
 pub mod directives;
 pub mod expr;
 pub mod interp;
@@ -43,7 +40,6 @@ pub mod types;
 pub mod visit;
 
 pub use affine::Affine;
-pub use build::ProgramBuilder;
 pub use directives::{AlignDim, AlignDirective, DistFormat, DistributeDirective, ProcGridDecl};
 pub use expr::{ArrayRef, BinOp, Expr, Intrinsic, UnOp};
 pub use interp::{Interp, Memory, Value};

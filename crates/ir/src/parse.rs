@@ -676,7 +676,7 @@ impl Parser {
     ) -> Result<(), ParseError> {
         loop {
             let name = lp.expect_ident()?;
-            if lp.eat_sym("(") {
+            let info = if lp.eat_sym("(") {
                 let mut dims = Vec::new();
                 loop {
                     let first = lp.expect_signed_int()?;
@@ -691,11 +691,12 @@ impl Parser {
                     }
                     lp.expect_sym(",")?;
                 }
-                self.program
-                    .vars
-                    .declare_at(VarInfo::array(name, ty, ArrayShape { dims }), lp.line);
+                VarInfo::array(name.clone(), ty, ArrayShape { dims })
             } else {
-                self.program.vars.declare_at(VarInfo::scalar(name, ty), lp.line);
+                VarInfo::scalar(name.clone(), ty)
+            };
+            if self.program.vars.declare_at(info, lp.line).is_none() {
+                return lp.err(format!("variable {} is declared twice", name));
             }
             if lp.at_end() {
                 return Ok(());
@@ -1263,6 +1264,12 @@ q = i .GE. 2 .AND. .NOT. (i .EQ. 5)
         let src = "x = 1.0\n";
         let e = parse_program(src).unwrap_err();
         assert!(e.msg.contains("undeclared"));
+    }
+
+    #[test]
+    fn error_on_duplicate_declaration() {
+        let e = parse_program("INTEGER i\nREAL A(4), A(5)\nA(1) = 1.0").unwrap_err();
+        assert_eq!(e.to_string(), "line 2: variable a is declared twice");
     }
 
     #[test]

@@ -275,42 +275,33 @@ fn prec(op: BinOp) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::ProgramBuilder;
-    use crate::directives::DistFormat;
+    use crate::parse::parse_program;
 
     #[test]
     fn prints_loop_nest() {
-        let mut b = ProgramBuilder::new();
-        let a = b.real_array("A", &[8]);
-        let i = b.int_scalar("i");
-        b.processors("P", &[4]);
-        b.distribute(a, vec![DistFormat::Block]);
-        let lp = b.do_loop(i, Expr::int(2), Expr::int(7), |b| {
-            b.assign_array(
-                a,
-                vec![Expr::scalar(i)],
-                Expr::array(a, vec![Expr::scalar(i).sub(Expr::int(1))]).add(Expr::real(1.0)),
-            );
-        });
-        b.independent(lp, vec![]);
-        let p = b.finish();
+        let p = parse_program(
+            "!HPF$ PROCESSORS P(4)
+!HPF$ DISTRIBUTE (BLOCK) :: A
+REAL A(8)
+INTEGER i
+!HPF$ INDEPENDENT
+DO i = 2, 7
+  A(i) = A(i-1) + 1.0
+END DO",
+        )
+        .unwrap();
         let s = print_program(&p);
-        assert!(s.contains("!HPF$ PROCESSORS P(4)"));
-        assert!(s.contains("!HPF$ DISTRIBUTE (BLOCK) :: A"));
+        assert!(s.contains("!HPF$ PROCESSORS p(4)"), "got: {}", s);
+        assert!(s.contains("!HPF$ DISTRIBUTE (BLOCK) :: a"));
         assert!(s.contains("!HPF$ INDEPENDENT"));
         assert!(s.contains("DO i = 2, 7"));
-        assert!(s.contains("A(i) = A(i - 1) + 1.0"));
+        assert!(s.contains("a(i) = a(i - 1) + 1.0"));
         assert!(s.contains("END DO"));
     }
 
     #[test]
     fn parenthesization() {
-        let mut b = ProgramBuilder::new();
-        let x = b.real_scalar("x");
-        let y = b.real_scalar("y");
-        // x = (x + y) * x
-        b.assign_scalar(x, Expr::scalar(x).add(Expr::scalar(y)).mul(Expr::scalar(x)));
-        let p = b.finish();
+        let p = parse_program("REAL x, y\nx = (x + y) * x").unwrap();
         let s = print_program(&p);
         assert!(s.contains("x = (x + y) * x"), "got: {}", s);
     }

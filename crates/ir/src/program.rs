@@ -30,26 +30,24 @@ impl VarTable {
         Self::default()
     }
 
-    /// Declare a variable; panics on duplicate names (Fortran would reject
-    /// the program too).
-    pub fn declare(&mut self, info: VarInfo) -> VarId {
-        assert!(
-            !self.by_name.contains_key(&info.name),
-            "duplicate variable declaration: {}",
-            info.name
-        );
+    /// Declare a variable; `None` when its name is already declared
+    /// (Fortran rejects the program too).
+    pub fn declare(&mut self, info: VarInfo) -> Option<VarId> {
+        if self.by_name.contains_key(&info.name) {
+            return None;
+        }
         let id = VarId(self.vars.len() as u32);
         self.by_name.insert(info.name.clone(), id);
         self.vars.push(info);
         self.lines.push(None);
-        id
+        Some(id)
     }
 
     /// [`VarTable::declare`] a variable declared on source line `line`.
-    pub fn declare_at(&mut self, info: VarInfo, line: usize) -> VarId {
-        let id = self.declare(info);
+    pub fn declare_at(&mut self, info: VarInfo, line: usize) -> Option<VarId> {
+        let id = self.declare(info)?;
         self.lines[id.index()] = Some(line);
-        id
+        Some(id)
     }
 
     /// The source line a parsed variable was declared on.
@@ -137,7 +135,7 @@ impl Program {
     }
 
     /// Recompute parent links from the block structure. Must be called after
-    /// construction (the builder and parser do this) and after any structural
+    /// construction (the parser does this) and after any structural
     /// mutation.
     pub fn rebuild_topology(&mut self) {
         for n in &mut self.nodes {
@@ -385,9 +383,9 @@ mod tests {
         //   do j = 1, 10
         //     s = 0
         let mut p = Program::new();
-        let i = p.vars.declare(VarInfo::scalar("i", ScalarTy::Int));
-        let j = p.vars.declare(VarInfo::scalar("j", ScalarTy::Int));
-        let s = p.vars.declare(VarInfo::scalar("s", ScalarTy::Real));
+        let i = p.vars.declare(VarInfo::scalar("i", ScalarTy::Int)).unwrap();
+        let j = p.vars.declare(VarInfo::scalar("j", ScalarTy::Int)).unwrap();
+        let s = p.vars.declare(VarInfo::scalar("s", ScalarTy::Real)).unwrap();
         let asg = p.add_stmt(Stmt::Assign {
             lhs: LValue::Scalar(s),
             rhs: Expr::real(0.0),
@@ -463,7 +461,7 @@ mod tests {
     fn goto_outside_loop_detected() {
         // do i: { if (..) goto 100 }  ; 100 continue (outside loop)
         let mut p = Program::new();
-        let i = p.vars.declare(VarInfo::scalar("i", ScalarTy::Int));
+        let i = p.vars.declare(VarInfo::scalar("i", ScalarTy::Int)).unwrap();
         let g = p.add_stmt(Stmt::Goto(Label(100)));
         let iff = p.add_stmt(Stmt::If {
             cond: Expr::BoolLit(true),
@@ -485,7 +483,7 @@ mod tests {
 
         // Now a goto to a label inside the loop does not escape.
         let mut p2 = Program::new();
-        let i2 = p2.vars.declare(VarInfo::scalar("i", ScalarTy::Int));
+        let i2 = p2.vars.declare(VarInfo::scalar("i", ScalarTy::Int)).unwrap();
         let g2 = p2.add_stmt(Stmt::Goto(Label(10)));
         let c2 = p2.add_stmt(Stmt::Continue);
         p2.set_label(c2, Label(10));
@@ -502,10 +500,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "duplicate variable")]
-    fn duplicate_declare_panics() {
+    fn duplicate_declare_is_refused() {
         let mut t = VarTable::new();
-        t.declare(VarInfo::scalar("x", ScalarTy::Int));
-        t.declare(VarInfo::scalar("x", ScalarTy::Real));
+        let x = t.declare(VarInfo::scalar("x", ScalarTy::Int));
+        assert_eq!(t.declare(VarInfo::scalar("x", ScalarTy::Real)), None);
+        assert_eq!(t.lookup("x"), x);
+        assert_eq!(t.len(), 1);
     }
 }

@@ -31,17 +31,6 @@ impl LValue {
             LValue::Array(r) => r.array,
         }
     }
-
-    pub fn as_array(&self) -> Option<&ArrayRef> {
-        match self {
-            LValue::Array(r) => Some(r),
-            LValue::Scalar(_) => None,
-        }
-    }
-
-    pub fn is_scalar(&self) -> bool {
-        matches!(self, LValue::Scalar(_))
-    }
 }
 
 /// Statement kinds. Block-structured statements hold the [`StmtId`]s of
@@ -149,10 +138,8 @@ mod tests {
     fn lvalue_var_extraction() {
         let s = LValue::Scalar(VarId(3));
         assert_eq!(s.var(), VarId(3));
-        assert!(s.is_scalar());
         let a = LValue::Array(ArrayRef::new(VarId(7), vec![Expr::int(1)]));
         assert_eq!(a.var(), VarId(7));
-        assert!(a.as_array().is_some());
     }
 
     #[test]

@@ -112,26 +112,20 @@ pub fn uses_of_scalar(p: &Program, var: VarId) -> Vec<StmtId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::ProgramBuilder;
-    use crate::expr::Expr;
+    use crate::parse::parse_program;
 
     #[test]
     fn read_contexts() {
-        let mut b = ProgramBuilder::new();
-        let a = b.real_array("A", &[10]);
-        let d = b.real_array("D", &[10]);
-        let i = b.int_scalar("i");
-        let m = b.int_scalar("m");
-        let x = b.real_scalar("x");
-        // do i = 1, 10 { D(m) = x / A(i) }
-        b.do_loop(i, Expr::int(1), Expr::int(10), |b| {
-            b.assign_array(
-                d,
-                vec![Expr::scalar(m)],
-                Expr::scalar(x).div(Expr::array(a, vec![Expr::scalar(i)])),
-            );
-        });
-        let p = b.finish();
+        let p = parse_program(
+            "REAL A(10), D(10)
+INTEGER i, m
+REAL x
+DO i = 1, 10
+  D(m) = x / A(i)
+END DO",
+        )
+        .unwrap();
+        let [i, m, x] = ["i", "m", "x"].map(|n| p.vars.lookup(n).unwrap());
         let reads = scalar_reads(&p);
         let m_read = reads.iter().find(|r| r.var == m).unwrap();
         assert_eq!(m_read.ctx, ReadCtx::LhsSubscript);
@@ -143,12 +137,8 @@ mod tests {
 
     #[test]
     fn defs_and_uses() {
-        let mut b = ProgramBuilder::new();
-        let s = b.real_scalar("s");
-        let t = b.real_scalar("t");
-        b.assign_scalar(s, Expr::real(1.0));
-        b.assign_scalar(t, Expr::scalar(s));
-        let p = b.finish();
+        let p = parse_program("REAL s, t\ns = 1.0\nt = s").unwrap();
+        let [s, t] = ["s", "t"].map(|n| p.vars.lookup(n).unwrap());
         assert_eq!(defs_of(&p, s).len(), 1);
         assert_eq!(uses_of_scalar(&p, s).len(), 1);
         assert_eq!(defs_of(&p, t).len(), 1);

@@ -3,7 +3,7 @@
 
 use hpf_ir::interp::{run_program, Value};
 use hpf_ir::pretty::print_program;
-use hpf_ir::{parse_program, BinOp, Expr, ProgramBuilder, Stmt};
+use hpf_ir::{parse_program, BinOp, Expr, Stmt};
 
 #[test]
 fn double_precision_and_dotted_ops() {
@@ -125,16 +125,19 @@ END DO
 
 #[test]
 fn containing_block_and_levels() {
-    let mut b = ProgramBuilder::new();
-    let i = b.int_scalar("i");
-    let x = b.real_scalar("x");
-    let mut inner = None;
-    let outer = b.do_loop(i, Expr::int(1), Expr::int(2), |b| {
-        b.assign_scalar(x, Expr::real(1.0));
-        inner = Some(b.assign_scalar(x, Expr::real(2.0)));
-    });
-    let p = b.finish();
-    let (block, pos) = p.containing_block(inner.unwrap());
+    let src = r#"
+INTEGER i
+REAL x
+DO i = 1, 2
+  x = 1.0
+  x = 2.0
+END DO
+"#;
+    let p = parse_program(src).unwrap();
+    let [outer, _, inner] = p.preorder()[..] else {
+        panic!("a loop and its two statements");
+    };
+    let (block, pos) = p.containing_block(inner);
     assert_eq!(block.len(), 2);
     assert_eq!(pos, 1);
     let (rootblk, rpos) = p.containing_block(outer);
@@ -160,16 +163,14 @@ r = 2.0 ** (-1.0)
 
 #[test]
 fn validate_catches_rank_mismatch_and_bad_goto() {
-    let mut b = ProgramBuilder::new();
-    let a = b.real_array("A", &[4, 4]);
-    let x = b.real_scalar("x");
-    // Build an invalid program manually (bypassing builder.finish asserts).
+    // Build an invalid program by hand: the parser rejects both faults.
     let mut p = hpf_ir::Program::new();
     let a2 = p.vars.declare(hpf_ir::VarInfo::array(
         "A",
         hpf_ir::ScalarTy::Real,
         hpf_ir::ArrayShape::of_extents(&[4, 4]),
-    ));
+    ))
+    .unwrap();
     let s = p.add_stmt(Stmt::Assign {
         lhs: hpf_ir::LValue::Array(hpf_ir::ArrayRef::new(a2, vec![Expr::int(1)])),
         rhs: Expr::real(0.0),
@@ -180,7 +181,6 @@ fn validate_catches_rank_mismatch_and_bad_goto() {
     let errs = p.validate();
     assert!(errs.iter().any(|e| e.contains("rank mismatch")));
     assert!(errs.iter().any(|e| e.contains("undefined label")));
-    let _ = (a, x, b);
 }
 
 #[test]

@@ -275,9 +275,6 @@ impl CommCounts {
     pub fn total_sends(&self) -> u64 {
         self.sends.iter().sum()
     }
-    pub fn total_recvs(&self) -> u64 {
-        self.recvs.iter().sum()
-    }
 }
 
 /// The merged, ordered timeline of one run.
@@ -660,7 +657,6 @@ mod tests {
         assert_eq!(c.recvs, vec![1, 1]);
         assert_eq!(c.per_op.get(&2), Some(&(1, 1)));
         assert_eq!(c.total_sends(), 2);
-        assert_eq!(c.total_recvs(), 2);
     }
 
     #[test]

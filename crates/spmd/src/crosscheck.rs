@@ -1,7 +1,8 @@
 //! Validation that *observed* wire traffic agrees with the cost model.
 //!
-//! The executor (and the threaded runtime replaying its trace) records one
-//! [`crate::metrics::OpMetrics`] entry per placed communication operation;
+//! A run's wire metrics (each rank's [`crate::wire::Wire`], merged over
+//! ranks) hold one [`crate::metrics::OpMetrics`] entry per placed
+//! communication operation;
 //! [`crate::costsim::estimate`] predicts each operation's direct-wire
 //! message count. This module compares the two:
 //!

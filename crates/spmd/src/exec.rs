@@ -6,19 +6,17 @@
 //! mapping configuration (including the deliberately bad ones used as
 //! baselines) must produce results identical to the sequential
 //! interpreter. Performance is modelled separately by [`crate::costsim`].
-//! [`ExecStats`] still counts exact per-element fetches (an upper bound,
-//! useful for invariants); wire-level traffic — where the per-element
-//! fetches of a hoisted communication operation coalesce into one
-//! vectorized [`Event::SendVec`]/[`Event::RecvVec`] message — is recorded
-//! in [`CommMetrics`], directly comparable to the cost model's message
-//! predictions (checked by [`crate::crosscheck`]).
+//! The executor counts no traffic: with [`SpmdExec::with_trace`] it records
+//! each rank's events — the per-element fetches of a hoisted communication
+//! operation coalesced into one vectorized
+//! [`Event::SendVec`]/[`Event::RecvVec`] message — and the replay of that
+//! trace tallies what crosses the wire in its [`crate::wire::Wire`]'s
+//! [`crate::metrics::CommMetrics`].
 
 use crate::code::{self, Code, Compiler, Ctx, Fault, Load, Site, Span, Stack, StmtCode};
 use crate::env::Env;
 use crate::guard::Guard;
 use crate::lower::SpmdProgram;
-use crate::metrics::CommMetrics;
-use crate::wire::slot_bytes;
 use hpf_analysis::RedOp;
 use hpf_dist::{dist_owner, ArrayMapping, GridDimRule, ProcGrid};
 use hpf_ir::interp::{eval_binop, eval_intrinsic, InterpError, Memory};
@@ -144,15 +142,9 @@ pub type Trace = Vec<Vec<Event>>;
 /// what it captures, so an executor without one borrows nothing new.
 type EpochSink = Box<dyn FnMut(Trace)>;
 
-/// Message statistics of an execution.
+/// Work counts of an execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
-    /// Element fetches that crossed processors.
-    pub messages: u64,
-    /// Bytes moved by those fetches.
-    pub bytes: u64,
-    /// Reduction combine exchanges.
-    pub combines: u64,
     /// Statement instances executed (summed over processors).
     pub stmt_execs: u64,
 }
@@ -167,10 +159,9 @@ enum Flow {
 /// message, until the placement loop advances and the group closes.
 struct OpenGroup {
     /// Positions of the group's `SendVec`/`RecvVec` events in the sender's
-    /// and receiver's trace (present only when tracing). Stable because
-    /// traces are append-only.
-    send_idx: Option<usize>,
-    recv_idx: Option<usize>,
+    /// and receiver's trace. Stable because traces are append-only.
+    send_idx: usize,
+    recv_idx: usize,
     /// Slots already carried — repeat fetches of one element are free.
     seen: HashSet<Slot>,
 }
@@ -254,8 +245,6 @@ pub struct SpmdExec<'s> {
     grid: ProcGrid,
     pub mems: Vec<Memory>,
     pub stats: ExecStats,
-    /// Wire-level communication accounting (coalesced messages count once).
-    pub metrics: CommMetrics,
     steps: u64,
     pub step_limit: u64,
     /// When present, the execution is recorded for threaded replay. With
@@ -280,7 +269,8 @@ pub struct SpmdExec<'s> {
     /// Statement currently executing — attributes fetches to placed
     /// communication operations.
     cur_stmt: Option<StmtId>,
-    /// Open coalescing groups keyed by (op index, src pid, dst pid).
+    /// Open coalescing groups keyed by (op index, src pid, dst pid); only
+    /// a traced run opens any.
     open: HashMap<(usize, usize, usize), OpenGroup>,
     /// The deepest placement level of an open group (when any is open).
     open_deepest: usize,
@@ -327,7 +317,6 @@ impl<'s> SpmdExec<'s> {
                 m
             })
             .collect();
-        let metrics = CommMetrics::new(nproc, sp.comms.len());
         let p = &sp.program;
         let (n_stmts, n_vars) = (p.num_stmts(), p.vars.len());
 
@@ -341,7 +330,6 @@ impl<'s> SpmdExec<'s> {
             grid,
             mems,
             stats: ExecStats::default(),
-            metrics,
             steps: 0,
             step_limit: 2_000_000_000,
             trace: None,
@@ -391,12 +379,6 @@ impl<'s> SpmdExec<'s> {
         self
     }
 
-    fn record(&mut self, pid: usize, ev: Event) {
-        if let Some(t) = &mut self.trace {
-            t[pid].push(ev);
-        }
-    }
-
     /// The recorded trace's epoch boundaries (see the `cuts` field). The
     /// first cut is all zeros, the last covers the full trace; consecutive
     /// duplicates are elided. Empty unless the execution was traced.
@@ -428,66 +410,47 @@ impl<'s> SpmdExec<'s> {
         self.cuts.push(cut);
     }
 
-    /// One cross-processor element fetch: always counted per-element in
-    /// `stats`; in `metrics` (and the trace) a fetch belonging to a
-    /// hoisted operation joins that operation's open coalesced message for
-    /// this (src, dst) pair, so it costs a wire message only when it opens
-    /// the group.
-    fn fetch(&mut self, op: Option<usize>, src: usize, dst: usize, slot: Slot, bytes: u64) {
-        self.stats.messages += 1;
-        self.stats.bytes += bytes;
+    /// One cross-processor element fetch, recorded in the trace (an
+    /// untraced run records nothing). A fetch belonging to a hoisted
+    /// operation joins that operation's open coalesced message for this
+    /// (src, dst) pair, so it costs a wire message only when it opens the
+    /// group.
+    fn fetch(&mut self, op: Option<usize>, src: usize, dst: usize, slot: Slot) {
+        let Some(t) = &mut self.trace else {
+            return;
+        };
         let hoisted = op.map(|i| self.sp.comms[i].hoisted()).unwrap_or(false);
         if self.vectorize && hoisted {
             let i = op.unwrap();
-            let pattern = self.sp.comms[i].pattern.name();
+            let lvl = self.sp.comms[i].level;
             let key = (i, src, dst);
-            if !self.open.contains_key(&key) {
-                let (send_idx, recv_idx) = match &mut self.trace {
-                    Some(t) => {
-                        t[src].push(Event::SendVec {
-                            to: dst,
-                            op: i,
-                            slots: Vec::new(),
-                        });
-                        t[dst].push(Event::RecvVec {
-                            from: src,
-                            op: i,
-                            slots: Vec::new(),
-                        });
-                        (Some(t[src].len() - 1), Some(t[dst].len() - 1))
-                    }
-                    None => (None, None),
-                };
-                let lvl = self.sp.comms[i].level;
-                if self.open.is_empty() || lvl > self.open_deepest {
-                    self.open_deepest = lvl;
-                }
-                self.open.insert(
-                    key,
-                    OpenGroup {
-                        send_idx,
-                        recv_idx,
-                        seen: HashSet::new(),
-                    },
-                );
-                self.metrics.note_message(pattern, Some(i), src, dst, 0);
-                self.metrics.saw_in_flight(self.open.len() as u64);
+            if self.open.is_empty() || lvl > self.open_deepest {
+                self.open_deepest = lvl;
             }
-            let g = self.open.get_mut(&key).unwrap();
-            if g.seen.insert(slot) {
-                if let Some(t) = &mut self.trace {
-                    if let Some(Event::SendVec { slots, .. }) =
-                        g.send_idx.map(|x| &mut t[src][x])
-                    {
-                        slots.push(slot);
-                    }
-                    if let Some(Event::RecvVec { slots, .. }) =
-                        g.recv_idx.map(|x| &mut t[dst][x])
-                    {
-                        slots.push(slot);
-                    }
+            let g = self.open.entry(key).or_insert_with(|| {
+                t[src].push(Event::SendVec {
+                    to: dst,
+                    op: i,
+                    slots: Vec::new(),
+                });
+                t[dst].push(Event::RecvVec {
+                    from: src,
+                    op: i,
+                    slots: Vec::new(),
+                });
+                OpenGroup {
+                    send_idx: t[src].len() - 1,
+                    recv_idx: t[dst].len() - 1,
+                    seen: HashSet::new(),
                 }
-                self.metrics.note_payload(pattern, i, src, dst, bytes);
+            });
+            if g.seen.insert(slot) {
+                if let Event::SendVec { slots, .. } = &mut t[src][g.send_idx] {
+                    slots.push(slot);
+                }
+                if let Event::RecvVec { slots, .. } = &mut t[dst][g.recv_idx] {
+                    slots.push(slot);
+                }
             }
         } else {
             let depth = self.loop_env.len();
@@ -496,12 +459,8 @@ impl<'s> SpmdExec<'s> {
                 None if self.ctrl_eval => Tag::Control(depth),
                 None => Tag::Untracked(depth),
             };
-            let pattern = tag.pattern(self.sp);
-            self.metrics.note_message(pattern, op, src, dst, bytes);
-            if self.trace.is_some() {
-                self.record(src, Event::Send { to: dst, slot, tag });
-                self.record(dst, Event::Recv { from: src, slot, tag });
-            }
+            t[src].push(Event::Send { to: dst, slot, tag });
+            t[dst].push(Event::Recv { from: src, slot, tag });
         }
     }
 
@@ -752,28 +711,31 @@ impl<'s> SpmdExec<'s> {
                 // order: the members send their partials (acc, then loc)
                 // to the leader, which folds them all and then sends the
                 // result back to each member in turn.
-                let leader = pids[0];
-                let lvl = self.loop_env.len();
-                let slots: Vec<Slot> =
-                    std::iter::once(op.acc).chain(op.loc).map(Slot::Scalar).collect();
-                for &q in &pids[1..] {
-                    for &slot in &slots {
-                        self.reduce_message(Tag::Reduce(lvl), q, leader, slot);
+                if let Some(t) = &mut self.trace {
+                    let leader = pids[0];
+                    let lvl = self.loop_env.len();
+                    let slots: Vec<Slot> =
+                        std::iter::once(op.acc).chain(op.loc).map(Slot::Scalar).collect();
+                    for &q in &pids[1..] {
+                        for &slot in &slots {
+                            let tag = Tag::Reduce(lvl);
+                            t[q].push(Event::Send { to: leader, slot, tag });
+                        }
+                        let has_loc = op.loc.is_some();
+                        t[leader].push(Event::RecvPartial { from: q, has_loc, level: lvl });
                     }
-                    let has_loc = op.loc.is_some();
-                    self.record(leader, Event::RecvPartial { from: q, has_loc, level: lvl });
-                }
-                self.record(leader, Event::Combine {
-                    op: op.op,
-                    acc: op.acc,
-                    loc: op.loc,
-                    count: pids.len() - 1,
-                });
-                for &q in &pids[1..] {
-                    for &slot in &slots {
-                        let tag = Tag::Broadcast(lvl);
-                        self.reduce_message(tag, leader, q, slot);
-                        self.record(q, Event::Recv { from: leader, slot, tag });
+                    t[leader].push(Event::Combine {
+                        op: op.op,
+                        acc: op.acc,
+                        loc: op.loc,
+                        count: pids.len() - 1,
+                    });
+                    for &q in &pids[1..] {
+                        for &slot in &slots {
+                            let tag = Tag::Broadcast(lvl);
+                            t[leader].push(Event::Send { to: q, slot, tag });
+                            t[q].push(Event::Recv { from: leader, slot, tag });
+                        }
                     }
                 }
                 let mut best_acc = self.mems[pids[0]].scalar(op.acc);
@@ -788,20 +750,10 @@ impl<'s> SpmdExec<'s> {
                     if let (Some(lv), Some(bl)) = (op.loc, best_loc) {
                         self.mems[q].set_scalar(lv, bl);
                     }
-                    self.stats.combines += 1;
                 }
             }
         }
         Ok(())
-    }
-
-    /// One message of a reduction combine: its metrics and its send in the
-    /// trace (the receive is the caller's).
-    fn reduce_message(&mut self, tag: Tag, src: usize, dst: usize, slot: Slot) {
-        let bytes = slot_bytes(self.p(), slot);
-        let pattern = tag.pattern(self.sp);
-        self.metrics.note_message(pattern, None, src, dst, bytes);
-        self.record(src, Event::Send { to: dst, slot, tag });
     }
 
     /// Fill `out` with the pids executing statement `s` under its guard,
@@ -911,15 +863,14 @@ impl<'s> SpmdExec<'s> {
             return Ok(self.mems[q].scalar(v));
         };
         let src = self.owner_pid(code, st, own, q)?;
-        if src != q {
-            let bytes = slot_bytes(self.p(), Slot::Scalar(v));
+        if src != q && self.trace.is_some() {
             let op = self.cur_stmt.and_then(|s| {
                 self.scalar_ops[s.index()]
                     .iter()
                     .find(|&&(w, _)| w == v)
                     .map(|&(_, i)| i)
             });
-            self.fetch(op, src, q, Slot::Scalar(v), bytes);
+            self.fetch(op, src, q, Slot::Scalar(v));
         }
         Ok(self.mems[src].scalar(v))
     }
@@ -928,10 +879,10 @@ impl<'s> SpmdExec<'s> {
     fn read_elem(&mut self, code: &Code, site: &Site, idx: &[i64], off: usize, q: usize) -> Value {
         let mapping = self.array_maps[site.array.index()].expect("mapped array");
         let src = mapping.owner_pid(&self.grid, idx, q);
-        if src != q {
+        if src != q && self.trace.is_some() {
             let op = code.site_op(site, self.cur_stmt);
             let slot = Slot::Elem(site.array, off);
-            self.fetch(op, src, q, slot, slot_bytes(self.p(), slot));
+            self.fetch(op, src, q, slot);
         }
         self.mems[src].array(site.array).get(off)
     }
@@ -1225,16 +1176,17 @@ END DO
     fn figure1_selected_fewer_messages_than_replication() {
         let sp_sel = lowered(FIG1, CoreConfig::full(), None);
         let sp_rep = lowered(FIG1, CoreConfig::naive(), None);
+        // Per-element runs: every fetch that crosses ranks is one message.
+        let messages = |sp: &SpmdProgram| {
+            let r = crate::runtime::validate_replay_opts(sp, fig1_init(&sp.program), false);
+            r.unwrap().metrics.messages()
+        };
+        let (m_sel, m_rep) = (messages(&sp_sel), messages(&sp_rep));
+        assert!(m_sel < m_rep, "selected {} vs replication {}", m_sel, m_rep);
         let st_sel =
             validate_against_sequential(&sp_sel, fig1_init(&sp_sel.program)).unwrap();
         let st_rep =
             validate_against_sequential(&sp_rep, fig1_init(&sp_rep.program)).unwrap();
-        assert!(
-            st_sel.messages < st_rep.messages,
-            "selected {} vs replication {}",
-            st_sel.messages,
-            st_rep.messages
-        );
         // Replication also executes far more statement instances.
         assert!(st_sel.stmt_execs < st_rep.stmt_execs);
     }
@@ -1291,12 +1243,17 @@ END DO
 "#;
         let sp = lowered(src, CoreConfig::full(), None);
         let a = sp.program.vars.lookup("a").unwrap();
-        let stats = validate_against_sequential(&sp, |m| {
+        let init = |m: &mut Memory| {
             let data: Vec<f64> = (0..64).map(|i| (i % 7) as f64 * 0.5).collect();
             m.fill_real(a, &data);
-        })
-        .unwrap();
-        assert!(stats.combines > 0, "combines happened");
+        };
+        validate_against_sequential(&sp, init).unwrap();
+        let mut exec = SpmdExec::new(&sp, init).with_trace();
+        exec.run().unwrap();
+        let trace = exec.trace.unwrap();
+        let combines = trace.iter().flatten();
+        let combines = combines.filter(|e| matches!(e, Event::Combine { .. })).count();
+        assert!(combines > 0, "combines happened");
     }
 
     /// Figure 6 partial privatization preserves semantics of the consumer

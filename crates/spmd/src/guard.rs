@@ -9,7 +9,6 @@
 //! reduction-mapped scalar ⇒ the owners of the operand reference with the
 //! reduction dimensions left free.
 
-use hpf_dist::{GridCoord, OwnerSet};
 use hpf_ir::ArrayRef;
 
 /// A computation-partitioning guard.
@@ -39,16 +38,6 @@ impl Guard {
         }
     }
 
-    /// Widen an owner set with the guard's free dimensions.
-    pub fn widen(&self, mut own: OwnerSet) -> OwnerSet {
-        if let Guard::OwnerOf { free_dims, .. } = self {
-            for &g in free_dims {
-                own.per_dim[g] = GridCoord::Any;
-            }
-        }
-        own
-    }
-
     /// Does the guard restrict execution at all?
     pub fn is_partitioned(&self) -> bool {
         matches!(self, Guard::OwnerOf { .. })
@@ -58,21 +47,8 @@ impl Guard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpf_dist::ProcGrid;
-    use hpf_ir::{Expr, VarId};
-
-    #[test]
-    fn widen_frees_dims() {
-        let g = Guard::OwnerOf {
-            r: ArrayRef::new(VarId(0), vec![Expr::int(1)]),
-            free_dims: vec![1],
-        };
-        let own = OwnerSet {
-            per_dim: vec![GridCoord::At(2), GridCoord::At(3)],
-        };
-        let w = g.widen(own);
-        assert_eq!(w.per_dim, vec![GridCoord::At(2), GridCoord::Any]);
-    }
+    use hpf_dist::{GridCoord, OwnerSet, ProcGrid};
+    use hpf_ir::VarId;
 
     #[test]
     fn resolve_owner_follows_reader_on_any() {

@@ -34,8 +34,8 @@
 //! * [`combine`] — global message combining across loop nests (the
 //!   optimization the paper reports phpf lacked);
 //! * [`metrics`] — wire-level communication observability (per-processor,
-//!   per-pattern and per-operation message/byte counters) recorded by
-//!   both the executor and the threaded runtime;
+//!   per-pattern and per-operation message/byte counters), the one count
+//!   of a run's traffic, kept by each rank's [`wire::Wire`];
 //! * [`crosscheck`] — validation that observed wire messages agree with
 //!   the cost model's predictions.
 
@@ -68,6 +68,6 @@ pub use metrics::{CommMetrics, RecoveryCounters};
 pub use node::{engine, Engine, Fallback};
 pub use runtime::{
     check_owner_slots, replay, replay_rank_segment, replay_traced, validate_replay,
-    validate_replay_opts, validate_replay_traced, Replayed, ReplayStats,
+    validate_replay_opts, validate_replay_traced, Replayed,
 };
 pub use wire::Wire;

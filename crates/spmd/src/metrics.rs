@@ -1,7 +1,9 @@
 //! Communication observability: per-processor, per-pattern and
-//! per-operation message accounting, shared by the reference executor
-//! ([`crate::exec::SpmdExec`]) and the threaded replay runtime
-//! ([`crate::runtime::replay`]).
+//! per-operation message accounting. Each rank's [`crate::wire::Wire`]
+//! keeps one [`CommMetrics`] and tallies every message it sends, whatever
+//! engine drives it (node programs, a replay on threads or in a socket
+//! worker); a run's metrics are the merge of its ranks'. Nothing else
+//! counts a run's traffic.
 //!
 //! A *message* here is one wire transfer: a vectorized (coalesced) section
 //! counts once however many elements it carries, while per-element traffic
@@ -18,7 +20,8 @@ pub const REDUCE: &str = "reduce";
 /// means the lowering's communication schedule missed real traffic.
 pub const UNTRACKED: &str = "untracked";
 /// Pattern key for data read while evaluating control predicates and loop
-/// bounds globally (the executor's uniform branch decision). The schedule
+/// bounds globally (the executor's uniform branch decision, replayed as
+/// [`crate::exec::Tag::Control`] messages). The schedule
 /// places no operation for these — privatized predicates read local data
 /// in the paper's model — so they are tallied apart, like [`REDUCE`].
 pub const CONTROL: &str = "control";
@@ -89,10 +92,9 @@ pub struct CommMetrics {
     pub per_op: Vec<OpMetrics>,
     /// Messages whose fetch could not be attributed to a placed `CommOp`.
     pub untracked_messages: u64,
-    /// Peak number of simultaneously in-flight messages. The executor
-    /// reports its peak count of open coalescing groups (messages under
-    /// assembly); the threaded runtime reports real sent-but-not-received
-    /// messages across all channels.
+    /// Peak number of simultaneously in-flight messages: the transport's
+    /// gauge (sent-but-not-received messages across all channels, or the
+    /// socket backend's receive-queue depth).
     pub max_in_flight: u64,
     /// Self-healing overhead: respawns and backend fallbacks (all zero on
     /// a fault-free run).

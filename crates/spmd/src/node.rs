@@ -1218,13 +1218,11 @@ impl<'a, 'w, T: Transport> Rank<'a, 'w, T> {
         comm_fault()
     }
 
-    /// One message over the wire: it counts as an event, and its error
-    /// fails the rank.
+    /// One message over the wire: its error fails the rank.
     fn message<R>(
         &mut self,
         op: impl FnOnce(&mut Wire<'a, T>, &Memory) -> Result<R, String>,
     ) -> Result<R, Fault> {
-        self.wire.count_event();
         op(self.wire, &self.mem).map_err(|e| {
             self.message_failed = true;
             self.fail(e)
@@ -1260,7 +1258,6 @@ impl<'a, 'w, T: Transport> Rank<'a, 'w, T> {
                 self.guard_pids(s, &mut pids)?;
                 for &q in &pids {
                     if q == self.pid {
-                        self.wire.count_event();
                         let env = self.rec.as_ref().and_then(|r| r.env(s, &self.mem, code));
                         let mut st = std::mem::take(&mut self.st);
                         let mut target = std::mem::take(&mut self.target);
@@ -1913,7 +1910,7 @@ pub fn record(sp: &SpmdProgram, init: &(impl Fn(&mut Memory) + Sync)) -> Vec<Ran
     });
     ends.into_iter()
         .map(|end| match end {
-            Ok((Ok((_, _, schedule)), _)) => schedule,
+            Ok((Ok((_, schedule)), _)) => schedule,
             Ok((Err(e), _)) => RankSchedule {
                 events: Vec::new(),
                 stop: Some(Stop::Message(e)),

@@ -45,22 +45,12 @@ use hpf_net::{channel_group, ChannelTransport, Transport};
 use hpf_obs::BufTracer;
 use std::sync::Arc;
 
-/// Statistics from a replay.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReplayStats {
-    /// Wire messages sent (a coalesced `SendVec` counts once).
-    pub messages_sent: u64,
-    /// Events replayed; for node programs, the statement instances run
-    /// plus the messages sent and received.
-    pub events: u64,
-}
-
 /// Everything a replay produces.
 #[derive(Debug)]
 pub struct Replayed {
     pub mems: Vec<Memory>,
-    pub stats: ReplayStats,
-    /// Wire-level accounting, merged over workers. `max_in_flight` is the
+    /// Wire-level accounting, merged over workers: the run's one count of
+    /// its messages and bytes (a coalesced section counts once). `max_in_flight` is the
     /// transport's gauge peak: sent-but-not-yet-received messages for the
     /// channel backend, receive-queue depth for the socket backend.
     pub metrics: CommMetrics,
@@ -79,7 +69,7 @@ pub struct Replayed {
 /// Replay a *segment* of a rank's event list — the epoch-sized unit of
 /// [`crate::exec::SpmdExec::epoch_cuts`] — over the rank's [`Wire`],
 /// mutating its (already initialised) memory in place. The wire keeps
-/// stats and metrics across calls, so a socket worker can replay each
+/// its metrics across calls, so a socket worker can replay each
 /// epoch over one mesh as the parent streams it and end with one
 /// [`Wire::finish`]; the threaded replay runs one segment of the whole
 /// list. The caller compiles `code` ([`Code::new`]) once for all
@@ -117,7 +107,7 @@ pub fn replay_rank_segment<T: Transport>(
 }
 
 /// Run the threaded replay of a recorded trace; returns the per-processor
-/// memories, aggregate stats and communication metrics.
+/// memories and merged communication metrics.
 pub fn replay(
     sp: &SpmdProgram,
     trace: &Trace,
@@ -144,10 +134,9 @@ pub fn replay_traced(
 }
 
 /// What a rank thread of [`spawn_ranks`] ends with: the engine's output
-/// with the rank's stats and metrics (or its error) and the rank's
-/// timeline, or the panic that ended it.
-pub(crate) type RankEnd<M> =
-    std::thread::Result<(Result<(ReplayStats, CommMetrics, M), String>, BufTracer)>;
+/// with the rank's metrics (or its error) and the rank's timeline, or the
+/// panic that ended it.
+pub(crate) type RankEnd<M> = std::thread::Result<(Result<(CommMetrics, M), String>, BufTracer)>;
 
 /// Run one rank engine per scoped thread over the in-process channel
 /// backend. `rank` gets the rank's [`Wire`] and its memory, `memory(pid)`
@@ -196,7 +185,6 @@ pub(crate) fn run_ranks<'s>(
     let joined = spawn_ranks(sp, nproc, init, want_obs, memory, rank);
     let mut out = Replayed {
         mems: Vec::with_capacity(nproc),
-        stats: ReplayStats::default(),
         metrics: CommMetrics::new(nproc, sp.comms.len()),
         obs: None,
         degraded: false,
@@ -212,9 +200,7 @@ pub(crate) fn run_ranks<'s>(
             Ok((Err(e), _)) => {
                 failed.get_or_insert(e);
             }
-            Ok((Ok((stats, metrics, mem)), timeline)) => {
-                out.stats.messages_sent += stats.messages_sent;
-                out.stats.events += stats.events;
+            Ok((Ok((metrics, mem)), timeline)) => {
                 out.metrics.merge(&metrics);
                 out.mems.push(mem);
                 timelines.push((pid, timeline.into_events()));
@@ -285,7 +271,6 @@ impl Load for Local<'_> {
 
 impl<'a, T: Transport> RankWorker<'a, '_, T> {
     fn step(&mut self, ev: &'a Event) -> Result<(), String> {
-        self.wire.count_event();
         match ev {
             Event::Send { to, slot, tag } => {
                 let val = wire::load(self.mem, *slot);
@@ -505,7 +490,7 @@ fn compare_owner_slots(
 }
 
 /// Run a lowered program on threads and check every processor's owner
-/// slots. Returns the run's memories, stats and metrics.
+/// slots. Returns the run's memories and metrics.
 pub fn validate_replay(
     sp: &SpmdProgram,
     init: impl Fn(&mut Memory) + Sync,
@@ -618,9 +603,7 @@ END DO
         })
         .unwrap();
         // Boundary exchanges really happened over channels.
-        assert!(r.stats.messages_sent > 0);
-        assert!(r.stats.events > 0);
-        assert_eq!(r.metrics.messages(), r.stats.messages_sent);
+        assert!(r.metrics.messages() > 0);
         assert!(r.metrics.max_in_flight >= 1);
     }
 
@@ -648,7 +631,7 @@ END DO
             m.fill_real(a, &data);
         })
         .unwrap();
-        assert!(r.stats.messages_sent > 0);
+        assert!(r.metrics.messages() > 0);
     }
 
     /// Owner slots of the interpreter's memory on every rank, with `b`'s
@@ -752,7 +735,7 @@ END DO
             }
         })
         .unwrap();
-        assert!(r.stats.events > 0);
+        assert!(r.metrics.messages() > 0);
         // On zeroed data it divides 0 by 0: the replay's NaNs carry the
         // executor's bits, and the owner-slot check accepts them.
         let r = validate_replay(&sp, |_| {}).unwrap();

@@ -5,8 +5,8 @@
 //! how a rank works out what it sends and receives, not in how a message
 //! moves. [`Wire`] owns the rank's [`Transport`] and moves one value or
 //! one section at a time. Per message it does the wire-message accounting
-//! of DESIGN §5b: [`ReplayStats::messages_sent`], the [`CommMetrics`]
-//! pattern, operation and per-slot payload bytes, and a `Body::Comm`
+//! of DESIGN §5b: the [`CommMetrics`] pattern, operation and per-slot
+//! payload bytes, the run's one count of its traffic, and a `Body::Comm`
 //! event on the rank's timeline when the run is traced. It checks what
 //! arrives against what the engine expects (one value or a section, and
 //! the section's length), and [`Wire::finish`] tears the transport down
@@ -15,19 +15,17 @@
 use crate::exec::{Slot, Tag};
 use crate::lower::SpmdProgram;
 use crate::metrics::CommMetrics;
-use crate::runtime::ReplayStats;
 use hpf_ir::interp::{InterpError, Memory};
 use hpf_ir::{Program, Value};
 use hpf_net::{Transport, WireMsg};
 use hpf_obs::{Body, BufTracer, CommKind};
 use std::sync::Arc;
 
-/// A rank's endpoint: its transport, stats, wire metrics and timeline.
+/// A rank's endpoint: its transport, wire metrics and timeline.
 pub struct Wire<'s, T: Transport> {
     sp: &'s SpmdProgram,
     pid: usize,
     transport: T,
-    stats: ReplayStats,
     metrics: CommMetrics,
     /// Comm events (when `traced`) and, at [`Wire::finish`], the
     /// transport's fault events, which are kept untraced too: they name
@@ -46,7 +44,6 @@ impl<'s, T: Transport> Wire<'s, T> {
             pid,
             metrics: CommMetrics::new(transport.nproc(), sp.comms.len()),
             transport,
-            stats: ReplayStats::default(),
             timeline: BufTracer::for_rank(pid),
             traced,
         }
@@ -60,11 +57,6 @@ impl<'s, T: Transport> Wire<'s, T> {
         self.pid
     }
 
-    /// Count one engine event in [`ReplayStats::events`].
-    pub(crate) fn count_event(&mut self) {
-        self.stats.events += 1;
-    }
-
     /// Send `val`, the value of `slot`, to `to` as one element message of
     /// class `tag`.
     pub(crate) fn send_one(
@@ -74,7 +66,8 @@ impl<'s, T: Transport> Wire<'s, T> {
         val: Value,
         tag: Tag,
     ) -> Result<(), String> {
-        self.send(to, &WireMsg::One(val))
+        self.transport
+            .send(to, &WireMsg::One(val))
             .map_err(|e| format!("element send to {}: {}", to, e))?;
         let bytes = slot_bytes(&self.sp.program, slot);
         let pattern = tag.pattern(self.sp);
@@ -95,7 +88,8 @@ impl<'s, T: Transport> Wire<'s, T> {
         slots: &[Slot],
         vals: Arc<Vec<Value>>,
     ) -> Result<(), String> {
-        self.send(to, &WireMsg::Many(vals))
+        self.transport
+            .send(to, &WireMsg::Many(vals))
             .map_err(|e| format!("section send (op {}) to {}: {}", op, to, e))?;
         let pattern = self.sp.comms[op].pattern.name();
         self.metrics
@@ -162,12 +156,6 @@ impl<'s, T: Transport> Wire<'s, T> {
         Ok(vals)
     }
 
-    fn send(&mut self, to: usize, msg: &WireMsg) -> Result<(), hpf_net::NetError> {
-        self.transport.send(to, msg)?;
-        self.stats.messages_sent += 1;
-        Ok(())
-    }
-
     /// A message's comm event, when the run is traced. A send's carries the
     /// link's wire sequence number (socket backend); receive-side numbers
     /// would race the reader thread, so receives carry none.
@@ -201,12 +189,12 @@ impl<'s, T: Transport> Wire<'s, T> {
     /// End the rank: after an engine run that succeeded, tear the
     /// transport down and fold its in-flight peak into the metrics; in
     /// every case move the transport's fault events onto the timeline.
-    /// Returns the run's output with the rank's stats and metrics (or the
-    /// first error), and the rank's timeline.
+    /// Returns the run's output with the rank's metrics (or the first
+    /// error), and the rank's timeline.
     pub fn finish<M>(
         mut self,
         run: Result<M, String>,
-    ) -> (Result<(ReplayStats, CommMetrics, M), String>, BufTracer) {
+    ) -> (Result<(CommMetrics, M), String>, BufTracer) {
         let run = run.and_then(|out| match self.transport.finish() {
             Ok(()) => Ok(out),
             Err(e) => Err(format!("proc {}: teardown: {}", self.pid, e)),
@@ -214,14 +202,14 @@ impl<'s, T: Transport> Wire<'s, T> {
         self.timeline.absorb(self.transport.take_fault_events());
         let res = run.map(|out| {
             self.metrics.saw_in_flight(self.transport.peak_in_flight());
-            (self.stats, self.metrics, out)
+            (self.metrics, out)
         });
         (res, self.timeline)
     }
 }
 
 /// Payload bytes of one slot on the wire.
-pub(crate) fn slot_bytes(p: &Program, slot: Slot) -> u64 {
+pub fn slot_bytes(p: &Program, slot: Slot) -> u64 {
     let (Slot::Scalar(v) | Slot::Elem(v, _)) = slot;
     p.vars.info(v).ty.byte_size() as u64
 }

@@ -6,7 +6,8 @@ use hpf_comm::MachineParams;
 use hpf_dist::MappingTable;
 use hpf_ir::parse_program;
 use hpf_spmd::{
-    combine_messages, costsim, lower, validate_against_sequential, SpmdExec, SpmdProgram,
+    combine_messages, costsim, lower, validate_against_sequential, validate_replay, SpmdExec,
+    SpmdProgram,
 };
 use phpf_core::CoreConfig;
 
@@ -146,8 +147,8 @@ END DO
     let sp = lowered(src, CoreConfig::full());
     assert!(sp.comms.is_empty());
     let mut exec = SpmdExec::new(&sp, |_| {});
-    let stats = exec.run().unwrap();
-    assert_eq!(stats.messages, 0);
+    exec.run().unwrap();
+    assert_eq!(validate_replay(&sp, |_| {}).unwrap().metrics.messages(), 0);
     let e = sp.program.vars.lookup("e").unwrap();
     for m in &exec.mems {
         assert_eq!(m.real_slice(e)[7], 12.0);

@@ -36,8 +36,8 @@ fn main() {
     })
     .expect("threaded replay matches the reference executor");
     println!(
-        "\nthreaded replay: {} messages over channels, {} events — matches reference.",
-        replayed.stats.messages_sent, replayed.stats.events
+        "\nthreaded replay: {} messages over channels — matches reference.",
+        replayed.metrics.messages()
     );
     println!("comm metrics: {}", replayed.metrics.to_json());
 

@@ -47,8 +47,8 @@ END DO
     .expect("SPMD results match sequential execution");
     println!(
         "SPMD execution validated against sequential semantics \
-         ({} cross-processor element fetches).\n",
-        stats.messages
+         ({} statement instances over all processors).\n",
+        stats.stmt_execs
     );
 
     // Cost on the simulated SP2, across the paper's three policies.

@@ -302,6 +302,44 @@ echo "$out" | grep -q 'memory budget exceeded: .*array `a` (declared on line 2) 
     exit 1
 }
 
+echo "==> a compile report allocates none of a program's arrays"
+# A 320 GB REAL array: the report prints its rank stores without building
+# its data. The address-space limit (2 GiB, this process only) makes an
+# eager allocation abort here instead of exhausting the machine.
+hugehpf=$(mktemp -t phpfc-huge.XXXXXX)
+printf 'REAL A(200000,200000)\nA(1,1) = 1.0\n' > "$hugehpf"
+set +e
+out=$( (ulimit -v 2097152; ./target/release/phpfc "$hugehpf") 2>&1)
+status=$?
+set -e
+rm -f "$hugehpf"
+if [ "$status" -ne 0 ] || ! echo "$out" | grep -q 'a: 320000000000 bytes whole'; then
+    echo "FAIL: the compile report of a 320 GB array exited $status" >&2
+    echo "$out" | tail -5 >&2
+    exit 1
+fi
+
+echo "==> a variable declared twice is a located parse error"
+# The parser refuses the second declaration with its line and the
+# variable's name: exit 1, no panic.
+duphpf=$(mktemp -t phpfc-dup.XXXXXX)
+printf 'REAL A(4), A(5)\nA(1) = 1.0\n' > "$duphpf"
+set +e
+out=$(./target/release/phpfc "$duphpf" 2>&1)
+status=$?
+set -e
+rm -f "$duphpf"
+if [ "$status" -ne 1 ] || echo "$out" | grep -q 'panicked'; then
+    echo "FAIL: a duplicate declaration exited $status, not 1 with an error" >&2
+    echo "$out" >&2
+    exit 1
+fi
+echo "$out" | grep -q 'line 1: variable a is declared twice' || {
+    echo "FAIL: the duplicate-declaration error does not name the line and the variable" >&2
+    echo "$out" >&2
+    exit 1
+}
+
 echo "==> chaos smoke (DGEFA small, worker killed mid-stream, rerun by a fresh cohort)"
 # Rank 1 dies at its 100th event, in the second of 11 epochs: the failed
 # cohort is reaped, a fresh cohort reruns the whole run from the start

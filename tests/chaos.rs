@@ -81,7 +81,7 @@ fn link_faults_heal_by_gang_respawn() {
         r.metrics.per_proc, threads.metrics.per_proc,
         "healed links must not change the logical traffic accounting"
     );
-    assert_eq!(r.stats.messages_sent, threads.stats.messages_sent);
+    assert_eq!(r.metrics.messages(), threads.metrics.messages());
 
     let trace = r.obs.expect("trace requested");
     let names = trace.fault_names();
@@ -321,7 +321,7 @@ fn supervised_clean_run_has_zero_counters() {
     check_owner_slots(&compiled.spmd, &r.mems, &threads.mems)
         .expect("supervised clean memories must match the thread run");
     assert_eq!(r.metrics.per_proc, threads.metrics.per_proc);
-    assert_eq!(r.stats.messages_sent, threads.stats.messages_sent);
+    assert_eq!(r.metrics.messages(), threads.metrics.messages());
 }
 
 /// When the respawn budget cannot absorb the failures, the driver degrades
@@ -453,5 +453,4 @@ fn respawned_run_counts_the_traffic_of_the_whole_run() {
         .expect("healed memories must be bit-identical to the thread run");
     assert_eq!(r.metrics.per_proc, threads.metrics.per_proc);
     assert_eq!(r.metrics.messages(), threads.metrics.messages());
-    assert_eq!(r.stats.messages_sent, threads.stats.messages_sent);
 }

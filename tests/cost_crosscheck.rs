@@ -86,10 +86,10 @@ fn tomcatv_vectorization_strictly_reduces_messages() {
     let vec = validate_replay_opts(&c.spmd, &init, true).unwrap();
     let elem = validate_replay_opts(&c.spmd, &init, false).unwrap();
     assert!(
-        vec.stats.messages_sent < elem.stats.messages_sent,
+        vec.metrics.messages() < elem.metrics.messages(),
         "vectorized replay must send strictly fewer messages: {} vs {}",
-        vec.stats.messages_sent,
-        elem.stats.messages_sent
+        vec.metrics.messages(),
+        elem.metrics.messages()
     );
     // The payload still arrives: same bytes-per-element, fewer envelopes.
     assert!(vec.metrics.bytes() > 0);

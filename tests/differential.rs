@@ -27,11 +27,11 @@ fn differential(name: &str, src: &str, init: impl Fn(&mut Memory) + Sync) {
     let elem = validate_replay_opts(&c.spmd, &init, false)
         .unwrap_or_else(|e| panic!("{}: per-element replay: {}", name, e));
     assert!(
-        vec.stats.messages_sent <= elem.stats.messages_sent,
+        vec.metrics.messages() <= elem.metrics.messages(),
         "{}: vectorization increased channel messages: {} > {}",
         name,
-        vec.stats.messages_sent,
-        elem.stats.messages_sent
+        vec.metrics.messages(),
+        elem.metrics.messages()
     );
     // Coalescing dedups repeat fetches of an element within a group, so
     // it can only shrink the payload volume, never grow it.

@@ -3,10 +3,11 @@
 //! `SpmdExec` is the semantics every backend, the verifier and the test
 //! oracle are checked against, so any change to its hot path must leave
 //! its output bit-identical. For each pinned input this suite hashes the
-//! Debug form of the full recorded `Trace`, the epoch cuts, `ExecStats`,
-//! `CommMetrics` (every field, `max_in_flight` included) and every rank's
-//! final `Memory`, and compares the hash with a recorded constant. An untraced run must agree with the
-//! traced one on stats, metrics and memories.
+//! Debug form of the full recorded `Trace`, the epoch cuts, `ExecStats`
+//! and every rank's final `Memory`, and compares the hash with a recorded
+//! constant. An untraced run must agree with the traced one on stats and
+//! memories. The executor counts no traffic; the trace is what its replay
+//! sends.
 //!
 //! A mismatch means an executor change altered an event, its order, a
 //! slot order inside a coalesced message, a counter or a final value.
@@ -55,7 +56,7 @@ fn fill(sp: &SpmdProgram) -> impl Fn(&mut Memory) + '_ {
 }
 
 /// Hash of one traced run, after checking that an untraced run
-/// of the same configuration agrees on stats, metrics and memories.
+/// of the same configuration agrees on stats and memories.
 fn pin(src: &str, core: CoreConfig, combine: bool, vectorize: bool) -> u64 {
     let opts = Options {
         core,
@@ -75,14 +76,12 @@ fn pin(src: &str, core: CoreConfig, combine: bool, vectorize: bool) -> u64 {
     let stats = exec.run().expect("traced run");
     let plain_stats = plain.run().expect("untraced run");
     assert_eq!(stats, plain_stats, "tracing changed ExecStats");
-    assert_eq!(exec.metrics, plain.metrics, "tracing changed CommMetrics");
     assert_eq!(exec.mems, plain.mems, "tracing changed final memories");
 
     let mut h = Fnv::new();
     write!(h, "{:?}", exec.trace.as_ref().unwrap()).unwrap();
     write!(h, "|{:?}", exec.epoch_cuts()).unwrap();
     write!(h, "|{:?}", stats).unwrap();
-    write!(h, "|{:?}", exec.metrics).unwrap();
     write!(h, "|{:?}", exec.mems).unwrap();
     h.0
 }
@@ -181,10 +180,10 @@ fn tomcatv_output_pinned() {
         "tomcatv",
         TOMCATV,
         [
-            12876323906635067051,
-            6710715140365933277,
-            10902250933770985193,
-            10051945246598299013,
+            2074731768859333235,
+            6688621086092364949,
+            2908430834719313342,
+            12361121498651915076,
         ],
     );
 }
@@ -195,10 +194,10 @@ fn dgefa_output_pinned() {
         "dgefa",
         DGEFA,
         [
-            8233586391805079040,
-            14389730209600533448,
-            3101881480601779568,
-            16344583181436564616,
+            7363876603527698707,
+            9800191966008269300,
+            7764830686955870667,
+            1643888373708256443,
         ],
     );
 }
@@ -209,10 +208,10 @@ fn appsp_output_pinned() {
         "appsp",
         APPSP,
         [
-            17754904182912930158,
-            14151605901185587063,
-            7639806717364438193,
-            8371421156833650113,
+            342222288361639228,
+            14670609289383133722,
+            14953201041065026649,
+            17358462885350740751,
         ],
     );
 }
@@ -223,30 +222,30 @@ fn grid_2d_outputs_pinned() {
         "stencil2d",
         STENCIL2D,
         [
-            17063009983243476732,
-            13217536851839026087,
-            6172100658138015593,
-            2234299552656116998,
+            11584829872809663885,
+            4090457982309907629,
+            14540570494995659365,
+            1887035304540685089,
         ],
     );
     check(
         "reduce2d",
         REDUCE2D,
         [
-            16813871397381988924,
-            16813871397381988924,
-            6620603615327234096,
-            14419494408971294459,
+            1433882096596802089,
+            1433882096596802089,
+            7974455994042255565,
+            8321865909246728849,
         ],
     );
     check(
         "partial2d",
         PARTIAL2D,
         [
-            18396974366296609457,
-            8476243067137704733,
-            15998737984274450495,
-            4923331568530611416,
+            10862308765585527476,
+            17733522979826037449,
+            4533664596746147626,
+            984396191331391519,
         ],
     );
 }
@@ -257,10 +256,10 @@ fn subscript_paths_output_pinned() {
         "subscripts",
         SUBSCRIPTS,
         [
-            2164283567348809431,
-            14017613981877919707,
-            6342341371903675683,
-            15016329459211106413,
+            17708279107229608436,
+            1434678211546380022,
+            6939150713323594101,
+            13607276943768696416,
         ],
     );
 }
@@ -278,10 +277,10 @@ fn combined_messages_output_pinned() {
     assert_eq!(
         got,
         [
-            8445575967305439379,
-            8233586391805079040,
-            17754904182912930158,
-            17063009983243476732
+            6239149822464721601,
+            7363876603527698707,
+            342222288361639228,
+            11584829872809663885
         ],
         "combined-message executor output changed"
     );

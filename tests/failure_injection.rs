@@ -258,6 +258,7 @@ fn parser_rejects_garbage_gracefully() {
         "IF (1 > ) THEN\nEND IF",
         "GOTO 7",
         "REAL x\nx = .BOGUS.",
+        "REAL A(4), A(5)\nA(1) = 1.0",
     ];
     for c in cases {
         assert!(parse_program(c).is_err(), "must reject: {}", c);

@@ -4,19 +4,19 @@
 //! crosses a processor boundary counts zero without erroring.
 
 use phpf::compile::{compile_source, Options, Version};
-use phpf::spmd::SpmdExec;
+use phpf::spmd::validate_replay;
 
+/// The wire metrics of a validated thread-backend run.
 fn run(src: &str, version: Version) -> (phpf::compile::Compiled, phpf::spmd::CommMetrics) {
     let c = compile_source(src, Options::new(version)).expect("compiles");
-    let mut exec = SpmdExec::new(&c.spmd, |m| {
+    let r = validate_replay(&c.spmd, |m| {
         for (v, info) in c.spmd.program.vars.arrays() {
             let shape = info.shape().unwrap();
             let data: Vec<f64> = (0..shape.len()).map(|k| 1.0 + (k as f64) * 0.25).collect();
             m.fill_real(v, &data);
         }
     });
-    exec.run().expect("executes");
-    let metrics = exec.metrics.clone();
+    let metrics = r.expect("runs").metrics;
     (c, metrics)
 }
 
@@ -139,7 +139,7 @@ END DO
     let b = prog.vars.lookup("b").unwrap();
     let idx = prog.vars.lookup("idx").unwrap();
     let b0: Vec<f64> = (0..16).map(|k| k as f64).collect();
-    let mut exec = SpmdExec::new(&c.spmd, |m| {
+    let r = validate_replay(&c.spmd, |m| {
         m.fill_real(b, &b0);
         for k in 0..16i64 {
             m.array_mut(idx)
@@ -147,8 +147,7 @@ END DO
                 .unwrap();
         }
     });
-    exec.run().expect("executes");
-    let m = exec.metrics;
+    let m = r.expect("runs").metrics;
     let p2p = m
         .per_pattern
         .get("point-to-point")

@@ -6,7 +6,7 @@
 
 use phpf::compile::{compile_source, Options, Version};
 use phpf::kernels::{appsp, dgefa, tomcatv};
-use phpf::spmd::runtime::validate_replay;
+use phpf::spmd::runtime::{validate_replay, validate_replay_opts};
 use phpf::spmd::validate_against_sequential;
 
 const ALL_VERSIONS: [Version; 6] = [
@@ -116,26 +116,26 @@ fn privatization_reduces_runtime_messages() {
     let n = 10i64;
     let src = tomcatv::source(n, 4, 1);
     let (x0, y0) = tomcatv::init_mesh(n);
-    let mut stats = Vec::new();
+    let (mut stats, mut messages) = (Vec::new(), Vec::new());
     for v in [Version::Replication, Version::SelectedAlignment] {
         let c = compile_source(&src, Options::new(v)).unwrap();
         let p = &c.spmd.program;
         let x = p.vars.lookup("x").unwrap();
         let y = p.vars.lookup("y").unwrap();
-        let x0 = x0.clone();
-        let y0 = y0.clone();
-        let s = validate_against_sequential(&c.spmd, move |m| {
+        let init = |m: &mut phpf::ir::Memory| {
             m.fill_real(x, &x0);
             m.fill_real(y, &y0);
-        })
-        .unwrap();
-        stats.push(s);
+        };
+        stats.push(validate_against_sequential(&c.spmd, init).unwrap());
+        // A per-element run sends one message per cross-processor fetch.
+        let r = validate_replay_opts(&c.spmd, init, false).unwrap();
+        messages.push(r.metrics.messages());
     }
     assert!(
-        stats[1].messages < stats[0].messages,
+        messages[1] < messages[0],
         "selected {} < replication {}",
-        stats[1].messages,
-        stats[0].messages
+        messages[1],
+        messages[0]
     );
     assert!(stats[1].stmt_execs < stats[0].stmt_execs);
 }

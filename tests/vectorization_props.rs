@@ -41,10 +41,10 @@ fn both_modes(src: &str, init: impl Fn(&mut Memory) + Sync) -> Result<(), TestCa
         }
     }
     prop_assert!(
-        vec.stats.messages_sent <= elem.stats.messages_sent,
+        vec.metrics.messages() <= elem.metrics.messages(),
         "coalescing sent more messages: {} > {}",
-        vec.stats.messages_sent,
-        elem.stats.messages_sent
+        vec.metrics.messages(),
+        elem.metrics.messages()
     );
     Ok(())
 }

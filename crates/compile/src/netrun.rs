@@ -85,7 +85,7 @@ pub const ENV_WORKER_BIN: &str = "PHPF_NET_WORKER";
 /// Version of the parent ↔ worker control protocol, carried in every
 /// worker's registration frame. A registration without it comes from a
 /// worker binary that predates versioning.
-pub const PROTOCOL: u32 = 8;
+pub const PROTOCOL: u32 = 9;
 
 /// Soft size bound of one event-stream frame: a chunk stops taking events
 /// once its payload reaches this many bytes, so a frame exceeds it by at
@@ -153,9 +153,10 @@ impl NetJob {
     }
 
     /// Fill every REAL array with the data `phpfc` runs and verifies with
-    /// (see [`fill_defaults`]).
+    /// (see [`fill_defaults`]), after the memory budget check.
     pub fn with_default_fills(mut self) -> Result<NetJob, String> {
         let compiled = self.compile()?;
+        hpf_spmd::stores::check_budget(&compiled.spmd, false)?;
         let program = &compiled.spmd.program;
         self.fills = real_arrays(program)
             .map(|(v, n)| (program.vars.name(v).to_string(), default_data(n)))
@@ -917,6 +918,8 @@ impl ParentStream<'_> {
 /// in-process thread backend ([`Replayed::degraded`]). A fault plan that
 /// names a rank outside the grid is an error before anything launches.
 ///
+/// A run over the memory budget is refused before anything launches.
+///
 /// Pipeline spans land on the parent's timeline, one pair per cohort:
 /// `reference-exec` runs from the launch to the end of the reference
 /// executor, which the workers' replay overlaps, and `replay` is the tail
@@ -928,6 +931,7 @@ pub fn socket_validate_replay(job: &NetJob, cfg: &NetRunConfig) -> Result<Replay
     } else {
         job.compile()?
     };
+    hpf_spmd::stores::check_budget(&compiled.spmd, false)?;
     let nproc = compiled.spmd.maps.grid.total();
     let init = make_init(&compiled, &job.fills)?;
     let mut plan = cfg.plan().resolve(nproc)?;
@@ -1550,6 +1554,18 @@ mod tests {
         });
         assert_eq!(conns.len(), 1);
         assert_eq!(paths, vec![path.to_path_buf()]);
+    }
+
+    /// A 320 GB array is refused with the budget's located error before a
+    /// worker is launched or any array data is built.
+    #[test]
+    fn a_socket_run_over_the_memory_budget_is_refused_before_launch() {
+        let job = NetJob::new("REAL A(200000,200000)\nA(1,1) = 1.0\n");
+        let err = job.clone().with_default_fills().unwrap_err();
+        assert!(err.starts_with("memory budget exceeded: "), "{err}");
+        assert!(err.contains("array `a` (declared on line 1)"), "{err}");
+        let refused = socket_validate_replay(&job, &NetRunConfig::default());
+        assert_eq!(refused.unwrap_err(), err);
     }
 
     #[test]

@@ -101,55 +101,16 @@ fn common_exec_ref(
     rep
 }
 
-/// Does the predicate of a privatized control statement need any
-/// communication, given the owner of its dependents?
-pub fn predicate_needs_comm(
-    p: &Program,
-    a: &Analysis<'_>,
-    maps: &MappingTable,
-    s: StmtId,
-    exec_ref: &(StmtId, ArrayRef),
-) -> bool {
-    let Stmt::If { cond, .. } = p.stmt(s) else {
-        return false;
-    };
-    let Some(dst) = symbolic_owner(
-        p,
-        &a.cfg,
-        &a.dom,
-        &a.induction,
-        maps.of(exec_ref.1.array),
-        exec_ref.0,
-        &exec_ref.1,
-    ) else {
-        return true;
-    };
-    for r in cond.array_refs() {
-        let m = maps.of(r.array);
-        if m.is_fully_replicated() {
-            continue;
-        }
-        match symbolic_owner(p, &a.cfg, &a.dom, &a.induction, m, s, r) {
-            Some(src) => {
-                if classify(&src, &dst) != CommPattern::Local {
-                    return true;
-                }
-            }
-            None => return true,
-        }
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hpf_ir::parse_program;
 
     /// The paper's Figure 7: both IFs transfer control only within the
-    /// i-loop, so their execution is privatized; B(i) is owned by the same
-    /// processor as A(i), so no predicate communication is needed and the
-    /// loop parallelizes with shrunk bounds.
+    /// i-loop, so their execution is privatized. B(i) is owned by the same
+    /// processor as A(i), so the lowered program moves nothing for the
+    /// predicates (`tests/paper_figures.rs`,
+    /// `figure7_control_flow_privatized`).
     fn figure7() -> Program {
         parse_program(
             r#"
@@ -174,7 +135,7 @@ END DO
     }
 
     #[test]
-    fn figure7_ifs_privatized_no_comm() {
+    fn figure7_ifs_privatized() {
         let p = figure7();
         let a = Analysis::run(&p);
         let maps = MappingTable::from_program(&p, None).unwrap();
@@ -190,16 +151,6 @@ END DO
         for s in &ifs {
             let c = d.control(*s).unwrap();
             assert!(c.privatized, "IF at {:?} privatized", s);
-            // The outer IF's dependents all assign A(i)/C(i) (co-owned);
-            // the inner IF controls only a GOTO with no skipped
-            // statements, so it has no exec ref and trivially needs no
-            // communication.
-            if let Some(er) = c.exec_ref.as_ref() {
-                assert!(
-                    !predicate_needs_comm(&p, &a, &maps, *s, er),
-                    "B(i) is co-owned with A(i): no predicate communication"
-                );
-            }
         }
         // The outer IF does have a common exec ref (A(i)).
         let outer = ifs
@@ -247,8 +198,11 @@ END DO
         assert!(!d.control(iff).unwrap().privatized);
     }
 
+    /// The IF is privatized with A(i) as its exec reference; the lowered
+    /// program moves W(i+1) to A(i)'s owner (`hpf_spmd::lower`'s
+    /// `misaligned_predicate_data_gets_a_comm_op`).
     #[test]
-    fn predicate_comm_needed_for_misaligned_data() {
+    fn misaligned_predicate_if_privatized() {
         let p = parse_program(
             r#"
 !HPF$ PROCESSORS P(4)
@@ -274,8 +228,7 @@ END DO
             .unwrap();
         let c = d.control(iff).unwrap();
         assert!(c.privatized);
-        let er = c.exec_ref.as_ref().unwrap();
-        assert!(predicate_needs_comm(&p, &a, &maps, iff, er));
+        assert!(c.exec_ref.is_some());
     }
 
     #[test]

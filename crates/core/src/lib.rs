@@ -33,7 +33,7 @@ pub mod reductionmap;
 
 pub use array::{map_arrays, map_arrays_with, realize_mapping};
 pub use consumer::{consumers_for_use, ConsumerRef};
-pub use controlflow::{map_control_flow, predicate_needs_comm};
+pub use controlflow::map_control_flow;
 pub use decision::{ArrayMappingDecision, ControlDecision, Decisions, ScalarMapping};
 pub use expand::expand_scalar;
 pub use mapping::{CoreConfig, ScalarPolicy};

@@ -1,12 +1,14 @@
-//! Statement code compiled once per program, run by both SPMD engines.
+//! Statement code compiled once per program, run by every SPMD engine.
 //!
 //! [`Code::new`] compiles every assignment, `IF` predicate and `DO` bound of
 //! a lowered program into flat postfix code over a reusable value stack,
-//! plus a table of array *reference sites*. The reference executor
-//! ([`crate::exec::SpmdExec`]) and replay ([`crate::runtime`]) both run that
-//! code through the `Load` trait, monomorphized per engine: the
-//! executor's loads resolve the owner of each operand, record the fetch and
-//! read the owner's memory; replay's loads read the rank's own memory.
+//! plus a table of array *reference sites* and the owner tables (the
+//! `owner` module). The executor, the node programs and replay each build
+//! it once per run and run it through the `Load` trait, monomorphized per
+//! engine: the executor's loads resolve the owner, record the fetch and
+//! read the owner's memory; a node program's read its store or receive;
+//! replay's read the rank's own memory. All three fold reduction partials
+//! with [`fold_partials`], in ascending pid order.
 //!
 //! A site stores its array's declared bounds and the index of the
 //! communication operation a remote read through it belongs to, resolved
@@ -20,10 +22,13 @@
 //! multiply have inline fast paths; everything else goes through
 //! [`eval_binop`]/[`eval_intrinsic`], so results and errors are those of
 //! the sequential interpreter, which stays a tree walker on purpose: it is
-//! the independent oracle both engines are checked against.
+//! the independent oracle the engines are checked against.
 
 use crate::exec::Slot;
 use crate::lower::{CommData, SpmdProgram};
+use crate::owner::{owner_tables, Memo, Owners};
+use hpf_analysis::RedOp;
+use hpf_dist::ProcGrid;
 use hpf_ir::interp::{eval_binop, eval_intrinsic, InterpError, Memory};
 use hpf_ir::{
     ArrayRef, BinOp, Expr, Intrinsic, LValue, Program, ScalarTy, Stmt, StmtId, UnOp, Value, VarId,
@@ -152,6 +157,10 @@ pub(crate) type Fault = Box<InterpError>;
 pub(crate) struct Stack {
     vals: Vec<Value>,
     ints: Vec<i64>,
+    /// The owner lookup's memos ([`Code::stack`]).
+    pub(crate) memos: Vec<Memo>,
+    /// Owner coordinates under evaluation.
+    pub(crate) coords: Vec<Option<usize>>,
 }
 
 /// An engine's operand reads.
@@ -183,13 +192,17 @@ pub struct Code {
     shared_ops: Vec<Option<u32>>,
     n_shared: usize,
     /// By `VarId`, for error messages.
-    names: Vec<String>,
+    pub(crate) names: Vec<String>,
+    pub(crate) grid: ProcGrid,
+    pub(crate) owners: Owners,
 }
 
 impl Code {
-    /// Compile every statement of `sp`.
+    /// Compile every statement and owner reference of `sp`.
     pub fn new(sp: &SpmdProgram) -> Code {
-        Compiler::new(sp).finish()
+        let mut cc = Compiler::new(sp);
+        let owners = owner_tables(sp, &mut cc);
+        cc.finish(owners)
     }
 
     pub(crate) fn stmt(&self, s: StmtId) -> StmtCode {
@@ -420,9 +433,54 @@ pub(crate) fn store(mem: &mut Memory, slot: Slot, val: Value) -> Result<(), Faul
     Ok(())
 }
 
+/// A reduction partial: the accumulator's value and, for MAXLOC, its
+/// location's.
+pub(crate) type Partial = (Value, Option<Value>);
+
+/// The partial of accumulator `acc` (location `loc`) in `mem`.
+pub(crate) fn partial(mem: &Memory, acc: VarId, loc: Option<VarId>) -> Partial {
+    (mem.scalar(acc), loc.map(|v| mem.scalar(v)))
+}
+
+/// Store partial `p` into `mem` as accumulator `acc` (location `loc`).
+pub(crate) fn set_partial(mem: &mut Memory, acc: VarId, loc: Option<VarId>, p: Partial) {
+    mem.set_scalar(acc, p.0);
+    if let (Some(v), Some(x)) = (loc, p.1) {
+        mem.set_scalar(v, x);
+    }
+}
+
+/// Fold the members' partials of a reduction group into its leader's own
+/// partial `own` under `op`, in the order `others` yields them. Every
+/// engine passes them in ascending pid order, so a Sum adds them in one
+/// order everywhere, and a MAXLOC tie keeps the lowest pid's location.
+pub(crate) fn fold_partials(
+    op: RedOp,
+    own: Partial,
+    others: impl IntoIterator<Item = Partial>,
+) -> Result<Partial, Fault> {
+    let (mut best, mut best_loc) = own;
+    for (v, loc) in others {
+        best = match op {
+            RedOp::Sum => eval_binop(BinOp::Add, best, v)?,
+            RedOp::Prod => eval_binop(BinOp::Mul, best, v)?,
+            RedOp::Max => eval_intrinsic(Intrinsic::Max, &[best, v])?,
+            RedOp::Min => eval_intrinsic(Intrinsic::Min, &[best, v])?,
+            RedOp::MaxLoc => {
+                if !eval_binop(BinOp::Gt, v, best)?.as_bool()? {
+                    continue;
+                }
+                best_loc = loc;
+                v
+            }
+        };
+    }
+    Ok((best, best_loc))
+}
+
 /// Builds a [`Code`]: [`Compiler::new`] compiles the program's statements,
-/// the executor adds its owner subscripts, [`Compiler::finish`] resolves
-/// the shared sites.
+/// [`owner_tables`] adds the owner references' subscripts,
+/// [`Compiler::finish`] resolves the shared sites.
 pub(crate) struct Compiler<'s> {
     sp: &'s SpmdProgram,
     code: Code,
@@ -459,7 +517,7 @@ impl Ctx<'static> {
 }
 
 impl<'s> Compiler<'s> {
-    pub(crate) fn new(sp: &'s SpmdProgram) -> Compiler<'s> {
+    fn new(sp: &'s SpmdProgram) -> Compiler<'s> {
         let p = &sp.program;
         let n_stmts = p.num_stmts();
         let mut comms_of: Vec<Vec<(&CommData, u32)>> = vec![Vec::new(); n_stmts];
@@ -484,6 +542,8 @@ impl<'s> Compiler<'s> {
                 shared_ops: Vec::new(),
                 n_shared: 0,
                 names: p.vars.iter().map(|(_, info)| info.name.clone()).collect(),
+                grid: sp.maps.grid.clone(),
+                owners: Owners::default(),
             },
             comms_of,
             shared: Vec::new(),
@@ -493,8 +553,8 @@ impl<'s> Compiler<'s> {
         cc
     }
 
-    /// Resolve the shared sites for every statement.
-    pub(crate) fn finish(mut self) -> Code {
+    /// Resolve the shared sites for every statement and take `owners`.
+    fn finish(mut self, owners: Owners) -> Code {
         let n_stmts = self.code.stmts.len();
         let mut table = Vec::with_capacity(n_stmts * self.shared.len());
         for s in 0..n_stmts {
@@ -504,6 +564,7 @@ impl<'s> Compiler<'s> {
         }
         self.code.shared_ops = table;
         self.code.n_shared = self.shared.len();
+        self.code.owners = owners;
         self.code
     }
 

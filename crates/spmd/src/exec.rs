@@ -12,17 +12,17 @@
 //! [`Event::SendVec`]/[`Event::RecvVec`] message — and the replay of that
 //! trace tallies what crosses the wire in its [`crate::wire::Wire`]'s
 //! [`crate::metrics::CommMetrics`].
+//! Owners come from the lookup the node programs share, and reduction
+//! partials are folded with every engine's fold, in ascending pid order.
 
-use crate::code::{self, Code, Compiler, Ctx, Fault, Load, Site, Span, Stack, StmtCode};
+use crate::code::{self, Code, Fault, Load, Site, Span, Stack, StmtCode};
 use crate::env::Env;
-use crate::guard::Guard;
 use crate::lower::SpmdProgram;
 use hpf_analysis::RedOp;
-use hpf_dist::{dist_owner, ArrayMapping, GridDimRule, ProcGrid};
-use hpf_ir::interp::{eval_binop, eval_intrinsic, InterpError, Memory};
-use hpf_ir::{ArrayRef, DistFormat, Label, Stmt, StmtId, Value, VarId};
+use hpf_dist::ProcGrid;
+use hpf_ir::interp::{InterpError, Memory};
+use hpf_ir::{Label, Stmt, StmtId, Value, VarId};
 use hpf_obs::CommKind;
-use phpf_core::ScalarMapping;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// A storage slot on one processor.
@@ -166,80 +166,14 @@ struct OpenGroup {
     seen: HashSet<Slot>,
 }
 
-/// How one grid coordinate of an owner reference is found at run time.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum DimRule {
-    /// Every coordinate: a replicated, privatized or freed dimension.
-    Any,
-    At(usize),
-    /// Distribution owner of the template position of a subscript
-    /// (compiled subscript code).
-    Sub {
-        sub: Span,
-        dist: DistFormat,
-        stride: i64,
-        offset: i64,
-        t_lo: i64,
-        t_extent: i64,
-    },
-}
-
-/// An owner reference resolved against its array's mapping once per
-/// program: one [`DimRule`] per grid dimension, stored in `dim_rules`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct OwnerRef {
-    pub(crate) array: VarId,
-    pub(crate) dims: Span,
-    /// No grid dimension is free: the owner is one pid for every reader.
-    pub(crate) pinned: bool,
-    /// Index of its [`Memo`] when its subscripts read nothing but scalars
-    /// from the reader's own copy.
-    pub(crate) memo: Option<u32>,
-}
-
-/// The owner an [`OwnerRef`] last resolved to. Its subscripts read only
-/// scalars from the reader's own copy (no element, no fetch), so equal
-/// values of those scalars give equal coordinates: a lookup that finds
-/// them unchanged reuses the owner, whatever wrote them in between.
-#[derive(Clone)]
-pub(crate) struct Memo {
-    /// The scalars the subscripts read.
-    reads: Vec<VarId>,
-    /// Their values when `found` was resolved.
-    vals: Vec<Value>,
-    /// (reader, owner pid) last resolved; any reader may reuse it when
-    /// the reference is pinned.
-    found: Option<(usize, usize)>,
-}
-
-impl Memo {
-    /// The owner last found for `reader` (for any reader when `pinned`),
-    /// if the scalars in `mem` still hold the values it was found with.
-    #[inline]
-    pub(crate) fn hit(&self, mem: &Memory, reader: usize, pinned: bool) -> Option<usize> {
-        let (r, src) = self.found?;
-        let same = |(&v, &x): (&VarId, &Value)| mem.scalar(v) == x;
-        ((pinned || r == reader) && self.reads.iter().zip(&self.vals).all(same)).then_some(src)
-    }
-
-    /// Remember `src` as the owner found for `reader` with the scalars'
-    /// values in `mem`.
-    pub(crate) fn remember(&mut self, mem: &Memory, reader: usize, src: usize) {
-        self.vals.clear();
-        self.vals.extend(self.reads.iter().map(|&v| mem.scalar(v)));
-        self.found = Some((reader, src));
-    }
-}
-
 /// The executor.
 ///
 /// Everything the hot path looks up per statement instance is resolved in
 /// [`SpmdExec::new`] into dense tables indexed by `StmtId`/`VarId`, and
 /// every expression it evaluates (right-hand sides, targets, guard and
 /// aligned-scalar owner subscripts, IF predicates, DO bounds) is compiled
-/// once into [`Code`]. Owners are computed by arithmetic on pid digits
-/// ([`ProcGrid::resolve_with`]); owner coordinates go through a reusable
-/// stack.
+/// once into [`Code`], whose owner lookup it shares
+/// with the node programs.
 pub struct SpmdExec<'s> {
     sp: &'s SpmdProgram,
     grid: ProcGrid,
@@ -278,26 +212,10 @@ pub struct SpmdExec<'s> {
     /// unattributed fetches are control traffic, not schedule misses.
     ctrl_eval: bool,
 
-    // Per-program lookup tables.
     /// The compiled program (taken out while [`SpmdExec::run`] runs it).
     code: Option<Code>,
-    /// By `StmtId`: the guard's owner reference, `None` for every pid.
-    guards: Vec<Option<OwnerRef>>,
-    /// By `VarId`: where a scalar read comes from — `None` for the
-    /// reader's own copy, else the owner of its alignment target.
-    scalar_owner: Vec<Option<OwnerRef>>,
-    /// By `VarId`: the mapping of each array.
-    array_maps: Vec<Option<&'s ArrayMapping>>,
-    /// Flat storage of every [`OwnerRef`]'s per-dimension rules.
-    dim_rules: Vec<DimRule>,
-    memos: Vec<Memo>,
-    /// By `StmtId`: the (scalar, op index) pairs a scalar fetch issued by
-    /// the statement resolves to; the first match wins.
-    scalar_ops: Vec<Vec<(VarId, usize)>>,
 
-    // Reusable stacks: a nested evaluation pushes above its caller's
-    // entries and truncates back to where it started.
-    coords: Vec<Option<usize>>,
+    // Reusable buffers.
     /// Executor pids of the statement instance being run.
     executors: Vec<usize>,
     /// An assignment target's subscripts.
@@ -317,14 +235,7 @@ impl<'s> SpmdExec<'s> {
                 m
             })
             .collect();
-        let p = &sp.program;
-        let (n_stmts, n_vars) = (p.num_stmts(), p.vars.len());
-
-        let mut cc = Compiler::new(sp);
-        let owners = owner_tables(sp, &mut cc);
-        let array_maps: Vec<_> = (0..n_vars).map(|v| sp.maps.get(VarId(v as u32))).collect();
-        let scalar_ops = (0..n_stmts).map(|s| cc.scalar_ops(s)).collect();
-
+        let code = Code::new(sp);
         SpmdExec {
             sp,
             grid,
@@ -342,14 +253,7 @@ impl<'s> SpmdExec<'s> {
             open: HashMap::new(),
             open_deepest: 0,
             ctrl_eval: false,
-            code: Some(cc.finish()),
-            guards: owners.guards,
-            scalar_owner: owners.scalar_owner,
-            array_maps,
-            dim_rules: owners.dim_rules,
-            memos: owners.memos,
-            scalar_ops,
-            coords: Vec::new(),
+            code: Some(code),
             executors: Vec::new(),
             target: Vec::new(),
         }
@@ -484,7 +388,7 @@ impl<'s> SpmdExec<'s> {
     /// Run to completion.
     pub fn run(&mut self) -> Result<ExecStats, InterpError> {
         let code = self.code.take().expect("code is taken only while run runs");
-        let res = self.run_code(&code, &mut Stack::default());
+        let res = self.run_code(&code, &mut code.stack());
         self.code = Some(code);
         res.map_err(|e| *e)
     }
@@ -553,7 +457,7 @@ impl<'s> SpmdExec<'s> {
         match (self.p().stmt(s), code.stmt(s)) {
             (Stmt::Assign { .. }, _) => {
                 let mut executors = std::mem::take(&mut self.executors);
-                self.guard_pids(code, st, s, &mut executors)?;
+                code.guard_pids(s, &mut Reader { x: self, q: 0 }, st, &mut executors)?;
                 self.stats.stmt_execs += executors.len() as u64;
                 for &q in &executors {
                     // The bindings hold the values the statement reads, so
@@ -663,7 +567,7 @@ impl<'s> SpmdExec<'s> {
         then_body: &[StmtId],
     ) -> Result<Flow, Fault> {
         let mut executors = std::mem::take(&mut self.executors);
-        self.guard_pids(code, st, s, &mut executors)?;
+        code.guard_pids(s, &mut Reader { x: self, q: 0 }, st, &mut executors)?;
         for &q in &executors {
             self.cur_stmt = Some(s);
             let c = code.eval(cond, &mut Reader { x: self, q }, st)?.as_bool()?;
@@ -738,154 +642,18 @@ impl<'s> SpmdExec<'s> {
                         }
                     }
                 }
-                let mut best_acc = self.mems[pids[0]].scalar(op.acc);
-                let mut best_loc = op.loc.map(|lv| self.mems[pids[0]].scalar(lv));
-                for &q in &pids[1..] {
-                    if fold(op.op, &mut best_acc, self.mems[q].scalar(op.acc))? {
-                        best_loc = op.loc.map(|lv| self.mems[q].scalar(lv));
-                    }
-                }
+                let mems = &self.mems;
+                let partial = |q: usize| code::partial(&mems[q], op.acc, op.loc);
+                let others = pids[1..].iter().map(|&q| partial(q));
+                let best = code::fold_partials(op.op, partial(pids[0]), others)?;
                 for &q in &pids {
-                    self.mems[q].set_scalar(op.acc, best_acc);
-                    if let (Some(lv), Some(bl)) = (op.loc, best_loc) {
-                        self.mems[q].set_scalar(lv, bl);
-                    }
+                    code::set_partial(&mut self.mems[q], op.acc, op.loc, best);
                 }
             }
         }
         Ok(())
     }
 
-    /// Fill `out` with the pids executing statement `s` under its guard,
-    /// ascending.
-    fn guard_pids(
-        &mut self,
-        code: &Code,
-        st: &mut Stack,
-        s: StmtId,
-        out: &mut Vec<usize>,
-    ) -> Result<(), Fault> {
-        out.clear();
-        let Some(own) = self.guards[s.index()] else {
-            out.extend(self.grid.pids());
-            return Ok(());
-        };
-        if own.pinned {
-            out.push(self.owner_pid(code, st, own, 0)?);
-            return Ok(());
-        }
-        let base = self.owner_coords(code, st, own, 0)?;
-        let coords = &self.coords[base..];
-        let grid = &self.grid;
-        out.extend(
-            grid.pids()
-                .filter(|&p| grid.resolve_with(p, |d| coords[d]) == p),
-        );
-        self.coords.truncate(base);
-        Ok(())
-    }
-
-    /// Push the owner coordinates of a reference onto `coords`, one per
-    /// grid dimension (`None` where every coordinate holds a copy),
-    /// evaluating the pinned dimensions' subscripts for `reader`; returns
-    /// where they start.
-    fn owner_coords(
-        &mut self,
-        code: &Code,
-        st: &mut Stack,
-        own: OwnerRef,
-        reader: usize,
-    ) -> Result<usize, Fault> {
-        let base = self.coords.len();
-        for (g, k) in own.dims.range().enumerate() {
-            let c = match self.dim_rules[k] {
-                DimRule::Any => None,
-                DimRule::At(c) => Some(c),
-                DimRule::Sub {
-                    sub,
-                    dist,
-                    stride,
-                    offset,
-                    t_lo,
-                    t_extent,
-                } => {
-                    let x = code.eval_int(sub, &mut Reader { x: self, q: reader }, st)?;
-                    let pos0 = stride * x + offset - t_lo;
-                    if pos0 < 0 || pos0 >= t_extent {
-                        return Err(InterpError::OutOfBounds {
-                            array: self.p().vars.name(own.array).to_string(),
-                            index: vec![x],
-                        }
-                        .into());
-                    }
-                    Some(dist_owner(dist, pos0, t_extent, self.grid.extent(g)))
-                }
-            };
-            self.coords.push(c);
-        }
-        Ok(base)
-    }
-
-    /// The pid `reader` takes a value owned per `own` from.
-    fn owner_pid(
-        &mut self,
-        code: &Code,
-        st: &mut Stack,
-        own: OwnerRef,
-        reader: usize,
-    ) -> Result<usize, Fault> {
-        if let Some(m) = own.memo {
-            if let Some(src) = self.memos[m as usize].hit(&self.mems[reader], reader, own.pinned) {
-                return Ok(src);
-            }
-        }
-        let base = self.owner_coords(code, st, own, reader)?;
-        let coords = &self.coords[base..];
-        let src = self.grid.resolve_with(reader, |d| coords[d]);
-        self.coords.truncate(base);
-        if let Some(m) = own.memo {
-            self.memos[m as usize].remember(&self.mems[reader], reader, src);
-        }
-        Ok(src)
-    }
-
-    /// A scalar read by `q`: replicated and private-without-alignment
-    /// scalars come from q's own copy, aligned and reduction scalars from
-    /// their owner.
-    fn read_scalar(
-        &mut self,
-        code: &Code,
-        st: &mut Stack,
-        v: VarId,
-        q: usize,
-    ) -> Result<Value, Fault> {
-        let Some(own) = self.scalar_owner[v.index()] else {
-            return Ok(self.mems[q].scalar(v));
-        };
-        let src = self.owner_pid(code, st, own, q)?;
-        if src != q && self.trace.is_some() {
-            let op = self.cur_stmt.and_then(|s| {
-                self.scalar_ops[s.index()]
-                    .iter()
-                    .find(|&&(w, _)| w == v)
-                    .map(|&(_, i)| i)
-            });
-            self.fetch(op, src, q, Slot::Scalar(v));
-        }
-        Ok(self.mems[src].scalar(v))
-    }
-
-    /// An array element read by `q`, fetched from its owner.
-    fn read_elem(&mut self, code: &Code, site: &Site, idx: &[i64], off: usize, q: usize) -> Value {
-        let mapping = self.array_maps[site.array.index()].expect("mapped array");
-        let src = mapping.owner_pid(&self.grid, idx, q);
-        if src != q && self.trace.is_some() {
-            let op = code.site_op(site, self.cur_stmt);
-            let slot = Slot::Elem(site.array, off);
-            self.fetch(op, src, q, slot);
-        }
-        self.mems[src].array(site.array).get(off)
-    }
 }
 
 /// Operand reads of the statement instance executing on processor `q`.
@@ -894,9 +662,21 @@ struct Reader<'x, 's> {
     q: usize,
 }
 
+/// Replicated and private-without-alignment scalars come from q's own
+/// copy; aligned and reduction scalars and array elements from their
+/// owner, a fetch the trace records when the owner is another rank.
 impl Load for Reader<'_, '_> {
     fn scalar(&mut self, code: &Code, st: &mut Stack, v: VarId) -> Result<Value, Fault> {
-        self.x.read_scalar(code, st, v, self.q)
+        let q = self.q;
+        let Some(own) = code.scalar_owner(v) else {
+            return Ok(self.x.mems[q].scalar(v));
+        };
+        let src = code.owner_pid(own, q, self, st)?;
+        if src != q && self.x.trace.is_some() {
+            let op = self.x.cur_stmt.and_then(|s| code.scalar_op(s, v));
+            self.x.fetch(op, src, q, Slot::Scalar(v));
+        }
+        Ok(self.x.mems[src].scalar(v))
     }
 
     fn own(&mut self, v: VarId) -> Value {
@@ -904,7 +684,13 @@ impl Load for Reader<'_, '_> {
     }
 
     fn elem(&mut self, code: &Code, site: &Site, idx: &[i64], off: usize) -> Result<Value, Fault> {
-        Ok(self.x.read_elem(code, site, idx, off, self.q))
+        let q = self.q;
+        let src = code.elem_owner(site, idx, q);
+        if src != q && self.x.trace.is_some() {
+            let op = code.site_op(site, self.x.cur_stmt);
+            self.x.fetch(op, src, q, Slot::Elem(site.array, off));
+        }
+        Ok(self.x.mems[src].array(site.array).get(off))
     }
 }
 
@@ -920,168 +706,6 @@ fn env(loops: &[(VarId, i64)], mem: &Memory, exits: &[VarId]) -> Env {
         }
     }
     env
-}
-
-/// The owner references of a program, their subscripts compiled into the
-/// code `cc` builds.
-pub(crate) struct OwnerTables {
-    /// By `StmtId`: the guard's owner reference, `None` for every pid.
-    pub(crate) guards: Vec<Option<OwnerRef>>,
-    /// By `VarId`: the owner of an aligned or reduction scalar's target,
-    /// `None` for a scalar read from the reader's own copy.
-    pub(crate) scalar_owner: Vec<Option<OwnerRef>>,
-    /// Flat storage of every [`OwnerRef`]'s per-dimension rules.
-    pub(crate) dim_rules: Vec<DimRule>,
-    pub(crate) memos: Vec<Memo>,
-}
-
-pub(crate) fn owner_tables<'s>(sp: &'s SpmdProgram, cc: &mut Compiler<'s>) -> OwnerTables {
-    let p = &sp.program;
-    let mut refs = OwnerRefs {
-        sp,
-        dim_rules: Vec::new(),
-        memoized: Vec::new(),
-        memos: Vec::new(),
-    };
-    let guards = (0..p.num_stmts())
-        .map(|s| {
-            let s = StmtId(s as u32);
-            match sp.guard(s) {
-                Guard::Everyone | Guard::Union => None,
-                Guard::OwnerOf { r, free_dims } => Some(refs.get(cc, Ctx::of(s), r, free_dims)),
-            }
-        })
-        .collect();
-    let scalar_owner = (0..p.vars.len())
-        .map(|v| match sp.scalar_mapping(VarId(v as u32)) {
-            ScalarMapping::Replicated | ScalarMapping::PrivateNoAlign => None,
-            ScalarMapping::Aligned { target, .. } => Some(refs.get(cc, Ctx::SHARED, target, &[])),
-            ScalarMapping::Reduction {
-                target,
-                reduce_dims,
-                ..
-            } => Some(refs.get(cc, Ctx::SHARED, target, reduce_dims)),
-        })
-        .collect();
-    OwnerTables {
-        guards,
-        scalar_owner,
-        dim_rules: refs.dim_rules,
-        memos: refs.memos,
-    }
-}
-
-/// Builds the executor's owner references.
-struct OwnerRefs<'s> {
-    sp: &'s SpmdProgram,
-    dim_rules: Vec<DimRule>,
-    /// The memoized references built so far, by target and free
-    /// dimensions.
-    memoized: Vec<(&'s ArrayRef, &'s [usize], OwnerRef)>,
-    memos: Vec<Memo>,
-}
-
-impl<'s> OwnerRefs<'s> {
-    /// The owner reference of `r` with the grid dimensions in `free` left
-    /// unconstrained (reduction mapping): one [`DimRule`] per grid
-    /// dimension, its subscripts compiled in `cx`. A memoized reference's
-    /// code reads no element and fetches nothing, so it does not depend
-    /// on the statement: equal targets share it, and so its memo.
-    fn get(
-        &mut self,
-        cc: &mut Compiler<'s>,
-        cx: Ctx,
-        r: &'s ArrayRef,
-        free: &'s [usize],
-    ) -> OwnerRef {
-        let same = |&&(t, f, _): &&(&ArrayRef, &[usize], OwnerRef)| t == r && f == free;
-        if let Some(&(.., own)) = self.memoized.iter().find(same) {
-            return own;
-        }
-        let sp = self.sp;
-        let start = self.dim_rules.len();
-        let mut reads = Some(Vec::new());
-        for (g, rule) in sp.maps.of(r.array).rules.iter().enumerate() {
-            self.dim_rules.push(if free.contains(&g) {
-                DimRule::Any
-            } else {
-                match rule {
-                    GridDimRule::ByDim {
-                        array_dim,
-                        dist,
-                        stride,
-                        offset,
-                        t_lo,
-                        t_extent,
-                    } => {
-                        let sub = cc.subscript(cx, &r.subs[*array_dim]);
-                        reads = reads.zip(cc.scalar_reads(sub)).map(|(mut all, more)| {
-                            all.extend(more);
-                            all
-                        });
-                        DimRule::Sub {
-                            sub,
-                            dist: *dist,
-                            stride: *stride,
-                            offset: *offset,
-                            t_lo: *t_lo,
-                            t_extent: *t_extent,
-                        }
-                    }
-                    GridDimRule::Fixed(c) => DimRule::At(*c),
-                    GridDimRule::Replicated | GridDimRule::Private => DimRule::Any,
-                }
-            });
-        }
-        // Only a scalar without an owner is read from the reader's copy.
-        let own_copy = |v: &VarId| {
-            matches!(
-                sp.scalar_mapping(*v),
-                ScalarMapping::Replicated | ScalarMapping::PrivateNoAlign
-            )
-        };
-        let reads = reads.filter(|vs| vs.iter().all(own_copy));
-        let own = OwnerRef {
-            array: r.array,
-            dims: Span {
-                start: start as u32,
-                end: self.dim_rules.len() as u32,
-            },
-            pinned: !self.dim_rules[start..]
-                .iter()
-                .any(|d| matches!(d, DimRule::Any)),
-            memo: reads.map(|reads| {
-                self.memos.push(Memo {
-                    reads,
-                    vals: Vec::new(),
-                    found: None,
-                });
-                self.memos.len() as u32 - 1
-            }),
-        };
-        if own.memo.is_some() {
-            self.memoized.push((r, free, own));
-        }
-        own
-    }
-}
-
-/// Fold partial `v` into `best` under reduction `op`. Returns `true` when
-/// a MAXLOC partial wins, so its location replaces the best one.
-pub(crate) fn fold(op: RedOp, best: &mut Value, v: Value) -> Result<bool, InterpError> {
-    *best = match op {
-        RedOp::Sum => eval_binop(hpf_ir::BinOp::Add, *best, v)?,
-        RedOp::Prod => eval_binop(hpf_ir::BinOp::Mul, *best, v)?,
-        RedOp::Max => eval_intrinsic(hpf_ir::Intrinsic::Max, &[*best, v])?,
-        RedOp::Min => eval_intrinsic(hpf_ir::Intrinsic::Min, &[*best, v])?,
-        RedOp::MaxLoc => {
-            if !eval_binop(hpf_ir::BinOp::Gt, v, *best)?.as_bool()? {
-                return Ok(false);
-            }
-            v
-        }
-    };
-    Ok(op == RedOp::MaxLoc)
 }
 
 /// Run a lowered program and check every owner slot against the

@@ -8,8 +8,11 @@
 //! * [`exec`] — the reference multi-memory executor (defines semantics;
 //!   every configuration must match the sequential interpreter);
 //! * [`code`] — statement code compiled once per program: flat postfix
-//!   code and resolved reference sites, which the executor and replay
-//!   both run;
+//!   code, resolved reference sites and the owner tables, which the
+//!   executor, the node programs and replay all run, and the one fold of
+//!   reduction partials they share;
+//! * `owner` — owner references resolved once per program and the one
+//!   owner lookup of the executor and the node programs;
 //! * [`codec`] — the binary form of a rank's recorded event list, which
 //!   the socket driver ships to its worker processes;
 //! * [`env`](mod@env) — the loop bindings an executed statement records, kept
@@ -50,6 +53,7 @@ pub mod guard;
 pub mod lower;
 pub mod metrics;
 pub mod node;
+mod owner;
 pub mod runtime;
 pub mod stores;
 pub mod wire;

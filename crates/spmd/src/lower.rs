@@ -154,6 +154,21 @@ impl SpmdProgram {
         self.var_mapping.get(&v).unwrap_or(&ScalarMapping::Replicated)
     }
 
+    /// The alignment target of an aligned or reduction scalar, with the
+    /// grid dimensions its owner leaves free; `None` when every rank
+    /// keeps its own copy.
+    pub(crate) fn scalar_target(&self, v: VarId) -> Option<(&ArrayRef, &[usize])> {
+        match self.scalar_mapping(v) {
+            ScalarMapping::Aligned { target, .. } => Some((target, &[])),
+            ScalarMapping::Reduction {
+                target,
+                reduce_dims,
+                ..
+            } => Some((target, reduce_dims)),
+            ScalarMapping::Replicated | ScalarMapping::PrivateNoAlign => None,
+        }
+    }
+
     /// The array reference assignment `s` writes, with the array's shape,
     /// when the write lands on owned data that two ranks could race on: a
     /// distributed array with no privatized dimension. Replicated copies
@@ -839,6 +854,37 @@ END DO
             .find(|&s| p.nesting_level(s) == 1)
             .unwrap();
         assert_eq!(*sp.guard(m_def), Guard::Union);
+    }
+
+    /// A privatized IF whose predicate reads W(i+1), which A(i)'s owner,
+    /// the owner of its dependents, does not hold: the predicate's read
+    /// gets a communication operation.
+    #[test]
+    fn misaligned_predicate_data_gets_a_comm_op() {
+        let src = r#"
+!HPF$ PROCESSORS P(4)
+!HPF$ DISTRIBUTE (BLOCK) :: A, W
+REAL A(16), W(16)
+INTEGER i
+DO i = 1, 15
+  IF (W(i+1) > 0.0) THEN
+    A(i) = 1.0
+  END IF
+END DO
+"#;
+        let sp = pipeline(src, CoreConfig::full());
+        let p = &sp.program;
+        let iff = p
+            .preorder()
+            .into_iter()
+            .find(|&s| matches!(p.stmt(s), Stmt::If { .. }))
+            .unwrap();
+        assert!(sp.decisions.control(iff).unwrap().privatized);
+        let w = p.vars.lookup("w").unwrap();
+        let reads_w = |c: &&CommOp| matches!(&c.data, CommData::Array(r) if r.array == w);
+        let ops: Vec<_> = sp.comms.iter().filter(|c| c.stmt == iff).collect();
+        assert_eq!(ops.len(), 1, "comms: {:#?}", sp.comms);
+        assert!(ops.iter().all(reads_w), "comms: {:#?}", sp.comms);
     }
 
     /// DGEFA-style reduction lowering: the maxloc accumulation is guarded

@@ -35,8 +35,9 @@
 //!   that block's iterations for the readers' guards and subscripts. The
 //!   engine choice ([`engine`]) guarantees that everything this walk
 //!   evaluates is already known at that point.
+//! * *Owners* come from the executor's lookup, reading the rank's memory.
 //! * *Reductions* run [`crate::lower::ReduceOp`]'s partial-then-combine
-//!   over messages, folding in the executor's order.
+//!   over messages, folding with every engine's fold, in pid order.
 //!
 //! Every rank therefore sends exactly the messages the reference executor
 //! records, in the same order per rank, through the same [`Wire`], so the
@@ -46,19 +47,18 @@
 //! pivot search) keep the reference executor and replay: [`engine`] says
 //! which engine runs a program and why.
 
-use crate::code::{Code, Compiler, Fault, Load, Read, Stack, StmtCode};
+use crate::code::{self, Code, Fault, Load, Read, Site, Stack, StmtCode};
 use crate::env::Env;
-use crate::exec::{fold, owner_tables, DimRule, Event, Memo, OwnerRef, OwnerTables, Slot, Tag};
+use crate::exec::{Event, Slot, Tag};
 use crate::lower::SpmdProgram;
 use crate::runtime::{panic_text, run_ranks, spawn_ranks, Local, Replayed};
 use crate::stores;
 use crate::wire::Wire;
 use hpf_analysis::{Cfg, ReachingDefs};
-use hpf_dist::{dist_owner, shrink_bounds, ArrayMapping, GridDimRule, IterSet, ProcGrid};
+use hpf_dist::{dist_owner, shrink_bounds, GridDimRule, IterSet, ProcGrid};
 use hpf_ir::interp::{InterpError, Memory};
 use hpf_ir::{Affine, ArrayRef, DistFormat, Expr, LValue, Program, Stmt, StmtId, Value, VarId};
 use hpf_net::Transport;
-use phpf_core::ScalarMapping;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
@@ -182,18 +182,11 @@ fn stmt_text(p: &Program, s: StmtId) -> String {
     out.lines().next().unwrap_or("").trim().to_string()
 }
 
-/// Is the value of scalar `v` the same on every rank? Replicated scalars
-/// and privatized ones without alignment are assigned by every rank.
-fn same_everywhere(sp: &SpmdProgram, v: VarId) -> bool {
-    matches!(
-        sp.scalar_mapping(v),
-        ScalarMapping::Replicated | ScalarMapping::PrivateNoAlign
-    )
-}
-
-/// Does `e` read no array element and only scalars every rank holds?
+/// Does `e` read no array element and only scalars every rank holds
+/// (those without an alignment target, which every rank assigns)?
 fn reads_same(sp: &SpmdProgram, e: &Expr) -> bool {
-    e.array_refs().is_empty() && e.scalar_reads().into_iter().all(|v| same_everywhere(sp, v))
+    e.array_refs().is_empty()
+        && e.scalar_reads().into_iter().all(|v| sp.scalar_target(v).is_none())
 }
 
 /// The subscripts a rank evaluates for an assignment, for itself or on a
@@ -215,25 +208,11 @@ fn subscripts_of(sp: &SpmdProgram, s: StmtId) -> Vec<&Expr> {
         out.extend(&r.subs);
     }
     for v in rhs.scalar_reads() {
-        if let Some((target, _)) = scalar_target(sp, v) {
+        if let Some((target, _)) = sp.scalar_target(v) {
             out.extend(&target.subs);
         }
     }
     out
-}
-
-/// The alignment target of an aligned or reduction scalar, with the grid
-/// dimensions its owner leaves free.
-fn scalar_target(sp: &SpmdProgram, v: VarId) -> Option<(&ArrayRef, &[usize])> {
-    match sp.scalar_mapping(v) {
-        ScalarMapping::Aligned { target, .. } => Some((target, &[])),
-        ScalarMapping::Reduction {
-            target,
-            reduce_dims,
-            ..
-        } => Some((target, reduce_dims)),
-        ScalarMapping::Replicated | ScalarMapping::PrivateNoAlign => None,
-    }
 }
 
 /// The statements of a hoisted operation's placement block that a section
@@ -411,10 +390,6 @@ struct LoopTerms<'s> {
 struct Plan<'s> {
     sp: &'s SpmdProgram,
     code: Code,
-    owners: OwnerTables,
-    array_maps: Vec<Option<&'s ArrayMapping>>,
-    /// By `StmtId`: the (scalar, op) pairs of its scalar fetches.
-    scalar_ops: Vec<Vec<(VarId, usize)>>,
     /// By `StmtId` of an assignment: its reads that can be remote, in
     /// evaluation order.
     reads: Vec<Vec<Read>>,
@@ -436,22 +411,18 @@ impl<'s> Plan<'s> {
     fn new(sp: &'s SpmdProgram) -> Plan<'s> {
         let p = &sp.program;
         let n_stmts = p.num_stmts();
-        let mut cc = Compiler::new(sp);
-        let owners = owner_tables(sp, &mut cc);
-        let scalar_ops = (0..n_stmts).map(|s| cc.scalar_ops(s)).collect();
-        let code = cc.finish();
-        let array_maps: Vec<_> = (0..p.vars.len())
-            .map(|v| sp.maps.get(VarId(v as u32)))
-            .collect();
+        let code = Code::new(sp);
         let reads = (0..n_stmts)
             .map(|s| match code.stmt(StmtId(s as u32)) {
                 StmtCode::Assign { rhs, .. } => code
                     .reads(rhs)
                     .into_iter()
                     .filter(|r| match *r {
-                        Read::Elem(k) => array_maps[code.site(k).array.index()]
+                        Read::Elem(k) => sp
+                            .maps
+                            .get(code.site(k).array)
                             .is_some_and(|m| m.is_distributed()),
-                        Read::Scalar(v) => owners.scalar_owner[v.index()].is_some(),
+                        Read::Scalar(v) => code.scalar_owner(v).is_some(),
                     })
                     .collect(),
                 _ => Vec::new(),
@@ -479,9 +450,6 @@ impl<'s> Plan<'s> {
         Plan {
             sp,
             code,
-            owners,
-            array_maps,
-            scalar_ops,
             reads,
             terms,
             enum_at,
@@ -489,13 +457,6 @@ impl<'s> Plan<'s> {
             do_vars: p.loop_index_vars(),
             combines,
         }
-    }
-
-    fn scalar_op(&self, s: StmtId, v: VarId) -> Option<usize> {
-        self.scalar_ops[s.index()]
-            .iter()
-            .find(|&&(w, _)| w == v)
-            .map(|&(_, i)| i)
     }
 
     fn hoisted(&self, op: Option<usize>) -> bool {
@@ -708,7 +669,7 @@ fn loop_terms<'s>(
                     }
                 }
                 for w in rhs.scalar_reads() {
-                    if let Some((target, free)) = scalar_target(sp, w) {
+                    if let Some((target, free)) = sp.scalar_target(w) {
                         reads.push(add(target, free)?);
                     }
                 }
@@ -1104,13 +1065,10 @@ struct Rank<'a, 'w, T: Transport> {
     message_failed: bool,
     /// The recorder, when the rank records its schedule.
     rec: Option<Recorder<'a>>,
-    /// This rank's copies of the owner references' memos.
-    memos: Vec<Memo>,
     /// The deepest placement level of an owed or received section.
     deepest: Option<usize>,
     // Reusable buffers.
     st: Stack,
-    owner_coords: Vec<Option<usize>>,
     idx: Vec<i64>,
     /// An assignment target's subscripts.
     target: Vec<i64>,
@@ -1148,10 +1106,8 @@ impl<'a, 'w, T: Transport> Rank<'a, 'w, T> {
             comm_err: None,
             message_failed: false,
             rec: None,
-            memos: plan.owners.memos.clone(),
             deepest: None,
-            st: Stack::default(),
-            owner_coords: Vec::new(),
+            st: plan.code.stack(),
             idx: Vec::new(),
             target: Vec::new(),
             pids: Vec::new(),
@@ -1255,7 +1211,7 @@ impl<'a, 'w, T: Transport> Rank<'a, 'w, T> {
         match (self.p.stmt(s), code.stmt(s)) {
             (Stmt::Assign { .. }, _) => {
                 let mut pids = std::mem::take(&mut self.pids);
-                self.guard_pids(s, &mut pids)?;
+                code.guard_pids(s, &mut Local(&self.mem), &mut self.st, &mut pids)?;
                 for &q in &pids {
                     if q == self.pid {
                         let env = self.rec.as_ref().and_then(|r| r.env(s, &self.mem, code));
@@ -1396,77 +1352,6 @@ impl<'a, 'w, T: Transport> Rank<'a, 'w, T> {
         Visit::new(out)
     }
 
-    /// Fill `out` with the pids executing `s` under its guard, ascending.
-    fn guard_pids(&mut self, s: StmtId, out: &mut Vec<usize>) -> Result<(), Fault> {
-        out.clear();
-        let Some(own) = self.plan.owners.guards[s.index()] else {
-            out.extend(self.grid.pids());
-            return Ok(());
-        };
-        if own.pinned {
-            out.push(self.owner_pid(own, 0)?);
-            return Ok(());
-        }
-        self.resolve_coords(own)?;
-        let (grid, coords) = (self.grid, &self.owner_coords);
-        out.extend(
-            grid.pids()
-                .filter(|&p| grid.resolve_with(p, |d| coords[d]) == p),
-        );
-        Ok(())
-    }
-
-    /// Evaluate an owner reference's coordinates into `owner_coords`
-    /// (`None` where every coordinate holds a copy). Its subscripts read
-    /// only scalars every rank holds.
-    fn resolve_coords(&mut self, own: OwnerRef) -> Result<(), Fault> {
-        self.owner_coords.clear();
-        let code = &self.plan.code;
-        for (g, k) in own.dims.range().enumerate() {
-            let c = match self.plan.owners.dim_rules[k] {
-                DimRule::Any => None,
-                DimRule::At(c) => Some(c),
-                DimRule::Sub {
-                    sub,
-                    dist,
-                    stride,
-                    offset,
-                    t_lo,
-                    t_extent,
-                } => {
-                    let x = code.eval_int(sub, &mut Local(&self.mem), &mut self.st)?;
-                    let pos0 = stride * x + offset - t_lo;
-                    if pos0 < 0 || pos0 >= t_extent {
-                        return Err(InterpError::OutOfBounds {
-                            array: self.p.vars.name(own.array).to_string(),
-                            index: vec![x],
-                        }
-                        .into());
-                    }
-                    Some(dist_owner(dist, pos0, t_extent, self.grid.extent(g)))
-                }
-            };
-            self.owner_coords.push(c);
-        }
-        Ok(())
-    }
-
-    /// The pid `reader` takes a value owned per `own` from.
-    fn owner_pid(&mut self, own: OwnerRef, reader: usize) -> Result<usize, Fault> {
-        if let Some(m) = own.memo {
-            if let Some(src) = self.memos[m as usize].hit(&self.mem, reader, own.pinned) {
-                return Ok(src);
-            }
-        }
-        self.resolve_coords(own)?;
-        let coords = &self.owner_coords;
-        let src = self.grid.resolve_with(reader, |d| coords[d]);
-        if let Some(m) = own.memo {
-            self.memos[m as usize].remember(&self.mem, reader, src);
-        }
-        Ok(src)
-    }
-
     /// Where `reader`'s read `r` of statement `s` comes from: the owner,
     /// the slot and the operation. An element's subscripts are left in
     /// `self.idx`.
@@ -1484,20 +1369,17 @@ impl<'a, 'w, T: Transport> Rank<'a, 'w, T> {
                 let found = plan
                     .code
                     .site_index(k, &mut Local(&self.mem), &mut self.st, &mut idx)
-                    .map(|off| {
-                        let mapping = plan.array_maps[site.array.index()].expect("mapped array");
-                        (mapping.owner_pid(self.grid, &idx, reader), off)
-                    });
+                    .map(|off| (plan.code.elem_owner(site, &idx, reader), off));
                 self.idx = idx;
                 let (src, off) = found?;
                 let op = plan.code.site_op(site, Some(s));
                 Ok((src, Slot::Elem(site.array, off), op))
             }
             Read::Scalar(v) => {
-                let own = plan.owners.scalar_owner[v.index()]
-                    .expect("a remote-capable scalar has an owner");
-                let src = self.owner_pid(own, reader)?;
-                Ok((src, Slot::Scalar(v), plan.scalar_op(s, v)))
+                let own = plan.code.scalar_owner(v);
+                let own = own.expect("a remote-capable scalar has an owner");
+                let src = plan.code.owner_pid(own, reader, &mut Local(&self.mem), &mut self.st)?;
+                Ok((src, Slot::Scalar(v), plan.code.scalar_op(s, v)))
             }
         }
     }
@@ -1572,7 +1454,7 @@ impl<'a, 'w, T: Transport> Rank<'a, 'w, T> {
         match (self.p.stmt(s), code.stmt(s)) {
             (Stmt::Assign { .. }, _) => {
                 let mut pids = Vec::new();
-                self.guard_pids(s, &mut pids)?;
+                code.guard_pids(s, &mut Local(&self.mem), &mut self.st, &mut pids)?;
                 let me = self.pid;
                 for q in pids.into_iter().filter(|&q| q != me) {
                     for &r in &plan.reads[s.index()] {
@@ -1770,23 +1652,16 @@ impl<'a, 'w, T: Transport> Rank<'a, 'w, T> {
             for &q in &members[1..] {
                 let has_loc = op.loc.is_some();
                 self.note(Event::RecvPartial { from: q, has_loc, level: self.depth });
-                let mut got = Vec::with_capacity(slots.len());
-                for _ in &slots {
-                    got.push(self.message(|w, _| w.recv_one(q, partial))?);
-                }
-                partials.push(got);
+                let acc = self.message(|w, _| w.recv_one(q, partial))?;
+                let loc = match has_loc {
+                    true => Some(self.message(|w, _| w.recv_one(q, partial))?),
+                    false => None,
+                };
+                partials.push((acc, loc));
             }
-            let mut best = self.mem.scalar(op.acc);
-            let mut best_loc = op.loc.map(|v| self.mem.scalar(v));
-            for got in partials {
-                if fold(op.op, &mut best, got[0])? {
-                    best_loc = got.get(1).copied();
-                }
-            }
-            self.mem.set_scalar(op.acc, best);
-            if let (Some(lv), Some(bl)) = (op.loc, best_loc) {
-                self.mem.set_scalar(lv, bl);
-            }
+            let own = code::partial(&self.mem, op.acc, op.loc);
+            let best = code::fold_partials(op.op, own, partials)?;
+            code::set_partial(&mut self.mem, op.acc, op.loc, best);
             self.note(Event::Combine {
                 op: op.op,
                 acc: op.acc,
@@ -1808,15 +1683,16 @@ impl<'a, 'w, T: Transport> Rank<'a, 'w, T> {
 /// This rank's own operand reads: local when it owns the operand, else
 /// received.
 impl<T: Transport> Load for Rank<'_, '_, T> {
-    fn scalar(&mut self, _: &Code, _: &mut Stack, v: VarId) -> Result<Value, Fault> {
-        let Some(own) = self.plan.owners.scalar_owner[v.index()] else {
+    fn scalar(&mut self, code: &Code, st: &mut Stack, v: VarId) -> Result<Value, Fault> {
+        let Some(own) = code.scalar_owner(v) else {
             return Ok(self.mem.scalar(v));
         };
-        let src = self.owner_pid(own, self.pid)?;
+        // Owner subscripts read only scalars every rank holds ([`engine`]).
+        let src = code.owner_pid(own, self.pid, &mut Local(&self.mem), st)?;
         if src == self.pid {
             return Ok(self.mem.scalar(v));
         }
-        let op = self.plan.scalar_op(self.cur, v);
+        let op = code.scalar_op(self.cur, v);
         self.remote(op, src, Slot::Scalar(v))
     }
 
@@ -1827,7 +1703,7 @@ impl<T: Transport> Load for Rank<'_, '_, T> {
     fn elem(
         &mut self,
         code: &Code,
-        site: &crate::code::Site,
+        site: &Site,
         idx: &[i64],
         off: usize,
     ) -> Result<Value, Fault> {
@@ -1835,8 +1711,7 @@ impl<T: Transport> Load for Rank<'_, '_, T> {
         if let Some(k) = store.at(idx, off) {
             return Ok(store.load(k));
         }
-        let mapping = self.plan.array_maps[site.array.index()].expect("mapped array");
-        let src = mapping.owner_pid(self.grid, idx, self.pid);
+        let src = code.elem_owner(site, idx, self.pid);
         if src == self.pid {
             return Err(code.not_held(site.array, idx));
         }

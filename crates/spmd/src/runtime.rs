@@ -8,7 +8,8 @@
 //! ([`crate::exec::SpmdExec::with_trace`]): each worker owns a private
 //! [`Memory`], runs its assignments' compiled [`Code`] purely locally, and
 //! obtains every remote operand through an actual message, over its
-//! [`Wire`].
+//! [`Wire`]. A `Combine` folds the partials its `RecvPartial`s stacked in
+//! the order they arrived (pid order), as the executor does.
 //!
 //! The replay revalidates the schedule end-to-end — if the compiler had
 //! failed to move a value that a processor needs, the worker would compute
@@ -31,7 +32,7 @@
 
 use crate::code::{self, Code, Fault, Load, Site, Stack, StmtCode};
 use crate::env::Env;
-use crate::exec::{fold, Event, Slot, SpmdExec, Tag, Trace};
+use crate::exec::{Event, Slot, SpmdExec, Tag, Trace};
 use crate::lower::SpmdProgram;
 use crate::metrics::CommMetrics;
 use crate::node::{self, Engine};
@@ -353,21 +354,13 @@ impl<'a, T: Transport> RankWorker<'a, '_, T> {
                 count,
             } => {
                 self.last_vec = None;
-                let mut best = self.mem.scalar(*acc);
-                let mut best_loc = loc.map(|lv| self.mem.scalar(lv));
-                for _ in 0..*count {
-                    let (v, vl) = self
-                        .stack
-                        .pop()
-                        .ok_or_else(|| "combine stack underflow".to_string())?;
-                    if fold(*op, &mut best, v).map_err(|e| e.to_string())? {
-                        best_loc = vl;
-                    }
-                }
-                self.mem.set_scalar(*acc, best);
-                if let (Some(lv), Some(bl)) = (loc, best_loc) {
-                    self.mem.set_scalar(*lv, bl);
-                }
+                // The partials were stacked in their senders' pid order.
+                let start = self.stack.len().checked_sub(*count);
+                let start = start.ok_or_else(|| "combine stack underflow".to_string())?;
+                let own = code::partial(self.mem, *acc, *loc);
+                let best = code::fold_partials(*op, own, self.stack.drain(start..))
+                    .map_err(|e| e.to_string())?;
+                code::set_partial(self.mem, *acc, *loc, best);
             }
         }
         Ok(())
@@ -701,6 +694,27 @@ END DO
         let (seq, _) = hpf_ir::interp::run_program(&sp.program, init).unwrap();
         let (mems, _) = one_ulp_off(&sp, &seq, 5);
         check_against_interpreter(&sp, &mems, &seq).unwrap();
+    }
+
+    /// A Sum over four ranks whose partials round (`examples/hpf/
+    /// row_sum.hpf`, `A(i,j) / 3.0`): replay folds the stacked partials in
+    /// their senders' pid order, as the executor does, so every owner slot
+    /// matches the executor's bit for bit.
+    #[test]
+    fn replay_folds_partials_in_pid_order() {
+        let sp = lowered(include_str!("../../../examples/hpf/row_sum.hpf"), CoreConfig::full());
+        assert!(sp
+            .reduces
+            .iter()
+            .any(|r| r.reduce_dims == [0] && r.op == RedOp::Sum));
+        let a = sp.program.vars.lookup("a").unwrap();
+        let data: Vec<f64> = (0..64).map(|k| 1.0 + k as f64 * 0.25).collect();
+        let init = |m: &mut Memory| m.fill_real(a, &data);
+        let mut exec = SpmdExec::new(&sp, init).with_trace();
+        exec.run().unwrap();
+        let trace = exec.trace.take().unwrap();
+        let r = replay(&sp, &trace, init).unwrap();
+        check_owner_slots(&sp, &r.mems, &exec.mems).unwrap();
     }
 
     #[test]

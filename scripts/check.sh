@@ -217,6 +217,20 @@ for backend in thread socket; do
     }
 done
 
+echo "==> a reduction Sum whose partials round matches on the socket backend"
+# examples/hpf/row_sum.hpf sums A(i,j) / 3.0 across four ranks. Every
+# engine folds the partials in ascending pid order, so the workers'
+# replay matches the reference executor bit for bit.
+set +e
+out=$(./target/release/phpfc examples/hpf/row_sum.hpf --backend socket 2>&1)
+status=$?
+set -e
+if [ "$status" -ne 0 ] || ! echo "$out" | grep -q 'backend socket: replay on 4 worker processes matched'; then
+    echo "FAIL: row_sum --backend socket exited $status or did not match the reference" >&2
+    echo "$out" | tail -5 >&2
+    exit 1
+fi
+
 echo "==> thread backend engine choice (node programs, or exec+replay with its reason)"
 # TOMCATV's ranks run their own node programs; DGEFA's pivot search reads
 # the matrix in an IF predicate, so it stays on the reference executor and
@@ -301,6 +315,25 @@ echo "$out" | grep -q 'memory budget exceeded: .*array `a` (declared on line 2) 
     echo "$out" >&2
     exit 1
 }
+
+echo "==> a socket run over the memory budget is refused before any data is built"
+# The same 320 GB array on the socket backend: its default data and the
+# workers' whole memories are sized first, so phpfc exits 1 with the
+# budget's located error under a 2 GiB address-space limit (this process
+# only) instead of failing an allocation or panicking.
+hugehpf=$(mktemp -t phpfc-huge.XXXXXX)
+printf 'REAL A(200000,200000)\nA(1,1) = 1.0\n' > "$hugehpf"
+set +e
+out=$( (ulimit -v 2097152; ./target/release/phpfc "$hugehpf" --backend socket --observe) 2>&1)
+status=$?
+set -e
+rm -f "$hugehpf"
+if [ "$status" -ne 1 ] || ! echo "$out" | grep -q 'memory budget exceeded' ||
+    echo "$out" | grep -q 'memory allocation of\|panicked'; then
+    echo "FAIL: a socket run over the budget exited $status, not 1 with the budget error" >&2
+    echo "$out" | tail -5 >&2
+    exit 1
+fi
 
 echo "==> a compile report allocates none of a program's arrays"
 # A 320 GB REAL array: the report prints its rank stores without building

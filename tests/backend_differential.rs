@@ -211,6 +211,16 @@ B(i) = i
     }
 }
 
+/// A Sum over four ranks whose partials round: every engine folds them
+/// in pid order, so both backends agree bit for bit with each other and
+/// the socket workers' replay with the executor. The default fills alone
+/// sum exactly; the division makes the order show.
+#[test]
+fn inexact_reduction_sum_thread_vs_socket() {
+    let source = include_str!("../examples/hpf/row_sum.hpf");
+    differential("row sum / 3", source.to_string(), true);
+}
+
 /// Two elements BLOCK-distributed over four processors: ranks 2 and 3 own
 /// nothing and are streamed an empty event list.
 #[test]

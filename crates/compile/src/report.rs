@@ -3,9 +3,8 @@
 //! the elements each rank stores — the `--explain` view of the compiler.
 
 use crate::Compiled;
-use hpf_dist::IterSet;
-use hpf_ir::pretty::print_expr;
-use hpf_ir::{Expr, HeldDim, Stmt};
+use hpf_ir::pretty::{print_expr, stmt_text};
+use hpf_ir::{Expr, HeldDim};
 use hpf_spmd::{node, stores, CommData, Engine, Guard};
 use std::fmt::Write;
 
@@ -87,9 +86,6 @@ pub fn render(c: &Compiled) -> String {
         }
     };
     for lv in loops {
-        let Stmt::Do { var, lo, hi, .. } = p.stmt(lv.stmt) else {
-            continue;
-        };
         let owners = match &lv.owners {
             None => "every iteration".to_string(),
             Some(refs) => {
@@ -102,11 +98,9 @@ pub fn render(c: &Compiled) -> String {
         };
         let _ = writeln!(
             out,
-            "s{:<4} DO {} = {}, {}: {}",
+            "s{:<4} {}: {}",
             lv.stmt.0,
-            p.vars.name(*var),
-            print_expr(p, lo),
-            print_expr(p, hi),
+            stmt_text(p, lv.stmt),
             owners
         );
         for d in &lv.dims {
@@ -181,12 +175,25 @@ fn held_text(d: &HeldDim) -> String {
     }
 }
 
-fn set_text(set: &IterSet) -> String {
+/// A set of iterations: `a..b` for a range, `first..last:step` for a
+/// cyclic set of single indices, `first..last:periodxblock` for one of
+/// blocks of `block` indices every `period`.
+fn set_text(set: &HeldDim) -> String {
     match *set {
-        IterSet::All => "all".to_string(),
-        IterSet::Empty => "-".to_string(),
-        IterSet::Range(a, b) => format!("{}..{}", a, b),
-        IterSet::Strided { first, last, step } => format!("{}..{}:{}", first, last, step),
+        HeldDim::Range { lo, hi } => format!("{}..{}", lo, hi),
+        HeldDim::Cyclic { block, procs, .. } => {
+            // Held indices run in position order, up or down.
+            let held = set.indices();
+            let (first, last) = match (held.first(), held.last()) {
+                (Some(&x), Some(&y)) => (x.min(y), x.max(y)),
+                _ => return "-".to_string(),
+            };
+            match block {
+                1 => format!("{}..{}:{}", first, last, procs),
+                _ => format!("{}..{}:{}x{}", first, last, block * procs, block),
+            }
+        }
+        HeldDim::Listed(ref v) => format!("{} listed", v.len()),
     }
 }
 
@@ -208,7 +215,7 @@ pub fn render_diagnostics(p: &hpf_ir::Program, report: &hpf_verify::VerifyReport
                 out,
                 "  --> stmt {}: `{}`",
                 s.0,
-                hpf_verify::render::stmt_text(p, s)
+                hpf_ir::pretty::stmt_text(p, s)
             );
         }
         for n in &d.notes {

@@ -1,15 +1,23 @@
 //! Per-processor data extents: which elements of an array a processor
 //! holds, how many, and aggregate balance statistics.
 //!
-//! [`held_dims`] is the one derivation of a processor's section of an
-//! array: per array dimension, the indices it owns. BLOCK gives a
-//! contiguous range, CYCLIC and CYCLIC(k) a cyclic set with a closed-form
-//! local index, and replicated, privatized and undistributed dimensions
-//! every index. The node programs' rank stores hold exactly this section
-//! (`hpf_ir::store`), the compile report prints it, the owner-slot checks
-//! walk it, and [`owned_count`] counts it for the balance report. The
-//! sequential interpreter, the reference executor and trace replay still
-//! store whole arrays.
+//! [`owned_indices`] is the one derivation of the indices a grid
+//! coordinate owns along one dimension: it solves `owner(stride·i + off) =
+//! c` for `i` in closed form. BLOCK gives a contiguous range, CYCLIC and
+//! CYCLIC(k) under a unit stride a cyclic set with a closed-form local
+//! index. Two callers read it:
+//!
+//! * [`held_dims`], a processor's section of an array: per array
+//!   dimension, the indices it owns, and every index along replicated,
+//!   privatized and undistributed dimensions. The node programs' rank
+//!   stores hold exactly this section (`hpf_ir::store`), the compile
+//!   report prints it, the owner-slot checks walk it, and [`owned_count`]
+//!   counts it for the balance report. The sequential interpreter, the
+//!   reference executor and trace replay still store whole arrays.
+//! * the node programs' loop bounds (`hpf_spmd::node`): the iterations of
+//!   a loop whose referenced element a rank owns (the paper's §4, "the
+//!   loop bounds can be shrunk in the final SPMD code"), with [`in_template`]
+//!   telling which iterations reference a position inside the template.
 
 use crate::grid::ProcGrid;
 use crate::mapping::{block_range, dist_owner, ArrayMapping, GridDimRule};
@@ -58,7 +66,26 @@ pub fn held_dims(
         .map(|(&(lo, hi), gs)| {
             let closed = match gs[..] {
                 [] => Some(HeldDim::Range { lo, hi }),
-                [g] => closed_form(&mapping.rules[g], grid.extent(g), coords[g], lo, hi),
+                [g] => match mapping.rules[g] {
+                    GridDimRule::ByDim {
+                        dist,
+                        stride,
+                        offset,
+                        t_lo,
+                        t_extent,
+                        ..
+                    } => owned_indices(
+                        dist,
+                        grid.extent(g),
+                        coords[g],
+                        stride,
+                        offset - t_lo,
+                        t_extent,
+                        lo,
+                        hi,
+                    ),
+                    _ => None,
+                },
                 _ => None,
             };
             closed.unwrap_or_else(|| {
@@ -123,28 +150,42 @@ fn indices_at(stride: i64, off: i64, p0: i64, p1: i64, lo: i64, hi: i64) -> (i64
     (first.max(lo), last.min(hi))
 }
 
-/// The indices `lo..=hi` of one array dimension that coordinate `c` of
-/// `nprocs` owns under a `ByDim` rule with a non-zero stride, in closed
-/// form: a range under BLOCK (any stride) or a collapsed distribution, a
-/// cyclic set under CYCLIC(k) with a unit stride, `None` otherwise.
-fn closed_form(rule: &GridDimRule, nprocs: usize, c: usize, lo: i64, hi: i64) -> Option<HeldDim> {
-    let GridDimRule::ByDim {
-        dist,
-        stride,
-        offset,
-        t_lo,
-        t_extent,
-        ..
-    } = *rule
-    else {
+/// The indices `lo..=hi` whose 0-based template position `stride·i + off`
+/// lies in a template of `t_extent` positions, as `(first, last)`: none
+/// when `first > last`. `stride` is non-zero.
+pub fn in_template(stride: i64, off: i64, t_extent: i64, lo: i64, hi: i64) -> (i64, i64) {
+    indices_at(stride, off, 0, t_extent - 1, lo, hi)
+}
+
+/// The indices `i` in `lo..=hi` whose 0-based template position
+/// `p = stride·i + off` lies in the template (`t_extent` positions) and on
+/// coordinate `c` of `nprocs` under `dist`, in closed form: a range under
+/// BLOCK (any stride) or a collapsed distribution, a cyclic set under
+/// CYCLIC(k) with a unit stride. `None` for CYCLIC(k) under any other
+/// stride, or stride 0.
+///
+/// This is the one place that solves `owner(p) = c` for `i`: the stores
+/// call it through [`held_dims`] with an alignment's stride and offset,
+/// the node programs' loop bounds with those of a subscript `k·v + c0`
+/// composed with the alignment (`stride·k`, `stride·c0 + offset - t_lo`).
+#[allow(clippy::too_many_arguments)]
+pub fn owned_indices(
+    dist: DistFormat,
+    nprocs: usize,
+    c: usize,
+    stride: i64,
+    off: i64,
+    t_extent: i64,
+    lo: i64,
+    hi: i64,
+) -> Option<HeldDim> {
+    if stride == 0 {
         return None;
-    };
-    let off = offset - t_lo;
+    }
     let range = |(lo, hi): (i64, i64)| {
         Some(if lo > hi { HeldDim::EMPTY } else { HeldDim::Range { lo, hi } })
     };
-    // The indices whose position lies in the template.
-    let (lo, hi) = indices_at(stride, off, 0, t_extent - 1, lo, hi);
+    let (lo, hi) = in_template(stride, off, t_extent, lo, hi);
     if lo > hi {
         return Some(HeldDim::EMPTY);
     }
@@ -321,6 +362,60 @@ mod tests {
             "!HPF$ PROCESSORS P(2,2)\n!HPF$ DISTRIBUTE (BLOCK,*) :: H\n\
              !HPF$ DISTRIBUTE (*, CYCLIC(3)) :: K\nREAL H(8,8), K(5,13)\n",
         );
+    }
+
+    /// Brute force against `dist_owner`: over a loop range that crosses
+    /// both ends of the template, each in-template index is in exactly one
+    /// coordinate's set, the owner's, at a distinct position `0..len`, and
+    /// no out-of-template index is in any set.
+    fn check_owned(dist: DistFormat, nprocs: usize, t_extent: i64, stride: i64, off: i64) {
+        let (t0, t1) = in_template(stride, off, t_extent, -50, 50);
+        let (lo, hi) = (t0 - 3, t1 + 3);
+        for c in 0..nprocs {
+            let what = format!(
+                "{:?} np={} c={} stride={} off={}",
+                dist, nprocs, c, stride, off
+            );
+            let Some(set) = owned_indices(dist, nprocs, c, stride, off, t_extent, lo, hi) else {
+                panic!("{}: no closed form", what);
+            };
+            let mut positions = Vec::new();
+            for i in lo..=hi {
+                let p = stride * i + off;
+                let owned =
+                    (0..t_extent).contains(&p) && dist_owner(dist, p, t_extent, nprocs) == c;
+                assert_eq!(set.local(i).is_some(), owned, "{} i={}", what, i);
+                assert_eq!(
+                    (t0..=t1).contains(&i),
+                    (0..t_extent).contains(&p),
+                    "{} i={}",
+                    what,
+                    i
+                );
+                positions.extend(set.local(i));
+            }
+            positions.sort_unstable();
+            assert_eq!(positions, (0..set.count()).collect::<Vec<_>>(), "{}", what);
+        }
+    }
+
+    #[test]
+    fn owned_indices_match_ownership() {
+        for nprocs in 1..=5 {
+            for t_extent in [1, 7, 16, 17] {
+                for off in [-3, 0, 2, 20] {
+                    for stride in [1, -1, 2, -2, 3] {
+                        check_owned(DistFormat::Block, nprocs, t_extent, stride, off);
+                    }
+                    for stride in [1, -1] {
+                        check_owned(DistFormat::Cyclic, nprocs, t_extent, stride, off);
+                        for k in 1..=4 {
+                            check_owned(DistFormat::BlockCyclic(k), nprocs, t_extent, stride, off);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! The HPF data-mapping substrate: processor grids, composition of `ALIGN`
 //! and `DISTRIBUTE` directives into ownership rules, owner computation,
-//! per-processor data accounting, and owner-computes iteration
-//! partitioning (loop-bound shrinking).
+//! and the indices each processor owns ([`layout::owned_indices`]), which
+//! size its stores and bound its loops (owner-computes iteration
+//! partitioning).
 //!
 //! The paper's mapping algorithm manipulates these objects: alignment of a
 //! privatized scalar "with reference r" makes the scalar's owner the owner
@@ -11,12 +12,10 @@
 //! grid-dimension rules with [`mapping::GridDimRule::Private`].
 
 pub mod grid;
-pub mod iterspace;
 pub mod layout;
 pub mod mapping;
 
 pub use grid::ProcGrid;
-pub use iterspace::{shrink_bounds, IterSet};
 pub use mapping::{
     dist_owner, ArrayMapping, GridCoord, GridDimRule, MappingTable, OwnerSet,
 };

@@ -1,11 +1,11 @@
 //! Additional hpf-dist coverage: alignment chains, owner-set algebra,
-//! shrink-bounds corner cases, balance accounting.
+//! owned-index corner cases, balance accounting.
 
+use hpf_dist::layout::owned_indices;
 use hpf_dist::{
-    dist_owner, shrink_bounds, ArrayMapping, GridCoord, GridDimRule, IterSet, MappingTable,
-    OwnerSet, ProcGrid,
+    dist_owner, ArrayMapping, GridCoord, GridDimRule, MappingTable, OwnerSet, ProcGrid,
 };
-use hpf_ir::{parse_program, DistFormat};
+use hpf_ir::{parse_program, DistFormat, HeldDim};
 
 #[test]
 fn alignment_chain_resolves_transitively() {
@@ -76,40 +76,64 @@ fn mapping_private_dims_reported() {
 }
 
 #[test]
-fn shrink_bounds_degenerate_cases() {
-    // Single processor: everything belongs to coordinate 0.
-    let s = shrink_bounds(DistFormat::Block, 1, 1, 16, 0, 1, 0, 1, 16).unwrap();
-    assert_eq!(s, IterSet::Range(1, 16));
-    // Collapsed: all iterations.
-    let s = shrink_bounds(DistFormat::Collapsed, 4, 1, 16, 2, 1, 0, 1, 16).unwrap();
-    assert_eq!(s, IterSet::All);
-    // Coordinate beyond the data (block 4, coord 3, extent 10 -> owns
-    // positions 12..15 which don't exist for a 10-extent template... block
-    // of 10 over 4 = 3: coord 3 owns 9..9).
-    let s = shrink_bounds(DistFormat::Block, 4, 1, 10, 3, 1, 0, 1, 10).unwrap();
-    assert_eq!(s, IterSet::Range(10, 10));
+fn owned_indices_degenerate_cases() {
+    // Single processor: everything in the template belongs to coordinate 0.
+    let s = owned_indices(DistFormat::Block, 1, 0, 1, -1, 16, 1, 16);
+    assert_eq!(s, Some(HeldDim::Range { lo: 1, hi: 16 }));
+    // Collapsed: coordinate 0 holds it all, the others nothing.
+    let s = owned_indices(DistFormat::Collapsed, 4, 0, 1, -1, 16, 1, 16);
+    assert_eq!(s, Some(HeldDim::Range { lo: 1, hi: 16 }));
+    let s = owned_indices(DistFormat::Collapsed, 4, 2, 1, -1, 16, 1, 16);
+    assert_eq!(s, Some(HeldDim::EMPTY));
+    // 10 positions over 4 coordinates in blocks of 3: coordinate 3 owns
+    // position 9 alone.
+    let s = owned_indices(DistFormat::Block, 4, 3, 1, -1, 10, 1, 10);
+    assert_eq!(s, Some(HeldDim::Range { lo: 10, hi: 10 }));
+    // A loop wholly outside the template owns nothing anywhere.
+    let s = owned_indices(DistFormat::Cyclic, 4, 1, 1, -1, 10, 11, 20);
+    assert_eq!(s, Some(HeldDim::EMPTY));
+    // An empty loop range.
+    let s = owned_indices(DistFormat::Block, 4, 0, 1, -1, 16, 5, 4);
+    assert_eq!(s, Some(HeldDim::EMPTY));
+    // No closed form: CYCLIC(k) under a non-unit stride, and stride 0.
+    assert_eq!(
+        owned_indices(DistFormat::Cyclic, 4, 0, 2, 0, 16, 1, 8),
+        None
+    );
+    assert_eq!(
+        owned_indices(DistFormat::BlockCyclic(2), 4, 0, -3, 20, 16, 1, 8),
+        None
+    );
+    assert_eq!(owned_indices(DistFormat::Block, 4, 0, 0, 3, 16, 1, 8), None);
 }
 
 #[test]
 fn cyclic_owner_wraps_offsets() {
-    // Negative offsets keep the modulo in range.
-    for b in -5i64..6 {
-        for coord in 0..3usize {
-            let set =
-                shrink_bounds(DistFormat::Cyclic, 3, 1, 40, coord, 1, b, 6, 30).unwrap();
-            for i in 6..=30i64 {
-                let pos0 = i + b - 1;
-                if !(0..40).contains(&pos0) {
-                    continue;
+    // Negative offsets keep the modulo in range, under CYCLIC and
+    // CYCLIC(k), up and down, over loops that cross the template's ends.
+    for dist in [
+        DistFormat::Cyclic,
+        DistFormat::BlockCyclic(2),
+        DistFormat::BlockCyclic(3),
+    ] {
+        for (stride, b) in (-5i64..6).flat_map(|b| [(1, b), (-1, b + 40)]) {
+            for coord in 0..3usize {
+                let off = b - 1;
+                let set = owned_indices(dist, 3, coord, stride, off, 40, -4, 46).unwrap();
+                for i in -4..=46i64 {
+                    let pos0 = stride * i + off;
+                    let owned = (0..40).contains(&pos0) && dist_owner(dist, pos0, 40, 3) == coord;
+                    assert_eq!(
+                        set.local(i).is_some(),
+                        owned,
+                        "{:?} stride={} b={} coord={} i={}",
+                        dist,
+                        stride,
+                        b,
+                        coord,
+                        i
+                    );
                 }
-                assert_eq!(
-                    set.contains(i),
-                    dist_owner(DistFormat::Cyclic, pos0, 40, 3) == coord,
-                    "b={} coord={} i={}",
-                    b,
-                    coord,
-                    i
-                );
             }
         }
     }

@@ -131,55 +131,19 @@ pub fn print_stmt(p: &Program, id: StmtId, indent: usize, out: &mut String) {
             let _ = writeln!(out, "{}!HPF$ NO_VALUE_DEPS", pad);
         }
     }
+    let _ = writeln!(out, "{}{}{}", pad, label, stmt_text(p, id));
     match &node.stmt {
-        Stmt::Assign { lhs, rhs } => {
-            let l = match lhs {
-                LValue::Scalar(v) => p.vars.name(*v).to_string(),
-                LValue::Array(r) => format!(
-                    "{}({})",
-                    p.vars.name(r.array),
-                    r.subs
-                        .iter()
-                        .map(|s| print_expr(p, s))
-                        .collect::<Vec<_>>()
-                        .join(",")
-                ),
-            };
-            let _ = writeln!(out, "{}{}{} = {}", pad, label, l, print_expr(p, rhs));
-        }
-        Stmt::Do {
-            var,
-            lo,
-            hi,
-            step,
-            body,
-        } => {
-            let step_s = if step.as_int() == Some(1) {
-                String::new()
-            } else {
-                format!(", {}", print_expr(p, step))
-            };
-            let _ = writeln!(
-                out,
-                "{}{}DO {} = {}, {}{}",
-                pad,
-                label,
-                p.vars.name(*var),
-                print_expr(p, lo),
-                print_expr(p, hi),
-                step_s
-            );
+        Stmt::Do { body, .. } => {
             for &s in body {
                 print_stmt(p, s, indent + 1, out);
             }
             let _ = writeln!(out, "{}END DO", pad);
         }
         Stmt::If {
-            cond,
             then_body,
             else_body,
+            ..
         } => {
-            let _ = writeln!(out, "{}{}IF ({}) THEN", pad, label, print_expr(p, cond));
             for &s in then_body {
                 print_stmt(p, s, indent + 1, out);
             }
@@ -191,12 +155,43 @@ pub fn print_stmt(p: &Program, id: StmtId, indent: usize, out: &mut String) {
             }
             let _ = writeln!(out, "{}END IF", pad);
         }
-        Stmt::Goto(l) => {
-            let _ = writeln!(out, "{}{}GOTO {}", pad, label, l.0);
+        Stmt::Assign { .. } | Stmt::Goto(_) | Stmt::Continue => {}
+    }
+}
+
+/// The statement's own line, without its label or body: `a(i,j) = 1.0`,
+/// `DO i = 1, n, 2` (the step only when it is not 1), `IF (c) THEN`,
+/// `GOTO 10`, `CONTINUE`. Diagnostics, run-time faults and the compile
+/// report name statements by it.
+pub fn stmt_text(p: &Program, s: StmtId) -> String {
+    match p.stmt(s) {
+        Stmt::Assign { lhs, rhs } => {
+            let l = match lhs {
+                LValue::Scalar(v) => p.vars.name(*v).to_string(),
+                LValue::Array(r) => {
+                    let subs: Vec<String> = r.subs.iter().map(|e| print_expr(p, e)).collect();
+                    format!("{}({})", p.vars.name(r.array), subs.join(","))
+                }
+            };
+            format!("{} = {}", l, print_expr(p, rhs))
         }
-        Stmt::Continue => {
-            let _ = writeln!(out, "{}{}CONTINUE", pad, label);
+        Stmt::Do {
+            var, lo, hi, step, ..
+        } => {
+            let mut out = format!(
+                "DO {} = {}, {}",
+                p.vars.name(*var),
+                print_expr(p, lo),
+                print_expr(p, hi)
+            );
+            if step.as_int() != Some(1) {
+                let _ = write!(out, ", {}", print_expr(p, step));
+            }
+            out
         }
+        Stmt::If { cond, .. } => format!("IF ({}) THEN", print_expr(p, cond)),
+        Stmt::Goto(l) => format!("GOTO {}", l.0),
+        Stmt::Continue => "CONTINUE".to_string(),
     }
 }
 
@@ -297,6 +292,33 @@ END DO",
         assert!(s.contains("DO i = 2, 7"));
         assert!(s.contains("a(i) = a(i - 1) + 1.0"));
         assert!(s.contains("END DO"));
+    }
+
+    /// One line per statement, without label, body or the directives
+    /// `print_stmt` puts above a loop; a DO's step shows when it is not 1.
+    #[test]
+    fn stmt_text_is_the_header_line() {
+        let p = parse_program(
+            "REAL A(10)\nINTEGER i\n!HPF$ INDEPENDENT\nDO i = 10, 1, -3\n  A(i) = A(i) + 1.0\nEND DO\n\
+             DO i = 1, 10\n  IF (i > 2) THEN\n    GOTO 10\n  END IF\nEND DO\n10 CONTINUE\n",
+        )
+        .unwrap();
+        let texts: Vec<String> = p.preorder().iter().map(|&s| stmt_text(&p, s)).collect();
+        for want in [
+            "DO i = 10, 1, (-3)",
+            "a(i) = a(i) + 1.0",
+            "DO i = 1, 10",
+            "IF ((i > 2)) THEN",
+            "GOTO 10",
+            "CONTINUE",
+        ] {
+            assert!(
+                texts.iter().any(|t| t == want),
+                "no {:?} in {:?}",
+                want,
+                texts
+            );
+        }
     }
 
     #[test]

@@ -23,7 +23,8 @@ use crate::program::{Program, VarId};
 use crate::types::{ArrayShape, ScalarTy, VarKind};
 
 /// The indices of one array dimension a store holds, and the local
-/// position of each.
+/// position of each. The node programs' loop sets use the same type for
+/// the iterations a rank visits.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HeldDim {
     /// Indices `lo..=hi`, index `i` at position `i - lo`; none when

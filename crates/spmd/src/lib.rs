@@ -67,7 +67,7 @@ pub use code::Code;
 pub use codec::{decode_events, encode_events};
 pub use env::Env;
 pub use exec::{Event, Slot, Tag, Trace};
-pub use lower::{lower, CommData, CommOp, ReduceOp, Schedule, ScheduleOp, SpmdProgram};
+pub use lower::{lower, CommData, CommOp, ReduceOp, Schedule, SpmdProgram};
 pub use metrics::{CommMetrics, RecoveryCounters};
 pub use node::{engine, Engine, Fallback};
 pub use runtime::{

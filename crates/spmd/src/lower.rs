@@ -77,50 +77,14 @@ pub struct ReduceOp {
     pub op: hpf_analysis::RedOp,
 }
 
-/// One entry of a [`Schedule`]: the placement facts of a communication
-/// operation, without the cost-model internals of [`CommOp`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScheduleOp {
-    /// Index into `SpmdProgram::comms` (stable across the summary).
-    pub index: usize,
-    pub stmt: StmtId,
-    pub data: CommData,
-    pub pattern: CommPattern,
-    /// Loop level the operation is placed at (0 = outside all loops).
-    pub level: usize,
-    /// Nesting level of the reading statement.
-    pub stmt_level: usize,
-    pub elem_bytes: usize,
-    /// Wire messages one execution of the operation sends, when bounded.
-    pub pairs_per_exec: Option<usize>,
-    /// (stmt, data) pairs folded into this operation by merging.
-    pub merged: Vec<(StmtId, CommData)>,
+/// The placed communication operations, counted by placement: the
+/// lowering's own [`CommOp`]s, borrowed.
+#[derive(Debug, Clone, Copy)]
+pub struct Schedule<'a> {
+    pub ops: &'a [CommOp],
 }
 
-impl ScheduleOp {
-    /// Placed below its statement's nesting level (vectorized)?
-    pub fn hoisted(&self) -> bool {
-        self.level < self.stmt_level
-    }
-
-    /// Placed inside a loop at the statement's own level?
-    pub fn is_inner_loop(&self) -> bool {
-        self.level == self.stmt_level && self.stmt_level > 0
-    }
-}
-
-/// Stable summary of the lowered communication plan: one entry per placed
-/// operation plus the reduction combines. Unlike the executor's trace, a
-/// `Schedule` is available without running the program; all loop-level
-/// bookkeeping (hoisted vs. inner-loop placement) lives here so lowering,
-/// the cross-check and the verifier agree on one definition.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Schedule {
-    pub ops: Vec<ScheduleOp>,
-    pub reduces: Vec<ReduceOp>,
-}
-
-impl Schedule {
+impl Schedule<'_> {
     /// Count of operations placed inside loops at statement level.
     pub fn inner_loop_count(&self) -> usize {
         self.ops.iter().filter(|o| o.is_inner_loop()).count()
@@ -197,29 +161,9 @@ impl SpmdProgram {
         self.schedule().inner_loop_count()
     }
 
-    /// Summarize the lowered communication plan as a [`Schedule`] — the
-    /// stable, execution-free view consumed by the cost cross-check and
-    /// the static verifier.
-    pub fn schedule(&self) -> Schedule {
-        Schedule {
-            ops: self
-                .comms
-                .iter()
-                .enumerate()
-                .map(|(index, c)| ScheduleOp {
-                    index,
-                    stmt: c.stmt,
-                    data: c.data.clone(),
-                    pattern: c.pattern,
-                    level: c.level,
-                    stmt_level: c.stmt_level,
-                    elem_bytes: c.elem_bytes,
-                    pairs_per_exec: c.pairs_per_exec,
-                    merged: c.merged.clone(),
-                })
-                .collect(),
-            reduces: self.reduces.clone(),
-        }
+    /// The placed communication operations, for counting by placement.
+    pub fn schedule(&self) -> Schedule<'_> {
+        Schedule { ops: &self.comms }
     }
 
     /// Index into `comms` of the operation satisfying a fetch of `data`

@@ -9,13 +9,17 @@
 //! record its own schedule in the executor's trace shape.
 //!
 //! * *Iterations.* Before a loop runs, a rank bounds the iterations it
-//!   visits with `hpf_dist::shrink_bounds`: per owner reference in the
-//!   loop (guards and remote-capable reads), the iterations whose element
-//!   it owns. The union of those sets is every iteration in which the rank
-//!   executes a statement or owns an operand another rank reads; a
-//!   reference the function cannot bound makes the rank visit every
-//!   iteration, where the guard decides. [`loop_visits`] hands this plan
-//!   to the compile report.
+//!   visits with `hpf_dist::layout::owned_indices`, the derivation its
+//!   stores are sized with: per owner reference in the loop (guards and
+//!   remote-capable reads), the iterations whose element it owns. The
+//!   union of those sets is every iteration in which the rank executes a
+//!   statement or owns an operand another rank reads. Every rank also
+//!   visits the iterations whose reference leaves the template, so that
+//!   its guard or read faults there as the executor's does. A reference
+//!   with no closed form (CYCLIC(k) under a non-unit stride, a subscript
+//!   reading an unknown scalar) makes the rank visit every iteration,
+//!   where the guard decides. [`loop_visits`] hands this plan to the
+//!   compile report.
 //! * *Stores.* A rank allocates only the elements it owns
 //!   ([`crate::stores::rank_memory`]) and addresses them by the subscripts
 //!   it evaluated; an access outside its store is a fault naming the rank
@@ -55,9 +59,13 @@ use crate::runtime::{panic_text, run_ranks, spawn_ranks, Local, Replayed};
 use crate::stores;
 use crate::wire::Wire;
 use hpf_analysis::{Cfg, ReachingDefs};
-use hpf_dist::{dist_owner, shrink_bounds, GridDimRule, IterSet, ProcGrid};
+use hpf_dist::layout::{in_template, owned_indices};
+use hpf_dist::{dist_owner, GridDimRule, ProcGrid};
 use hpf_ir::interp::{InterpError, Memory};
-use hpf_ir::{Affine, ArrayRef, DistFormat, Expr, LValue, Program, Stmt, StmtId, Value, VarId};
+use hpf_ir::pretty::stmt_text;
+use hpf_ir::{
+    Affine, ArrayRef, DistFormat, Expr, HeldDim, LValue, Program, Stmt, StmtId, Value, VarId,
+};
 use hpf_net::Transport;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -174,12 +182,6 @@ fn fallback(sp: &SpmdProgram) -> Option<Fallback> {
         }
     }
     None
-}
-
-fn stmt_text(p: &Program, s: StmtId) -> String {
-    let mut out = String::new();
-    hpf_ir::pretty::print_stmt(p, s, 0, &mut out);
-    out.lines().next().unwrap_or("").trim().to_string()
 }
 
 /// Does `e` read no array element and only scalars every rank holds
@@ -484,9 +486,9 @@ pub struct LoopVisits<'s> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DimVisits {
     pub g: usize,
-    /// By coordinate: disjoint ranges first, then strided sets; `[All]`
-    /// for every iteration, `[]` for none.
-    pub sets: Vec<Vec<IterSet>>,
+    /// By coordinate: disjoint ranges first, then cyclic sets; the loop's
+    /// whole range for every iteration, `[]` for none.
+    pub sets: Vec<Vec<HeldDim>>,
 }
 
 /// Which iterations each rank visits, for every DO loop of `sp` in
@@ -517,19 +519,23 @@ pub fn loop_visits(sp: &SpmdProgram) -> Result<Vec<LoopVisits<'_>>, Fallback> {
         let constant = |e: &Expr| Affine::from_expr(e).and_then(|f| f.as_const());
         if let (Some(lo), Some(hi)) = (constant(lo), constant(hi)) {
             let (a, b) = (lo.min(hi), lo.max(hi));
+            let all = [HeldDim::Range { lo: a, hi: b }];
             let mut coords = vec![0; grid.rank()];
             for g in 0..grid.rank() {
                 let mut sets = Vec::new();
                 for c in 0..grid.extent(g) {
                     coords[g] = c;
-                    sets.push(union(lt.terms.iter().map(|t| {
-                        match t.dims.iter().find(|d| d.grid_dim() == g) {
-                            Some(d) => dim_set(d, grid, &coords, &|_| None, a, b).0,
-                            None => IterSet::All,
-                        }
-                    })));
+                    let mut visits = Vec::new();
+                    for t in &lt.terms {
+                        let set = match t.dims.iter().find(|d| d.grid_dim() == g) {
+                            Some(d) => dim_set(d, grid, &coords, &|_| None, (a, b), &mut visits).0,
+                            None => all[0].clone(),
+                        };
+                        visits.push(set);
+                    }
+                    sets.push(union(visits, (a, b)));
                 }
-                if sets.iter().any(|s| *s != [IterSet::All]) {
+                if sets.iter().any(|s| *s != all) {
                     dims.push(DimVisits { g, sets });
                 }
             }
@@ -543,31 +549,35 @@ pub fn loop_visits(sp: &SpmdProgram) -> Result<Vec<LoopVisits<'_>>, Fallback> {
     Ok(out)
 }
 
-/// The union of `sets`: `[All]` when one is `All`, else its ranges merged
-/// and sorted, then its distinct strided sets.
-fn union(sets: impl IntoIterator<Item = IterSet>) -> Vec<IterSet> {
+/// The union of `sets`, all within `a..=b`: its ranges merged and sorted,
+/// then its distinct other sets; just `a..=b` when a range covers it.
+fn union(sets: Vec<HeldDim>, (a, b): (i64, i64)) -> Vec<HeldDim> {
     let mut ranges = Vec::new();
-    let mut strided = Vec::new();
+    let mut others = Vec::new();
     for set in sets {
         match set {
-            IterSet::All => return vec![IterSet::All],
-            IterSet::Empty => {}
-            IterSet::Range(a, b) => ranges.push((a, b)),
-            IterSet::Strided { first, last, step } => strided.push((first, last, step)),
+            HeldDim::Range { lo, hi } if lo <= hi => ranges.push((lo, hi)),
+            HeldDim::Range { .. } => {}
+            set if !others.contains(&set) => others.push(set),
+            _ => {}
         }
     }
     ranges.sort_unstable();
-    strided.sort_unstable();
-    strided.dedup();
-    let mut out: Vec<IterSet> = Vec::new();
-    for (a, b) in ranges {
+    let mut out: Vec<HeldDim> = Vec::new();
+    for (lo, hi) in ranges {
         match out.last_mut() {
-            Some(IterSet::Range(_, hi)) if a <= hi.saturating_add(1) => *hi = (*hi).max(b),
-            _ => out.push(IterSet::Range(a, b)),
+            Some(HeldDim::Range { hi: last, .. }) if lo <= last.saturating_add(1) => {
+                *last = (*last).max(hi)
+            }
+            _ => out.push(HeldDim::Range { lo, hi }),
         }
     }
-    let strided = strided.into_iter();
-    out.extend(strided.map(|(first, last, step)| IterSet::Strided { first, last, step }));
+    if let Some(&HeldDim::Range { lo, hi }) = out.first() {
+        if lo <= a && hi >= b {
+            return vec![HeldDim::Range { lo: a, hi: b }];
+        }
+    }
+    out.extend(others);
     out
 }
 
@@ -752,83 +762,64 @@ fn term(
     (!dims.is_empty()).then_some(Term { dims, exact })
 }
 
-/// `a ∩ b`, or a superset of it.
-fn meet(a: IterSet, b: IterSet) -> IterSet {
-    use IterSet::*;
-    match (a, b) {
-        (All, x) | (x, All) => x,
-        (Empty, _) | (_, Empty) => Empty,
-        (Range(a0, a1), Range(b0, b1)) => {
-            let (lo, hi) = (a0.max(b0), a1.min(b1));
-            if lo > hi {
-                Empty
+/// `x ∩ y`, or a superset of it, and whether it is exactly `x ∩ y`.
+fn meet(x: HeldDim, y: HeldDim) -> (HeldDim, bool) {
+    use HeldDim::{Cyclic, Range};
+    match (x, y) {
+        (Range { lo: a0, hi: a1 }, Range { lo: b0, hi: b1 }) => {
+            (Range { lo: a0.max(b0), hi: a1.min(b1) }, true)
+        }
+        (Range { lo, hi }, s @ Cyclic { lo: s0, hi: s1, .. })
+        | (s @ Cyclic { lo: s0, hi: s1, .. }, Range { lo, hi }) => {
+            if lo <= s0 && s1 <= hi {
+                (s, true)
+            } else if lo > hi || hi < s0 || s1 < lo {
+                (HeldDim::EMPTY, true)
             } else {
-                Range(lo, hi)
+                (s, false)
             }
         }
-        (Range(lo, hi), Strided { first, last, step })
-        | (Strided { first, last, step }, Range(lo, hi)) => {
-            let mut f = first;
-            if f < lo {
-                f += (lo - f + step - 1) / step * step;
-            }
-            let l = last.min(hi);
-            if f > l {
-                Empty
-            } else {
-                Strided {
-                    first: f,
-                    last: l,
-                    step,
-                }
-            }
+        (s, t) => {
+            let exact = s == t;
+            (s, exact)
         }
-        (s @ Strided { .. }, _) => s,
     }
 }
 
-/// `x` without `e`, or a superset of it, within `a..=b`.
-fn minus(x: IterSet, e: &IterSet, a: i64, b: i64, out: &mut Vec<IterSet>) {
-    use IterSet::*;
-    let (x0, x1) = match x {
-        Empty => return,
-        All => (a, b),
-        Range(x0, x1) => (x0, x1),
-        Strided { .. } => return out.push(x),
-    };
-    match *e {
-        All => {}
-        Range(e0, e1) => {
+/// `x` without `e`, or a superset of it: only a range is subtracted, and
+/// only from a range.
+fn minus(x: HeldDim, e: &HeldDim, out: &mut Vec<HeldDim>) {
+    match (&x, e) {
+        (&HeldDim::Range { lo: x0, hi: x1 }, &HeldDim::Range { lo: e0, hi: e1 }) if e0 <= e1 => {
             for (lo, hi) in [(x0, x1.min(e0 - 1)), (x0.max(e1 + 1), x1)] {
                 if lo <= hi {
-                    out.push(Range(lo, hi));
+                    out.push(HeldDim::Range { lo, hi });
                 }
             }
         }
-        Empty | Strided { .. } => out.push(x),
+        _ => out.push(x),
     }
 }
 
 /// The iterations `a..=b` in which the rank at grid coordinates `coords`
 /// owns the element of an owner reference, and whether that is exactly
 /// where it does. `scalar` gives the integer values of the scalars its
-/// subscripts read, where known.
+/// subscripts read, where known. The iterations whose reference leaves
+/// the template go to `outside` ([`dim_set`]).
 fn term_set(
     t: &Term,
     grid: &ProcGrid,
     coords: &[usize],
     scalar: &impl Fn(VarId) -> Option<i64>,
-    a: i64,
-    b: i64,
-) -> (IterSet, bool) {
-    let (mut set, mut exact) = (IterSet::All, t.exact);
+    (a, b): (i64, i64),
+    outside: &mut Vec<HeldDim>,
+) -> (HeldDim, bool) {
+    let (mut set, mut exact) = (HeldDim::Range { lo: a, hi: b }, t.exact);
     for dim in &t.dims {
-        let (s, e) = dim_set(dim, grid, coords, scalar, a, b);
-        set = meet(set, s);
-        exact &= e;
-        if set == IterSet::Empty {
-            return (set, true);
-        }
+        let (s, e) = dim_set(dim, grid, coords, scalar, (a, b), outside);
+        let (m, e_meet) = meet(set, s);
+        set = m;
+        exact &= e && e_meet;
     }
     (set, exact)
 }
@@ -836,20 +827,23 @@ fn term_set(
 /// The iterations `a..=b` in which the rank at grid coordinates `coords`
 /// is the owner along one grid dimension of a reference (it reads only
 /// that dimension's coordinate), and whether the set is exact rather than
-/// a superset.
+/// a superset. The iterations whose position along the dimension leaves
+/// the template go to `outside`, and the set is then inexact: the
+/// reference faults there, and every rank visits them to fault.
 fn dim_set(
     dim: &TermDim,
     grid: &ProcGrid,
     coords: &[usize],
     scalar: &impl Fn(VarId) -> Option<i64>,
-    a: i64,
-    b: i64,
-) -> (IterSet, bool) {
+    (a, b): (i64, i64),
+    outside: &mut Vec<HeldDim>,
+) -> (HeldDim, bool) {
+    let all = HeldDim::Range { lo: a, hi: b };
     let mine = |c: usize, g: usize| {
         if c == coords[g] {
-            IterSet::All
+            all.clone()
         } else {
-            IterSet::Empty
+            HeldDim::EMPTY
         }
     };
     match *dim {
@@ -869,22 +863,28 @@ fn dim_set(
             for &(u, coef) in rest {
                 match scalar(u) {
                     Some(x) => c = c.wrapping_add(coef.wrapping_mul(x)),
-                    None => return (IterSet::All, false),
+                    None => return (all, false),
                 }
             }
             let nprocs = grid.extent(g);
-            if k == 0 {
-                let pos0 = stride * c + offset - t_lo;
-                if pos0 < 0 || pos0 >= t_extent {
-                    return (IterSet::All, false);
+            // Iteration `i` references template position `s·i + off`.
+            let (s, off) = (stride * k, stride * c + offset - t_lo);
+            if s == 0 {
+                if off < 0 || off >= t_extent {
+                    return (all, false);
                 }
-                (mine(dist_owner(dist, pos0, t_extent, nprocs), g), true)
-            } else {
-                let (ka, kb) = (stride * k, stride * c + offset);
-                match shrink_bounds(dist, nprocs, t_lo, t_extent, coords[g], ka, kb, a, b) {
-                    Some(set) => (set, true),
-                    None => (IterSet::All, false),
+                return (mine(dist_owner(dist, off, t_extent, nprocs), g), true);
+            }
+            let (t0, t1) = in_template(s, off, t_extent, a, b);
+            let before = outside.len();
+            for (lo, hi) in [(a, (t0 - 1).min(b)), ((t1 + 1).max(a), b)] {
+                if lo <= hi {
+                    outside.push(HeldDim::Range { lo, hi });
                 }
+            }
+            match owned_indices(dist, nprocs, coords[g], s, off, t_extent, a, b) {
+                Some(set) => (set, outside.len() == before),
+                None => (all, false),
             }
         }
     }
@@ -893,14 +893,17 @@ fn dim_set(
 /// The iterations of one loop entry a rank visits.
 enum Visit {
     All,
-    Sets(Vec<IterSet>),
+    Sets(Vec<HeldDim>),
 }
 
 impl Visit {
-    fn new(sets: Vec<IterSet>) -> Visit {
-        match union(sets) {
-            sets if sets == [IterSet::All] => Visit::All,
-            sets => Visit::Sets(sets),
+    /// The union of `sets`, all within `a..=b`.
+    fn new(sets: Vec<HeldDim>, (a, b): (i64, i64)) -> Visit {
+        let sets = union(sets, (a, b));
+        if sets == [HeldDim::Range { lo: a, hi: b }] {
+            Visit::All
+        } else {
+            Visit::Sets(sets)
         }
     }
 
@@ -914,7 +917,7 @@ impl Visit {
             match self {
                 Visit::All => return Some(i),
                 Visit::Sets(ss) => {
-                    if ss.iter().any(|s| s.contains(i)) {
+                    if ss.iter().any(|s| s.local(i).is_some()) {
                         return Some(i);
                     }
                     i += step;
@@ -1323,17 +1326,18 @@ impl<'a, 'w, T: Transport> Rank<'a, 'w, T> {
         let Some(lt) = &self.plan.terms[l.index()] else {
             return Visit::All;
         };
-        let (a, b) = (lo.min(hi), lo.max(hi));
+        let bounds = (lo.min(hi), lo.max(hi));
         let scalar = |u: VarId| match self.mem.scalar(u) {
             Value::Int(x) => Some(x),
             _ => None,
         };
-        let sets: Vec<(IterSet, bool)> = lt
+        // Every rank visits the iterations that leave a template.
+        let mut out = Vec::new();
+        let sets: Vec<(HeldDim, bool)> = lt
             .terms
             .iter()
-            .map(|t| term_set(t, self.grid, &self.coords_me, &scalar, a, b))
+            .map(|t| term_set(t, self.grid, &self.coords_me, &scalar, bounds, &mut out))
             .collect();
-        let mut out = Vec::new();
         if !serving {
             out.extend(sets.into_iter().map(|(set, _)| set));
         } else {
@@ -1342,14 +1346,14 @@ impl<'a, 'w, T: Transport> Rank<'a, 'w, T> {
                 for &r in &st.reads {
                     let x = sets[r].0.clone();
                     if *exact {
-                        minus(x, exec, a, b, &mut out);
+                        minus(x, exec, &mut out);
                     } else {
                         out.push(x);
                     }
                 }
             }
         }
-        Visit::new(out)
+        Visit::new(out, bounds)
     }
 
     /// Where `reader`'s read `r` of statement `s` comes from: the owner,

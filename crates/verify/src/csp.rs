@@ -364,10 +364,10 @@ pub fn event_text(p: &Program, e: &Event) -> String {
             from
         ),
         Event::Exec { stmt, .. } => {
-            format!("Exec stmt {} `{}`", stmt.0, crate::render::stmt_text(p, *stmt))
+            format!("Exec stmt {} `{}`", stmt.0, hpf_ir::pretty::stmt_text(p, *stmt))
         }
         Event::CondExec { stmt, .. } => {
-            format!("CondExec stmt {} `{}`", stmt.0, crate::render::stmt_text(p, *stmt))
+            format!("CondExec stmt {} `{}`", stmt.0, hpf_ir::pretty::stmt_text(p, *stmt))
         }
         Event::RecvPartial { from, has_loc, .. } => format!(
             "RecvPartial from rank {}{}",

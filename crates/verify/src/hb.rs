@@ -21,7 +21,7 @@ use hpf_spmd::{Env, Event, SpmdProgram, Trace};
 
 use crate::csp::Sim;
 use crate::diag::Diagnostic;
-use crate::render::stmt_text;
+use hpf_ir::pretty::stmt_text;
 
 const MAX_RACES: usize = 5;
 

@@ -42,7 +42,6 @@ pub mod csp;
 pub mod diag;
 pub mod hb;
 pub mod privatize;
-pub mod render;
 pub mod trace;
 
 pub use diag::{Diagnostic, Severity, VerifyReport, VerifyVerdict};

@@ -40,7 +40,7 @@ use hpf_spmd::{CommData, Guard, SpmdProgram};
 use phpf_core::{ArrayMappingDecision, ScalarMapping};
 
 use crate::diag::Diagnostic;
-use crate::render::stmt_text;
+use hpf_ir::pretty::stmt_text;
 
 /// Run every privatization-soundness check on a lowered program.
 pub fn verify_privatization(sp: &SpmdProgram, a: &Analysis<'_>) -> Vec<Diagnostic> {

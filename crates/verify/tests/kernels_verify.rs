@@ -179,7 +179,7 @@ fn dgefa_verifies_on_the_executor_with_one_r200_at_the_pivot_row_write() {
     assert_eq!(warned[0].code, "R200");
     let stmt = warned[0].stmt.expect("the R200 names its statement");
     assert_eq!(
-        hpf_verify::render::stmt_text(&sp.program, stmt),
+        hpf_ir::pretty::stmt_text(&sp.program, stmt),
         "a(l,j) = a(k,j)",
         "the pivot-row write"
     );

@@ -35,7 +35,7 @@ fn scalar_def(p: &Program, name: &str, rhs_contains: Option<&str>) -> StmtId {
         .find(|&s| {
             matches!(p.stmt(s), Stmt::Assign { lhs: LValue::Scalar(w), .. } if *w == v)
                 && rhs_contains.is_none_or(|frag| {
-                    hpf_verify::render::stmt_text(p, s).contains(frag)
+                    hpf_ir::pretty::stmt_text(p, s).contains(frag)
                 })
         })
         .expect("definition exists")
@@ -348,7 +348,7 @@ END DO
     assert_eq!(s100.len(), 1, "got: {:#?}", report.diags);
     assert!(s100[0].message.contains("rank 3"), "names the rank: {:#?}", s100[0]);
     let stmt = s100[0].stmt.expect("located");
-    assert_eq!(hpf_verify::render::stmt_text(&p, stmt), "a(i) = 12 / (i - 14)");
+    assert_eq!(hpf_ir::pretty::stmt_text(&p, stmt), "a(i) = 12 / (i - 14)");
     // Rank 2 waits for rank 3's boundary element: the receive that fails
     // is the last event it records.
     let ranks = hpf_spmd::node::record(&sp, &|_: &mut Memory| {});

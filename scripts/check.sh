@@ -277,6 +277,35 @@ echo "$out" | grep -qx ' *grid dim 0: \[0:2\.\.17\] \[1:16\.\.31\]' || {
     exit 1
 }
 
+echo "==> a CYCLIC(2) loop is bounded like its stores"
+# Each rank visits only its blocks of two, the indices its store holds.
+cyc2hpf=$(mktemp -t phpfc-cyclic2.XXXXXX)
+printf '!HPF$ PROCESSORS P(4)\n!HPF$ DISTRIBUTE (CYCLIC(2)) :: A\nREAL A(16)\nINTEGER i\nDO i = 1, 16\n  A(i) = A(i) * 2.0\nEND DO\n' > "$cyc2hpf"
+out=$(./target/release/phpfc "$cyc2hpf" 2>&1)
+rm -f "$cyc2hpf"
+echo "$out" | grep -qx ' *grid dim 0: \[0:1\.\.10:8x2\] \[1:3\.\.12:8x2\] \[2:5\.\.14:8x2\] \[3:7\.\.16:8x2\]' || {
+    echo "FAIL: the CYCLIC(2) loop's report has no grid dim 0 line with each rank's blocks" >&2
+    echo "$out" >&2
+    exit 1
+}
+
+echo "==> a BLOCK loop past its array fails --verify naming the rank and statement"
+# DO i = 1, 9 over A(8): the rank that visits i = 9 faults, as the
+# executor does, and the verifier reports an S100 at the assignment.
+oobhpf=$(mktemp -t phpfc-oob.XXXXXX)
+printf '!HPF$ PROCESSORS P(4)\n!HPF$ DISTRIBUTE (BLOCK) :: A\nREAL A(8)\nINTEGER i\nDO i = 1, 9\n  A(i) = 1.0\nEND DO\n' > "$oobhpf"
+set +e
+out=$(./target/release/phpfc "$oobhpf" --verify 2>&1)
+status=$?
+set -e
+rm -f "$oobhpf"
+if [ "$status" -ne 1 ] || ! echo "$out" | grep -q '^error\[S100\]: rank [0-9]' ||
+    ! echo "$out" | grep -q '^  --> stmt 0: `a(i) = 1.0`'; then
+    echo "FAIL: --verify on a loop past its array exited $status without a located S100" >&2
+    echo "$out" >&2
+    exit 1
+fi
+
 echo "==> socket-only flags without --backend socket are a usage error"
 set +e
 out=$(./target/release/phpfc examples/hpf/tomcatv_small.hpf --fault-plan 'kill:1@5' 2>&1)

@@ -33,8 +33,9 @@ fn check(src: &str, arrays: &[&str], n: i64) {
 
 #[test]
 fn block_cyclic_stencil() {
-    // CYCLIC(3) over 4 processors: bound shrinking is impossible
-    // (shrink_bounds returns None), so ownership guards do the work.
+    // CYCLIC(3) over 4 processors: each rank's loop visits its blocks of
+    // three and the halo elements it serves, and the guards pick the
+    // instances it owns.
     let src = r#"
 !HPF$ PROCESSORS P(4)
 !HPF$ DISTRIBUTE (CYCLIC(3)) :: A, B

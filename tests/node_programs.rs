@@ -8,8 +8,11 @@
 //! replay's order. The schedule the ranks record for the verifier
 //! (`node::record`) must be the executor's trace, event for event, less
 //! the statements that cannot race. DGEFA, an indirect subscript and
-//! Figure 1 must fall back to exec+replay and say why.
+//! Figure 1 must fall back to exec+replay and say why. The compile
+//! report's loop sets must hold every iteration a rank runs, and a loop
+//! that runs past its array must fault on a rank, naming the statement.
 
+use phpf::compile::netrun::{self, NetJob, NetRunConfig};
 use phpf::compile::{compile_source, Compiled, Options, Version};
 use phpf::ir::Memory;
 use phpf::kernels::{appsp, dgefa, tomcatv};
@@ -293,6 +296,16 @@ END DO
     assert_eq!(r.mems[3].array(a).get(15), phpf::ir::Value::Real(16.0));
 }
 
+/// A loop over a CYCLIC(2) array: each rank visits its blocks of two.
+const CYCLIC2: &str = "!HPF$ PROCESSORS P(4)\n!HPF$ DISTRIBUTE (CYCLIC(2)) :: A\nREAL A(16)\n\
+    INTEGER i\nDO i = 1, 16\n  A(i) = A(i) * 2.0\nEND DO\n";
+
+/// A loop over an array aligned at stride 2 with a BLOCK one: each rank
+/// visits the quarter of A its store holds.
+const STRIDE2: &str = "!HPF$ PROCESSORS P(4)\n!HPF$ DISTRIBUTE (BLOCK) :: T\n\
+    !HPF$ ALIGN (i) WITH T(2*i) :: A\nREAL T(32), A(16)\n\
+    INTEGER i\nDO i = 1, 16\n  A(i) = A(i) * 2.0\nEND DO\n";
+
 /// The local iteration sets of a compile report.
 fn iteration_section(c: &Compiled) -> String {
     let report = c.report();
@@ -356,6 +369,30 @@ fn report_prints_the_node_plan() {
     assert!(appsp.starts_with("engine: node programs\n"), "{appsp}");
     assert!(appsp.contains(": owner of rsd("), "{appsp}");
 
+    // CYCLIC(2) and a stride-2 alignment are bounded like the stores; a
+    // loop line prints its step.
+    for (src, line) in [
+        (
+            CYCLIC2,
+            "s1    DO i = 1, 16: owner of a(i)\n\
+             \x20       grid dim 0: [0:1..10:8x2] [1:3..12:8x2] [2:5..14:8x2] [3:7..16:8x2]\n",
+        ),
+        (
+            STRIDE2,
+            "s1    DO i = 1, 16: owner of a(i)\n\
+             \x20       grid dim 0: [0:1..4] [1:5..8] [2:9..12] [3:13..16]\n",
+        ),
+        (
+            "!HPF$ PROCESSORS P(4)\n!HPF$ DISTRIBUTE (BLOCK) :: A\nREAL A(16)\nINTEGER i\n\
+             DO i = 16, 1, -3\n  A(i) = 1.0\nEND DO\n",
+            "s1    DO i = 16, 1, (-3): owner of a(i)\n\
+             \x20       grid dim 0: [0:1..4] [1:5..8] [2:9..12] [3:13..16]\n",
+        ),
+    ] {
+        let section = iteration_section(&compiled(src));
+        assert!(section.contains(line), "lacks {line:?}:\n{section}");
+    }
+
     let c = compiled(&dgefa::source(8, 4));
     let dgefa = iteration_section(&c);
     assert_eq!(dgefa, format!("engine: {}\n", engine(&c.spmd)));
@@ -369,12 +406,17 @@ fn report_prints_the_node_plan() {
 /// Every iteration in which a rank executes an owned write, as its
 /// recorded schedule shows, lies in a set the report prints for that
 /// rank's grid coordinate: stencil2d under BLOCK on its 2×2 grid and under
-/// CYCLIC on a 4×2 grid.
+/// CYCLIC on a 4×2 grid, a CYCLIC(2) loop and a stride-2 alignment.
 #[test]
 fn recorded_executions_lie_in_the_reported_sets() {
     let block = include_str!("../examples/hpf/stencil2d.hpf").to_string();
     let cyclic = cyclic(&block).replace("PROCESSORS P(2,2)", "PROCESSORS P(4,2)");
-    for (name, src) in [("BLOCK", block), ("CYCLIC", cyclic)] {
+    for (name, src) in [
+        ("BLOCK", block),
+        ("CYCLIC", cyclic),
+        ("CYCLIC(2)", CYCLIC2.to_string()),
+        ("stride 2", STRIDE2.to_string()),
+    ] {
         let c = compile_source(&src, Options::new(Version::SelectedAlignment)).unwrap();
         let sp = &c.spmd;
         let p = &sp.program;
@@ -395,7 +437,7 @@ fn recorded_executions_lie_in_the_reported_sets() {
                     for d in &lv.dims {
                         let sets = &d.sets[coords[d.g]];
                         assert!(
-                            sets.iter().any(|s| s.contains(i)),
+                            sets.iter().any(|s| s.local(i).is_some()),
                             "{name}: rank {pid} runs s{} at {i}, outside {sets:?}",
                             stmt.0
                         );
@@ -405,5 +447,53 @@ fn recorded_executions_lie_in_the_reported_sets() {
             }
         }
         assert!(checked > 0, "{name}: no execution lies in a bounded loop");
+    }
+}
+
+/// A BLOCK loop that runs past its array faults on the rank that visits
+/// the faulting iteration, naming the rank and the assignment, as the
+/// executor (and so the socket backend) does: the ranks visit every
+/// iteration whose reference leaves the template.
+#[test]
+fn out_of_bounds_block_loops_fault() {
+    let one_d = |lo: i64, hi: i64| {
+        format!(
+            "!HPF$ PROCESSORS P(4)\n!HPF$ DISTRIBUTE (BLOCK) :: A\nREAL A(8)\nINTEGER i\n\
+             DO i = {lo}, {hi}\n  A(i) = 1.0\nEND DO\n"
+        )
+    };
+    let two_d = "!HPF$ PROCESSORS P(2,2)\n!HPF$ DISTRIBUTE (BLOCK, BLOCK) :: U\nREAL U(8,8)\n\
+                 INTEGER i, j\nDO j = 1, 8\n  DO i = 1, 9\n    U(i,j) = 1.0\n  END DO\nEND DO\n";
+    for (k, src) in [one_d(1, 9), one_d(0, 8), two_d.to_string()]
+        .iter()
+        .enumerate()
+    {
+        let c = compile_source(src, Options::new(Version::SelectedAlignment)).unwrap();
+        assert_eq!(engine(&c.spmd), Engine::Node, "{src}");
+
+        let report = c.verify(|_| {});
+        let faults: Vec<_> = report.errors().filter(|d| d.code == "S100").collect();
+        assert!(!faults.is_empty(), "no S100 for\n{src}");
+        for d in &faults {
+            assert!(d.message.starts_with("rank "), "{}", d.message);
+            assert!(d.message.contains("out of bounds"), "{}", d.message);
+            assert_eq!(d.stmt, Some(phpf::ir::StmtId(0)), "{}", d.message);
+        }
+
+        let err = validate_replay(&c.spmd, |_| {}).expect_err("node programs");
+        assert!(err.starts_with("proc "), "{err}");
+        assert!(err.contains("out of bounds"), "{err}");
+
+        let socket = c.verify_executor_schedule(|_| {});
+        assert!(
+            socket.errors().any(|d| d.code == "S100"),
+            "executor schedule of\n{src}"
+        );
+        if k == 0 {
+            let job = NetJob::new(src.clone()).with_default_fills().unwrap();
+            let err = netrun::socket_validate_replay(&job, &NetRunConfig::default())
+                .expect_err("socket backend");
+            assert!(err.contains("out of bounds"), "{err}");
+        }
     }
 }

@@ -5,9 +5,9 @@
 //! version.
 
 use phpf::compile::{compile_source, Options, Version};
-use phpf::dist::{dist_owner, shrink_bounds, IterSet, ProcGrid};
-use phpf::ir::{parse_program, Affine, DistFormat, VarId};
-use phpf::spmd::validate_against_sequential;
+use phpf::dist::{dist_owner, ProcGrid};
+use phpf::ir::{parse_program, Affine, DistFormat, HeldDim, VarId};
+use phpf::spmd::{node, validate_against_sequential};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------- dist --
@@ -36,56 +36,64 @@ proptest! {
         }
     }
 
-    /// Loop-bound shrinking agrees with element ownership for every
-    /// supported subscript form, and the per-coordinate sets partition
-    /// the iteration space.
+    /// The node programs bound a loop `DO i = lo, hi` over `A(a*i + b)`
+    /// with the derivation the stores use: every iteration whose element
+    /// lies in A is visited by exactly one grid coordinate, the one that
+    /// owns it, and every iteration whose element lies outside A by all of
+    /// them (each faults there). BLOCK at strides ±1 and ±2, CYCLIC and
+    /// CYCLIC(1..4) at ±1, with loop ranges that cross either end of A.
     #[test]
-    fn shrink_bounds_partitions_iterations(
-        extent in 4i64..120,
-        nprocs in 1usize..9,
-        a in prop_oneof![Just(1i64), Just(-1i64)],
+    fn loop_sets_partition_owned_iterations(
+        extent in 4i64..40,
+        nprocs in 1usize..6,
+        shape in prop_oneof![
+            (prop_oneof![Just(1i64), Just(-1i64), Just(2i64), Just(-2i64)])
+                .prop_map(|a| (DistFormat::Block, a)),
+            (prop_oneof![Just(1i64), Just(-1i64)]).prop_map(|a| (DistFormat::Cyclic, a)),
+            (1usize..5, prop_oneof![Just(1i64), Just(-1i64)])
+                .prop_map(|(k, a)| (DistFormat::BlockCyclic(k), a)),
+        ],
         b in -3i64..4,
-        fmt in prop_oneof![Just(DistFormat::Block), Just(DistFormat::Cyclic)],
+        ends in (-3i64..3, -3i64..3),
     ) {
-        // Loop range chosen so positions stay in the template.
-        let (lo, hi) = if a == 1 {
-            (1 - b + 3, extent - b - 3)
-        } else {
-            (-(extent - 3) - b + 1, -(1 + b) + 3)
+        let (fmt, a): (DistFormat, i64) = shape;
+        // The iterations that reach A's ends, widened by `ends`.
+        let (first, last) = ((1 - b) as f64 / a as f64, (extent - b) as f64 / a as f64);
+        let (lo, hi) = (first.min(last).floor() as i64, first.max(last).ceil() as i64);
+        let (lo, hi) = (lo + ends.0, hi + ends.1);
+        if lo > hi {
+            return Ok(());
+        }
+        let dist = match fmt {
+            DistFormat::Block => "BLOCK".to_string(),
+            DistFormat::Cyclic => "CYCLIC".to_string(),
+            DistFormat::BlockCyclic(k) => format!("CYCLIC({k})"),
+            DistFormat::Collapsed => unreachable!(),
         };
-        if lo > hi { return Ok(()); }
-        let mut counts = vec![0usize; (hi - lo + 1) as usize];
-        for coord in 0..nprocs {
-            let set = shrink_bounds(fmt, nprocs, 1, extent, coord, a, b, lo, hi);
-            let Some(set) = set else { return Ok(()); };
-            for i in lo..=hi {
-                let pos0 = a * i + b - 1;
-                if pos0 < 0 || pos0 >= extent { continue; }
-                let owned = dist_owner(fmt, pos0, extent, nprocs) == coord;
-                prop_assert_eq!(set.contains(i), owned);
-                if owned {
-                    counts[(i - lo) as usize] += 1;
-                }
-            }
-        }
-        for (k, &c) in counts.iter().enumerate() {
-            let i = lo + k as i64;
+        let src = format!(
+            "!HPF$ PROCESSORS P({nprocs})\n!HPF$ DISTRIBUTE ({dist}) :: A\nREAL A({extent})\n\
+             INTEGER i\nDO i = {lo}, {hi}\n  A({a}*i + ({b})) = 1.0\nEND DO\n"
+        );
+        let c = compile_source(&src, Options::new(Version::SelectedAlignment)).unwrap();
+        let loops = node::loop_visits(&c.spmd).unwrap();
+        prop_assert_eq!(loops.len(), 1);
+        // No grid dim line: every coordinate visits every iteration.
+        let dims = &loops[0].dims;
+        prop_assert!(dims.len() <= 1, "{:?}", dims);
+        let sets = match dims.first() {
+            Some(d) => d.sets.clone(),
+            None => vec![vec![HeldDim::Range { lo, hi }]; nprocs],
+        };
+        for i in lo..=hi {
+            let visits: Vec<usize> =
+                (0..nprocs).filter(|&c| sets[c].iter().any(|s| s.local(i).is_some())).collect();
             let pos0 = a * i + b - 1;
-            if pos0 >= 0 && pos0 < extent {
-                prop_assert_eq!(c, 1, "iteration {} owned exactly once", i);
+            if (0..extent).contains(&pos0) {
+                let owner = dist_owner(fmt, pos0, extent, nprocs);
+                prop_assert_eq!(visits, vec![owner], "i = {} in\n{}", i, src);
+            } else {
+                prop_assert_eq!(visits.len(), nprocs, "i = {} in\n{}", i, src);
             }
-        }
-    }
-
-    /// IterSet::count agrees with explicit iteration.
-    #[test]
-    fn iterset_count_matches_iteration(lo in -20i64..20, len in 0i64..40, step in 1i64..6) {
-        let hi = lo + len;
-        let s = IterSet::Strided { first: lo, last: hi, step };
-        let explicit: Vec<i64> = s.iter(lo, hi).collect();
-        prop_assert_eq!(explicit.len() as i64, s.count(len + 1));
-        for w in explicit.windows(2) {
-            prop_assert_eq!(w[1] - w[0], step);
         }
     }
 }
